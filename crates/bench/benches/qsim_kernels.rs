@@ -1,5 +1,6 @@
-//! Criterion benches for the simulator kernels, including the design-choice
-//! ablation from DESIGN.md §4.1: fast diagonal QAOA path vs gate-level path.
+//! Criterion benches for the simulator kernels, including one design-choice
+//! ablation: the fast diagonal QAOA path (phase layer applied as a diagonal)
+//! vs the gate-level circuit path (CNOT–RZ–CNOT per edge).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -49,7 +50,7 @@ fn bench_diagonal_phase(c: &mut Criterion) {
 }
 
 fn bench_qaoa_paths(c: &mut Criterion) {
-    // DESIGN.md ablation 1: fast diagonal path vs gate-level circuit.
+    // Ablation: fast diagonal path vs gate-level circuit.
     let mut rng = StdRng::seed_from_u64(3);
     let graph = generators::erdos_renyi_nonempty(8, 0.5, &mut rng);
     let problem = MaxCutProblem::new(&graph).expect("non-empty graph");

@@ -2,8 +2,8 @@
 //! 3-regular graphs — at fixed depth, γᵢOPT increases with stage i while
 //! βᵢOPT decreases (panels (a) p = 3 and (b) p = 5).
 //!
-//! Optima are produced the way the paper's own figures imply (see DESIGN.md
-//! §5): the depth-1 instance is solved by multistart and deeper instances
+//! Optima are produced the way the paper's own figures imply, and the way
+//! the corpus pipeline produces them: the depth-1 instance is solved by multistart and deeper instances
 //! follow the INTERP chain (Zhou et al., the paper's ref [5]) that stays in
 //! one smooth basin family; for display, only the smoothness-preserving
 //! conjugation fold is applied so every graph appears in the same image

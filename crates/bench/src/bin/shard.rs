@@ -1,18 +1,16 @@
 //! `qaoa-shard` — the sharded corpus coordinator.
 //!
 //! Splits the §III-A ensemble into `--shards K` contiguous graph-index
-//! ranges and drives one worker per range. `--workers` picks how the
-//! workers run:
+//! ranges and hands them to workers through the streaming coordinator
+//! ([`engine::shard::run_streaming`]): records merge in global graph-index
+//! order with bounded buffering, and a dead or silent worker's range is
+//! re-tasked onto the survivors. `--workers` picks where the workers run:
 //!
-//! * `local` (default) — in-process `engine::corpus` calls, no wire
-//!   protocol; the original single-process path.
-//! * `loopback:K` — K in-process `qaoa-serve` loops over channel pipes,
-//!   driven by the streaming coordinator ([`engine::shard::run_streaming`]):
-//!   records merge in global graph-index order with bounded buffering, and
-//!   a dead or silent worker's range is re-tasked onto the survivors.
-//! * `spawn:K` — the same coordinator over K spawned worker subprocesses
-//!   (`--worker-cmd`, default the `qaoa-serve` binary next to this
-//!   executable) speaking `QW1` over stdin/stdout.
+//! * `loopback:K` (default `loopback:1`) — K in-process `qaoa-serve` loops
+//!   over channel pipes; one worker takes the ranges in order.
+//! * `spawn:K` — K spawned worker subprocesses (`--worker-cmd`, default
+//!   the `qaoa-serve` binary next to this executable) speaking `QW1` over
+//!   stdin/stdout.
 //!
 //! The merged corpus — and, with `--cache-file`, the merged depth-1 cache
 //! file — is **bit-identical** to an unsharded run with the same flags, at
@@ -20,10 +18,10 @@
 //! a worker death mid-run; CI diffs all of it byte-for-byte against the
 //! `table1` corpus.
 //!
-//! The merged corpus TSV goes to `--out PATH` (or stdout) — in the wire
-//! modes it is *streamed*, one line per record as the coordinator's
-//! frontier advances, so peak memory is bounded by the dispatch window,
-//! not the corpus. Progress and the shard report go to stderr.
+//! The merged corpus TSV goes to `--out PATH` (or stdout), *streamed* one
+//! line per record as the coordinator's frontier advances, so peak memory
+//! is bounded by the dispatch window, not the corpus. Progress and the
+//! shard report go to stderr.
 //!
 //! Run:
 //! `cargo run --release -p bench --bin qaoa-shard -- --quick --shards 3 --workers spawn:2 --out corpus.tsv`
@@ -52,7 +50,6 @@ fn run(config: &RunConfig) -> Result<(), String> {
     let spec = config.datagen();
     let plan = ShardPlan::split_even(config.graphs, config.shards);
     let mode = match config.workers {
-        WorkerMode::Local => "local (in-process)".to_string(),
         WorkerMode::Loopback(k) => format!("{k} loopback worker(s)"),
         WorkerMode::Spawn(k) => format!("{k} spawned worker(s)"),
     };
@@ -65,32 +62,12 @@ fn run(config: &RunConfig) -> Result<(), String> {
     );
 
     match config.workers {
-        WorkerMode::Local => run_local(config, &spec, &plan),
         WorkerMode::Loopback(k) => run_loopback(config, &spec, &plan, k),
         WorkerMode::Spawn(k) => run_spawn(config, &spec, &plan, k),
     }
 }
 
-/// The original path: in-process ranges, whole dataset in memory.
-fn run_local(config: &RunConfig, spec: &DataGenConfig, plan: &ShardPlan) -> Result<(), String> {
-    let cache = Level1Cache::new();
-    config.load_level1(&cache);
-    let (dataset, report) = engine::shard::run_local(spec, plan, config.threads(), &cache)
-        .map_err(|e| e.to_string())?;
-    print_report(&report);
-    config.persist_level1(&cache);
-    let write_result = match &config.out {
-        Some(path) => dataset.save(path),
-        None => dataset.write_tsv(std::io::stdout().lock()),
-    };
-    write_result.map_err(|e| format!("could not write corpus: {e}"))?;
-    if let Some(path) = &config.out {
-        eprintln!("# corpus written to {}", path.display());
-    }
-    Ok(())
-}
-
-/// Loopback wire mode: the streaming coordinator over in-process workers
+/// Loopback mode: the streaming coordinator over in-process workers
 /// sharing one depth-1 cache (pre-warmed from `--cache-file`, saved back
 /// merged).
 fn run_loopback(
@@ -113,7 +90,7 @@ fn run_loopback(
     Ok(())
 }
 
-/// Spawn wire mode: the streaming coordinator over worker subprocesses.
+/// Spawn mode: the streaming coordinator over worker subprocesses.
 /// With `--cache-file`, each worker gets its own pre-warmed copy of the
 /// file (`PATH.wK`) to persist into at exit; the coordinator merges the
 /// copies back into `PATH` afterwards, so the final file is identical to
@@ -257,13 +234,8 @@ fn stream_corpus_inner<T: ShardTransport>(
 fn print_report(report: &ShardReport) {
     for (i, stats) in report.per_shard.iter().enumerate() {
         eprintln!(
-            "#   shard {i}: graphs {}..{} -> {} cells, {} fn calls ({} cache hits, {} attempt(s))",
-            stats.range.start,
-            stats.range.end,
-            stats.cells,
-            stats.function_calls,
-            stats.cache_hits,
-            stats.attempts,
+            "#   shard {i}: graphs {}..{} -> {} cells, {} fn calls ({} attempt(s))",
+            stats.range.start, stats.range.end, stats.cells, stats.function_calls, stats.attempts,
         );
     }
     eprintln!("# merged: {}", report.summary());

@@ -1,7 +1,7 @@
 //! Shared helpers for the figure/table regeneration binaries.
 //!
 //! Every binary in `src/bin/` reproduces one table or figure of the paper
-//! (see DESIGN.md's experiment index) and accepts the same flags:
+//! (its module docs name which) and accepts the same flags:
 //!
 //! ```text
 //! --quick            CI-scale preset (small ensemble, shallow depths)
@@ -24,10 +24,9 @@ pub mod cli;
 /// How `qaoa-shard` runs its shard workers (`--workers`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerMode {
-    /// In-process `engine::corpus` calls, one per range (no wire protocol).
-    Local,
     /// K in-process `qaoa-serve` loops over channel pipes — the streaming
-    /// coordinator's reference transport.
+    /// coordinator's reference transport. `Loopback(1)` is the default
+    /// single-process run.
     Loopback(usize),
     /// K spawned worker subprocesses (`--worker-cmd`, default `qaoa-serve`)
     /// over stdin/stdout.
@@ -35,16 +34,12 @@ pub enum WorkerMode {
 }
 
 impl WorkerMode {
-    /// Parses `--workers` values: `local`, `loopback:K`, or `spawn:K`
-    /// (K >= 1).
+    /// Parses `--workers` values: `loopback:K` or `spawn:K` (K >= 1).
     ///
     /// # Errors
     ///
     /// Returns a human-readable message for anything else.
     pub fn parse(value: &str) -> Result<Self, String> {
-        if value == "local" {
-            return Ok(Self::Local);
-        }
         let parse_k = |kind: &str, k: &str| -> Result<usize, String> {
             match k.parse::<usize>() {
                 Ok(k) if k >= 1 => Ok(k),
@@ -59,9 +54,7 @@ impl WorkerMode {
         if let Some(k) = value.strip_prefix("spawn:") {
             return Ok(Self::Spawn(parse_k("spawn", k)?));
         }
-        Err(format!(
-            "--workers {value}: expected local, loopback:K, or spawn:K"
-        ))
+        Err(format!("--workers {value}: expected loopback:K or spawn:K"))
     }
 }
 
@@ -103,8 +96,8 @@ pub struct RunConfig {
     /// Output path for the merged corpus TSV (`--out`, `qaoa-shard`);
     /// `None` writes to stdout.
     pub out: Option<std::path::PathBuf>,
-    /// Shard worker mode (`--workers`, `qaoa-shard`): in-process ranges
-    /// (default), K loopback wire workers, or K spawned subprocesses.
+    /// Shard worker mode (`--workers`, `qaoa-shard`): K loopback wire
+    /// workers (default one) or K spawned subprocesses.
     pub workers: WorkerMode,
     /// Worker command line for spawn mode (`--worker-cmd`, whitespace-split;
     /// `None` = the `qaoa-serve` binary next to the running executable).
@@ -145,7 +138,7 @@ impl RunConfig {
             model: None,
             shards: 1,
             out: None,
-            workers: WorkerMode::Local,
+            workers: WorkerMode::Loopback(1),
             worker_cmd: None,
             timeout_secs: 30,
             kill_worker: None,
@@ -170,7 +163,7 @@ impl RunConfig {
             model: None,
             shards: 1,
             out: None,
-            workers: WorkerMode::Local,
+            workers: WorkerMode::Loopback(1),
             worker_cmd: None,
             timeout_secs: 30,
             kill_worker: None,

@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use bench::RunConfig;
-use engine::shard::{self, ShardPlan};
+use engine::shard::{self, ShardPlan, StreamOptions};
 use engine::{wire, Engine, KillAfter, ShardTransport, SubprocessTransport};
 use qaoa::datagen::{DataGenConfig, ParameterDataset};
 
@@ -70,7 +70,8 @@ fn spawned_workers_match_the_unsharded_corpus() {
         let mut transport =
             SubprocessTransport::spawn(&cmd, 2).expect("spawning qaoa-serve workers");
         let (merged, report) =
-            shard::run_wire(&config, &plan, &mut transport).expect("subprocess shard run");
+            shard::run_wire(&config, &plan, &mut transport, &StreamOptions::default())
+                .expect("subprocess shard run");
         assert_eq!(report.lost_workers, 0);
         assert_eq!(report.retasked, 0);
         assert_bit_identical(
@@ -93,7 +94,8 @@ fn killed_subprocess_worker_still_matches() {
     let inner = SubprocessTransport::spawn(&cmd, 2).expect("spawning qaoa-serve workers");
     let mut transport = KillAfter::new(inner, 0, 1);
     let (merged, report) =
-        shard::run_wire(&config, &plan, &mut transport).expect("failover over subprocesses");
+        shard::run_wire(&config, &plan, &mut transport, &StreamOptions::default())
+            .expect("failover over subprocesses");
     assert_eq!(
         report.lost_workers, 1,
         "the killed process must be declared dead"
@@ -153,52 +155,104 @@ fn spawned_server_answers_predict_from_a_model_artifact() {
     std::fs::remove_file(&model_path).ok();
 }
 
+/// Runs the `qaoa-shard` CLI on the `spec(5)` corpus plus `extra` flags.
+fn qaoa_shard(extra: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_qaoa-shard"))
+        .args([
+            "--quick",
+            "--graphs",
+            "5",
+            "--nodes",
+            "4",
+            "--max-depth",
+            "2",
+            "--restarts",
+            "2",
+            "--seed",
+            "77",
+            "--threads",
+            "1",
+        ])
+        .args(extra)
+        .output()
+        .expect("qaoa-shard runs")
+}
+
+/// The TSV bytes of the in-process, unsharded `spec(5)` corpus.
+fn reference_tsv() -> Vec<u8> {
+    let mut tsv = Vec::new();
+    reference(&spec(5))
+        .write_tsv(&mut tsv)
+        .expect("in-memory TSV");
+    tsv
+}
+
 #[test]
 fn qaoa_shard_spawn_cli_matches_local_mode() {
-    // The full CLI path: `qaoa-shard --workers spawn:2` must write the
-    // same TSV bytes to stdout as the default local mode.
-    let shard_bin = env!("CARGO_BIN_EXE_qaoa-shard");
-    let serve_bin = env!("CARGO_BIN_EXE_qaoa-serve");
-    let common = [
-        "--quick",
-        "--graphs",
-        "5",
-        "--nodes",
-        "4",
-        "--max-depth",
-        "2",
-        "--restarts",
-        "2",
-        "--seed",
-        "77",
-        "--threads",
-        "1",
-    ];
-    let run = |extra: &[&str]| -> Vec<u8> {
-        let output = std::process::Command::new(shard_bin)
-            .args(common)
-            .args(extra)
-            .output()
-            .expect("qaoa-shard runs");
-        assert!(
-            output.status.success(),
-            "qaoa-shard {extra:?} failed: {}",
-            String::from_utf8_lossy(&output.stderr)
-        );
-        output.stdout
-    };
-    let local = run(&[]);
-    let spawned = run(&[
+    // The full CLI path: `qaoa-shard --workers spawn:2` must write to
+    // stdout exactly the TSV bytes of the local, in-process unsharded
+    // generator (`engine::corpus::generate`).
+    let output = qaoa_shard(&[
         "--shards",
         "3",
         "--workers",
         "spawn:2",
         "--worker-cmd",
-        serve_bin,
+        env!("CARGO_BIN_EXE_qaoa-serve"),
     ]);
-    assert!(!local.is_empty());
-    assert_eq!(
-        local, spawned,
-        "spawn-mode stdout TSV differs from local mode"
+    assert!(
+        output.status.success(),
+        "qaoa-shard failed: {}",
+        String::from_utf8_lossy(&output.stderr)
     );
+    assert_eq!(
+        output.stdout,
+        reference_tsv(),
+        "spawn-mode stdout TSV differs from the in-process corpus"
+    );
+}
+
+#[test]
+fn oversized_worker_line_kills_the_worker_and_its_range_is_retasked() {
+    // Of two spawned workers, the first to start floods one 2 MiB line
+    // instead of serving; the other is a real qaoa-serve. The coordinator
+    // must stop reading the flood at its line cap, declare that worker
+    // dead, re-task its range onto the survivor, and still write the
+    // reference bytes.
+    let dir = std::env::temp_dir().join(format!("qaoa_oversized_line_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let script = dir.join("worker.sh");
+    // argv: marker dir, qaoa-serve path, then the flags qaoa-shard appends.
+    let flooder = r#"marker=$1; serve=$2; shift 2
+if mkdir "$marker" 2>/dev/null; then
+  head -c 2097152 /dev/zero | tr '\0' x
+  echo
+  exec cat >/dev/null
+fi
+exec "$serve" "$@"
+"#;
+    std::fs::write(&script, flooder).expect("worker script");
+    let worker_cmd = format!(
+        "sh {} {} {}",
+        script.display(),
+        dir.join("flooder-claimed").display(),
+        env!("CARGO_BIN_EXE_qaoa-serve")
+    );
+    let output = qaoa_shard(&[
+        "--shards",
+        "3",
+        "--workers",
+        "spawn:2",
+        "--worker-cmd",
+        &worker_cmd,
+    ]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "qaoa-shard failed: {stderr}");
+    assert!(
+        stderr.contains("lost 1 worker(s), re-tasked 1 range(s)"),
+        "the flooding worker must be lost and its range re-tasked: {stderr}"
+    );
+    assert_eq!(output.stdout, reference_tsv());
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -51,7 +51,6 @@ pub mod features;
 pub mod graph_aware;
 mod instance;
 pub mod landscape;
-pub mod noise;
 pub mod noisy;
 mod predictor;
 mod problem;

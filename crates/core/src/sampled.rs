@@ -1,12 +1,12 @@
 //! Shot-noise objective: sampled `⟨C⟩` as a first-class engine workload.
 //!
-//! [`ShotEstimator`](crate::noise::ShotEstimator) demonstrated finite-shot
-//! estimation, but carries its own RNG *stream*: the estimate at a parameter
-//! point depends on how many evaluations happened before it, which breaks
-//! the engine's requirement that every job be a pure function of its seed.
-//! [`SampledExpectation`] fixes the seeding scheme — evaluation `k` draws
-//! from `StdRng::seed_from_u64(mix64(base_seed ^ (k+1)·GOLDEN_GAMMA))`, so
-//! the whole optimization trace is a pure function of `(base_seed,
+//! A finite-shot estimator that carries its own RNG *stream* makes the
+//! estimate at a parameter point depend on how many evaluations happened
+//! before it, which breaks the engine's requirement that every job be a
+//! pure function of its seed. [`SampledExpectation`] fixes the seeding
+//! scheme instead — evaluation `k` draws from
+//! `StdRng::seed_from_u64(mix64(base_seed ^ (k+1)·GOLDEN_GAMMA))`, so the
+//! whole optimization trace is a pure function of `(base_seed,
 //! parameters)` and is bit-identical at any thread count — and evaluates
 //! through the thread's cached [`EvalContext`](crate::EvalContext) plus a
 //! reusable [`CdfSampler`], allocation-free after the first call.

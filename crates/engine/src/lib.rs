@@ -30,13 +30,13 @@
 //!   binary: `JOB` lines in, `OUTCOME`/`REPORT` lines out, in submission
 //!   order, plus the worker side of shard tasking (`SHARD`/`RANGE` in,
 //!   `RECORD`/`DONE` out),
-//! * [`shard`] — the corpus shard coordinator: a validated [`ShardPlan`]
-//!   over graph-index ranges, driven locally ([`shard::run_local`], the
-//!   `qaoa-shard` binary) or live over a streaming transport
-//!   ([`shard::run_streaming`] / [`shard::run_wire`]), merging records in
-//!   global graph-index order with bounded buffering and re-tasking the
+//! * [`shard`] — the corpus shard coordinator behind the `qaoa-shard`
+//!   binary: a validated [`ShardPlan`] over graph-index ranges, driven
+//!   over a streaming transport ([`shard::run_streaming`], or
+//!   [`shard::run_wire`] to collect the corpus in memory), merging records
+//!   in global graph-index order with bounded buffering and re-tasking the
 //!   ranges of dead or timed-out workers — output **bit-identical** to the
-//!   unsharded run either way,
+//!   unsharded run at any worker count,
 //! * [`transport`] — the [`ShardTransport`] trait the coordinator drives:
 //!   in-process [`transport::LoopbackTransport`] workers (the reference
 //!   implementation), spawned `qaoa-serve` processes

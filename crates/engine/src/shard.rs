@@ -1,9 +1,9 @@
 //! Sharded corpus generation: split the §III-A ensemble over workers by
 //! graph-index range, with a bit-parity guarantee and worker failover.
 //!
-//! ROADMAP item 1: corpus generation scales past one machine by handing
-//! each worker a contiguous range of global graph indices over a live,
-//! streaming transport. The pieces compose — [`crate::corpus::solve_range`]
+//! Corpus generation scales past one process by handing each worker a
+//! contiguous range of global graph indices over a live, streaming
+//! transport. The pieces compose — [`crate::corpus::solve_range`]
 //! seeds every cell from its *global* index, the `QW1` wire format moves
 //! records bit-exactly, and [`crate::persist::save_merge`] unions cache
 //! files — so both failover and streaming are pure bookkeeping:
@@ -11,9 +11,6 @@
 //! * [`ShardPlan`] — a validated partition of `0..n_graphs` into
 //!   contiguous, non-overlapping, covering index ranges (empty and
 //!   singleton ranges included),
-//! * [`run_local`] — one [`crate::corpus`] worker per range, each on its
-//!   own engine/pool: the single-process rehearsal of the multi-machine
-//!   topology,
 //! * [`run_streaming`] — the live coordinator: an event loop over any
 //!   [`ShardTransport`] that dispatches ranges to workers, streams-merges
 //!   `RECORD` lines into the sink in global graph-index order with
@@ -22,10 +19,12 @@
 //! * [`run_wire`] — [`run_streaming`] collecting into a
 //!   [`ParameterDataset`], for callers that want the corpus in memory.
 //!
-//! Transports live in [`crate::transport`]:
-//! [`crate::transport::LoopbackTransport`] (in-process reference
-//! implementation) and [`crate::transport::SubprocessTransport`] (spawned
-//! `qaoa-serve` worker processes).
+//! [`run_streaming`] is the only coordinator. Where the workers run is the
+//! transport's business ([`crate::transport`]):
+//! [`crate::transport::LoopbackTransport`] runs in-process serve workers
+//! (one loopback worker taking the ranges in order is the single-process
+//! run), [`crate::transport::SubprocessTransport`] spawns `qaoa-serve`
+//! worker processes.
 //!
 //! # The bit-parity guarantee
 //!
@@ -85,13 +84,11 @@ use std::time::{Duration, Instant};
 use qaoa::datagen::{DataGenConfig, OptimalRecord, ParameterDataset};
 use qaoa::QaoaError;
 
-use crate::batch::Engine;
-use crate::cache::Level1Cache;
 use crate::corpus;
 use crate::transport::{ShardTransport, TransportError};
 use crate::wire;
 
-/// A failed shard plan, protocol exchange, worker fleet, or local solve.
+/// A failed shard plan, protocol exchange, worker fleet, or merge.
 #[derive(Debug)]
 pub enum ShardError {
     /// The plan is not a valid partition (or does not match the spec).
@@ -111,7 +108,7 @@ pub enum ShardError {
     Transport(String),
     /// The record sink (the caller's output writer) failed.
     Sink(String),
-    /// A local solve failed.
+    /// The merged records did not assemble into a dataset.
     Solve(QaoaError),
 }
 
@@ -240,9 +237,6 @@ pub struct ShardStats {
     pub cells: usize,
     /// Total function calls across the shard's records.
     pub function_calls: usize,
-    /// Depth-1 solves served from cache (0 for wire shards, whose workers
-    /// do not report hit counts through `DONE`).
-    pub cache_hits: usize,
     /// Times this range was dispatched (1 + re-tasks after worker loss).
     pub attempts: usize,
 }
@@ -277,21 +271,14 @@ impl ShardReport {
         self.per_shard.iter().map(|s| s.function_calls).sum()
     }
 
-    /// Total depth-1 cache hits across all shards.
-    #[must_use]
-    pub fn cache_hits(&self) -> usize {
-        self.per_shard.iter().map(|s| s.cache_hits).sum()
-    }
-
     /// One-line human summary.
     #[must_use]
     pub fn summary(&self) -> String {
         let mut line = format!(
-            "{} shards / {} cells in {:.2?} ({} level-1 cache hits, {} fn calls)",
+            "{} shards / {} cells in {:.2?} ({} fn calls)",
             self.per_shard.len(),
             self.cells(),
             self.wall,
-            self.cache_hits(),
             self.function_calls(),
         );
         if self.lost_workers > 0 {
@@ -302,62 +289,6 @@ impl ShardReport {
         }
         line
     }
-}
-
-/// Runs a sharded corpus generation in-process: one
-/// [`corpus::solve_range`] worker per range, each on its own engine (with
-/// `threads_per_shard` pool workers), merged in graph-index order.
-///
-/// `shared_cache` plays the coordinator's depth-1 cache: each shard engine
-/// is pre-warmed from it before solving and folded back into it after, so
-/// canonical classes spanning shard boundaries are solved once per run —
-/// and a caller that loaded the cache from a `--cache-file` gets the same
-/// warm-start any unsharded driver gets. Pass a fresh
-/// [`Level1Cache::new()`] when no persistence is wanted.
-///
-/// The merged dataset is **bit-identical** to
-/// [`corpus::generate`] with the same spec, for any valid plan, any
-/// `threads_per_shard`, and any warm/cold cache state.
-///
-/// # Errors
-///
-/// Rejects a plan that does not match the spec; propagates solve errors.
-pub fn run_local(
-    config: &DataGenConfig,
-    plan: &ShardPlan,
-    threads_per_shard: usize,
-    shared_cache: &Level1Cache,
-) -> Result<(ParameterDataset, ShardReport), ShardError> {
-    plan.check_spec(config)?;
-    let start = Instant::now();
-    let graphs = corpus::ensemble(config);
-    let mut records = Vec::with_capacity(config.n_graphs * config.max_depth);
-    let mut per_shard = Vec::with_capacity(plan.shards());
-    for range in plan.ranges() {
-        let engine = Engine::new(threads_per_shard);
-        engine.cache().merge_from(shared_cache);
-        let (shard_records, report) = corpus::solve_range(&graphs, range.clone(), config, &engine)?;
-        shared_cache.merge_from(engine.cache());
-        per_shard.push(ShardStats {
-            range: range.clone(),
-            cells: report.cells,
-            function_calls: report.function_calls,
-            cache_hits: report.cache_hits,
-            attempts: 1,
-        });
-        records.extend(shard_records);
-    }
-    let dataset = ParameterDataset::from_parts(graphs, records, config.max_depth)?;
-    Ok((
-        dataset,
-        ShardReport {
-            per_shard,
-            wall: start.elapsed(),
-            retasked: 0,
-            lost_workers: 0,
-            peak_buffered_records: 0,
-        },
-    ))
 }
 
 /// Tuning knobs for [`run_streaming`].
@@ -413,11 +344,20 @@ enum WorkerState {
     Gone,
 }
 
+/// The coordinator's view of one worker.
+struct WorkerSlot {
+    state: WorkerState,
+    /// Whether this worker's `SHARD` session is open (sent once, lazily).
+    session_open: bool,
+    /// When the worker last delivered a line (or was last tasked).
+    last_heard: Instant,
+}
+
 /// Runs a sharded corpus generation live over a [`ShardTransport`],
 /// streaming merged records to `sink` in global graph-index order.
 ///
-/// This is the coordinator event loop behind [`run_wire`] and the
-/// `qaoa-shard` worker modes: it lazily opens a `SHARD` session per
+/// This is the coordinator event loop behind [`run_wire`] and every
+/// `qaoa-shard` worker mode: it lazily opens a `SHARD` session per
 /// worker, dispatches `RANGE`s within the frontier window, validates and
 /// merges incoming `RECORD`/`DONE` lines, re-tasks ranges lost to worker
 /// death or timeout, and closes (on success) or kills (on error) every
@@ -446,7 +386,7 @@ where
     S: FnMut(OptimalRecord) -> Result<(), String>,
 {
     plan.check_spec(config)?;
-    let outcome = stream_loop(config, plan, transport, options, sink);
+    let outcome = Coordinator::new(config, plan, transport, options, sink).run();
     // Success: a graceful close lets workers fold/persist their caches.
     // Failure: kill what's left so no worker outlives its coordinator.
     // Both are idempotent no-ops on workers already gone.
@@ -460,385 +400,343 @@ where
     outcome
 }
 
-fn stream_loop<T, S>(
-    config: &DataGenConfig,
-    plan: &ShardPlan,
-    transport: &mut T,
-    options: &StreamOptions,
-    sink: &mut S,
-) -> Result<ShardReport, ShardError>
+/// The state of one [`run_streaming`] call.
+struct Coordinator<'a, T, S> {
+    transport: &'a mut T,
+    sink: &'a mut S,
+    timeout: Duration,
+    max_depth: usize,
+    shard_line: String,
+    /// Ranges that may be open beyond the frontier (the memory bound).
+    window: usize,
+    ranges: Vec<RangeProgress>,
+    /// Plan indices waiting for a worker, lowest first.
+    pending: BTreeSet<usize>,
+    workers: Vec<WorkerSlot>,
+    /// The earliest range not yet fully emitted.
+    frontier: usize,
+    buffered_records: usize,
+    peak_buffered: usize,
+    retasked: usize,
+    lost_workers: usize,
+}
+
+impl<'a, T, S> Coordinator<'a, T, S>
 where
     T: ShardTransport,
     S: FnMut(OptimalRecord) -> Result<(), String>,
 {
-    let start = Instant::now();
-    let max_depth = config.max_depth;
-    let shard_line = wire::encode_shard(config);
-    let n_workers = transport.workers();
-    let window = options
-        .window_per_worker
-        .max(1)
-        .saturating_mul(n_workers.max(1));
+    fn new(
+        config: &DataGenConfig,
+        plan: &ShardPlan,
+        transport: &'a mut T,
+        options: &StreamOptions,
+        sink: &'a mut S,
+    ) -> Self {
+        let n_workers = transport.workers();
+        let ranges: Vec<RangeProgress> = plan
+            .ranges()
+            .iter()
+            .map(|range| RangeProgress {
+                range: range.clone(),
+                emitted: 0,
+                buffered: Vec::new(),
+                received: 0,
+                function_calls: 0,
+                done: false,
+                attempts: 0,
+            })
+            .collect();
+        let now = Instant::now();
+        Self {
+            transport,
+            sink,
+            timeout: options.timeout,
+            max_depth: config.max_depth,
+            shard_line: wire::encode_shard(config),
+            window: options
+                .window_per_worker
+                .max(1)
+                .saturating_mul(n_workers.max(1)),
+            pending: (0..ranges.len()).collect(),
+            ranges,
+            workers: (0..n_workers)
+                .map(|_| WorkerSlot {
+                    state: WorkerState::Idle,
+                    session_open: false,
+                    last_heard: now,
+                })
+                .collect(),
+            frontier: 0,
+            buffered_records: 0,
+            peak_buffered: 0,
+            retasked: 0,
+            lost_workers: 0,
+        }
+    }
 
-    let mut ranges: Vec<RangeProgress> = plan
-        .ranges()
-        .iter()
-        .map(|range| RangeProgress {
-            range: range.clone(),
-            emitted: 0,
-            buffered: Vec::new(),
-            received: 0,
-            function_calls: 0,
-            done: false,
-            attempts: 0,
-        })
-        .collect();
-    let mut pending: BTreeSet<usize> = (0..ranges.len()).collect();
-    let mut workers: Vec<WorkerState> = (0..n_workers).map(|_| WorkerState::Idle).collect();
-    let mut shard_sent = vec![false; n_workers];
-    let mut last_heard = vec![Instant::now(); n_workers];
-    let mut frontier = 0usize;
-    let mut buffered_records = 0usize;
-    let mut peak_buffered = 0usize;
-    let mut retasked = 0usize;
-    let mut lost_workers = 0usize;
+    fn run(mut self) -> Result<ShardReport, ShardError> {
+        let start = Instant::now();
+        while self.frontier < self.ranges.len() {
+            self.dispatch();
+            if self
+                .workers
+                .iter()
+                .all(|w| matches!(w.state, WorkerState::Gone))
+            {
+                let unfinished = self.ranges.iter().filter(|r| !r.done).count();
+                return Err(ShardError::Transport(format!(
+                    "all {} workers lost with {unfinished} of {} ranges unfinished",
+                    self.workers.len(),
+                    self.ranges.len()
+                )));
+            }
+            for worker in 0..self.workers.len() {
+                self.poll(worker)?;
+            }
+        }
 
-    while frontier < ranges.len() {
-        // Dispatch: hand the lowest pending ranges to idle workers, but
-        // never reach more than `window` ranges past the frontier — that
-        // cap is the memory bound.
-        #[allow(clippy::needless_range_loop)] // workers + transport borrow together
-        for worker in 0..n_workers {
-            if !matches!(workers[worker], WorkerState::Idle) {
+        // Every range is fully emitted. A surviving worker with more to say
+        // broke protocol (e.g. a duplicate DONE) — check before closing.
+        for worker in 0..self.workers.len() {
+            if matches!(self.workers[worker].state, WorkerState::Gone) {
                 continue;
             }
-            let Some(&next) = pending.iter().next() else {
+            if let Ok(line) = self.transport.recv_line(worker, Duration::ZERO) {
+                return Err(ShardError::Transport(format!(
+                    "worker {worker} sent an unexpected line after all ranges completed: {line}"
+                )));
+            }
+        }
+
+        let per_shard = self
+            .ranges
+            .iter()
+            .map(|r| ShardStats {
+                range: r.range.clone(),
+                cells: r.received,
+                function_calls: r.function_calls,
+                attempts: r.attempts.max(1),
+            })
+            .collect();
+        Ok(ShardReport {
+            per_shard,
+            wall: start.elapsed(),
+            retasked: self.retasked,
+            lost_workers: self.lost_workers,
+            peak_buffered_records: self.peak_buffered,
+        })
+    }
+
+    /// Hands the lowest pending ranges to idle workers, but never reaches
+    /// more than `window` ranges past the frontier — that cap is the
+    /// memory bound.
+    fn dispatch(&mut self) {
+        for worker in 0..self.workers.len() {
+            if !matches!(self.workers[worker].state, WorkerState::Idle) {
+                continue;
+            }
+            let Some(&next) = self.pending.first() else {
                 break;
             };
-            if next >= frontier.saturating_add(window) {
+            if next >= self.frontier.saturating_add(self.window) {
                 break;
             }
-            pending.remove(&next);
-            let tasked = if shard_sent[worker] {
-                transport.send_line(worker, &wire::encode_range(&ranges[next].range))
+            self.pending.remove(&next);
+            let slot = &mut self.workers[worker];
+            let opened = if slot.session_open {
+                Ok(())
             } else {
-                transport.send_line(worker, &shard_line).and_then(|()| {
-                    shard_sent[worker] = true;
-                    transport.send_line(worker, &wire::encode_range(&ranges[next].range))
-                })
+                self.transport.send_line(worker, &self.shard_line)
             };
+            let tasked = opened.and_then(|()| {
+                slot.session_open = true;
+                self.transport
+                    .send_line(worker, &wire::encode_range(&self.ranges[next].range))
+            });
             match tasked {
                 Ok(()) => {
-                    ranges[next].attempts += 1;
-                    workers[worker] = WorkerState::Busy(next);
-                    last_heard[worker] = Instant::now();
+                    self.ranges[next].attempts += 1;
+                    slot.state = WorkerState::Busy(next);
+                    slot.last_heard = Instant::now();
                 }
                 Err(_) => {
                     // The worker died before taking the range: requeue it
                     // and retire the worker. Not a re-task — nothing ran.
-                    pending.insert(next);
-                    workers[worker] = WorkerState::Gone;
-                    lost_workers += 1;
-                    transport.kill(worker);
+                    self.pending.insert(next);
+                    slot.state = WorkerState::Gone;
+                    self.lost_workers += 1;
+                    self.transport.kill(worker);
                 }
             }
         }
+    }
 
-        if workers.iter().all(|w| matches!(w, WorkerState::Gone)) {
-            let unfinished = ranges.iter().filter(|r| !r.done).count();
-            return Err(ShardError::Transport(format!(
-                "all {n_workers} workers lost with {unfinished} of {} ranges unfinished",
-                ranges.len()
-            )));
-        }
-
-        // Poll: give every busy worker one receive quantum, then drain
-        // whatever else it already queued without waiting.
-        #[allow(clippy::needless_range_loop)] // workers + transport borrow together
-        for worker in 0..n_workers {
-            let WorkerState::Busy(shard) = workers[worker] else {
-                continue;
-            };
-            match transport.recv_line(worker, POLL_QUANTUM) {
+    /// Gives a busy worker one [`POLL_QUANTUM`] receive, then drains
+    /// whatever else it already queued without waiting. Liveness is judged
+    /// only when the quantum wait came back empty: an empty zero-wait
+    /// drain just means the worker is caught up.
+    fn poll(&mut self, worker: usize) -> Result<(), ShardError> {
+        let mut wait = POLL_QUANTUM;
+        while let WorkerState::Busy(shard) = self.workers[worker].state {
+            let lost = match self.transport.recv_line(worker, wait) {
                 Ok(line) => {
-                    last_heard[worker] = Instant::now();
-                    handle_line(
-                        &line,
-                        shard,
-                        worker,
-                        max_depth,
-                        &mut ranges,
-                        &mut frontier,
-                        &mut workers,
-                        &mut buffered_records,
-                        &mut peak_buffered,
-                        sink,
-                    )?;
-                    while let WorkerState::Busy(shard) = workers[worker] {
-                        match transport.recv_line(worker, Duration::ZERO) {
-                            Ok(line) => {
-                                last_heard[worker] = Instant::now();
-                                handle_line(
-                                    &line,
-                                    shard,
-                                    worker,
-                                    max_depth,
-                                    &mut ranges,
-                                    &mut frontier,
-                                    &mut workers,
-                                    &mut buffered_records,
-                                    &mut peak_buffered,
-                                    sink,
-                                )?;
-                            }
-                            Err(TransportError::Timeout) => break,
-                            Err(TransportError::Dead(_)) => {
-                                lose_worker(
-                                    transport,
-                                    worker,
-                                    &mut workers,
-                                    &mut ranges,
-                                    &mut pending,
-                                    &mut buffered_records,
-                                    &mut retasked,
-                                    &mut lost_workers,
-                                );
-                                break;
-                            }
-                        }
-                    }
+                    self.workers[worker].last_heard = Instant::now();
+                    self.handle_line(&line, shard, worker)?;
+                    wait = Duration::ZERO;
+                    continue;
                 }
                 Err(TransportError::Timeout) => {
-                    if last_heard[worker].elapsed() >= options.timeout {
-                        lose_worker(
-                            transport,
-                            worker,
-                            &mut workers,
-                            &mut ranges,
-                            &mut pending,
-                            &mut buffered_records,
-                            &mut retasked,
-                            &mut lost_workers,
-                        );
-                    }
+                    wait == POLL_QUANTUM
+                        && self.workers[worker].last_heard.elapsed() >= self.timeout
                 }
-                Err(TransportError::Dead(_)) => {
-                    lose_worker(
-                        transport,
-                        worker,
-                        &mut workers,
-                        &mut ranges,
-                        &mut pending,
-                        &mut buffered_records,
-                        &mut retasked,
-                        &mut lost_workers,
-                    );
-                }
+                Err(TransportError::Dead(_)) => true,
+            };
+            if lost {
+                self.lose_worker(worker, shard);
             }
+            break;
         }
+        Ok(())
     }
 
-    // Every range is fully emitted. A surviving worker with more to say
-    // broke protocol (e.g. a duplicate DONE) — check before closing.
-    #[allow(clippy::needless_range_loop)] // workers + transport borrow together
-    for worker in 0..n_workers {
-        if matches!(workers[worker], WorkerState::Gone) {
-            continue;
-        }
-        if let Ok(line) = transport.recv_line(worker, Duration::ZERO) {
-            return Err(ShardError::Transport(format!(
-                "worker {worker} sent an unexpected line after all ranges completed: {line}"
-            )));
-        }
-    }
-
-    let per_shard = ranges
-        .iter()
-        .map(|r| ShardStats {
-            range: r.range.clone(),
-            cells: r.received,
-            function_calls: r.function_calls,
-            cache_hits: 0,
-            attempts: r.attempts.max(1),
-        })
-        .collect();
-    Ok(ShardReport {
-        per_shard,
-        wall: start.elapsed(),
-        retasked,
-        lost_workers,
-        peak_buffered_records: peak_buffered,
-    })
-}
-
-/// Retires a dead worker: its in-flight range (if any) loses the current
-/// attempt's partial state and goes back on the queue for a survivor.
-/// Already-emitted records keep their `emitted` watermark — the survivor's
-/// replay of that prefix is validated and skipped, never re-emitted.
-#[allow(clippy::too_many_arguments)]
-fn lose_worker<T: ShardTransport>(
-    transport: &mut T,
-    worker: usize,
-    workers: &mut [WorkerState],
-    ranges: &mut [RangeProgress],
-    pending: &mut BTreeSet<usize>,
-    buffered_records: &mut usize,
-    retasked: &mut usize,
-    lost_workers: &mut usize,
-) {
-    if let WorkerState::Busy(shard) = workers[worker] {
-        let progress = &mut ranges[shard];
-        *buffered_records -= progress.buffered.len();
+    /// Retires a dead worker: its in-flight range loses the current
+    /// attempt's partial state and goes back on the queue for a survivor.
+    /// Already-emitted records keep their `emitted` watermark — the
+    /// survivor's replay of that prefix is validated and skipped, never
+    /// re-emitted.
+    fn lose_worker(&mut self, worker: usize, shard: usize) {
+        let progress = &mut self.ranges[shard];
+        self.buffered_records -= progress.buffered.len();
         progress.buffered.clear();
         progress.received = 0;
         progress.function_calls = 0;
-        pending.insert(shard);
-        *retasked += 1;
+        self.pending.insert(shard);
+        self.retasked += 1;
+        self.workers[worker].state = WorkerState::Gone;
+        self.lost_workers += 1;
+        self.transport.kill(worker);
     }
-    workers[worker] = WorkerState::Gone;
-    *lost_workers += 1;
-    transport.kill(worker);
-}
 
-/// Validates and merges one line from the worker serving `shard`.
-///
-/// Records must arrive in exact `(graph_id, depth)` order — graph-index
-/// major, depth minor, the order the unsharded generator emits — and the
-/// `DONE` marker must match the tasked range with consistent cell and
-/// function-call counts. Any disagreement is a hard
-/// [`ShardError::Protocol`].
-#[allow(clippy::too_many_arguments)]
-fn handle_line<S>(
-    line: &str,
-    shard: usize,
-    worker: usize,
-    max_depth: usize,
-    ranges: &mut [RangeProgress],
-    frontier: &mut usize,
-    workers: &mut [WorkerState],
-    buffered_records: &mut usize,
-    peak_buffered: &mut usize,
-    sink: &mut S,
-) -> Result<(), ShardError>
-where
-    S: FnMut(OptimalRecord) -> Result<(), String>,
-{
-    let fail = |message: String| ShardError::Protocol { shard, message };
-    let line = line.trim();
-    if line.is_empty() || line.starts_with('#') {
-        return Ok(());
+    /// Validates and merges one line from the worker serving `shard`.
+    ///
+    /// Records must arrive in exact `(graph_id, depth)` order — graph-index
+    /// major, depth minor, the order the unsharded generator emits — and
+    /// the `DONE` marker must match the tasked range with consistent cell
+    /// and function-call counts. Any disagreement is a hard
+    /// [`ShardError::Protocol`].
+    fn handle_line(&mut self, line: &str, shard: usize, worker: usize) -> Result<(), ShardError> {
+        let fail = |message: String| ShardError::Protocol { shard, message };
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            return Ok(());
+        }
+        let max_depth = self.max_depth;
+        match wire::message_type(line).map_err(|e| fail(e.to_string()))? {
+            "RECORD" => {
+                let record = wire::decode_record(line).map_err(|e| fail(e.to_string()))?;
+                let progress = &mut self.ranges[shard];
+                let cells = progress.range.len() * max_depth;
+                if progress.received >= cells {
+                    return Err(fail(format!(
+                        "more than {cells} records for {}..{}",
+                        progress.range.start, progress.range.end
+                    )));
+                }
+                // Enforce the exact merge order up front: graph-index-major,
+                // depth-minor — the order the unsharded generator emits.
+                let expected_graph = progress.range.start + progress.received / max_depth;
+                let expected_depth = 1 + progress.received % max_depth;
+                if record.graph_id != expected_graph || record.depth != expected_depth {
+                    return Err(fail(format!(
+                        "record {} out of order: got (graph {}, depth {}), \
+                         expected (graph {expected_graph}, depth {expected_depth})",
+                        progress.received, record.graph_id, record.depth
+                    )));
+                }
+                progress.function_calls += record.function_calls;
+                if progress.received < progress.emitted {
+                    // A re-tasked survivor replaying the already-emitted
+                    // prefix: coordinates checked above, record dropped.
+                } else if shard == self.frontier {
+                    (self.sink)(record).map_err(ShardError::Sink)?;
+                    progress.emitted += 1;
+                } else {
+                    progress.buffered.push(record);
+                    self.buffered_records += 1;
+                    self.peak_buffered = self.peak_buffered.max(self.buffered_records);
+                }
+                progress.received += 1;
+                Ok(())
+            }
+            "DONE" => {
+                let marker = wire::decode_done(line).map_err(|e| fail(e.to_string()))?;
+                let progress = &mut self.ranges[shard];
+                if marker.range != progress.range {
+                    return Err(fail(format!(
+                        "DONE for {}..{} but this shard was tasked {}..{}",
+                        marker.range.start,
+                        marker.range.end,
+                        progress.range.start,
+                        progress.range.end
+                    )));
+                }
+                let cells = progress.range.len() * max_depth;
+                if progress.received != cells {
+                    return Err(fail(format!(
+                        "DONE after {} of {cells} records",
+                        progress.received
+                    )));
+                }
+                if marker.cells != cells {
+                    return Err(fail(format!(
+                        "DONE reports {} cells but {cells} records arrived",
+                        marker.cells
+                    )));
+                }
+                if marker.function_calls != progress.function_calls {
+                    return Err(fail(format!(
+                        "DONE reports {} function calls but the records sum to {}",
+                        marker.function_calls, progress.function_calls
+                    )));
+                }
+                progress.done = true;
+                self.workers[worker].state = WorkerState::Idle;
+                self.advance_frontier()
+            }
+            "ERR" => Err(fail(format!("worker answered: {line}"))),
+            other => Err(fail(format!(
+                "unexpected {other} message in a shard stream"
+            ))),
+        }
     }
-    match wire::message_type(line).map_err(|e| fail(e.to_string()))? {
-        "RECORD" => {
-            let record = wire::decode_record(line).map_err(|e| fail(e.to_string()))?;
-            let progress = &mut ranges[shard];
-            let cells = progress.range.len() * max_depth;
-            if progress.received >= cells {
-                return Err(fail(format!(
-                    "more than {cells} records for {}..{}",
-                    progress.range.start, progress.range.end
-                )));
+
+    /// Pushes the emit frontier forward: drains the (new) frontier range's
+    /// buffered records to the sink, and steps past every range that is
+    /// both done and fully emitted.
+    fn advance_frontier(&mut self) -> Result<(), ShardError> {
+        while let Some(progress) = self.ranges.get_mut(self.frontier) {
+            if !progress.buffered.is_empty() {
+                self.buffered_records -= progress.buffered.len();
+                for record in progress.buffered.drain(..) {
+                    (self.sink)(record).map_err(ShardError::Sink)?;
+                    progress.emitted += 1;
+                }
             }
-            // Enforce the exact merge order up front: graph-index-major,
-            // depth-minor — the order the unsharded generator emits.
-            let expected_graph = progress.range.start + progress.received / max_depth;
-            let expected_depth = 1 + progress.received % max_depth;
-            if record.graph_id != expected_graph || record.depth != expected_depth {
-                return Err(fail(format!(
-                    "record {} out of order: got (graph {}, depth {}), \
-                     expected (graph {expected_graph}, depth {expected_depth})",
-                    progress.received, record.graph_id, record.depth
-                )));
-            }
-            progress.function_calls += record.function_calls;
-            if progress.received < progress.emitted {
-                // A re-tasked survivor replaying the already-emitted
-                // prefix: coordinates checked above, record dropped.
-            } else if shard == *frontier {
-                sink(record).map_err(ShardError::Sink)?;
-                progress.emitted += 1;
+            if progress.done && progress.emitted == progress.range.len() * self.max_depth {
+                self.frontier += 1;
             } else {
-                progress.buffered.push(record);
-                *buffered_records += 1;
-                *peak_buffered = (*peak_buffered).max(*buffered_records);
+                break;
             }
-            progress.received += 1;
-            Ok(())
         }
-        "DONE" => {
-            let marker = wire::decode_done(line).map_err(|e| fail(e.to_string()))?;
-            let progress = &mut ranges[shard];
-            if marker.range != progress.range {
-                return Err(fail(format!(
-                    "DONE for {}..{} but this shard was tasked {}..{}",
-                    marker.range.start, marker.range.end, progress.range.start, progress.range.end
-                )));
-            }
-            let cells = progress.range.len() * max_depth;
-            if progress.received != cells {
-                return Err(fail(format!(
-                    "DONE after {} of {cells} records",
-                    progress.received
-                )));
-            }
-            if marker.cells != cells {
-                return Err(fail(format!(
-                    "DONE reports {} cells but {cells} records arrived",
-                    marker.cells
-                )));
-            }
-            if marker.function_calls != progress.function_calls {
-                return Err(fail(format!(
-                    "DONE reports {} function calls but the records sum to {}",
-                    marker.function_calls, progress.function_calls
-                )));
-            }
-            progress.done = true;
-            workers[worker] = WorkerState::Idle;
-            advance_frontier(ranges, frontier, max_depth, buffered_records, sink)
-        }
-        "ERR" => Err(fail(format!("worker answered: {line}"))),
-        other => Err(fail(format!(
-            "unexpected {other} message in a shard stream"
-        ))),
+        Ok(())
     }
-}
-
-/// Pushes the emit frontier forward: drains the (new) frontier range's
-/// buffered records to the sink, and steps past every range that is both
-/// done and fully emitted.
-fn advance_frontier<S>(
-    ranges: &mut [RangeProgress],
-    frontier: &mut usize,
-    max_depth: usize,
-    buffered_records: &mut usize,
-    sink: &mut S,
-) -> Result<(), ShardError>
-where
-    S: FnMut(OptimalRecord) -> Result<(), String>,
-{
-    while *frontier < ranges.len() {
-        let progress = &mut ranges[*frontier];
-        if !progress.buffered.is_empty() {
-            *buffered_records -= progress.buffered.len();
-            for record in progress.buffered.drain(..) {
-                sink(record).map_err(ShardError::Sink)?;
-                progress.emitted += 1;
-            }
-        }
-        if progress.done && progress.emitted == progress.range.len() * max_depth {
-            *frontier += 1;
-        } else {
-            break;
-        }
-    }
-    Ok(())
 }
 
 /// Runs a sharded corpus generation over a [`ShardTransport`] and collects
 /// the merged stream into a [`ParameterDataset`] — [`run_streaming`] with
-/// an in-memory sink and default [`StreamOptions`], for callers (tests,
-/// `run_wire` parity checks, small corpora) that want the dataset whole.
+/// an in-memory sink, for callers (tests, benches, small corpora) that
+/// want the dataset whole.
 ///
 /// Graphs never travel: coordinator and workers derive the identical
 /// ensemble from the spec's seed, so the wire carries records only.
@@ -850,30 +748,15 @@ pub fn run_wire<T: ShardTransport>(
     config: &DataGenConfig,
     plan: &ShardPlan,
     transport: &mut T,
-) -> Result<(ParameterDataset, ShardReport), ShardError> {
-    run_wire_with(config, plan, transport, &StreamOptions::default())
-}
-
-/// [`run_wire`] with explicit [`StreamOptions`] (timeout, dispatch
-/// window).
-///
-/// # Errors
-///
-/// Same contract as [`run_streaming`].
-pub fn run_wire_with<T: ShardTransport>(
-    config: &DataGenConfig,
-    plan: &ShardPlan,
-    transport: &mut T,
     options: &StreamOptions,
 ) -> Result<(ParameterDataset, ShardReport), ShardError> {
-    plan.check_spec(config)?;
-    let graphs = corpus::ensemble(config);
-    let mut records = Vec::with_capacity(config.n_graphs * config.max_depth);
+    let mut records = Vec::new();
     let report = run_streaming(config, plan, transport, options, &mut |record| {
         records.push(record);
         Ok(())
     })?;
-    let dataset = ParameterDataset::from_parts(graphs, records, config.max_depth)?;
+    let dataset =
+        ParameterDataset::from_parts(corpus::ensemble(config), records, config.max_depth)?;
     Ok((dataset, report))
 }
 
@@ -936,14 +819,9 @@ mod tests {
             ..DataGenConfig::quick()
         };
         let plan = ShardPlan::split_even(4, 2);
-        let cache = Level1Cache::new();
-        assert!(matches!(
-            run_local(&config, &plan, 1, &cache),
-            Err(ShardError::Plan(_))
-        ));
         let mut transport = LoopbackTransport::new(1, 1);
         assert!(matches!(
-            run_wire(&config, &plan, &mut transport),
+            run_wire(&config, &plan, &mut transport, &StreamOptions::default()),
             Err(ShardError::Plan(_))
         ));
     }
@@ -956,7 +834,8 @@ mod tests {
         };
         let plan = ShardPlan::from_ranges(0, vec![]).unwrap();
         let mut transport = LoopbackTransport::new(1, 1);
-        let (dataset, report) = run_wire(&config, &plan, &mut transport).unwrap();
+        let (dataset, report) =
+            run_wire(&config, &plan, &mut transport, &StreamOptions::default()).unwrap();
         assert_eq!(dataset.records().len(), 0);
         assert_eq!(report.cells(), 0);
         assert_eq!(report.peak_buffered_records, 0);

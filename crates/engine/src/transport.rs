@@ -12,9 +12,9 @@
 //!   overhead; what tests and single-machine wire rehearsals use.
 //! * [`SubprocessTransport`] — the production transport: spawns real
 //!   worker processes (normally `qaoa-serve`) and speaks `QW1` over their
-//!   stdin/stdout. Worker exit, a closed pipe, or a kill all surface as
-//!   [`TransportError::Dead`], which the coordinator answers by re-tasking
-//!   the worker's range on a survivor.
+//!   stdin/stdout. Worker exit, a closed pipe, a kill, or an output line
+//!   over 1 MiB all surface as [`TransportError::Dead`], which the
+//!   coordinator answers by re-tasking the worker's range on a survivor.
 //! * [`KillAfter`] / [`StallAfter`] — fault injectors wrapping any inner
 //!   transport: deterministic worker death and silent stalls, used by the
 //!   failover test-suite and `qaoa-shard --kill-worker`.
@@ -374,10 +374,21 @@ impl Drop for LoopbackTransport {
 
 // --- subprocess ------------------------------------------------------------
 
+/// The longest line a spawned worker may send, in bytes, newline
+/// excluded. `QW1` lines are a few hundred bytes; the cap only exists so a
+/// runaway worker cannot grow the coordinator's memory without limit. A
+/// longer line makes that worker [`TransportError::Dead`], and its range
+/// is re-tasked.
+const MAX_LINE_BYTES: u64 = 1 << 20;
+
+/// What a subprocess reader thread hands the coordinator: a line, or why
+/// the worker's output became unusable.
+type LineReceiver = mpsc::Receiver<Result<String, String>>;
+
 struct SubprocessWorker {
     child: Option<Child>,
     stdin: Option<ChildStdin>,
-    lines: Option<mpsc::Receiver<String>>,
+    lines: Option<LineReceiver>,
     reader: Option<JoinHandle<()>>,
     fate: Option<String>,
 }
@@ -401,11 +412,12 @@ impl SubprocessWorker {
 /// The production [`ShardTransport`]: spawned worker processes speaking
 /// `QW1` over stdin/stdout (normally `qaoa-serve`; stderr passes through).
 ///
-/// Worker death — a crash, a kill, an exit, a closed pipe — surfaces as
-/// [`TransportError::Dead`] on the next send or receive, which is what the
-/// coordinator's failover re-tasking keys off. [`ShardTransport::close`]
-/// closes the worker's stdin and waits for a clean exit, giving workers
-/// started with `--cache-file` the chance to persist what they solved.
+/// Worker death — a crash, a kill, an exit, a closed pipe, an output line
+/// over 1 MiB — surfaces as [`TransportError::Dead`] on the next send or
+/// receive, which is what the coordinator's failover re-tasking keys off.
+/// [`ShardTransport::close`] closes the worker's stdin and waits for a
+/// clean exit, giving workers started with `--cache-file` the chance to
+/// persist what they solved.
 pub struct SubprocessTransport {
     slots: Vec<SubprocessWorker>,
 }
@@ -483,14 +495,15 @@ fn spawn_worker(program: &str, args: &[String]) -> std::io::Result<SubprocessWor
     let stdout = child.stdout.take().ok_or_else(|| {
         std::io::Error::new(std::io::ErrorKind::BrokenPipe, "child stdout not captured")
     })?;
-    let (tx, rx) = mpsc::channel::<String>();
+    let (tx, rx) = mpsc::channel();
     // One reader thread per child decouples pipe draining from the
     // coordinator's poll loop: the child never blocks on a full pipe while
     // the coordinator is busy elsewhere.
     let reader = std::thread::spawn(move || {
-        for line in BufReader::new(stdout).lines() {
-            let Ok(line) = line else { break };
-            if tx.send(line).is_err() {
+        let mut stdout = BufReader::new(stdout);
+        while let Some(line) = read_capped_line(&mut stdout) {
+            let fatal = line.is_err();
+            if tx.send(line).is_err() || fatal {
                 break;
             }
         }
@@ -502,6 +515,30 @@ fn spawn_worker(program: &str, args: &[String]) -> std::io::Result<SubprocessWor
         reader: Some(reader),
         fate: None,
     })
+}
+
+/// Reads one `\n`-terminated line (a trailing `\r` is dropped too), holding
+/// at most [`MAX_LINE_BYTES`] + 1 bytes of it. `None` at end of output or
+/// on a read error; `Some(Err)` for a line over the cap or not UTF-8, after
+/// which the stream is unusable.
+fn read_capped_line<R: BufRead>(reader: &mut R) -> Option<Result<String, String>> {
+    let mut line = Vec::new();
+    let mut capped = reader.take(MAX_LINE_BYTES + 1);
+    match capped.read_until(b'\n', &mut line) {
+        Ok(0) | Err(_) => return None,
+        Ok(_) => {}
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+    } else if capped.limit() == 0 {
+        return Some(Err(format!(
+            "worker sent a line longer than {MAX_LINE_BYTES} bytes"
+        )));
+    }
+    Some(String::from_utf8(line).map_err(|_| "worker sent a line that is not UTF-8".to_string()))
 }
 
 impl ShardTransport for SubprocessTransport {
@@ -535,7 +572,11 @@ impl ShardTransport for SubprocessTransport {
             return Err(TransportError::Dead("stdout already closed".into()));
         };
         match lines.recv_timeout(wait) {
-            Ok(line) => Ok(line),
+            Ok(Ok(line)) => Ok(line),
+            Ok(Err(fate)) => {
+                slot.tear_down(&fate);
+                Err(TransportError::Dead(fate))
+            }
             Err(mpsc::RecvTimeoutError::Timeout) => Err(TransportError::Timeout),
             Err(mpsc::RecvTimeoutError::Disconnected) => {
                 let fate = "worker stdout closed".to_string();
@@ -758,6 +799,26 @@ mod tests {
             SubprocessTransport::spawn(&command, 1),
             Err(TransportError::Dead(_))
         ));
+    }
+
+    #[test]
+    fn capped_reader_takes_the_cap_and_refuses_one_byte_more() {
+        let cap = usize::try_from(MAX_LINE_BYTES).unwrap();
+        let mut input = vec![b'x'; cap];
+        input.extend_from_slice(b"\nshort\r\n");
+        input.extend(vec![b'y'; cap + 1]);
+        input.push(b'\n');
+        let mut reader = std::io::Cursor::new(input);
+        assert_eq!(read_capped_line(&mut reader), Some(Ok("x".repeat(cap))));
+        assert_eq!(read_capped_line(&mut reader), Some(Ok("short".into())));
+        assert!(matches!(read_capped_line(&mut reader), Some(Err(_))));
+
+        let mut reader = std::io::Cursor::new(b"tail without newline".to_vec());
+        assert_eq!(
+            read_capped_line(&mut reader),
+            Some(Ok("tail without newline".into()))
+        );
+        assert_eq!(read_capped_line(&mut reader), None);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::{
 /// and degenerate simplex geometry triggers a geometry-improving replacement
 /// step, as in Powell's method. General inequality constraints (which the
 /// paper's problems don't have — bounds are handled directly) are not
-/// implemented; DESIGN.md records the substitution.
+/// implemented: this bound-only variant stands in for SciPy's COBYLA.
 ///
 /// Non-finite objective values encountered after the start are treated as a
 /// large penalty (`NON_FINITE_PENALTY`) so the simplex retreats from NaN/∞

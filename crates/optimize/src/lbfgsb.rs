@@ -15,7 +15,7 @@ use crate::{
 /// It differs from the Byrd–Lu–Nocedal–Zhu subspace algorithm in how the
 /// active set is handled (projection instead of generalized Cauchy point)
 /// but exhibits the same first-order behaviour on the smooth, low-dimensional
-/// QAOA landscapes studied here; the substitution is recorded in DESIGN.md.
+/// QAOA landscapes studied here, so it stands in for SciPy's L-BFGS-B.
 ///
 /// Gradients are forward finite differences (SciPy's default when no
 /// Jacobian is passed), so each outer iteration costs `n + O(line search)`

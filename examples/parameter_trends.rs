@@ -5,7 +5,7 @@
 //!
 //! These regularities are the entire basis of the paper's ML predictor.
 //! They emerge when consecutive depths stay in the same smooth basin family,
-//! so — as in the corpus pipeline (DESIGN.md §5) — the depth-1 instance is
+//! so — as in the corpus pipeline (`qaoa::datagen`) — the depth-1 instance is
 //! solved by multistart and deeper instances follow Zhou et al.'s INTERP
 //! chain; the smoothness-preserving conjugation fold normalizes the display.
 //!

@@ -61,7 +61,7 @@ proptest! {
         let plan = plan_from_cuts(n, cuts);
         let unsharded = reference(&config);
         let mut transport = KillAfter::new(LoopbackTransport::new(2, 2), victim, after);
-        let (merged, report) = shard::run_wire(&config, &plan, &mut transport)
+        let (merged, report) = shard::run_wire(&config, &plan, &mut transport, &StreamOptions::default())
             .expect("failover run must complete on the survivor");
         prop_assert!(report.lost_workers <= 1);
         common::assert_corpora_bit_identical(
@@ -80,7 +80,9 @@ fn killed_worker_report_shows_the_retask() {
     let plan = ShardPlan::split_even(config.n_graphs, 3);
     let unsharded = reference(&config);
     let mut transport = KillAfter::new(LoopbackTransport::new(2, 2), 0, 1);
-    let (merged, report) = shard::run_wire(&config, &plan, &mut transport).expect("failover run");
+    let (merged, report) =
+        shard::run_wire(&config, &plan, &mut transport, &StreamOptions::default())
+            .expect("failover run");
     assert_eq!(report.lost_workers, 1, "the victim must be declared dead");
     assert_eq!(report.retasked, 1, "its range must move to the survivor");
     assert!(
@@ -106,7 +108,7 @@ fn stalled_worker_times_out_and_is_retasked() {
         ..StreamOptions::default()
     };
     let (merged, report) =
-        shard::run_wire_with(&config, &plan, &mut transport, &options).expect("timeout failover");
+        shard::run_wire(&config, &plan, &mut transport, &options).expect("timeout failover");
     assert_eq!(report.lost_workers, 1);
     assert_eq!(report.retasked, 1);
     common::assert_corpora_bit_identical(&unsharded, &merged, "stalled-worker run");
@@ -131,7 +133,8 @@ fn cache_file_survives_a_kill_byte_identically() {
     let plan = ShardPlan::split_even(config.n_graphs, 3);
     let inner = LoopbackTransport::with_cache(2, 2, config.seed, Some(Arc::clone(&shared)));
     let mut transport = KillAfter::new(inner, 0, 2);
-    let (_, report) = shard::run_wire(&config, &plan, &mut transport).expect("failover run");
+    let (_, report) = shard::run_wire(&config, &plan, &mut transport, &StreamOptions::default())
+        .expect("failover run");
     assert_eq!(report.lost_workers, 1);
     persist::save_merge(&shared, &killed_path, config.seed).unwrap();
 
@@ -196,7 +199,7 @@ fn losing_every_worker_is_an_error_not_a_hang() {
     // Both workers are victims: kill each on its first receive.
     let inner = KillAfter::new(LoopbackTransport::new(2, 1), 0, 0);
     let mut transport = KillAfter::new(inner, 1, 0);
-    match shard::run_wire(&config, &plan, &mut transport) {
+    match shard::run_wire(&config, &plan, &mut transport, &StreamOptions::default()) {
         Err(engine::ShardError::Transport(message)) => {
             assert!(message.contains("all 2 workers lost"), "got: {message}");
         }
