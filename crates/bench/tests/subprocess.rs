@@ -214,11 +214,12 @@ fn qaoa_shard_spawn_cli_matches_local_mode() {
 
 #[test]
 fn oversized_worker_line_kills_the_worker_and_its_range_is_retasked() {
-    // Of two spawned workers, the first to start floods one 2 MiB line
-    // instead of serving; the other is a real qaoa-serve. The coordinator
-    // must stop reading the flood at its line cap, declare that worker
-    // dead, re-task its range onto the survivor, and still write the
-    // reference bytes.
+    // Of two spawned workers, the first to start reads its SHARD and
+    // RANGE lines, then floods one 2 MiB line instead of serving; the
+    // other is a real qaoa-serve. Flooding only after the dispatch makes
+    // the loss always a re-task. The coordinator must stop reading the
+    // flood at its line cap, declare that worker dead, re-task its range
+    // onto the survivor, and still write the reference bytes.
     let dir = std::env::temp_dir().join(format!("qaoa_oversized_line_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("scratch directory");
@@ -226,6 +227,7 @@ fn oversized_worker_line_kills_the_worker_and_its_range_is_retasked() {
     // argv: marker dir, qaoa-serve path, then the flags qaoa-shard appends.
     let flooder = r#"marker=$1; serve=$2; shift 2
 if mkdir "$marker" 2>/dev/null; then
+  read -r _; read -r _
   head -c 2097152 /dev/zero | tr '\0' x
   echo
   exec cat >/dev/null

@@ -121,14 +121,55 @@ pub fn solve_range(
     config: &DataGenConfig,
     engine: &Engine,
 ) -> Result<(Vec<OptimalRecord>, CorpusReport), QaoaError> {
+    let start = Instant::now();
+    let mut records = Vec::with_capacity(range.len() * config.max_depth);
+    let mut cache_hits = 0;
+    stream_range(graphs, range.clone(), config, engine, |graph| {
+        let (graph_records, hits) = graph?;
+        cache_hits += hits;
+        records.extend(graph_records);
+        Ok::<(), QaoaError>(())
+    })?;
+    let function_calls = records.iter().map(|r| r.function_calls).sum();
+    let report = CorpusReport {
+        graphs: range.len(),
+        cells: records.len(),
+        wall: start.elapsed(),
+        threads: engine.threads(),
+        cache_hits,
+        function_calls,
+    };
+    Ok((records, report))
+}
+
+/// One graph's solved cells: its records (depths `1..=max_depth`) and its
+/// depth-1 cache hits (0 or 1).
+pub(crate) type GraphCells = (Vec<OptimalRecord>, usize);
+
+/// [`solve_range`] as a stream: one pool fan-out over the whole range,
+/// handing each graph's outcome to `sink` in graph-index order as soon as
+/// it and every earlier graph are solved, so a caller can write records
+/// while later graphs still run. A range extending past the ensemble
+/// reaches `sink` as one [`QaoaError::InvalidRange`]. A `sink` error stops
+/// the solve (no new graph starts) and is returned.
+///
+/// # Errors
+///
+/// Returns the first error `sink` returns.
+pub(crate) fn stream_range<E>(
+    graphs: &[Graph],
+    range: Range<usize>,
+    config: &DataGenConfig,
+    engine: &Engine,
+    mut sink: impl FnMut(Result<GraphCells, QaoaError>) -> Result<(), E>,
+) -> Result<(), E> {
     if range.end > graphs.len() || range.start > range.end {
-        return Err(QaoaError::InvalidRange {
+        return sink(Err(QaoaError::InvalidRange {
             start: range.start,
             end: range.end,
             len: graphs.len(),
-        });
+        }));
     }
-    let start = Instant::now();
     let batch_config = BatchConfig {
         master_seed: config.seed,
         options: config.options,
@@ -136,10 +177,10 @@ pub fn solve_range(
         scenario: qaoa::Scenario::Exact,
     };
     let optimizer = Lbfgsb::default();
-
-    let per_graph: Vec<Result<(Vec<OptimalRecord>, usize), QaoaError>> = engine
-        .pool()
-        .run_ordered_fanout(range.len(), |offset, inner| {
+    let inner = engine.pool().inner_threads(range.len());
+    engine.pool().stream_ordered(
+        range.len(),
+        |offset| {
             qaoa::eval::with_within_state_threads(inner, || {
                 let graph_id = range.start + offset;
                 solve_graph(
@@ -151,25 +192,9 @@ pub fn solve_range(
                     &batch_config,
                 )
             })
-        });
-
-    let mut records = Vec::with_capacity(range.len() * config.max_depth);
-    let mut cache_hits = 0;
-    for result in per_graph {
-        let (graph_records, hits) = result?;
-        cache_hits += hits;
-        records.extend(graph_records);
-    }
-    let function_calls = records.iter().map(|r| r.function_calls).sum();
-    let report = CorpusReport {
-        graphs: range.len(),
-        cells: records.len(),
-        wall: start.elapsed(),
-        threads: engine.threads(),
-        cache_hits,
-        function_calls,
-    };
-    Ok((records, report))
+        },
+        |_, graph| sink(graph),
+    )
 }
 
 /// Solves all depths of one graph; returns its records and the number of

@@ -5,9 +5,9 @@
 //! embarrassingly parallel batch work: thousands of independent QAOA
 //! optimization loops. This crate turns those loops into scheduled work:
 //!
-//! * [`Pool`] — a work-stealing executor on `std::thread::scope` that runs
-//!   a queue of jobs across a configurable worker count and returns results
-//!   in submission order,
+//! * [`Pool`] — a self-scheduling executor on `std::thread::scope` that
+//!   runs a batch of jobs across a configurable worker count and returns
+//!   results in submission order,
 //! * [`seed`] — deterministic per-job RNG derivation (master seed + stable
 //!   job key → `StdRng`), the invariant that makes parallel runs
 //!   **bit-identical** to serial runs,

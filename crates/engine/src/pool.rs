@@ -1,29 +1,23 @@
-//! A work-stealing batch executor on `std::thread::scope`.
+//! A self-scheduling batch executor on `std::thread::scope`.
 //!
-//! Jobs are indices `0..n`; each worker owns a deque seeded round-robin,
-//! pops from its own back (LIFO, cache-friendly) and steals from other
-//! workers' fronts (FIFO, coarsest-first) when empty. Results are
-//! collected **in submission order** regardless of which worker ran what,
-//! so callers see serial semantics.
+//! Jobs are indices `0..n`; workers claim them in index order from one
+//! shared atomic counter, so load balances dynamically (a slow job holds
+//! up only its own worker) and results complete roughly in order. Results
+//! are handed back **in submission order** regardless of which worker ran
+//! what, so callers see serial semantics — either all at once
+//! ([`Pool::run_ordered`]) or streamed to a sink as the in-order frontier
+//! advances ([`Pool::stream_ordered`]).
 //!
-//! The executor is deliberately free of `unsafe`: per-worker deques are
-//! `Mutex<VecDeque>` (jobs here are milliseconds-long optimizations, so
-//! lock traffic is noise), and each worker accumulates `(index, result)`
-//! pairs locally before a final ordered merge.
+//! The executor is deliberately free of `unsafe` and of locks: workers
+//! send `(index, result)` pairs over a channel to the calling thread,
+//! which emits them in index order (jobs here are milliseconds-long
+//! optimizations, so the channel traffic is noise).
 
 use std::any::Any;
-use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, PoisonError};
-
-/// Locks tolerating poisoning: the queues hold plain job indices and the
-/// panic slot holds plain data, so a panic between `lock()` and drop can
-/// never leave either in a torn state — `into_inner` is sound, and it
-/// keeps sibling workers alive (and the original panic visible) when one
-/// job panics.
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// A fixed-width worker pool.
 #[derive(Debug, Clone)]
@@ -88,95 +82,109 @@ impl Pool {
     ///
     /// # Panics
     ///
-    /// A panicking job does not take its siblings down: the panic is caught
-    /// on the worker, the remaining workers finish their queues, and the
-    /// payload of the lowest-indexed panicked job is then re-raised on the
-    /// caller via `resume_unwind` — so the *original* panic surfaces, never
-    /// a downstream poisoned-lock panic.
+    /// As [`Pool::stream_ordered`]: the payload of the lowest-indexed
+    /// panicked job is re-raised once the other jobs have run.
     pub fn run_ordered<T, F>(&self, n_jobs: usize, job: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
+        let mut out = Vec::with_capacity(n_jobs);
+        let streamed = self.stream_ordered(n_jobs, job, |_, value| {
+            out.push(value);
+            Ok::<(), Infallible>(())
+        });
+        match streamed {
+            Ok(()) => out,
+            Err(never) => match never {},
+        }
+    }
+
+    /// Runs `job(0..n_jobs)` across the pool and hands each result to
+    /// `sink(index, result)` on the calling thread, in submission order, as
+    /// soon as it and every earlier result are done — a caller can stream
+    /// output while later jobs still run. A `sink` error stops the batch:
+    /// workers start no new job, later results are dropped, and the error
+    /// is returned.
+    ///
+    /// # Panics
+    ///
+    /// A panicking job does not take its siblings down: the panic is caught
+    /// on the worker, which stops; the remaining workers run the rest of the
+    /// batch (results before the panicked index still reach `sink`), and
+    /// the payload of the lowest-indexed panicked job is then re-raised on
+    /// the caller via `resume_unwind` — so the *original* panic surfaces.
+    pub fn stream_ordered<T, E, F, S>(&self, n_jobs: usize, job: F, mut sink: S) -> Result<(), E>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+        S: FnMut(usize, T) -> Result<(), E>,
+    {
         let workers = self.threads.min(n_jobs).max(1);
         if workers == 1 {
-            return (0..n_jobs).map(job).collect();
+            return (0..n_jobs).try_for_each(|index| sink(index, job(index)));
         }
 
-        // Round-robin initial distribution.
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| Mutex::new((w..n_jobs).step_by(workers).collect::<VecDeque<usize>>()))
-            .collect();
+        let next_job = AtomicUsize::new(0);
+        let (sender, results) = mpsc::channel::<(usize, std::thread::Result<T>)>();
         // The lowest-indexed job panic seen so far, to re-raise at the end.
-        let first_panic: Mutex<Option<(usize, Box<dyn Any + Send>)>> = Mutex::new(None);
+        let mut first_panic: Option<(usize, Box<dyn Any + Send>)> = None;
+        let mut outcome = Ok(());
 
-        let mut collected: Vec<Vec<(usize, T)>> = Vec::with_capacity(workers);
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let queues = &queues;
-                let job = &job;
-                let first_panic = &first_panic;
-                handles.push(scope.spawn(move || {
-                    let mut local: Vec<(usize, T)> = Vec::new();
+            for _ in 0..workers {
+                let (next_job, job, sender) = (&next_job, &job, sender.clone());
+                scope.spawn(move || {
                     loop {
-                        // Own queue first (LIFO back). The guard must drop
-                        // before the steal scan below: holding the own lock
-                        // while acquiring another worker's would let two
-                        // drained workers deadlock on each other's queues.
-                        let own = lock_unpoisoned(&queues[w]).pop_back();
-                        // Steal (FIFO front) scanning from the next worker
-                        // onward, taking one lock at a time.
-                        let next = own.or_else(|| {
-                            (1..workers).find_map(|offset| {
-                                lock_unpoisoned(&queues[(w + offset) % workers]).pop_front()
-                            })
-                        });
-                        match next {
-                            Some(index) => {
-                                match catch_unwind(AssertUnwindSafe(|| job(index))) {
-                                    Ok(value) => local.push((index, value)),
-                                    Err(payload) => {
-                                        let mut slot = lock_unpoisoned(first_panic);
-                                        if slot.as_ref().is_none_or(|(i, _)| index < *i) {
-                                            *slot = Some((index, payload));
-                                        }
-                                        // This worker's batch is lost either
-                                        // way; stop taking work.
-                                        break;
-                                    }
-                                }
-                            }
-                            None => break,
+                        let index = next_job.fetch_add(1, Ordering::Relaxed);
+                        if index >= n_jobs {
+                            break;
+                        }
+                        let result = catch_unwind(AssertUnwindSafe(|| job(index)));
+                        // A panicked worker stops; its siblings take the
+                        // rest. A closed channel means the caller is gone.
+                        let panicked = result.is_err();
+                        if sender.send((index, result)).is_err() || panicked {
+                            break;
                         }
                     }
-                    local
-                }));
+                });
             }
-            for handle in handles {
-                // Workers never unwind themselves: job panics are caught
-                // above, so a join failure is a harness bug.
-                // lint:allow(no-panic-lib) worker closures catch_unwind every job; a failed join has no recoverable meaning
-                collected.push(handle.join().expect("pool worker must not panic"));
+            drop(sender);
+
+            // Ordered emission: park out-of-order results until the
+            // frontier reaches them. The loop ends once every worker has
+            // exited (all senders dropped).
+            let mut parked: Vec<Option<T>> = (0..n_jobs).map(|_| None).collect();
+            let mut next = 0;
+            for (index, result) in results {
+                match result {
+                    Ok(value) => parked[index] = Some(value),
+                    Err(payload) => {
+                        if first_panic.as_ref().is_none_or(|(i, _)| index < *i) {
+                            first_panic = Some((index, payload));
+                        }
+                    }
+                }
+                while outcome.is_ok() {
+                    let Some(value) = parked.get_mut(next).and_then(Option::take) else {
+                        break;
+                    };
+                    outcome = sink(next, value);
+                    next += 1;
+                }
+                if outcome.is_err() {
+                    // Claim every remaining index: no worker starts
+                    // another job.
+                    next_job.store(n_jobs, Ordering::Relaxed);
+                }
             }
         });
 
-        if let Some((_, payload)) = lock_unpoisoned(&first_panic).take() {
+        if let Some((_, payload)) = first_panic {
             resume_unwind(payload);
         }
-
-        // Ordered merge.
-        let mut slots: Vec<Option<T>> = (0..n_jobs).map(|_| None).collect();
-        for (index, value) in collected.into_iter().flatten() {
-            debug_assert!(slots[index].is_none(), "job {index} ran twice");
-            slots[index] = Some(value);
-        }
-        slots
-            .into_iter()
-            .enumerate()
-            // lint:allow(no-panic-lib) the dispatch loop hands out each index exactly once; an empty slot is a harness bug, not input
-            .map(|(i, slot)| slot.unwrap_or_else(|| panic!("job {i} never ran")))
-            .collect()
+        outcome
     }
 }
 
@@ -260,6 +268,44 @@ mod tests {
     }
 
     #[test]
+    fn stream_emits_in_order_and_a_sink_error_stops_the_batch() {
+        for threads in [1, 3] {
+            let pool = Pool::new(threads);
+            let ran = AtomicUsize::new(0);
+            let mut seen = Vec::new();
+            let streamed = pool.stream_ordered(
+                200,
+                |i| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    // Later jobs are slow, so the stop lands long before
+                    // the workers could drain the batch.
+                    if i >= 20 {
+                        std::thread::sleep(std::time::Duration::from_millis(10));
+                    }
+                    i
+                },
+                |index, value| {
+                    assert_eq!(index, value);
+                    seen.push(value);
+                    if value == 9 {
+                        Err("enough")
+                    } else {
+                        Ok(())
+                    }
+                },
+            );
+            assert_eq!(streamed, Err("enough"));
+            assert_eq!(seen, (0..10).collect::<Vec<_>>());
+            let ran = ran.load(Ordering::Relaxed);
+            if threads == 1 {
+                assert_eq!(ran, 10, "the serial path stops at the failing sink");
+            } else {
+                assert!(ran < 200, "workers must stop taking jobs: {ran} ran");
+            }
+        }
+    }
+
+    #[test]
     fn job_panic_propagates_the_original_payload() {
         // Regression test: a panicking job used to poison its queue mutex,
         // killing sibling workers on `expect("queue lock")` — the caller
@@ -283,14 +329,14 @@ mod tests {
             message.contains("job five exploded"),
             "caller must see the job's panic, not a poisoned-lock panic: {message}"
         );
-        // Sibling workers survived the poison and kept draining: far more
-        // than the panicking worker's share ran.
+        // Sibling workers kept claiming jobs: far more than the panicking
+        // worker's share ran.
         assert!(ran.load(Ordering::Relaxed) > 8);
     }
 
     #[test]
     fn lowest_indexed_panic_wins_when_every_job_panics() {
-        // With every job panicking, each worker records its first pop; the
+        // With every job panicking, each worker records its first claim; the
         // propagated payload must be the lowest *ran* index — and with
         // 2 workers over 2 jobs, job 0 always runs, so the winner is
         // deterministic.
@@ -320,10 +366,9 @@ mod tests {
 
     #[test]
     fn drain_stress_does_not_deadlock() {
-        // Regression test: workers used to hold their own (empty) queue's
-        // lock while trying to steal, so two simultaneously-draining
-        // workers could deadlock. Thousands of tiny rounds make the
-        // drain/steal collision window likely.
+        // Thousands of tiny rounds make the end-of-batch race (workers
+        // claiming past the last job while others still send) likely; no
+        // round may hang or lose a result.
         let pool = Pool::new(2);
         for round in 0..5_000 {
             let out = pool.run_ordered(4, |i| i + round);

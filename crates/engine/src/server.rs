@@ -479,6 +479,13 @@ fn open_session(spec: DataGenConfig, engine: &Engine, config: &BatchConfig) -> S
     }
 }
 
+/// Why a streamed `RANGE` solve stopped early: a solve error (answered
+/// in-band with `ERR`) or a transport failure (aborts the serve loop).
+enum RangeStop {
+    Solve(qaoa::QaoaError),
+    Io(std::io::Error),
+}
+
 /// Handles one `RANGE` line: contextual validation against the open
 /// session, then the solve, streaming `RECORD` lines and the `DONE` marker.
 fn serve_range<W: Write>(
@@ -529,41 +536,40 @@ fn serve_range<W: Write>(
             ),
         );
     }
-    // Solve and stream the range one pool-width of graphs at a time:
-    // records go out (and flush) as each chunk completes, so a streaming
-    // coordinator sees steady liveness on a long range instead of one
-    // burst at the end. The bytes are identical to a whole-range solve —
-    // every cell is a pure function of its global index, and the chunks
-    // walk the range in order — and `DONE` carries the summed accounting.
-    let chunk = session.engine.threads().max(1);
+    // Solve the range in one pool fan-out and stream each graph's records
+    // (flushed) as soon as it and every earlier graph are solved, so a
+    // streaming coordinator sees steady liveness on a long range instead
+    // of one burst at the end. The bytes are identical to a whole-range
+    // solve — every cell is a pure function of its global index, and the
+    // stream walks the range in order — and `DONE` carries the summed
+    // accounting.
     let mut cells = 0;
     let mut function_calls = 0;
-    let mut cursor = range.start;
-    while cursor < range.end {
-        let stop = range.end.min(cursor + chunk);
-        match corpus::solve_range(
-            &session.graphs,
-            cursor..stop,
-            &session.spec,
-            &session.engine,
-        ) {
-            Ok((records, report)) => {
-                for record in &records {
-                    writeln!(output, "{}", wire::encode_record(record))?;
-                }
-                output.flush()?;
-                cells += report.cells;
-                function_calls += report.function_calls;
+    let streamed = corpus::stream_range(
+        &session.graphs,
+        range.clone(),
+        &session.spec,
+        &session.engine,
+        |graph| {
+            let (records, _) = graph.map_err(RangeStop::Solve)?;
+            for record in &records {
+                writeln!(output, "{}", wire::encode_record(record)).map_err(RangeStop::Io)?;
+                function_calls += record.function_calls;
             }
-            Err(e) => {
-                return reject(
-                    output,
-                    summary,
-                    &format!("range {}..{} failed: {e}", range.start, range.end),
-                );
-            }
+            cells += records.len();
+            output.flush().map_err(RangeStop::Io)
+        },
+    );
+    match streamed {
+        Ok(()) => {}
+        Err(RangeStop::Solve(e)) => {
+            return reject(
+                output,
+                summary,
+                &format!("range {}..{} failed: {e}", range.start, range.end),
+            );
         }
-        cursor = stop;
+        Err(RangeStop::Io(e)) => return Err(e),
     }
     writeln!(
         output,

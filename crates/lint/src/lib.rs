@@ -1,7 +1,7 @@
 //! `qaoa-lint`: a dependency-free static-analysis pass encoding this
 //! workspace's determinism and robustness invariants.
 //!
-//! The scaling layers shipped since the engine landed — work-stealing pool,
+//! The scaling layers shipped since the engine landed — worker pool,
 //! depth-1 cache, `QW1` wire codec, persisted caches, sharded corpus — all
 //! rest on invariants the compiler cannot see: N-thread ≡ 1-thread
 //! bit-parity, bit-exact float round-trips, seed-scoped cache purity, and

@@ -144,9 +144,9 @@ fn warm_sharded_run_serves_depth1_from_the_cache_file() {
     // warm sharded run performs zero depth-1 solves and still reproduces
     // the exact corpus. To make "zero solves" observable, every cached
     // outcome is re-inserted with a marker function-call count that no
-    // real solve produces: each depth-1 record must carry the marker, and
-    // the depth >= 2 records (trend-seeded from the depth-1 γ and β only)
-    // must still equal the reference.
+    // real solve produces: the warm corpus must equal the reference with
+    // every depth-1 record carrying the marker. The depth >= 2 records are
+    // trend-seeded from the depth-1 γ and β only, so they stay unchanged.
     const MARKER: usize = 987_654_321;
     let config = spec(5);
     let path = common::temp_path("shard_warm");
@@ -169,27 +169,18 @@ fn warm_sharded_run_serves_depth1_from_the_cache_file() {
     let plan = ShardPlan::split_even(config.n_graphs, 2);
     let (warm, _) = run_in_process(&config, &plan, 2, &shared);
 
-    assert_eq!(warm.records().len(), unsharded.records().len());
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    for (got, want) in warm.records().iter().zip(unsharded.records()) {
-        let what = format!("graph {}, depth {}", want.graph_id, want.depth);
-        assert_eq!((got.graph_id, got.depth), (want.graph_id, want.depth));
-        assert_eq!(bits(&got.gammas), bits(&want.gammas), "{what}: gammas");
-        assert_eq!(bits(&got.betas), bits(&want.betas), "{what}: betas");
-        assert_eq!(
-            got.expectation.to_bits(),
-            want.expectation.to_bits(),
-            "{what}: expectation"
-        );
-        if got.depth == 1 {
-            assert_eq!(
-                got.function_calls, MARKER,
-                "{what}: served from the cache file, not solved"
-            );
-        } else {
-            assert_eq!(got.function_calls, want.function_calls, "{what}: fn calls");
-        }
+    let mut records = unsharded.records().to_vec();
+    for record in records.iter_mut().filter(|r| r.depth == 1) {
+        record.function_calls = MARKER;
     }
+    let expected =
+        ParameterDataset::from_parts(unsharded.graphs().to_vec(), records, unsharded.max_depth())
+            .expect("marked reference");
+    common::assert_corpora_bit_identical(
+        &expected,
+        &warm,
+        "warm sharded run (depth-1 records served from the cache file)",
+    );
     std::fs::remove_file(&path).ok();
 }
 
