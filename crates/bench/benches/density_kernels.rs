@@ -1,6 +1,8 @@
 //! Criterion benches for the density-matrix (open-system) simulator:
 //! gate application, Kraus channels, and the full noisy-QAOA energy
 //! evaluation, against the pure-state path as the reference cost.
+//! `noisy_run/n6_m8_p2` is one noisy objective call on the shape of the
+//! `noisy_n6` perfbench workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -84,10 +86,27 @@ fn bench_noisy_vs_clean_energy(c: &mut Criterion) {
     group.finish();
 }
 
+/// One noisy ⟨C⟩ at n = 6 with exactly 8 edges, depth 2, depolarizing
+/// p1 = 0.002 after one-qubit and p2 = 0.02 after two-qubit gates.
+fn bench_noisy_run(c: &mut Criterion) {
+    let mut group = c.benchmark_group("noisy_run");
+    let mut rng = StdRng::seed_from_u64(6);
+    let graph = generators::gnm(6, 8, &mut rng);
+    let problem = MaxCutProblem::new(&graph).expect("non-empty");
+    let noise = NoiseModel::uniform_depolarizing(0.002, 0.02).expect("valid rates");
+    let noisy = NoisyQaoa::new(problem, 2, noise).expect("small");
+    let params = [0.8, 0.5, 0.4, 0.2];
+    group.bench_function("n6_m8_p2", |b| {
+        b.iter(|| black_box(noisy.expectation(black_box(&params)).expect("valid params")));
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_dm_single_gate,
     bench_dm_kraus_channel,
-    bench_noisy_vs_clean_energy
+    bench_noisy_vs_clean_energy,
+    bench_noisy_run
 );
 criterion_main!(benches);

@@ -75,6 +75,19 @@ impl Gate {
     pub fn is_two_qubit(&self) -> bool {
         self.qubits().len() == 2
     }
+
+    /// Checks that the gate addresses valid, distinct qubits of an
+    /// `n_qubits`-wide register.
+    pub(crate) fn check(&self, n_qubits: usize) -> Result<(), QsimError> {
+        let qs = self.qubits();
+        if let Some(&qubit) = qs.iter().find(|&&q| q >= n_qubits) {
+            return Err(QsimError::QubitOutOfRange { qubit, n_qubits });
+        }
+        if qs.len() == 2 && qs[0] == qs[1] {
+            return Err(QsimError::DuplicateQubit { qubit: qs[0] });
+        }
+        Ok(())
+    }
 }
 
 /// A replayable sequence of gates on a fixed-width register.
@@ -285,21 +298,7 @@ impl Circuit {
     /// The first [`QsimError::QubitOutOfRange`] or
     /// [`QsimError::DuplicateQubit`] found, if any.
     pub fn validate(&self) -> Result<(), QsimError> {
-        for op in &self.ops {
-            let qs = op.qubits();
-            for &q in &qs {
-                if q >= self.n_qubits {
-                    return Err(QsimError::QubitOutOfRange {
-                        qubit: q,
-                        n_qubits: self.n_qubits,
-                    });
-                }
-            }
-            if qs.len() == 2 && qs[0] == qs[1] {
-                return Err(QsimError::DuplicateQubit { qubit: qs[0] });
-            }
-        }
-        Ok(())
+        self.ops.iter().try_for_each(|op| op.check(self.n_qubits))
     }
 }
 

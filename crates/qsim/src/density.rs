@@ -1,3 +1,37 @@
+//! Mixed-state simulation: [`DensityMatrix`] with Kraus noise after every
+//! gate.
+//!
+//! # Layout and passes
+//!
+//! ρ is stored as two row-major `f64` planes, `re[r * dim + c]` and
+//! `im[r * dim + c]` — the split layout of
+//! [`SplitState`](crate::soa::SplitState), in the same bytes as one
+//! `Complex64` vector. Every operation is **one pass over blocks** of ρ:
+//!
+//! * a single-qubit gate and the channel that follows it on that qubit
+//!   visit each `2×2` block addressed by the qubit's row and column bit
+//!   once, computing `Σ K (U B U†) K†` in registers;
+//! * CNOT, CZ and SWAP become an index permutation or a sign flip, applied
+//!   while a `4×4` block is gathered, and the channel on both qubits then
+//!   runs on that block's `2×2` sub-blocks before it is stored.
+//!
+//! Blocks are disjoint, so the order in which a pass visits them does not
+//! change any result.
+//!
+//! # Arithmetic contract
+//!
+//! Each single-qubit matrix is classified by its exact zeros — diagonal
+//! (Z, RZ), real (H, X, RY), real diagonal with imaginary off-diagonal
+//! (RX, Y), or general — and its block arithmetic drops every product with
+//! an exact-zero factor. Every other floating-point operation is the one
+//! the full complex `U ρ U†` products and the Kraus sum perform, in the
+//! same order. Dropping `0 · x` changes at most the sign of a zero, so each
+//! element equals the full-product result up to the sign of zero, and
+//! [`DensityMatrix::trace`], [`DensityMatrix::probabilities`] and
+//! [`DensityMatrix::expectation_diagonal`] are bit-identical to it. The
+//! test suite checks this against the full-product kernels
+//! (`tests/tests/density_parity.rs`).
+
 use crate::channels::{KrausChannel, NoiseModel};
 use crate::circuit::{Circuit, Gate};
 use crate::gates::{self, Gate2};
@@ -7,8 +41,8 @@ use crate::{Complex64, DiagonalObservable, QsimError, StateVector};
 /// (`4^n` complex entries; 12 qubits ≈ 256 MiB).
 pub const MAX_DM_QUBITS: usize = 12;
 
-/// A mixed quantum state ρ on `n` qubits, stored as a dense row-major
-/// `2ⁿ × 2ⁿ` complex matrix.
+/// A mixed quantum state ρ on `n` qubits: a dense `2ⁿ × 2ⁿ` complex
+/// matrix stored as split real and imaginary row-major planes.
 ///
 /// The state-vector simulator ([`StateVector`]) covers the paper's
 /// noiseless experiments; this type extends the substrate to open-system
@@ -17,6 +51,11 @@ pub const MAX_DM_QUBITS: usize = 12;
 /// of the basis index) match [`StateVector`] exactly, and
 /// [`DensityMatrix::run`] on a noiseless model agrees with the pure-state
 /// simulation to machine precision (cross-validated in the test suite).
+/// [`DensityMatrix::run`] applies each gate together with its noise in one
+/// pass over ρ, with block arithmetic that skips the exact zeros of the
+/// gate matrix; elements can differ from the full complex products only in
+/// the sign of a zero, and the trace, probabilities and expectations are
+/// bit-identical to them.
 ///
 /// # Example
 ///
@@ -37,28 +76,319 @@ pub const MAX_DM_QUBITS: usize = 12;
 pub struct DensityMatrix {
     n_qubits: usize,
     dim: usize,
-    /// Row-major entries ρ[r * dim + c].
-    elems: Vec<Complex64>,
+    /// `Re ρ[r, c]` at `r * dim + c`.
+    re: Vec<f64>,
+    /// `Im ρ[r, c]` at `r * dim + c`.
+    im: Vec<f64>,
+}
+
+/// A `2×2` block of ρ: `[b00, b01, b10, b11]`.
+type Block2 = [Complex64; 4];
+
+/// A `4×4` block of ρ, row-major over the local index `bit_a + 2·bit_b`.
+type Block4 = [Complex64; 16];
+
+/// The block arithmetic of one single-qubit matrix `U`.
+trait Kernel: Copy {
+    /// `U (x0, x1)ᵀ`: the left product on one column of a block.
+    fn left(self, x0: Complex64, x1: Complex64) -> (Complex64, Complex64);
+
+    /// `(x0, x1) U†`: the right product on one row of a block.
+    fn right_adjoint(self, x0: Complex64, x1: Complex64) -> (Complex64, Complex64);
+
+    /// `B → U B U†`: both left products, then both right ones.
+    #[inline(always)]
+    fn conjugate(self, [b00, b01, b10, b11]: Block2) -> Block2 {
+        let (b00, b10) = self.left(b00, b10);
+        let (b01, b11) = self.left(b01, b11);
+        let (b00, b01) = self.right_adjoint(b00, b01);
+        let (b10, b11) = self.right_adjoint(b10, b11);
+        [b00, b01, b10, b11]
+    }
+}
+
+/// `diag(d0, d1)` (Z, RZ, phase gates).
+#[derive(Debug, Clone, Copy)]
+struct Diagonal(Complex64, Complex64);
+
+impl Kernel for Diagonal {
+    #[inline(always)]
+    fn left(self, x0: Complex64, x1: Complex64) -> (Complex64, Complex64) {
+        (self.0 * x0, self.1 * x1)
+    }
+
+    #[inline(always)]
+    fn right_adjoint(self, x0: Complex64, x1: Complex64) -> (Complex64, Complex64) {
+        (x0 * self.0.conj(), x1 * self.1.conj())
+    }
+}
+
+/// A matrix with every entry real (H, X, RY).
+#[derive(Debug, Clone, Copy)]
+struct Real([[f64; 2]; 2]);
+
+impl Kernel for Real {
+    #[inline(always)]
+    fn left(self, x0: Complex64, x1: Complex64) -> (Complex64, Complex64) {
+        let [[a, b], [c, d]] = self.0;
+        (x0.scale(a) + x1.scale(b), x0.scale(c) + x1.scale(d))
+    }
+
+    /// `U† = Uᵀ`, and `(x0, x1) Uᵀ` is `U (x0, x1)ᵀ` entry for entry.
+    #[inline(always)]
+    fn right_adjoint(self, x0: Complex64, x1: Complex64) -> (Complex64, Complex64) {
+        self.left(x0, x1)
+    }
+}
+
+/// `[[d0, i·o0], [i·o1, d1]]` with real `d` and `o` (RX, Y).
+#[derive(Debug, Clone, Copy)]
+struct RealDiagImagOff {
+    d: [f64; 2],
+    o: [f64; 2],
+}
+
+impl Kernel for RealDiagImagOff {
+    #[inline(always)]
+    fn left(self, x0: Complex64, x1: Complex64) -> (Complex64, Complex64) {
+        let ([d0, d1], [o0, o1]) = (self.d, self.o);
+        (
+            x0.scale(d0) + x1.mul_i().scale(o0),
+            x0.mul_i().scale(o1) + x1.scale(d1),
+        )
+    }
+
+    #[inline(always)]
+    fn right_adjoint(self, x0: Complex64, x1: Complex64) -> (Complex64, Complex64) {
+        let ([d0, d1], [o0, o1]) = (self.d, self.o);
+        (
+            x0.scale(d0) - x1.mul_i().scale(o0),
+            x1.scale(d1) - x0.mul_i().scale(o1),
+        )
+    }
+}
+
+/// A matrix with no exact-zero structure.
+#[derive(Debug, Clone, Copy)]
+struct General(Gate2);
+
+impl Kernel for General {
+    #[inline(always)]
+    fn left(self, x0: Complex64, x1: Complex64) -> (Complex64, Complex64) {
+        let [[a, b], [c, d]] = self.0;
+        (a * x0 + b * x1, c * x0 + d * x1)
+    }
+
+    #[inline(always)]
+    fn right_adjoint(self, x0: Complex64, x1: Complex64) -> (Complex64, Complex64) {
+        let [[a, b], [c, d]] = self.0;
+        (x0 * a.conj() + x1 * b.conj(), x0 * c.conj() + x1 * d.conj())
+    }
+}
+
+/// A single-qubit matrix, classified by its exact zeros.
+#[derive(Debug, Clone, Copy)]
+enum Op1 {
+    Diagonal(Diagonal),
+    Real(Real),
+    RealDiagImagOff(RealDiagImagOff),
+    General(General),
+}
+
+impl Op1 {
+    fn of(u: &Gate2) -> Self {
+        let [[a, b], [c, d]] = *u;
+        if b == Complex64::ZERO && c == Complex64::ZERO {
+            Op1::Diagonal(Diagonal(a, d))
+        } else if u.iter().flatten().all(|z| z.im == 0.0) {
+            Op1::Real(Real([[a.re, b.re], [c.re, d.re]]))
+        } else if a.im == 0.0 && d.im == 0.0 && b.re == 0.0 && c.re == 0.0 {
+            Op1::RealDiagImagOff(RealDiagImagOff {
+                d: [a.re, d.re],
+                o: [b.im, c.im],
+            })
+        } else {
+            Op1::General(General(*u))
+        }
+    }
+}
+
+/// The gate part of a two-qubit pass over qubits `a` and `b`.
+#[derive(Debug, Clone, Copy)]
+enum Op2 {
+    /// CNOT, `a` controlling `b`: swaps local indices 1 and 3.
+    Cnot,
+    /// CZ: negates local index 3.
+    Cz,
+    /// SWAP: swaps local indices 1 and 2.
+    Swap,
+    /// A controlled single-qubit matrix, `a` controlling `b`.
+    Controlled(General),
+}
+
+impl Op2 {
+    /// The local index each row and column of the result is gathered from.
+    fn gather(self) -> [usize; 4] {
+        match self {
+            Op2::Cnot => [0, 3, 2, 1],
+            Op2::Swap => [0, 2, 1, 3],
+            Op2::Cz | Op2::Controlled(_) => [0, 1, 2, 3],
+        }
+    }
+
+    /// The arithmetic left after [`Op2::gather`].
+    #[inline(always)]
+    fn finish(self, block: &mut Block4) {
+        match self {
+            Op2::Cnot | Op2::Swap => {}
+            // Row 3 or column 3, not both.
+            Op2::Cz => {
+                for k in [3, 7, 11, 12, 13, 14] {
+                    block[k] = -block[k];
+                }
+            }
+            // Rows 1 and 3 carry the control bit, then columns 1 and 3.
+            Op2::Controlled(u) => {
+                for col in 0..4 {
+                    (block[4 + col], block[12 + col]) = u.left(block[4 + col], block[12 + col]);
+                }
+                for row in 0..4 {
+                    let (i, j) = (4 * row + 1, 4 * row + 3);
+                    (block[i], block[j]) = u.right_adjoint(block[i], block[j]);
+                }
+            }
+        }
+    }
+}
+
+/// The `2×2` sub-blocks of a [`Block4`] on qubit `a` (local bit 1), then
+/// on qubit `b` (local bit 2).
+const SUB_BLOCKS: [[usize; 4]; 8] = [
+    [0, 1, 4, 5],
+    [2, 3, 6, 7],
+    [8, 9, 12, 13],
+    [10, 11, 14, 15],
+    [0, 2, 8, 10],
+    [1, 3, 9, 11],
+    [4, 6, 12, 14],
+    [5, 7, 13, 15],
+];
+
+/// A noise channel, classified once per [`DensityMatrix::run`].
+#[derive(Debug, Clone, Copy)]
+enum Channel<'a> {
+    /// No channel, the identity channel or depolarizing at `p = 0`.
+    None,
+    Depolarizing(Depolarizing),
+    /// The general Kraus sum `Σ K B K†` over these operators.
+    Kraus(&'a [Gate2]),
+}
+
+impl<'a> Channel<'a> {
+    fn of(channel: Option<&'a KrausChannel>) -> Self {
+        let Some(channel) = channel else {
+            return Channel::None;
+        };
+        if channel.is_identity() {
+            return Channel::None;
+        }
+        match channel.as_depolarizing() {
+            Some(p) if p != 0.0 => Channel::Depolarizing(Depolarizing {
+                keep: 1.0 - 2.0 * p / 3.0,
+                swap: 2.0 * p / 3.0,
+                shrink: 1.0 - 4.0 * p / 3.0,
+            }),
+            Some(_) => Channel::None,
+            None => Channel::Kraus(channel.ops()),
+        }
+    }
+}
+
+/// The depolarizing closed form,
+/// `ρ → (1−p) ρ + p/3 (XρX + YρY + ZρZ)`, reduced per `2×2` block to a
+/// population blend and an off-diagonal shrink:
+///
+/// ```text
+/// ρ00' = (1 − 2p/3) ρ00 + (2p/3) ρ11      ρ01' = (1 − 4p/3) ρ01
+/// ρ11' = (2p/3) ρ00 + (1 − 2p/3) ρ11      ρ10' = (1 − 4p/3) ρ10
+/// ```
+#[derive(Debug, Clone, Copy)]
+struct Depolarizing {
+    keep: f64,
+    swap: f64,
+    shrink: f64,
+}
+
+impl Depolarizing {
+    #[inline(always)]
+    fn apply(self, [b00, b01, b10, b11]: Block2) -> Block2 {
+        [
+            self.keep * b00 + self.swap * b11,
+            self.shrink * b01,
+            self.shrink * b10,
+            self.swap * b00 + self.keep * b11,
+        ]
+    }
+}
+
+/// `Σ K B K†` over the Kraus operators `ops`.
+#[inline(always)]
+fn kraus(ops: &[Gate2], [b00, b01, b10, b11]: Block2) -> Block2 {
+    let mut n = [Complex64::ZERO; 4];
+    for k in ops {
+        let (ka, kb) = (k[0][0], k[0][1]);
+        let (kd, ke) = (k[1][0], k[1][1]);
+        // T = K B, then accumulate T K†.
+        let t00 = ka * b00 + kb * b10;
+        let t01 = ka * b01 + kb * b11;
+        let t10 = kd * b00 + ke * b10;
+        let t11 = kd * b01 + ke * b11;
+        n[0] += t00 * ka.conj() + t01 * kb.conj();
+        n[1] += t00 * kd.conj() + t01 * ke.conj();
+        n[2] += t10 * ka.conj() + t11 * kb.conj();
+        n[3] += t10 * kd.conj() + t11 * ke.conj();
+    }
+    n
+}
+
+/// Splits every `2·half`-long chunk of `x` into its two halves.
+fn halves(x: &mut [f64], half: usize) -> impl Iterator<Item = (&mut [f64], &mut [f64])> {
+    x.chunks_exact_mut(2 * half).map(move |chunk| {
+        let (low, high) = chunk.split_at_mut(half);
+        // Re-sliced so the compiler sees both halves are `half` long and
+        // drops the bounds checks of the per-element loop.
+        (low, &mut high[..half])
+    })
+}
+
+/// The indices below `dim` with every bit of `mask` clear, ascending.
+fn bases(dim: usize, mask: usize) -> impl Iterator<Item = usize> {
+    (0..dim).filter(move |i| i & mask == 0)
 }
 
 impl DensityMatrix {
+    fn zeroed(n_qubits: usize) -> Result<Self, QsimError> {
+        if n_qubits > MAX_DM_QUBITS {
+            return Err(QsimError::TooManyQubits { n_qubits });
+        }
+        let dim = 1usize << n_qubits;
+        Ok(Self {
+            n_qubits,
+            dim,
+            re: vec![0.0; dim * dim],
+            im: vec![0.0; dim * dim],
+        })
+    }
+
     /// The pure state `|0…0⟩⟨0…0|`.
     ///
     /// # Errors
     ///
     /// [`QsimError::TooManyQubits`] beyond [`MAX_DM_QUBITS`].
     pub fn zero_state(n_qubits: usize) -> Result<Self, QsimError> {
-        if n_qubits > MAX_DM_QUBITS {
-            return Err(QsimError::TooManyQubits { n_qubits });
-        }
-        let dim = 1usize << n_qubits;
-        let mut elems = vec![Complex64::ZERO; dim * dim];
-        elems[0] = Complex64::ONE;
-        Ok(Self {
-            n_qubits,
-            dim,
-            elems,
-        })
+        let mut rho = Self::zeroed(n_qubits)?;
+        rho.re[0] = 1.0;
+        Ok(rho)
     }
 
     /// The uniform-superposition pure state `|+…+⟩⟨+…+|` that starts every
@@ -77,20 +407,13 @@ impl DensityMatrix {
     ///
     /// [`QsimError::TooManyQubits`] beyond [`MAX_DM_QUBITS`].
     pub fn maximally_mixed(n_qubits: usize) -> Result<Self, QsimError> {
-        if n_qubits > MAX_DM_QUBITS {
-            return Err(QsimError::TooManyQubits { n_qubits });
+        let mut rho = Self::zeroed(n_qubits)?;
+        // 2ⁿ ≤ 2^MAX_DM_QUBITS fits a u32 and converts to f64 exactly.
+        let w = 1.0 / f64::from(1u32 << n_qubits);
+        for r in 0..rho.dim {
+            rho.re[r * rho.dim + r] = w;
         }
-        let dim = 1usize << n_qubits;
-        let mut elems = vec![Complex64::ZERO; dim * dim];
-        let w = 1.0 / dim as f64;
-        for r in 0..dim {
-            elems[r * dim + r] = Complex64::new(w, 0.0);
-        }
-        Ok(Self {
-            n_qubits,
-            dim,
-            elems,
-        })
+        Ok(rho)
     }
 
     /// The projector `|ψ⟩⟨ψ|` of a pure state.
@@ -99,23 +422,16 @@ impl DensityMatrix {
     ///
     /// [`QsimError::TooManyQubits`] beyond [`MAX_DM_QUBITS`].
     pub fn from_state_vector(state: &StateVector) -> Result<Self, QsimError> {
-        let n_qubits = state.n_qubits();
-        if n_qubits > MAX_DM_QUBITS {
-            return Err(QsimError::TooManyQubits { n_qubits });
-        }
-        let dim = state.dim();
+        let mut rho = Self::zeroed(state.n_qubits())?;
         let amps = state.amplitudes();
-        let mut elems = vec![Complex64::ZERO; dim * dim];
-        for r in 0..dim {
-            for col in 0..dim {
-                elems[r * dim + col] = amps[r] * amps[col].conj();
+        for (r, &ar) in amps.iter().enumerate() {
+            for (col, &ac) in amps.iter().enumerate() {
+                let e = ar * ac.conj();
+                rho.re[r * rho.dim + col] = e.re;
+                rho.im[r * rho.dim + col] = e.im;
             }
         }
-        Ok(Self {
-            n_qubits,
-            dim,
-            elems,
-        })
+        Ok(rho)
     }
 
     /// Number of qubits.
@@ -138,20 +454,30 @@ impl DensityMatrix {
     #[must_use]
     pub fn element(&self, r: usize, c: usize) -> Complex64 {
         assert!(r < self.dim && c < self.dim, "index out of range");
-        self.elems[r * self.dim + c]
+        let i = r * self.dim + c;
+        Complex64::new(self.re[i], self.im[i])
+    }
+
+    /// `Re ρ[i, i]`.
+    fn diagonal(&self, i: usize) -> f64 {
+        self.re[i * self.dim + i]
     }
 
     /// Trace `Tr ρ` (1 for any physical state; real up to rounding).
     #[must_use]
     pub fn trace(&self) -> f64 {
-        (0..self.dim).map(|r| self.elems[r * self.dim + r].re).sum()
+        (0..self.dim).map(|r| self.diagonal(r)).sum()
     }
 
     /// Purity `Tr ρ²` ∈ `[1/2ⁿ, 1]`; exactly 1 for pure states.
     #[must_use]
     pub fn purity(&self) -> f64 {
         // Tr ρ² = Σ_{r,c} ρ_{rc} ρ_{cr} = Σ_{r,c} |ρ_{rc}|² for Hermitian ρ.
-        self.elems.iter().map(|e| e.norm_sqr()).sum()
+        self.re
+            .iter()
+            .zip(&self.im)
+            .map(|(&re, &im)| re * re + im * im)
+            .sum()
     }
 
     /// Measurement probability of the computational basis state `index`.
@@ -162,7 +488,14 @@ impl DensityMatrix {
     #[must_use]
     pub fn probability(&self, index: usize) -> f64 {
         assert!(index < self.dim, "index out of range");
-        self.elems[index * self.dim + index].re.max(0.0)
+        // Clamps rounding noise below zero, and a zero of either sign, to
+        // +0: `f64::max` may return either zero when given two.
+        let p = self.diagonal(index);
+        if p > 0.0 {
+            p
+        } else {
+            0.0
+        }
     }
 
     /// All `2ⁿ` basis-state probabilities (the diagonal).
@@ -188,7 +521,7 @@ impl DensityMatrix {
             .diagonal()
             .iter()
             .enumerate()
-            .map(|(i, &o)| o * self.elems[i * self.dim + i].re)
+            .map(|(i, &o)| o * self.diagonal(i))
             .sum())
     }
 
@@ -198,9 +531,7 @@ impl DensityMatrix {
         let mut dev = 0.0_f64;
         for r in 0..self.dim {
             for c in (r..self.dim).skip(1) {
-                dev = dev.max(
-                    (self.elems[r * self.dim + c] - self.elems[c * self.dim + r].conj()).abs(),
-                );
+                dev = dev.max((self.element(r, c) - self.element(c, r).conj()).abs());
             }
         }
         dev
@@ -216,45 +547,127 @@ impl DensityMatrix {
         Ok(())
     }
 
-    /// Left-multiplies by a single-qubit operator: ρ → A ρ.
-    fn left_mul_single(&mut self, qubit: usize, a: &Gate2) {
-        let stride = 1usize << qubit;
+    /// Maps every `2×2` block of `qubit` through `f`, one row pair at a
+    /// time.
+    fn sweep1(&mut self, qubit: usize, f: impl Fn(Block2) -> Block2) {
+        let s = 1usize << qubit;
         let dim = self.dim;
-        let mut base = 0;
-        while base < dim {
-            for offset in base..base + stride {
-                let r0 = offset;
-                let r1 = offset + stride;
-                for col in 0..dim {
-                    let e0 = self.elems[r0 * dim + col];
-                    let e1 = self.elems[r1 * dim + col];
-                    self.elems[r0 * dim + col] = a[0][0] * e0 + a[0][1] * e1;
-                    self.elems[r1 * dim + col] = a[1][0] * e0 + a[1][1] * e1;
+        let row_blocks = halves(&mut self.re, s * dim).zip(halves(&mut self.im, s * dim));
+        for ((re_top, re_bottom), (im_top, im_bottom)) in row_blocks {
+            let re_rows = re_top
+                .chunks_exact_mut(dim)
+                .zip(re_bottom.chunks_exact_mut(dim));
+            let im_rows = im_top
+                .chunks_exact_mut(dim)
+                .zip(im_bottom.chunks_exact_mut(dim));
+            for ((re0, re1), (im0, im1)) in re_rows.zip(im_rows) {
+                let re_cols = halves(re0, s).zip(halves(re1, s));
+                let im_cols = halves(im0, s).zip(halves(im1, s));
+                for (((re00, re01), (re10, re11)), ((im00, im01), (im10, im11))) in
+                    re_cols.zip(im_cols)
+                {
+                    for k in 0..s {
+                        let [n00, n01, n10, n11] = f([
+                            Complex64::new(re00[k], im00[k]),
+                            Complex64::new(re01[k], im01[k]),
+                            Complex64::new(re10[k], im10[k]),
+                            Complex64::new(re11[k], im11[k]),
+                        ]);
+                        (re00[k], im00[k]) = (n00.re, n00.im);
+                        (re01[k], im01[k]) = (n01.re, n01.im);
+                        (re10[k], im10[k]) = (n10.re, n10.im);
+                        (re11[k], im11[k]) = (n11.re, n11.im);
+                    }
                 }
             }
-            base += stride << 1;
         }
     }
 
-    /// Right-multiplies by the adjoint of a single-qubit operator: ρ → ρ A†.
-    fn right_mul_single_adjoint(&mut self, qubit: usize, a: &Gate2) {
-        let stride = 1usize << qubit;
+    /// Maps every `4×4` block of qubits `(a, b)` through `gate` and then
+    /// through `channel` on each of its `2×2` sub-blocks, on `a` first.
+    fn sweep2(&mut self, a: usize, b: usize, gate: Op2, channel: impl Fn(Block2) -> Block2) {
         let dim = self.dim;
-        let mut base = 0;
-        while base < dim {
-            for offset in base..base + stride {
-                let c0 = offset;
-                let c1 = offset + stride;
-                for r in 0..dim {
-                    let e0 = self.elems[r * dim + c0];
-                    let e1 = self.elems[r * dim + c1];
-                    // (ρ A†)[r, c] = Σ_k ρ[r, k] conj(A[c, k]).
-                    self.elems[r * dim + c0] = e0 * a[0][0].conj() + e1 * a[0][1].conj();
-                    self.elems[r * dim + c1] = e0 * a[1][0].conj() + e1 * a[1][1].conj();
+        let len = dim * dim;
+        let (re, im) = (&mut self.re[..len], &mut self.im[..len]);
+        let axis = [0, 1 << a, 1 << b, (1 << a) | (1 << b)];
+        let from = gate.gather().map(|l| axis[l]);
+        for r in bases(dim, axis[3]) {
+            for c in bases(dim, axis[3]) {
+                let mut block = [Complex64::ZERO; 16];
+                for (k, z) in block.iter_mut().enumerate() {
+                    // Below `len` already; the mask lets the compiler see it.
+                    let i = ((r + from[k / 4]) * dim + c + from[k % 4]) & (len - 1);
+                    *z = Complex64::new(re[i], im[i]);
+                }
+                gate.finish(&mut block);
+                for &[i, j, k, l] in &SUB_BLOCKS {
+                    [block[i], block[j], block[k], block[l]] =
+                        channel([block[i], block[j], block[k], block[l]]);
+                }
+                for (k, z) in block.iter().enumerate() {
+                    let i = ((r + axis[k / 4]) * dim + c + axis[k % 4]) & (len - 1);
+                    re[i] = z.re;
+                    im[i] = z.im;
                 }
             }
-            base += stride << 1;
         }
+    }
+
+    /// One pass of the single-qubit gate `gate` and then `channel` on
+    /// `qubit`. The caller has checked `qubit`.
+    fn pass1(&mut self, qubit: usize, gate: Option<Op1>, channel: Channel<'_>) {
+        match channel {
+            Channel::None => self.pass1_with(qubit, gate, |block| block),
+            Channel::Depolarizing(d) => self.pass1_with(qubit, gate, move |block| d.apply(block)),
+            Channel::Kraus(ops) => self.pass1_with(qubit, gate, move |block| kraus(ops, block)),
+        }
+    }
+
+    /// [`DensityMatrix::pass1`] for one channel kind: one sweep per gate
+    /// kind, so each sweep runs straight-line block arithmetic.
+    fn pass1_with(
+        &mut self,
+        qubit: usize,
+        gate: Option<Op1>,
+        channel: impl Fn(Block2) -> Block2 + Copy,
+    ) {
+        match gate {
+            None => self.sweep1(qubit, channel),
+            Some(Op1::Diagonal(u)) => self.sweep1(qubit, move |b| channel(u.conjugate(b))),
+            Some(Op1::Real(u)) => self.sweep1(qubit, move |b| channel(u.conjugate(b))),
+            Some(Op1::RealDiagImagOff(u)) => self.sweep1(qubit, move |b| channel(u.conjugate(b))),
+            Some(Op1::General(u)) => self.sweep1(qubit, move |b| channel(u.conjugate(b))),
+        }
+    }
+
+    /// One pass of the two-qubit gate `gate` on `(a, b)` and then `channel`
+    /// on `a` and on `b`. The caller has checked `a` and `b`.
+    fn pass2(&mut self, a: usize, b: usize, gate: Op2, channel: Channel<'_>) {
+        match channel {
+            Channel::None => self.sweep2(a, b, gate, |block| block),
+            Channel::Depolarizing(d) => self.sweep2(a, b, gate, move |block| d.apply(block)),
+            Channel::Kraus(ops) => self.sweep2(a, b, gate, move |block| kraus(ops, block)),
+        }
+    }
+
+    /// One pass of `gate` and the channel `noise` puts after it. The
+    /// caller has checked the gate's qubits.
+    fn pass(&mut self, gate: &Gate, after_1q: Channel<'_>, after_2q: Channel<'_>) {
+        let (qubit, u) = match *gate {
+            Gate::Cnot { control, target } => {
+                return self.pass2(control, target, Op2::Cnot, after_2q)
+            }
+            Gate::Cz { a, b } => return self.pass2(a, b, Op2::Cz, after_2q),
+            Gate::Swap { a, b } => return self.pass2(a, b, Op2::Swap, after_2q),
+            Gate::H(q) => (q, gates::h()),
+            Gate::X(q) => (q, gates::x()),
+            Gate::Y(q) => (q, gates::y()),
+            Gate::Z(q) => (q, gates::z()),
+            Gate::Rx { qubit, theta } => (qubit, gates::rx(theta)),
+            Gate::Ry { qubit, theta } => (qubit, gates::ry(theta)),
+            Gate::Rz { qubit, theta } => (qubit, gates::rz(theta)),
+        };
+        self.pass1(qubit, Some(Op1::of(&u)), after_1q);
     }
 
     /// Applies a single-qubit unitary: ρ → U ρ U†.
@@ -264,8 +677,7 @@ impl DensityMatrix {
     /// [`QsimError::QubitOutOfRange`] for a bad index.
     pub fn apply_single(&mut self, qubit: usize, u: &Gate2) -> Result<(), QsimError> {
         self.check_qubit(qubit)?;
-        self.left_mul_single(qubit, u);
-        self.right_mul_single_adjoint(qubit, u);
+        self.pass1(qubit, Some(Op1::of(u)), Channel::None);
         Ok(())
     }
 
@@ -286,33 +698,7 @@ impl DensityMatrix {
         if control == target {
             return Err(QsimError::DuplicateQubit { qubit: control });
         }
-        let cmask = 1usize << control;
-        let tmask = 1usize << target;
-        let dim = self.dim;
-        // Left multiplication by the controlled unitary.
-        for r in 0..dim {
-            if r & cmask != 0 && r & tmask == 0 {
-                let r1 = r | tmask;
-                for col in 0..dim {
-                    let e0 = self.elems[r * dim + col];
-                    let e1 = self.elems[r1 * dim + col];
-                    self.elems[r * dim + col] = u[0][0] * e0 + u[0][1] * e1;
-                    self.elems[r1 * dim + col] = u[1][0] * e0 + u[1][1] * e1;
-                }
-            }
-        }
-        // Right multiplication by its adjoint.
-        for c in 0..dim {
-            if c & cmask != 0 && c & tmask == 0 {
-                let c1 = c | tmask;
-                for r in 0..dim {
-                    let e0 = self.elems[r * dim + c];
-                    let e1 = self.elems[r * dim + c1];
-                    self.elems[r * dim + c] = e0 * u[0][0].conj() + e1 * u[0][1].conj();
-                    self.elems[r * dim + c1] = e0 * u[1][0].conj() + e1 * u[1][1].conj();
-                }
-            }
-        }
+        self.pass2(control, target, Op2::Controlled(General(*u)), Channel::None);
         Ok(())
     }
 
@@ -329,9 +715,12 @@ impl DensityMatrix {
                 actual: phases.len(),
             });
         }
-        for r in 0..self.dim {
-            for c in 0..self.dim {
-                self.elems[r * self.dim + c] *= phases[r] * phases[c].conj();
+        for (r, &pr) in phases.iter().enumerate() {
+            for (c, &pc) in phases.iter().enumerate() {
+                let i = r * self.dim + c;
+                let e = Complex64::new(self.re[i], self.im[i]) * (pr * pc.conj());
+                self.re[i] = e.re;
+                self.im[i] = e.im;
             }
         }
         Ok(())
@@ -339,108 +728,18 @@ impl DensityMatrix {
 
     /// Applies a single-qubit Kraus channel: `ρ → Σ K ρ K†`.
     ///
-    /// The sum is evaluated block-wise in place: every `2×2` sub-block of ρ
-    /// addressed by the qubit's row/column pair is mapped through
-    /// `Σ K B K†` in one pass, with no per-operator copies of the matrix
-    /// (the earlier formulation cloned the full `4ⁿ` state once per Kraus
-    /// operator, which dominated the noisy-QAOA objective's cost).
+    /// One pass over the qubit's `2×2` blocks. Depolarizing channels take
+    /// their closed form (a real population blend and off-diagonal
+    /// shrink); every other channel takes the Kraus sum per block.
     ///
     /// # Errors
     ///
     /// [`QsimError::QubitOutOfRange`] for a bad index.
     pub fn apply_channel(&mut self, qubit: usize, channel: &KrausChannel) -> Result<(), QsimError> {
         self.check_qubit(qubit)?;
-        if channel.is_identity() {
-            return Ok(());
-        }
-        if let Some(p) = channel.as_depolarizing() {
-            if p == 0.0 {
-                return Ok(());
-            }
-            return self.apply_depolarizing(qubit, p);
-        }
-        let stride = 1usize << qubit;
-        let dim = self.dim;
-        let ops = channel.ops();
-        let mut base_r = 0;
-        while base_r < dim {
-            for r0 in base_r..base_r + stride {
-                let r1 = r0 + stride;
-                let mut base_c = 0;
-                while base_c < dim {
-                    for c0 in base_c..base_c + stride {
-                        let c1 = c0 + stride;
-                        let b00 = self.elems[r0 * dim + c0];
-                        let b01 = self.elems[r0 * dim + c1];
-                        let b10 = self.elems[r1 * dim + c0];
-                        let b11 = self.elems[r1 * dim + c1];
-                        let mut n00 = Complex64::ZERO;
-                        let mut n01 = Complex64::ZERO;
-                        let mut n10 = Complex64::ZERO;
-                        let mut n11 = Complex64::ZERO;
-                        for k in ops {
-                            let (ka, kb) = (k[0][0], k[0][1]);
-                            let (kd, ke) = (k[1][0], k[1][1]);
-                            // T = K B, then accumulate T K†.
-                            let t00 = ka * b00 + kb * b10;
-                            let t01 = ka * b01 + kb * b11;
-                            let t10 = kd * b00 + ke * b10;
-                            let t11 = kd * b01 + ke * b11;
-                            n00 += t00 * ka.conj() + t01 * kb.conj();
-                            n01 += t00 * kd.conj() + t01 * ke.conj();
-                            n10 += t10 * ka.conj() + t11 * kb.conj();
-                            n11 += t10 * kd.conj() + t11 * ke.conj();
-                        }
-                        self.elems[r0 * dim + c0] = n00;
-                        self.elems[r0 * dim + c1] = n01;
-                        self.elems[r1 * dim + c0] = n10;
-                        self.elems[r1 * dim + c1] = n11;
-                    }
-                    base_c += stride << 1;
-                }
-            }
-            base_r += stride << 1;
-        }
-        Ok(())
-    }
-
-    /// Closed form of the single-qubit depolarizing channel,
-    /// `ρ → (1−p) ρ + p/3 (XρX + YρY + ZρZ)`, reduced per `2×2` block to
-    /// a population blend and an off-diagonal shrink:
-    ///
-    /// ```text
-    /// ρ00' = (1 − 2p/3) ρ00 + (2p/3) ρ11      ρ01' = (1 − 4p/3) ρ01
-    /// ρ11' = (2p/3) ρ00 + (1 − 2p/3) ρ11      ρ10' = (1 − 4p/3) ρ10
-    /// ```
-    ///
-    /// One real-coefficient pass instead of the four-operator Kraus sum —
-    /// the channel cost drops by an order of magnitude, which dominates the
-    /// noisy-QAOA objective.
-    fn apply_depolarizing(&mut self, qubit: usize, p: f64) -> Result<(), QsimError> {
-        let keep = 1.0 - 2.0 * p / 3.0;
-        let swap = 2.0 * p / 3.0;
-        let shrink = 1.0 - 4.0 * p / 3.0;
-        let stride = 1usize << qubit;
-        let dim = self.dim;
-        let mut base_r = 0;
-        while base_r < dim {
-            for r0 in base_r..base_r + stride {
-                let r1 = r0 + stride;
-                let mut base_c = 0;
-                while base_c < dim {
-                    for c0 in base_c..base_c + stride {
-                        let c1 = c0 + stride;
-                        let b00 = self.elems[r0 * dim + c0];
-                        let b11 = self.elems[r1 * dim + c1];
-                        self.elems[r0 * dim + c0] = keep * b00 + swap * b11;
-                        self.elems[r1 * dim + c1] = swap * b00 + keep * b11;
-                        self.elems[r0 * dim + c1] = shrink * self.elems[r0 * dim + c1];
-                        self.elems[r1 * dim + c0] = shrink * self.elems[r1 * dim + c0];
-                    }
-                    base_c += stride << 1;
-                }
-            }
-            base_r += stride << 1;
+        let channel = Channel::of(Some(channel));
+        if !matches!(channel, Channel::None) {
+            self.pass1(qubit, None, channel);
         }
         Ok(())
     }
@@ -449,33 +748,26 @@ impl DensityMatrix {
     ///
     /// # Errors
     ///
-    /// Propagates qubit-index errors from the underlying operations.
+    /// [`QsimError::QubitOutOfRange`] or [`QsimError::DuplicateQubit`]
+    /// for bad qubit indices; ρ is then unchanged.
     pub fn apply_gate(&mut self, gate: &Gate) -> Result<(), QsimError> {
-        match *gate {
-            Gate::H(q) => self.apply_single(q, &gates::h()),
-            Gate::X(q) => self.apply_single(q, &gates::x()),
-            Gate::Y(q) => self.apply_single(q, &gates::y()),
-            Gate::Z(q) => self.apply_single(q, &gates::z()),
-            Gate::Rx { qubit, theta } => self.apply_single(qubit, &gates::rx(theta)),
-            Gate::Ry { qubit, theta } => self.apply_single(qubit, &gates::ry(theta)),
-            Gate::Rz { qubit, theta } => self.apply_single(qubit, &gates::rz(theta)),
-            Gate::Cnot { control, target } => self.apply_controlled(control, target, &gates::x()),
-            Gate::Cz { a, b } => self.apply_controlled(a, b, &gates::z()),
-            Gate::Swap { a, b } => {
-                self.apply_controlled(a, b, &gates::x())?;
-                self.apply_controlled(b, a, &gates::x())?;
-                self.apply_controlled(a, b, &gates::x())
-            }
-        }
+        gate.check(self.n_qubits)?;
+        self.pass(gate, Channel::None, Channel::None);
+        Ok(())
     }
 
     /// Runs a circuit with per-gate noise injection: after every gate the
-    /// configured channel of `noise` hits the gate's qubits.
+    /// configured channel of `noise` hits the gate's qubits. Each gate and
+    /// its channel take one pass over ρ.
     ///
     /// # Errors
     ///
     /// * [`QsimError::WidthMismatch`] if the circuit width differs.
-    /// * Qubit-index errors from individual gates.
+    /// * The first [`QsimError::QubitOutOfRange`] or
+    ///   [`QsimError::DuplicateQubit`] of [`Circuit::validate`].
+    ///
+    /// The whole circuit is checked before its first gate, so ρ is
+    /// unchanged after any error.
     pub fn run(&mut self, circuit: &Circuit, noise: &NoiseModel) -> Result<(), QsimError> {
         if circuit.n_qubits() != self.n_qubits {
             return Err(QsimError::WidthMismatch {
@@ -483,18 +775,11 @@ impl DensityMatrix {
                 state: self.n_qubits,
             });
         }
+        circuit.validate()?;
+        let after_1q = Channel::of(noise.after_1q.as_ref());
+        let after_2q = Channel::of(noise.after_2q.as_ref());
         for gate in circuit.ops() {
-            self.apply_gate(gate)?;
-            let channel = if gate.is_two_qubit() {
-                noise.after_2q.as_ref()
-            } else {
-                noise.after_1q.as_ref()
-            };
-            if let Some(ch) = channel {
-                for q in gate.qubits() {
-                    self.apply_channel(q, ch)?;
-                }
-            }
+            self.pass(gate, after_1q, after_2q);
         }
         Ok(())
     }
@@ -695,6 +980,27 @@ mod tests {
             rho.apply_diagonal(&[Complex64::ONE; 3]),
             Err(QsimError::DimensionMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn failed_run_leaves_state_unchanged() {
+        let noise = NoiseModel::uniform_depolarizing(0.01, 0.05).unwrap();
+        let mut rho = DensityMatrix::plus_state(2).unwrap();
+        let before = rho.clone();
+        let mut out_of_range = Circuit::new(2);
+        out_of_range.h(0).cnot(0, 1).rz(1, 0.3).x(2);
+        assert!(matches!(
+            rho.run(&out_of_range, &noise),
+            Err(QsimError::QubitOutOfRange { qubit: 2, .. })
+        ));
+        assert_eq!(rho, before);
+        let mut duplicate = Circuit::new(2);
+        duplicate.h(0).rx(1, 0.4).cz(1, 1);
+        assert!(matches!(
+            rho.run(&duplicate, &noise),
+            Err(QsimError::DuplicateQubit { qubit: 1 })
+        ));
+        assert_eq!(rho, before);
     }
 
     #[test]

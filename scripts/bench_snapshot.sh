@@ -8,17 +8,23 @@
 #                       loopback and subprocess transports): the streaming
 #                       coordinator's corpus throughput, and the gap
 #                       between in-process and spawned workers.
+#   BENCH_density.json — the density_kernels benches: one gate and one
+#                       depolarizing channel at n = 4, 6, 8, the p = 2 QAOA
+#                       energy on the state-vector and density-matrix
+#                       paths, and noisy_run/n6_m8_p2, one noisy objective
+#                       call on the shape of the noisy_n6 perfbench workload.
 #
 # The snapshots are a machine-readable record from one reference machine —
 # a point of comparison, not a CI gate (absolute times vary across hosts;
 # the interesting signal is the ratios within each file).
 #
-# Usage: scripts/bench_snapshot.sh [eval.json] [shard.json]
-#        (defaults: BENCH_eval.json BENCH_shard.json)
+# Usage: scripts/bench_snapshot.sh [eval.json] [shard.json] [density.json]
+#        (defaults: BENCH_eval.json BENCH_shard.json BENCH_density.json)
 set -eu
 
 eval_out="${1:-BENCH_eval.json}"
 shard_out="${2:-BENCH_shard.json}"
+density_out="${3:-BENCH_density.json}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
@@ -53,3 +59,4 @@ END { printf "\n  ]\n}\n" }
 
 snapshot eval_hot_path "$eval_out"
 snapshot shard_scaling "$shard_out"
+snapshot density_kernels "$density_out"

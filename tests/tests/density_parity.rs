@@ -1,0 +1,488 @@
+//! Bit-parity of the fused split-plane `DensityMatrix` passes against the
+//! array-of-structs kernels they replaced, which this file keeps as the
+//! reference (the library no longer carries them).
+//!
+//! The contract: every element of ρ equals the reference's (a zero of
+//! either sign counts as equal), and `trace`, every probability and
+//! `expectation_diagonal` are equal to the bit — for every `Gate`
+//! variant, every channel kind, no noise, and widths 1 through 6.
+
+use graphs::generators;
+use proptest::prelude::*;
+use proptest::TestCaseError;
+use qaoa::noisy::NoisyQaoa;
+use qaoa::MaxCutProblem;
+use qsim::gates::{self, Gate2};
+use qsim::{Circuit, Complex64, DensityMatrix, DiagonalObservable, Gate, KrausChannel, NoiseModel};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// The array-of-structs density-matrix kernels: one `Complex64` vector,
+/// a separate full sweep per left product, right product and channel,
+/// and full complex `2×2` products throughout.
+#[derive(Debug, Clone)]
+struct Reference {
+    dim: usize,
+    elems: Vec<Complex64>,
+}
+
+impl Reference {
+    fn zero_state(n_qubits: usize) -> Self {
+        let dim = 1usize << n_qubits;
+        let mut elems = vec![Complex64::ZERO; dim * dim];
+        elems[0] = Complex64::ONE;
+        Self { dim, elems }
+    }
+
+    fn element(&self, r: usize, c: usize) -> Complex64 {
+        self.elems[r * self.dim + c]
+    }
+
+    fn trace(&self) -> f64 {
+        (0..self.dim).map(|r| self.elems[r * self.dim + r].re).sum()
+    }
+
+    fn probabilities(&self) -> Vec<f64> {
+        (0..self.dim)
+            .map(|i| self.elems[i * self.dim + i].re.max(0.0))
+            .collect()
+    }
+
+    fn expectation_diagonal(&self, obs: &DiagonalObservable) -> f64 {
+        obs.diagonal()
+            .iter()
+            .enumerate()
+            .map(|(i, &o)| o * self.elems[i * self.dim + i].re)
+            .sum()
+    }
+
+    fn left_mul_single(&mut self, qubit: usize, a: &Gate2) {
+        let stride = 1usize << qubit;
+        let dim = self.dim;
+        let mut base = 0;
+        while base < dim {
+            for offset in base..base + stride {
+                let r0 = offset;
+                let r1 = offset + stride;
+                for col in 0..dim {
+                    let e0 = self.elems[r0 * dim + col];
+                    let e1 = self.elems[r1 * dim + col];
+                    self.elems[r0 * dim + col] = a[0][0] * e0 + a[0][1] * e1;
+                    self.elems[r1 * dim + col] = a[1][0] * e0 + a[1][1] * e1;
+                }
+            }
+            base += stride << 1;
+        }
+    }
+
+    fn right_mul_single_adjoint(&mut self, qubit: usize, a: &Gate2) {
+        let stride = 1usize << qubit;
+        let dim = self.dim;
+        let mut base = 0;
+        while base < dim {
+            for offset in base..base + stride {
+                let c0 = offset;
+                let c1 = offset + stride;
+                for r in 0..dim {
+                    let e0 = self.elems[r * dim + c0];
+                    let e1 = self.elems[r * dim + c1];
+                    self.elems[r * dim + c0] = e0 * a[0][0].conj() + e1 * a[0][1].conj();
+                    self.elems[r * dim + c1] = e0 * a[1][0].conj() + e1 * a[1][1].conj();
+                }
+            }
+            base += stride << 1;
+        }
+    }
+
+    fn apply_single(&mut self, qubit: usize, u: &Gate2) {
+        self.left_mul_single(qubit, u);
+        self.right_mul_single_adjoint(qubit, u);
+    }
+
+    fn apply_controlled(&mut self, control: usize, target: usize, u: &Gate2) {
+        let cmask = 1usize << control;
+        let tmask = 1usize << target;
+        let dim = self.dim;
+        for r in 0..dim {
+            if r & cmask != 0 && r & tmask == 0 {
+                let r1 = r | tmask;
+                for col in 0..dim {
+                    let e0 = self.elems[r * dim + col];
+                    let e1 = self.elems[r1 * dim + col];
+                    self.elems[r * dim + col] = u[0][0] * e0 + u[0][1] * e1;
+                    self.elems[r1 * dim + col] = u[1][0] * e0 + u[1][1] * e1;
+                }
+            }
+        }
+        for c in 0..dim {
+            if c & cmask != 0 && c & tmask == 0 {
+                let c1 = c | tmask;
+                for r in 0..dim {
+                    let e0 = self.elems[r * dim + c];
+                    let e1 = self.elems[r * dim + c1];
+                    self.elems[r * dim + c] = e0 * u[0][0].conj() + e1 * u[0][1].conj();
+                    self.elems[r * dim + c1] = e0 * u[1][0].conj() + e1 * u[1][1].conj();
+                }
+            }
+        }
+    }
+
+    fn apply_diagonal(&mut self, phases: &[Complex64]) {
+        for r in 0..self.dim {
+            for c in 0..self.dim {
+                self.elems[r * self.dim + c] *= phases[r] * phases[c].conj();
+            }
+        }
+    }
+
+    fn apply_channel(&mut self, qubit: usize, channel: &KrausChannel) {
+        if channel.is_identity() {
+            return;
+        }
+        if let Some(p) = channel.as_depolarizing() {
+            if p == 0.0 {
+                return;
+            }
+            return self.apply_depolarizing(qubit, p);
+        }
+        let stride = 1usize << qubit;
+        let dim = self.dim;
+        let ops = channel.ops();
+        let mut base_r = 0;
+        while base_r < dim {
+            for r0 in base_r..base_r + stride {
+                let r1 = r0 + stride;
+                let mut base_c = 0;
+                while base_c < dim {
+                    for c0 in base_c..base_c + stride {
+                        let c1 = c0 + stride;
+                        let b00 = self.elems[r0 * dim + c0];
+                        let b01 = self.elems[r0 * dim + c1];
+                        let b10 = self.elems[r1 * dim + c0];
+                        let b11 = self.elems[r1 * dim + c1];
+                        let mut n00 = Complex64::ZERO;
+                        let mut n01 = Complex64::ZERO;
+                        let mut n10 = Complex64::ZERO;
+                        let mut n11 = Complex64::ZERO;
+                        for k in ops {
+                            let (ka, kb) = (k[0][0], k[0][1]);
+                            let (kd, ke) = (k[1][0], k[1][1]);
+                            let t00 = ka * b00 + kb * b10;
+                            let t01 = ka * b01 + kb * b11;
+                            let t10 = kd * b00 + ke * b10;
+                            let t11 = kd * b01 + ke * b11;
+                            n00 += t00 * ka.conj() + t01 * kb.conj();
+                            n01 += t00 * kd.conj() + t01 * ke.conj();
+                            n10 += t10 * ka.conj() + t11 * kb.conj();
+                            n11 += t10 * kd.conj() + t11 * ke.conj();
+                        }
+                        self.elems[r0 * dim + c0] = n00;
+                        self.elems[r0 * dim + c1] = n01;
+                        self.elems[r1 * dim + c0] = n10;
+                        self.elems[r1 * dim + c1] = n11;
+                    }
+                    base_c += stride << 1;
+                }
+            }
+            base_r += stride << 1;
+        }
+    }
+
+    fn apply_depolarizing(&mut self, qubit: usize, p: f64) {
+        let keep = 1.0 - 2.0 * p / 3.0;
+        let swap = 2.0 * p / 3.0;
+        let shrink = 1.0 - 4.0 * p / 3.0;
+        let stride = 1usize << qubit;
+        let dim = self.dim;
+        let mut base_r = 0;
+        while base_r < dim {
+            for r0 in base_r..base_r + stride {
+                let r1 = r0 + stride;
+                let mut base_c = 0;
+                while base_c < dim {
+                    for c0 in base_c..base_c + stride {
+                        let c1 = c0 + stride;
+                        let b00 = self.elems[r0 * dim + c0];
+                        let b11 = self.elems[r1 * dim + c1];
+                        self.elems[r0 * dim + c0] = keep * b00 + swap * b11;
+                        self.elems[r1 * dim + c1] = swap * b00 + keep * b11;
+                        self.elems[r0 * dim + c1] = shrink * self.elems[r0 * dim + c1];
+                        self.elems[r1 * dim + c0] = shrink * self.elems[r1 * dim + c0];
+                    }
+                    base_c += stride << 1;
+                }
+            }
+            base_r += stride << 1;
+        }
+    }
+
+    fn apply_gate(&mut self, gate: &Gate) {
+        match *gate {
+            Gate::H(q) => self.apply_single(q, &gates::h()),
+            Gate::X(q) => self.apply_single(q, &gates::x()),
+            Gate::Y(q) => self.apply_single(q, &gates::y()),
+            Gate::Z(q) => self.apply_single(q, &gates::z()),
+            Gate::Rx { qubit, theta } => self.apply_single(qubit, &gates::rx(theta)),
+            Gate::Ry { qubit, theta } => self.apply_single(qubit, &gates::ry(theta)),
+            Gate::Rz { qubit, theta } => self.apply_single(qubit, &gates::rz(theta)),
+            Gate::Cnot { control, target } => self.apply_controlled(control, target, &gates::x()),
+            Gate::Cz { a, b } => self.apply_controlled(a, b, &gates::z()),
+            Gate::Swap { a, b } => {
+                self.apply_controlled(a, b, &gates::x());
+                self.apply_controlled(b, a, &gates::x());
+                self.apply_controlled(a, b, &gates::x());
+            }
+            ref other => panic!("reference has no kernel for {other:?}"),
+        }
+    }
+
+    fn run(&mut self, circuit: &Circuit, noise: &NoiseModel) {
+        for gate in circuit.ops() {
+            self.apply_gate(gate);
+            let channel = if gate.is_two_qubit() {
+                noise.after_2q.as_ref()
+            } else {
+                noise.after_1q.as_ref()
+            };
+            if let Some(ch) = channel {
+                for q in gate.qubits() {
+                    self.apply_channel(q, ch);
+                }
+            }
+        }
+    }
+}
+
+/// Asserts the bit contract between the fused state and the reference.
+fn assert_parity(
+    rho: &DensityMatrix,
+    reference: &Reference,
+    obs: &DiagonalObservable,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    for r in 0..reference.dim {
+        for c in 0..reference.dim {
+            let (got, want) = (rho.element(r, c), reference.element(r, c));
+            prop_assert!(
+                got.re == want.re && got.im == want.im,
+                "{what}: ρ[{r}, {c}] = {got:?}, reference {want:?}"
+            );
+        }
+    }
+    let (got, want) = (rho.trace(), reference.trace());
+    prop_assert!(
+        got.to_bits() == want.to_bits(),
+        "{what}: trace {got:e}, reference {want:e}"
+    );
+    // The reference clamps with `f64::max`, which may return either zero
+    // for `(-0.0).max(0.0)` (debug builds keep -0.0); the library returns
+    // +0.0 for a zero of either sign.
+    let (got, want) = (rho.probabilities(), reference.probabilities());
+    for (i, (p, q)) in got.iter().zip(&want).enumerate() {
+        prop_assert!(
+            p.to_bits() == q.to_bits() || (*q == 0.0 && p.to_bits() == 0),
+            "{what}: probability {i} = {p:e}, reference {q:e}"
+        );
+    }
+    let got = rho.expectation_diagonal(obs).expect("matching dims");
+    let want = reference.expectation_diagonal(obs);
+    prop_assert!(
+        got.to_bits() == want.to_bits(),
+        "{what}: expectation {got:e}, reference {want:e}"
+    );
+    Ok(())
+}
+
+/// Every `Gate` variant, two-qubit ones only when the register has two
+/// qubits.
+fn random_gate(rng: &mut StdRng, n_qubits: usize) -> Gate {
+    let q = rng.gen_range(0..n_qubits);
+    let other = |rng: &mut StdRng| (q + 1 + rng.gen_range(0..n_qubits - 1)) % n_qubits;
+    let theta = rng.gen_range(-6.3..6.3);
+    match rng.gen_range(0..if n_qubits > 1 { 10 } else { 7 }) {
+        0 => Gate::H(q),
+        1 => Gate::X(q),
+        2 => Gate::Y(q),
+        3 => Gate::Z(q),
+        4 => Gate::Rx { qubit: q, theta },
+        5 => Gate::Ry { qubit: q, theta },
+        6 => Gate::Rz { qubit: q, theta },
+        7 => Gate::Cnot {
+            control: q,
+            target: other(rng),
+        },
+        8 => Gate::Cz {
+            a: q,
+            b: other(rng),
+        },
+        _ => Gate::Swap {
+            a: q,
+            b: other(rng),
+        },
+    }
+}
+
+fn random_circuit(rng: &mut StdRng, n_qubits: usize, n_gates: usize) -> Circuit {
+    let mut circuit = Circuit::new(n_qubits);
+    for _ in 0..n_gates {
+        circuit.push(random_gate(rng, n_qubits));
+    }
+    circuit
+}
+
+/// Number of channel kinds [`channel`] draws from.
+const CHANNEL_KINDS: usize = 11;
+
+/// No noise, the identity channel, depolarizing at p ∈ {0, 0.02, 1} and at
+/// a random p, the four general Kraus channels at a random strength, and a
+/// random mixture of two unitaries, whose operators have no exact zeros.
+fn channel(kind: usize, rng: &mut StdRng) -> Option<KrausChannel> {
+    let p = rng.gen_range(0.0..1.0);
+    let channel = match kind {
+        0 => return None,
+        1 => Ok(KrausChannel::identity()),
+        2 => KrausChannel::depolarizing(0.0),
+        3 => KrausChannel::depolarizing(0.02),
+        4 => KrausChannel::depolarizing(1.0),
+        5 => KrausChannel::depolarizing(p),
+        6 => KrausChannel::amplitude_damping(p),
+        7 => KrausChannel::phase_damping(p),
+        8 => KrausChannel::bit_flip(p),
+        9 => KrausChannel::phase_flip(p),
+        _ => {
+            let mut unitary = |weight: f64| {
+                let angle = |rng: &mut StdRng| rng.gen_range(0.1..3.0);
+                let u = gates::u3(angle(rng), angle(rng), angle(rng));
+                u.map(|row| row.map(|z| z.scale(weight.sqrt())))
+            };
+            KrausChannel::new("unitary-mixture", vec![unitary(p), unitary(1.0 - p)])
+        }
+    };
+    Some(channel.expect("valid channel"))
+}
+
+/// A diagonal observable with no zero entries, so an expectation is never
+/// a sum of zeros alone.
+fn random_observable(rng: &mut StdRng, n_qubits: usize) -> DiagonalObservable {
+    let values: Vec<f64> = (0..1usize << n_qubits)
+        .map(|_| rng.gen_range(0.5..2.0) * if rng.gen_bool(0.5) { 1.0 } else { -1.0 })
+        .collect();
+    DiagonalObservable::from_fn(n_qubits, |i| values[i])
+}
+
+/// A random 2×2 matrix with no exact zeros (the general block path).
+fn random_matrix(rng: &mut StdRng) -> Gate2 {
+    let mut z = || Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+    [[z(), z()], [z(), z()]]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// A noisy `run` of a random circuit matches the reference for any
+    /// pair of channel kinds after one- and two-qubit gates.
+    #[test]
+    fn run_matches_reference(
+        seed in 0u64..1 << 40,
+        n_qubits in 1usize..7,
+        n_gates in 1usize..40,
+        kind_1q in 0usize..CHANNEL_KINDS,
+        kind_2q in 0usize..CHANNEL_KINDS,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let circuit = random_circuit(&mut rng, n_qubits, n_gates);
+        let noise = NoiseModel {
+            after_1q: channel(kind_1q, &mut rng),
+            after_2q: channel(kind_2q, &mut rng),
+        };
+        let obs = random_observable(&mut rng, n_qubits);
+        let mut rho = DensityMatrix::zero_state(n_qubits).expect("small register");
+        rho.run(&circuit, &noise).expect("valid circuit");
+        let mut reference = Reference::zero_state(n_qubits);
+        reference.run(&circuit, &noise);
+        assert_parity(&rho, &reference, &obs, "run")?;
+    }
+
+    /// The public one-operation entry points match the reference step by
+    /// step, including general (zero-free) matrices and channels on their
+    /// own.
+    #[test]
+    fn public_operations_match_reference(
+        seed in 0u64..1 << 40,
+        n_qubits in 1usize..7,
+        n_ops in 1usize..24,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let obs = random_observable(&mut rng, n_qubits);
+        let mut rho = DensityMatrix::zero_state(n_qubits).expect("small register");
+        let mut reference = Reference::zero_state(n_qubits);
+        for step in 0..n_ops {
+            let q = rng.gen_range(0..n_qubits);
+            match rng.gen_range(0..5) {
+                0 => {
+                    let u = if rng.gen_bool(0.5) {
+                        random_matrix(&mut rng)
+                    } else {
+                        gates::u3(rng.gen_range(-3.0..3.0), rng.gen_range(-3.0..3.0), 0.0)
+                    };
+                    rho.apply_single(q, &u).expect("valid qubit");
+                    reference.apply_single(q, &u);
+                }
+                1 if n_qubits > 1 => {
+                    let t = (q + 1 + rng.gen_range(0..n_qubits - 1)) % n_qubits;
+                    let u = match rng.gen_range(0..4) {
+                        0 => gates::x(),
+                        1 => gates::z(),
+                        2 => gates::rx(rng.gen_range(-3.0..3.0)),
+                        _ => random_matrix(&mut rng),
+                    };
+                    rho.apply_controlled(q, t, &u).expect("valid qubits");
+                    reference.apply_controlled(q, t, &u);
+                }
+                2 => {
+                    let kind = rng.gen_range(0..CHANNEL_KINDS);
+                    if let Some(ch) = channel(kind, &mut rng) {
+                        rho.apply_channel(q, &ch).expect("valid qubit");
+                        reference.apply_channel(q, &ch);
+                    }
+                }
+                3 => {
+                    let phases: Vec<Complex64> = (0..1usize << n_qubits)
+                        .map(|_| Complex64::cis(rng.gen_range(-3.0..3.0)))
+                        .collect();
+                    rho.apply_diagonal(&phases).expect("matching dims");
+                    reference.apply_diagonal(&phases);
+                }
+                _ => {
+                    let gate = random_gate(&mut rng, n_qubits);
+                    rho.apply_gate(&gate).expect("valid gate");
+                    reference.apply_gate(&gate);
+                }
+            }
+            assert_parity(&rho, &reference, &obs, &format!("step {step}"))?;
+        }
+    }
+
+    /// The noisy QAOA objective at the benchmarked width and rates equals
+    /// the reference evaluation of the same circuit, to the bit.
+    #[test]
+    fn noisy_qaoa_expectation_matches_reference(
+        seed in 0u64..1 << 40,
+        depth in 1usize..4,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let graph = generators::erdos_renyi_nonempty(6, 0.5, &mut rng);
+        let problem = MaxCutProblem::new(&graph).expect("non-empty graph");
+        let noise = NoiseModel::uniform_depolarizing(0.002, 0.02).expect("valid rates");
+        let noisy = NoisyQaoa::new(problem, depth, noise.clone()).expect("small register");
+        let params: Vec<f64> = (0..2 * depth).map(|_| rng.gen_range(0.0..3.0)).collect();
+        let circuit = noisy.ansatz().build_circuit(&params).expect("valid params");
+        let mut reference = Reference::zero_state(6);
+        reference.run(&circuit, &noise);
+        let cost = noisy.ansatz().problem().cost();
+        prop_assert_eq!(
+            noisy.expectation(&params).expect("valid params").to_bits(),
+            reference.expectation_diagonal(cost).to_bits()
+        );
+    }
+}
