@@ -184,9 +184,10 @@ impl QaoaAnsatz {
     }
 
     /// The objective **and its exact gradient** by the adjoint method, in
-    /// `O(p·n·2ⁿ)` — roughly the cost of three plain evaluations,
-    /// independent of the parameter count (finite differences need `2p + 1`
-    /// evaluations). Writes `∂⟨C⟩/∂γ_k` into `grad[k]` and `∂⟨C⟩/∂β_k` into
+    /// `O(p·n·2ⁿ)` — 4 to 5 plain evaluations at p = 2 (3.8× at n = 8,
+    /// 5.3× at n = 20 in the `eval_hot_path` bench), independent of the
+    /// parameter count (finite differences need `2p + 1` evaluations).
+    /// Writes `∂⟨C⟩/∂γ_k` into `grad[k]` and `∂⟨C⟩/∂β_k` into
     /// `grad[p + k]`, returns `⟨C⟩`. Verified against central differences
     /// (see `tests/tests/gradient.rs`).
     ///

@@ -16,12 +16,17 @@
 //!   [`qsim::soa::SplitState`]: autovectorized straight-line loops,
 //!   cache-blocked so one memory sweep applies the phase layer plus all
 //!   low-qubit mixing sub-layers, and fanned out across scoped threads for
-//!   large registers (see [`EvalContext::set_threads`]).
+//!   large registers (see [`EvalContext::set_threads`]),
+//! * and only on **half the state**: `|+…+⟩`, the MaxCut phase layer
+//!   (`C(z) = C(z̄)`) and the RX layers all commute with flipping every
+//!   qubit, so the state — and the costate `C|ψ⟩` — are stored as their
+//!   lower half, with bit-identical results (see the `qsim::soa` docs).
 //!
 //! The same context also computes **exact analytic gradients** by the
-//! adjoint method in `O(p · n · 2^n)` — roughly three forward passes,
-//! independent of the parameter count — where finite differences need
-//! `2p + 1` full evaluations. Because the cost Hamiltonian is diagonal, the
+//! adjoint method in `O(p · n · 2^n)` — 4 to 5 plain evaluations at p = 2
+//! (`eval_hot_path` medians: 3.8× at n = 8, 3.9× at n = 12, 4.8× at
+//! n = 16, 5.3× at n = 20), independent of the parameter count — where
+//! finite differences need `2p + 1` full evaluations. Because the cost Hamiltonian is diagonal, the
 //! backward pass is a phase conjugation plus per-qubit RX derivatives; no
 //! per-gate unitary differentiation is needed.
 //!
@@ -103,7 +108,9 @@ impl EvalContext {
 
     /// The work state. After a plain evaluation
     /// ([`QaoaAnsatz::expectation_in`](crate::QaoaAnsatz::expectation_in))
-    /// this is `|ψ(γ, β)⟩`; after a gradient call the backward pass has
+    /// this is `|ψ(γ, β)⟩`, stored as its lower half (read it through
+    /// [`SplitState::amplitude`] or [`SplitState::amplitudes`]); after a
+    /// gradient call the backward pass has
     /// **unwound** it in place (back to `|+…+⟩` up to rounding), so re-run
     /// a plain evaluation before reading the state.
     #[must_use]
@@ -191,7 +198,10 @@ impl EvalContext {
     ///
     /// The backward pass undoes each stage on both states in place —
     /// `RX(−2β)` then the conjugate phase table — so the whole computation
-    /// costs `O(p·n·2^n)` and allocates nothing.
+    /// costs `O(p·n·2^n)` and allocates nothing. The costate seed `C|ψ⟩`
+    /// is flip-symmetric like `|ψ⟩`, so both run on their stored halves;
+    /// the reductions still sum over the full index range, in the same
+    /// order as a full-plane pass.
     pub(crate) fn expectation_and_grad(
         &mut self,
         cost: &DiagonalObservable,

@@ -138,8 +138,7 @@ impl SampledExpectation {
         let seed = mix64(self.base_seed ^ (k.wrapping_add(1)).wrapping_mul(GOLDEN_GAMMA));
         eval::with_thread_context(cost.n_qubits(), |ctx| {
             ctx.run_forward(cost, gammas, betas);
-            let state = ctx.state();
-            scratch.sampler.load_amplitudes(state.re(), state.im())?;
+            scratch.sampler.load_amplitudes(ctx.state().amplitudes())?;
             let mut rng = StdRng::seed_from_u64(seed);
             let diag = cost.diagonal();
             let mut sum = 0.0;

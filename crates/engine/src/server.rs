@@ -43,10 +43,11 @@
 //! ever written to `output`, so serving the same requests twice produces
 //! bit-identical transcripts.
 //!
-//! Error containment: a malformed line answers with an `ERR` line and the
-//! loop continues — one bad client line must not kill a server multiplexing
-//! many. [`crate::wire::decode_job`] validates executability at decode
-//! time (depth/restarts ≥ 1, non-empty graph), so batch execution itself
+//! Error containment: a malformed line — or one over the 1 MiB line cap,
+//! or not UTF-8 — answers with an `ERR` line and the loop continues: one
+//! bad client line must not kill a server multiplexing many.
+//! [`crate::wire::decode_job`] validates executability at decode time
+//! (depth/restarts ≥ 1, non-empty graph), so batch execution itself
 //! only fails on conditions a well-formed job cannot trigger; such a
 //! failure answers with one `ERR` line for the whole batch.
 //!
@@ -77,6 +78,7 @@ use qaoa::ParameterPredictor;
 use crate::batch::{BatchConfig, Engine, Job};
 use crate::cache::Level1Key;
 use crate::corpus;
+use crate::transport::{read_capped_line, skip_line, BadLine};
 use crate::wire;
 use crate::wire::AnswerTier;
 
@@ -222,7 +224,9 @@ struct ShardSession {
 }
 
 /// Runs the request loop until `input` is exhausted. Blank lines and
-/// `#`-prefixed comment lines are ignored.
+/// `#`-prefixed comment lines are ignored. A line longer than 1 MiB, or
+/// one that is not UTF-8, is answered with one `ERR` line; the rest of an
+/// oversized line is skipped without being buffered.
 ///
 /// # Errors
 ///
@@ -247,7 +251,7 @@ pub fn serve<R: BufRead, W: Write>(
 ///
 /// Same contract as [`serve`]: only transport failures abort the loop.
 pub fn serve_with_model<R: BufRead, W: Write>(
-    input: R,
+    mut input: R,
     mut output: W,
     engine: &Engine,
     optimizer: &(dyn Optimizer + Sync),
@@ -259,8 +263,21 @@ pub fn serve_with_model<R: BufRead, W: Write>(
     let mut session: Option<ShardSession> = None;
     let mut memo: PredictMemo = BTreeMap::new();
 
-    for line in input.lines() {
-        let line = line?;
+    while let Some(line) = read_capped_line(&mut input)? {
+        let line = match line {
+            Ok(line) => line,
+            Err(bad) => {
+                if bad == BadLine::TooLong {
+                    skip_line(&mut input)?;
+                }
+                reject(
+                    &mut output,
+                    &mut summary,
+                    &format!("unreadable request: {bad}"),
+                )?;
+                continue;
+            }
+        };
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -720,6 +737,34 @@ mod tests {
             .filter(|l| l.starts_with("QW1 OUTCOME"))
             .collect();
         assert_eq!(outcomes[1], alone[0], "restarts=3 outcome must be its own");
+    }
+
+    #[test]
+    fn oversized_and_non_utf8_lines_answer_err_and_the_loop_survives() {
+        let cap = usize::try_from(crate::transport::MAX_LINE_BYTES).unwrap();
+        let mut input = b"QW1 JOB 1 2 3 0-1,1-2\n".to_vec();
+        input.extend(std::iter::repeat_n(b'x', 3 * cap));
+        input.extend_from_slice(b"\n\xff\xfe QW1 JOB\nQW1 JOB 2 2 4 0-1,1-2,2-3,3-0\n");
+        input.extend(std::iter::repeat_n(b'y', cap + 1));
+        let engine = Engine::new(1);
+        let mut out = Vec::new();
+        let summary = serve(
+            std::io::Cursor::new(input),
+            &mut out,
+            &engine,
+            &Lbfgsb::default(),
+            &BatchConfig::default(),
+        )
+        .expect("transport never fails in-memory");
+        let out = String::from_utf8(out).unwrap();
+        let errs: Vec<&str> = out.lines().filter(|l| l.starts_with("QW1 ERR")).collect();
+        assert_eq!(errs.len(), 3, "output: {out}");
+        assert_eq!(summary.errors, 3);
+        assert_eq!(summary.jobs, 2, "both good jobs ran");
+        assert_eq!(
+            out.lines().filter(|l| l.starts_with("QW1 OUTCOME")).count(),
+            2
+        );
     }
 
     #[test]

@@ -374,12 +374,13 @@ impl Drop for LoopbackTransport {
 
 // --- subprocess ------------------------------------------------------------
 
-/// The longest line a spawned worker may send, in bytes, newline
-/// excluded. `QW1` lines are a few hundred bytes; the cap only exists so a
-/// runaway worker cannot grow the coordinator's memory without limit. A
-/// longer line makes that worker [`TransportError::Dead`], and its range
-/// is re-tasked.
-const MAX_LINE_BYTES: u64 = 1 << 20;
+/// The longest `QW1` line a spawned worker may send, or a server may
+/// receive, in bytes, newline excluded. `QW1` lines are a few hundred
+/// bytes; the cap only exists so a runaway peer cannot grow the reader's
+/// memory without limit. A longer worker line makes that worker
+/// [`TransportError::Dead`], and its range is re-tasked; a longer request
+/// line is answered `ERR` by the server (`server::serve`).
+pub(crate) const MAX_LINE_BYTES: u64 = 1 << 20;
 
 /// What a subprocess reader thread hands the coordinator: a line, or why
 /// the worker's output became unusable.
@@ -501,7 +502,8 @@ fn spawn_worker(program: &str, args: &[String]) -> std::io::Result<SubprocessWor
     // the coordinator is busy elsewhere.
     let reader = std::thread::spawn(move || {
         let mut stdout = BufReader::new(stdout);
-        while let Some(line) = read_capped_line(&mut stdout) {
+        while let Ok(Some(line)) = read_capped_line(&mut stdout) {
+            let line = line.map_err(|bad| format!("worker sent {bad}"));
             let fatal = line.is_err();
             if tx.send(line).is_err() || fatal {
                 break;
@@ -517,16 +519,39 @@ fn spawn_worker(program: &str, args: &[String]) -> std::io::Result<SubprocessWor
     })
 }
 
+/// Why [`read_capped_line`] refused a line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BadLine {
+    /// Longer than [`MAX_LINE_BYTES`]; the rest of it is still unread
+    /// (see [`skip_line`]).
+    TooLong,
+    /// Not UTF-8; the whole line was consumed.
+    NotUtf8,
+}
+
+impl fmt::Display for BadLine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BadLine::TooLong => write!(f, "a line longer than {MAX_LINE_BYTES} bytes"),
+            BadLine::NotUtf8 => write!(f, "a line that is not UTF-8"),
+        }
+    }
+}
+
 /// Reads one `\n`-terminated line (a trailing `\r` is dropped too), holding
-/// at most [`MAX_LINE_BYTES`] + 1 bytes of it. `None` at end of output or
-/// on a read error; `Some(Err)` for a line over the cap or not UTF-8, after
-/// which the stream is unusable.
-fn read_capped_line<R: BufRead>(reader: &mut R) -> Option<Result<String, String>> {
+/// at most [`MAX_LINE_BYTES`] + 1 bytes of it. `Ok(None)` at end of input,
+/// `Ok(Some(Err))` for a line over the cap or not UTF-8.
+///
+/// # Errors
+///
+/// Any read error of `reader`.
+pub(crate) fn read_capped_line<R: BufRead>(
+    reader: &mut R,
+) -> std::io::Result<Option<Result<String, BadLine>>> {
     let mut line = Vec::new();
     let mut capped = reader.take(MAX_LINE_BYTES + 1);
-    match capped.read_until(b'\n', &mut line) {
-        Ok(0) | Err(_) => return None,
-        Ok(_) => {}
+    if capped.read_until(b'\n', &mut line)? == 0 {
+        return Ok(None);
     }
     if line.last() == Some(&b'\n') {
         line.pop();
@@ -534,11 +559,35 @@ fn read_capped_line<R: BufRead>(reader: &mut R) -> Option<Result<String, String>
             line.pop();
         }
     } else if capped.limit() == 0 {
-        return Some(Err(format!(
-            "worker sent a line longer than {MAX_LINE_BYTES} bytes"
-        )));
+        return Ok(Some(Err(BadLine::TooLong)));
     }
-    Some(String::from_utf8(line).map_err(|_| "worker sent a line that is not UTF-8".to_string()))
+    Ok(Some(String::from_utf8(line).map_err(|_| BadLine::NotUtf8)))
+}
+
+/// Discards input through the next `\n`, or to end of input, one buffer
+/// at a time without keeping any of it: the unread rest of a line that
+/// [`read_capped_line`] refused as [`BadLine::TooLong`].
+///
+/// # Errors
+///
+/// Any read error of `reader`.
+pub(crate) fn skip_line<R: BufRead>(reader: &mut R) -> std::io::Result<()> {
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if buf.is_empty() {
+            return Ok(());
+        }
+        if let Some(end) = buf.iter().position(|&b| b == b'\n') {
+            reader.consume(end + 1);
+            return Ok(());
+        }
+        let len = buf.len();
+        reader.consume(len);
+    }
 }
 
 impl ShardTransport for SubprocessTransport {
@@ -809,16 +858,15 @@ mod tests {
         input.extend(vec![b'y'; cap + 1]);
         input.push(b'\n');
         let mut reader = std::io::Cursor::new(input);
-        assert_eq!(read_capped_line(&mut reader), Some(Ok("x".repeat(cap))));
-        assert_eq!(read_capped_line(&mut reader), Some(Ok("short".into())));
-        assert!(matches!(read_capped_line(&mut reader), Some(Err(_))));
+        let mut next = || read_capped_line(&mut reader).expect("in-memory read");
+        assert_eq!(next(), Some(Ok("x".repeat(cap))));
+        assert_eq!(next(), Some(Ok("short".into())));
+        assert_eq!(next(), Some(Err(BadLine::TooLong)));
 
         let mut reader = std::io::Cursor::new(b"tail without newline".to_vec());
-        assert_eq!(
-            read_capped_line(&mut reader),
-            Some(Ok("tail without newline".into()))
-        );
-        assert_eq!(read_capped_line(&mut reader), None);
+        let mut next = || read_capped_line(&mut reader).expect("in-memory read");
+        assert_eq!(next(), Some(Ok("tail without newline".into())));
+        assert_eq!(next(), None);
     }
 
     #[test]

@@ -55,6 +55,13 @@ pub enum QsimError {
         /// Description of the violated requirement.
         reason: &'static str,
     },
+    /// A state handed to the half-plane [`SplitState`](crate::soa::SplitState)
+    /// is not symmetric under flipping every qubit: the amplitudes at
+    /// `index` and at its mirror `dim − 1 − index` differ.
+    NotFlipSymmetric {
+        /// The lower of the two mismatched basis-state indices.
+        index: usize,
+    },
 }
 
 impl fmt::Display for QsimError {
@@ -89,6 +96,10 @@ impl fmt::Display for QsimError {
             QsimError::InvalidProbabilities { reason } => {
                 write!(f, "invalid probability vector: {reason}")
             }
+            QsimError::NotFlipSymmetric { index } => write!(
+                f,
+                "state is not bit-flip symmetric: amplitude {index} differs from its mirror"
+            ),
         }
     }
 }

@@ -275,7 +275,7 @@ mod tests {
     fn split_expectation_matches_dense() {
         let d = DiagonalObservable::from_fn(3, |z| (z % 3) as f64 - 1.0);
         let s = StateVector::plus_state(3);
-        let split = SplitState::from_state_vector(&s);
+        let split = SplitState::from_state_vector(&s).unwrap();
         // Below one reduction tile the tiled sum degenerates to the dense
         // sequential sum, so the two paths agree bitwise.
         assert_eq!(

@@ -11,8 +11,9 @@
 //! * [`Complex64`] — first-party complex arithmetic (no external crates),
 //! * [`StateVector`] — `2^n` amplitudes with single/two-qubit gate kernels,
 //! * [`soa::SplitState`] — split re/im (structure-of-arrays) kernels for the
-//!   QAOA evaluation hot path: autovectorizable, cache-blocked, with
-//!   deterministic within-state parallelism,
+//!   QAOA evaluation hot path on the bit-flip-symmetric lower half of the
+//!   state: autovectorizable, cache-blocked, with deterministic
+//!   within-state parallelism,
 //! * [`gates`] — standard gate matrices (H, X, Y, Z, RX, RY, RZ, phase),
 //! * [`Circuit`] / [`Gate`] — a replayable circuit IR,
 //! * [`DiagonalObservable`] — fast diagonal (cost-Hamiltonian) expectations,

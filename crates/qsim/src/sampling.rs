@@ -2,7 +2,7 @@ use std::collections::BTreeMap;
 
 use rand::Rng;
 
-use crate::{DensityMatrix, QsimError, StateVector};
+use crate::{Complex64, DensityMatrix, QsimError, StateVector};
 
 /// Reusable inverse-CDF sampler over an explicit probability vector.
 ///
@@ -79,22 +79,21 @@ impl CdfSampler {
         Ok(())
     }
 
-    /// Builds the cumulative table from split re/im amplitude planes,
-    /// sampling the Born distribution `|re[i]|² + |im[i]|²` without an
-    /// intermediate probability buffer.
-    pub fn load_amplitudes(&mut self, re: &[f64], im: &[f64]) -> Result<(), QsimError> {
-        if re.len() != im.len() {
-            return Err(QsimError::DimensionMismatch {
-                expected: re.len(),
-                actual: im.len(),
-            });
-        }
+    /// Builds the cumulative table from amplitudes in basis-index order
+    /// (e.g. [`SplitState::amplitudes`](crate::soa::SplitState::amplitudes)),
+    /// sampling the Born distribution `re² + im²` without an intermediate
+    /// probability buffer.
+    pub fn load_amplitudes(
+        &mut self,
+        amps: impl IntoIterator<Item = Complex64>,
+    ) -> Result<(), QsimError> {
+        let amps = amps.into_iter();
         self.cdf.clear();
-        self.cdf.reserve(re.len());
+        self.cdf.reserve(amps.size_hint().0);
         let mut acc = 0.0;
         let mut last_support = None;
-        for (i, (&r, &m)) in re.iter().zip(im).enumerate() {
-            let p = r * r + m * m;
+        for (i, a) in amps.enumerate() {
+            let p = a.re * a.re + a.im * a.im;
             if !p.is_finite() {
                 return Err(QsimError::InvalidProbabilities {
                     reason: "non-finite entry",
@@ -342,7 +341,8 @@ mod tests {
         let im = [0.0_f64, 0.0, 0.5, 0.0];
         let probs: Vec<f64> = re.iter().zip(&im).map(|(r, m)| r * r + m * m).collect();
         let mut a = CdfSampler::new();
-        a.load_amplitudes(&re, &im).unwrap();
+        a.load_amplitudes(re.iter().zip(&im).map(|(&r, &m)| Complex64::new(r, m)))
+            .unwrap();
         let mut b = CdfSampler::new();
         b.load(&probs).unwrap();
         let xa: Vec<usize> = {
@@ -355,13 +355,6 @@ mod tests {
         };
         assert_eq!(xa, xb);
         assert!(xa.iter().all(|&z| z != 1), "zero-amplitude index sampled");
-    }
-
-    #[test]
-    fn load_amplitudes_length_mismatch_rejected() {
-        let mut sampler = CdfSampler::new();
-        let err = sampler.load_amplitudes(&[1.0, 0.0], &[0.0]).unwrap_err();
-        assert!(matches!(err, QsimError::DimensionMismatch { .. }));
     }
 
     #[test]

@@ -11,6 +11,20 @@
 //! passes into one. At n = 20 that takes a depth-2 evaluation from 44
 //! full 16 MiB sweeps to 16.
 //!
+//! # Half the state: bit-flip symmetry
+//!
+//! Every state the QAOA hot path builds is symmetric under flipping all
+//! qubits, `ψ(z) = ψ(z̄)` with `z̄ = dim − 1 − z`: `|+…+⟩` is, a MaxCut
+//! cost satisfies `C(z) = C(z̄)` (so the phase layer and the costate seed
+//! `C|ψ⟩` keep the symmetry), and RX layers commute with `X^⊗n`. A
+//! [`SplitState`] therefore stores only the lower half, amplitudes
+//! `z < 2^(n−1)`, and reads `z ≥ 2^(n−1)` as its mirror. Phase layers and
+//! RX on qubits `0..n−1` run unchanged on the half; RX on the top qubit
+//! pairs `z` with `z ⊕ 2^(n−1)`, whose mirror is the stored index
+//! `2^(n−1) − 1 − z`, so it becomes a *mirror butterfly* over the half
+//! read forwards against itself read backwards. Reductions walk the full
+//! index range and read each upper-half amplitude at its mirror.
+//!
 //! # Bit-parity contract
 //!
 //! Per amplitude, every kernel performs **the same floating-point
@@ -19,16 +33,23 @@
 //! [`StateVector::apply_rx_layer`]), so the amplitudes produced are
 //! bit-identical to the scalar path — tiling only reorders *which
 //! amplitude is visited when*, never the arithmetic applied to it
-//! (verified by `tests/tests/kernel_parity.rs`).
+//! (verified by `tests/tests/kernel_parity.rs`). The half storage keeps
+//! this: on a symmetric state the full-plane kernels compute `ψ(z̄)` with
+//! the very operations and operands they use for `ψ(z)` — the RX update
+//! of an amplitude is `c·self − i·s·partner` whichever side of the pair
+//! it is on, and `z̄`'s partner is the mirror of `z`'s — so the two
+//! images are bit-equal and storing one of them loses nothing.
 //!
 //! Reductions (expectations, adjoint-gradient sums) are computed as
-//! per-[`TILE`] partial sums combined in tile-index order. The tile
-//! size is a compile-time constant, **independent of the thread
-//! count**, so a reduction returns bit-identical results at 1 thread
-//! and at N threads — the invariant the engine's serial ≡ parallel and
-//! sharded ≡ unsharded guarantees rest on. (A tiled sum is *not*
-//! bit-identical to one long sequential sum, which is why the
-//! reduction order is fixed here once and used by every caller.)
+//! per-[`TILE`] partial sums over the *full* index range, combined in
+//! tile-index order; within a tile the terms are summed in full-index
+//! order, reading mirrored amplitudes for the upper half. The tile size
+//! is a compile-time constant, **independent of the thread count**, so a
+//! reduction returns bit-identical results at 1 thread and at N threads
+//! — the invariant the engine's serial ≡ parallel and sharded ≡
+//! unsharded guarantees rest on. (A tiled sum is *not* bit-identical to
+//! one long sequential sum, which is why the reduction order is fixed
+//! here once and used by every caller.)
 //!
 //! # Within-state parallelism
 //!
@@ -42,7 +63,9 @@
 //! only wall-clock time. The budget is typically set per job by
 //! `engine::Pool`'s within-job fan-out (see `Pool::run_ordered_fanout`).
 
-use crate::{Complex64, StateVector};
+use std::ops::Range;
+
+use crate::{Complex64, QsimError, StateVector};
 
 /// Amplitudes per cache tile (`2^TILE_BITS`). One tile is 256 KiB per
 /// plane pair — small enough to stay L2-resident through all
@@ -54,18 +77,23 @@ pub const TILE: usize = 1 << TILE_BITS;
 /// `log2(TILE)`: the number of mixing-layer qubits applied tile-locally.
 pub const TILE_BITS: usize = 14;
 
-/// Minimum register dimension (amplitude count) before a `threads > 1`
-/// budget actually fans work out to scoped threads. Below this, spawn
-/// overhead outweighs the kernel cost and everything runs inline.
+/// Minimum register dimension (amplitude count `2^n`, not the stored
+/// half) before a `threads > 1` budget actually fans work out to scoped
+/// threads. Below this, spawn overhead outweighs the kernel cost and
+/// everything runs inline.
 pub const PAR_MIN_DIM: usize = 1 << 17;
 
-/// A pure `n`-qubit state in split re/im (structure-of-arrays) form.
+/// A pure, bit-flip-symmetric `n`-qubit state in split re/im
+/// (structure-of-arrays) form, stored as its lower half.
 ///
 /// The SIMD-friendly counterpart of [`StateVector`], used by the QAOA
-/// evaluation hot path (`qaoa::EvalContext`). Kernels here are
-/// infallible: callers guarantee width agreement between the state and
-/// its observables (the evaluation context resizes on width switches),
-/// and the kernels `debug_assert!` it.
+/// evaluation hot path (`qaoa::EvalContext`). Only amplitudes
+/// `z < 2^(n−1)` are stored; `z ≥ 2^(n−1)` reads as its mirror
+/// `dim − 1 − z` (see the module docs). Kernels here are infallible:
+/// callers guarantee width agreement between the state and its
+/// observables (the evaluation context resizes on width switches), and
+/// that phase tables are flip-symmetric (`level_of[z] == level_of[z̄]`,
+/// true of every MaxCut cost); the kernels `debug_assert!` the widths.
 ///
 /// # Example
 ///
@@ -81,9 +109,36 @@ pub const PAR_MIN_DIM: usize = 1 << 17;
 #[derive(Debug, Clone, PartialEq)]
 pub struct SplitState {
     n_qubits: usize,
+    /// Real parts of the stored amplitudes `0..half_dim(n_qubits)`.
     re: Vec<f64>,
+    /// Imaginary parts, parallel to `re`.
     im: Vec<f64>,
 }
+
+/// Stored amplitudes of an `n_qubits`-wide state: `2^(n−1)`, and the
+/// single amplitude of a zero-qubit register (its own mirror).
+fn half_dim(n_qubits: usize) -> usize {
+    1 << n_qubits.saturating_sub(1)
+}
+
+/// Whether `level_of[z] == level_of[dim − 1 − z]` for every `z`: a level
+/// table a half-plane kernel may read only the lower half of.
+fn is_flip_symmetric(level_of: &[u32]) -> bool {
+    level_of.iter().eq(level_of.iter().rev())
+}
+
+/// A run of consecutive full-state indices that lies in one half, and
+/// where it is stored: `stored` in index order, or reversed (`rev`) for
+/// an upper-half run read through its mirror.
+struct Run {
+    full: Range<usize>,
+    stored: Range<usize>,
+    rev: bool,
+}
+
+/// The amplitudes of `lambda` and `psi` at one stored index:
+/// `(λ_re, λ_im, ψ_re, ψ_im)`.
+type Quad = (f64, f64, f64, f64);
 
 impl SplitState {
     /// The uniform superposition `|+…+⟩` — the QAOA input state.
@@ -96,34 +151,44 @@ impl SplitState {
         let dim = 1usize << n_qubits;
         // lint:allow(no-lossy-as) dim <= 2^63 is exactly representable in f64 for any simulable register
         let amp = 1.0 / (dim as f64).sqrt();
+        let half = half_dim(n_qubits);
         Self {
             n_qubits,
-            re: vec![amp; dim],
-            im: vec![0.0; dim],
+            re: vec![amp; half],
+            im: vec![0.0; half],
         }
     }
 
-    /// Converts from an array-of-structs state.
-    #[must_use]
-    pub fn from_state_vector(state: &StateVector) -> Self {
-        Self {
+    /// Converts from an array-of-structs state, keeping its lower half.
+    ///
+    /// # Errors
+    ///
+    /// [`QsimError::NotFlipSymmetric`] unless every amplitude is
+    /// bit-equal to its mirror `dim − 1 − z`.
+    pub fn from_state_vector(state: &StateVector) -> Result<Self, QsimError> {
+        let amps = state.amplitudes();
+        let half = half_dim(state.n_qubits());
+        let mirror = amps.iter().rev();
+        if let Some(index) = amps[..half]
+            .iter()
+            .zip(mirror)
+            .position(|(a, b)| a.re.to_bits() != b.re.to_bits() || a.im.to_bits() != b.im.to_bits())
+        {
+            return Err(QsimError::NotFlipSymmetric { index });
+        }
+        Ok(Self {
             n_qubits: state.n_qubits(),
-            re: state.amplitudes().iter().map(|a| a.re).collect(),
-            im: state.amplitudes().iter().map(|a| a.im).collect(),
-        }
+            re: amps[..half].iter().map(|a| a.re).collect(),
+            im: amps[..half].iter().map(|a| a.im).collect(),
+        })
     }
 
-    /// Materializes an array-of-structs copy (interop/test path; the
-    /// hot path never converts).
+    /// Materializes the full array-of-structs state, mirror expanded
+    /// (interop/test path; the hot path never converts).
     #[must_use]
     pub fn to_state_vector(&self) -> StateVector {
-        let amps: Vec<Complex64> = self
-            .re
-            .iter()
-            .zip(&self.im)
-            .map(|(&re, &im)| Complex64::new(re, im))
-            .collect();
-        StateVector::from_amplitudes(amps).unwrap_or_else(|_| StateVector::zero_state(0))
+        StateVector::from_amplitudes(self.amplitudes().collect())
+            .unwrap_or_else(|_| StateVector::zero_state(0))
     }
 
     /// Number of qubits.
@@ -132,32 +197,31 @@ impl SplitState {
         self.n_qubits
     }
 
-    /// Dimension `2^n` of the Hilbert space.
+    /// Dimension `2^n` of the Hilbert space (twice the stored amplitudes).
     #[must_use]
     pub fn dim(&self) -> usize {
-        self.re.len()
+        1 << self.n_qubits
     }
 
-    /// The real plane.
-    #[must_use]
-    pub fn re(&self) -> &[f64] {
-        &self.re
-    }
-
-    /// The imaginary plane.
-    #[must_use]
-    pub fn im(&self) -> &[f64] {
-        &self.im
-    }
-
-    /// The amplitude of basis state `index`.
+    /// The amplitude of basis state `index`, read at its mirror for the
+    /// upper half.
     ///
     /// # Panics
     ///
     /// Panics if `index >= dim()`.
     #[must_use]
     pub fn amplitude(&self, index: usize) -> Complex64 {
-        Complex64::new(self.re[index], self.im[index])
+        let stored = index.min(self.dim() - 1 - index);
+        Complex64::new(self.re[stored], self.im[stored])
+    }
+
+    /// All `dim()` amplitudes in basis-index order, mirror expanded: the
+    /// stored half forwards, then the stored half backwards.
+    pub fn amplitudes(&self) -> impl Iterator<Item = Complex64> + '_ {
+        let mirrored = self.dim() - self.re.len();
+        let lower = self.re.iter().zip(&self.im);
+        let upper = self.re[..mirrored].iter().zip(&self.im[..mirrored]).rev();
+        lower.chain(upper).map(|(&re, &im)| Complex64::new(re, im))
     }
 
     /// The effective fan-out for one kernel call on this state.
@@ -167,6 +231,44 @@ impl SplitState {
         } else {
             1
         }
+    }
+
+    /// Splits the full-index range `start..start + len` at the mirror
+    /// line into at most two [`Run`]s, in index order. Only a
+    /// whole-state range (`dim ≤ TILE`) straddles the line.
+    fn runs(&self, start: usize, len: usize) -> impl Iterator<Item = Run> + '_ {
+        let split = self.re.len().clamp(start, start + len);
+        [(start, split - start), (split, start + len - split)]
+            .into_iter()
+            .filter(|&(_, len)| len > 0)
+            .map(|(start, len)| self.run(start, len))
+    }
+
+    /// The [`Run`] holding `start..start + len`, a range inside one half.
+    fn run(&self, start: usize, len: usize) -> Run {
+        let full = start..start + len;
+        if start < self.re.len() {
+            Run {
+                stored: full.clone(),
+                full,
+                rev: false,
+            }
+        } else {
+            let end = self.dim() - start;
+            Run {
+                full,
+                stored: end - len..end,
+                rev: true,
+            }
+        }
+    }
+
+    /// `(re, im)` of the stored amplitudes `stored`, in index order.
+    fn pairs(&self, stored: Range<usize>) -> impl DoubleEndedIterator<Item = (f64, f64)> + '_ {
+        self.re[stored.clone()]
+            .iter()
+            .copied()
+            .zip(self.im[stored].iter().copied())
     }
 
     /// Resets to `|+…+⟩` in place, reusing both planes — byte-for-byte
@@ -186,8 +288,10 @@ impl SplitState {
     /// table arrives split into re/im planes — the SoA counterpart of
     /// [`StateVector::apply_phase_levels`], bit-identical to it.
     ///
-    /// Width agreement (`level_of.len() == dim()`, table indices in
-    /// range) is the caller's contract, `debug_assert!`ed here.
+    /// `level_of` spans the full index range and must be flip-symmetric;
+    /// its lower half is read. Width agreement (`level_of.len() ==
+    /// dim()`, table indices in range) is the caller's contract,
+    /// `debug_assert!`ed here.
     pub fn apply_phase_levels(
         &mut self,
         level_of: &[u32],
@@ -197,6 +301,7 @@ impl SplitState {
     ) {
         debug_assert_eq!(level_of.len(), self.dim());
         debug_assert_eq!(table_re.len(), table_im.len());
+        debug_assert!(is_flip_symmetric(level_of));
         let threads = self.fanout(threads);
         for_each_tile(&mut self.re, &mut self.im, threads, &|start, re, im| {
             phase_tile(
@@ -212,25 +317,17 @@ impl SplitState {
     /// Applies `RX(θ)` to every qubit — the QAOA mixing layer —
     /// bit-identical to [`StateVector::apply_rx_layer`].
     ///
-    /// Qubits `0..TILE_BITS` are applied tile-locally (one pass over
-    /// the state instead of one per qubit); each remaining qubit is a
-    /// streaming butterfly over contiguous `stride`-long blocks, which
-    /// vectorize for every stride.
+    /// Qubits `0..min(n − 1, TILE_BITS)` are applied tile-locally (one
+    /// pass over the half instead of one per qubit); each remaining
+    /// lower qubit is a streaming butterfly over contiguous
+    /// `stride`-long blocks, and the top qubit is the mirror butterfly.
     pub fn apply_rx_layer(&mut self, theta: f64, threads: usize) {
-        let (s, co) = (theta / 2.0).sin_cos();
-        let threads = self.fanout(threads);
-        let n_low = self.n_qubits.min(TILE_BITS);
-        for_each_tile(&mut self.re, &mut self.im, threads, &|_, re, im| {
-            rx_tile(re, im, n_low, s, co);
-        });
-        for qubit in TILE_BITS..self.n_qubits {
-            self.rx_high_pass(1 << qubit, s, co, threads);
-        }
+        self.phase_rx(None, theta, threads);
     }
 
     /// One fused pass: phase separation then the tile-local part of
     /// the mixing layer, while each tile is cache-resident; then the
-    /// high-qubit butterflies. Bit-identical to
+    /// high-qubit and mirror butterflies. Bit-identical to
     /// [`SplitState::apply_phase_levels`] followed by
     /// [`SplitState::apply_rx_layer`] — fusion reorders memory visits,
     /// not the per-amplitude arithmetic.
@@ -243,32 +340,48 @@ impl SplitState {
         threads: usize,
     ) {
         debug_assert_eq!(level_of.len(), self.dim());
-        let (s, co) = (theta / 2.0).sin_cos();
-        let threads = self.fanout(threads);
-        let n_low = self.n_qubits.min(TILE_BITS);
-        for_each_tile(&mut self.re, &mut self.im, threads, &|start, re, im| {
-            phase_tile(
-                re,
-                im,
-                &level_of[start..start + re.len()],
-                table_re,
-                table_im,
-            );
-            rx_tile(re, im, n_low, s, co);
-        });
-        for qubit in TILE_BITS..self.n_qubits {
-            self.rx_high_pass(1 << qubit, s, co, threads);
-        }
+        self.phase_rx(Some((level_of, table_re, table_im)), theta, threads);
     }
 
-    /// One streaming butterfly pass for a qubit with `stride >= TILE`:
-    /// pair blocks `[base, base+stride)` / `[base+stride, base+2·stride)`
-    /// are contiguous, so the pass is pure sequential streams, split
-    /// into per-tile work items for the fan-out.
+    /// The mixing layer, after an optional phase layer
+    /// `(level_of, table_re, table_im)` fused into its tile pass.
+    fn phase_rx(&mut self, phase: Option<(&[u32], &[f64], &[f64])>, theta: f64, threads: usize) {
+        debug_assert!(phase.is_none_or(|(level_of, ..)| is_flip_symmetric(level_of)));
+        let (s, co) = (theta / 2.0).sin_cos();
+        let threads = self.fanout(threads);
+        let Some(top) = self.n_qubits.checked_sub(1) else {
+            // Zero qubits: a phase on the one amplitude, nothing to mix.
+            if let Some((level_of, table_re, table_im)) = phase {
+                phase_tile(&mut self.re, &mut self.im, level_of, table_re, table_im);
+            }
+            return;
+        };
+        let n_low = top.min(TILE_BITS);
+        for_each_tile(&mut self.re, &mut self.im, threads, &|start, re, im| {
+            if let Some((level_of, table_re, table_im)) = phase {
+                phase_tile(
+                    re,
+                    im,
+                    &level_of[start..start + re.len()],
+                    table_re,
+                    table_im,
+                );
+            }
+            rx_tile(re, im, n_low, s, co);
+        });
+        for qubit in TILE_BITS..top {
+            self.rx_high_pass(1 << qubit, s, co, threads);
+        }
+        self.rx_mirror_pass(s, co, threads);
+    }
+
+    /// One streaming butterfly pass for a lower qubit with
+    /// `stride >= TILE`: pair blocks `[base, base+stride)` /
+    /// `[base+stride, base+2·stride)` are contiguous, so the pass is
+    /// pure sequential streams, split into per-tile work items for the
+    /// fan-out.
     fn rx_high_pass(&mut self, stride: usize, s: f64, co: f64, threads: usize) {
-        /// One butterfly work item: `(re_lo, im_lo, re_hi, im_hi)`.
-        type Quad<'a> = (&'a mut [f64], &'a mut [f64], &'a mut [f64], &'a mut [f64]);
-        let mut items: Vec<Quad> = Vec::new();
+        let mut items: Vec<Butterfly> = Vec::new();
         for (re_block, im_block) in self
             .re
             .chunks_mut(2 * stride)
@@ -290,12 +403,47 @@ impl SplitState {
         });
     }
 
+    /// RX on the top qubit: stored index `j` pairs with `half − 1 − j`,
+    /// so the lower quarter meets the upper quarter read backwards —
+    /// tile `t` with tile `half/TILE − 1 − t` when the half spans several
+    /// tiles. At n = 1 the single stored amplitude pairs with itself.
+    fn rx_mirror_pass(&mut self, s: f64, co: f64, threads: usize) {
+        let mid = self.re.len() / 2;
+        let (re_lo, re_hi) = self.re.split_at_mut(mid);
+        let (im_lo, im_hi) = self.im.split_at_mut(mid);
+        if mid == 0 {
+            let (r, i) = (re_hi[0], im_hi[0]);
+            re_hi[0] = co * r + s * i;
+            im_hi[0] = co * i - s * r;
+            return;
+        }
+        let items: Vec<Butterfly> = re_lo
+            .chunks_mut(TILE)
+            .zip(im_lo.chunks_mut(TILE))
+            .zip(
+                re_hi
+                    .chunks_mut(TILE)
+                    .rev()
+                    .zip(im_hi.chunks_mut(TILE).rev()),
+            )
+            .map(|((rl, il), (rh, ih))| (rl, il, rh, ih))
+            .collect();
+        run_items(threads, items, &|(rl, il, rh, ih)| {
+            rx_mirror_butterfly(rl, il, rh, ih, s, co);
+        });
+    }
+
     /// Overwrites this state with `src` scaled elementwise by `diag`
     /// (`out_z = src_z · diag_z`) — the adjoint costate seed
-    /// `|λ⟩ = C|ψ⟩` for a diagonal cost `C`.
+    /// `|λ⟩ = C|ψ⟩` for a diagonal cost `C`. `diag` spans the full index
+    /// range and must be flip-symmetric; its lower half is read.
     pub fn assign_scaled(&mut self, src: &SplitState, diag: &[f64], threads: usize) {
         debug_assert_eq!(src.dim(), self.dim());
         debug_assert_eq!(diag.len(), self.dim());
+        debug_assert!(diag
+            .iter()
+            .map(|d| d.to_bits())
+            .eq(diag.iter().rev().map(|d| d.to_bits())));
         let threads = self.fanout(threads);
         for_each_tile(&mut self.re, &mut self.im, threads, &|start, re, im| {
             let end = start + re.len();
@@ -310,63 +458,102 @@ impl SplitState {
     }
 
     /// `⟨ψ|D|ψ⟩ = Σ_z (re_z² + im_z²)·d_z` as a tiled deterministic
-    /// reduction (fixed [`TILE`] partials combined in index order —
-    /// identical at any thread budget).
+    /// reduction (fixed [`TILE`] partials over the full index range,
+    /// combined in index order — identical at any thread budget).
     #[must_use]
     pub fn expectation_diag(&self, diag: &[f64], threads: usize) -> f64 {
         debug_assert_eq!(diag.len(), self.dim());
         reduce_tiles(self.dim(), self.fanout(threads), &|start, len| {
-            let end = start + len;
-            dot_norm_tile(
-                &self.re[start..end],
-                &self.im[start..end],
-                &diag[start..end],
-            )
+            self.runs(start, len).fold(0.0, |acc, run| {
+                let (re, im) = (&self.re[run.stored.clone()], &self.im[run.stored]);
+                let diag = &diag[run.full];
+                if run.rev {
+                    dot_norm::<true>(acc, re, im, diag)
+                } else {
+                    dot_norm::<false>(acc, re, im, diag)
+                }
+            })
         })
     }
 }
 
+/// The four planes `[λ_re, λ_im, ψ_re, ψ_im]` over one stored range.
+type Planes<'a> = [&'a [f64]; 4];
+
+/// `lambda`'s and `psi`'s planes over the stored indices `stored`.
+fn planes<'a>(lambda: &'a SplitState, psi: &'a SplitState, stored: Range<usize>) -> Planes<'a> {
+    [
+        &lambda.re[stored.clone()],
+        &lambda.im[stored.clone()],
+        &psi.re[stored.clone()],
+        &psi.im[stored],
+    ]
+}
+
+/// The [`Quad`]s of `p`, in stored index order.
+fn quads(p: Planes<'_>) -> impl DoubleEndedIterator<Item = Quad> + '_ {
+    let [lr, li, sr, si] = p;
+    lr.iter()
+        .zip(li)
+        .zip(sr.iter().zip(si))
+        .map(|((&lr, &li), (&sr, &si))| (lr, li, sr, si))
+}
+
+/// `p` restricted to `range`.
+fn sub(p: Planes<'_>, range: Range<usize>) -> Planes<'_> {
+    p.map(|plane| &plane[range.clone()])
+}
+
+/// `p` cut into consecutive `size`-long blocks.
+fn blocks(p: Planes<'_>, size: usize) -> impl DoubleEndedIterator<Item = Planes<'_>> {
+    let [lr, li, sr, si] = p;
+    lr.chunks_exact(size)
+        .zip(li.chunks_exact(size))
+        .zip(sr.chunks_exact(size).zip(si.chunks_exact(size)))
+        .map(|((lr, li), (sr, si))| [lr, li, sr, si])
+}
+
+/// The [`Quad`] at index `k` of `p`.
+fn quad(p: Planes<'_>, k: usize) -> Quad {
+    (p[0][k], p[1][k], p[2][k], p[3][k])
+}
+
 /// `Σ_q Σ_z Im(λ̄_z · ψ_{z ⊕ 2^q})` — the mixing-layer gradient
-/// reduction `Σ_q Im ⟨λ|X_q|ψ⟩`, tiled deterministically: each tile
-/// accumulates its qubits in order (in-tile butterflies for low
-/// qubits, streaming partner loads for high ones), partials combine in
-/// tile order. Identical at any thread budget.
+/// reduction `Σ_q Im ⟨λ|X_q|ψ⟩`, tiled deterministically over the full
+/// index range: each tile accumulates its qubits in order (in-tile
+/// butterfly blocks for low qubits, streaming partner loads for high
+/// ones), partials combine in tile order. Identical at any thread
+/// budget.
 #[must_use]
 pub fn sum_im_cross_x(lambda: &SplitState, psi: &SplitState, threads: usize) -> f64 {
     debug_assert_eq!(lambda.dim(), psi.dim());
     let n_qubits = psi.n_qubits();
+    let half = psi.re.len();
     reduce_tiles(psi.dim(), psi.fanout(threads), &|start, len| {
         let mut acc = 0.0;
         for qubit in 0..n_qubits {
             let stride = 1usize << qubit;
-            if stride < len {
+            if stride == half && stride < len {
+                // The top qubit inside the one whole-state tile: the
+                // upper block is the stored half read backwards.
+                let whole = planes(lambda, psi, 0..half);
+                acc += cross_x(quads(whole), quads(whole).rev());
+            } else if stride < len {
                 // Both butterfly halves live inside this tile.
-                let mut base = start;
-                while base < start + len {
-                    let (lo, hi) = (base..base + stride, base + stride..base + 2 * stride);
-                    acc += cross_x_tile(
-                        &lambda.re[lo.clone()],
-                        &lambda.im[lo.clone()],
-                        &lambda.re[hi.clone()],
-                        &lambda.im[hi.clone()],
-                        &psi.re[lo.clone()],
-                        &psi.im[lo.clone()],
-                        &psi.re[hi.clone()],
-                        &psi.im[hi],
-                    );
-                    base += 2 * stride;
+                for run in psi.runs(start, len) {
+                    acc = cross_x_blocks(acc, planes(lambda, psi, run.stored), stride, run.rev);
                 }
             } else {
                 // The partner block is a contiguous run in another tile
                 // (read-only, so crossing tile boundaries is fine).
-                let partner = start ^ stride;
-                let (a, b) = (start..start + len, partner..partner + len);
-                acc += cross_half_tile(
-                    &lambda.re[a.clone()],
-                    &lambda.im[a],
-                    &psi.re[b.clone()],
-                    &psi.im[b],
-                );
+                let (a, b) = (psi.run(start, len), psi.run(start ^ stride, len));
+                let (l, s) = (lambda.pairs(a.stored), psi.pairs(b.stored));
+                acc += match (a.rev, b.rev) {
+                    (false, false) => cross_half(l, s),
+                    (false, true) => cross_half(l, s.rev()),
+                    (true, false) => cross_half(l.rev(), s),
+                    (true, true) => cross_half(l.rev(), s.rev()),
+                };
             }
         }
         acc
@@ -385,14 +572,15 @@ pub fn sum_diag_im_cross(
     debug_assert_eq!(diag.len(), psi.dim());
     debug_assert_eq!(lambda.dim(), psi.dim());
     reduce_tiles(psi.dim(), psi.fanout(threads), &|start, len| {
-        let end = start + len;
-        diag_cross_tile(
-            &diag[start..end],
-            &lambda.re[start..end],
-            &lambda.im[start..end],
-            &psi.re[start..end],
-            &psi.im[start..end],
-        )
+        psi.runs(start, len).fold(0.0, |acc, run| {
+            let p = planes(lambda, psi, run.stored);
+            let diag = &diag[run.full];
+            if run.rev {
+                diag_cross::<true>(acc, p, diag)
+            } else {
+                diag_cross::<false>(acc, p, diag)
+            }
+        })
     })
 }
 
@@ -429,24 +617,26 @@ fn scale_tile(re: &mut [f64], im: &mut [f64], src_re: &[f64], src_im: &[f64], di
     }
 }
 
-/// `Σ (re² + im²)·d` over one tile, sequential in index order.
-fn dot_norm_tile(re: &[f64], im: &[f64], diag: &[f64]) -> f64 {
-    let n = re.len();
-    let (im, diag) = (&im[..n], &diag[..n]);
-    let mut acc = 0.0;
-    for k in 0..n {
-        acc += (re[k] * re[k] + im[k] * im[k]) * diag[k];
+/// `acc + Σ_k (re² + im²)·d_k`, sequential in `k`, with amplitude `k`
+/// stored at `k` — or at `len − 1 − k` when `REV`.
+fn dot_norm<const REV: bool>(mut acc: f64, re: &[f64], im: &[f64], diag: &[f64]) -> f64 {
+    let n = diag.len();
+    let (re, im) = (&re[..n], &im[..n]);
+    for (k, &d) in diag.iter().enumerate() {
+        let m = if REV { n - 1 - k } else { k };
+        acc += (re[m] * re[m] + im[m] * im[m]) * d;
     }
     acc
 }
 
-/// `Σ d·(λre·ψim − λim·ψre)` over one tile.
-fn diag_cross_tile(diag: &[f64], lre: &[f64], lim: &[f64], sre: &[f64], sim: &[f64]) -> f64 {
+/// `acc + Σ_k d_k·(λre·ψim − λim·ψre)`, sequential in `k`, with the
+/// amplitudes of `k` stored at `k` — or at `len − 1 − k` when `REV`.
+fn diag_cross<const REV: bool>(mut acc: f64, p: Planes<'_>, diag: &[f64]) -> f64 {
     let n = diag.len();
-    let (lre, lim, sre, sim) = (&lre[..n], &lim[..n], &sre[..n], &sim[..n]);
-    let mut acc = 0.0;
-    for k in 0..n {
-        acc += diag[k] * (lre[k] * sim[k] - lim[k] * sre[k]);
+    let [lr, li, sr, si] = p.map(|plane| &plane[..n]);
+    for (k, &d) in diag.iter().enumerate() {
+        let m = if REV { n - 1 - k } else { k };
+        acc += d * (lr[m] * si[m] - li[m] * sr[m]);
     }
     acc
 }
@@ -470,6 +660,27 @@ fn rx_butterfly(
         lo_im[k] = co * i0 - s * r1;
         hi_re[k] = co * r1 + s * i0;
         hi_im[k] = co * i1 - s * r0;
+    }
+}
+
+/// [`rx_butterfly`] with the `hi` block read backwards: `lo[k]` pairs
+/// with `hi[n − 1 − k]` — the top-qubit mirror butterfly.
+fn rx_mirror_butterfly(
+    lo_re: &mut [f64],
+    lo_im: &mut [f64],
+    hi_re: &mut [f64],
+    hi_im: &mut [f64],
+    s: f64,
+    co: f64,
+) {
+    let lo = lo_re.iter_mut().zip(lo_im.iter_mut());
+    let hi = hi_re.iter_mut().rev().zip(hi_im.iter_mut().rev());
+    for ((lr, li), (hr, hi)) in lo.zip(hi) {
+        let (r0, i0, r1, i1) = (*lr, *li, *hr, *hi);
+        *lr = co * r0 + s * i1;
+        *li = co * i0 - s * r1;
+        *hr = co * r1 + s * i0;
+        *hi = co * i1 - s * r0;
     }
 }
 
@@ -504,44 +715,90 @@ fn rx_tile(re: &mut [f64], im: &mut [f64], n_low: usize, s: f64, co: f64) {
     }
 }
 
-/// Both cross terms of one in-tile butterfly block:
-/// `Σ_k Im(λ̄_lo ψ_hi) + Im(λ̄_hi ψ_lo)`.
-#[allow(clippy::too_many_arguments)]
-fn cross_x_tile(
-    l_lo_re: &[f64],
-    l_lo_im: &[f64],
-    l_hi_re: &[f64],
-    l_hi_im: &[f64],
-    s_lo_re: &[f64],
-    s_lo_im: &[f64],
-    s_hi_re: &[f64],
-    s_hi_im: &[f64],
-) -> f64 {
-    let n = l_lo_re.len();
-    let (l_lo_im, l_hi_re, l_hi_im) = (&l_lo_im[..n], &l_hi_re[..n], &l_hi_im[..n]);
-    let (s_lo_re, s_lo_im, s_hi_re, s_hi_im) =
-        (&s_lo_re[..n], &s_lo_im[..n], &s_hi_re[..n], &s_hi_im[..n]);
+/// Both cross terms of one butterfly pair: `Im(λ̄_lo ψ_hi) + Im(λ̄_hi ψ_lo)`.
+#[inline]
+fn cross_term(lo: Quad, hi: Quad) -> f64 {
+    let (l_lo_re, l_lo_im, s_lo_re, s_lo_im) = lo;
+    let (l_hi_re, l_hi_im, s_hi_re, s_hi_im) = hi;
+    l_lo_re * s_hi_im - l_lo_im * s_hi_re + l_hi_re * s_lo_im - l_hi_im * s_lo_re
+}
+
+/// One butterfly block's cross terms, summed from zero in pair order.
+fn cross_x(lo: impl Iterator<Item = Quad>, hi: impl Iterator<Item = Quad>) -> f64 {
     let mut acc = 0.0;
-    for k in 0..n {
-        acc += l_lo_re[k] * s_hi_im[k] - l_lo_im[k] * s_hi_re[k] + l_hi_re[k] * s_lo_im[k]
-            - l_hi_im[k] * s_lo_re[k];
+    for (lo, hi) in lo.zip(hi) {
+        acc += cross_term(lo, hi);
+    }
+    acc
+}
+
+/// `acc` plus every `2·stride` butterfly block of one run's planes
+/// `p`, each block summed from zero and added in full-index order. An
+/// upper-half run (`rev`) visits the stored blocks last to first, and
+/// inside a block its full-index lower part is the stored upper part,
+/// both read backwards. Strides 1 and 2 take pair loops with the same
+/// accumulation order instead of a [`cross_x`] call per tiny block.
+fn cross_x_blocks(mut acc: f64, p: Planes<'_>, stride: usize, rev: bool) -> f64 {
+    match (stride, rev) {
+        (1, false) => {
+            for b in blocks(p, 2) {
+                let mut block = 0.0;
+                block += cross_term(quad(b, 0), quad(b, 1));
+                acc += block;
+            }
+        }
+        (1, true) => {
+            for b in blocks(p, 2).rev() {
+                let mut block = 0.0;
+                block += cross_term(quad(b, 1), quad(b, 0));
+                acc += block;
+            }
+        }
+        (2, false) => {
+            for b in blocks(p, 4) {
+                let mut block = 0.0;
+                block += cross_term(quad(b, 0), quad(b, 2));
+                block += cross_term(quad(b, 1), quad(b, 3));
+                acc += block;
+            }
+        }
+        (2, true) => {
+            for b in blocks(p, 4).rev() {
+                let mut block = 0.0;
+                block += cross_term(quad(b, 3), quad(b, 1));
+                block += cross_term(quad(b, 2), quad(b, 0));
+                acc += block;
+            }
+        }
+        (_, false) => {
+            for b in blocks(p, 2 * stride) {
+                acc += cross_x(quads(sub(b, 0..stride)), quads(sub(b, stride..2 * stride)));
+            }
+        }
+        (_, true) => {
+            for b in blocks(p, 2 * stride).rev() {
+                let (lo, hi) = (sub(b, stride..2 * stride), sub(b, 0..stride));
+                acc += cross_x(quads(lo).rev(), quads(hi).rev());
+            }
+        }
     }
     acc
 }
 
 /// One direction of the cross term when the partner block lives in
-/// another tile: `Σ_k Im(λ̄_a ψ_b)`.
-fn cross_half_tile(l_re: &[f64], l_im: &[f64], s_re: &[f64], s_im: &[f64]) -> f64 {
-    let n = l_re.len();
-    let (l_im, s_re, s_im) = (&l_im[..n], &s_re[..n], &s_im[..n]);
+/// another tile: `Σ_k Im(λ̄_a ψ_b)`, summed from zero.
+fn cross_half(l: impl Iterator<Item = (f64, f64)>, s: impl Iterator<Item = (f64, f64)>) -> f64 {
     let mut acc = 0.0;
-    for k in 0..n {
-        acc += l_re[k] * s_im[k] - l_im[k] * s_re[k];
+    for ((lr, li), (sr, si)) in l.zip(s) {
+        acc += lr * si - li * sr;
     }
     acc
 }
 
 // --- deterministic fan-out ------------------------------------------------
+
+/// One butterfly work item: `(re_lo, im_lo, re_hi, im_hi)`.
+type Butterfly<'a> = (&'a mut [f64], &'a mut [f64], &'a mut [f64], &'a mut [f64]);
 
 /// Runs `f` once per work item, item `i` on scoped worker `i % workers`
 /// (one share runs on the calling thread). With a budget of 1 — or a
@@ -616,18 +873,28 @@ mod tests {
 
     fn assert_bit_identical(soa: &SplitState, reference: &StateVector) {
         assert_eq!(soa.dim(), reference.dim());
-        for (k, a) in reference.amplitudes().iter().enumerate() {
+        assert_eq!(soa.amplitudes().count(), reference.dim());
+        for ((k, a), b) in reference
+            .amplitudes()
+            .iter()
+            .enumerate()
+            .zip(soa.amplitudes())
+        {
+            let got = soa.amplitude(k);
+            assert_eq!(got.re.to_bits(), a.re.to_bits(), "re mismatch at index {k}");
+            assert_eq!(got.im.to_bits(), a.im.to_bits(), "im mismatch at index {k}");
             assert_eq!(
-                soa.re[k].to_bits(),
-                a.re.to_bits(),
-                "re mismatch at index {k}"
-            );
-            assert_eq!(
-                soa.im[k].to_bits(),
-                a.im.to_bits(),
-                "im mismatch at index {k}"
+                (b.re.to_bits(), b.im.to_bits()),
+                (got.re.to_bits(), got.im.to_bits())
             );
         }
+    }
+
+    /// `f` of each basis index's lower mirror image, so the result is
+    /// flip-symmetric like every MaxCut cost.
+    fn symmetric<T>(n: usize, f: impl Fn(usize) -> T) -> Vec<T> {
+        let dim = 1usize << n;
+        (0..dim).map(|z| f(z.min(dim - 1 - z))).collect()
     }
 
     fn phase_table(levels: &[f64], gamma: f64) -> (Vec<Complex64>, Vec<f64>, Vec<f64>) {
@@ -656,11 +923,11 @@ mod tests {
     fn rx_layer_matches_scalar_across_widths() {
         // Widths straddle TILE_BITS so both the tile-local and the
         // high-qubit streaming paths are exercised.
-        for n in [1usize, 2, 3, TILE_BITS, TILE_BITS + 1, TILE_BITS + 2] {
+        for n in [0usize, 1, 2, 3, TILE_BITS, TILE_BITS + 1, TILE_BITS + 2] {
             let mut reference = StateVector::plus_state(n);
-            let diag: Vec<f64> = (0..1usize << n).map(|z| (z % 7) as f64).collect();
+            let diag = symmetric(n, |z| (z % 7) as f64);
             reference.apply_phase_from_diag(&diag, 0.31).unwrap();
-            let mut soa = SplitState::from_state_vector(&reference);
+            let mut soa = SplitState::from_state_vector(&reference).unwrap();
             reference.apply_rx_layer(0.83);
             soa.apply_rx_layer(0.83, 1);
             assert_bit_identical(&soa, &reference);
@@ -670,11 +937,11 @@ mod tests {
     #[test]
     fn phase_levels_matches_scalar() {
         let n = TILE_BITS + 1;
-        let level_of: Vec<u32> = (0..1usize << n).map(|z| (z % 5) as u32).collect();
+        let level_of = symmetric(n, |z| (z % 5) as u32);
         let levels: Vec<f64> = (0..5).map(|l| l as f64 * 0.7).collect();
         let (aos, tre, tim) = phase_table(&levels, 1.3);
         let mut reference = StateVector::plus_state(n);
-        let mut soa = SplitState::from_state_vector(&reference);
+        let mut soa = SplitState::from_state_vector(&reference).unwrap();
         reference.apply_phase_levels(&level_of, &aos).unwrap();
         soa.apply_phase_levels(&level_of, &tre, &tim, 1);
         assert_bit_identical(&soa, &reference);
@@ -683,7 +950,7 @@ mod tests {
     #[test]
     fn fused_stage_equals_separate_kernels() {
         let n = TILE_BITS + 1;
-        let level_of: Vec<u32> = (0..1usize << n).map(|z| (z % 3) as u32).collect();
+        let level_of = symmetric(n, |z| (z % 3) as u32);
         let levels = [0.0, 1.5, 2.5];
         let (_, tre, tim) = phase_table(&levels, 0.9);
         let mut fused = SplitState::plus_state(n);
@@ -700,9 +967,9 @@ mod tests {
         // threshold this holds by construction, but the cheap widths
         // here at least pin the inline/fan-out dispatch seam.
         let n = TILE_BITS + 2;
-        let level_of: Vec<u32> = (0..1usize << n).map(|z| (z % 4) as u32).collect();
+        let level_of = symmetric(n, |z| (z % 4) as u32);
         let (_, tre, tim) = phase_table(&[0.0, 1.0, 2.0, 3.0], 0.4);
-        let diag: Vec<f64> = (0..1usize << n).map(|z| (z % 4) as f64).collect();
+        let diag = symmetric(n, |z| (z % 4) as f64);
         let mut a = SplitState::plus_state(n);
         let mut b = SplitState::plus_state(n);
         a.apply_phase_rx(&level_of, &tre, &tim, 0.7, 1);
@@ -734,7 +1001,7 @@ mod tests {
         let n = 6;
         let diag: Vec<f64> = (0..1usize << n).map(|z| (z % 9) as f64 - 3.0).collect();
         let reference = StateVector::plus_state(n);
-        let soa = SplitState::from_state_vector(&reference);
+        let soa = SplitState::from_state_vector(&reference).unwrap();
         let scalar: f64 = reference
             .amplitudes()
             .iter()
@@ -748,10 +1015,11 @@ mod tests {
     fn round_trip_conversion_is_lossless() {
         let mut reference = StateVector::plus_state(4);
         reference
-            .apply_phase_from_diag(&(0..16).map(|z| z as f64).collect::<Vec<_>>(), 0.3)
+            .apply_phase_from_diag(&symmetric(4, |z| z as f64), 0.3)
             .unwrap();
-        let soa = SplitState::from_state_vector(&reference);
+        let soa = SplitState::from_state_vector(&reference).unwrap();
         assert_eq!(soa.to_state_vector(), reference);
         assert_eq!(soa.amplitude(3), reference.amplitude(3));
+        assert_eq!(soa.amplitude(12), reference.amplitude(12));
     }
 }
