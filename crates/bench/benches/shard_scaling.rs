@@ -5,8 +5,9 @@
 //! coordinator loop — dispatch, streaming merge, graceful close — against
 //! freshly started workers:
 //!
-//! * `shard_loopback` — in-process workers over channel pipes (transport
-//!   cost ≈ zero; measures the coordinator + solve),
+//! * `shard_loopback` — in-process worker threads over OS pipes, read
+//!   through the same capped line reader as spawned workers (no process
+//!   startup; measures the coordinator, the pipes and the solve),
 //! * `shard_subprocess` — spawned `qaoa-serve` processes over stdin/stdout
 //!   (adds process startup and pipe framing; the gap to loopback is the
 //!   real cost of process isolation).

@@ -7,7 +7,7 @@
 //! re-tasked onto the survivors. `--workers` picks where the workers run:
 //!
 //! * `loopback:K` (default `loopback:1`) — K in-process `qaoa-serve` loops
-//!   over channel pipes; one worker takes the ranges in order.
+//!   on threads over OS pipes; one worker takes the ranges in order.
 //! * `spawn:K` — K spawned worker subprocesses (`--worker-cmd`, default
 //!   the `qaoa-serve` binary next to this executable) speaking `QW1` over
 //!   stdin/stdout.

@@ -24,9 +24,8 @@ pub mod cli;
 /// How `qaoa-shard` runs its shard workers (`--workers`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerMode {
-    /// K in-process `qaoa-serve` loops over channel pipes — the streaming
-    /// coordinator's reference transport. `Loopback(1)` is the default
-    /// single-process run.
+    /// K in-process `qaoa-serve` loops on threads over OS pipes.
+    /// `Loopback(1)` is the default single-process run.
     Loopback(usize),
     /// K spawned worker subprocesses (`--worker-cmd`, default `qaoa-serve`)
     /// over stdin/stdout.

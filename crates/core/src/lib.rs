@@ -65,7 +65,7 @@ pub use error::QaoaError;
 pub use eval::EvalContext;
 pub use instance::{InstanceOutcome, QaoaInstance};
 pub use predictor::ParameterPredictor;
-pub use problem::MaxCutProblem;
+pub use problem::{MaxCutProblem, MAX_PROBLEM_NODES};
 pub use scenario::{Scenario, ScenarioInstance};
 pub use twolevel::{TwoLevelConfig, TwoLevelFlow, TwoLevelOutcome};
 

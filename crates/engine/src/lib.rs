@@ -38,10 +38,11 @@
 //!   ranges of dead or timed-out workers — output **bit-identical** to the
 //!   unsharded run at any worker count,
 //! * [`transport`] — the [`ShardTransport`] trait the coordinator drives:
-//!   in-process [`transport::LoopbackTransport`] workers (the reference
-//!   implementation), spawned `qaoa-serve` processes
-//!   ([`transport::SubprocessTransport`]), and fault injectors for the
-//!   failover test-suite.
+//!   one pipe transport whose workers are in-process threads on OS pipes
+//!   ([`transport::LoopbackTransport`]) or spawned `qaoa-serve` processes
+//!   ([`transport::SubprocessTransport`]), both read through the same
+//!   1 MiB line cap and UTF-8 rule, and fault injectors for the failover
+//!   test-suite.
 //!
 //! # Quickstart
 //!

@@ -233,6 +233,7 @@ mod tests {
     fn corrupt_and_stale_files_are_discarded() {
         let cache = Level1Cache::new();
         for (tag, text) in [
+            ("huge", huge_entry_file().as_str()),
             ("garbage", "complete nonsense\nmore nonsense\n"),
             // QCACHE1 predates the per-entry restarts count: its entries
             // conflated restart counts, so the whole file is stale.
@@ -253,6 +254,28 @@ mod tests {
             assert!(cache.is_empty(), "{tag} must not pollute the cache");
             std::fs::remove_file(&path).ok();
         }
+    }
+
+    /// A cache file whose second entry claims 10^14 nodes.
+    fn huge_entry_file() -> String {
+        let good = wire::encode_entry(&k(&generators::path(4)), &outcome(1.0));
+        let huge = good.replacen("ENTRY 2 4 ", "ENTRY 2 100000000000000 ", 1);
+        assert_ne!(good, huge);
+        format!("QCACHE2 seed=2020\n{good}\n{huge}\n")
+    }
+
+    #[test]
+    fn save_merge_drops_a_file_with_a_huge_entry() {
+        let path = temp_path("huge_merge");
+        std::fs::write(&path, huge_entry_file()).unwrap();
+        let cache = Level1Cache::new();
+        cache.insert(k(&generators::star(5)), outcome(3.0));
+        assert_eq!(save_merge(&cache, &path, 2020).unwrap(), 1);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(!text.contains("100000000000000"), "{text}");
+        let warm = Level1Cache::new();
+        assert_eq!(load_into(&warm, &path, 2020), LoadStatus::Loaded(1));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -768,6 +768,21 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_job_answers_err_and_its_batch_still_runs() {
+        // Regression: a 10^14-node JOB once reached the batch and aborted
+        // the process on a petabyte allocation.
+        let input = "QW1 JOB 1 1 100000000000000 0-1\nQW1 JOB 1 2 3 0-1,1-2\nQW1 RUN -\n";
+        let (out, summary) = run_session(input, &Engine::new(1));
+        assert_eq!(out.lines().filter(|l| l.starts_with("QW1 ERR")).count(), 1);
+        assert!(out.contains("exceeds"), "output: {out}");
+        assert_eq!(summary.jobs, 1, "the good job still ran");
+        assert_eq!(
+            out.lines().filter(|l| l.starts_with("QW1 OUTCOME")).count(),
+            1
+        );
+    }
+
+    #[test]
     fn bad_lines_answer_err_and_the_loop_survives() {
         let input = "\
 not even wire\n\

@@ -21,10 +21,10 @@
 //!
 //! [`run_streaming`] is the only coordinator. Where the workers run is the
 //! transport's business ([`crate::transport`]):
-//! [`crate::transport::LoopbackTransport`] runs in-process serve workers
-//! (one loopback worker taking the ranges in order is the single-process
-//! run), [`crate::transport::SubprocessTransport`] spawns `qaoa-serve`
-//! worker processes.
+//! [`crate::transport::LoopbackTransport`] runs serve workers on threads
+//! over OS pipes (one loopback worker taking the ranges in order is the
+//! single-process run), [`crate::transport::SubprocessTransport`] spawns
+//! `qaoa-serve` worker processes; both are one pipe transport.
 //!
 //! # The bit-parity guarantee
 //!

@@ -2,19 +2,19 @@
 //!
 //! [`crate::shard::run_streaming`] drives workers through the
 //! [`ShardTransport`] trait: a full-duplex, line-oriented channel per
-//! worker with incremental receive and worker-death detection. Three
+//! worker with incremental receive and worker-death detection. Two
 //! implementations ship here:
 //!
-//! * [`LoopbackTransport`] — the reference implementation: one in-process
-//!   thread per worker running [`crate::server::serve`] over in-memory
-//!   channel pipes. Behaviorally identical to a subprocess (lines arrive
-//!   incrementally, a killed worker hangs up mid-stream) without process
-//!   overhead; what tests and single-machine wire rehearsals use.
-//! * [`SubprocessTransport`] — the production transport: spawns real
-//!   worker processes (normally `qaoa-serve`) and speaks `QW1` over their
-//!   stdin/stdout. Worker exit, a closed pipe, a kill, or an output line
-//!   over 1 MiB all surface as [`TransportError::Dead`], which the
-//!   coordinator answers by re-tasking the worker's range on a survivor.
+//! * [`PipeTransport`] — workers that read `QW1` lines from one OS pipe
+//!   and write their answers to another. A worker is either an in-process
+//!   thread running [`crate::server::serve`] ([`LoopbackTransport`], what
+//!   tests and single-machine wire rehearsals use) or a spawned process,
+//!   normally `qaoa-serve`, on its stdin/stdout ([`SubprocessTransport`]).
+//!   Both kinds go through one reader thread, so loopback output meets the
+//!   same 1 MiB line cap and UTF-8 rule as a spawned worker's. Worker exit,
+//!   a closed pipe, a kill, or an output line over the cap or not UTF-8 all
+//!   surface as [`TransportError::Dead`], which the coordinator answers by
+//!   re-tasking the worker's range on a survivor.
 //! * [`KillAfter`] / [`StallAfter`] — fault injectors wrapping any inner
 //!   transport: deterministic worker death and silent stalls, used by the
 //!   failover test-suite and `qaoa-shard --kill-worker`.
@@ -24,10 +24,9 @@
 //! arrived, but only the coordinator (an allowed wall-clock module)
 //! decides when accumulated silence becomes worker death.
 
-use std::collections::VecDeque;
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::process::{Child, ChildStdin, Command, Stdio};
+use std::io::{BufRead, BufReader, LineWriter, Read, Write};
+use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -97,426 +96,115 @@ pub trait ShardTransport {
     fn close(&mut self, worker: usize);
 }
 
-// --- loopback --------------------------------------------------------------
+// --- worker slots ----------------------------------------------------------
 
-/// Byte chunks from a worker, reassembled into lines on the receive side.
-type ChunkReceiver = mpsc::Receiver<Vec<u8>>;
+/// The longest `QW1` line a worker may send, or a server may receive, in
+/// bytes, newline excluded. `QW1` lines are a few hundred bytes; the cap
+/// only exists so a runaway peer cannot grow the reader's memory without
+/// limit. A longer worker line makes that worker [`TransportError::Dead`],
+/// and its range is re-tasked; a longer request line is answered `ERR` by
+/// the server (`server::serve`).
+pub(crate) const MAX_LINE_BYTES: u64 = 1 << 20;
 
-struct LoopbackWorker {
-    /// `None` once end-of-input was signalled (close) or the slot killed.
-    input: Option<mpsc::Sender<String>>,
-    output: Option<ChunkReceiver>,
-    /// Complete lines already assembled but not yet handed out.
-    pending: VecDeque<String>,
-    /// Bytes of a line still missing its terminator.
-    partial: Vec<u8>,
-    handle: Option<JoinHandle<()>>,
+/// What a worker's reader thread hands the coordinator: a line, or why the
+/// worker's output became unusable.
+type LineReceiver = mpsc::Receiver<Result<String, String>>;
+
+/// What runs behind a worker slot.
+enum Process {
+    /// A spawned worker process.
+    Child(Child),
+    /// An in-process [`crate::server::serve`] loop on its own thread.
+    Thread(JoinHandle<()>),
+}
+
+/// One worker: the write end of its input pipe, the lines its reader
+/// thread forwards from its output pipe, and the process behind both.
+struct WorkerSlot {
+    stdin: Option<Box<dyn Write + Send>>,
+    lines: Option<LineReceiver>,
+    process: Option<Process>,
+    reader: Option<JoinHandle<()>>,
     /// Why the slot is unusable, once it is.
     fate: Option<String>,
 }
 
-/// The reference [`ShardTransport`]: one in-process [`crate::server::serve`]
-/// worker thread per slot, wired over in-memory channel pipes.
-///
-/// Each worker owns a fresh [`Engine`] with `threads` pool workers, exactly
-/// like one spawned `qaoa-serve` process. With [`LoopbackTransport::with_cache`]
-/// the workers additionally warm-start from (and fold back into) a shared
-/// depth-1 cache, mirroring what per-worker `--cache-file`s plus a merge
-/// give the subprocess transport.
-pub struct LoopbackTransport {
-    slots: Vec<LoopbackWorker>,
-}
-
-impl LoopbackTransport {
-    /// `workers` in-process serve workers, `threads` pool workers each, no
-    /// shared cache (each worker still caches internally).
-    #[must_use]
-    pub fn new(workers: usize, threads: usize) -> Self {
-        Self::with_cache(workers, threads, BatchConfig::default().master_seed, None)
-    }
-
-    /// [`LoopbackTransport::new`] plus a shared depth-1 cache: every worker
-    /// pre-warms from `cache` at spawn and folds its entries back when it
-    /// finishes (on [`ShardTransport::close`]). `master_seed` must equal
-    /// the corpus spec's seed for the worker-side fold to engage (the
-    /// server only folds seed-matching sessions — see
-    /// [`crate::server`]).
-    #[must_use]
-    pub fn with_cache(
-        workers: usize,
-        threads: usize,
-        master_seed: u64,
-        cache: Option<Arc<Level1Cache>>,
-    ) -> Self {
-        let slots = (0..workers.max(1))
-            .map(|_| {
-                let (input_tx, input_rx) = mpsc::channel::<String>();
-                let (output_tx, output_rx) = mpsc::channel::<Vec<u8>>();
-                let shared = cache.clone();
-                let handle = std::thread::spawn(move || {
-                    loopback_worker(threads, master_seed, shared, input_rx, output_tx);
-                });
-                LoopbackWorker {
-                    input: Some(input_tx),
-                    output: Some(output_rx),
-                    pending: VecDeque::new(),
-                    partial: Vec::new(),
-                    handle: Some(handle),
-                    fate: None,
-                }
-            })
-            .collect();
-        Self { slots }
-    }
-
-    fn slot(&mut self, worker: usize) -> Result<&mut LoopbackWorker, TransportError> {
-        let count = self.slots.len();
-        self.slots.get_mut(worker).ok_or_else(|| {
-            TransportError::Dead(format!("worker {worker} of {count} (no such slot)"))
-        })
-    }
-}
-
-/// One worker thread: a fresh engine serving the channel-piped request
-/// stream until end-of-input, then a fold into the shared cache. The fold
-/// also runs when serve aborts early (coordinator hung up): depth-1 entries
-/// are pure functions of their key, so folding a partial set is always
-/// sound.
-fn loopback_worker(
-    threads: usize,
-    master_seed: u64,
-    shared: Option<Arc<Level1Cache>>,
-    input: mpsc::Receiver<String>,
-    output: mpsc::Sender<Vec<u8>>,
-) {
-    let engine = Engine::new(threads);
-    if let Some(cache) = &shared {
-        engine.cache().merge_from(cache);
-    }
-    let config = BatchConfig {
-        master_seed,
-        ..BatchConfig::default()
-    };
-    let reader = ChannelReader {
-        rx: input,
-        buf: Vec::new(),
-        pos: 0,
-    };
-    let writer = ChannelWriter { tx: output };
-    let _ = crate::server::serve(
-        reader,
-        writer,
-        &engine,
-        &optimize::Lbfgsb::default(),
-        &config,
-    );
-    if let Some(cache) = &shared {
-        cache.merge_from(engine.cache());
-    }
-}
-
-/// Worker-side stdin stand-in: lines from an mpsc channel, exposed as
-/// `BufRead`. A hung-up sender reads as end-of-file.
-struct ChannelReader {
-    rx: mpsc::Receiver<String>,
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl Read for ChannelReader {
-    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        let available = self.fill_buf()?;
-        let n = available.len().min(out.len());
-        out[..n].copy_from_slice(&available[..n]);
-        self.consume(n);
-        Ok(n)
-    }
-}
-
-impl BufRead for ChannelReader {
-    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-        if self.pos >= self.buf.len() {
-            match self.rx.recv() {
-                Ok(line) => {
-                    self.buf = line.into_bytes();
-                    self.buf.push(b'\n');
-                    self.pos = 0;
-                }
-                // Coordinator dropped the sender: end of input.
-                Err(mpsc::RecvError) => {
-                    self.buf.clear();
-                    self.pos = 0;
-                }
-            }
+impl WorkerSlot {
+    /// A slot that never worked: every operation on it reports `fate`.
+    fn dead(fate: String) -> Self {
+        Self {
+            stdin: None,
+            lines: None,
+            process: None,
+            reader: None,
+            fate: Some(fate),
         }
-        Ok(&self.buf[self.pos..])
     }
 
-    fn consume(&mut self, amt: usize) {
-        self.pos = (self.pos + amt).min(self.buf.len());
-    }
-}
-
-/// Worker-side stdout stand-in: every write ships its bytes to the
-/// coordinator immediately (the pipe itself never buffers, so worker
-/// flush discipline only matters for real pipes).
-struct ChannelWriter {
-    tx: mpsc::Sender<Vec<u8>>,
-}
-
-impl Write for ChannelWriter {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.tx.send(buf.to_vec()).map_err(|_| {
-            std::io::Error::new(std::io::ErrorKind::BrokenPipe, "coordinator hung up")
-        })?;
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-impl ShardTransport for LoopbackTransport {
-    fn workers(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn send_line(&mut self, worker: usize, line: &str) -> Result<(), TransportError> {
-        let slot = self.slot(worker)?;
-        if let Some(fate) = &slot.fate {
-            return Err(TransportError::Dead(fate.clone()));
-        }
-        let Some(input) = &slot.input else {
-            return Err(TransportError::Dead("input already closed".into()));
+    /// Starts the reader thread over `output` and assembles the slot; if
+    /// the thread cannot start, `process` is torn down.
+    fn attach<R: Read + Send + 'static>(
+        stdin: Box<dyn Write + Send>,
+        output: R,
+        process: Process,
+    ) -> std::io::Result<Self> {
+        let mut slot = Self {
+            stdin: Some(stdin),
+            lines: None,
+            process: Some(process),
+            reader: None,
+            fate: None,
         };
-        if input.send(line.to_string()).is_err() {
-            let fate = "worker thread hung up".to_string();
-            slot.fate = Some(fate.clone());
-            return Err(TransportError::Dead(fate));
-        }
-        Ok(())
+        let (lines, reader) = spawn_reader(output)
+            .inspect_err(|_| slot.tear_down("reader thread failed to start"))?;
+        slot.lines = Some(lines);
+        slot.reader = Some(reader);
+        Ok(slot)
     }
 
-    fn recv_line(&mut self, worker: usize, wait: Duration) -> Result<String, TransportError> {
-        let slot = self.slot(worker)?;
-        loop {
-            if let Some(line) = slot.pending.pop_front() {
-                return Ok(line);
-            }
-            if let Some(fate) = &slot.fate {
-                return Err(TransportError::Dead(fate.clone()));
-            }
-            let Some(output) = &slot.output else {
-                return Err(TransportError::Dead("output already closed".into()));
-            };
-            match output.recv_timeout(wait) {
-                Ok(chunk) => {
-                    for byte in chunk {
-                        if byte == b'\n' {
-                            let line = String::from_utf8_lossy(&slot.partial).into_owned();
-                            slot.partial.clear();
-                            slot.pending.push_back(line);
-                        } else {
-                            slot.partial.push(byte);
-                        }
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => return Err(TransportError::Timeout),
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    // A trailing partial line from a dead worker is not a
-                    // line; it is discarded with the worker.
-                    let fate = "worker hung up (end of stream)".to_string();
-                    slot.fate = Some(fate.clone());
-                    return Err(TransportError::Dead(fate));
-                }
-            }
-        }
-    }
-
-    fn kill(&mut self, worker: usize) {
-        if let Some(slot) = self.slots.get_mut(worker) {
-            // Dropping both channel ends makes the worker's next read see
-            // EOF and its next write fail, so the thread winds down on its
-            // own; it is detached rather than joined because it may be
-            // mid-solve and a kill must not block the coordinator.
-            slot.input = None;
-            slot.output = None;
-            slot.handle = None;
-            slot.pending.clear();
-            slot.partial.clear();
-            slot.fate.get_or_insert_with(|| "killed".to_string());
-        }
-    }
-
-    fn close(&mut self, worker: usize) {
-        if let Some(slot) = self.slots.get_mut(worker) {
-            if slot.fate.is_some() {
-                return;
-            }
-            slot.input = None; // end-of-input
-            if let Some(handle) = slot.handle.take() {
-                let _ = handle.join(); // cache fold completes before this returns
-            }
-            slot.output = None;
-            slot.fate = Some("closed".to_string());
-        }
-    }
-}
-
-impl Drop for LoopbackTransport {
-    fn drop(&mut self) {
-        for worker in 0..self.slots.len() {
-            self.kill(worker);
-        }
-    }
-}
-
-// --- subprocess ------------------------------------------------------------
-
-/// The longest `QW1` line a spawned worker may send, or a server may
-/// receive, in bytes, newline excluded. `QW1` lines are a few hundred
-/// bytes; the cap only exists so a runaway peer cannot grow the reader's
-/// memory without limit. A longer worker line makes that worker
-/// [`TransportError::Dead`], and its range is re-tasked; a longer request
-/// line is answered `ERR` by the server (`server::serve`).
-pub(crate) const MAX_LINE_BYTES: u64 = 1 << 20;
-
-/// What a subprocess reader thread hands the coordinator: a line, or why
-/// the worker's output became unusable.
-type LineReceiver = mpsc::Receiver<Result<String, String>>;
-
-struct SubprocessWorker {
-    child: Option<Child>,
-    stdin: Option<ChildStdin>,
-    lines: Option<LineReceiver>,
-    reader: Option<JoinHandle<()>>,
-    fate: Option<String>,
-}
-
-impl SubprocessWorker {
-    /// Kills and reaps the child, hangs up the pipes. Idempotent.
+    /// Hangs up both pipes and stops the worker. Idempotent.
+    ///
+    /// A child is killed and reaped, and its reader joined (it sees end of
+    /// input at once). A thread cannot be killed: with its input at end of
+    /// input and its reader gone after the next line, it winds down on its
+    /// own, so it and its reader are detached rather than joined — it may be
+    /// mid-solve, and a kill must not block the coordinator.
     fn tear_down(&mut self, fate: &str) {
         self.stdin = None;
         self.lines = None;
-        if let Some(mut child) = self.child.take() {
+        if let Some(Process::Child(mut child)) = self.process.take() {
             let _ = child.kill();
             let _ = child.wait(); // reap; no zombies
+            if let Some(reader) = self.reader.take() {
+                let _ = reader.join();
+            }
         }
-        if let Some(reader) = self.reader.take() {
-            let _ = reader.join(); // EOF after kill, returns promptly
-        }
+        self.reader = None;
         self.fate.get_or_insert_with(|| fate.to_string());
     }
 }
 
-/// The production [`ShardTransport`]: spawned worker processes speaking
-/// `QW1` over stdin/stdout (normally `qaoa-serve`; stderr passes through).
-///
-/// Worker death — a crash, a kill, an exit, a closed pipe, an output line
-/// over 1 MiB — surfaces as [`TransportError::Dead`] on the next send or
-/// receive, which is what the coordinator's failover re-tasking keys off.
-/// [`ShardTransport::close`] closes the worker's stdin and waits for a
-/// clean exit, giving workers started with `--cache-file` the chance to
-/// persist what they solved.
-pub struct SubprocessTransport {
-    slots: Vec<SubprocessWorker>,
-}
-
-impl SubprocessTransport {
-    /// Spawns `workers` copies of `command` (argv form: `command[0]` is the
-    /// program, the rest its arguments).
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Dead`] when the command is empty or any spawn
-    /// fails; workers spawned before the failure are killed and reaped.
-    pub fn spawn(command: &[String], workers: usize) -> Result<Self, TransportError> {
-        if command.is_empty() {
-            return Err(TransportError::Dead("empty worker command".into()));
-        }
-        let commands: Vec<Vec<String>> = (0..workers.max(1)).map(|_| command.to_vec()).collect();
-        Self::spawn_each(&commands)
-    }
-
-    /// Spawns one worker per command in `commands` (each in argv form) —
-    /// the constructor for workers that need per-worker arguments, e.g.
-    /// distinct `--cache-file` paths so each process persists its own
-    /// depth-1 cache for the coordinator to merge.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Dead`] when `commands` is empty, any command is
-    /// empty, or any spawn fails; workers spawned before the failure are
-    /// killed and reaped.
-    pub fn spawn_each(commands: &[Vec<String>]) -> Result<Self, TransportError> {
-        if commands.is_empty() {
-            return Err(TransportError::Dead("no worker commands".into()));
-        }
-        let mut slots: Vec<SubprocessWorker> = Vec::with_capacity(commands.len());
-        for (index, command) in commands.iter().enumerate() {
-            let spawned = match command.split_first() {
-                Some((program, args)) => spawn_worker(program, args),
-                None => Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "empty worker command",
-                )),
-            };
-            match spawned {
-                Ok(slot) => slots.push(slot),
-                Err(e) => {
-                    for slot in &mut slots {
-                        slot.tear_down("sibling spawn failed");
-                    }
-                    let program = command.first().map_or("<empty>", String::as_str);
-                    return Err(TransportError::Dead(format!(
-                        "spawning worker {index} ({program}): {e}"
-                    )));
-                }
-            }
-        }
-        Ok(Self { slots })
-    }
-
-    fn slot(&mut self, worker: usize) -> Result<&mut SubprocessWorker, TransportError> {
-        let count = self.slots.len();
-        self.slots.get_mut(worker).ok_or_else(|| {
-            TransportError::Dead(format!("worker {worker} of {count} (no such slot)"))
-        })
-    }
-}
-
-fn spawn_worker(program: &str, args: &[String]) -> std::io::Result<SubprocessWorker> {
-    let mut child = Command::new(program)
-        .args(args)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .spawn()?;
-    let stdin = child.stdin.take();
-    let stdout = child.stdout.take().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::BrokenPipe, "child stdout not captured")
-    })?;
+/// The reader thread behind every worker slot: reads `output` through
+/// [`read_capped_line`] and forwards each line until end of input. A line
+/// over [`MAX_LINE_BYTES`] or not UTF-8 is forwarded as an `Err` and ends
+/// the stream. The thread decouples pipe draining from the coordinator's
+/// poll loop, so a worker never blocks on a full pipe while the
+/// coordinator is busy elsewhere.
+fn spawn_reader<R: Read + Send + 'static>(
+    output: R,
+) -> std::io::Result<(LineReceiver, JoinHandle<()>)> {
     let (tx, rx) = mpsc::channel();
-    // One reader thread per child decouples pipe draining from the
-    // coordinator's poll loop: the child never blocks on a full pipe while
-    // the coordinator is busy elsewhere.
-    let reader = std::thread::spawn(move || {
-        let mut stdout = BufReader::new(stdout);
-        while let Ok(Some(line)) = read_capped_line(&mut stdout) {
+    let reader = std::thread::Builder::new().spawn(move || {
+        let mut output = BufReader::new(output);
+        while let Ok(Some(line)) = read_capped_line(&mut output) {
             let line = line.map_err(|bad| format!("worker sent {bad}"));
             let fatal = line.is_err();
             if tx.send(line).is_err() || fatal {
                 break;
             }
         }
-    });
-    Ok(SubprocessWorker {
-        child: Some(child),
-        stdin,
-        lines: Some(rx),
-        reader: Some(reader),
-        fate: None,
-    })
+    })?;
+    Ok((rx, reader))
 }
 
 /// Why [`read_capped_line`] refused a line.
@@ -590,7 +278,180 @@ pub(crate) fn skip_line<R: BufRead>(reader: &mut R) -> std::io::Result<()> {
     }
 }
 
-impl ShardTransport for SubprocessTransport {
+/// Starts one in-process worker: a fresh [`Engine`] with `threads` pool
+/// workers serving `QW1` over two OS pipes until end of input, then a fold
+/// into the shared cache. The fold also runs when serve aborts early
+/// (coordinator hung up): depth-1 entries are pure functions of their key,
+/// so folding a partial set is always sound.
+fn start_thread_worker(
+    threads: usize,
+    master_seed: u64,
+    shared: Option<Arc<Level1Cache>>,
+) -> std::io::Result<WorkerSlot> {
+    let (input, stdin) = std::io::pipe()?;
+    let (output, stdout) = std::io::pipe()?;
+    let worker = std::thread::Builder::new().spawn(move || {
+        let engine = Engine::new(threads);
+        if let Some(cache) = &shared {
+            engine.cache().merge_from(cache);
+        }
+        let config = BatchConfig {
+            master_seed,
+            ..BatchConfig::default()
+        };
+        let _ = crate::server::serve(
+            BufReader::new(input),
+            LineWriter::new(stdout),
+            &engine,
+            &optimize::Lbfgsb::default(),
+            &config,
+        );
+        if let Some(cache) = &shared {
+            cache.merge_from(engine.cache());
+        }
+    })?;
+    WorkerSlot::attach(Box::new(stdin), output, Process::Thread(worker))
+}
+
+fn spawn_worker(program: &str, args: &[String]) -> std::io::Result<WorkerSlot> {
+    let mut child = Command::new(program)
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()?;
+    let (Some(stdin), Some(stdout)) = (child.stdin.take(), child.stdout.take()) else {
+        let _ = child.kill();
+        let _ = child.wait();
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::BrokenPipe,
+            "child pipes not captured",
+        ));
+    };
+    WorkerSlot::attach(Box::new(stdin), stdout, Process::Child(child))
+}
+
+/// The one [`ShardTransport`] over worker slots: each worker reads `QW1`
+/// lines from a pipe and writes its answers to another, which a reader
+/// thread drains through the 1 MiB line cap. Whether the worker is a
+/// spawned process ([`SubprocessTransport`]) or an in-process thread
+/// ([`LoopbackTransport`]) only changes how it is started and stopped.
+///
+/// Worker death — a crash, a kill, an exit, a closed pipe, an output line
+/// over 1 MiB or not UTF-8 — surfaces as [`TransportError::Dead`] on the
+/// next send or receive, which is what the coordinator's failover
+/// re-tasking keys off. [`ShardTransport::close`] closes the worker's
+/// input and waits for it to finish.
+pub struct PipeTransport {
+    slots: Vec<WorkerSlot>,
+}
+
+/// In-process workers: one [`crate::server::serve`] thread per slot over OS
+/// pipes, each with a fresh [`Engine`] of `threads` pool workers, exactly
+/// like one spawned `qaoa-serve` process. No process overhead; what tests
+/// and single-machine wire rehearsals use.
+pub type LoopbackTransport = PipeTransport;
+
+/// Spawned worker processes speaking `QW1` over stdin/stdout (normally
+/// `qaoa-serve`; stderr passes through). [`ShardTransport::close`] gives
+/// workers started with `--cache-file` the chance to persist what they
+/// solved.
+pub type SubprocessTransport = PipeTransport;
+
+impl PipeTransport {
+    /// `workers` in-process serve workers, `threads` pool workers each, no
+    /// shared cache (each worker still caches internally).
+    #[must_use]
+    pub fn new(workers: usize, threads: usize) -> Self {
+        Self::with_cache(workers, threads, BatchConfig::default().master_seed, None)
+    }
+
+    /// [`PipeTransport::new`] plus a shared depth-1 cache: every worker
+    /// pre-warms from `cache` at spawn and folds its entries back when it
+    /// finishes (before [`ShardTransport::close`] returns), mirroring what
+    /// per-worker `--cache-file`s plus a merge give spawned workers.
+    /// `master_seed` must equal the corpus spec's seed for the worker-side
+    /// fold to engage (the server only folds seed-matching sessions — see
+    /// [`crate::server`]). A worker whose pipes or thread cannot be created
+    /// is dead from the start.
+    #[must_use]
+    pub fn with_cache(
+        workers: usize,
+        threads: usize,
+        master_seed: u64,
+        cache: Option<Arc<Level1Cache>>,
+    ) -> Self {
+        let slots = (0..workers.max(1))
+            .map(|_| {
+                start_thread_worker(threads, master_seed, cache.clone())
+                    .unwrap_or_else(|e| WorkerSlot::dead(format!("starting worker thread: {e}")))
+            })
+            .collect();
+        Self { slots }
+    }
+
+    /// Spawns `workers` copies of `command` (argv form: `command[0]` is the
+    /// program, the rest its arguments).
+    ///
+    /// # Errors
+    ///
+    /// [`TransportError::Dead`] when the command is empty or any spawn
+    /// fails; workers spawned before the failure are killed and reaped.
+    pub fn spawn(command: &[String], workers: usize) -> Result<Self, TransportError> {
+        if command.is_empty() {
+            return Err(TransportError::Dead("empty worker command".into()));
+        }
+        let commands: Vec<Vec<String>> = (0..workers.max(1)).map(|_| command.to_vec()).collect();
+        Self::spawn_each(&commands)
+    }
+
+    /// Spawns one worker per command in `commands` (each in argv form) —
+    /// the constructor for workers that need per-worker arguments, e.g.
+    /// distinct `--cache-file` paths so each process persists its own
+    /// depth-1 cache for the coordinator to merge.
+    ///
+    /// # Errors
+    ///
+    /// [`TransportError::Dead`] when `commands` is empty, any command is
+    /// empty, or any spawn fails; workers spawned before the failure are
+    /// killed and reaped.
+    pub fn spawn_each(commands: &[Vec<String>]) -> Result<Self, TransportError> {
+        if commands.is_empty() {
+            return Err(TransportError::Dead("no worker commands".into()));
+        }
+        let mut slots: Vec<WorkerSlot> = Vec::with_capacity(commands.len());
+        for (index, command) in commands.iter().enumerate() {
+            let spawned = match command.split_first() {
+                Some((program, args)) => spawn_worker(program, args),
+                None => Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    "empty worker command",
+                )),
+            };
+            match spawned {
+                Ok(slot) => slots.push(slot),
+                Err(e) => {
+                    for slot in &mut slots {
+                        slot.tear_down("sibling spawn failed");
+                    }
+                    let program = command.first().map_or("<empty>", String::as_str);
+                    return Err(TransportError::Dead(format!(
+                        "spawning worker {index} ({program}): {e}"
+                    )));
+                }
+            }
+        }
+        Ok(Self { slots })
+    }
+
+    fn slot(&mut self, worker: usize) -> Result<&mut WorkerSlot, TransportError> {
+        let count = self.slots.len();
+        self.slots.get_mut(worker).ok_or_else(|| {
+            TransportError::Dead(format!("worker {worker} of {count} (no such slot)"))
+        })
+    }
+}
+
+impl ShardTransport for PipeTransport {
     fn workers(&self) -> usize {
         self.slots.len()
     }
@@ -601,7 +462,7 @@ impl ShardTransport for SubprocessTransport {
             return Err(TransportError::Dead(fate.clone()));
         }
         let Some(stdin) = &mut slot.stdin else {
-            return Err(TransportError::Dead("stdin already closed".into()));
+            return Err(TransportError::Dead("input already closed".into()));
         };
         let wrote = writeln!(stdin, "{line}").and_then(|()| stdin.flush());
         if let Err(e) = wrote {
@@ -618,7 +479,7 @@ impl ShardTransport for SubprocessTransport {
             return Err(TransportError::Dead(fate.clone()));
         }
         let Some(lines) = &slot.lines else {
-            return Err(TransportError::Dead("stdout already closed".into()));
+            return Err(TransportError::Dead("output already closed".into()));
         };
         match lines.recv_timeout(wait) {
             Ok(Ok(line)) => Ok(line),
@@ -628,7 +489,9 @@ impl ShardTransport for SubprocessTransport {
             }
             Err(mpsc::RecvTimeoutError::Timeout) => Err(TransportError::Timeout),
             Err(mpsc::RecvTimeoutError::Disconnected) => {
-                let fate = "worker stdout closed".to_string();
+                // A trailing partial line from a dead worker is not a
+                // line; it is discarded with the worker.
+                let fate = "worker output closed".to_string();
                 slot.tear_down(&fate);
                 Err(TransportError::Dead(fate))
             }
@@ -646,9 +509,16 @@ impl ShardTransport for SubprocessTransport {
             if slot.fate.is_some() {
                 return;
             }
-            slot.stdin = None; // EOF: the worker finishes up and exits
-            if let Some(mut child) = slot.child.take() {
-                let _ = child.wait();
+            slot.stdin = None; // end of input: the worker finishes up
+            match slot.process.take() {
+                Some(Process::Child(mut child)) => {
+                    let _ = child.wait();
+                }
+                // The shared-cache fold completes before this returns.
+                Some(Process::Thread(thread)) => {
+                    let _ = thread.join();
+                }
+                None => {}
             }
             if let Some(reader) = slot.reader.take() {
                 let _ = reader.join();
@@ -659,7 +529,7 @@ impl ShardTransport for SubprocessTransport {
     }
 }
 
-impl Drop for SubprocessTransport {
+impl Drop for PipeTransport {
     fn drop(&mut self) {
         for slot in &mut self.slots {
             slot.tear_down("transport dropped");
@@ -867,6 +737,20 @@ mod tests {
         let mut next = || read_capped_line(&mut reader).expect("in-memory read");
         assert_eq!(next(), Some(Ok("tail without newline".into())));
         assert_eq!(next(), None);
+    }
+
+    #[test]
+    fn reader_forwards_good_lines_and_ends_at_the_first_bad_one() {
+        let cap = usize::try_from(MAX_LINE_BYTES).unwrap();
+        let mut input = b"QW1 RUN -\n\xff\xfe QW1\n".to_vec();
+        input.extend(vec![b'z'; cap + 1]);
+        input.push(b'\n');
+        let (lines, reader) = spawn_reader(std::io::Cursor::new(input)).unwrap();
+        reader.join().unwrap();
+        let got: Vec<Result<String, String>> = lines.iter().collect();
+        assert_eq!(got.len(), 2, "{got:?}");
+        assert_eq!(got[0], Ok("QW1 RUN -".to_string()));
+        assert!(got[1].as_ref().is_err_and(|fate| fate.contains("UTF-8")));
     }
 
     #[test]

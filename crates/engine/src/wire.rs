@@ -70,6 +70,12 @@ use crate::cache::Level1Key;
 /// Version tag prefixing every wire line.
 pub const MAGIC: &str = "QW1";
 
+/// Largest graph a wire line may name: the simulator's own limit. `JOB`,
+/// `PREDICT`, `KEY`, `ENTRY` and `SHARD` lines naming more nodes are
+/// refused before any graph or vector is built, so a hostile `n_nodes`
+/// cannot drive an allocation; such a graph could never be solved anyway.
+pub use qaoa::MAX_PROBLEM_NODES;
+
 /// A malformed or version-mismatched wire line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError {
@@ -111,6 +117,17 @@ pub(crate) fn parse_int<T: std::str::FromStr<Err = std::num::ParseIntError>>(
 ) -> Result<T, WireError> {
     s.parse()
         .map_err(|e| WireError::new(format!("bad {what} `{s}`: {e}")))
+}
+
+/// Parses an `n_nodes` field, refusing more than [`MAX_PROBLEM_NODES`].
+fn parse_n_nodes(s: &str) -> Result<usize, WireError> {
+    let n_nodes: usize = parse_int(s, "n_nodes")?;
+    if n_nodes > MAX_PROBLEM_NODES {
+        return Err(WireError::new(format!(
+            "n_nodes {n_nodes} exceeds the {MAX_PROBLEM_NODES} limit"
+        )));
+    }
+    Ok(n_nodes)
 }
 
 pub(crate) fn fmt_floats(v: &[f64]) -> String {
@@ -254,7 +271,7 @@ pub fn decode_key(line: &str) -> Result<CanonicalGraphKey, WireError> {
 }
 
 fn key_from_fields(fields: &[&str]) -> Result<CanonicalGraphKey, WireError> {
-    let n_nodes: usize = parse_int(fields[0], "n_nodes")?;
+    let n_nodes = parse_n_nodes(fields[0])?;
     let edges = parse_edges(fields[1])?;
     CanonicalGraphKey::from_parts(n_nodes, edges).map_err(WireError::new)
 }
@@ -359,11 +376,12 @@ pub fn decode_job(line: &str) -> Result<Job, WireError> {
 }
 
 /// Decodes `n_nodes` + `edges` payload fields into an *executable* graph:
-/// at least 2 nodes and 1 edge (the QAOA objective needs a non-empty
-/// graph), finite weights, no duplicate edges. Shared by `JOB` and
-/// `PREDICT` so both verbs accept exactly the same graphs.
+/// 2 to [`MAX_PROBLEM_NODES`] nodes and at least 1 edge (the QAOA
+/// objective needs a non-empty graph), finite weights, no duplicate
+/// edges. Shared by `JOB` and `PREDICT` so both verbs accept exactly the
+/// same graphs.
 fn executable_graph(n_nodes: &str, edges: &str, what: &str) -> Result<Graph, WireError> {
-    let n_nodes: usize = parse_int(n_nodes, "n_nodes")?;
+    let n_nodes = parse_n_nodes(n_nodes)?;
     let edges = parse_edges(edges)?;
     if n_nodes < 2 || edges.is_empty() {
         return Err(WireError::new(format!(
@@ -738,21 +756,13 @@ pub fn encode_shard(config: &DataGenConfig) -> String {
 /// while keeping a hostile or corrupted line answerable with `ERR`.
 pub const MAX_SHARD_GRAPHS: usize = 1_000_000;
 
-/// Largest graph a `SHARD` line may declare, for the same reason as
-/// [`MAX_SHARD_GRAPHS`]: ensemble generation flips O(`n_nodes`²) coins per
-/// graph, so a billion-node spec would hang the worker before it could
-/// answer. The statevector simulator caps *useful* widths far lower (a
-/// depth-1 solve at 30 nodes already needs a 2³⁰-amplitude state), so the
-/// ceiling costs legitimate specs nothing.
-pub const MAX_SHARD_NODES: usize = 30;
-
 /// Decodes a `SHARD` line into a [`DataGenConfig`] (with default optimizer
 /// options — see [`encode_shard`]).
 ///
 /// # Errors
 ///
 /// Rejects malformed lines and specs no corpus run could execute:
-/// `n_nodes` outside `2..=`[`MAX_SHARD_NODES`], zero `max_depth` or
+/// `n_nodes` outside `2..=`[`MAX_PROBLEM_NODES`], zero `max_depth` or
 /// `restarts`, an edge probability outside `(0, 1]` or non-finite (the
 /// ensemble draws *non-empty* graphs, which `p = 0` can never produce —
 /// the generator would retry forever), a non-finite/negative trend margin,
@@ -765,16 +775,14 @@ pub fn decode_shard(line: &str) -> Result<DataGenConfig, WireError> {
             "SHARD n_graphs {n_graphs} exceeds the {MAX_SHARD_GRAPHS} limit"
         )));
     }
-    let n_nodes: usize = parse_int(f[1], "n_nodes")?;
+    let n_nodes = parse_n_nodes(f[1])?;
     let edge_probability = parse_f64(f[2])?;
     let max_depth: usize = parse_int(f[3], "max_depth")?;
     let restarts: usize = parse_int(f[4], "restarts")?;
     let seed: u64 = parse_int(f[5], "seed")?;
     let trend_preference_margin = parse_f64(f[6])?;
-    if !(2..=MAX_SHARD_NODES).contains(&n_nodes) {
-        return Err(WireError::new(format!(
-            "SHARD needs 2 <= n_nodes <= {MAX_SHARD_NODES}"
-        )));
+    if n_nodes < 2 {
+        return Err(WireError::new("SHARD needs n_nodes >= 2"));
     }
     if max_depth == 0 || restarts == 0 {
         return Err(WireError::new(
@@ -1092,6 +1100,43 @@ mod tests {
     }
 
     #[test]
+    fn every_graph_verb_caps_n_nodes_at_the_problem_limit() {
+        let entry = encode_entry(
+            &Level1Key::new(graph_key(&generators::path(4)), 3),
+            &sample_outcome(),
+        );
+        let shard = encode_shard(&DataGenConfig::quick());
+        let shard_fields: Vec<&str> = shard.split(' ').collect();
+        let lines = |n: usize| {
+            let mut with_n = shard_fields.clone();
+            let n_text = n.to_string();
+            with_n[3] = &n_text;
+            [
+                (decode_job(&format!("QW1 JOB 1 2 {n} 0-1")).is_ok(), "JOB"),
+                (
+                    decode_predict(&format!("QW1 PREDICT 1 1 2 {n} 0-1")).is_ok(),
+                    "PREDICT",
+                ),
+                (decode_key(&format!("QW1 KEY {n} 0-1")).is_ok(), "KEY"),
+                (
+                    decode_entry(&entry.replacen("ENTRY 3 4 ", &format!("ENTRY 3 {n} "), 1))
+                        .is_ok(),
+                    "ENTRY",
+                ),
+                (decode_shard(&with_n.join(" ")).is_ok(), "SHARD"),
+            ]
+        };
+        for (ok, verb) in lines(MAX_PROBLEM_NODES) {
+            assert!(ok, "{verb} at the limit");
+        }
+        for n in [MAX_PROBLEM_NODES + 1, 100_000_000_000_000] {
+            for (ok, verb) in lines(n) {
+                assert!(!ok, "{verb} with {n} nodes");
+            }
+        }
+    }
+
+    #[test]
     fn shard_round_trip_is_bit_exact() {
         let config = DataGenConfig {
             n_graphs: 24,
@@ -1147,9 +1192,9 @@ mod tests {
         assert!(decode_shard(&with(2, &format!("{MAX_SHARD_GRAPHS}"))).is_ok());
         // Same ceiling logic for the graph width: O(n^2) ensemble
         // generation must not be reachable with a billion-node spec.
-        assert!(decode_shard(&with(3, &format!("{}", MAX_SHARD_NODES + 1))).is_err());
+        assert!(decode_shard(&with(3, &format!("{}", MAX_PROBLEM_NODES + 1))).is_err());
         assert!(decode_shard(&with(3, "4000000000")).is_err());
-        assert!(decode_shard(&with(3, &format!("{MAX_SHARD_NODES}"))).is_ok());
+        assert!(decode_shard(&with(3, &format!("{MAX_PROBLEM_NODES}"))).is_ok());
     }
 
     #[test]
