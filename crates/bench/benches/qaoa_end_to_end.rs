@@ -9,7 +9,9 @@ use graphs::generators;
 use ml::ModelKind;
 use optimize::{Lbfgsb, Options};
 use qaoa::datagen::{DataGenConfig, ParameterDataset};
-use qaoa::{MaxCutProblem, ParameterPredictor, QaoaInstance, TwoLevelConfig, TwoLevelFlow};
+use qaoa::{
+    MaxCutProblem, ParameterPredictor, QaoaInstance, Scenario, TwoLevelConfig, TwoLevelFlow,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -59,6 +61,8 @@ fn bench_naive_vs_two_level(c: &mut Criterion) {
                     &optimizer,
                     &TwoLevelConfig::default(),
                     &mut run_rng,
+                    &Scenario::Exact,
+                    0,
                 )
                 .expect("two-level run"),
             )

@@ -11,7 +11,7 @@ use ml::metrics::{mean, std_dev};
 use ml::ModelKind;
 use optimize::Lbfgsb;
 use qaoa::evaluation::naive_protocol;
-use qaoa::{MaxCutProblem, ParameterPredictor, TwoLevelConfig, TwoLevelFlow};
+use qaoa::{MaxCutProblem, ParameterPredictor, Scenario, TwoLevelConfig, TwoLevelFlow};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -59,7 +59,15 @@ fn main() {
             let problem = MaxCutProblem::new(graph).expect("non-empty graph");
             let flow = TwoLevelFlow::new(&two_level);
             let out = flow
-                .run(&problem, pt, &optimizer, &flow_config, &mut rng)
+                .run(
+                    &problem,
+                    pt,
+                    &optimizer,
+                    &flow_config,
+                    &mut rng,
+                    &Scenario::Exact,
+                    0,
+                )
                 .expect("two-level run");
             tl_fc.push(out.total_calls() as f64);
             tl_ar.push(out.approximation_ratio);

@@ -24,7 +24,9 @@ use ml::metrics::mean;
 use ml::ModelKind;
 use optimize::{Lbfgsb, Options};
 use qaoa::warmstart::{linear_ramp, FourierFlow, InterpFlow};
-use qaoa::{MaxCutProblem, ParameterPredictor, QaoaInstance, TwoLevelConfig, TwoLevelFlow};
+use qaoa::{
+    MaxCutProblem, ParameterPredictor, QaoaInstance, Scenario, TwoLevelConfig, TwoLevelFlow,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -138,6 +140,8 @@ fn main() {
                         options,
                     },
                     &mut rng,
+                    &Scenario::Exact,
+                    0,
                 )
                 .expect("two-level flow");
             let two_level = (out.approximation_ratio, out.total_calls());

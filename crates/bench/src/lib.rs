@@ -310,16 +310,33 @@ impl RunConfig {
         // instead of finite differences, changing iterates and FC counts).
         // The version tag keeps corpora from earlier pipelines from being
         // loaded as if equivalent.
-        let cache = std::path::PathBuf::from(format!(
+        self.corpus_cached_at(std::path::Path::new(&format!(
             "target/qaoa_corpus_v3_n{}_g{}_d{}_r{}_s{}.tsv",
             self.nodes, self.graphs, self.max_depth, self.restarts, self.seed
-        ));
+        )))
+    }
+
+    /// [`RunConfig::corpus`] with its TSV cache at `cache`. A cache that
+    /// does not parse, or whose graph or record count is not this
+    /// configuration's (`graphs` and `graphs × max_depth`), is regenerated.
+    fn corpus_cached_at(&self, cache: &std::path::Path) -> qaoa::datagen::ParameterDataset {
         if self.cache_file.is_none() && cache.exists() {
-            match qaoa::datagen::ParameterDataset::load(&cache) {
-                Ok(ds) => {
+            let records = self.graphs.checked_mul(self.max_depth);
+            match qaoa::datagen::ParameterDataset::load(cache) {
+                Ok(ds)
+                    if ds.graphs().len() == self.graphs && Some(ds.records().len()) == records =>
+                {
                     eprintln!("# corpus loaded from {}", cache.display());
                     return ds;
                 }
+                Ok(ds) => eprintln!(
+                    "# corpus cache holds {} graphs / {} records, not {} graphs x {} depths; \
+                     regenerating",
+                    ds.graphs().len(),
+                    ds.records().len(),
+                    self.graphs,
+                    self.max_depth
+                ),
                 Err(e) => eprintln!("# corpus cache unreadable ({e}); regenerating"),
             }
         }
@@ -337,7 +354,7 @@ impl RunConfig {
         eprintln!("# corpus: {}", report.summary());
         self.persist_cache(&engine);
         if self.cache_file.is_none() {
-            if let Err(e) = ds.save(&cache) {
+            if let Err(e) = ds.save(cache) {
                 eprintln!("# warning: could not cache corpus: {e}");
             } else {
                 eprintln!("# corpus cached at {}", cache.display());
@@ -451,6 +468,32 @@ mod tests {
         assert_eq!(d.n_graphs, c.graphs);
         assert_eq!(d.n_nodes, c.nodes);
         assert_eq!(d.max_depth, c.max_depth);
+    }
+
+    #[test]
+    fn truncated_corpus_cache_is_regenerated() {
+        let args = "--nodes 4 --graphs 3 --max-depth 2 --restarts 1 --threads 1";
+        let config = RunConfig::parse(args.split(' ').map(String::from)).unwrap();
+        let dir = std::env::temp_dir().join(format!("bench-corpus-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let cache = dir.join("corpus.tsv");
+        let fresh = config.corpus_cached_at(&cache);
+        let bytes = std::fs::read(&cache).unwrap();
+        let newline_cuts = bytes
+            .iter()
+            .enumerate()
+            .filter(|(_, &b)| b == b'\n')
+            .map(|(i, _)| i + 1);
+        // Cut after a newline (fewer records, then fewer graphs) and inside
+        // the last record: each must be regenerated to the same bytes.
+        for cut in newline_cuts.rev().skip(1).take(3).chain([bytes.len() - 3]) {
+            std::fs::write(&cache, &bytes[..cut]).unwrap();
+            let again = config.corpus_cached_at(&cache);
+            assert_eq!(again.records().len(), fresh.records().len(), "cut at {cut}");
+            assert_eq!(again.graphs(), fresh.graphs(), "cut at {cut}");
+            assert_eq!(std::fs::read(&cache).unwrap(), bytes, "cut at {cut}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! serialization so the (one-time) generation cost can be amortized across
 //! experiments.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 
 use graphs::{generators, Graph};
@@ -293,14 +293,15 @@ impl ParameterDataset {
     /// # Errors
     ///
     /// * [`QaoaError::Io`] on read failure.
-    /// * [`QaoaError::Parse`] on malformed content.
-    pub fn read_tsv<R: Read>(r: R) -> Result<Self, QaoaError> {
-        let reader = BufReader::new(r);
+    /// * [`QaoaError::Parse`] on malformed content, including a last line
+    ///   without its newline (a file cut mid-record).
+    pub fn read_tsv<R: Read>(mut r: R) -> Result<Self, QaoaError> {
+        let mut text = String::new();
+        r.read_to_string(&mut text)?;
         let mut records = Vec::new();
         let mut graphs: Vec<Graph> = Vec::new();
         let mut max_depth = 0usize;
-        for (lineno, line) in reader.lines().enumerate() {
-            let line = line?;
+        for (lineno, line) in text.lines().enumerate() {
             if lineno == 0 || line.trim().is_empty() {
                 continue; // header
             }
@@ -367,6 +368,12 @@ impl ParameterDataset {
                 message: "dataset contains no records".into(),
             });
         }
+        if !text.ends_with('\n') {
+            return Err(QaoaError::Parse {
+                line: text.lines().count(),
+                message: "last record is cut short (no trailing newline)".into(),
+            });
+        }
         Ok(Self {
             graphs,
             records,
@@ -374,14 +381,22 @@ impl ParameterDataset {
         })
     }
 
-    /// Convenience: write to a filesystem path.
+    /// Convenience: write to a filesystem path, via a per-process temp
+    /// file and atomic rename, so a reader never sees a partial corpus.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), QaoaError> {
-        let file = std::fs::File::create(path)?;
-        self.write_tsv(file)
+        let path = path.as_ref();
+        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+        {
+            let mut file = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+            self.write_tsv(&mut file)?;
+            file.flush()?;
+        }
+        std::fs::rename(&tmp, path)?;
+        Ok(())
     }
 
     /// Convenience: read from a filesystem path.
@@ -617,6 +632,11 @@ mod tests {
         for (g, h) in ds.graphs().iter().zip(back.graphs()) {
             assert_eq!(g.n_edges(), h.n_edges());
         }
+        // A file cut inside its last record is rejected, not loaded short.
+        assert!(matches!(
+            ParameterDataset::read_tsv(&buf[..buf.len() - 1]),
+            Err(QaoaError::Parse { .. })
+        ));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::{
-    MaxCutProblem, ParameterPredictor, QaoaError, Scenario, ScenarioInstance, TwoLevelConfig,
+    MaxCutProblem, ParameterPredictor, QaoaError, QaoaInstance, Scenario, TwoLevelConfig,
     TwoLevelFlow,
 };
 
@@ -184,7 +184,7 @@ pub fn naive_protocol_graph(
     let mut rng = StdRng::seed_from_u64(seed);
     let bounds = crate::parameter_bounds(depth)?;
     let problem = MaxCutProblem::new(graph)?;
-    let instance = ScenarioInstance::new(problem, depth, scenario, seed)?;
+    let instance = QaoaInstance::with_scenario(problem, depth, scenario, seed)?;
     let mut samples = Vec::with_capacity(n_starts);
     for _ in 0..n_starts {
         let start = bounds.sample(&mut rng);
@@ -252,7 +252,7 @@ pub fn two_level_protocol_graph(
         options: *options,
     };
     let problem = MaxCutProblem::new(graph)?;
-    let out = flow.run_scenario(
+    let out = flow.run(
         &problem, depth, optimizer, &config, &mut rng, scenario, seed,
     )?;
     Ok((out.approximation_ratio, out.total_calls()))

@@ -209,19 +209,8 @@ impl GraphAwarePredictor {
         let l1 = level1.optimize_multistart(optimizer, 1, rng, options)?;
         let l1_canon = crate::canonical::canonicalize_packed(&l1.params);
         let init = self.predict(l1_canon[0], l1_canon[1], target_depth, problem.graph())?;
-
         let level2 = QaoaInstance::new(problem.clone(), target_depth)?;
-        let l2 = level2.optimize(optimizer, &init, options)?;
-        Ok(TwoLevelOutcome {
-            params: l2.params,
-            expectation: l2.expectation,
-            approximation_ratio: l2.approximation_ratio,
-            level1_calls: l1.function_calls,
-            intermediate_calls: 0,
-            level2_calls: l2.function_calls,
-            gradient_calls: l1.gradient_calls + l2.gradient_calls,
-            predicted_init: init,
-        })
+        crate::twolevel::optimize_level2(&level2, optimizer, options, &l1, None, init)
     }
 }
 
@@ -320,6 +309,43 @@ mod tests {
         assert_eq!(out.params.len(), 4);
         assert!(out.level1_calls > 0 && out.level2_calls > 0);
         assert!(out.approximation_ratio > 0.6);
+    }
+
+    #[test]
+    fn two_level_run_matches_recorded_bits() {
+        // Recorded from the implementation that built its own
+        // `TwoLevelOutcome` here instead of sharing the level-2 routine.
+        use crate::twolevel::tests::{pinned, pinned_problem};
+        let predictor = GraphAwarePredictor::train(ModelKind::Linear, &tiny_dataset()).unwrap();
+        let out = predictor
+            .run_two_level(
+                &pinned_problem(),
+                2,
+                &Lbfgsb::default(),
+                &Options::default().with_max_iters(40),
+                &mut StdRng::seed_from_u64(8),
+            )
+            .unwrap();
+        assert_eq!(
+            pinned(&out),
+            (
+                vec![
+                    0x3fe34f32395ed9e8,
+                    0x3fed89be46ecafd3,
+                    0x3fe2d381d0f37473,
+                    0x3fd92948c3a845b6
+                ],
+                0x4018a94f1eca3e94,
+                0x3fec2f35da0bb53b,
+                [16, 0, 17, 16],
+                vec![
+                    0x3ff1d4c206ecfa1b,
+                    0x3fef1c2962b4edba,
+                    0x3feac5a0ab04af8c,
+                    0x3fdfd23474a35d7c
+                ],
+            )
+        );
     }
 
     #[test]

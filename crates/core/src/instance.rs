@@ -1,7 +1,18 @@
-use optimize::{Objective, Optimizer, Options, Termination};
+use std::cell::RefCell;
+
+use optimize::{Objective, Optimizer, Options, Spsa, Termination};
+use qsim::NoiseModel;
 use rand::Rng;
 
-use crate::{eval, parameter_bounds, MaxCutProblem, QaoaAnsatz, QaoaError};
+use crate::noisy::NoisyQaoa;
+use crate::sampled::SampledExpectation;
+use crate::stablehash::mix64;
+use crate::{eval, parameter_bounds, MaxCutProblem, QaoaAnsatz, QaoaError, Scenario};
+
+/// Domain separators so the shot schedule and the SPSA perturbation stream
+/// derived from one job seed never collide.
+const SHOT_DOMAIN: u64 = 0x5348_4f54_5348_4f54; // "SHOTSHOT"
+const SPSA_DOMAIN: u64 = 0x5350_5341_5350_5341; // "SPSASPSA"
 
 /// Outcome of optimizing one QAOA instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,7 +48,8 @@ impl InstanceOutcome {
 }
 
 /// A QAOA instance: the closed loop of Fig. 1(a)/(d) — quantum simulator in,
-/// classical optimizer out — at a fixed circuit depth.
+/// classical optimizer out — at a fixed circuit depth, with every objective
+/// evaluation performed under one [`Scenario`].
 ///
 /// The optimizer **minimizes** `−⟨C⟩`; every objective evaluation is one
 /// "QC call".
@@ -56,46 +68,112 @@ impl InstanceOutcome {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct QaoaInstance {
-    ansatz: QaoaAnsatz,
+    evaluator: Evaluator,
+}
+
+/// How an instance evaluates `⟨C⟩` — the only thing scenarios differ in.
+#[derive(Debug)]
+enum Evaluator {
+    /// Exact state-vector expectation, with its adjoint gradient.
+    Exact(QaoaAnsatz),
+    /// Finite-shot estimate, always optimized by its seeded SPSA.
+    Sampled {
+        objective: SampledExpectation,
+        spsa: Spsa,
+    },
+    /// Density-matrix expectation under per-gate noise.
+    Noisy(NoisyQaoa),
 }
 
 impl QaoaInstance {
-    /// Creates an instance of depth `p` for `problem`.
+    /// Creates an exact instance of depth `p` for `problem`.
     ///
     /// # Errors
     ///
     /// Returns [`QaoaError::InvalidDepth`] for `p = 0`.
     pub fn new(problem: MaxCutProblem, depth: usize) -> Result<Self, QaoaError> {
         Ok(Self {
-            ansatz: QaoaAnsatz::new(problem, depth)?,
+            evaluator: Evaluator::Exact(QaoaAnsatz::new(problem, depth)?),
         })
     }
 
-    /// The underlying ansatz.
+    /// Creates an instance of depth `depth` for `problem` evaluated under
+    /// `scenario`; [`Scenario::Exact`] gives [`QaoaInstance::new`].
+    ///
+    /// `base_seed` feeds only the stochastic scenarios (shot RNG schedule
+    /// and SPSA perturbations, domain-separated); exact and noisy
+    /// evaluations are deterministic and ignore it.
+    ///
+    /// # Errors
+    ///
+    /// * [`QaoaError::InvalidDepth`] for `depth == 0`.
+    /// * [`QaoaError::InvalidScenario`] for an invalid configuration.
+    /// * [`QaoaError::TooLarge`] if a noisy scenario exceeds the
+    ///   density-matrix register cap.
+    pub fn with_scenario(
+        problem: MaxCutProblem,
+        depth: usize,
+        scenario: &Scenario,
+        base_seed: u64,
+    ) -> Result<Self, QaoaError> {
+        scenario.validate()?;
+        let evaluator = match *scenario {
+            Scenario::Exact => return Self::new(problem, depth),
+            Scenario::Sampled { shots } => Evaluator::Sampled {
+                objective: SampledExpectation::new(
+                    problem,
+                    depth,
+                    shots,
+                    mix64(base_seed ^ SHOT_DOMAIN),
+                )?,
+                spsa: Spsa::default().with_seed(mix64(base_seed ^ SPSA_DOMAIN)),
+            },
+            Scenario::Noisy { p1, p2 } => Evaluator::Noisy(NoisyQaoa::new(
+                problem,
+                depth,
+                NoiseModel::uniform_depolarizing(p1, p2)?,
+            )?),
+        };
+        Ok(Self { evaluator })
+    }
+
+    /// The underlying (exact) ansatz.
     #[must_use]
     pub fn ansatz(&self) -> &QaoaAnsatz {
-        &self.ansatz
+        match &self.evaluator {
+            Evaluator::Exact(ansatz) => ansatz,
+            Evaluator::Sampled { objective, .. } => objective.ansatz(),
+            Evaluator::Noisy(noisy) => noisy.ansatz(),
+        }
     }
 
     /// The underlying problem.
     #[must_use]
     pub fn problem(&self) -> &MaxCutProblem {
-        self.ansatz.problem()
+        self.ansatz().problem()
     }
 
     /// Circuit depth `p`.
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.ansatz.depth()
+        self.ansatz().depth()
     }
 
     /// Runs one local optimization from `initial` parameters.
     ///
+    /// Sampled scenarios run their seeded SPSA instead of `optimizer`
+    /// (finite-difference or adjoint gradients are meaningless on a
+    /// stochastic objective) and judge the result on the **exact** `⟨C⟩`
+    /// at the final point, while `function_calls` counts the sampled
+    /// evaluations. A failed evaluation winds the optimizer down on a
+    /// `NaN` probe and is returned as the real [`QaoaError`].
+    ///
     /// # Errors
     ///
     /// * [`QaoaError::ParameterCount`] if `initial` has the wrong length.
+    /// * The first evaluation error of any optimizer probe.
     /// * Optimizer errors ([`QaoaError::Optimizer`]).
     pub fn optimize(
         &self,
@@ -103,22 +181,30 @@ impl QaoaInstance {
         initial: &[f64],
         options: &Options,
     ) -> Result<InstanceOutcome, QaoaError> {
-        if initial.len() != self.ansatz.n_parameters() {
+        let ansatz = self.ansatz();
+        if initial.len() != ansatz.n_parameters() {
             return Err(QaoaError::ParameterCount {
-                expected: self.ansatz.n_parameters(),
+                expected: ansatz.n_parameters(),
                 actual: initial.len(),
             });
         }
         let bounds = parameter_bounds(self.depth())?;
-        // Negate: the optimizer minimizes, QAOA maximizes ⟨C⟩. The
-        // objective carries the exact adjoint gradient, so gradient-based
-        // optimizers (L-BFGS-B, SLSQP) skip their finite-difference probes;
-        // evaluations run in the worker thread's cached EvalContext.
-        let objective = NegatedAnsatz {
-            ansatz: &self.ansatz,
+        let optimizer = match &self.evaluator {
+            Evaluator::Sampled { spsa, .. } => spsa as &dyn Optimizer,
+            _ => optimizer,
+        };
+        let objective = Negated {
+            evaluator: &self.evaluator,
+            error: RefCell::new(None),
         };
         let result = optimizer.minimize_objective(&objective, initial, &bounds, options)?;
-        let expectation = -result.fx;
+        if let Some(err) = objective.error.into_inner() {
+            return Err(err);
+        }
+        let expectation = match self.evaluator {
+            Evaluator::Sampled { .. } => ansatz.expectation(&result.x)?,
+            _ => -result.fx,
+        };
         Ok(InstanceOutcome {
             approximation_ratio: self.problem().approximation_ratio(expectation),
             params: result.x,
@@ -130,17 +216,15 @@ impl QaoaInstance {
     }
 
     /// The paper's "naive" protocol: `n_starts` local runs from uniformly
-    /// random initializations; returns the best outcome with the **summed**
-    /// function calls of all starts (the total loop-iteration cost).
+    /// random initializations drawn from `rng`; returns the best outcome
+    /// (strictly greater `⟨C⟩` wins, so the first of equals is kept) with
+    /// the **summed** call counts of all starts (the total loop-iteration
+    /// cost).
     ///
     /// # Errors
     ///
-    /// * [`QaoaError::InvalidDepth`] (propagated from bounds construction).
-    /// * Optimizer errors from any start.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_starts == 0`.
+    /// * [`QaoaError::InvalidScenario`] if `n_starts == 0`.
+    /// * Evaluation or optimizer errors from any start.
     pub fn optimize_multistart<R: Rng + ?Sized>(
         &self,
         optimizer: &dyn Optimizer,
@@ -148,7 +232,6 @@ impl QaoaInstance {
         rng: &mut R,
         options: &Options,
     ) -> Result<InstanceOutcome, QaoaError> {
-        assert!(n_starts > 0, "multistart needs at least one start");
         let bounds = parameter_bounds(self.depth())?;
         let mut best: Option<InstanceOutcome> = None;
         let mut total_calls = 0usize;
@@ -165,39 +248,57 @@ impl QaoaInstance {
                 best = Some(outcome);
             }
         }
-        let mut best = best.expect("n_starts > 0");
+        let mut best = best.ok_or(QaoaError::InvalidScenario {
+            reason: "multistart needs at least one start",
+        })?;
         best.function_calls = total_calls;
         best.gradient_calls = total_grad_calls;
         Ok(best)
     }
 }
 
-/// The minimized objective `−⟨C⟩` with its exact adjoint gradient, evaluated
-/// in the calling thread's cached [`EvalContext`](crate::EvalContext).
-/// In-bounds parameter vectors always produce finite expectations, so the
-/// `expect`s cannot fire under an optimizer (which only probes inside the
-/// box).
-struct NegatedAnsatz<'a> {
-    ansatz: &'a QaoaAnsatz,
+/// The minimized objective `−⟨C⟩` of one instance; the exact scenario also
+/// supplies the adjoint gradient, evaluated in the calling thread's cached
+/// [`EvalContext`](crate::EvalContext). Like [`optimize::Fallible`], a
+/// failed evaluation yields `NaN` and the first error is kept for the
+/// caller.
+struct Negated<'a> {
+    evaluator: &'a Evaluator,
+    error: RefCell<Option<QaoaError>>,
 }
 
-impl Objective for NegatedAnsatz<'_> {
+impl Negated<'_> {
+    fn negate(&self, expectation: Result<f64, QaoaError>) -> f64 {
+        match expectation {
+            Ok(e) => -e,
+            Err(err) => {
+                self.error.borrow_mut().get_or_insert(err);
+                f64::NAN
+            }
+        }
+    }
+}
+
+impl Objective for Negated<'_> {
     fn value(&self, x: &[f64]) -> f64 {
-        -self
-            .ansatz
-            .expectation(x)
-            .expect("in-bounds parameters always evaluate")
+        self.negate(match self.evaluator {
+            Evaluator::Exact(ansatz) => ansatz.expectation(x),
+            Evaluator::Sampled { objective, .. } => objective.estimate(x),
+            Evaluator::Noisy(noisy) => noisy.expectation(x),
+        })
     }
 
     fn value_and_grad(&self, x: &[f64], grad: &mut [f64]) -> Option<f64> {
-        let e = eval::with_thread_context(self.ansatz.problem().n_qubits(), |ctx| {
-            self.ansatz.expectation_and_grad_in(ctx, x, grad)
-        })
-        .expect("in-bounds parameters always evaluate");
+        let Evaluator::Exact(ansatz) = self.evaluator else {
+            return None;
+        };
+        let e = eval::with_thread_context(ansatz.problem().n_qubits(), |ctx| {
+            ansatz.expectation_and_grad_in(ctx, x, grad)
+        });
         for g in grad.iter_mut() {
             *g = -*g;
         }
-        Some(-e)
+        Some(self.negate(e))
     }
 }
 

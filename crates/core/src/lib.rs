@@ -15,7 +15,8 @@
 //!   (Fig. 1(a): H / CNOT·RZ·CNOT / RX layers) and a fast diagonal path,
 //!   cross-validated against each other,
 //! * [`QaoaInstance`] — the closed optimization loop (quantum simulator +
-//!   classical optimizer) with function-call accounting,
+//!   classical optimizer) with function-call accounting, under any
+//!   [`Scenario`] (exact, finite shots, or gate noise),
 //! * [`datagen`] — the 330-graph, depth-1..6 training corpus (§III-A),
 //! * [`features`] — predictor/response extraction (§II-D),
 //! * [`ParameterPredictor`] — per-stage regression models (§III-C),
@@ -66,7 +67,7 @@ pub use eval::EvalContext;
 pub use instance::{InstanceOutcome, QaoaInstance};
 pub use predictor::ParameterPredictor;
 pub use problem::{MaxCutProblem, MAX_PROBLEM_NODES};
-pub use scenario::{Scenario, ScenarioInstance};
+pub use scenario::Scenario;
 pub use twolevel::{TwoLevelConfig, TwoLevelFlow, TwoLevelOutcome};
 
 /// The paper's parameter domain: γ ∈ [0, 2π].

@@ -8,6 +8,12 @@
 //! binary): does ML initialization still help when every circuit execution
 //! is decohered?
 //!
+//! This module only evaluates. A [`QaoaInstance`](crate::QaoaInstance)
+//! built for [`Scenario::Noisy`](crate::Scenario::Noisy) optimizes the
+//! noisy objective through the same `optimize` and multistart loop as the
+//! exact one, counting every density-matrix evaluation as one (noisy) QC
+//! call.
+//!
 //! # Example
 //!
 //! ```
@@ -26,19 +32,16 @@
 //! # }
 //! ```
 
-use optimize::{Fallible, Optimizer, Options};
 use qsim::{DensityMatrix, NoiseModel, MAX_DM_QUBITS};
 
-use crate::instance::InstanceOutcome;
-use crate::{parameter_bounds, MaxCutProblem, QaoaAnsatz, QaoaError};
+use crate::{MaxCutProblem, QaoaAnsatz, QaoaError};
 
 /// A depth-`p` QAOA instance evaluated under a per-gate noise model.
 ///
-/// Mirrors [`QaoaInstance`](crate::QaoaInstance) but runs the gate-level
-/// circuit on a [`DensityMatrix`] with Kraus noise after every gate. The
-/// approximation ratio is still measured against the *noiseless* exact
-/// MaxCut optimum, so noise shows up as an AR penalty, as it would on
-/// hardware.
+/// Runs the gate-level circuit on a [`DensityMatrix`] with Kraus noise
+/// after every gate. The approximation ratio is still measured against the
+/// *noiseless* exact MaxCut optimum, so noise shows up as an AR penalty, as
+/// it would on hardware.
 #[derive(Debug, Clone)]
 pub struct NoisyQaoa {
     ansatz: QaoaAnsatz,
@@ -70,18 +73,6 @@ impl NoisyQaoa {
     #[must_use]
     pub fn ansatz(&self) -> &QaoaAnsatz {
         &self.ansatz
-    }
-
-    /// The configured noise model.
-    #[must_use]
-    pub fn noise(&self) -> &NoiseModel {
-        &self.noise
-    }
-
-    /// Circuit depth `p`.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.ansatz.depth()
     }
 
     /// The decohered output state `ρ(γ, β)`.
@@ -118,95 +109,14 @@ impl NoisyQaoa {
             .problem()
             .approximation_ratio(self.expectation(params)?))
     }
-
-    /// Optimizes the noisy objective from `initial`, counting every density-
-    /// matrix evaluation as one function call — each is one (noisy) QC call.
-    ///
-    /// The objective closure is fallible: an evaluation error surfaces as a
-    /// `NaN` probe (which the optimizer winds down on) and is then returned
-    /// from here as the real [`QaoaError`] — never a panic.
-    ///
-    /// # Errors
-    ///
-    /// * [`QaoaError::ParameterCount`] on a parameter-length mismatch.
-    /// * Any evaluation error encountered by an optimizer probe.
-    /// * Optimizer errors.
-    pub fn optimize(
-        &self,
-        optimizer: &dyn Optimizer,
-        initial: &[f64],
-        options: &Options,
-    ) -> Result<InstanceOutcome, QaoaError> {
-        if initial.len() != self.ansatz.n_parameters() {
-            return Err(QaoaError::ParameterCount {
-                expected: self.ansatz.n_parameters(),
-                actual: initial.len(),
-            });
-        }
-        let bounds = parameter_bounds(self.depth())?;
-        let evaluate = |x: &[f64]| self.expectation(x).map(|e| -e);
-        let objective = Fallible::new(&evaluate);
-        let result = optimizer.minimize_objective(&objective, initial, &bounds, options)?;
-        if let Some(err) = objective.take_error() {
-            return Err(err);
-        }
-        let expectation = -result.fx;
-        Ok(InstanceOutcome {
-            approximation_ratio: self.ansatz.problem().approximation_ratio(expectation),
-            params: result.x,
-            expectation,
-            function_calls: result.n_calls,
-            gradient_calls: result.n_grad_calls,
-            termination: result.termination,
-        })
-    }
-
-    /// The paper's multistart protocol under gate noise: `n_starts` runs
-    /// from uniformly random initializations, best outcome with summed
-    /// call counts (mirrors
-    /// [`QaoaInstance::optimize_multistart`](crate::QaoaInstance::optimize_multistart)).
-    ///
-    /// # Errors
-    ///
-    /// * [`QaoaError::InvalidScenario`] if `n_starts == 0`.
-    /// * Evaluation or optimizer errors from any start.
-    pub fn optimize_multistart<R: rand::Rng + ?Sized>(
-        &self,
-        optimizer: &dyn Optimizer,
-        n_starts: usize,
-        rng: &mut R,
-        options: &Options,
-    ) -> Result<InstanceOutcome, QaoaError> {
-        let bounds = parameter_bounds(self.depth())?;
-        let mut best: Option<InstanceOutcome> = None;
-        let mut total_calls = 0usize;
-        let mut total_grad_calls = 0usize;
-        for _ in 0..n_starts {
-            let start = bounds.sample(rng);
-            let outcome = self.optimize(optimizer, &start, options)?;
-            total_calls += outcome.function_calls;
-            total_grad_calls += outcome.gradient_calls;
-            if best
-                .as_ref()
-                .is_none_or(|b| outcome.expectation > b.expectation)
-            {
-                best = Some(outcome);
-            }
-        }
-        let mut best = best.ok_or(QaoaError::InvalidScenario {
-            reason: "multistart needs at least one start",
-        })?;
-        best.function_calls = total_calls;
-        best.gradient_calls = total_grad_calls;
-        Ok(best)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{QaoaInstance, Scenario};
     use graphs::generators;
-    use optimize::NelderMead;
+    use optimize::{NelderMead, Options};
     use qsim::KrausChannel;
 
     fn problem() -> MaxCutProblem {
@@ -257,13 +167,12 @@ mod tests {
 
     #[test]
     fn optimize_under_mild_noise_still_beats_mixed_state() {
-        let nq = NoisyQaoa::new(
-            problem(),
-            1,
-            NoiseModel::uniform_depolarizing(0.001, 0.005).unwrap(),
-        )
-        .unwrap();
-        let out = nq
+        let scenario = Scenario::Noisy {
+            p1: 0.001,
+            p2: 0.005,
+        };
+        let out = QaoaInstance::with_scenario(problem(), 1, &scenario, 0)
+            .unwrap()
             .optimize(&NelderMead::default(), &[0.5, 0.5], &Options::default())
             .unwrap();
         assert!(out.function_calls > 0);
@@ -292,8 +201,10 @@ mod tests {
             nq.expectation(&[0.1, 0.2]),
             Err(QaoaError::ParameterCount { .. })
         ));
+        let noiseless = Scenario::Noisy { p1: 0.0, p2: 0.0 };
+        let inst = QaoaInstance::with_scenario(problem(), 2, &noiseless, 0).unwrap();
         assert!(matches!(
-            nq.optimize(&NelderMead::default(), &[0.1], &Options::default()),
+            inst.optimize(&NelderMead::default(), &[0.1], &Options::default()),
             Err(QaoaError::ParameterCount { .. })
         ));
         let big = MaxCutProblem::new(&generators::cycle(MAX_DM_QUBITS + 1)).unwrap();

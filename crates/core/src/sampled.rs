@@ -11,9 +11,11 @@
 //! through the thread's cached [`EvalContext`](crate::EvalContext) plus a
 //! reusable [`CdfSampler`], allocation-free after the first call.
 //!
-//! The objective is stochastic, so it is optimized with SPSA (via
-//! [`optimize::Objective`] / [`optimize::Fallible`]); analytic adjoint
-//! gradients do not exist for a sampled estimate.
+//! The objective is stochastic, so a
+//! [`QaoaInstance`](crate::QaoaInstance) built for
+//! [`Scenario::Sampled`](crate::Scenario::Sampled) optimizes it with a
+//! seeded SPSA; analytic adjoint gradients do not exist for a sampled
+//! estimate. This module only evaluates.
 //!
 //! # Example
 //!
@@ -37,14 +39,12 @@
 
 use std::cell::RefCell;
 
-use optimize::{Fallible, Optimizer, Options};
 use qsim::CdfSampler;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::instance::InstanceOutcome;
 use crate::stablehash::{mix64, GOLDEN_GAMMA};
-use crate::{eval, parameter_bounds, MaxCutProblem, QaoaAnsatz, QaoaError};
+use crate::{eval, MaxCutProblem, QaoaAnsatz, QaoaError};
 
 /// Per-evaluation scratch: the CDF table is reused across evaluations, and
 /// the counter indexes the deterministic per-evaluation RNG schedule.
@@ -103,18 +103,6 @@ impl SampledExpectation {
         &self.ansatz
     }
 
-    /// Shots per evaluation.
-    #[must_use]
-    pub fn shots(&self) -> u32 {
-        self.shots
-    }
-
-    /// Circuit depth `p`.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.ansatz.depth()
-    }
-
     /// Evaluations performed so far (the index of the next RNG seed).
     #[must_use]
     pub fn evaluations(&self) -> u64 {
@@ -148,99 +136,23 @@ impl SampledExpectation {
             Ok(sum / f64::from(self.shots))
         })
     }
-
-    /// Optimizes the sampled objective from `initial` — SPSA is the
-    /// intended optimizer (stochastic objective, no analytic gradient).
-    ///
-    /// `function_calls` counts the *sampled* evaluations (the QC-call cost
-    /// a practitioner pays), while `expectation` and `approximation_ratio`
-    /// are judged on the **exact** expectation at the returned point, so
-    /// rows remain comparable with the noiseless Table-I protocol.
-    ///
-    /// # Errors
-    ///
-    /// * [`QaoaError::ParameterCount`] on a parameter-length mismatch.
-    /// * Any evaluation error encountered by an optimizer probe.
-    /// * Optimizer errors.
-    pub fn optimize(
-        &self,
-        optimizer: &dyn Optimizer,
-        initial: &[f64],
-        options: &Options,
-    ) -> Result<InstanceOutcome, QaoaError> {
-        if initial.len() != self.ansatz.n_parameters() {
-            return Err(QaoaError::ParameterCount {
-                expected: self.ansatz.n_parameters(),
-                actual: initial.len(),
-            });
-        }
-        let bounds = parameter_bounds(self.depth())?;
-        let evaluate = |x: &[f64]| self.estimate(x).map(|e| -e);
-        let objective = Fallible::new(&evaluate);
-        let result = optimizer.minimize_objective(&objective, initial, &bounds, options)?;
-        if let Some(err) = objective.take_error() {
-            return Err(err);
-        }
-        let expectation = self.ansatz.expectation(&result.x)?;
-        Ok(InstanceOutcome {
-            approximation_ratio: self.ansatz.problem().approximation_ratio(expectation),
-            params: result.x,
-            expectation,
-            function_calls: result.n_calls,
-            gradient_calls: result.n_grad_calls,
-            termination: result.termination,
-        })
-    }
-
-    /// Multistart protocol on the sampled objective: best-of-`n_starts` by
-    /// exact expectation at each final point, with summed sampled-call
-    /// counts.
-    ///
-    /// # Errors
-    ///
-    /// * [`QaoaError::InvalidScenario`] if `n_starts == 0`.
-    /// * Evaluation or optimizer errors from any start.
-    pub fn optimize_multistart<R: rand::Rng + ?Sized>(
-        &self,
-        optimizer: &dyn Optimizer,
-        n_starts: usize,
-        rng: &mut R,
-        options: &Options,
-    ) -> Result<InstanceOutcome, QaoaError> {
-        let bounds = parameter_bounds(self.depth())?;
-        let mut best: Option<InstanceOutcome> = None;
-        let mut total_calls = 0usize;
-        let mut total_grad_calls = 0usize;
-        for _ in 0..n_starts {
-            let start = bounds.sample(rng);
-            let outcome = self.optimize(optimizer, &start, options)?;
-            total_calls += outcome.function_calls;
-            total_grad_calls += outcome.gradient_calls;
-            if best
-                .as_ref()
-                .is_none_or(|b| outcome.expectation > b.expectation)
-            {
-                best = Some(outcome);
-            }
-        }
-        let mut best = best.ok_or(QaoaError::InvalidScenario {
-            reason: "multistart needs at least one start",
-        })?;
-        best.function_calls = total_calls;
-        best.gradient_calls = total_grad_calls;
-        Ok(best)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{QaoaInstance, Scenario};
     use graphs::generators;
-    use optimize::Spsa;
+    use optimize::{Lbfgsb, Options};
 
     fn objective(shots: u32, seed: u64) -> SampledExpectation {
         let problem = MaxCutProblem::new(&generators::cycle(5)).unwrap();
         SampledExpectation::new(problem, 1, shots, seed).unwrap()
+    }
+
+    fn instance(shots: u32, seed: u64) -> QaoaInstance {
+        let problem = MaxCutProblem::new(&generators::cycle(5)).unwrap();
+        QaoaInstance::with_scenario(problem, 1, &Scenario::Sampled { shots }, seed).unwrap()
     }
 
     #[test]
@@ -289,15 +201,17 @@ mod tests {
     #[test]
     fn spsa_optimization_improves_and_is_deterministic() {
         let options = Options::default().with_max_iters(60);
-        let spsa = Spsa::default().with_seed(99);
+        // The optimizer argument is ignored: sampled instances run SPSA.
         let run = |seed: u64| {
-            let obj = objective(512, seed);
-            obj.optimize(&spsa, &[2.0, 1.0], &options).unwrap()
+            instance(512, seed)
+                .optimize(&Lbfgsb::default(), &[2.0, 1.0], &options)
+                .unwrap()
         };
         let a = run(5);
         let b = run(5);
         assert_eq!(a.params, b.params, "same seed must give identical traces");
         assert_eq!(a.function_calls, b.function_calls);
+        assert_eq!(a.gradient_calls, 0);
         let f0 = objective(512, 5).ansatz().expectation(&[2.0, 1.0]).unwrap();
         assert!(
             a.expectation > f0,
@@ -309,48 +223,46 @@ mod tests {
 
     #[test]
     fn outcome_judged_on_exact_expectation() {
-        let obj = objective(64, 3);
-        let out = obj
+        let inst = instance(64, 3);
+        let out = inst
             .optimize(
-                &Spsa::default(),
+                &Lbfgsb::default(),
                 &[0.9, 0.35],
                 &Options::default().with_max_iters(20),
             )
             .unwrap();
-        let exact = obj.ansatz().expectation(&out.params).unwrap();
+        let exact = inst.ansatz().expectation(&out.params).unwrap();
         assert_eq!(out.expectation, exact);
     }
 
     #[test]
     fn multistart_accumulates_and_requires_starts() {
         use rand::SeedableRng;
-        let obj = objective(64, 8);
         let options = Options::default().with_max_iters(10);
         let mut rng = StdRng::seed_from_u64(1);
-        let one = obj
-            .optimize_multistart(&Spsa::default(), 1, &mut rng, &options)
+        let one = instance(64, 8)
+            .optimize_multistart(&Lbfgsb::default(), 1, &mut rng, &options)
             .unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let three = obj
-            .optimize_multistart(&Spsa::default(), 3, &mut rng, &options)
+        let three = instance(64, 8)
+            .optimize_multistart(&Lbfgsb::default(), 3, &mut rng, &options)
             .unwrap();
         assert!(three.function_calls > one.function_calls);
         let mut rng = StdRng::seed_from_u64(1);
         assert!(matches!(
-            obj.optimize_multistart(&Spsa::default(), 0, &mut rng, &options),
+            instance(64, 8).optimize_multistart(&Lbfgsb::default(), 0, &mut rng, &options),
             Err(QaoaError::InvalidScenario { .. })
         ));
     }
 
     #[test]
     fn parameter_errors_propagate() {
-        let obj = objective(16, 0);
         assert!(matches!(
-            obj.estimate(&[0.1]),
+            objective(16, 0).estimate(&[0.1]),
             Err(QaoaError::ParameterCount { .. })
         ));
         assert!(matches!(
-            obj.optimize(&Spsa::default(), &[0.1], &Options::default()),
+            instance(16, 0).optimize(&Lbfgsb::default(), &[0.1], &Options::default()),
             Err(QaoaError::ParameterCount { .. })
         ));
     }

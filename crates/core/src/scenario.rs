@@ -1,9 +1,13 @@
 //! Evaluation scenarios: one switch selecting *how* a QAOA objective is
 //! evaluated — exactly, from finite measurement shots, or under a per-gate
-//! depolarizing noise model — behind a single instance type the drivers and
-//! the engine can thread through every protocol.
+//! depolarizing noise model. A [`QaoaInstance`](crate::QaoaInstance) built
+//! with [`QaoaInstance::with_scenario`](crate::QaoaInstance::with_scenario)
+//! carries the scenario through every protocol: its one `optimize` and one
+//! multistart loop serve all three, so the scenarios differ only in the
+//! objective, the optimizer (sampled runs always use a seeded SPSA) and
+//! the score (sampled runs are judged on the exact `⟨C⟩`).
 //!
-//! Each variant stays a pure function of `(problem, depth, scenario,
+//! Each instance stays a pure function of `(problem, depth, scenario,
 //! base_seed)`: the sampled path derives its shot RNG schedule and its SPSA
 //! perturbation seed from `base_seed` (domain-separated), and the noisy
 //! path is deterministic outright. That is what lets scenario workloads run
@@ -15,12 +19,12 @@
 //! ```
 //! use graphs::generators;
 //! use optimize::{Lbfgsb, Options};
-//! use qaoa::{scenario::{Scenario, ScenarioInstance}, MaxCutProblem};
+//! use qaoa::{MaxCutProblem, QaoaInstance, Scenario};
 //!
 //! # fn main() -> Result<(), qaoa::QaoaError> {
 //! let problem = MaxCutProblem::new(&generators::cycle(4))?;
 //! let scenario = Scenario::Sampled { shots: 1024 };
-//! let inst = ScenarioInstance::new(problem, 1, &scenario, 2020)?;
+//! let inst = QaoaInstance::with_scenario(problem, 1, &scenario, 2020)?;
 //! let out = inst.optimize(
 //!     &Lbfgsb::default(), // ignored: sampled scenarios always run SPSA
 //!     &[0.7, 0.4],
@@ -33,20 +37,7 @@
 
 use std::fmt;
 
-use optimize::{Optimizer, Options, Spsa};
-use qsim::NoiseModel;
-use rand::Rng;
-
-use crate::instance::InstanceOutcome;
-use crate::noisy::NoisyQaoa;
-use crate::sampled::SampledExpectation;
-use crate::stablehash::mix64;
-use crate::{MaxCutProblem, QaoaError, QaoaInstance};
-
-/// Domain separators so the shot schedule and the SPSA perturbation stream
-/// derived from one job seed never collide.
-const SHOT_DOMAIN: u64 = 0x5348_4f54_5348_4f54; // "SHOTSHOT"
-const SPSA_DOMAIN: u64 = 0x5350_5341_5350_5341; // "SPSASPSA"
+use crate::QaoaError;
 
 /// How a QAOA objective evaluation is performed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,160 +111,12 @@ impl fmt::Display for Scenario {
     }
 }
 
-/// A depth-`p` QAOA instance evaluated under a [`Scenario`].
-///
-/// For [`Scenario::Exact`] this is exactly a [`QaoaInstance`] — same
-/// objective, same RNG consumption, bit-identical outcomes — so threading a
-/// `ScenarioInstance` through an existing protocol changes nothing when the
-/// scenario is exact.
-#[derive(Debug)]
-pub struct ScenarioInstance {
-    inner: Inner,
-}
-
-#[derive(Debug)]
-enum Inner {
-    Exact(QaoaInstance),
-    Sampled {
-        objective: SampledExpectation,
-        spsa: Spsa,
-    },
-    Noisy(NoisyQaoa),
-}
-
-impl ScenarioInstance {
-    /// Builds the scenario-specific instance.
-    ///
-    /// `base_seed` feeds only the stochastic scenarios (shot RNG schedule
-    /// and SPSA perturbations, domain-separated); exact and noisy
-    /// evaluations are deterministic and ignore it.
-    ///
-    /// # Errors
-    ///
-    /// * [`QaoaError::InvalidDepth`] for `depth == 0`.
-    /// * [`QaoaError::InvalidScenario`] for an invalid configuration.
-    /// * [`QaoaError::TooLarge`] if a noisy scenario exceeds the
-    ///   density-matrix register cap.
-    pub fn new(
-        problem: MaxCutProblem,
-        depth: usize,
-        scenario: &Scenario,
-        base_seed: u64,
-    ) -> Result<Self, QaoaError> {
-        scenario.validate()?;
-        let inner = match *scenario {
-            Scenario::Exact => Inner::Exact(QaoaInstance::new(problem, depth)?),
-            Scenario::Sampled { shots } => Inner::Sampled {
-                objective: SampledExpectation::new(
-                    problem,
-                    depth,
-                    shots,
-                    mix64(base_seed ^ SHOT_DOMAIN),
-                )?,
-                spsa: Spsa::default().with_seed(mix64(base_seed ^ SPSA_DOMAIN)),
-            },
-            Scenario::Noisy { p1, p2 } => Inner::Noisy(NoisyQaoa::new(
-                problem,
-                depth,
-                NoiseModel::uniform_depolarizing(p1, p2)?,
-            )?),
-        };
-        Ok(Self { inner })
-    }
-
-    /// The underlying problem.
-    #[must_use]
-    pub fn problem(&self) -> &MaxCutProblem {
-        match &self.inner {
-            Inner::Exact(i) => i.problem(),
-            Inner::Sampled { objective, .. } => objective.ansatz().problem(),
-            Inner::Noisy(n) => n.ansatz().problem(),
-        }
-    }
-
-    /// Circuit depth `p`.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        match &self.inner {
-            Inner::Exact(i) => i.depth(),
-            Inner::Sampled { objective, .. } => objective.depth(),
-            Inner::Noisy(n) => n.depth(),
-        }
-    }
-
-    /// One local optimization from `initial`.
-    ///
-    /// Exact and noisy scenarios run `optimizer`; sampled scenarios always
-    /// run the seeded SPSA instead (finite-difference or adjoint gradients
-    /// are meaningless on a stochastic objective).
-    ///
-    /// # Errors
-    ///
-    /// Evaluation and optimizer errors from the scenario path.
-    pub fn optimize(
-        &self,
-        optimizer: &dyn Optimizer,
-        initial: &[f64],
-        options: &Options,
-    ) -> Result<InstanceOutcome, QaoaError> {
-        match &self.inner {
-            Inner::Exact(i) => i.optimize(optimizer, initial, options),
-            Inner::Sampled { objective, spsa } => objective.optimize(spsa, initial, options),
-            Inner::Noisy(n) => n.optimize(optimizer, initial, options),
-        }
-    }
-
-    /// The multistart protocol under this scenario: `n_starts` runs from
-    /// uniformly random initializations drawn from `rng` (the same draw
-    /// sequence as [`QaoaInstance::optimize_multistart`] — an exact
-    /// scenario reproduces it bit-for-bit), best outcome with summed call
-    /// counts.
-    ///
-    /// # Errors
-    ///
-    /// * [`QaoaError::InvalidScenario`] if `n_starts == 0`.
-    /// * Evaluation or optimizer errors from any start.
-    pub fn optimize_multistart<R: Rng + ?Sized>(
-        &self,
-        optimizer: &dyn Optimizer,
-        n_starts: usize,
-        rng: &mut R,
-        options: &Options,
-    ) -> Result<InstanceOutcome, QaoaError> {
-        if n_starts == 0 {
-            return Err(QaoaError::InvalidScenario {
-                reason: "multistart needs at least one start",
-            });
-        }
-        match &self.inner {
-            Inner::Exact(i) => i.optimize_multistart(optimizer, n_starts, rng, options),
-            Inner::Sampled { objective, spsa } => {
-                objective.optimize_multistart(spsa, n_starts, rng, options)
-            }
-            Inner::Noisy(n) => n.optimize_multistart(optimizer, n_starts, rng, options),
-        }
-    }
-
-    /// The exact (noiseless, infinite-shot) expectation at `params` — the
-    /// common yardstick all scenarios are judged against.
-    ///
-    /// # Errors
-    ///
-    /// [`QaoaError::ParameterCount`] on a parameter-length mismatch.
-    pub fn exact_expectation(&self, params: &[f64]) -> Result<f64, QaoaError> {
-        match &self.inner {
-            Inner::Exact(i) => i.ansatz().expectation(params),
-            Inner::Sampled { objective, .. } => objective.ansatz().expectation(params),
-            Inner::Noisy(n) => n.ansatz().expectation(params),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MaxCutProblem, QaoaInstance};
     use graphs::generators;
-    use optimize::Lbfgsb;
+    use optimize::{Lbfgsb, Options};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -309,20 +152,83 @@ mod tests {
         }
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
-    fn exact_scenario_matches_plain_instance_bit_for_bit() {
-        let opts = Options::default();
-        let si = ScenarioInstance::new(problem(), 2, &Scenario::Exact, 77).unwrap();
-        let qi = QaoaInstance::new(problem(), 2).unwrap();
-        let mut rng_a = StdRng::seed_from_u64(5);
-        let mut rng_b = StdRng::seed_from_u64(5);
-        let a = si
-            .optimize_multistart(&Lbfgsb::default(), 3, &mut rng_a, &opts)
-            .unwrap();
-        let b = qi
-            .optimize_multistart(&Lbfgsb::default(), 3, &mut rng_b, &opts)
-            .unwrap();
-        assert_eq!(a, b);
+    fn multistart_outcomes_match_recorded_bits() {
+        // Bits recorded from the implementation that still had one
+        // `optimize` and one multistart loop per scenario: merging them
+        // must not move a single bit. Columns: params, ⟨C⟩, AR,
+        // [nfev, njev].
+        type Pinned = (Vec<u64>, u64, u64, [usize; 2]);
+        let graph = generators::erdos_renyi_nonempty(6, 0.5, &mut StdRng::seed_from_u64(21));
+        let problem = MaxCutProblem::new(&graph).unwrap();
+        let options = Options::default().with_max_iters(40);
+        let cases: [(Scenario, usize, Pinned); 3] = [
+            (
+                Scenario::Exact,
+                2,
+                (
+                    vec![
+                        0x4004cc04f20a52c4,
+                        0x4011729b1325552e,
+                        0x3ffd54c3a48abc3f,
+                        0x3fd7fefcd8b78061,
+                    ],
+                    0x401504f2c801ef3e,
+                    0x3fe805a7c00235fe,
+                    [58, 25],
+                ),
+            ),
+            (
+                Scenario::Sampled { shots: 128 },
+                2,
+                (
+                    vec![
+                        0x400700e7b9b35271,
+                        0x400ff94bd5075f05,
+                        0x3fff52584ffef9bb,
+                        0x3fd90691587e753f,
+                    ],
+                    0x40148e3e1d5e07ec,
+                    0x3fe77dfdd86b76c5,
+                    [164, 0],
+                ),
+            ),
+            (
+                Scenario::Noisy {
+                    p1: 0.002,
+                    p2: 0.02,
+                },
+                1,
+                (
+                    vec![0x3fe62ca24cf2e142, 0x3fd921fb3cf61580],
+                    0x40129cc1607ff214,
+                    0x3fe5456f49b6cb85,
+                    [58, 0],
+                ),
+            ),
+        ];
+        for (scenario, depth, pinned) in cases {
+            let out = QaoaInstance::with_scenario(problem.clone(), depth, &scenario, 7)
+                .unwrap()
+                .optimize_multistart(
+                    &Lbfgsb::default(),
+                    2,
+                    &mut StdRng::seed_from_u64(5),
+                    &options,
+                )
+                .unwrap();
+            let got = (
+                bits(&out.params),
+                out.expectation.to_bits(),
+                out.approximation_ratio.to_bits(),
+                [out.function_calls, out.gradient_calls],
+            );
+            assert_eq!(got, pinned, "{scenario}");
+        }
     }
 
     #[test]
@@ -330,7 +236,7 @@ mod tests {
         let scenario = Scenario::Sampled { shots: 128 };
         let opts = Options::default().with_max_iters(25);
         let run = |seed: u64| {
-            let si = ScenarioInstance::new(problem(), 1, &scenario, seed).unwrap();
+            let si = QaoaInstance::with_scenario(problem(), 1, &scenario, seed).unwrap();
             let mut rng = StdRng::seed_from_u64(9);
             si.optimize_multistart(&Lbfgsb::default(), 2, &mut rng, &opts)
                 .unwrap()
@@ -348,9 +254,9 @@ mod tests {
             p1: 0.002,
             p2: 0.02,
         };
-        let si = ScenarioInstance::new(problem(), 1, &scenario, 0).unwrap();
+        let si = QaoaInstance::with_scenario(problem(), 1, &scenario, 0).unwrap();
         let params = [0.9, 0.35];
-        let exact = si.exact_expectation(&params).unwrap();
+        let exact = si.ansatz().expectation(&params).unwrap();
         let out = si
             .optimize(
                 &optimize::NelderMead::default(),
@@ -371,7 +277,7 @@ mod tests {
             Scenario::Sampled { shots: 16 },
             Scenario::Noisy { p1: 0.0, p2: 0.0 },
         ] {
-            let si = ScenarioInstance::new(problem(), 1, &scenario, 1).unwrap();
+            let si = QaoaInstance::with_scenario(problem(), 1, &scenario, 1).unwrap();
             let mut rng = StdRng::seed_from_u64(0);
             assert!(matches!(
                 si.optimize_multistart(&Lbfgsb::default(), 0, &mut rng, &Options::default()),
@@ -384,7 +290,7 @@ mod tests {
     fn oversized_noisy_graph_rejected() {
         let big = MaxCutProblem::new(&generators::cycle(qsim::MAX_DM_QUBITS + 1)).unwrap();
         assert!(matches!(
-            ScenarioInstance::new(big, 1, &Scenario::Noisy { p1: 0.0, p2: 0.0 }, 0),
+            QaoaInstance::with_scenario(big, 1, &Scenario::Noisy { p1: 0.0, p2: 0.0 }, 0),
             Err(QaoaError::TooLarge { .. })
         ));
     }

@@ -1,9 +1,21 @@
+//! The proposed two-level flow (Fig. 4) and its hierarchical variant.
+//!
+//! Every entry point — [`TwoLevelFlow::run`] under any [`Scenario`], the
+//! engine's cached [`TwoLevelFlow::run_with_level1`],
+//! [`TwoLevelFlow::run_hierarchical`] and
+//! [`GraphAwarePredictor::run_two_level`](crate::graph_aware::GraphAwarePredictor::run_two_level)
+//! — differs only in how it obtains the level-1 optimum and the predicted
+//! initialization; all of them finish in one level-2 routine that
+//! optimizes the target depth and builds the [`TwoLevelOutcome`].
+
 use optimize::{Optimizer, Options};
 use rand::Rng;
 
-use crate::scenario::{Scenario, ScenarioInstance};
+use crate::canonical::canonicalize_packed;
 use crate::stablehash::mix64;
-use crate::{MaxCutProblem, ParameterPredictor, QaoaError, QaoaInstance};
+use crate::{
+    InstanceOutcome, MaxCutProblem, ParameterPredictor, QaoaError, QaoaInstance, Scenario,
+};
 
 /// Domain separators for the level-1 and level-2 scenario seeds, so the two
 /// levels of one run never share a shot schedule.
@@ -75,7 +87,7 @@ impl TwoLevelOutcome {
 /// use ml::ModelKind;
 /// use optimize::Lbfgsb;
 /// use qaoa::datagen::{DataGenConfig, ParameterDataset};
-/// use qaoa::{MaxCutProblem, ParameterPredictor, TwoLevelConfig, TwoLevelFlow};
+/// use qaoa::{MaxCutProblem, ParameterPredictor, Scenario, TwoLevelConfig, TwoLevelFlow};
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), qaoa::QaoaError> {
@@ -84,7 +96,8 @@ impl TwoLevelOutcome {
 /// let flow = TwoLevelFlow::new(&predictor);
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 /// let problem = MaxCutProblem::new(&generators::cycle(6))?;
-/// let out = flow.run(&problem, 3, &Lbfgsb::default(), &TwoLevelConfig::default(), &mut rng)?;
+/// let config = TwoLevelConfig::default();
+/// let out = flow.run(&problem, 3, &Lbfgsb::default(), &config, &mut rng, &Scenario::Exact, 0)?;
 /// assert!(out.total_calls() > 0);
 /// # Ok(())
 /// # }
@@ -107,13 +120,21 @@ impl<'a> TwoLevelFlow<'a> {
         self.predictor
     }
 
-    /// Runs the two-level flow for `problem` at `target_depth`.
+    /// Runs the two-level flow for `problem` at `target_depth`, with every
+    /// objective evaluation performed under `scenario` — level 1 and
+    /// level 2 both pay the scenario's cost (sampled or decohered
+    /// evaluations), which is the point of the noisy Table-I question.
+    ///
+    /// `base_seed` feeds the stochastic scenarios, domain-separated per
+    /// level; exact and noisy runs ignore it.
     ///
     /// # Errors
     ///
     /// * [`QaoaError::InvalidDepth`] if the target depth exceeds the
     ///   predictor's training depth.
-    /// * Instance/optimizer errors from either level.
+    /// * Scenario construction, evaluation, or optimizer errors from
+    ///   either level.
+    #[allow(clippy::too_many_arguments)]
     pub fn run<R: Rng + ?Sized>(
         &self,
         problem: &MaxCutProblem,
@@ -121,19 +142,34 @@ impl<'a> TwoLevelFlow<'a> {
         optimizer: &dyn Optimizer,
         config: &TwoLevelConfig,
         rng: &mut R,
+        scenario: &Scenario,
+        base_seed: u64,
     ) -> Result<TwoLevelOutcome, QaoaError> {
         // Level 1: cheap p = 1 optimization from random init.
-        let level1 = QaoaInstance::new(problem.clone(), 1)?;
+        let level1 = QaoaInstance::with_scenario(
+            problem.clone(),
+            1,
+            scenario,
+            mix64(base_seed ^ LEVEL1_DOMAIN),
+        )?;
         let l1 =
             level1.optimize_multistart(optimizer, config.level1_starts, rng, &config.options)?;
-        self.run_with_level1(problem, target_depth, optimizer, config, &l1)
+        let init = self.predict(&l1, target_depth)?;
+        let level2 = QaoaInstance::with_scenario(
+            problem.clone(),
+            target_depth,
+            scenario,
+            mix64(base_seed ^ LEVEL2_DOMAIN),
+        )?;
+        optimize_level2(&level2, optimizer, &config.options, &l1, None, init)
     }
 
-    /// Runs the flow's second level from an **already-computed** depth-1
-    /// optimum — the entry point the parallel engine uses when its
+    /// Runs the flow's second level (exactly) from an **already-computed**
+    /// depth-1 optimum — the entry point the parallel engine uses when its
     /// isomorphism cache already holds the level-1 solution for this
     /// graph's canonical class, so the `p = 1` optimization is skipped
-    /// entirely.
+    /// entirely. With `level1` from the exact level-1 multistart this is
+    /// [`TwoLevelFlow::run`] under [`Scenario::Exact`], bit for bit.
     ///
     /// `level1.function_calls` is carried into the outcome's
     /// `level1_calls`; pass an outcome with zeroed calls to account a
@@ -150,95 +186,11 @@ impl<'a> TwoLevelFlow<'a> {
         target_depth: usize,
         optimizer: &dyn Optimizer,
         config: &TwoLevelConfig,
-        level1: &crate::InstanceOutcome,
+        level1: &InstanceOutcome,
     ) -> Result<TwoLevelOutcome, QaoaError> {
-        // Predict tuned initial parameters for the target depth. The level-1
-        // optimum is folded into the canonical symmetry domain first, so it
-        // matches the corpus the predictor was trained on.
-        let l1_canon = crate::canonical::canonicalize_packed(&level1.params);
-        let init = self
-            .predictor
-            .predict(l1_canon[0], l1_canon[1], target_depth)?;
-
-        // Level 2: target-depth optimization from the ML initialization.
+        let init = self.predict(level1, target_depth)?;
         let level2 = QaoaInstance::new(problem.clone(), target_depth)?;
-        let l2 = level2.optimize(optimizer, &init, &config.options)?;
-
-        Ok(TwoLevelOutcome {
-            params: l2.params,
-            expectation: l2.expectation,
-            approximation_ratio: l2.approximation_ratio,
-            level1_calls: level1.function_calls,
-            intermediate_calls: 0,
-            level2_calls: l2.function_calls,
-            gradient_calls: level1.gradient_calls + l2.gradient_calls,
-            predicted_init: init,
-        })
-    }
-
-    /// Runs the two-level flow with every objective evaluation performed
-    /// under `scenario` — level 1 and level 2 both pay the scenario's cost
-    /// (sampled or decohered evaluations), which is the point of the
-    /// noisy Table-I question.
-    ///
-    /// `base_seed` feeds the stochastic scenarios, domain-separated per
-    /// level; [`Scenario::Exact`] reproduces [`TwoLevelFlow::run`]
-    /// bit-for-bit.
-    ///
-    /// # Errors
-    ///
-    /// * [`QaoaError::InvalidDepth`] if the target depth exceeds the
-    ///   predictor's training depth.
-    /// * Scenario construction, evaluation, or optimizer errors from
-    ///   either level.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_scenario<R: Rng + ?Sized>(
-        &self,
-        problem: &MaxCutProblem,
-        target_depth: usize,
-        optimizer: &dyn Optimizer,
-        config: &TwoLevelConfig,
-        rng: &mut R,
-        scenario: &Scenario,
-        base_seed: u64,
-    ) -> Result<TwoLevelOutcome, QaoaError> {
-        // Level 1: cheap p = 1 optimization from random init, under the
-        // scenario.
-        let level1 = ScenarioInstance::new(
-            problem.clone(),
-            1,
-            scenario,
-            mix64(base_seed ^ LEVEL1_DOMAIN),
-        )?;
-        let l1 =
-            level1.optimize_multistart(optimizer, config.level1_starts, rng, &config.options)?;
-
-        // Predict tuned initial parameters for the target depth.
-        let l1_canon = crate::canonical::canonicalize_packed(&l1.params);
-        let init = self
-            .predictor
-            .predict(l1_canon[0], l1_canon[1], target_depth)?;
-
-        // Level 2: target-depth optimization from the ML initialization,
-        // under the scenario.
-        let level2 = ScenarioInstance::new(
-            problem.clone(),
-            target_depth,
-            scenario,
-            mix64(base_seed ^ LEVEL2_DOMAIN),
-        )?;
-        let l2 = level2.optimize(optimizer, &init, &config.options)?;
-
-        Ok(TwoLevelOutcome {
-            params: l2.params,
-            expectation: l2.expectation,
-            approximation_ratio: l2.approximation_ratio,
-            level1_calls: l1.function_calls,
-            intermediate_calls: 0,
-            level2_calls: l2.function_calls,
-            gradient_calls: l1.gradient_calls + l2.gradient_calls,
-            predicted_init: init,
-        })
+        optimize_level2(&level2, optimizer, &config.options, level1, None, init)
     }
 
     /// Runs the hierarchical variant (§I(d)): level 1 at `p = 1`, an
@@ -276,11 +228,11 @@ impl<'a> TwoLevelFlow<'a> {
             level1.optimize_multistart(optimizer, config.level1_starts, rng, &config.options)?;
 
         // Intermediate level at pm, ML-initialized via the two-level model.
-        let l1_canon = crate::canonical::canonicalize_packed(&l1.params);
+        let l1_canon = canonicalize_packed(&l1.params);
         let mid_init = two_level.predict(l1_canon[0], l1_canon[1], pm)?;
         let mid_instance = QaoaInstance::new(problem.clone(), pm)?;
         let mid = mid_instance.optimize(optimizer, &mid_init, &config.options)?;
-        let mid_canon = crate::canonical::canonicalize_packed(&mid.params);
+        let mid_canon = canonicalize_packed(&mid.params);
 
         // Target level with hierarchical features.
         let init = self.predictor.predict_hierarchical(
@@ -291,23 +243,51 @@ impl<'a> TwoLevelFlow<'a> {
             target_depth,
         )?;
         let level2 = QaoaInstance::new(problem.clone(), target_depth)?;
-        let l2 = level2.optimize(optimizer, &init, &config.options)?;
+        optimize_level2(&level2, optimizer, &config.options, &l1, Some(&mid), init)
+    }
 
-        Ok(TwoLevelOutcome {
-            params: l2.params,
-            expectation: l2.expectation,
-            approximation_ratio: l2.approximation_ratio,
-            level1_calls: l1.function_calls,
-            intermediate_calls: mid.function_calls,
-            level2_calls: l2.function_calls,
-            gradient_calls: l1.gradient_calls + mid.gradient_calls + l2.gradient_calls,
-            predicted_init: init,
-        })
+    /// Predicts target-depth initial parameters from a level-1 optimum,
+    /// folded into the canonical symmetry domain first so it matches the
+    /// corpus the predictor was trained on.
+    fn predict(
+        &self,
+        level1: &InstanceOutcome,
+        target_depth: usize,
+    ) -> Result<Vec<f64>, QaoaError> {
+        let l1_canon = canonicalize_packed(&level1.params);
+        self.predictor
+            .predict(l1_canon[0], l1_canon[1], target_depth)
     }
 }
 
+/// Level 2 of every two-level flow: optimizes `level2` from the predicted
+/// `init` and charges the level-1 (and, for hierarchical runs,
+/// intermediate) cost — the one place a [`TwoLevelOutcome`] is built.
+pub(crate) fn optimize_level2(
+    level2: &QaoaInstance,
+    optimizer: &dyn Optimizer,
+    options: &Options,
+    level1: &InstanceOutcome,
+    intermediate: Option<&InstanceOutcome>,
+    init: Vec<f64>,
+) -> Result<TwoLevelOutcome, QaoaError> {
+    let l2 = level2.optimize(optimizer, &init, options)?;
+    let (mid_calls, mid_grads) =
+        intermediate.map_or((0, 0), |mid| (mid.function_calls, mid.gradient_calls));
+    Ok(TwoLevelOutcome {
+        params: l2.params,
+        expectation: l2.expectation,
+        approximation_ratio: l2.approximation_ratio,
+        level1_calls: level1.function_calls,
+        intermediate_calls: mid_calls,
+        level2_calls: l2.function_calls,
+        gradient_calls: level1.gradient_calls + mid_grads + l2.gradient_calls,
+        predicted_init: init,
+    })
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::datagen::{DataGenConfig, ParameterDataset};
     use graphs::generators;
@@ -344,6 +324,8 @@ mod tests {
                 &Lbfgsb::default(),
                 &TwoLevelConfig::default(),
                 &mut rng,
+                &Scenario::Exact,
+                0,
             )
             .unwrap();
         assert_eq!(out.params.len(), 4);
@@ -358,31 +340,193 @@ mod tests {
 
     #[test]
     fn exact_scenario_run_matches_plain_run_bit_for_bit() {
+        // The scenario flow under `Exact` is the engine's cache path fed
+        // with the exact level-1 multistart, bit for bit.
         let ds = corpus();
         let predictor = ParameterPredictor::train(ModelKind::Linear, &ds).unwrap();
         let flow = TwoLevelFlow::new(&predictor);
         let problem = MaxCutProblem::new(&generators::cycle(5)).unwrap();
+        let config = TwoLevelConfig::default();
+        let l1 = QaoaInstance::new(problem.clone(), 1)
+            .unwrap()
+            .optimize_multistart(
+                &Lbfgsb::default(),
+                config.level1_starts,
+                &mut StdRng::seed_from_u64(2),
+                &config.options,
+            )
+            .unwrap();
         let a = flow
+            .run_with_level1(&problem, 2, &Lbfgsb::default(), &config, &l1)
+            .unwrap();
+        let b = flow
             .run(
                 &problem,
                 2,
                 &Lbfgsb::default(),
-                &TwoLevelConfig::default(),
-                &mut StdRng::seed_from_u64(2),
-            )
-            .unwrap();
-        let b = flow
-            .run_scenario(
-                &problem,
-                2,
-                &Lbfgsb::default(),
-                &TwoLevelConfig::default(),
+                &config,
                 &mut StdRng::seed_from_u64(2),
                 &Scenario::Exact,
                 12345,
             )
             .unwrap();
         assert_eq!(a, b);
+    }
+
+    /// Bits of a two-level outcome: params, ⟨C⟩, AR, [level-1,
+    /// intermediate, level-2, gradient] calls, predicted init.
+    pub(crate) type Pinned = (Vec<u64>, u64, u64, [usize; 4], Vec<u64>);
+
+    pub(crate) fn pinned(out: &TwoLevelOutcome) -> Pinned {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (
+            bits(&out.params),
+            out.expectation.to_bits(),
+            out.approximation_ratio.to_bits(),
+            [
+                out.level1_calls,
+                out.intermediate_calls,
+                out.level2_calls,
+                out.gradient_calls,
+            ],
+            bits(&out.predicted_init),
+        )
+    }
+
+    /// The 6-node graph every pinned outcome is recorded on.
+    pub(crate) fn pinned_problem() -> MaxCutProblem {
+        let graph = generators::erdos_renyi_nonempty(6, 0.5, &mut StdRng::seed_from_u64(21));
+        MaxCutProblem::new(&graph).unwrap()
+    }
+
+    #[test]
+    fn entry_points_match_recorded_bits() {
+        // Bits recorded from the implementation that built a
+        // `TwoLevelOutcome` separately in every entry point: the one
+        // level-2 routine must reproduce each of them.
+        let ds = corpus();
+        let predictor = ParameterPredictor::train(ModelKind::Linear, &ds).unwrap();
+        let flow = TwoLevelFlow::new(&predictor);
+        let problem = pinned_problem();
+        let options = Options::default().with_max_iters(40);
+        let config = TwoLevelConfig {
+            level1_starts: 2,
+            options,
+        };
+        let lbfgsb = Lbfgsb::default();
+
+        // The engine's cache path.
+        let l1 = QaoaInstance::new(problem.clone(), 1)
+            .unwrap()
+            .optimize_multistart(&lbfgsb, 2, &mut StdRng::seed_from_u64(3), &options)
+            .unwrap();
+        let cached = flow
+            .run_with_level1(&problem, 2, &lbfgsb, &config, &l1)
+            .unwrap();
+        assert_eq!(
+            pinned(&cached),
+            (
+                vec![
+                    0x3fe34ee463adf7f3,
+                    0x3fed871e302248ce,
+                    0x3fe2d315c662bfb0,
+                    0x3fd92839733a4502
+                ],
+                0x4018a94f4d499a9b,
+                0x3fec2f360f2f8c1f,
+                [25, 0, 14, 19],
+                vec![
+                    0x3fe2669658e4c88e,
+                    0x3fe880fc29ad400c,
+                    0x3fe1ce2e91dfcfac,
+                    0x3fdd5b925afdaff2
+                ],
+            )
+        );
+
+        // The scenario flow, exact and sampled.
+        let run = |scenario: &Scenario, base_seed: u64| {
+            let mut rng = StdRng::seed_from_u64(4);
+            flow.run(&problem, 2, &lbfgsb, &config, &mut rng, scenario, base_seed)
+                .unwrap()
+        };
+        assert_eq!(
+            pinned(&run(&Scenario::Exact, 0)),
+            (
+                vec![
+                    0x3fe34ee41dcd1946,
+                    0x3fed871e3798f8a5,
+                    0x3fe2d3152cccf17d,
+                    0x3fd9283904131660
+                ],
+                0x4018a94f4d494c59,
+                0x3fec2f360f2f32af,
+                [42, 0, 14, 24],
+                vec![
+                    0x3fe26689560b183b,
+                    0x3fe88040df834a58,
+                    0x3fe1ce71713259d0,
+                    0x3fdd5c5a53e230fe
+                ],
+            )
+        );
+        assert_eq!(
+            pinned(&run(&Scenario::Sampled { shots: 64 }, 9)),
+            (
+                vec![
+                    0x3fe5c14d98230954,
+                    0x3ff1881fc206e37b,
+                    0x3fdbda7b9d89214c,
+                    0x3fd11e89865fd5ce
+                ],
+                0x4016359583356a1c,
+                0x3fe961cf71619dd7,
+                [164, 0, 82, 0],
+                vec![
+                    0x3fe7ff41d7235447,
+                    0x3fe5c1529772e2dc,
+                    0x3fe67c1c491f27bb,
+                    0x3fe4bb1d74804265
+                ],
+            )
+        );
+
+        // The hierarchical flow.
+        let hier = ParameterPredictor::train_hierarchical(ModelKind::Linear, &ds, 2).unwrap();
+        let out = TwoLevelFlow::new(&hier)
+            .run_hierarchical(
+                &predictor,
+                &problem,
+                3,
+                &lbfgsb,
+                &config,
+                &mut StdRng::seed_from_u64(6),
+            )
+            .unwrap();
+        assert_eq!(
+            pinned(&out),
+            (
+                vec![
+                    0x3fe5f2cd6e065eb9,
+                    0x400739ff932605c7,
+                    0x401921fb54442d18,
+                    0x3fdc93176bb2d1cd,
+                    0x3fca8dd19c4d66d0,
+                    0x400880e3800f3842
+                ],
+                0x401431f0b575f953,
+                0x3fe71480cf624183,
+                [29, 14, 49, 32],
+                vec![
+                    0x3fdf254342a5db8d,
+                    0x4007e71d20a283da,
+                    0x401921fb54442d18,
+                    0x0000000000000000,
+                    0x3fd25e5f39e13abe,
+                    0x400921fb54442d18
+                ],
+            )
+        );
     }
 
     #[test]
@@ -396,7 +540,7 @@ mod tests {
             options: Options::default().with_max_iters(20),
         };
         let run = |base: u64| {
-            flow.run_scenario(
+            flow.run(
                 &problem,
                 2,
                 &Lbfgsb::default(),
@@ -426,7 +570,9 @@ mod tests {
                 9,
                 &Lbfgsb::default(),
                 &TwoLevelConfig::default(),
-                &mut rng
+                &mut rng,
+                &Scenario::Exact,
+                0,
             ),
             Err(QaoaError::InvalidDepth { depth: 9 })
         ));
@@ -462,7 +608,9 @@ mod tests {
                 3,
                 &Lbfgsb::default(),
                 &TwoLevelConfig::default(),
-                &mut rng
+                &mut rng,
+                &Scenario::Exact,
+                0,
             )
             .is_err());
     }

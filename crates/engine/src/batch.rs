@@ -22,7 +22,7 @@ use optimize::{Optimizer, Options};
 use qaoa::canonical::graph_key;
 use qaoa::{
     InstanceOutcome, MaxCutProblem, ParameterPredictor, QaoaError, QaoaInstance, Scenario,
-    ScenarioInstance, TwoLevelConfig, TwoLevelFlow, TwoLevelOutcome,
+    TwoLevelConfig, TwoLevelFlow, TwoLevelOutcome,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -287,8 +287,12 @@ impl Engine {
                             config.master_seed,
                             &[seed::domain_hash("batch"), job.stable_key(i)],
                         );
-                        let instance =
-                            ScenarioInstance::new(problem, job.depth, &config.scenario, job_seed)?;
+                        let instance = QaoaInstance::with_scenario(
+                            problem,
+                            job.depth,
+                            &config.scenario,
+                            job_seed,
+                        )?;
                         let mut rng = StdRng::seed_from_u64(job_seed);
                         let outcome = instance.optimize_multistart(
                             optimizer,
@@ -390,7 +394,7 @@ impl Engine {
                             &[seed::domain_hash("two-level-scenario"), seed::wide(i)],
                         );
                         let mut rng = StdRng::seed_from_u64(graph_seed);
-                        let outcome = flow.run_scenario(
+                        let outcome = flow.run(
                             &problem,
                             target_depth,
                             optimizer,

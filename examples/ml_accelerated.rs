@@ -12,7 +12,9 @@ use ml::metrics::mean;
 use ml::ModelKind;
 use optimize::{Lbfgsb, Options};
 use qaoa::datagen::{DataGenConfig, ParameterDataset};
-use qaoa::{MaxCutProblem, ParameterPredictor, QaoaInstance, TwoLevelConfig, TwoLevelFlow};
+use qaoa::{
+    MaxCutProblem, ParameterPredictor, QaoaInstance, Scenario, TwoLevelConfig, TwoLevelFlow,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -70,6 +72,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &optimizer,
             &TwoLevelConfig::default(),
             &mut rng,
+            &Scenario::Exact,
+            0,
         )?;
         ml_fc.push(out.total_calls() as f64);
         ml_ar.push(out.approximation_ratio);

@@ -11,7 +11,7 @@
 use graphs::generators;
 use optimize::{NelderMead, Options};
 use qaoa::noisy::NoisyQaoa;
-use qaoa::{MaxCutProblem, QaoaInstance};
+use qaoa::{MaxCutProblem, QaoaInstance, Scenario};
 use qsim::NoiseModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,6 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for p2 in [0.0, 0.002, 0.01, 0.05] {
         let noise = NoiseModel::uniform_depolarizing(p2 / 10.0, p2)?;
         let noisy = NoisyQaoa::new(problem.clone(), depth, noise)?;
+        let scenario = Scenario::Noisy { p1: p2 / 10.0, p2 };
 
         // (a) Evaluate the noiseless optimum on the noisy device.
         let frozen_ar = noisy.approximation_ratio(&clean.params)?;
@@ -45,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // (b) Re-optimize in the presence of noise, warm-started from the
         // noiseless optimum.
-        let reopt = noisy.optimize(
+        let reopt = QaoaInstance::with_scenario(problem.clone(), depth, &scenario, 0)?.optimize(
             &NelderMead::default(),
             &clean.params,
             &Options::default().with_max_iters(100),

@@ -8,7 +8,7 @@ use optimize::{extended_optimizers, Lbfgsb, Options, Powell, Spsa};
 use qaoa::datagen::{DataGenConfig, ParameterDataset};
 use qaoa::noisy::NoisyQaoa;
 use qaoa::warmstart::{interp_step, linear_ramp, FourierFlow, InterpFlow};
-use qaoa::{MaxCutProblem, ParameterPredictor, QaoaInstance};
+use qaoa::{MaxCutProblem, ParameterPredictor, QaoaInstance, Scenario};
 use qsim::{DensityMatrix, NoiseModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -120,7 +120,11 @@ fn noisy_two_level_pipeline_end_to_end() {
     let noise = NoiseModel::uniform_depolarizing(0.0005, 0.005).expect("valid rates");
 
     // Level 1 under noise.
-    let l1 = NoisyQaoa::new(problem.clone(), 1, noise.clone()).expect("small register");
+    let scenario = Scenario::Noisy {
+        p1: 0.0005,
+        p2: 0.005,
+    };
+    let l1 = QaoaInstance::with_scenario(problem.clone(), 1, &scenario, 0).expect("small register");
     let mut rng = StdRng::seed_from_u64(3);
     let start = qaoa::parameter_bounds(1).expect("ok").sample(&mut rng);
     let l1_out = l1
@@ -132,8 +136,11 @@ fn noisy_two_level_pipeline_end_to_end() {
         .predict(canon[0], canon[1], 3)
         .expect("prediction");
 
-    let l2 = NoisyQaoa::new(problem, 3, noise).expect("small register");
-    let pre_ar = l2.approximation_ratio(&init).expect("valid params");
+    let pre_ar = NoisyQaoa::new(problem.clone(), 3, noise)
+        .expect("small register")
+        .approximation_ratio(&init)
+        .expect("valid params");
+    let l2 = QaoaInstance::with_scenario(problem, 3, &scenario, 0).expect("small register");
     let out = l2
         .optimize(&Lbfgsb::default(), &init, &Options::default())
         .expect("noisy level 2");

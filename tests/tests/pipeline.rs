@@ -8,7 +8,9 @@ use ml::ModelKind;
 use optimize::{Lbfgsb, Options};
 use qaoa::datagen::ParameterDataset;
 use qaoa::evaluation::{naive_protocol, two_level_protocol};
-use qaoa::{MaxCutProblem, ParameterPredictor, QaoaInstance, TwoLevelConfig, TwoLevelFlow};
+use qaoa::{
+    MaxCutProblem, ParameterPredictor, QaoaInstance, Scenario, TwoLevelConfig, TwoLevelFlow,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -144,6 +146,8 @@ fn all_four_optimizers_complete_the_two_level_flow() {
                 optimizer.as_ref(),
                 &TwoLevelConfig::default(),
                 &mut rng,
+                &Scenario::Exact,
+                0,
             )
             .unwrap_or_else(|e| panic!("{} failed: {e}", optimizer.name()));
         assert!(out.total_calls() > 0, "{}", optimizer.name());

@@ -22,7 +22,7 @@ use engine::{BatchConfig, Engine, Job, Pool};
 use ml::ModelKind;
 use optimize::{Lbfgsb, Options};
 use qaoa::sampled::SampledExpectation;
-use qaoa::{MaxCutProblem, ParameterPredictor, Scenario, ScenarioInstance};
+use qaoa::{MaxCutProblem, ParameterPredictor, QaoaInstance, Scenario};
 
 fn predictor_and_test_graphs() -> (ParameterPredictor, Vec<graphs::Graph>) {
     let config = common::tiny_datagen(8, 5, 0.6, 3, 2, 91);
@@ -172,9 +172,10 @@ fn sampled_estimate_converges_at_inverse_sqrt_shots() {
     let graph = fixture_graphs(1, 6, 3)[0].clone();
     let problem = MaxCutProblem::new(&graph).expect("non-empty");
     let params = [0.7, 0.4];
-    let exact = ScenarioInstance::new(problem.clone(), 1, &Scenario::Exact, 0)
+    let exact = QaoaInstance::new(problem.clone(), 1)
         .expect("exact instance")
-        .exact_expectation(&params)
+        .ansatz()
+        .expectation(&params)
         .expect("exact expectation");
 
     let rms = |shots: u32| {
