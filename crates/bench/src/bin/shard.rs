@@ -37,6 +37,7 @@ use engine::{
     persist, KillAfter, Level1Cache, LoopbackTransport, ShardTransport, SubprocessTransport,
 };
 use qaoa::datagen::{self, DataGenConfig};
+use qaoa::{MAX_PROBLEM_DEPTH, MAX_PROBLEM_NODES, MAX_RESTARTS};
 
 fn main() {
     let config = RunConfig::from_env();
@@ -47,6 +48,17 @@ fn main() {
 }
 
 fn run(config: &RunConfig) -> Result<(), String> {
+    // Every worker refuses a SHARD spec beyond the wire limits; say so
+    // before any worker starts.
+    for (flag, value, limit) in [
+        ("--nodes", config.nodes, MAX_PROBLEM_NODES),
+        ("--max-depth", config.max_depth, MAX_PROBLEM_DEPTH),
+        ("--restarts", config.restarts, MAX_RESTARTS),
+    ] {
+        if value > limit {
+            return Err(format!("{flag} {value} exceeds the {limit} limit"));
+        }
+    }
     let spec = config.datagen();
     let plan = ShardPlan::split_even(config.graphs, config.shards);
     let mode = match config.workers {

@@ -188,6 +188,22 @@ fn reference_tsv() -> Vec<u8> {
 }
 
 #[test]
+fn qaoa_shard_refuses_flags_beyond_the_wire_limits() {
+    for (flag, value) in [
+        ("--max-depth", qaoa::MAX_PROBLEM_DEPTH + 1),
+        ("--restarts", qaoa::MAX_RESTARTS + 1),
+        ("--nodes", qaoa::MAX_PROBLEM_NODES + 1),
+    ] {
+        let value = value.to_string();
+        let output = qaoa_shard(&[flag, &value, "--workers", "spawn:1"]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(stderr.contains("exceeds"), "{flag}: {stderr}");
+        assert!(output.stdout.is_empty(), "{flag}: no corpus is written");
+    }
+}
+
+#[test]
 fn qaoa_shard_spawn_cli_matches_local_mode() {
     // The full CLI path: `qaoa-shard --workers spawn:2` must write to
     // stdout exactly the TSV bytes of the local, in-process unsharded

@@ -66,7 +66,7 @@ pub use error::QaoaError;
 pub use eval::EvalContext;
 pub use instance::{InstanceOutcome, QaoaInstance};
 pub use predictor::ParameterPredictor;
-pub use problem::{MaxCutProblem, MAX_PROBLEM_NODES};
+pub use problem::{MaxCutProblem, MAX_PROBLEM_DEPTH, MAX_PROBLEM_NODES, MAX_RESTARTS};
 pub use scenario::Scenario;
 pub use twolevel::{TwoLevelConfig, TwoLevelFlow, TwoLevelOutcome};
 

@@ -6,6 +6,16 @@ use crate::QaoaError;
 /// Maximum graph size accepted for dense simulation (2^20 amplitudes).
 pub const MAX_PROBLEM_NODES: usize = 20;
 
+/// Largest circuit depth `p` a request may name: 10× the paper's deepest
+/// (p = 6) and more than any binary documents. A deeper request is refused
+/// before its `2·p` parameter vectors are built.
+pub const MAX_PROBLEM_DEPTH: usize = 64;
+
+/// Largest multistart count a request may name: 500× the paper's 20
+/// random initializations. A larger count is refused before any start is
+/// drawn, so one request cannot occupy a solver indefinitely.
+pub const MAX_RESTARTS: usize = 10_000;
+
 /// A MaxCut instance prepared for QAOA: the diagonal cost Hamiltonian
 /// `C(z) = Σ_{(u,v)∈E} w·[z_u ≠ z_v]` plus the exact optimum used to compute
 /// approximation ratios.

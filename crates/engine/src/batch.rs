@@ -224,7 +224,7 @@ impl Engine {
     ) -> Result<(InstanceOutcome, bool), QaoaError> {
         let key = Level1Key::new(graph_key(graph), restarts);
         let solve = || {
-            let representative = key.class.to_graph();
+            let representative = key.class.to_graph()?;
             let problem = MaxCutProblem::new(&representative)?;
             let instance = QaoaInstance::new(problem, 1)?;
             let mut rng = StdRng::seed_from_u64(seed::derive2(

@@ -55,7 +55,7 @@
 //! which the persistence layer ([`crate::persist`]) turns into
 //! "discard and regenerate".
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::time::Duration;
 
 use graphs::Graph;
@@ -74,7 +74,10 @@ pub const MAGIC: &str = "QW1";
 /// `PREDICT`, `KEY`, `ENTRY` and `SHARD` lines naming more nodes are
 /// refused before any graph or vector is built, so a hostile `n_nodes`
 /// cannot drive an allocation; such a graph could never be solved anyway.
-pub use qaoa::MAX_PROBLEM_NODES;
+/// Depths (`JOB`, `PREDICT`, `SHARD`) above [`MAX_PROBLEM_DEPTH`] and
+/// restart counts (`JOB`, `PREDICT`, `SHARD`, `ENTRY`) above
+/// [`MAX_RESTARTS`] are refused the same way.
+pub use qaoa::{MAX_PROBLEM_DEPTH, MAX_PROBLEM_NODES, MAX_RESTARTS};
 
 /// A malformed or version-mismatched wire line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,19 +125,33 @@ pub(crate) fn parse_int<T: std::str::FromStr<Err = std::num::ParseIntError>>(
 /// Parses an `n_nodes` field, refusing more than [`MAX_PROBLEM_NODES`].
 fn parse_n_nodes(s: &str) -> Result<usize, WireError> {
     let n_nodes: usize = parse_int(s, "n_nodes")?;
-    if n_nodes > MAX_PROBLEM_NODES {
+    check_limit("n_nodes", n_nodes, MAX_PROBLEM_NODES)?;
+    Ok(n_nodes)
+}
+
+/// Refuses a count above `limit`, before anything is sized from it.
+fn check_limit(field: &str, value: usize, limit: usize) -> Result<(), WireError> {
+    if value > limit {
         return Err(WireError::new(format!(
-            "n_nodes {n_nodes} exceeds the {MAX_PROBLEM_NODES} limit"
+            "{field} {value} exceeds the {limit} limit"
         )));
     }
-    Ok(n_nodes)
+    Ok(())
 }
 
 pub(crate) fn fmt_floats(v: &[f64]) -> String {
     if v.is_empty() {
         return "-".into();
     }
-    v.iter().map(|&x| fmt_f64(x)).collect::<Vec<_>>().join(",")
+    let mut out = String::with_capacity(17 * v.len());
+    for (i, x) in v.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{:016x}", x.to_bits());
+    }
+    out
 }
 
 pub(crate) fn parse_floats(s: &str) -> Result<Vec<f64>, WireError> {
@@ -144,42 +161,45 @@ pub(crate) fn parse_floats(s: &str) -> Result<Vec<f64>, WireError> {
     s.split(',').map(parse_f64).collect()
 }
 
-fn fmt_edges(edges: impl Iterator<Item = (u32, u32, u64)>) -> String {
-    let parts: Vec<String> = edges
-        .map(|(u, v, bits)| format!("{u}-{v}:{bits:016x}"))
-        .collect();
-    if parts.is_empty() {
-        "-".into()
-    } else {
-        parts.join(",")
+fn fmt_edges(edges: &[(u32, u32, u64)]) -> String {
+    if edges.is_empty() {
+        return "-".into();
     }
+    // Room for two 4-digit endpoints per edge; wider ones grow the string.
+    let mut out = String::with_capacity(28 * edges.len());
+    for (i, (u, v, bits)) in edges.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{u}-{v}:{bits:016x}");
+    }
+    out
 }
 
-fn parse_edges(s: &str) -> Result<Vec<(u32, u32, u64)>, WireError> {
-    if s == "-" {
-        return Ok(Vec::new());
-    }
-    s.split(',')
-        .map(|part| {
-            let (endpoints, bits) = match part.split_once(':') {
-                Some((e, w)) => (
-                    e,
-                    u64::from_str_radix(w, 16)
-                        .map_err(|e| WireError::new(format!("bad weight in `{part}`: {e}")))?,
-                ),
-                // Unweighted shorthand for hand-written job lines.
-                None => (part, 1.0f64.to_bits()),
-            };
-            let (u, v) = endpoints
-                .split_once('-')
-                .ok_or_else(|| WireError::new(format!("bad edge `{part}` (expected u-v)")))?;
-            Ok((
-                parse_int::<u32>(u, "edge endpoint")?,
-                parse_int::<u32>(v, "edge endpoint")?,
-                bits,
-            ))
-        })
-        .collect()
+/// The `edge` items of an `edges` field (none for `-`).
+fn edge_parts(s: &str) -> impl Iterator<Item = &str> {
+    (s != "-").then(|| s.split(',')).into_iter().flatten()
+}
+
+fn parse_edge(part: &str) -> Result<(u32, u32, u64), WireError> {
+    let (endpoints, bits) = match part.split_once(':') {
+        Some((e, w)) => (
+            e,
+            u64::from_str_radix(w, 16)
+                .map_err(|e| WireError::new(format!("bad weight in `{part}`: {e}")))?,
+        ),
+        // Unweighted shorthand for hand-written job lines.
+        None => (part, 1.0f64.to_bits()),
+    };
+    let (u, v) = endpoints
+        .split_once('-')
+        .ok_or_else(|| WireError::new(format!("bad edge `{part}` (expected u-v)")))?;
+    Ok((
+        parse_int::<u32>(u, "edge endpoint")?,
+        parse_int::<u32>(v, "edge endpoint")?,
+        bits,
+    ))
 }
 
 /// Strips the magic and the expected type token, returning the payload
@@ -252,11 +272,7 @@ pub fn encode_key(key: &CanonicalGraphKey) -> String {
 }
 
 fn key_payload(key: &CanonicalGraphKey) -> String {
-    format!(
-        "{} {}",
-        key.n_nodes(),
-        fmt_edges(key.edges().iter().copied())
-    )
+    format!("{} {}", key.n_nodes(), fmt_edges(key.edges()))
 }
 
 /// Decodes a `KEY` line.
@@ -272,7 +288,9 @@ pub fn decode_key(line: &str) -> Result<CanonicalGraphKey, WireError> {
 
 fn key_from_fields(fields: &[&str]) -> Result<CanonicalGraphKey, WireError> {
     let n_nodes = parse_n_nodes(fields[0])?;
-    let edges = parse_edges(fields[1])?;
+    let edges = edge_parts(fields[1])
+        .map(parse_edge)
+        .collect::<Result<_, _>>()?;
     CanonicalGraphKey::from_parts(n_nodes, edges).map_err(WireError::new)
 }
 
@@ -326,7 +344,7 @@ pub fn encode_job(job: &Job) -> Result<String, WireError> {
         job.depth,
         job.restarts,
         job.graph.n_nodes(),
-        fmt_edges(graph_wire_edges(&job.graph)?.into_iter()),
+        fmt_edges(&graph_wire_edges(&job.graph)?),
     ))
 }
 
@@ -371,6 +389,8 @@ pub fn decode_job(line: &str) -> Result<Job, WireError> {
     if depth == 0 || restarts == 0 {
         return Err(WireError::new("JOB needs depth >= 1 and restarts >= 1"));
     }
+    check_limit("JOB depth", depth, MAX_PROBLEM_DEPTH)?;
+    check_limit("JOB restarts", restarts, MAX_RESTARTS)?;
     let graph = executable_graph(f[2], f[3], "JOB")?;
     Ok(Job::new(graph, depth, restarts))
 }
@@ -380,33 +400,53 @@ pub fn decode_job(line: &str) -> Result<Job, WireError> {
 /// objective needs a non-empty graph), finite weights, no duplicate
 /// edges. Shared by `JOB` and `PREDICT` so both verbs accept exactly the
 /// same graphs.
+///
+/// One pass parses each edge straight into the graph. The checks keep
+/// their precedence: a malformed edge anywhere in the list outranks the
+/// size check, which outranks the first rejected edge, so that edge's
+/// error waits until the whole list has parsed.
 fn executable_graph(n_nodes: &str, edges: &str, what: &str) -> Result<Graph, WireError> {
     let n_nodes = parse_n_nodes(n_nodes)?;
-    let edges = parse_edges(edges)?;
-    if n_nodes < 2 || edges.is_empty() {
+    let mut graph = Graph::new(n_nodes);
+    let mut n_edges = 0usize;
+    let mut rejected = None;
+    for part in edge_parts(edges) {
+        let (u, v, bits) = parse_edge(part)?;
+        n_edges += 1;
+        if rejected.is_none() {
+            rejected = add_wire_edge(&mut graph, u, v, bits).err();
+        }
+    }
+    if n_nodes < 2 || n_edges == 0 {
         return Err(WireError::new(format!(
             "{what} needs >= 2 nodes and >= 1 edge"
         )));
     }
-    let mut graph = Graph::new(n_nodes);
-    let mut seen = std::collections::BTreeSet::new();
-    for (u, v, bits) in edges {
-        let weight = f64::from_bits(bits);
-        if !weight.is_finite() {
-            return Err(WireError::new(format!("edge {u}-{v}: non-finite weight")));
-        }
-        // `Graph::add_weighted_edge` keeps the first occurrence of a
-        // duplicate pair and drops the rest without erroring; a line that
-        // names an edge twice must be rejected here, not answered with a
-        // confidently wrong outcome for a different graph.
-        if !seen.insert((u.min(v), u.max(v))) {
-            return Err(WireError::new(format!("edge {u}-{v}: duplicate edge")));
-        }
-        graph
-            .add_weighted_edge(endpoint(u)?, endpoint(v)?, weight)
-            .map_err(|e| WireError::new(format!("edge {u}-{v}: {e}")))?;
+    match rejected {
+        Some(e) => Err(e),
+        None => Ok(graph),
     }
-    Ok(graph)
+}
+
+/// Adds one wire edge to `graph`, rejecting a non-finite weight, an
+/// endpoint out of range, a self-loop and a duplicate pair.
+fn add_wire_edge(graph: &mut Graph, u: u32, v: u32, bits: u64) -> Result<(), WireError> {
+    let weight = f64::from_bits(bits);
+    if !weight.is_finite() {
+        return Err(WireError::new(format!("edge {u}-{v}: non-finite weight")));
+    }
+    let before = graph.n_edges();
+    graph
+        .add_weighted_edge(endpoint(u)?, endpoint(v)?, weight)
+        .map_err(|e| WireError::new(format!("edge {u}-{v}: {e}")))?;
+    // `Graph::add_weighted_edge` keeps the first occurrence of a duplicate
+    // pair and drops the rest without erroring (the edge count does not
+    // grow); a line that names an edge twice must be rejected here, not
+    // answered with a confidently wrong outcome for a different graph.
+    if graph.n_edges() == before {
+        return Err(WireError::new(format!("edge {u}-{v}: duplicate edge")));
+    }
+    Ok(())
 }
 
 // --- PREDICT / PREDICTED ---------------------------------------------------
@@ -500,7 +540,7 @@ pub fn encode_predict(request: &PredictRequest) -> Result<String, WireError> {
         request.depth,
         request.restarts,
         request.graph.n_nodes(),
-        fmt_edges(graph_wire_edges(&request.graph)?.into_iter()),
+        fmt_edges(&graph_wire_edges(&request.graph)?),
     ))
 }
 
@@ -518,6 +558,8 @@ pub fn decode_predict(line: &str) -> Result<PredictRequest, WireError> {
     if depth == 0 || restarts == 0 {
         return Err(WireError::new("PREDICT needs depth >= 1 and restarts >= 1"));
     }
+    check_limit("PREDICT depth", depth, MAX_PROBLEM_DEPTH)?;
+    check_limit("PREDICT restarts", restarts, MAX_RESTARTS)?;
     let graph = executable_graph(f[3], f[4], "PREDICT")?;
     Ok(PredictRequest {
         id,
@@ -720,6 +762,7 @@ pub fn decode_entry(line: &str) -> Result<(Level1Key, InstanceOutcome), WireErro
     if restarts == 0 {
         return Err(WireError::new("ENTRY needs restarts >= 1"));
     }
+    check_limit("ENTRY restarts", restarts, MAX_RESTARTS)?;
     let class = key_from_fields(&f[1..3])?;
     let outcome = outcome_from_fields(&f[3..])?;
     Ok((Level1Key::new(class, restarts), outcome))
@@ -770,11 +813,7 @@ pub const MAX_SHARD_GRAPHS: usize = 1_000_000;
 pub fn decode_shard(line: &str) -> Result<DataGenConfig, WireError> {
     let f = expect_fields(payload(line, "SHARD")?, 7, "SHARD")?;
     let n_graphs: usize = parse_int(f[0], "n_graphs")?;
-    if n_graphs > MAX_SHARD_GRAPHS {
-        return Err(WireError::new(format!(
-            "SHARD n_graphs {n_graphs} exceeds the {MAX_SHARD_GRAPHS} limit"
-        )));
-    }
+    check_limit("SHARD n_graphs", n_graphs, MAX_SHARD_GRAPHS)?;
     let n_nodes = parse_n_nodes(f[1])?;
     let edge_probability = parse_f64(f[2])?;
     let max_depth: usize = parse_int(f[3], "max_depth")?;
@@ -789,6 +828,8 @@ pub fn decode_shard(line: &str) -> Result<DataGenConfig, WireError> {
             "SHARD needs max_depth >= 1 and restarts >= 1",
         ));
     }
+    check_limit("SHARD max_depth", max_depth, MAX_PROBLEM_DEPTH)?;
+    check_limit("SHARD restarts", restarts, MAX_RESTARTS)?;
     // p = 0 is excluded because the ensemble draws non-empty graphs: the
     // generator would reject the empty graph and retry forever.
     if !(edge_probability > 0.0 && edge_probability <= 1.0) {
@@ -1134,6 +1175,84 @@ mod tests {
                 assert!(!ok, "{verb} with {n} nodes");
             }
         }
+    }
+
+    #[test]
+    fn every_verb_caps_depth_and_restarts() {
+        // Regression: a 10^17-depth JOB once aborted the server on a
+        // 1.6·10^18-byte bounds allocation, and 10^17 restarts hung it.
+        let entry = encode_entry(
+            &Level1Key::new(graph_key(&generators::path(4)), 3),
+            &sample_outcome(),
+        );
+        let shard = encode_shard(&DataGenConfig::quick());
+        let shard_with = |depth: usize, restarts: usize| {
+            let mut fields: Vec<String> = shard.split(' ').map(str::to_string).collect();
+            fields[5] = depth.to_string();
+            fields[6] = restarts.to_string();
+            fields.join(" ")
+        };
+        let lines = |depth: usize, restarts: usize| {
+            [
+                (
+                    decode_job(&format!("QW1 JOB {depth} {restarts} 3 0-1")).is_ok(),
+                    "JOB",
+                ),
+                (
+                    decode_predict(&format!("QW1 PREDICT 1 {depth} {restarts} 3 0-1")).is_ok(),
+                    "PREDICT",
+                ),
+                (decode_shard(&shard_with(depth, restarts)).is_ok(), "SHARD"),
+                (
+                    decode_entry(&entry.replacen("ENTRY 3 ", &format!("ENTRY {restarts} "), 1))
+                        .is_ok(),
+                    "ENTRY",
+                ),
+            ]
+        };
+        for (ok, verb) in lines(MAX_PROBLEM_DEPTH, MAX_RESTARTS) {
+            assert!(ok, "{verb} at the limits");
+        }
+        for depth in [MAX_PROBLEM_DEPTH + 1, 100_000_000_000_000_000] {
+            // ENTRY carries no depth.
+            for (ok, verb) in &lines(depth, 1)[..3] {
+                assert!(!ok, "{verb} at depth {depth}");
+            }
+        }
+        for restarts in [MAX_RESTARTS + 1, 100_000_000_000_000_000] {
+            for (ok, verb) in lines(1, restarts) {
+                assert!(!ok, "{verb} with {restarts} restarts");
+            }
+        }
+        let err = decode_job("QW1 JOB 100000000000000000 1 4 0-1,1-2,2-3,3-0").unwrap_err();
+        assert_eq!(
+            err.message,
+            format!("JOB depth 100000000000000000 exceeds the {MAX_PROBLEM_DEPTH} limit")
+        );
+    }
+
+    #[test]
+    fn executable_graph_keeps_its_error_precedence() {
+        // A malformed edge anywhere outranks the size check, which
+        // outranks the first rejected edge, as when the edge list was
+        // parsed whole before the graph was built.
+        let message = |line: &str| decode_job(line).unwrap_err().message;
+        assert_eq!(
+            message("QW1 JOB 1 1 3 0-9,0-1,x"),
+            "bad edge `x` (expected u-v)"
+        );
+        assert_eq!(
+            message("QW1 JOB 1 1 1 0-0,0-1"),
+            "JOB needs >= 2 nodes and >= 1 edge"
+        );
+        assert_eq!(
+            message("QW1 JOB 1 1 3 0-1,1-0,0-9"),
+            "edge 1-0: duplicate edge"
+        );
+        assert!(message("QW1 JOB 1 1 3 0-9,0-1,0-1").starts_with("edge 0-9: "));
+        assert!(message("QW1 JOB 1 1 3 1-1,0-1").starts_with("edge 1-1: "));
+        let nan = format!("QW1 JOB 1 1 3 0-1,0-1:{:016x}", f64::NAN.to_bits());
+        assert_eq!(message(&nan), "edge 0-1: non-finite weight");
     }
 
     #[test]

@@ -13,18 +13,25 @@
 #                       energy on the state-vector and density-matrix
 #                       paths, and noisy_run/n6_m8_p2, one noisy objective
 #                       call on the shape of the noisy_n6 perfbench workload.
+#   BENCH_predict.json — the predict_path benches: graph_key of an n = 8
+#                       ER(0.5) graph, decode_predict of its request line
+#                       and encode_predicted of a depth-3 answer, the
+#                       per-request work of the predict_zipf_n8 workload
+#                       outside the answer tiers.
 #
 # The snapshots are a machine-readable record from one reference machine —
 # a point of comparison, not a CI gate (absolute times vary across hosts;
 # the interesting signal is the ratios within each file).
 #
-# Usage: scripts/bench_snapshot.sh [eval.json] [shard.json] [density.json]
-#        (defaults: BENCH_eval.json BENCH_shard.json BENCH_density.json)
+# Usage: scripts/bench_snapshot.sh [eval.json] [shard.json] [density.json] [predict.json]
+#        (defaults: BENCH_eval.json BENCH_shard.json BENCH_density.json
+#         BENCH_predict.json)
 set -eu
 
 eval_out="${1:-BENCH_eval.json}"
 shard_out="${2:-BENCH_shard.json}"
 density_out="${3:-BENCH_density.json}"
+predict_out="${4:-BENCH_predict.json}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
@@ -60,3 +67,4 @@ END { printf "\n  ]\n}\n" }
 snapshot eval_hot_path "$eval_out"
 snapshot shard_scaling "$shard_out"
 snapshot density_kernels "$density_out"
+snapshot predict_path "$predict_out"
