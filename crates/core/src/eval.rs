@@ -14,19 +14,23 @@
 //!   `|E| + 1` of them) instead of once per basis state,
 //! * both layers run on the split re/im structure-of-arrays kernels of
 //!   [`qsim::soa::SplitState`]: autovectorized straight-line loops,
-//!   cache-blocked so one memory sweep applies the phase layer plus all
-//!   low-qubit mixing sub-layers, and fanned out across scoped threads for
-//!   large registers (see [`EvalContext::set_threads`]),
+//!   cache-blocked so the phase layer and the low-qubit mixing sub-layers
+//!   cost one trip through memory (two qubits per pass over a resident
+//!   tile, the first pass fused with the phase layer), and fanned out
+//!   across scoped threads for large registers (see
+//!   [`EvalContext::set_threads`]),
 //! * and only on **half the state**: `|+…+⟩`, the MaxCut phase layer
 //!   (`C(z) = C(z̄)`) and the RX layers all commute with flipping every
 //!   qubit, so the state — and the costate `C|ψ⟩` — are stored as their
 //!   lower half, with bit-identical results (see the `qsim::soa` docs).
 //!
 //! The same context also computes **exact analytic gradients** by the
-//! adjoint method in `O(p · n · 2^n)` — 4 to 5 plain evaluations at p = 2
-//! (`eval_hot_path` medians: 3.8× at n = 8, 3.9× at n = 12, 4.8× at
-//! n = 16, 5.3× at n = 20), independent of the parameter count — where
-//! finite differences need `2p + 1` full evaluations. Because the cost Hamiltonian is diagonal, the
+//! adjoint method in `O(p · n · 2^n)` — about 5 plain evaluations at
+//! p = 2 (interleaved medians: 4.7× at n = 8, 5.1× at n = 12, 4.8× at
+//! n = 16, 6.0× at n = 20; the full-index reductions of the backward pass
+//! did not get cheaper when the forward pass did), independent of the
+//! parameter count — where finite differences need `2p + 1` full
+//! evaluations. Because the cost Hamiltonian is diagonal, the
 //! backward pass is a phase conjugation plus per-qubit RX derivatives; no
 //! per-gate unitary differentiation is needed.
 //!

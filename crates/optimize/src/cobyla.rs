@@ -138,7 +138,8 @@ impl Optimizer for Cobyla {
         let counted = Counted::new(&f);
         let x0 = bounds.project(x0);
 
-        let mean_width: f64 = (0..n).map(|i| bounds.width(i)).sum::<f64>() / n as f64;
+        let dims = f64::from(u32::try_from(n).unwrap_or(u32::MAX));
+        let mean_width: f64 = (0..n).map(|i| bounds.width(i)).sum::<f64>() / dims;
         let mut rho = (self.rho_begin_rel * mean_width).max(self.rho_end * 10.0);
 
         // Initial simplex: x0 plus ρ-steps along each axis (direction chosen
@@ -177,8 +178,7 @@ impl Optimizer for Cobyla {
                 .iter()
                 .enumerate()
                 .min_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(i, _)| i)
-                .expect("non-empty simplex");
+                .map_or(0, |(i, _)| i);
             simplex.swap(0, best);
             values.swap(0, best);
 
@@ -230,8 +230,7 @@ impl Optimizer for Cobyla {
                 .iter()
                 .enumerate()
                 .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(i, _)| i)
-                .expect("non-empty simplex");
+                .map_or(0, |(i, _)| i);
             if f_trial < values[worst] {
                 simplex[worst] = trial;
                 values[worst] = f_trial;
@@ -264,8 +263,7 @@ impl Optimizer for Cobyla {
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .expect("non-empty simplex");
+            .map_or(0, |(i, _)| i);
         Ok(OptimizeResult {
             x: simplex.swap_remove(best),
             fx: values[best],

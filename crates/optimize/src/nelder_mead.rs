@@ -85,7 +85,7 @@ fn centroid(simplex: &[Vec<f64>], exclude: usize) -> Vec<f64> {
             *ci += vi;
         }
     }
-    let m = (simplex.len() - 1) as f64;
+    let m = f64::from(u32::try_from(simplex.len() - 1).unwrap_or(u32::MAX));
     for ci in &mut c {
         *ci /= m;
     }
@@ -216,8 +216,7 @@ impl Optimizer for NelderMead {
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .expect("non-empty simplex");
+            .map_or(0, |(i, _)| i);
         Ok(OptimizeResult {
             x: simplex.swap_remove(best),
             fx: values[best],

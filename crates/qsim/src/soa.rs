@@ -6,10 +6,24 @@
 //! kernel then becomes a straight-line loop over independent `f64`
 //! streams — exactly the shape LLVM's autovectorizer turns into packed
 //! SIMD — and large sweeps are additionally **cache-blocked**: the QAOA
-//! mixing layer applies every low qubit inside one [`TILE`]-sized tile
-//! while it is resident, collapsing `min(n, TILE_BITS)` full-state
-//! passes into one. At n = 20 that takes a depth-2 evaluation from 44
-//! full 16 MiB sweeps to 16.
+//! mixing layer applies the low qubits `0..min(n − 1, TILE_BITS)` to one
+//! [`TILE`]-sized tile while it is resident, so they cost one trip
+//! through memory instead of one per qubit.
+//!
+//! # Two qubits per pass
+//!
+//! Each in-tile pass of the mixing layer applies RX to two qubits
+//! `(q, q + 1)`: the amplitudes at `z, z + 2^q, z + 2^(q+1), z + 3·2^q`
+//! are closed under both butterflies, so they are loaded once, get the
+//! qubit-`q` pairs and then the qubit-`(q+1)` pairs, and are stored
+//! once. Over a
+//! tile that is `⌈min(n − 1, TILE_BITS) / 2⌉` passes, the first of them
+//! fused with the phase layer and an odd last qubit on a radix-2 pass of
+//! its own (at n = 12: six passes over the tile, then the mirror pass,
+//! where one pass per qubit and one for the phase layer made twelve).
+//! Qubits above the tile keep one streaming pass each: at n = 20 a layer
+//! is seven sweeps over the 8 MiB stored half (the tile pass, five
+//! streaming passes and the mirror pass).
 //!
 //! # Half the state: bit-flip symmetry
 //!
@@ -31,8 +45,10 @@
 //! operations in the same order** as the scalar [`StateVector`]
 //! reference kernels ([`StateVector::apply_phase_levels`],
 //! [`StateVector::apply_rx_layer`]), so the amplitudes produced are
-//! bit-identical to the scalar path — tiling only reorders *which
-//! amplitude is visited when*, never the arithmetic applied to it
+//! bit-identical to the scalar path — tiling and pairing qubits only
+//! reorder *which amplitude is visited when*, never the arithmetic
+//! applied to it: a paired pass still gives each amplitude its qubit-`q`
+//! butterfly before its qubit-`(q+1)` one, on the same operands
 //! (verified by `tests/tests/kernel_parity.rs`). The half storage keeps
 //! this: on a symmetric state the full-plane kernels compute `ψ(z̄)` with
 //! the very operations and operands they use for `ψ(z)` — the RX update
@@ -68,10 +84,11 @@ use std::ops::Range;
 use crate::{Complex64, QsimError, StateVector};
 
 /// Amplitudes per cache tile (`2^TILE_BITS`). One tile is 256 KiB per
-/// plane pair — small enough to stay L2-resident through all
-/// `TILE_BITS` low-qubit mixing sub-layers applied to it, large enough
-/// that only the topmost qubits of big registers need separate
-/// full-state streaming passes (n = 16: two of them; n = 20: six).
+/// plane pair — small enough to stay L2-resident through the
+/// `TILE_BITS / 2` paired low-qubit mixing passes applied to it, large
+/// enough that only the topmost qubits of big registers need separate
+/// streaming passes over the stored half (n = 16: two of them; n = 20:
+/// six).
 pub const TILE: usize = 1 << TILE_BITS;
 
 /// `log2(TILE)`: the number of mixing-layer qubits applied tile-locally.
@@ -317,10 +334,10 @@ impl SplitState {
     /// Applies `RX(θ)` to every qubit — the QAOA mixing layer —
     /// bit-identical to [`StateVector::apply_rx_layer`].
     ///
-    /// Qubits `0..min(n − 1, TILE_BITS)` are applied tile-locally (one
-    /// pass over the half instead of one per qubit); each remaining
-    /// lower qubit is a streaming butterfly over contiguous
-    /// `stride`-long blocks, and the top qubit is the mirror butterfly.
+    /// Qubits `0..min(n − 1, TILE_BITS)` are applied tile-locally, two
+    /// per pass over a resident tile; each remaining lower qubit is a
+    /// streaming butterfly over contiguous `stride`-long blocks, and the
+    /// top qubit is the mirror butterfly (see the module docs).
     pub fn apply_rx_layer(&mut self, theta: f64, threads: usize) {
         self.phase_rx(None, theta, threads);
     }
@@ -358,16 +375,10 @@ impl SplitState {
         };
         let n_low = top.min(TILE_BITS);
         for_each_tile(&mut self.re, &mut self.im, threads, &|start, re, im| {
-            if let Some((level_of, table_re, table_im)) = phase {
-                phase_tile(
-                    re,
-                    im,
-                    &level_of[start..start + re.len()],
-                    table_re,
-                    table_im,
-                );
-            }
-            rx_tile(re, im, n_low, s, co);
+            let phase = phase.map(|(level_of, table_re, table_im)| {
+                (&level_of[start..start + re.len()], table_re, table_im)
+            });
+            mix_tile(re, im, phase, n_low, s, co);
         });
         for qubit in TILE_BITS..top {
             self.rx_high_pass(1 << qubit, s, co, threads);
@@ -412,9 +423,8 @@ impl SplitState {
         let (re_lo, re_hi) = self.re.split_at_mut(mid);
         let (im_lo, im_hi) = self.im.split_at_mut(mid);
         if mid == 0 {
-            let (r, i) = (re_hi[0], im_hi[0]);
-            re_hi[0] = co * r + s * i;
-            im_hi[0] = co * i - s * r;
+            let a = (re_hi[0], im_hi[0]);
+            (re_hi[0], im_hi[0]) = rx_pair(a, a, s, co).0;
             return;
         }
         let items: Vec<Butterfly> = re_lo
@@ -598,13 +608,17 @@ fn phase_tile(
     let im = &mut im[..re.len()];
     let level_of = &level_of[..re.len()];
     for ((r, i), &l) in re.iter_mut().zip(im.iter_mut()).zip(level_of) {
-        // lint:allow(no-lossy-as) u32 -> usize is value-preserving on every supported target
-        let l = l as usize;
-        let (tr, ti) = (table_re[l], table_im[l]);
-        let (r0, i0) = (*r, *i);
-        *r = r0 * tr - i0 * ti;
-        *i = r0 * ti + i0 * tr;
+        (*r, *i) = phase_mul((*r, *i), l, table_re, table_im);
     }
+}
+
+/// `a · table[level]`, expanded exactly as `Complex64::mul` computes it.
+#[inline(always)]
+fn phase_mul((r0, i0): (f64, f64), level: u32, table_re: &[f64], table_im: &[f64]) -> (f64, f64) {
+    // lint:allow(no-lossy-as) u32 -> usize is value-preserving on every supported target
+    let l = level as usize;
+    let (tr, ti) = (table_re[l], table_im[l]);
+    (r0 * tr - i0 * ti, r0 * ti + i0 * tr)
 }
 
 /// Costate seed on one tile: `out = src · d` elementwise.
@@ -641,9 +655,34 @@ fn diag_cross<const REV: bool>(mut acc: f64, p: Planes<'_>, diag: &[f64]) -> f64
     acc
 }
 
-/// The RX butterfly over two equal-length contiguous blocks, with the
-/// exact arithmetic of the scalar reference:
-/// `a0' = c·a0 − i·s·a1`, `a1' = c·a1 − i·s·a0`, expanded.
+/// RX on one butterfly pair `(a0, a1)`, each `(re, im)`, with the exact
+/// arithmetic of the scalar reference: `a0' = c·a0 − i·s·a1`,
+/// `a1' = c·a1 − i·s·a0`, expanded. The update is symmetric in the pair.
+#[inline(always)]
+fn rx_pair(a0: (f64, f64), a1: (f64, f64), s: f64, co: f64) -> ((f64, f64), (f64, f64)) {
+    let ((r0, i0), (r1, i1)) = (a0, a1);
+    (
+        (co * r0 + s * i1, co * i0 - s * r1),
+        (co * r1 + s * i0, co * i1 - s * r0),
+    )
+}
+
+/// RX on qubits `q` and `q + 1` of one closed group of four amplitudes
+/// `[a, b, c, d]` at offsets `0, 2^q, 2^(q+1), 3·2^q`: the qubit-`q`
+/// pairs `(a, b)`, `(c, d)`, then the qubit-`(q+1)` pairs `(a, c)`,
+/// `(b, d)` — each amplitude gets the two butterflies of the
+/// one-pass-per-qubit order, in that order, on the same operands.
+#[inline(always)]
+fn rx_quad(g: [(f64, f64); 4], s: f64, co: f64) -> [(f64, f64); 4] {
+    let (a, b) = rx_pair(g[0], g[1], s, co);
+    let (c, d) = rx_pair(g[2], g[3], s, co);
+    let (a, c) = rx_pair(a, c, s, co);
+    let (b, d) = rx_pair(b, d, s, co);
+    [a, b, c, d]
+}
+
+/// The RX butterfly over two equal-length contiguous blocks: `lo[k]`
+/// pairs with `hi[k]`.
 fn rx_butterfly(
     lo_re: &mut [f64],
     lo_im: &mut [f64],
@@ -655,11 +694,9 @@ fn rx_butterfly(
     let n = lo_re.len();
     let (lo_im, hi_re, hi_im) = (&mut lo_im[..n], &mut hi_re[..n], &mut hi_im[..n]);
     for k in 0..n {
-        let (r0, i0, r1, i1) = (lo_re[k], lo_im[k], hi_re[k], hi_im[k]);
-        lo_re[k] = co * r0 + s * i1;
-        lo_im[k] = co * i0 - s * r1;
-        hi_re[k] = co * r1 + s * i0;
-        hi_im[k] = co * i1 - s * r0;
+        let (lo, hi) = rx_pair((lo_re[k], lo_im[k]), (hi_re[k], hi_im[k]), s, co);
+        (lo_re[k], lo_im[k]) = lo;
+        (hi_re[k], hi_im[k]) = hi;
     }
 }
 
@@ -676,36 +713,98 @@ fn rx_mirror_butterfly(
     let lo = lo_re.iter_mut().zip(lo_im.iter_mut());
     let hi = hi_re.iter_mut().rev().zip(hi_im.iter_mut().rev());
     for ((lr, li), (hr, hi)) in lo.zip(hi) {
-        let (r0, i0, r1, i1) = (*lr, *li, *hr, *hi);
-        *lr = co * r0 + s * i1;
-        *li = co * i0 - s * r1;
-        *hr = co * r1 + s * i0;
-        *hi = co * i1 - s * r0;
+        ((*lr, *li), (*hr, *hi)) = rx_pair((*lr, *li), (*hr, *hi), s, co);
     }
 }
 
-/// RX on qubit 0 within a tile: interleaved `(2k, 2k+1)` pairs,
-/// special-cased so the stride-1 sub-layer still compiles to packed
-/// loads instead of scalar gathers.
-fn rx_pairs(re: &mut [f64], im: &mut [f64], s: f64, co: f64) {
-    for (r, i) in re.chunks_exact_mut(2).zip(im.chunks_exact_mut(2)) {
-        let (r0, i0, r1, i1) = (r[0], i[0], r[1], i[1]);
-        r[0] = co * r0 + s * i1;
-        i[0] = co * i0 - s * r1;
-        r[1] = co * r1 + s * i0;
-        i[1] = co * i1 - s * r0;
-    }
-}
-
-/// All mixing sub-layers for qubits `0..n_low` applied to one resident
-/// tile (qubit order preserved, so the arithmetic per amplitude matches
-/// the scalar one-pass-per-qubit reference exactly).
-fn rx_tile(re: &mut [f64], im: &mut [f64], n_low: usize, s: f64, co: f64) {
-    if n_low == 0 {
+/// Phase separation (when `phase` is given), then RX on qubits 0 and 1,
+/// over each contiguous group of four amplitudes of a tile: the first
+/// in-tile pass.
+fn phase_rx01(
+    re: &mut [f64],
+    im: &mut [f64],
+    phase: Option<(&[u32], &[f64], &[f64])>,
+    s: f64,
+    co: f64,
+) {
+    let quads = re.chunks_exact_mut(4).zip(im.chunks_exact_mut(4));
+    let Some((level_of, table_re, table_im)) = phase else {
+        for (r, i) in quads {
+            let g = [(r[0], i[0]), (r[1], i[1]), (r[2], i[2]), (r[3], i[3])];
+            [(r[0], i[0]), (r[1], i[1]), (r[2], i[2]), (r[3], i[3])] = rx_quad(g, s, co);
+        }
         return;
+    };
+    for ((r, i), l) in quads.zip(level_of.chunks_exact(4)) {
+        let mul = |k: usize| phase_mul((r[k], i[k]), l[k], table_re, table_im);
+        let g = [mul(0), mul(1), mul(2), mul(3)];
+        [(r[0], i[0]), (r[1], i[1]), (r[2], i[2]), (r[3], i[3])] = rx_quad(g, s, co);
     }
-    rx_pairs(re, im, s, co);
-    for qubit in 1..n_low {
+}
+
+/// RX on qubits `q` and `q + 1` (`stride = 2^q`) over one tile: each
+/// `4·stride` block splits into four `stride`-long runs whose `k`-th
+/// entries form one [`rx_quad`] group, so the pass is eight sequential
+/// streams.
+fn rx_quad_pass(re: &mut [f64], im: &mut [f64], stride: usize, s: f64, co: f64) {
+    for (re, im) in re
+        .chunks_exact_mut(4 * stride)
+        .zip(im.chunks_exact_mut(4 * stride))
+    {
+        let (r01, r23) = re.split_at_mut(2 * stride);
+        let (i01, i23) = im.split_at_mut(2 * stride);
+        let ((r0, r1), (r2, r3)) = (r01.split_at_mut(stride), r23.split_at_mut(stride));
+        let ((i0, i1), (i2, i3)) = (i01.split_at_mut(stride), i23.split_at_mut(stride));
+        let (r1, r2, r3) = (&mut r1[..stride], &mut r2[..stride], &mut r3[..stride]);
+        let (i0, i1, i2, i3) = (
+            &mut i0[..stride],
+            &mut i1[..stride],
+            &mut i2[..stride],
+            &mut i3[..stride],
+        );
+        for k in 0..stride {
+            let g = [
+                (r0[k], i0[k]),
+                (r1[k], i1[k]),
+                (r2[k], i2[k]),
+                (r3[k], i3[k]),
+            ];
+            [
+                (r0[k], i0[k]),
+                (r1[k], i1[k]),
+                (r2[k], i2[k]),
+                (r3[k], i3[k]),
+            ] = rx_quad(g, s, co);
+        }
+    }
+}
+
+/// The mixing sub-layers for qubits `0..n_low` on one resident tile,
+/// after the phase layer when `phase` is given, in qubit order (so the
+/// arithmetic per amplitude matches the scalar one-pass-per-qubit
+/// reference exactly): qubits are taken two per pass — the first pass
+/// fused with the phase layer — and an odd last qubit gets a radix-2
+/// pass. Below two qubits the phase layer is a pass of its own.
+fn mix_tile(
+    re: &mut [f64],
+    im: &mut [f64],
+    phase: Option<(&[u32], &[f64], &[f64])>,
+    n_low: usize,
+    s: f64,
+    co: f64,
+) {
+    let mut qubit = 0;
+    if n_low >= 2 {
+        phase_rx01(re, im, phase, s, co);
+        qubit = 2;
+    } else if let Some((level_of, table_re, table_im)) = phase {
+        phase_tile(re, im, level_of, table_re, table_im);
+    }
+    while qubit + 1 < n_low {
+        rx_quad_pass(re, im, 1 << qubit, s, co);
+        qubit += 2;
+    }
+    if qubit < n_low {
         let stride = 1usize << qubit;
         for (re_block, im_block) in re.chunks_mut(2 * stride).zip(im.chunks_mut(2 * stride)) {
             let (re_lo, re_hi) = re_block.split_at_mut(stride);

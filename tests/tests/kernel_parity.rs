@@ -524,6 +524,28 @@ fn smallest_widths_bit_identical() {
     }
 }
 
+/// Widths that give the paired in-tile passes every shape. The in-tile
+/// qubits are `0..n − 1`, taken two per pass (the first pass fused with
+/// the phase layer), so n = 4, 6, 12 leave an odd qubit to a radix-2
+/// pass, n = 5, 7, 11, 13 pair them all, and n = 1 has none to pair
+/// (fallback path). n = 12 is the width of the `sweep_exact_n12`
+/// benchmark workload.
+#[test]
+fn paired_pass_widths_bit_identical() {
+    let constant = DiagonalObservable::new(vec![-1.5, -1.5]).expect("power-of-two length");
+    check_kernels(&constant, &[0.2, 1.7, -0.6], &[-0.9, 0.45, 1.2], "n=1");
+    for n in [4, 5, 6, 7, 11, 12, 13] {
+        for seed in 0..2 {
+            check_parity(
+                n,
+                &[0.7, -1.3, 0.2],
+                &[0.35, 0.8, -0.6],
+                100 * n as u64 + seed,
+            );
+        }
+    }
+}
+
 /// Widths straddling the cache tile (`TILE` amplitudes: n = TILE_BITS
 /// is exactly one tile, n = TILE_BITS + 1 is the first multi-tile
 /// width, where the mirror butterfly pairs whole tiles) stay bitwise

@@ -1,17 +1,23 @@
-//! Totality of the `PREDICT` and `JOB` decoders: every input line is
-//! either rejected with an error or decodes to a request that re-encodes
-//! and decodes back bit-exactly. No input panics, and nothing accepted
-//! breaks the limits a request is sized from (nodes, depth, restarts).
+//! Totality of the request and corpus-tasking decoders (`PREDICT`, `JOB`,
+//! `SHARD`, `RANGE`, `RECORD`, `DONE`): every input line is either
+//! rejected with an error or decodes to a value that re-encodes and
+//! decodes back bit-exactly. No input panics, and nothing accepted breaks
+//! the limits a request or a corpus session is sized from (nodes, depth,
+//! restarts, ensemble size).
 //!
 //! Inputs are arbitrary bytes (bare or behind a valid verb prefix) and
 //! valid lines that are truncated, bit-flipped, given a duplicated or
 //! out-of-range edge, or given a huge count in one numeric field.
 
-use engine::wire::{self, PredictRequest, MAX_PROBLEM_DEPTH, MAX_PROBLEM_NODES, MAX_RESTARTS};
+use engine::wire::{
+    self, PredictRequest, RangeDone, MAX_PROBLEM_DEPTH, MAX_PROBLEM_NODES, MAX_RESTARTS,
+    MAX_SHARD_GRAPHS,
+};
 use engine::Job;
 use graphs::{generators, Graph};
 use proptest::prelude::*;
 use proptest::TestCaseError;
+use qaoa::datagen::{DataGenConfig, OptimalRecord};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -76,10 +82,101 @@ fn check_job(line: &str) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Runs both decoders over `line` (each rejects the other's verb).
-fn check_both(line: &str) -> Result<(), TestCaseError> {
+/// `x`'s bits, so NaN payloads and signed zeros compare exactly.
+fn bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Decodes `line` as `SHARD`; an accepted spec must respect the session
+/// limits and round-trip bit-exactly.
+fn check_shard(line: &str) -> Result<(), TestCaseError> {
+    let Ok(config) = wire::decode_shard(line) else {
+        return Ok(());
+    };
+    prop_assert!(config.n_graphs <= MAX_SHARD_GRAPHS);
+    prop_assert!((2..=MAX_PROBLEM_NODES).contains(&config.n_nodes));
+    prop_assert!((1..=MAX_PROBLEM_DEPTH).contains(&config.max_depth));
+    prop_assert!((1..=MAX_RESTARTS).contains(&config.restarts));
+    prop_assert!(config.edge_probability > 0.0 && config.edge_probability <= 1.0);
+    prop_assert!(config.trend_preference_margin.is_finite());
+    let encoded = wire::encode_shard(&config);
+    let back = wire::decode_shard(&encoded).expect("re-encoded line decodes");
+    prop_assert_eq!(back.n_graphs, config.n_graphs);
+    prop_assert_eq!(back.n_nodes, config.n_nodes);
+    prop_assert_eq!(
+        back.edge_probability.to_bits(),
+        config.edge_probability.to_bits()
+    );
+    prop_assert_eq!(back.max_depth, config.max_depth);
+    prop_assert_eq!(back.restarts, config.restarts);
+    prop_assert_eq!(back.seed, config.seed);
+    prop_assert_eq!(
+        back.trend_preference_margin.to_bits(),
+        config.trend_preference_margin.to_bits()
+    );
+    prop_assert_eq!(wire::encode_shard(&back), encoded);
+    Ok(())
+}
+
+/// Decodes `line` as `RANGE`; an accepted range is never inverted and
+/// round-trips.
+fn check_range(line: &str) -> Result<(), TestCaseError> {
+    let Ok(range) = wire::decode_range(line) else {
+        return Ok(());
+    };
+    prop_assert!(range.start <= range.end);
+    let encoded = wire::encode_range(&range);
+    prop_assert_eq!(
+        wire::decode_range(&encoded).expect("re-encoded line decodes"),
+        range
+    );
+    Ok(())
+}
+
+/// Decodes `line` as `RECORD`; an accepted record round-trips bit-exactly.
+fn check_record(line: &str) -> Result<(), TestCaseError> {
+    let Ok(record) = wire::decode_record(line) else {
+        return Ok(());
+    };
+    let encoded = wire::encode_record(&record);
+    let back = wire::decode_record(&encoded).expect("re-encoded line decodes");
+    prop_assert_eq!(back.graph_id, record.graph_id);
+    prop_assert_eq!(back.depth, record.depth);
+    prop_assert_eq!(back.expectation.to_bits(), record.expectation.to_bits());
+    prop_assert_eq!(
+        back.approximation_ratio.to_bits(),
+        record.approximation_ratio.to_bits()
+    );
+    prop_assert_eq!(back.function_calls, record.function_calls);
+    prop_assert_eq!(bits(&back.gammas), bits(&record.gammas));
+    prop_assert_eq!(bits(&back.betas), bits(&record.betas));
+    prop_assert_eq!(wire::encode_record(&back), encoded);
+    Ok(())
+}
+
+/// Decodes `line` as `DONE`; an accepted marker is never inverted and
+/// round-trips.
+fn check_done(line: &str) -> Result<(), TestCaseError> {
+    let Ok(done) = wire::decode_done(line) else {
+        return Ok(());
+    };
+    prop_assert!(done.range.start <= done.range.end);
+    let encoded = wire::encode_done(&done);
+    prop_assert_eq!(
+        wire::decode_done(&encoded).expect("re-encoded line decodes"),
+        done
+    );
+    Ok(())
+}
+
+/// Runs every decoder over `line` (each rejects the other verbs).
+fn check_all(line: &str) -> Result<(), TestCaseError> {
     check_predict(line)?;
-    check_job(line)
+    check_job(line)?;
+    check_shard(line)?;
+    check_range(line)?;
+    check_record(line)?;
+    check_done(line)
 }
 
 /// A random valid request: n in 2..=10, ER(p) forced non-empty, weights
@@ -120,6 +217,78 @@ fn valid_lines(rng: &mut StdRng) -> (PredictRequest, String, String) {
     (request, predict, job)
 }
 
+/// Floats with signed zeros, infinities, NaN payloads and subnormals.
+const ODD_FLOATS: [f64; 8] = [
+    0.5,
+    -0.0,
+    f64::INFINITY,
+    f64::NAN,
+    f64::MIN_POSITIVE,
+    5e-324,
+    f64::MAX,
+    -1.25,
+];
+
+/// One valid line of each corpus-tasking verb, in the order `SHARD`,
+/// `RANGE`, `RECORD`, `DONE`. Valid for the codec: the `RECORD`'s depth
+/// and angle counts are drawn independently, as the decoder does not
+/// relate them.
+fn valid_tasking_lines(rng: &mut StdRng) -> [String; 4] {
+    let config = DataGenConfig {
+        n_graphs: rng.gen_range(0..=MAX_SHARD_GRAPHS),
+        n_nodes: rng.gen_range(2..=MAX_PROBLEM_NODES),
+        edge_probability: [1.0, 0.5, f64::MIN_POSITIVE][rng.gen_range(0..3)],
+        max_depth: rng.gen_range(1..=MAX_PROBLEM_DEPTH),
+        restarts: rng.gen_range(1..=MAX_RESTARTS),
+        seed: rng.gen_range(0..u64::MAX),
+        options: Default::default(),
+        trend_preference_margin: [0.0, -0.0, 1e-3, f64::MAX][rng.gen_range(0..4)],
+    };
+    let start = rng.gen_range(0..usize::MAX);
+    let end = rng.gen_range(start..=usize::MAX);
+    let floats = |rng: &mut StdRng| -> Vec<f64> {
+        (0..rng.gen_range(0..4))
+            .map(|_| ODD_FLOATS[rng.gen_range(0..ODD_FLOATS.len())])
+            .collect()
+    };
+    let record = OptimalRecord {
+        graph_id: rng.gen_range(0..usize::MAX),
+        depth: rng.gen_range(0..usize::MAX),
+        gammas: floats(rng),
+        betas: floats(rng),
+        expectation: ODD_FLOATS[rng.gen_range(0..ODD_FLOATS.len())],
+        approximation_ratio: ODD_FLOATS[rng.gen_range(0..ODD_FLOATS.len())],
+        function_calls: rng.gen_range(0..usize::MAX),
+    };
+    let done = RangeDone {
+        range: start..end,
+        cells: rng.gen_range(0..usize::MAX),
+        function_calls: rng.gen_range(0..usize::MAX),
+    };
+    [
+        wire::encode_shard(&config),
+        wire::encode_range(&(start..end)),
+        wire::encode_record(&record),
+        wire::encode_done(&done),
+    ]
+}
+
+/// One valid line of every verb, each with the indices of its integer
+/// count fields in the space-split line: `PREDICT`, `JOB`, `SHARD`,
+/// `RANGE`, `RECORD`, `DONE`.
+fn every_verb(rng: &mut StdRng) -> Vec<(String, &'static [usize])> {
+    let (_, predict, job) = valid_lines(rng);
+    let [shard, range, record, done] = valid_tasking_lines(rng);
+    vec![
+        (predict, &[2, 3, 4, 5]),
+        (job, &[2, 3, 4]),
+        (shard, &[2, 3, 5, 6, 7]),
+        (range, &[2, 3]),
+        (record, &[2, 3, 6]),
+        (done, &[2, 3, 4, 5]),
+    ]
+}
+
 /// Numbers a hostile client might put in any count field.
 const HUGE: [&str; 6] = [
     "100000000000000000",
@@ -137,24 +306,40 @@ proptest! {
     #[test]
     fn arbitrary_bytes_never_panic(
         bytes in collection::vec(0u8..=255, 0..96),
-        prefix in 0usize..4,
+        prefix in 0usize..8,
     ) {
         let tail = String::from_utf8_lossy(&bytes);
-        let head = ["", "QW1 PREDICT ", "QW1 JOB ", "QW1 PREDICT 1 2 3 4 "][prefix];
-        check_both(&format!("{head}{tail}"))?;
+        let head = [
+            "",
+            "QW1 PREDICT ",
+            "QW1 JOB ",
+            "QW1 PREDICT 1 2 3 4 ",
+            "QW1 SHARD ",
+            "QW1 RANGE ",
+            "QW1 RECORD ",
+            "QW1 DONE ",
+        ][prefix];
+        check_all(&format!("{head}{tail}"))?;
     }
 
     /// Bytes drawn from the wire alphabet, so more of them reach the
     /// numeric and edge parsers.
     #[test]
     fn wire_alphabet_lines_never_panic(
-        picks in collection::vec(0usize..16, 0..48),
-        prefix in 0usize..2,
+        picks in collection::vec(0usize..16, 0..64),
+        prefix in 0usize..6,
     ) {
         const ALPHABET: &[u8] = b"0123456789-,: af";
         let tail: String = picks.iter().map(|&i| char::from(ALPHABET[i])).collect();
-        let head = ["QW1 PREDICT ", "QW1 JOB "][prefix];
-        check_both(&format!("{head}{tail}"))?;
+        let head = [
+            "QW1 PREDICT ",
+            "QW1 JOB ",
+            "QW1 SHARD ",
+            "QW1 RANGE ",
+            "QW1 RECORD ",
+            "QW1 DONE ",
+        ][prefix];
+        check_all(&format!("{head}{tail}"))?;
     }
 
     /// Valid lines decode to exactly what was encoded.
@@ -168,17 +353,22 @@ proptest! {
         let decoded = wire::decode_job(&job).expect("valid JOB");
         prop_assert_eq!(decoded.depth, request.depth);
         prop_assert_eq!(edge_bits(&decoded.graph), edge_bits(&request.graph));
-        check_both(&predict)?;
-        check_both(&job)?;
+        let [shard, range, record, done] = valid_tasking_lines(&mut rng);
+        prop_assert!(wire::decode_shard(&shard).is_ok(), "{}", shard);
+        prop_assert!(wire::decode_range(&range).is_ok(), "{}", range);
+        prop_assert!(wire::decode_record(&record).is_ok(), "{}", record);
+        prop_assert!(wire::decode_done(&done).is_ok(), "{}", done);
+        for line in [predict, job, shard, range, record, done] {
+            check_all(&line)?;
+        }
     }
 
     /// Valid lines cut short at any byte (the lines are ASCII).
     #[test]
     fn truncated_lines_are_rejected_or_round_trip(seed in 0u64..u64::MAX, cut in 0usize..10_000) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (_, predict, job) = valid_lines(&mut rng);
-        for line in [predict, job] {
-            check_both(&line[..cut * line.len() / 10_000])?;
+        for (line, _) in every_verb(&mut rng) {
+            check_all(&line[..cut * line.len() / 10_000])?;
         }
     }
 
@@ -190,12 +380,11 @@ proptest! {
         bit in 0u32..8,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (_, predict, job) = valid_lines(&mut rng);
-        for line in [predict, job] {
+        for (line, _) in every_verb(&mut rng) {
             let mut bytes = line.into_bytes();
             let i = at * bytes.len() / 10_000;
             bytes[i] ^= 1 << bit;
-            check_both(&String::from_utf8_lossy(&bytes))?;
+            check_all(&String::from_utf8_lossy(&bytes))?;
         }
     }
 
@@ -221,22 +410,19 @@ proptest! {
         }
     }
 
-    /// A valid line with one numeric field replaced by a huge (or
+    /// A valid line with one count field replaced by a huge (or
     /// negative, or overflowing) count.
     #[test]
     fn huge_counts_are_rejected_or_round_trip(
         seed in 0u64..u64::MAX,
-        field in 0usize..4,
+        field in 0usize..5,
         huge in 0usize..6,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (_, predict, job) = valid_lines(&mut rng);
-        // PREDICT: id depth restarts n_nodes; JOB: depth restarts n_nodes.
-        for (line, first) in [(predict, 2usize), (job, 1)] {
+        for (line, counts) in every_verb(&mut rng) {
             let mut fields: Vec<&str> = line.split(' ').collect();
-            let at = (first + field).min(fields.len() - 2);
-            fields[at] = HUGE[huge];
-            check_both(&fields.join(" "))?;
+            fields[counts[field % counts.len()]] = HUGE[huge];
+            check_all(&fields.join(" "))?;
         }
     }
 }
@@ -254,6 +440,34 @@ fn huge_counts_in_every_field_are_rejected() {
         ] {
             assert!(wire::decode_predict(&line).is_err(), "{line}");
             assert!(wire::decode_job(&line).is_err(), "{line}");
+        }
+    }
+}
+
+#[test]
+fn counts_past_every_shard_limit_are_rejected() {
+    let line = |f: [String; 4]| {
+        format!(
+            "QW1 SHARD {} {} 3fe0000000000000 {} {} 99 3f50624dd2f1a9fc",
+            f[0], f[1], f[2], f[3]
+        )
+    };
+    let valid = ["4", "5", "2", "2"].map(String::from);
+    assert!(wire::decode_shard(&line(valid.clone())).is_ok());
+    // n_graphs, n_nodes, max_depth, restarts.
+    let limits = [
+        MAX_SHARD_GRAPHS,
+        MAX_PROBLEM_NODES,
+        MAX_PROBLEM_DEPTH,
+        MAX_RESTARTS,
+    ];
+    for (field, limit) in limits.into_iter().enumerate() {
+        let over = (limit + 1).to_string();
+        for huge in HUGE[..3].iter().copied().chain([over.as_str()]) {
+            let mut fields = valid.clone();
+            fields[field] = huge.to_string();
+            let line = line(fields);
+            assert!(wire::decode_shard(&line).is_err(), "{line}");
         }
     }
 }
