@@ -6,6 +6,15 @@
 //! reproduces that pipeline with a configurable scale and a TSV
 //! serialization so the (one-time) generation cost can be amortized across
 //! experiments.
+//!
+//! The per-cell policy lives here once: [`solve_level1`] solves a graph's
+//! depth 1 on its canonical representative, seeded from the class hash,
+//! and [`solve_graph`] walks depths `2..=max_depth`, each cell seeded from
+//! `(seed, graph_id, depth)`. Every corpus is therefore a pure function of
+//! `(graphs, config)`: the serial [`ParameterDataset::from_graphs`] and the
+//! parallel `engine::corpus`, which fans the same per-graph calls across a
+//! worker pool and caches [`solve_level1`] per isomorphism class, produce
+//! the same bits.
 
 use std::io::{Read, Write};
 use std::path::Path;
@@ -13,9 +22,11 @@ use std::path::Path;
 use graphs::{generators, Graph};
 use optimize::{Lbfgsb, Optimizer, Options};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-use crate::{MaxCutProblem, QaoaError, QaoaInstance};
+use crate::canonical::{graph_key, CanonicalGraphKey};
+use crate::stablehash::{derive2, wide};
+use crate::{InstanceOutcome, MaxCutProblem, QaoaError, QaoaInstance};
 
 /// One row of the corpus: the optimal parameters of one `(graph, depth)`
 /// QAOA instance.
@@ -120,81 +131,77 @@ pub struct ParameterDataset {
 }
 
 impl ParameterDataset {
-    /// Runs the full §III-A pipeline under `config`.
-    ///
-    /// Uses L-BFGS-B with multistart (the paper's data-generation
-    /// optimizer). Deterministic for a fixed seed.
+    /// Runs the full §III-A pipeline under `config`: the [`ensemble`] it
+    /// draws, solved by [`ParameterDataset::from_graphs`].
     ///
     /// # Errors
     ///
     /// Propagates problem-construction and optimizer errors.
     pub fn generate(config: &DataGenConfig) -> Result<Self, QaoaError> {
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let graphs: Vec<Graph> = (0..config.n_graphs)
-            .map(|_| {
-                generators::erdos_renyi_nonempty(config.n_nodes, config.edge_probability, &mut rng)
-            })
-            .collect();
-        Self::from_graphs(graphs, config)
+        Self::from_graphs(ensemble(config), config)
     }
 
-    /// Runs the pipeline over a caller-supplied graph ensemble (used by the
-    /// 3-regular figure reproductions).
+    /// Solves a caller-supplied graph ensemble, one graph after another:
+    /// [`solve_level1`] then [`solve_graph`] per graph. Uses L-BFGS-B with
+    /// multistart (the paper's data-generation optimizer). This is the
+    /// reference the parallel `engine::corpus` reproduces bit for bit.
     ///
     /// # Errors
     ///
     /// Propagates problem-construction and optimizer errors.
     pub fn from_graphs(graphs: Vec<Graph>, config: &DataGenConfig) -> Result<Self, QaoaError> {
-        let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(1));
+        let optimizer = Lbfgsb::default();
         let mut records = Vec::with_capacity(graphs.len() * config.max_depth);
         for (graph_id, graph) in graphs.iter().enumerate() {
-            let problem = MaxCutProblem::new(graph)?;
-            // Canonical optimum of the previous depth, used to trend-seed
-            // the next one.
-            let mut prev: Option<(Vec<f64>, Vec<f64>)> = None;
-            for depth in 1..=config.max_depth {
-                let record =
-                    solve_depth(&problem, graph_id, depth, prev.as_ref(), config, &mut rng)?;
-                prev = Some((record.gammas.clone(), record.betas.clone()));
-                records.push(record);
-            }
+            let level1 = solve_level1(
+                &graph_key(graph),
+                &optimizer,
+                config.restarts,
+                config.seed,
+                &config.options,
+            )?;
+            records.extend(solve_graph(graph, graph_id, config, &level1)?);
         }
-        Ok(Self {
-            graphs,
-            records,
-            max_depth: config.max_depth,
-        })
+        Self::from_parts(graphs, records, config.max_depth)
     }
 
-    /// Assembles a dataset from pre-solved parts — the constructor used by
-    /// the parallel `engine` corpus generator, which fans [`solve_depth`]
-    /// jobs across a worker pool and stitches the records back together in
-    /// graph order.
+    /// Assembles a dataset from pre-solved parts. Every generator, the TSV
+    /// reader and the shard coordinator build through it, so every dataset
+    /// meets the same invariants.
     ///
     /// # Errors
     ///
-    /// Returns [`QaoaError::Parse`] when a record references a graph outside
-    /// `graphs` or a depth beyond `max_depth` (the same invariants the TSV
-    /// reader enforces).
+    /// Returns [`QaoaError::Parse`] (its `line` is the 1-based record
+    /// index) when a record references a graph outside `graphs`, a depth of
+    /// 0 or beyond `max_depth`, or carries a `gammas` or `betas` count
+    /// other than its depth.
     pub fn from_parts(
         graphs: Vec<Graph>,
         records: Vec<OptimalRecord>,
         max_depth: usize,
     ) -> Result<Self, QaoaError> {
         for (i, r) in records.iter().enumerate() {
-            if r.graph_id >= graphs.len() || r.depth == 0 || r.depth > max_depth {
-                return Err(QaoaError::Parse {
-                    line: i + 1,
-                    message: format!(
-                        "record {} out of range: graph_id {} (of {}), depth {} (max {})",
-                        i,
-                        r.graph_id,
-                        graphs.len(),
-                        r.depth,
-                        max_depth
-                    ),
-                });
-            }
+            let message = if r.graph_id >= graphs.len() || r.depth == 0 || r.depth > max_depth {
+                format!(
+                    "record {i} out of range: graph_id {} (of {}), depth {} (max {max_depth})",
+                    r.graph_id,
+                    graphs.len(),
+                    r.depth
+                )
+            } else if r.gammas.len() != r.depth || r.betas.len() != r.depth {
+                format!(
+                    "record {i} at depth {} carries {} gammas and {} betas",
+                    r.depth,
+                    r.gammas.len(),
+                    r.betas.len()
+                )
+            } else {
+                continue;
+            };
+            return Err(QaoaError::Parse {
+                line: i + 1,
+                message,
+            });
         }
         Ok(Self {
             graphs,
@@ -294,7 +301,8 @@ impl ParameterDataset {
     ///
     /// * [`QaoaError::Io`] on read failure.
     /// * [`QaoaError::Parse`] on malformed content, including a last line
-    ///   without its newline (a file cut mid-record).
+    ///   without its newline (a file cut mid-record) and the records
+    ///   [`ParameterDataset::from_parts`] rejects.
     pub fn read_tsv<R: Read>(mut r: R) -> Result<Self, QaoaError> {
         let mut text = String::new();
         r.read_to_string(&mut text)?;
@@ -374,11 +382,7 @@ impl ParameterDataset {
                 message: "last record is cut short (no trailing newline)".into(),
             });
         }
-        Ok(Self {
-            graphs,
-            records,
-            max_depth,
-        })
+        Self::from_parts(graphs, records, max_depth)
     }
 
     /// Convenience: write to a filesystem path, via a per-process temp
@@ -410,34 +414,101 @@ impl ParameterDataset {
     }
 }
 
-/// Solves one `(graph, depth)` corpus cell: the paper's best-of-`restarts`
-/// multistart, plus one trend-seeded run interpolated from the previous
-/// depth's canonical optimum (`prev`), with near-ties resolved to the
-/// trend-consistent basin. Returns the canonicalized [`OptimalRecord`].
-///
-/// This is the unit of work of the §III-A pipeline. The serial
-/// [`ParameterDataset::from_graphs`] streams one RNG through every cell;
-/// the parallel engine derives an independent RNG per cell so results are
-/// identical at any worker count.
+/// Generates the Erdős–Rényi ensemble of `config`: one RNG seeded with
+/// `config.seed`, streamed across the whole ensemble. Shard coordinators
+/// and wire workers materialize identical ensembles from the spec alone.
+#[must_use]
+pub fn ensemble(config: &DataGenConfig) -> Vec<Graph> {
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    (0..config.n_graphs)
+        .map(|_| {
+            generators::erdos_renyi_nonempty(config.n_nodes, config.edge_probability, &mut rng)
+        })
+        .collect()
+}
+
+/// Solves the depth-1 instance of the isomorphism class `class` with
+/// best-of-`restarts` multistart: on the class's canonical representative,
+/// from an RNG seeded by `(master_seed, class hash, restarts)`. The outcome
+/// is a pure function of `(master_seed, class, restarts)`, identical for
+/// every graph of the class, which is what lets the engine cache it per
+/// class.
 ///
 /// # Errors
 ///
 /// Propagates instance-construction and optimizer errors.
-pub fn solve_depth<R: Rng + ?Sized>(
+pub fn solve_level1(
+    class: &CanonicalGraphKey,
+    optimizer: &dyn Optimizer,
+    restarts: usize,
+    master_seed: u64,
+    options: &Options,
+) -> Result<InstanceOutcome, QaoaError> {
+    let representative = class.to_graph()?;
+    let instance = QaoaInstance::new(MaxCutProblem::new(&representative)?, 1)?;
+    let mut rng = StdRng::seed_from_u64(derive2(
+        master_seed,
+        "level1",
+        class.hash64(),
+        wide(restarts),
+    ));
+    instance.optimize_multistart(optimizer, restarts, &mut rng, options)
+}
+
+/// Solves depths `1..=config.max_depth` of ensemble graph `graph_id` from
+/// its depth-1 outcome `level1` ([`solve_level1`] of its class): depth 1
+/// is `level1` canonicalized, and each deeper depth is one multistart solve
+/// trend-seeded from the depth below, from an RNG seeded by
+/// `(config.seed, graph_id, depth)`. Keyed on the global `graph_id`, so a
+/// shard that solves part of an ensemble gets the records of the whole.
+///
+/// # Errors
+///
+/// Propagates problem-construction and optimizer errors.
+pub fn solve_graph(
+    graph: &Graph,
+    graph_id: usize,
+    config: &DataGenConfig,
+    level1: &InstanceOutcome,
+) -> Result<Vec<OptimalRecord>, QaoaError> {
+    let problem = MaxCutProblem::new(graph)?;
+    let mut records: Vec<OptimalRecord> = Vec::with_capacity(config.max_depth);
+    for depth in 1..=config.max_depth {
+        let record = match records.last() {
+            None => canonical_record(graph_id, depth, level1),
+            Some(prev) => solve_depth(&problem, graph_id, depth, prev, config)?,
+        };
+        records.push(record);
+    }
+    Ok(records)
+}
+
+/// Solves one `(graph, depth ≥ 2)` corpus cell: the paper's
+/// best-of-`restarts` multistart from an RNG seeded by
+/// `(config.seed, graph_id, depth)`, plus one trend-seeded run interpolated
+/// from the previous depth's canonical optimum `prev`, with near-ties
+/// resolved to the trend-consistent basin. Returns the canonicalized
+/// [`OptimalRecord`].
+///
+/// # Errors
+///
+/// Propagates instance-construction and optimizer errors.
+fn solve_depth(
     problem: &MaxCutProblem,
     graph_id: usize,
     depth: usize,
-    prev: Option<&(Vec<f64>, Vec<f64>)>,
+    prev: &OptimalRecord,
     config: &DataGenConfig,
-    rng: &mut R,
 ) -> Result<OptimalRecord, QaoaError> {
+    let mut rng =
+        StdRng::seed_from_u64(derive2(config.seed, "corpus", wide(graph_id), wide(depth)));
     let optimizer = Lbfgsb::default();
     let instance = QaoaInstance::new(problem.clone(), depth)?;
     // The paper's protocol: best of `restarts` random inits.
     let mut outcome = instance.optimize_multistart(
         &optimizer as &dyn Optimizer,
         config.restarts,
-        rng,
+        &mut rng,
         &config.options,
     )?;
     // One extra trend-seeded run (Zhou et al.'s INTERP schedule, the
@@ -446,26 +517,29 @@ pub fn solve_depth<R: Rng + ?Sized>(
     // local optima, and independent multistart hops between them across
     // graphs; the interpolation seed keeps every graph in the same smooth
     // basin family — the regularity Figs. 2/3 depend on.
-    if let Some((pg, pb)) = prev {
-        let mut seed = interp_resample(pg, depth);
-        seed.extend(interp_resample(pb, depth));
-        let seeded = instance.optimize(&optimizer as &dyn Optimizer, &seed, &config.options)?;
-        let total = outcome.function_calls + seeded.function_calls;
-        // Record the random-restart winner only when it beats the
-        // trend-consistent optimum by a real margin; near-degenerate ties
-        // resolve to the seeded basin.
-        let margin = config.trend_preference_margin * (1.0 + seeded.expectation.abs());
-        if outcome.expectation <= seeded.expectation + margin {
-            outcome = seeded;
-        }
-        outcome.function_calls = total;
+    let mut seed = interp_resample(&prev.gammas, depth);
+    seed.extend(interp_resample(&prev.betas, depth));
+    let seeded = instance.optimize(&optimizer as &dyn Optimizer, &seed, &config.options)?;
+    let total = outcome.function_calls + seeded.function_calls;
+    // Record the random-restart winner only when it beats the
+    // trend-consistent optimum by a real margin; near-degenerate ties
+    // resolve to the seeded basin.
+    let margin = config.trend_preference_margin * (1.0 + seeded.expectation.abs());
+    if outcome.expectation <= seeded.expectation + margin {
+        outcome = seeded;
     }
-    // Fold the optimum into the canonical symmetry domain so optimal
-    // parameters are comparable across graphs (see the `canonical` module).
+    outcome.function_calls = total;
+    Ok(canonical_record(graph_id, depth, &outcome))
+}
+
+/// The record of one solved cell, its optimum folded into the canonical
+/// symmetry domain so optimal parameters are comparable across graphs (see
+/// the `canonical` module).
+fn canonical_record(graph_id: usize, depth: usize, outcome: &InstanceOutcome) -> OptimalRecord {
     let mut gammas = outcome.gammas().to_vec();
     let mut betas = outcome.betas().to_vec();
     crate::canonical::canonicalize(&mut gammas, &mut betas);
-    Ok(OptimalRecord {
+    OptimalRecord {
         graph_id,
         depth,
         gammas,
@@ -473,7 +547,7 @@ pub fn solve_depth<R: Rng + ?Sized>(
         expectation: outcome.expectation,
         approximation_ratio: outcome.approximation_ratio,
         function_calls: outcome.function_calls,
-    })
+    }
 }
 
 /// Linearly resamples a parameter schedule to a new length — Zhou et al.'s
@@ -646,6 +720,30 @@ mod tests {
             Err(QaoaError::Parse { line: 2, .. })
         ));
         assert!(ParameterDataset::read_tsv(&b"header only\n"[..]).is_err());
+    }
+
+    #[test]
+    fn records_whose_angle_count_is_not_their_depth_are_rejected() {
+        let ds = ParameterDataset::generate(&tiny_config()).unwrap();
+        let mut short = ds.records().to_vec();
+        short[1].gammas.pop();
+        assert!(matches!(
+            ParameterDataset::from_parts(ds.graphs().to_vec(), short, 2),
+            Err(QaoaError::Parse { line: 2, .. })
+        ));
+        // The TSV reader builds through the same check.
+        let mut buf = Vec::new();
+        ds.write_tsv(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let mut lines: Vec<String> = text.lines().map(String::from).collect();
+        let mut fields: Vec<&str> = lines[2].split('\t').collect();
+        fields[6] = "";
+        lines[2] = fields.join("\t");
+        let cut = lines.join("\n") + "\n";
+        assert!(matches!(
+            ParameterDataset::read_tsv(cut.as_bytes()),
+            Err(QaoaError::Parse { .. })
+        ));
     }
 
     #[test]

@@ -159,8 +159,8 @@ pub fn table_header() -> String {
 /// and still reproduce the serial sweep bit-for-bit.
 #[must_use]
 pub fn graph_seed(master: u64, graph_index: usize) -> u64 {
-    use crate::stablehash::{mix64, GOLDEN_GAMMA};
-    mix64(master ^ (graph_index as u64).wrapping_mul(GOLDEN_GAMMA))
+    use crate::stablehash::{mix64, wide, GOLDEN_GAMMA};
+    mix64(master ^ wide(graph_index).wrapping_mul(GOLDEN_GAMMA))
 }
 
 /// Runs the naive protocol for a **single** graph: `n_starts` independent
@@ -298,7 +298,9 @@ pub fn two_level_protocol(
 /// serial [`compare`] and the parallel engine driver.
 #[must_use]
 pub fn cell_seed(master: u64, optimizer_index: usize, depth_index: usize) -> u64 {
-    master.wrapping_add((optimizer_index * 1000 + depth_index) as u64)
+    master.wrapping_add(crate::stablehash::wide(
+        optimizer_index * 1000 + depth_index,
+    ))
 }
 
 /// Aggregates per-run samples of both protocols into one [`ComparisonRow`].

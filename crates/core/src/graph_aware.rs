@@ -330,19 +330,19 @@ mod tests {
             pinned(&out),
             (
                 vec![
-                    0x3fe34f32395ed9e8,
-                    0x3fed89be46ecafd3,
-                    0x3fe2d381d0f37473,
-                    0x3fd92948c3a845b6
+                    0x3fe5f071e47e214c,
+                    0x400731830b86f4d5,
+                    0x3fdc8b803184d400,
+                    0x3ffb2f8159e2c8e5
                 ],
-                0x4018a94f1eca3e94,
-                0x3fec2f35da0bb53b,
-                [16, 0, 17, 16],
+                0x401431f373a32c21,
+                0x3fe71483f1df0ddd,
+                [16, 0, 33, 23],
                 vec![
-                    0x3ff1d4c206ecfa1b,
-                    0x3fef1c2962b4edba,
-                    0x3feac5a0ab04af8c,
-                    0x3fdfd23474a35d7c
+                    0x3fe8a7414231f7c8,
+                    0x40020bec470eb6ee,
+                    0x3fea7ad34d4d2338,
+                    0x3fe0d7f2f4a7199d
                 ],
             )
         );

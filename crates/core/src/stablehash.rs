@@ -3,9 +3,14 @@
 //! Three guarantees in this workspace are *bit-level* and cross-crate:
 //! serial sweeps equal engine-parallel sweeps (per-graph seeds), cache
 //! keys are stable across processes ([`crate::canonical`]), and per-job
-//! RNG derivation is a pure function of stable keys (`engine::seed`).
+//! RNG derivation is a pure function of stable keys ([`derive2`], [`mix`]).
 //! All of them reduce to the two primitives here — one shared definition,
 //! so a constant tweak can never desynchronize the call sites.
+//!
+//! Every job draws its randomness from an RNG seeded by a pure function of
+//! a master seed and a stable job key — never from worker identity,
+//! scheduling order, or shared-stream position — so any worker count (and
+//! any interleaving) produces bit-identical results.
 
 /// The SplitMix64 increment ("golden gamma").
 pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -73,6 +78,44 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// Mixes a sequence of words into one seed (order-sensitive), built on
+/// [`splitmix64`].
+#[must_use]
+pub fn mix(master: u64, words: &[u64]) -> u64 {
+    let mut acc = splitmix64(master);
+    for &w in words {
+        acc = splitmix64(acc ^ w);
+    }
+    acc
+}
+
+/// FNV-1a digest of a domain string, used to separate seed streams (e.g.
+/// `"corpus"` vs `"batch"`) so equal indices in different contexts never
+/// collide.
+#[must_use]
+pub fn domain_hash(domain: &str) -> u64 {
+    fnv1a(domain.as_bytes())
+}
+
+/// Derives a seed in `domain` under `master`, keyed by two coordinates
+/// (e.g. `(graph, depth)`).
+#[must_use]
+pub fn derive2(master: u64, domain: &str, a: u64, b: u64) -> u64 {
+    mix(master, &[domain_hash(domain), a, b])
+}
+
+/// Widens a `usize` count/index into the `u64` seed-mixing domain.
+///
+/// Every stable key and seed derivation mixes machine-sized quantities
+/// (node counts, depths, restart counts, job indices) into `u64` words;
+/// this is the one sanctioned place that conversion happens, so call
+/// sites stay free of ad-hoc `as` casts.
+#[must_use]
+pub fn wide(x: usize) -> u64 {
+    // lint:allow(no-lossy-as) usize -> u64 is value-preserving on every supported target (all are <= 64-bit)
+    x as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,6 +125,38 @@ mod tests {
         assert_eq!(mix64(7), mix64(7));
         assert_ne!(mix64(7), mix64(8));
         assert_eq!(splitmix64(0), mix64(GOLDEN_GAMMA));
+    }
+
+    #[test]
+    fn derivation_is_pure() {
+        assert_eq!(derive2(7, "corpus", 3, 1), derive2(7, "corpus", 3, 1));
+        assert_eq!(mix(7, &[3, 1]), mix(7, &[3, 1]));
+    }
+
+    #[test]
+    fn domains_and_indices_separate_streams() {
+        let base = derive2(7, "corpus", 0, 0);
+        assert_ne!(base, derive2(7, "batch", 0, 0));
+        assert_ne!(base, derive2(7, "corpus", 1, 0));
+        assert_ne!(base, derive2(8, "corpus", 0, 0));
+        assert_ne!(derive2(7, "x", 1, 2), derive2(7, "x", 2, 1));
+    }
+
+    #[test]
+    fn job_rngs_are_reproducible() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut a = StdRng::seed_from_u64(derive2(42, "test", 5, 1));
+        let mut b = StdRng::seed_from_u64(derive2(42, "test", 5, 1));
+        for _ in 0..10 {
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        }
+    }
+
+    #[test]
+    fn mix_is_order_sensitive() {
+        assert_ne!(mix(1, &[2, 3]), mix(1, &[3, 2]));
+        assert_ne!(mix(1, &[]), mix(2, &[]));
     }
 
     #[test]

@@ -427,19 +427,19 @@ pub(crate) mod tests {
             pinned(&cached),
             (
                 vec![
-                    0x3fe34ee463adf7f3,
-                    0x3fed871e302248ce,
-                    0x3fe2d315c662bfb0,
-                    0x3fd92839733a4502
+                    0x3fe34f18016dd137,
+                    0x3fed8702655c4de4,
+                    0x3fe2d2cd706524db,
+                    0x3fd9286f3541eae7
                 ],
-                0x4018a94f4d499a9b,
-                0x3fec2f360f2f8c1f,
-                [25, 0, 14, 19],
+                0x4018a94f4b26bd4f,
+                0x3fec2f360cbe8f36,
+                [25, 0, 17, 21],
                 vec![
-                    0x3fe2669658e4c88e,
-                    0x3fe880fc29ad400c,
-                    0x3fe1ce2e91dfcfac,
-                    0x3fdd5b925afdaff2
+                    0x3fdc958f3d553f2a,
+                    0x3ff0ff342cb3cc62,
+                    0x3fd93ce9196b6adc,
+                    0x3fc7ae4d2e698ce0
                 ],
             )
         );
@@ -454,19 +454,19 @@ pub(crate) mod tests {
             pinned(&run(&Scenario::Exact, 0)),
             (
                 vec![
-                    0x3fe34ee41dcd1946,
-                    0x3fed871e3798f8a5,
-                    0x3fe2d3152cccf17d,
-                    0x3fd9283904131660
+                    0x3fe34f181f39f2e2,
+                    0x3fed870289759586,
+                    0x3fe2d2cd50c902b7,
+                    0x3fd9286f5d18c071
                 ],
-                0x4018a94f4d494c59,
-                0x3fec2f360f2f32af,
-                [42, 0, 14, 24],
+                0x4018a94f4b24b1c8,
+                0x3fec2f360cbc38e5,
+                [42, 0, 17, 26],
                 vec![
-                    0x3fe26689560b183b,
-                    0x3fe88040df834a58,
-                    0x3fe1ce71713259d0,
-                    0x3fdd5c5a53e230fe
+                    0x3fdc94ff8c609902,
+                    0x3ff0ff1c4ab3a5ce,
+                    0x3fd93cd7cc6c0fd8,
+                    0x3fc7adf96ca76c52
                 ],
             )
         );
@@ -474,19 +474,19 @@ pub(crate) mod tests {
             pinned(&run(&Scenario::Sampled { shots: 64 }, 9)),
             (
                 vec![
-                    0x3fe5c14d98230954,
-                    0x3ff1881fc206e37b,
-                    0x3fdbda7b9d89214c,
-                    0x3fd11e89865fd5ce
+                    0x3fe6cafef05eb475,
+                    0x3feeb276298674ae,
+                    0x3fe396a926779a51,
+                    0x3fd90e5dceb98b56
                 ],
-                0x4016359583356a1c,
-                0x3fe961cf71619dd7,
+                0x401856c0411cac7b,
+                0x3febd0dbb820c51f,
                 [164, 0, 82, 0],
                 vec![
-                    0x3fe7ff41d7235447,
-                    0x3fe5c1529772e2dc,
-                    0x3fe67c1c491f27bb,
-                    0x3fe4bb1d74804265
+                    0x3fe1c43312b7783d,
+                    0x3ff1dca10396d873,
+                    0x3fdd1fba91a0bc32,
+                    0x3fce018c26d625cc
                 ],
             )
         );
@@ -507,22 +507,22 @@ pub(crate) mod tests {
             pinned(&out),
             (
                 vec![
-                    0x3fe5f2cd6e065eb9,
-                    0x400739ff932605c7,
-                    0x401921fb54442d18,
-                    0x3fdc93176bb2d1cd,
-                    0x3fca8dd19c4d66d0,
-                    0x400880e3800f3842
+                    0x3fe918a9c67aa71f,
+                    0x4013891c297f6a63,
+                    0x40158fd176297396,
+                    0x3fbdf41d61054477,
+                    0x4004c5223e9a387a,
+                    0x400661c7493dd5a9
                 ],
-                0x401431f0b575f953,
-                0x3fe71480cf624183,
-                [29, 14, 49, 32],
+                0x4019e252c52805e9,
+                0x3fed94f0e1524fe6,
+                [29, 17, 80, 50],
                 vec![
-                    0x3fdf254342a5db8d,
-                    0x4007e71d20a283da,
+                    0x3fdf0035690937f1,
+                    0x400d7d688ed3e3e7,
                     0x401921fb54442d18,
-                    0x0000000000000000,
-                    0x3fd25e5f39e13abe,
+                    0x3fdeda46d674041a,
+                    0x400921fb54442d18,
                     0x400921fb54442d18
                 ],
             )

@@ -20,6 +20,8 @@ use std::time::{Duration, Instant};
 use graphs::Graph;
 use optimize::{Optimizer, Options};
 use qaoa::canonical::graph_key;
+use qaoa::datagen::solve_level1;
+use qaoa::stablehash::{domain_hash, mix, wide};
 use qaoa::{
     InstanceOutcome, MaxCutProblem, ParameterPredictor, QaoaError, QaoaInstance, Scenario,
     TwoLevelConfig, TwoLevelFlow, TwoLevelOutcome,
@@ -29,7 +31,6 @@ use rand::SeedableRng;
 
 use crate::cache::{Level1Cache, Level1Key};
 use crate::pool::Pool;
-use crate::seed;
 
 /// One unit of batch work: optimize a `(graph, depth)` QAOA instance with
 /// best-of-`restarts` multistart.
@@ -54,22 +55,15 @@ impl Job {
         }
     }
 
-    /// Stable key of this job at `index` in its queue — the input to
-    /// [`seed::derive2`], independent of scheduling.
+    /// Stable key of this job at `index` in its queue — the input to its
+    /// seed derivation, independent of scheduling.
     #[must_use]
     pub fn stable_key(&self, index: usize) -> u64 {
-        let mut h: u64 = seed::wide(self.graph.n_nodes());
+        let mut h: u64 = wide(self.graph.n_nodes());
         for e in self.graph.edges() {
-            h = seed::mix(h, &[seed::wide(e.u), seed::wide(e.v), e.weight.to_bits()]);
+            h = mix(h, &[wide(e.u), wide(e.v), e.weight.to_bits()]);
         }
-        seed::mix(
-            h,
-            &[
-                seed::wide(self.depth),
-                seed::wide(self.restarts),
-                seed::wide(index),
-            ],
-        )
+        mix(h, &[wide(self.depth), wide(self.restarts), wide(index)])
     }
 }
 
@@ -203,14 +197,11 @@ impl Engine {
         self.pool.threads()
     }
 
-    /// Solves the depth-1 instance of `graph`'s canonical class, through
-    /// the cache. The solve operates on the **canonical representative**
-    /// with an RNG seeded from the class hash and the restarts count,
-    /// making the result a pure function of
-    /// `(master_seed, class, restarts)` — identical for every isomorphic
-    /// graph and every schedule. The cache entry is keyed on
-    /// `(class, restarts)` to match, so differing restart counts never
-    /// conflate. Returns `(outcome, was_hit)`.
+    /// Solves the depth-1 instance of `graph`'s canonical class
+    /// ([`qaoa::datagen::solve_level1`]: a pure function of
+    /// `(master_seed, class, restarts)`), through the cache. The cache
+    /// entry is keyed on `(class, restarts)` to match, so differing restart
+    /// counts never conflate. Returns `(outcome, was_hit)`.
     ///
     /// # Errors
     ///
@@ -224,16 +215,13 @@ impl Engine {
     ) -> Result<(InstanceOutcome, bool), QaoaError> {
         let key = Level1Key::new(graph_key(graph), restarts);
         let solve = || {
-            let representative = key.class.to_graph()?;
-            let problem = MaxCutProblem::new(&representative)?;
-            let instance = QaoaInstance::new(problem, 1)?;
-            let mut rng = StdRng::seed_from_u64(seed::derive2(
+            solve_level1(
+                &key.class,
+                optimizer,
+                restarts,
                 config.master_seed,
-                "level1",
-                key.class.hash64(),
-                seed::wide(restarts),
-            ));
-            instance.optimize_multistart(optimizer, restarts, &mut rng, &config.options)
+                &config.options,
+            )
         };
         if config.use_cache {
             self.cache.get_or_solve(&key, solve)
@@ -252,9 +240,9 @@ impl Engine {
     /// class.
     ///
     /// When the batch is narrower than the pool, leftover workers are
-    /// granted to each job as a within-state kernel budget
-    /// ([`Pool::inner_threads`] → `qaoa::eval::with_within_state_threads`),
-    /// so one large-`n` evaluation no longer serializes on a single core.
+    /// granted to each job as a within-state kernel budget (the pool
+    /// applies [`Pool::inner_threads`] to every job it runs), so one
+    /// large-`n` evaluation no longer serializes on a single core.
     /// The budget never affects results (the SoA kernels are deterministic
     /// in it), so the contract above is unchanged.
     ///
@@ -269,47 +257,45 @@ impl Engine {
     ) -> Result<(Vec<InstanceOutcome>, BatchReport), QaoaError> {
         let batch_start = Instant::now();
         let results: Vec<Result<(InstanceOutcome, JobStats), QaoaError>> =
-            self.pool.run_ordered_fanout(jobs.len(), |i, inner| {
-                qaoa::eval::with_within_state_threads(inner, || {
-                    let job = &jobs[i];
-                    let start = Instant::now();
-                    let (outcome, cache_hit) = if job.depth == 1 && config.scenario.is_exact() {
-                        self.level1_cached(&job.graph, optimizer, job.restarts, config)?
-                    } else {
-                        // Uncached path: depth >= 2, or any non-exact
-                        // scenario (including depth-1 — the cache stores
-                        // exact optima only). The job seed drives both the
-                        // multistart RNG and the scenario's internal
-                        // stochasticity, keeping outcomes pure functions of
-                        // the queue at any worker count.
-                        let problem = MaxCutProblem::new(&job.graph)?;
-                        let job_seed = seed::mix(
-                            config.master_seed,
-                            &[seed::domain_hash("batch"), job.stable_key(i)],
-                        );
-                        let instance = QaoaInstance::with_scenario(
-                            problem,
-                            job.depth,
-                            &config.scenario,
-                            job_seed,
-                        )?;
-                        let mut rng = StdRng::seed_from_u64(job_seed);
-                        let outcome = instance.optimize_multistart(
-                            optimizer,
-                            job.restarts,
-                            &mut rng,
-                            &config.options,
-                        )?;
-                        (outcome, false)
-                    };
-                    let stats = JobStats {
-                        wall: start.elapsed(),
-                        function_calls: outcome.function_calls,
-                        gradient_calls: outcome.gradient_calls,
-                        cache_hit,
-                    };
-                    Ok((outcome, stats))
-                })
+            self.pool.run_ordered(jobs.len(), |i| {
+                let job = &jobs[i];
+                let start = Instant::now();
+                let (outcome, cache_hit) = if job.depth == 1 && config.scenario.is_exact() {
+                    self.level1_cached(&job.graph, optimizer, job.restarts, config)?
+                } else {
+                    // Uncached path: depth >= 2, or any non-exact
+                    // scenario (including depth-1 — the cache stores
+                    // exact optima only). The job seed drives both the
+                    // multistart RNG and the scenario's internal
+                    // stochasticity, keeping outcomes pure functions of
+                    // the queue at any worker count.
+                    let problem = MaxCutProblem::new(&job.graph)?;
+                    let job_seed = mix(
+                        config.master_seed,
+                        &[domain_hash("batch"), job.stable_key(i)],
+                    );
+                    let instance = QaoaInstance::with_scenario(
+                        problem,
+                        job.depth,
+                        &config.scenario,
+                        job_seed,
+                    )?;
+                    let mut rng = StdRng::seed_from_u64(job_seed);
+                    let outcome = instance.optimize_multistart(
+                        optimizer,
+                        job.restarts,
+                        &mut rng,
+                        &config.options,
+                    )?;
+                    (outcome, false)
+                };
+                let stats = JobStats {
+                    wall: start.elapsed(),
+                    function_calls: outcome.function_calls,
+                    gradient_calls: outcome.gradient_calls,
+                    cache_hit,
+                };
+                Ok((outcome, stats))
             });
 
         let mut outcomes = Vec::with_capacity(jobs.len());
@@ -369,50 +355,48 @@ impl Engine {
             options: config.options,
         };
         let results: Vec<Result<(TwoLevelOutcome, JobStats), QaoaError>> =
-            self.pool.run_ordered_fanout(graphs.len(), |i, inner| {
-                qaoa::eval::with_within_state_threads(inner, || {
-                    let start = Instant::now();
-                    let problem = MaxCutProblem::new(&graphs[i])?;
-                    let flow = TwoLevelFlow::new(predictor);
-                    let (outcome, cache_hit) = if config.scenario.is_exact() {
-                        let (level1, cache_hit) =
-                            self.level1_cached(&graphs[i], optimizer, level1_starts, config)?;
-                        let outcome = flow.run_with_level1(
-                            &problem,
-                            target_depth,
-                            optimizer,
-                            &flow_config,
-                            &level1,
-                        )?;
-                        (outcome, cache_hit)
-                    } else {
-                        // Non-exact scenarios skip the cache (exact-optimum
-                        // entries) and run the full two-level flow under the
-                        // scenario, seeded per graph index.
-                        let graph_seed = seed::mix(
-                            config.master_seed,
-                            &[seed::domain_hash("two-level-scenario"), seed::wide(i)],
-                        );
-                        let mut rng = StdRng::seed_from_u64(graph_seed);
-                        let outcome = flow.run(
-                            &problem,
-                            target_depth,
-                            optimizer,
-                            &flow_config,
-                            &mut rng,
-                            &config.scenario,
-                            graph_seed,
-                        )?;
-                        (outcome, false)
-                    };
-                    let stats = JobStats {
-                        wall: start.elapsed(),
-                        function_calls: outcome.total_calls(),
-                        gradient_calls: outcome.gradient_calls,
-                        cache_hit,
-                    };
-                    Ok((outcome, stats))
-                })
+            self.pool.run_ordered(graphs.len(), |i| {
+                let start = Instant::now();
+                let problem = MaxCutProblem::new(&graphs[i])?;
+                let flow = TwoLevelFlow::new(predictor);
+                let (outcome, cache_hit) = if config.scenario.is_exact() {
+                    let (level1, cache_hit) =
+                        self.level1_cached(&graphs[i], optimizer, level1_starts, config)?;
+                    let outcome = flow.run_with_level1(
+                        &problem,
+                        target_depth,
+                        optimizer,
+                        &flow_config,
+                        &level1,
+                    )?;
+                    (outcome, cache_hit)
+                } else {
+                    // Non-exact scenarios skip the cache (exact-optimum
+                    // entries) and run the full two-level flow under the
+                    // scenario, seeded per graph index.
+                    let graph_seed = mix(
+                        config.master_seed,
+                        &[domain_hash("two-level-scenario"), wide(i)],
+                    );
+                    let mut rng = StdRng::seed_from_u64(graph_seed);
+                    let outcome = flow.run(
+                        &problem,
+                        target_depth,
+                        optimizer,
+                        &flow_config,
+                        &mut rng,
+                        &config.scenario,
+                        graph_seed,
+                    )?;
+                    (outcome, false)
+                };
+                let stats = JobStats {
+                    wall: start.elapsed(),
+                    function_calls: outcome.total_calls(),
+                    gradient_calls: outcome.gradient_calls,
+                    cache_hit,
+                };
+                Ok((outcome, stats))
             });
 
         let mut outcomes = Vec::with_capacity(graphs.len());

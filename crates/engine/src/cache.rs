@@ -23,17 +23,16 @@
 //! value as a hit. This makes the hit/miss counts — not just the cached
 //! values — a pure function of the job queue, identical at any worker
 //! count and under any schedule, and never spends two solves on one class.
-//! (The values were already schedule-independent: the engine seeds every
-//! depth-1 solve from the canonical class hash and runs it on the canonical
-//! representative graph.)
+//! (The values were already schedule-independent: every depth-1 solve,
+//! `qaoa::datagen::solve_level1`, is seeded from the canonical class hash
+//! and runs on the canonical representative graph.)
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::seed;
-
 use qaoa::canonical::CanonicalGraphKey;
+use qaoa::stablehash::wide;
 use qaoa::{InstanceOutcome, QaoaError};
 
 const SHARDS: usize = 16;
@@ -106,8 +105,8 @@ impl Level1Cache {
     }
 
     fn shard(&self, key: &Level1Key) -> &Mutex<Shard> {
-        let h = key.class.hash64().wrapping_add(seed::wide(key.restarts));
-        let idx = usize::try_from(h % seed::wide(SHARDS)).unwrap_or(0);
+        let h = key.class.hash64().wrapping_add(wide(key.restarts));
+        let idx = usize::try_from(h % wide(SHARDS)).unwrap_or(0);
         &self.shards[idx]
     }
 

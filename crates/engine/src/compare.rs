@@ -78,46 +78,44 @@ pub fn compare(
 
     type JobSamples = (usize, bool, Vec<(f64, usize)>);
     let results: Vec<Result<JobSamples, QaoaError>> =
-        pool.run_ordered_fanout(jobs.len(), |i, inner| {
-            qaoa::eval::with_within_state_threads(inner, || match &jobs[i] {
-                SweepJob::Naive {
-                    cell,
-                    optimizer,
-                    depth,
+        pool.run_ordered(jobs.len(), |i| match &jobs[i] {
+            SweepJob::Naive {
+                cell,
+                optimizer,
+                depth,
+                graph,
+                seed,
+            } => {
+                let samples = evaluation::naive_protocol_graph(
                     graph,
-                    seed,
-                } => {
-                    let samples = evaluation::naive_protocol_graph(
-                        graph,
-                        *depth,
-                        *optimizer,
-                        config.naive_starts,
-                        &config.options,
-                        *seed,
-                        &config.scenario,
-                    )?;
-                    Ok((*cell, false, samples))
-                }
-                SweepJob::TwoLevel {
-                    cell,
-                    optimizer,
-                    depth,
+                    *depth,
+                    *optimizer,
+                    config.naive_starts,
+                    &config.options,
+                    *seed,
+                    &config.scenario,
+                )?;
+                Ok((*cell, false, samples))
+            }
+            SweepJob::TwoLevel {
+                cell,
+                optimizer,
+                depth,
+                graph,
+                seed,
+            } => {
+                let sample = evaluation::two_level_protocol_graph(
                     graph,
-                    seed,
-                } => {
-                    let sample = evaluation::two_level_protocol_graph(
-                        graph,
-                        *depth,
-                        *optimizer,
-                        predictor,
-                        config.level1_starts,
-                        &config.options,
-                        *seed,
-                        &config.scenario,
-                    )?;
-                    Ok((*cell, true, vec![sample]))
-                }
-            })
+                    *depth,
+                    *optimizer,
+                    predictor,
+                    config.level1_starts,
+                    &config.options,
+                    *seed,
+                    &config.scenario,
+                )?;
+                Ok((*cell, true, vec![sample]))
+            }
         });
 
     // Reassemble per-cell sample vectors. Jobs come back in submission
@@ -158,18 +156,16 @@ pub fn naive_protocol(
     pool: &Pool,
 ) -> Result<Vec<(f64, usize)>, QaoaError> {
     let per_graph: Vec<Result<Vec<(f64, usize)>, QaoaError>> =
-        pool.run_ordered_fanout(graphs.len(), |gi, inner| {
-            qaoa::eval::with_within_state_threads(inner, || {
-                evaluation::naive_protocol_graph(
-                    &graphs[gi],
-                    depth,
-                    optimizer,
-                    n_starts,
-                    options,
-                    graph_seed(seed, gi),
-                    scenario,
-                )
-            })
+        pool.run_ordered(graphs.len(), |gi| {
+            evaluation::naive_protocol_graph(
+                &graphs[gi],
+                depth,
+                optimizer,
+                n_starts,
+                options,
+                graph_seed(seed, gi),
+                scenario,
+            )
         });
     let mut samples = Vec::with_capacity(graphs.len() * n_starts);
     for result in per_graph {
@@ -196,20 +192,17 @@ pub fn two_level_protocol(
     scenario: &qaoa::Scenario,
     pool: &Pool,
 ) -> Result<Vec<(f64, usize)>, QaoaError> {
-    let per_graph: Vec<Result<(f64, usize), QaoaError>> =
-        pool.run_ordered_fanout(graphs.len(), |gi, inner| {
-            qaoa::eval::with_within_state_threads(inner, || {
-                evaluation::two_level_protocol_graph(
-                    &graphs[gi],
-                    depth,
-                    optimizer,
-                    predictor,
-                    level1_starts,
-                    options,
-                    graph_seed(seed, gi),
-                    scenario,
-                )
-            })
-        });
+    let per_graph: Vec<Result<(f64, usize), QaoaError>> = pool.run_ordered(graphs.len(), |gi| {
+        evaluation::two_level_protocol_graph(
+            &graphs[gi],
+            depth,
+            optimizer,
+            predictor,
+            level1_starts,
+            options,
+            graph_seed(seed, gi),
+            scenario,
+        )
+    });
     per_graph.into_iter().collect()
 }

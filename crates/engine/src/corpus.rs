@@ -3,32 +3,21 @@
 //! The unit of parallelism is the **graph**: depths within one graph are
 //! coupled by trend seeding (depth `p` is initialized from the depth-`p−1`
 //! optimum), so one worker walks `p = 1..=max_depth` for its graph while
-//! other graphs run concurrently.
-//!
-//! Unlike the serial `ParameterDataset::from_graphs`, which streams one RNG
-//! across every cell, each `(graph, depth)` cell here draws from an RNG
-//! derived from stable keys ([`crate::seed`]):
-//!
-//! * depth 1 — seeded from the graph's **canonical class hash** and solved
-//!   on the canonical representative, so isomorphic graphs produce
-//!   bit-identical depth-1 optima and share one [`Level1Cache`] entry,
-//! * depth ≥ 2 — seeded from `(graph_index, depth)`.
-//!
-//! Consequently corpus output is a pure function of `(graphs, config)` —
-//! identical at any worker count, with or without cache hits.
+//! other graphs run concurrently. Each graph is one
+//! [`qaoa::datagen::solve_graph`] call on its depth-1 outcome, served per
+//! isomorphism class by [`Engine::level1_cached`]; the output equals the
+//! serial [`ParameterDataset::from_graphs`] bit for bit at any worker
+//! count, with or without cache hits.
 
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-use graphs::{generators, Graph};
+use graphs::Graph;
 use optimize::Lbfgsb;
-use qaoa::datagen::{solve_depth, DataGenConfig, OptimalRecord, ParameterDataset};
+use qaoa::datagen::{self, DataGenConfig, OptimalRecord, ParameterDataset};
 use qaoa::QaoaError;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::batch::{BatchConfig, Engine};
-use crate::seed;
 
 /// Accounting for one corpus generation run.
 #[derive(Debug, Clone)]
@@ -58,25 +47,10 @@ impl CorpusReport {
     }
 }
 
-/// Generates the Erdős–Rényi ensemble of `config` — the exact graph
-/// sequence the serial [`ParameterDataset::generate`] draws (one RNG
-/// streamed across the whole ensemble). Exposed so the shard coordinator
-/// ([`crate::shard`]) and wire workers ([`crate::server`]) materialize
-/// identical ensembles from the spec alone.
-#[must_use]
-pub fn ensemble(config: &DataGenConfig) -> Vec<Graph> {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    (0..config.n_graphs)
-        .map(|_| {
-            generators::erdos_renyi_nonempty(config.n_nodes, config.edge_probability, &mut rng)
-        })
-        .collect()
-}
+pub use qaoa::datagen::ensemble;
 
 /// Generates the Erdős–Rényi ensemble of `config` and solves it in
-/// parallel. The ensemble itself matches the serial
-/// [`ParameterDataset::generate`] exactly (same seed stream); the records
-/// come from the engine's per-cell seeding.
+/// parallel: the corpus of [`ParameterDataset::generate`].
 ///
 /// # Errors
 ///
@@ -107,9 +81,10 @@ pub fn from_graphs(
 /// `graphs`) in parallel, returning the records in graph-index order.
 ///
 /// This is the shard worker's unit of work: every per-cell RNG is derived
-/// from the **global** graph index, so a worker handed `graphs[a..b]` of a
-/// larger ensemble produces exactly the records an unsharded run computes
-/// for those indices — the bit-parity invariant [`crate::shard`] builds on.
+/// from the **global** graph index ([`qaoa::datagen::solve_graph`]), so a
+/// worker handed `graphs[a..b]` of a larger ensemble produces exactly the
+/// records an unsharded run computes for those indices — the bit-parity
+/// invariant [`crate::shard`] builds on.
 ///
 /// # Errors
 ///
@@ -177,73 +152,16 @@ pub(crate) fn stream_range<E>(
         scenario: qaoa::Scenario::Exact,
     };
     let optimizer = Lbfgsb::default();
-    let inner = engine.pool().inner_threads(range.len());
     engine.pool().stream_ordered(
         range.len(),
         |offset| {
-            qaoa::eval::with_within_state_threads(inner, || {
-                let graph_id = range.start + offset;
-                solve_graph(
-                    &graphs[graph_id],
-                    graph_id,
-                    config,
-                    engine,
-                    &optimizer,
-                    &batch_config,
-                )
-            })
+            let graph_id = range.start + offset;
+            let graph = &graphs[graph_id];
+            let (level1, hit) =
+                engine.level1_cached(graph, &optimizer, config.restarts, &batch_config)?;
+            let records = datagen::solve_graph(graph, graph_id, config, &level1)?;
+            Ok((records, usize::from(hit)))
         },
         |_, graph| sink(graph),
     )
-}
-
-/// Solves all depths of one graph; returns its records and the number of
-/// depth-1 cache hits (0 or 1).
-fn solve_graph(
-    graph: &Graph,
-    graph_id: usize,
-    config: &DataGenConfig,
-    engine: &Engine,
-    optimizer: &Lbfgsb,
-    batch_config: &BatchConfig,
-) -> Result<(Vec<OptimalRecord>, usize), QaoaError> {
-    let problem = qaoa::MaxCutProblem::new(graph)?;
-    let mut records = Vec::with_capacity(config.max_depth);
-    let mut prev: Option<(Vec<f64>, Vec<f64>)> = None;
-    let mut cache_hits = 0;
-
-    for depth in 1..=config.max_depth {
-        let record = if depth == 1 {
-            // Depth 1 goes through the isomorphism cache: solved on the
-            // canonical representative, seeded from the class hash.
-            let (outcome, hit) =
-                engine.level1_cached(graph, optimizer, config.restarts, batch_config)?;
-            if hit {
-                cache_hits += 1;
-            }
-            let mut gammas = outcome.gammas().to_vec();
-            let mut betas = outcome.betas().to_vec();
-            qaoa::canonical::canonicalize(&mut gammas, &mut betas);
-            OptimalRecord {
-                graph_id,
-                depth,
-                gammas,
-                betas,
-                expectation: outcome.expectation,
-                approximation_ratio: outcome.approximation_ratio,
-                function_calls: outcome.function_calls,
-            }
-        } else {
-            let mut rng = StdRng::seed_from_u64(seed::derive2(
-                config.seed,
-                "corpus",
-                seed::wide(graph_id),
-                seed::wide(depth),
-            ));
-            solve_depth(&problem, graph_id, depth, prev.as_ref(), config, &mut rng)?
-        };
-        prev = Some((record.gammas.clone(), record.betas.clone()));
-        records.push(record);
-    }
-    Ok((records, cache_hits))
 }

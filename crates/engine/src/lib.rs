@@ -7,17 +7,17 @@
 //!
 //! * [`Pool`] — a self-scheduling executor on `std::thread::scope` that
 //!   runs a batch of jobs across a configurable worker count and returns
-//!   results in submission order,
-//! * [`seed`] — deterministic per-job RNG derivation (master seed + stable
-//!   job key → `StdRng`), the invariant that makes parallel runs
-//!   **bit-identical** to serial runs,
+//!   results in submission order; every job seeds its RNG from the master
+//!   seed and a stable job key ([`qaoa::stablehash`]), the invariant that
+//!   makes parallel runs **bit-identical** to serial runs,
 //! * [`Level1Cache`] — a concurrent depth-1 optimum cache keyed by the
 //!   canonical graph class ([`qaoa::canonical::graph_key`]) and the solve's
 //!   restarts count ([`Level1Key`]), so isomorphic instances with equal
 //!   restarts are never re-optimized,
 //! * [`Engine`] / [`Job`] / [`BatchReport`] — the batch front door with
 //!   per-job wall-clock and function-call accounting,
-//! * [`corpus`] — the parallel §III-A corpus generator,
+//! * [`corpus`] — the parallel fan-out of the §III-A corpus generator
+//!   ([`qaoa::datagen`] owns the per-cell policy),
 //! * [`compare`] — the parallel naive-vs-ML comparison sweep,
 //! * [`wire`] — the versioned line-delimited text codec for jobs, outcomes,
 //!   canonical keys, corpus records, batch reports, and shard tasking,
@@ -86,7 +86,6 @@ pub mod corpus;
 pub mod model;
 pub mod persist;
 pub mod pool;
-pub mod seed;
 pub mod server;
 pub mod shard;
 pub mod transport;

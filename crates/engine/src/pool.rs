@@ -55,30 +55,19 @@ impl Pool {
     /// than 1. A pure function of `(threads, n_jobs)` — independent of
     /// scheduling — so the budget itself can never introduce run-to-run
     /// variation. Small batches on a wide pool get leftover workers for
-    /// within-state parallelism (`qaoa::eval::with_within_state_threads`);
-    /// saturated batches get 1 (all parallelism stays across jobs).
+    /// within-state parallelism; saturated batches get 1 (all parallelism
+    /// stays across jobs). [`Pool::stream_ordered`] runs every job under
+    /// this budget (`qaoa::eval::with_within_state_threads`).
     #[must_use]
     pub fn inner_threads(&self, n_jobs: usize) -> usize {
         self.threads / n_jobs.clamp(1, self.threads)
-    }
-
-    /// [`Pool::run_ordered`] with the per-job fan-out budget passed to each
-    /// job as a second argument: `job(index, inner_threads)`. The budget is
-    /// the same for every job in the batch (see [`Pool::inner_threads`]).
-    pub fn run_ordered_fanout<T, F>(&self, n_jobs: usize, job: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, usize) -> T + Sync,
-    {
-        let inner = self.inner_threads(n_jobs);
-        self.run_ordered(n_jobs, |i| job(i, inner))
     }
 
     /// Runs `job(0..n_jobs)` across the pool, returning results in
     /// submission order. `job` must be a pure function of the index for the
     /// output to be schedule-independent — the engine guarantees this by
     /// deriving all per-job randomness from stable keys (see
-    /// [`crate::seed`]).
+    /// [`qaoa::stablehash`]).
     ///
     /// # Panics
     ///
@@ -107,6 +96,11 @@ impl Pool {
     /// workers start no new job, later results are dropped, and the error
     /// is returned.
     ///
+    /// Each job runs under the batch's within-state budget
+    /// ([`Pool::inner_threads`]), so a batch narrower than the pool hands
+    /// its leftover workers to each job's kernels. The kernels are
+    /// deterministic in the budget, so results do not depend on it.
+    ///
     /// # Panics
     ///
     /// A panicking job does not take its siblings down: the panic is caught
@@ -120,6 +114,8 @@ impl Pool {
         F: Fn(usize) -> T + Sync,
         S: FnMut(usize, T) -> Result<(), E>,
     {
+        let inner = self.inner_threads(n_jobs);
+        let job = |index| qaoa::eval::with_within_state_threads(inner, || job(index));
         let workers = self.threads.min(n_jobs).max(1);
         if workers == 1 {
             return (0..n_jobs).try_for_each(|index| sink(index, job(index)));
@@ -263,8 +259,14 @@ mod tests {
     #[test]
     fn fanout_passes_one_budget_to_every_job() {
         let pool = Pool::new(4);
-        let budgets = pool.run_ordered_fanout(2, |i, inner| (i, inner));
+        let budgets = pool.run_ordered(2, |i| (i, qaoa::eval::within_state_threads()));
         assert_eq!(budgets, vec![(0, 2), (1, 2)]);
+        assert_eq!(
+            Pool::new(4).run_ordered(1, |_| qaoa::eval::within_state_threads()),
+            vec![4]
+        );
+        // The caller's own budget is untouched.
+        assert_eq!(qaoa::eval::within_state_threads(), 1);
     }
 
     #[test]

@@ -654,7 +654,10 @@ where
                         progress.received, record.graph_id, record.depth
                     )));
                 }
-                progress.function_calls += record.function_calls;
+                progress.function_calls = progress
+                    .function_calls
+                    .checked_add(record.function_calls)
+                    .ok_or_else(|| fail("function calls overflow the range's sum".into()))?;
                 if progress.received < progress.emitted {
                     // A re-tasked survivor replaying the already-emitted
                     // prefix: coordinates checked above, record dropped.

@@ -315,10 +315,11 @@ pub fn encode_record(record: &OptimalRecord) -> String {
 ///
 /// # Errors
 ///
-/// Rejects malformed lines.
+/// Rejects malformed lines, a depth of 0, and a record whose `gammas` or
+/// `betas` count is not its depth.
 pub fn decode_record(line: &str) -> Result<OptimalRecord, WireError> {
     let f = expect_fields(payload(line, "RECORD")?, 7, "RECORD")?;
-    Ok(OptimalRecord {
+    let record = OptimalRecord {
         graph_id: parse_int(f[0], "graph_id")?,
         depth: parse_int(f[1], "depth")?,
         expectation: parse_f64(f[2])?,
@@ -326,7 +327,15 @@ pub fn decode_record(line: &str) -> Result<OptimalRecord, WireError> {
         function_calls: parse_int(f[4], "function_calls")?,
         gammas: parse_floats(f[5])?,
         betas: parse_floats(f[6])?,
-    })
+    };
+    let angles = [record.gammas.len(), record.betas.len()];
+    if record.depth == 0 || angles != [record.depth; 2] {
+        return Err(WireError::new(format!(
+            "RECORD at depth {} carries {} gammas and {} betas",
+            record.depth, angles[0], angles[1]
+        )));
+    }
+    Ok(record)
 }
 
 // --- JOB -------------------------------------------------------------------

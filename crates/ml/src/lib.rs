@@ -10,11 +10,13 @@
 //! * [`SvrModel`] — ε-support-vector regression (`fitrsvm`),
 //!
 //! plus the shared machinery: the [`Regressor`] trait, a [`Dataset`]
-//! container with deterministic train/test splitting (the paper's 20:80
-//! split), feature standardization ([`StandardScaler`]), the
-//! [`MultiOutput`] wrapper (the predictor emits `2·pt` parameters from one
-//! feature vector), and the evaluation metrics of §III-C
-//! ([`metrics`]: MSE, RMSE, MAE, R², adjusted R², Pearson correlation).
+//! container with deterministic row splitting, feature standardization
+//! ([`StandardScaler`]), and the evaluation metrics of §III-C ([`metrics`]:
+//! MSE, RMSE, MAE, R², adjusted R², Pearson correlation).
+//!
+//! The QAOA predictor (`qaoa::ParameterPredictor`) fits one [`Regressor`]
+//! per stage parameter (`γᵢ`, `βᵢ`) and makes the paper's 20:80 split by
+//! graph with `qaoa::datagen::ParameterDataset::split_by_graph`.
 //!
 //! # Example
 //!
@@ -43,7 +45,6 @@ mod kernel;
 mod knn;
 mod linear;
 pub mod metrics;
-mod multioutput;
 mod params;
 mod ridge;
 mod scaler;
@@ -57,7 +58,6 @@ pub use gpr::{GprModel, GprPrediction};
 pub use kernel::RbfKernel;
 pub use knn::KnnModel;
 pub use linear::LinearModel;
-pub use multioutput::MultiOutput;
 pub use params::ModelParams;
 pub use ridge::RidgeModel;
 pub use scaler::StandardScaler;

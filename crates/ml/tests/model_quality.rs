@@ -4,7 +4,7 @@
 
 use linalg::Matrix;
 use ml::metrics::{mse, r2};
-use ml::{GprModel, ModelKind, MultiOutput, Regressor, StandardScaler};
+use ml::{GprModel, ModelKind, Regressor, StandardScaler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -77,26 +77,6 @@ fn r2_close_to_one_on_learnable_data() {
     let preds = gpr.predict_batch(&x_test).expect("predict succeeds");
     let score = r2(&y_test, &preds).expect("valid input");
     assert!(score > 0.9, "GPR R² = {score}");
-}
-
-#[test]
-fn multioutput_handles_paper_width() {
-    // 12 response columns = the paper's deepest configuration (p = 6).
-    let (x, base) = paper_shaped(50, 0.01, 7);
-    let y = Matrix::from_fn(50, 12, |i, j| base[i] * (1.0 + 0.1 * j as f64));
-    let mut model = MultiOutput::new(ModelKind::Linear);
-    model.fit(&x, &y).expect("fit succeeds");
-    assert_eq!(model.n_targets(), 12);
-    let out = model.predict(x.row(0)).expect("predict succeeds");
-    assert_eq!(out.len(), 12);
-    // Scaled targets give scaled predictions.
-    for j in 1..12 {
-        let ratio = out[j] / out[0];
-        assert!(
-            (ratio - (1.0 + 0.1 * j as f64)).abs() < 0.05,
-            "column {j}: {ratio}"
-        );
-    }
 }
 
 #[test]

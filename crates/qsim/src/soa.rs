@@ -77,7 +77,7 @@
 //! kernels run inline. Because tiling is fixed and partials are
 //! combined in index order, the budget never influences results —
 //! only wall-clock time. The budget is typically set per job by
-//! `engine::Pool`'s within-job fan-out (see `Pool::run_ordered_fanout`).
+//! `engine::Pool`'s within-job fan-out (see `Pool::inner_threads`).
 
 use std::ops::Range;
 

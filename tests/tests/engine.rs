@@ -10,8 +10,9 @@ use engine::{BatchConfig, Engine, Job, Pool};
 use graphs::{generators, Graph};
 use ml::ModelKind;
 use optimize::Lbfgsb;
+use qaoa::datagen::ParameterDataset;
 use qaoa::evaluation::{self, EvaluationConfig};
-use qaoa::ParameterPredictor;
+use qaoa::{stablehash, ParameterPredictor};
 
 #[test]
 fn batch_16_graphs_identical_across_worker_counts() {
@@ -116,6 +117,46 @@ fn corpus_cache_reuses_isomorphic_level1_solves() {
 }
 
 #[test]
+fn library_generator_equals_engine_generator() {
+    // One generator: the serial `ParameterDataset` entry points and the
+    // engine's fan-out produce the same corpus, bit for bit, function calls
+    // included, at any worker count.
+    let config = tiny_datagen(6, 6, 0.5, 3, 3, 2020);
+    let serial = ParameterDataset::generate(&config).expect("library corpus");
+    for threads in [1, 4] {
+        let (parallel, _) =
+            engine::corpus::generate(&config, &Engine::new(threads)).expect("engine corpus");
+        common::assert_corpora_bit_identical(
+            &serial,
+            &parallel,
+            &format!("generate, {threads} threads"),
+        );
+    }
+    // An ensemble with isomorphic duplicates, so the engine serves depth 1
+    // from its cache while the library solves every graph.
+    let graphs = vec![
+        generators::cycle(5),
+        generators::path(5),
+        relabeled_cycle5(),
+        Graph::from_edges(5, &[(2, 0), (0, 3), (3, 1), (1, 4)]).unwrap(),
+        generators::cycle(5),
+    ];
+    let config = tiny_datagen(graphs.len(), 5, 0.5, 3, 2, 9);
+    let serial = ParameterDataset::from_graphs(graphs.clone(), &config).expect("library corpus");
+    for threads in [1, 4] {
+        let (parallel, report) =
+            engine::corpus::from_graphs(graphs.clone(), &config, &Engine::new(threads))
+                .expect("engine corpus");
+        assert_eq!(report.cache_hits, 3, "{threads} threads");
+        common::assert_corpora_bit_identical(
+            &serial,
+            &parallel,
+            &format!("from_graphs, {threads} threads"),
+        );
+    }
+}
+
+#[test]
 fn corpus_records_have_expected_shape() {
     let config = tiny_datagen(4, 5, 0.6, 3, 2, 3);
     let (ds, report) = engine::corpus::generate(&config, &Engine::new(2)).expect("corpus");
@@ -215,12 +256,12 @@ fn parallel_protocols_match_serial_protocols() {
 fn seed_derivation_is_schedule_free() {
     // Same key, same seed; different domains/indices, different seeds.
     assert_eq!(
-        engine::seed::derive(1, "corpus", 5),
-        engine::seed::derive(1, "corpus", 5)
+        stablehash::derive2(1, "corpus", 5, 1),
+        stablehash::derive2(1, "corpus", 5, 1)
     );
     assert_ne!(
-        engine::seed::derive(1, "corpus", 5),
-        engine::seed::derive(1, "level1", 5)
+        stablehash::derive2(1, "corpus", 5, 1),
+        stablehash::derive2(1, "level1", 5, 1)
     );
     // Job keys are label-sensitive (they key raw graphs, not classes) but
     // stable across constructions.

@@ -2,7 +2,8 @@
 //! worker death and stalls must not cost a byte of parity (merged records
 //! and the persisted cache file stay identical to the unsharded run), and
 //! the coordinator's buffering must stay bounded by the dispatch window,
-//! never by corpus size.
+//! never by corpus size. A worker that answers with corrupt records fails
+//! the run instead of reaching the merged corpus.
 
 mod common;
 
@@ -10,9 +11,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use engine::shard::{self, ShardPlan, StreamOptions};
-use engine::{persist, Engine, KillAfter, Level1Cache, LoopbackTransport, StallAfter};
+use engine::{
+    persist, Engine, KillAfter, Level1Cache, LoopbackTransport, ShardError, ShardTransport,
+    StallAfter, TransportError,
+};
 use proptest::prelude::*;
-use qaoa::datagen::DataGenConfig;
+use qaoa::datagen::{DataGenConfig, OptimalRecord};
 
 /// The suite's corpus spec — small enough that one case solves in
 /// milliseconds, rich enough (2 depths, 2 restarts) to exercise both the
@@ -204,5 +208,95 @@ fn losing_every_worker_is_an_error_not_a_hang() {
             assert!(message.contains("all 2 workers lost"), "got: {message}");
         }
         other => panic!("expected the fleet lost, got {other:?}"),
+    }
+}
+
+/// A transport whose workers' `RECORD` lines have some space-separated
+/// fields replaced: the stand-in for a worker that corrupts its answers.
+struct CorruptRecords {
+    inner: LoopbackTransport,
+    fields: &'static [(usize, &'static str)],
+}
+
+impl ShardTransport for CorruptRecords {
+    fn workers(&self) -> usize {
+        self.inner.workers()
+    }
+
+    fn send_line(&mut self, worker: usize, line: &str) -> Result<(), TransportError> {
+        self.inner.send_line(worker, line)
+    }
+
+    fn recv_line(&mut self, worker: usize, wait: Duration) -> Result<String, TransportError> {
+        let line = self.inner.recv_line(worker, wait)?;
+        if !line.starts_with("QW1 RECORD ") {
+            return Ok(line);
+        }
+        let mut fields: Vec<&str> = line.split(' ').collect();
+        for &(field, value) in self.fields {
+            fields[field] = value;
+        }
+        Ok(fields.join(" "))
+    }
+
+    fn kill(&mut self, worker: usize) {
+        self.inner.kill(worker);
+    }
+
+    fn close(&mut self, worker: usize) {
+        self.inner.close(worker);
+    }
+}
+
+/// Runs the coordinator over one worker whose `RECORD` lines carry the
+/// replaced `fields`, returning its result and every record it merged.
+fn run_corrupted(
+    fields: &'static [(usize, &'static str)],
+) -> (Result<engine::ShardReport, ShardError>, Vec<OptimalRecord>) {
+    let config = spec(3);
+    let plan = ShardPlan::split_even(config.n_graphs, 1);
+    let mut transport = CorruptRecords {
+        inner: LoopbackTransport::new(1, 1),
+        fields,
+    };
+    let mut merged = Vec::new();
+    let result = shard::run_streaming(
+        &config,
+        &plan,
+        &mut transport,
+        &StreamOptions::default(),
+        &mut |record| {
+            merged.push(record);
+            Ok(())
+        },
+    );
+    (result, merged)
+}
+
+#[test]
+fn corrupting_worker_fails_the_run_before_its_records_merge() {
+    // Every RECORD arrives with its angles stripped (`- -`): the first one
+    // is a protocol error, and no record reaches the sink.
+    let (result, merged) = run_corrupted(&[(7, "-"), (8, "-")]);
+    match result {
+        Err(ShardError::Protocol { message, .. }) => {
+            assert!(message.contains("0 gammas"), "got: {message}");
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    assert!(merged.is_empty(), "corrupt records merged: {merged:?}");
+}
+
+#[test]
+fn overflowing_call_counts_are_a_protocol_error() {
+    // Two RECORDs of one range claiming `usize::MAX` calls each: their sum
+    // overflows, which the coordinator reports instead of wrapping or
+    // panicking.
+    let (result, _) = run_corrupted(&[(6, "18446744073709551615")]);
+    match result {
+        Err(ShardError::Protocol { message, .. }) => {
+            assert!(message.contains("overflow"), "got: {message}");
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
     }
 }

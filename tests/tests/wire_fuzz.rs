@@ -133,11 +133,15 @@ fn check_range(line: &str) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Decodes `line` as `RECORD`; an accepted record round-trips bit-exactly.
+/// Decodes `line` as `RECORD`; an accepted record carries one gamma and
+/// one beta per layer of a nonzero depth, and round-trips bit-exactly.
 fn check_record(line: &str) -> Result<(), TestCaseError> {
     let Ok(record) = wire::decode_record(line) else {
         return Ok(());
     };
+    prop_assert!(record.depth >= 1);
+    prop_assert_eq!(record.gammas.len(), record.depth);
+    prop_assert_eq!(record.betas.len(), record.depth);
     let encoded = wire::encode_record(&record);
     let back = wire::decode_record(&encoded).expect("re-encoded line decodes");
     prop_assert_eq!(back.graph_id, record.graph_id);
@@ -230,9 +234,8 @@ const ODD_FLOATS: [f64; 8] = [
 ];
 
 /// One valid line of each corpus-tasking verb, in the order `SHARD`,
-/// `RANGE`, `RECORD`, `DONE`. Valid for the codec: the `RECORD`'s depth
-/// and angle counts are drawn independently, as the decoder does not
-/// relate them.
+/// `RANGE`, `RECORD`, `DONE`. The `RECORD` carries `depth` gammas and
+/// `depth` betas, as the decoder requires.
 fn valid_tasking_lines(rng: &mut StdRng) -> [String; 4] {
     let config = DataGenConfig {
         n_graphs: rng.gen_range(0..=MAX_SHARD_GRAPHS),
@@ -246,14 +249,15 @@ fn valid_tasking_lines(rng: &mut StdRng) -> [String; 4] {
     };
     let start = rng.gen_range(0..usize::MAX);
     let end = rng.gen_range(start..=usize::MAX);
+    let depth = rng.gen_range(1..4);
     let floats = |rng: &mut StdRng| -> Vec<f64> {
-        (0..rng.gen_range(0..4))
+        (0..depth)
             .map(|_| ODD_FLOATS[rng.gen_range(0..ODD_FLOATS.len())])
             .collect()
     };
     let record = OptimalRecord {
         graph_id: rng.gen_range(0..usize::MAX),
-        depth: rng.gen_range(0..usize::MAX),
+        depth,
         gammas: floats(rng),
         betas: floats(rng),
         expectation: ODD_FLOATS[rng.gen_range(0..ODD_FLOATS.len())],
@@ -408,6 +412,27 @@ proptest! {
             prop_assert!(wire::decode_predict(&line).is_err(), "{}", line);
             prop_assert!(wire::decode_job(&line).is_err(), "{}", line);
         }
+    }
+
+    /// A valid `RECORD` whose depth is 0, or whose gammas or betas are one
+    /// short, one too many or absent (`-`), is always rejected.
+    #[test]
+    fn record_angle_counts_must_match_depth(seed in 0u64..u64::MAX, kind in 0usize..5) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let [_, _, record, _] = valid_tasking_lines(&mut rng);
+        let mut fields: Vec<String> = record.split(' ').map(String::from).collect();
+        match kind {
+            0 => fields[3] = "0".into(),
+            1 => fields[3] = (fields[7].split(',').count() + 1).to_string(),
+            2 => fields[7] = "-".into(),
+            3 => fields[8] = format!("{},{}", fields[8], fields[8]),
+            _ => {
+                fields[7] = "-".into();
+                fields[8] = "-".into();
+            }
+        }
+        let line = fields.join(" ");
+        prop_assert!(wire::decode_record(&line).is_err(), "{}", line);
     }
 
     /// A valid line with one count field replaced by a huge (or

@@ -41,18 +41,18 @@ proptest! {
         prop_assert_eq!(decoded.hash64(), key.hash64());
     }
 
-    /// Corpus records survive the wire with bit-exact floats.
+    /// Corpus records survive the wire with bit-exact floats. A record's
+    /// depth is its angle count per kind, as the decoder requires.
     #[test]
     fn record_encode_decode_identity(
         graph_id in 0usize..1000,
-        depth in 1usize..7,
         fc in 0usize..100_000,
         values in proptest::collection::vec(-1.0e3f64..1.0e3, 2..14),
     ) {
         let p = values.len() / 2;
         let record = OptimalRecord {
             graph_id,
-            depth,
+            depth: p,
             gammas: values[..p].to_vec(),
             betas: values[p..2 * p].to_vec(),
             expectation: values[0] * 1.0e-17,
