@@ -6,7 +6,7 @@
 //! * `qaoa-predict train --out model.qm [flags]` — generate the corpus
 //!   (hundreds of QAOA optimizations, amortized through the engine and the
 //!   optional `--cache-file`), train the GPR parameter predictor on it, and
-//!   persist the result as a versioned `QMODEL1` artifact (atomic write).
+//!   persist the result as a versioned `QMODEL2` artifact (atomic write).
 //! * `qaoa-predict serve --model model.qm [--cache-file PATH] [flags]` —
 //!   load the artifact (retraining and overwriting it if missing, corrupt,
 //!   or stale — never fatal) and answer `QW1 PREDICT ...` lines from stdin
@@ -38,7 +38,7 @@ use bench::{cli, RunConfig};
 
 /// Subcommand usage preamble printed above the shared flag reference.
 const PREDICT_USAGE: &str = "\
-usage: qaoa-predict train --out PATH [flags]   train and save a QMODEL1 artifact
+usage: qaoa-predict train --out PATH [flags]   train and save a QMODEL2 artifact
        qaoa-predict serve --model PATH [flags] answer PREDICT requests from stdin
 ";
 
@@ -113,7 +113,7 @@ fn train(config: &RunConfig) {
 
 fn serve(config: &RunConfig) {
     let Some(path) = config.model.clone() else {
-        usage_error("serve needs --model PATH (a QMODEL1 artifact; train one first)");
+        usage_error("serve needs --model PATH (a QMODEL2 artifact; train one first)");
     };
     let status = engine::model::load(&path, config.seed);
     eprintln!("# model {}: {}", path.display(), status.summary());
@@ -140,7 +140,6 @@ fn serve(config: &RunConfig) {
     let batch_config = BatchConfig {
         master_seed: config.seed,
         options: Default::default(),
-        use_cache: true,
         scenario: qaoa::Scenario::Exact,
     };
     eprintln!(
@@ -166,12 +165,12 @@ fn serve(config: &RunConfig) {
         Err(e) => {
             // Transport death (closed pipe etc.) — still try to keep the
             // cache entries computed so far.
-            config.persist_cache(&engine);
+            config.persist_level1(engine.cache());
             eprintln!("error: transport failed: {e}");
             std::process::exit(1);
         }
     };
-    config.persist_cache(&engine);
+    config.persist_level1(engine.cache());
     eprintln!("# qaoa-predict: {summary}");
     for line in summary.predict_report().lines() {
         eprintln!("# {line}");

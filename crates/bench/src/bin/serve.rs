@@ -11,9 +11,10 @@
 //! With `--cache-file PATH`, the depth-1 optimum cache is pre-warmed from
 //! `PATH` at startup and saved back (merged) at shutdown, so repeated
 //! server sessions — and the corpus/Table-I drivers sharing the file —
-//! never re-solve a known `(canonical graph class, restarts)` pair.
+//! never re-solve a known depth-1 solve (canonical graph class, restarts,
+//! seed, optimizer and options).
 //!
-//! With `--model PATH`, a trained `QMODEL1` predictor artifact (written by
+//! With `--model PATH`, a trained `QMODEL2` predictor artifact (written by
 //! `qaoa-predict train`) is loaded at startup and `QW1 PREDICT ...` lines
 //! are answered with tiered `QW1 PREDICTED ...` replies. A missing or
 //! discarded model is a stderr warning, not fatal: the server degrades to
@@ -23,7 +24,7 @@
 //! Run:
 //! `printf 'QW1 JOB 1 3 5 0-1,1-2,2-3,3-4,4-0\n' | cargo run --release -p bench --bin qaoa-serve -- --threads 4`
 
-use engine::BatchConfig;
+use engine::{BatchConfig, Load};
 use optimize::Lbfgsb;
 
 use bench::RunConfig;
@@ -34,40 +35,31 @@ fn main() {
     let batch_config = BatchConfig {
         master_seed: config.seed,
         options: Default::default(),
-        use_cache: true,
         scenario: qaoa::Scenario::Exact,
     };
-    let model =
-        config
-            .model
-            .as_ref()
-            .and_then(|path| match engine::model::load(path, config.seed) {
-                engine::ModelLoad::Loaded(p) => {
-                    eprintln!(
-                        "# model {}: loaded {} model (max depth {})",
-                        path.display(),
-                        p.kind(),
-                        p.max_depth()
-                    );
-                    Some(p)
-                }
-                engine::ModelLoad::Missing => {
-                    eprintln!(
-                        "# warning: model {} not found; PREDICT answers ERR \
-                     (train one with qaoa-predict train --out)",
-                        path.display()
-                    );
-                    None
-                }
-                engine::ModelLoad::Discarded(why) => {
-                    eprintln!(
-                        "# warning: model {} discarded ({why}); PREDICT answers ERR \
-                     (retrain with qaoa-predict train --out)",
-                        path.display()
-                    );
-                    None
-                }
-            });
+    // This bin never trains (that is `qaoa-predict`'s job): without a
+    // loadable model, PREDICT answers ERR.
+    let model = config.model.as_ref().and_then(|path| {
+        let why = match engine::model::load(path, config.seed) {
+            Load::Loaded(p) => {
+                eprintln!(
+                    "# model {}: loaded {} model (max depth {})",
+                    path.display(),
+                    p.kind(),
+                    p.max_depth()
+                );
+                return Some(p);
+            }
+            Load::Missing => "not found".to_string(),
+            Load::Discarded(why) => format!("discarded ({why})"),
+        };
+        eprintln!(
+            "# warning: model {} {why}; PREDICT answers ERR \
+             (train one with qaoa-predict train --out)",
+            path.display()
+        );
+        None
+    });
     eprintln!(
         "# qaoa-serve: {} threads, master seed {}; reading QW1 lines from stdin",
         engine.threads(),
@@ -88,12 +80,12 @@ fn main() {
         Err(e) => {
             // Transport death (closed pipe etc.) — still try to keep the
             // cache entries computed so far.
-            config.persist_cache(&engine);
+            config.persist_level1(engine.cache());
             eprintln!("error: transport failed: {e}");
             std::process::exit(1);
         }
     };
-    config.persist_cache(&engine);
+    config.persist_level1(engine.cache());
     eprintln!("# qaoa-serve: {summary}");
     if summary.predicts > 0 {
         for line in summary.predict_report().lines() {

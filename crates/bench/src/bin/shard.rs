@@ -154,7 +154,7 @@ fn run_spawn(
         let merged = Level1Cache::new();
         config.load_level1(&merged);
         for worker_path in &worker_caches {
-            let status = persist::load_into(&merged, worker_path, config.seed);
+            let status = persist::load_into(&merged, worker_path);
             eprintln!(
                 "# worker cache {}: {}",
                 worker_path.display(),

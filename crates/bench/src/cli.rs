@@ -40,7 +40,7 @@ usage: [--quick] [--nodes N] [--graphs N] [--restarts N] [--max-depth N]
                      and processes (corrupt/stale files regenerate). Note:
                      also disables the whole-corpus TSV cache, so depth >= 2
                      cells re-solve every run; only depth-1 is persisted
-  --model PATH       trained QMODEL1 predictor artifact shared across runs
+  --model PATH       trained QMODEL2 predictor artifact shared across runs
                      and processes (corrupt/stale files retrain).
                      qaoa-predict trains and serves it; qaoa-serve loads it
                      to answer PREDICT requests in the same session as JOBs

@@ -12,7 +12,7 @@
 //! --seed N           RNG seed                   (default: 2020)
 //! --threads N        engine worker count        (default: all cores)
 //! --cache-file PATH  persistent depth-1 cache shared across runs
-//! --model PATH       trained QMODEL1 predictor artifact shared across runs
+//! --model PATH       trained QMODEL2 predictor artifact shared across runs
 //! ```
 //!
 //! Parsing is deliberately dependency-free.
@@ -83,7 +83,7 @@ pub struct RunConfig {
     /// runs — at any thread count — start with all previously-seen
     /// canonical graph classes already solved.
     pub cache_file: Option<std::path::PathBuf>,
-    /// Trained predictor artifact (`--model`): a versioned `QMODEL1` file
+    /// Trained predictor artifact (`--model`): a versioned `QMODEL2` file
     /// `qaoa-predict train` writes and `qaoa-predict serve` / `qaoa-serve`
     /// load to answer `PREDICT` requests without re-training. Missing,
     /// corrupt, or stale files are discarded, never fatal.
@@ -243,7 +243,7 @@ impl RunConfig {
     /// the file is regenerated by [`RunConfig::persist_level1`].
     pub fn load_level1(&self, cache: &engine::Level1Cache) {
         if let Some(path) = &self.cache_file {
-            let status = engine::persist::load_into(cache, path, self.seed);
+            let status = engine::persist::load_into(cache, path);
             eprintln!("# cache-file {}: {}", path.display(), status.summary());
         }
     }
@@ -256,7 +256,7 @@ impl RunConfig {
         let Some(path) = &self.cache_file else {
             return;
         };
-        match engine::persist::save_merge(cache, path, self.seed) {
+        match engine::persist::save_merge(cache, path) {
             Ok(n) => eprintln!(
                 "# cache-file {}: saved {n} depth-1 entries ({} hits / {} misses this run)",
                 path.display(),
@@ -277,12 +277,6 @@ impl RunConfig {
         let engine = engine::Engine::new(self.threads());
         self.load_level1(engine.cache());
         engine
-    }
-
-    /// Saves `engine`'s depth-1 cache back to `--cache-file` via
-    /// [`RunConfig::persist_level1`].
-    pub fn persist_cache(&self, engine: &engine::Engine) {
-        self.persist_level1(engine.cache());
     }
 
     /// Generates the corpus for this configuration on the parallel engine,
@@ -306,12 +300,11 @@ impl RunConfig {
     /// Panics if generation fails (binaries have no recovery path).
     #[must_use]
     pub fn corpus(&self) -> qaoa::datagen::ParameterDataset {
-        // v3: analytic adjoint gradients (L-BFGS-B consumes exact gradients
-        // instead of finite differences, changing iterates and FC counts).
-        // The version tag keeps corpora from earlier pipelines from being
-        // loaded as if equivalent.
+        // The numerics token keeps corpora from earlier pipelines from
+        // being loaded as if equivalent.
+        use engine::artifact::NUMERICS;
         self.corpus_cached_at(std::path::Path::new(&format!(
-            "target/qaoa_corpus_v3_n{}_g{}_d{}_r{}_s{}.tsv",
+            "target/qaoa_corpus_{NUMERICS}_n{}_g{}_d{}_r{}_s{}.tsv",
             self.nodes, self.graphs, self.max_depth, self.restarts, self.seed
         )))
     }
@@ -320,24 +313,30 @@ impl RunConfig {
     /// does not parse, or whose graph or record count is not this
     /// configuration's (`graphs` and `graphs × max_depth`), is regenerated.
     fn corpus_cached_at(&self, cache: &std::path::Path) -> qaoa::datagen::ParameterDataset {
-        if self.cache_file.is_none() && cache.exists() {
+        use engine::artifact::{self, Load};
+        use qaoa::datagen::ParameterDataset;
+        if self.cache_file.is_none() {
             let records = self.graphs.checked_mul(self.max_depth);
-            match qaoa::datagen::ParameterDataset::load(cache) {
-                Ok(ds)
-                    if ds.graphs().len() == self.graphs && Some(ds.records().len()) == records =>
-                {
-                    eprintln!("# corpus loaded from {}", cache.display());
-                    return ds;
+            let loaded = artifact::read(cache, |text| {
+                let ds = ParameterDataset::read_tsv(text.as_bytes()).map_err(|e| e.to_string())?;
+                if ds.graphs().len() == self.graphs && Some(ds.records().len()) == records {
+                    return Ok(ds);
                 }
-                Ok(ds) => eprintln!(
-                    "# corpus cache holds {} graphs / {} records, not {} graphs x {} depths; \
-                     regenerating",
+                Err(format!(
+                    "holds {} graphs / {} records, not {} graphs x {} depths",
                     ds.graphs().len(),
                     ds.records().len(),
                     self.graphs,
                     self.max_depth
-                ),
-                Err(e) => eprintln!("# corpus cache unreadable ({e}); regenerating"),
+                ))
+            });
+            match loaded {
+                Load::Loaded(ds) => {
+                    eprintln!("# corpus loaded from {}", cache.display());
+                    return ds;
+                }
+                Load::Discarded(why) => eprintln!("# corpus cache {why}; regenerating"),
+                Load::Missing => {}
             }
         }
         eprintln!(
@@ -352,12 +351,13 @@ impl RunConfig {
         // lint:allow(no-panic-lib) same policy as train_predictor below: bench binaries have no recovery path from a failed generation run
         let (ds, report) = generated.expect("corpus generation");
         eprintln!("# corpus: {}", report.summary());
-        self.persist_cache(&engine);
+        self.persist_level1(engine.cache());
         if self.cache_file.is_none() {
-            if let Err(e) = ds.save(cache) {
-                eprintln!("# warning: could not cache corpus: {e}");
-            } else {
-                eprintln!("# corpus cached at {}", cache.display());
+            let mut tsv = Vec::new();
+            let written = ds.write_tsv(&mut tsv).map_err(std::io::Error::other);
+            match written.and_then(|()| artifact::write_atomic(cache, &tsv)) {
+                Ok(()) => eprintln!("# corpus cached at {}", cache.display()),
+                Err(e) => eprintln!("# warning: could not cache corpus: {e}"),
             }
         }
         ds
@@ -366,7 +366,7 @@ impl RunConfig {
     /// Trains the prediction-service regressor on this configuration's
     /// corpus (GPR — the paper's best-performing regressor family). This is
     /// the expensive half of train-once / predict-many; `qaoa-predict`
-    /// persists the result as a `QMODEL1` artifact so serving sessions skip
+    /// persists the result as a `QMODEL2` artifact so serving sessions skip
     /// it entirely.
     ///
     /// # Panics

@@ -107,7 +107,7 @@ fn killed_subprocess_worker_still_matches() {
 #[test]
 fn spawned_server_answers_predict_from_a_model_artifact() {
     // The prediction service over the subprocess transport: train a tiny
-    // predictor, persist it as a QMODEL1 artifact, spawn `qaoa-serve
+    // predictor, persist it as a QMODEL2 artifact, spawn `qaoa-serve
     // --model` on it, and get a tiered PREDICTED answer over the pipe.
     let config = spec(4);
     let corpus = reference(&config);

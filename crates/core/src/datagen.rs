@@ -17,7 +17,6 @@
 //! the same bits.
 
 use std::io::{Read, Write};
-use std::path::Path;
 
 use graphs::{generators, Graph};
 use optimize::{Lbfgsb, Optimizer, Options};
@@ -25,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::canonical::{graph_key, CanonicalGraphKey};
-use crate::stablehash::{derive2, wide};
+use crate::stablehash::{derive2, domain_hash, mix, wide};
 use crate::{InstanceOutcome, MaxCutProblem, QaoaError, QaoaInstance};
 
 /// One row of the corpus: the optimal parameters of one `(graph, depth)`
@@ -384,34 +383,6 @@ impl ParameterDataset {
         }
         Self::from_parts(graphs, records, max_depth)
     }
-
-    /// Convenience: write to a filesystem path, via a per-process temp
-    /// file and atomic rename, so a reader never sees a partial corpus.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), QaoaError> {
-        let path = path.as_ref();
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        {
-            let mut file = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-            self.write_tsv(&mut file)?;
-            file.flush()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(())
-    }
-
-    /// Convenience: read from a filesystem path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and parse errors.
-    pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, QaoaError> {
-        let file = std::fs::File::open(path)?;
-        Self::read_tsv(file)
-    }
 }
 
 /// Generates the Erdős–Rényi ensemble of `config`: one RNG seeded with
@@ -430,9 +401,9 @@ pub fn ensemble(config: &DataGenConfig) -> Vec<Graph> {
 /// Solves the depth-1 instance of the isomorphism class `class` with
 /// best-of-`restarts` multistart: on the class's canonical representative,
 /// from an RNG seeded by `(master_seed, class hash, restarts)`. The outcome
-/// is a pure function of `(master_seed, class, restarts)`, identical for
-/// every graph of the class, which is what lets the engine cache it per
-/// class.
+/// is a pure function of its arguments, identical for every graph of the
+/// class, which is what lets the engine cache it per class under the key
+/// `(class, restarts, `[`level1_solver`]`)`.
 ///
 /// # Errors
 ///
@@ -453,6 +424,36 @@ pub fn solve_level1(
         wide(restarts),
     ));
     instance.optimize_multistart(optimizer, restarts, &mut rng, options)
+}
+
+/// The fingerprint of every [`solve_level1`] input apart from the class
+/// and the restarts count: the master seed, the optimizer's name and the
+/// bits of every [`Options`] field. Two solves of one class and restarts
+/// count give the same bits when their fingerprints agree. Optimizer
+/// tunables outside [`Options`] are not in it: every caller builds its
+/// optimizer with `Default::default()`, so two optimizers of one name
+/// solve alike.
+#[must_use]
+pub fn level1_solver(optimizer: &dyn Optimizer, master_seed: u64, options: &Options) -> u64 {
+    // Destructured, so that a new `Options` field cannot be left out.
+    let Options {
+        ftol,
+        gtol,
+        max_iters,
+        max_calls,
+        fd_step,
+    } = *options;
+    mix(
+        master_seed,
+        &[
+            domain_hash(optimizer.name()),
+            ftol.to_bits(),
+            gtol.to_bits(),
+            wide(max_iters),
+            wide(max_calls),
+            fd_step.to_bits(),
+        ],
+    )
 }
 
 /// Solves depths `1..=config.max_depth` of ensemble graph `graph_id` from

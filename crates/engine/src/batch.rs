@@ -11,15 +11,14 @@
 //! with an RNG seeded from the canonical class hash and the restarts
 //! count, so isomorphic jobs with equal restarts produce bit-identical
 //! outcomes and hit each other's cache entries — at any worker count, in
-//! any schedule. The cache key carries the restarts count
-//! ([`Level1Key`](crate::cache::Level1Key)), so jobs that differ only in
-//! restarts never serve each other's bits.
+//! any schedule. The cache key ([`Level1Key`]) carries every input of the
+//! solve — class, restarts, master seed, optimizer and options — so jobs
+//! that differ in any of them never serve each other's bits.
 
 use std::time::{Duration, Instant};
 
 use graphs::Graph;
 use optimize::{Optimizer, Options};
-use qaoa::canonical::graph_key;
 use qaoa::datagen::solve_level1;
 use qaoa::stablehash::{domain_hash, mix, wide};
 use qaoa::{
@@ -74,8 +73,6 @@ pub struct BatchConfig {
     pub master_seed: u64,
     /// Optimizer options for all jobs.
     pub options: Options,
-    /// Route depth-1 jobs through the isomorphism cache.
-    pub use_cache: bool,
     /// Evaluation scenario every job's objective runs under. Non-exact
     /// scenarios bypass the depth-1 cache entirely — its entries are exact
     /// optima keyed on the canonical class, and a sampled or noisy solve is
@@ -88,7 +85,6 @@ impl Default for BatchConfig {
         Self {
             master_seed: 2020,
             options: Options::default(),
-            use_cache: true,
             scenario: Scenario::Exact,
         }
     }
@@ -154,6 +150,8 @@ impl BatchReport {
 }
 
 /// The batch executor: a worker pool plus the shared depth-1 cache.
+/// `Engine::default()` sizes the pool to the machine's available
+/// parallelism.
 #[derive(Debug, Default)]
 pub struct Engine {
     pool: Pool,
@@ -166,15 +164,6 @@ impl Engine {
     pub fn new(threads: usize) -> Self {
         Self {
             pool: Pool::new(threads),
-            cache: Level1Cache::new(),
-        }
-    }
-
-    /// An engine sized to the machine's available parallelism.
-    #[must_use]
-    pub fn auto() -> Self {
-        Self {
-            pool: Pool::auto(),
             cache: Level1Cache::new(),
         }
     }
@@ -198,10 +187,10 @@ impl Engine {
     }
 
     /// Solves the depth-1 instance of `graph`'s canonical class
-    /// ([`qaoa::datagen::solve_level1`]: a pure function of
-    /// `(master_seed, class, restarts)`), through the cache. The cache
-    /// entry is keyed on `(class, restarts)` to match, so differing restart
-    /// counts never conflate. Returns `(outcome, was_hit)`.
+    /// ([`qaoa::datagen::solve_level1`]) through the cache, under the key
+    /// [`Level1Key::for_solve`] builds from the same arguments, so a
+    /// lookup is served only the outcome of this very solve. Returns
+    /// `(outcome, was_hit)`.
     ///
     /// # Errors
     ///
@@ -213,8 +202,8 @@ impl Engine {
         restarts: usize,
         config: &BatchConfig,
     ) -> Result<(InstanceOutcome, bool), QaoaError> {
-        let key = Level1Key::new(graph_key(graph), restarts);
-        let solve = || {
+        let key = Level1Key::for_solve(graph, optimizer, restarts, config);
+        self.cache.get_or_solve(&key, || {
             solve_level1(
                 &key.class,
                 optimizer,
@@ -222,12 +211,7 @@ impl Engine {
                 config.master_seed,
                 &config.options,
             )
-        };
-        if config.use_cache {
-            self.cache.get_or_solve(&key, solve)
-        } else {
-            Ok((solve()?, false))
-        }
+        })
     }
 
     /// Runs `jobs` across the pool, returning outcomes in submission order

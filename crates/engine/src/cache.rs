@@ -1,20 +1,18 @@
-//! Concurrent depth-1 optimum cache keyed by canonical graph class and
-//! restart count.
+//! Concurrent depth-1 optimum cache keyed by every input of the solve.
 //!
 //! The paper's pipelines re-optimize the cheap `p = 1` instance for every
 //! graph, but QAOA landscapes are invariant under graph isomorphism — all
 //! graphs in one canonical class (see [`qaoa::canonical::graph_key`]) share
 //! their depth-1 optimum. This cache memoizes that optimum per
-//! [`Level1Key`] — the canonical class *plus* the multistart restarts
-//! count, since the best-of-`restarts` optimum also depends on how many
-//! starts the solve draws — so the cached paths — corpus generation
-//! ([`crate::corpus`]), depth-1 batch jobs, and
+//! [`Level1Key`] — the canonical class, the multistart restarts count and
+//! the solver fingerprint (seed, optimizer, options) — so the cached paths
+//! — corpus generation ([`crate::corpus`]), depth-1 batch jobs, and
 //! [`Engine::run_two_level_batch`](crate::Engine::run_two_level_batch)
-//! — never solve the same `(class, restarts)` pair twice, and jobs with
-//! different restart counts never serve each other's bits. (The Table-I
-//! sweep in [`crate::compare`] deliberately bypasses the cache: its
-//! contract is bit-parity with the serial `evaluation::compare`, whose
-//! protocol re-optimizes level 1 per graph.)
+//! — never run the same solve twice, and a lookup is never served the
+//! optimum of a different solve. (The Table-I sweep in [`crate::compare`]
+//! deliberately bypasses the cache: its contract is bit-parity with the
+//! serial `evaluation::compare`, whose protocol re-optimizes level 1 per
+//! graph.)
 //!
 //! **Single-flight misses:** concurrent misses on one class are collapsed
 //! to a single solve. The first thread to miss publishes an in-flight slot
@@ -31,35 +29,56 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use qaoa::canonical::CanonicalGraphKey;
+use graphs::Graph;
+use optimize::Optimizer;
+use qaoa::canonical::{graph_key, CanonicalGraphKey};
+use qaoa::datagen::level1_solver;
 use qaoa::stablehash::wide;
 use qaoa::{InstanceOutcome, QaoaError};
 
+use crate::batch::BatchConfig;
+
 const SHARDS: usize = 16;
 
-/// The cache key: a canonical graph class together with the multistart
-/// restarts count its depth-1 optimum was (or will be) computed with.
-///
-/// A cached optimum is a pure function of `(master seed, class, restarts)`
-/// — the engine seeds the solve RNG from the class hash *and* the restarts
-/// count — so two jobs over isomorphic graphs share an entry only when
-/// their restart counts also agree. Keeping `restarts` in the key (rather
-/// than scoping a whole cache to one value) lets one cache — in memory or
-/// persisted via [`crate::persist`] — serve a job server or a sequence of
-/// runs that mix restart counts, without ever conflating their results.
+/// The cache key: every input of the depth-1 solve
+/// [`qaoa::datagen::solve_level1`] whose optimum the entry holds — the
+/// canonical class, the restarts count, and the solver fingerprint
+/// [`qaoa::datagen::level1_solver`] of the master seed, the optimizer's
+/// name and all five `Options` fields. A lookup is thus served only an
+/// entry that the same solve produced, and one cache (in memory or
+/// persisted via [`crate::persist`]) holds the optima of several seeds,
+/// restart counts and optimizers side by side. Optimizer tunables outside
+/// `Options` (L-BFGS-B's memory, say) are not in the key: every caller
+/// builds its optimizer with `Default::default()`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Level1Key {
     /// Canonical isomorphism class of the problem graph.
     pub class: CanonicalGraphKey,
     /// Random multistart count of the solve.
     pub restarts: usize,
+    /// Fingerprint of the solve's seed, optimizer and options.
+    pub solver: u64,
 }
 
 impl Level1Key {
-    /// Convenience constructor.
+    /// The key of the depth-1 solve [`Engine::level1_cached`] runs for
+    /// `graph` under `config`: the one constructor the cached solve and the
+    /// prediction service's tier probe share.
+    ///
+    /// [`Engine::level1_cached`]: crate::Engine::level1_cached
     #[must_use]
-    pub fn new(class: CanonicalGraphKey, restarts: usize) -> Self {
-        Self { class, restarts }
+    pub fn for_solve(
+        graph: &Graph,
+        optimizer: &dyn Optimizer,
+        restarts: usize,
+        config: &BatchConfig,
+    ) -> Self {
+        let solver = level1_solver(optimizer, config.master_seed, &config.options);
+        Self {
+            class: graph_key(graph),
+            restarts,
+            solver,
+        }
     }
 }
 
@@ -84,8 +103,8 @@ fn lock_shard(m: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
     }
 }
 
-/// Sharded concurrent map from `(canonical graph class, restarts)` to the
-/// depth-1 optimum, with single-flight miss handling.
+/// Sharded concurrent map from [`Level1Key`] to the depth-1 optimum, with
+/// single-flight miss handling.
 #[derive(Debug)]
 pub struct Level1Cache {
     shards: Vec<Mutex<Shard>>,
@@ -303,7 +322,7 @@ impl Level1Cache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct `(class, restarts)` entries held.
+    /// Number of distinct keys held.
     #[must_use]
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| lock_shard(s).len()).sum()
@@ -336,8 +355,6 @@ mod tests {
     use super::*;
     use graphs::generators;
     use optimize::Termination;
-    use qaoa::canonical::graph_key;
-
     fn fake_outcome(tag: f64) -> InstanceOutcome {
         InstanceOutcome {
             params: vec![tag, tag],
@@ -349,9 +366,13 @@ mod tests {
         }
     }
 
-    /// Cache key for `g` at the tests' default restarts count.
+    /// Cache key for `g` at the tests' default restarts count and solver.
     fn k(g: &graphs::Graph) -> Level1Key {
-        Level1Key::new(graph_key(g), 2)
+        Level1Key {
+            class: graph_key(g),
+            restarts: 2,
+            solver: 0,
+        }
     }
 
     #[test]
@@ -391,8 +412,16 @@ mod tests {
     #[test]
     fn same_class_different_restarts_are_distinct_entries() {
         let g = generators::cycle(6);
-        let k2 = Level1Key::new(graph_key(&g), 2);
-        let k3 = Level1Key::new(graph_key(&g), 3);
+        let k2 = Level1Key {
+            class: graph_key(&g),
+            restarts: 2,
+            solver: 0,
+        };
+        let k3 = Level1Key {
+            class: graph_key(&g),
+            restarts: 3,
+            solver: 0,
+        };
         assert_ne!(k2, k3);
         let cache = Level1Cache::new();
         cache.get_or_solve(&k2, || Ok(fake_outcome(2.0))).unwrap();

@@ -10,10 +10,9 @@
 //!   results in submission order; every job seeds its RNG from the master
 //!   seed and a stable job key ([`qaoa::stablehash`]), the invariant that
 //!   makes parallel runs **bit-identical** to serial runs,
-//! * [`Level1Cache`] — a concurrent depth-1 optimum cache keyed by the
-//!   canonical graph class ([`qaoa::canonical::graph_key`]) and the solve's
-//!   restarts count ([`Level1Key`]), so isomorphic instances with equal
-//!   restarts are never re-optimized,
+//! * [`Level1Cache`] — a concurrent depth-1 optimum cache keyed by every
+//!   input of the solve ([`Level1Key`]: canonical class, restarts, seed,
+//!   optimizer, options), so isomorphic instances are never re-optimized,
 //! * [`Engine`] / [`Job`] / [`BatchReport`] — the batch front door with
 //!   per-job wall-clock and function-call accounting,
 //! * [`corpus`] — the parallel fan-out of the §III-A corpus generator
@@ -21,11 +20,10 @@
 //! * [`compare`] — the parallel naive-vs-ML comparison sweep,
 //! * [`wire`] — the versioned line-delimited text codec for jobs, outcomes,
 //!   canonical keys, corpus records, batch reports, and shard tasking,
-//! * [`persist`] — save/load/merge of the depth-1 cache across processes
-//!   (corrupt or stale files are discarded, never fatal),
-//! * [`model`] — versioned `QMODEL1` persistence of trained parameter
-//!   predictors (same discard-and-retrain failure policy), the artifact
-//!   behind the `qaoa-predict` prediction service,
+//! * [`artifact`] — the policy of every file of solved bits (numerics
+//!   token, discard-never-fail loads, atomic writes), behind
+//!   [`persist`] (the `QCACHE3` depth-1 cache file) and [`model`] (the
+//!   `QMODEL2` predictor file of the `qaoa-predict` service),
 //! * [`server`] — the job-server request loop behind the `qaoa-serve`
 //!   binary: `JOB` lines in, `OUTCOME`/`REPORT` lines out, in submission
 //!   order, plus the worker side of shard tasking (`SHARD`/`RANGE` in,
@@ -73,12 +71,11 @@
 //! For a fixed job queue and master seed, results at `threads = 1` and
 //! `threads = N` are **identical**: no job draws randomness from a shared
 //! stream, worker identity, or scheduling order. Depth-1 cache entries are
-//! pure functions of `(master seed, canonical class, restarts)` — solved
-//! on the canonical representative, seeded from the class hash and the
-//! restarts count, and keyed on both — so cache races between isomorphic
-//! jobs are benign (all contenders compute the same bits) and jobs that
-//! differ only in restarts never share an entry.
+//! pure functions of their key (every input of the solve), so cache races
+//! between isomorphic jobs are benign (all contenders compute the same
+//! bits) and jobs that differ in any input never share an entry.
 
+pub mod artifact;
 pub mod batch;
 pub mod cache;
 pub mod compare;
@@ -91,6 +88,7 @@ pub mod shard;
 pub mod transport;
 pub mod wire;
 
+pub use artifact::Load;
 pub use batch::{BatchConfig, BatchReport, Engine, Job, JobStats};
 pub use cache::{Level1Cache, Level1Key};
 pub use corpus::CorpusReport;
@@ -195,27 +193,36 @@ mod tests {
 
     #[test]
     fn cache_does_not_change_results() {
+        // The cached batch answers every depth-1 job, hit or miss, with the
+        // bits of a direct `solve_level1` call on its class.
         let mut rng = StdRng::seed_from_u64(9);
-        let jobs: Vec<Job> = (0..4)
+        let mut jobs: Vec<Job> = (0..4)
             .map(|_| Job::new(generators::erdos_renyi_nonempty(5, 0.6, &mut rng), 1, 2))
             .collect();
-        let cached = BatchConfig {
-            use_cache: true,
-            ..BatchConfig::default()
-        };
-        let uncached = BatchConfig {
-            use_cache: false,
-            ..BatchConfig::default()
-        };
-        let (with_cache, _) = Engine::new(2)
-            .run_batch(&Lbfgsb::default(), &jobs, &cached)
+        jobs.push(jobs[0].clone());
+        let config = BatchConfig::default();
+        let (outcomes, report) = Engine::new(2)
+            .run_batch(&Lbfgsb::default(), &jobs, &config)
             .unwrap();
-        let (without, _) = Engine::new(2)
-            .run_batch(&Lbfgsb::default(), &jobs, &uncached)
+        assert!(report.cache_hits >= 1);
+        for (job, got) in jobs.iter().zip(&outcomes) {
+            let want = qaoa::datagen::solve_level1(
+                &qaoa::canonical::graph_key(&job.graph),
+                &Lbfgsb::default(),
+                job.restarts,
+                config.master_seed,
+                &config.options,
+            )
             .unwrap();
-        for (a, b) in with_cache.iter().zip(&without) {
-            assert_eq!(a.params, b.params);
-            assert_eq!(a.function_calls, b.function_calls);
+            let bits = |o: &qaoa::InstanceOutcome| {
+                let mut b: Vec<u64> = o.params.iter().map(|x| x.to_bits()).collect();
+                b.extend([o.expectation.to_bits(), o.approximation_ratio.to_bits()]);
+                b
+            };
+            assert_eq!(bits(got), bits(&want));
+            assert_eq!(got.function_calls, want.function_calls);
+            assert_eq!(got.gradient_calls, want.gradient_calls);
+            assert_eq!(got.termination, want.termination);
         }
     }
 

@@ -1,9 +1,9 @@
-//! Versioned persistence of trained parameter predictors.
+//! The `QMODEL2` file format of trained parameter predictors.
 //!
 //! A [`ParameterPredictor`] is the expensive half of the paper's
 //! train-once / predict-many promise: training solves hundreds of QAOA
 //! instances, while prediction is a handful of regressor evaluations. This
-//! module saves the trained predictor to a versioned `QMODEL1` text file and
+//! module saves the trained predictor to a versioned text file and
 //! rebuilds it in another process, so a serving loop never pays the
 //! training cost — and the rebuilt predictor answers **bit-identically** to
 //! the in-memory original (the `ml` crate's `to_params`/`from_params`
@@ -13,7 +13,7 @@
 //! File format (line-delimited):
 //!
 //! ```text
-//! QMODEL1 seed=<master seed> kind=<abbr> features=<3|6> max-depth=<p> intermediate=<-|m>
+//! QMODEL2 numerics=v3 seed=<master seed> kind=<abbr> features=<3|6> max-depth=<p> intermediate=<-|m>
 //! MODEL gamma 1 <ints> <floats>
 //! MODEL beta 1 <ints> <floats>
 //! ...
@@ -26,52 +26,38 @@
 //! carrying that model's exported parameter streams. The `END` trailer
 //! makes truncation detectable: a file that stops mid-stream never parses.
 //!
-//! The header scopes the artifact three ways: the version tag (format
-//! changes bump [`MODEL_VERSION`] and orphan old files), the model kind
-//! (each stage line is decoded by that kind's own layout), and the corpus
-//! master seed — a model trained on another seed's corpus would silently
-//! change served answers, so it is treated exactly like a stale version.
-//!
-//! **Failure policy** (same as [`crate::persist`]): a missing, truncated,
-//! corrupt, version-mismatched, or seed-mismatched file is *never* a hard
-//! error — [`load`] reports [`ModelLoad::Discarded`] and the driver
-//! retrains and overwrites. Writes go to a per-process temp file followed
-//! by an atomic rename, so readers never observe a half-written artifact.
+//! The header scopes the artifact by version, numerics
+//! ([`crate::artifact`], whose load and save policy this file follows),
+//! model kind (each stage line is decoded by that kind's own layout) and
+//! corpus master seed — a model trained on another seed's corpus would
+//! silently change served answers, so it is treated like a stale version.
 
-use std::io::Write;
 use std::path::Path;
 
 use ml::{ModelKind, ModelParams, Regressor};
 use qaoa::ParameterPredictor;
 
+use crate::artifact::{self, Load};
 use crate::wire::{fmt_floats, parse_floats, parse_int, WireError};
 
 /// Version tag opening the model-file header; bump alongside any format
-/// change so stale files are discarded rather than misread.
-pub const MODEL_VERSION: &str = "QMODEL1";
+/// change so stale files are discarded rather than misread. (`QMODEL2`
+/// added the numerics token.)
+pub const MODEL_VERSION: &str = "QMODEL2";
 
-/// What [`load`] found on disk.
-#[derive(Debug)]
-pub enum ModelLoad {
-    /// No file at the path — train from scratch.
-    Missing,
-    /// The file was valid; the rebuilt predictor is ready to serve.
-    Loaded(ParameterPredictor),
-    /// The file was unreadable, corrupt, version- or seed-mismatched and
-    /// was ignored wholesale (retrain and overwrite it).
-    Discarded(String),
-}
+/// What [`load`] found on disk: the rebuilt predictor, ready to serve.
+pub type ModelLoad = Load<ParameterPredictor>;
 
 impl ModelLoad {
     /// One-line human summary for driver logs.
     #[must_use]
     pub fn summary(&self) -> String {
         match self {
-            ModelLoad::Missing => "no model file; training from scratch".into(),
-            ModelLoad::Loaded(p) => {
+            Load::Missing => "no model file; training from scratch".into(),
+            Load::Loaded(p) => {
                 format!("loaded {} model (max depth {})", p.kind(), p.max_depth())
             }
-            ModelLoad::Discarded(why) => format!("model file discarded ({why}); retraining"),
+            Load::Discarded(why) => format!("model file discarded ({why}); retraining"),
         }
     }
 }
@@ -98,7 +84,7 @@ fn err(message: impl Into<String>) -> WireError {
     }
 }
 
-/// Encodes a trained predictor as the full text of a `QMODEL1` file.
+/// Encodes a trained predictor as the full text of a `QMODEL2` file.
 ///
 /// # Errors
 ///
@@ -114,7 +100,8 @@ pub fn encode(predictor: &ParameterPredictor, master_seed: u64) -> Result<String
         .intermediate_depth()
         .map_or_else(|| "-".into(), |m| m.to_string());
     let mut out = format!(
-        "{MODEL_VERSION} seed={master_seed} kind={} features={features} max-depth={} intermediate={intermediate}\n",
+        "{} seed={master_seed} kind={} features={features} max-depth={} intermediate={intermediate}\n",
+        artifact::header(MODEL_VERSION),
         predictor.kind().abbreviation(),
         predictor.max_depth(),
     );
@@ -140,7 +127,7 @@ pub fn encode(predictor: &ParameterPredictor, master_seed: u64) -> Result<String
     Ok(out)
 }
 
-/// Parses the full text of a `QMODEL1` file scoped to `master_seed`.
+/// Parses the full text of a `QMODEL2` file scoped to `master_seed`.
 ///
 /// # Errors
 ///
@@ -150,11 +137,12 @@ pub fn encode(predictor: &ParameterPredictor, master_seed: u64) -> Result<String
 /// (partial loads could hide truncation behind a shallower model).
 pub fn parse_model(text: &str, master_seed: u64) -> Result<ParameterPredictor, WireError> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header = lines.next().ok_or_else(|| err("model file is empty"))?;
-    let fields: Vec<&str> = header.split_whitespace().collect();
-    if fields.len() != 6 || fields[0] != MODEL_VERSION {
+    let header = lines.next().unwrap_or_default();
+    let opening = format!("{} ", artifact::header(MODEL_VERSION));
+    let fields: Vec<&str> = header.split_whitespace().skip(2).collect();
+    if !header.starts_with(&opening) || fields.len() != 5 {
         return Err(err(format!(
-            "model header `{}` is not a {MODEL_VERSION} header",
+            "model header `{}` is not a `{opening}…` header",
             header.trim()
         )));
     }
@@ -166,18 +154,18 @@ pub fn parse_model(text: &str, master_seed: u64) -> Result<ParameterPredictor, W
             ))
         })
     };
-    let seed: u64 = parse_int(field(1, "seed=")?, "model seed")?;
+    let seed: u64 = parse_int(field(0, "seed=")?, "model seed")?;
     if seed != master_seed {
         return Err(err(format!(
             "model trained under seed {seed}, this run uses {master_seed}"
         )));
     }
-    let kind_abbr = field(2, "kind=")?;
+    let kind_abbr = field(1, "kind=")?;
     let kind = ModelKind::from_abbreviation(kind_abbr)
         .ok_or_else(|| err(format!("unknown model kind `{kind_abbr}`")))?;
-    let features: usize = parse_int(field(3, "features=")?, "feature count")?;
-    let max_depth: usize = parse_int(field(4, "max-depth=")?, "max depth")?;
-    let intermediate = match field(5, "intermediate=")? {
+    let features: usize = parse_int(field(2, "features=")?, "feature count")?;
+    let max_depth: usize = parse_int(field(3, "max-depth=")?, "max depth")?;
+    let intermediate = match field(4, "intermediate=")? {
         "-" => None,
         m => Some(parse_int::<usize>(m, "intermediate depth")?),
     };
@@ -185,7 +173,7 @@ pub fn parse_model(text: &str, master_seed: u64) -> Result<ParameterPredictor, W
     if features != expected_features {
         return Err(err(format!(
             "feature schema {features} contradicts intermediate={} (expected {expected_features})",
-            fields[5]
+            fields[4]
         )));
     }
 
@@ -248,21 +236,14 @@ pub fn parse_model(text: &str, master_seed: u64) -> Result<ParameterPredictor, W
 }
 
 /// Loads the predictor persisted at `path`, tolerating every failure mode
-/// (see the module docs).
+/// (see [`crate::artifact`]).
 pub fn load(path: &Path, master_seed: u64) -> ModelLoad {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return ModelLoad::Missing,
-        Err(e) => return ModelLoad::Discarded(e.to_string()),
-    };
-    match parse_model(&text, master_seed) {
-        Ok(predictor) => ModelLoad::Loaded(predictor),
-        Err(e) => ModelLoad::Discarded(e.message),
-    }
+    artifact::read(path, |text| {
+        parse_model(text, master_seed).map_err(|e| e.message)
+    })
 }
 
-/// Writes `predictor` to `path` via a per-process temp file and atomic
-/// rename, replacing whatever was there.
+/// Writes `predictor` to `path` atomically, replacing whatever was there.
 ///
 /// # Errors
 ///
@@ -270,14 +251,7 @@ pub fn load(path: &Path, master_seed: u64) -> ModelLoad {
 /// the never-in-practice case of a stage model refusing to export.
 pub fn save(predictor: &ParameterPredictor, path: &Path, master_seed: u64) -> std::io::Result<()> {
     let text = encode(predictor, master_seed).map_err(std::io::Error::other)?;
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    {
-        let mut file = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-        file.write_all(text.as_bytes())?;
-        file.flush()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    artifact::write_atomic(path, text.as_bytes())
 }
 
 #[cfg(test)]
@@ -343,7 +317,11 @@ mod tests {
         let reseeded = good.replacen("seed=2020", "seed=7", 1);
         let cases = [
             ("garbage", "complete nonsense\n".to_string()),
-            ("stale", good.replacen("QMODEL1", "QMODEL0", 1)),
+            ("stale", good.replacen("QMODEL2", "QMODEL1", 1)),
+            (
+                "othernumerics",
+                good.replacen("numerics=v3", "numerics=v2", 1),
+            ),
             ("otherseed", reseeded),
             ("truncated", truncated),
             ("empty", String::new()),

@@ -24,9 +24,9 @@
 //! initialization parameters for the requested graph and depth, produced by
 //! the cheapest able tier —
 //!
-//! 1. **cached exact** — a depth-1 request whose `(canonical class,
-//!    restarts)` is already in the depth-1 cache answers the cached exact
-//!    optimum,
+//! 1. **cached exact** — a depth-1 request whose depth-1 solve (its
+//!    [`Level1Key`]: class, restarts, seed, optimizer and options) is
+//!    already in the cache answers the cached exact optimum,
 //! 2. **model** — a deeper request whose class is cached answers the
 //!    trained predictor's parameters, seeded from the cached depth-1
 //!    optimum (the paper's predict-don't-optimize promise),
@@ -35,7 +35,7 @@
 //!    pool, which also warms the cache so follow-up requests answer from
 //!    tiers 1–2.
 //!
-//! Deep (depth > 1) answers are memoized per `(class, restarts, depth)`
+//! Deep (depth > 1) answers are memoized per `(depth-1 key, depth)`
 //! for the session, so a repeated request echoes its original tier and bits
 //! even after the cache has warmed underneath it; depth-1 repeats are
 //! already bit-stable through the cache itself. Per-tier request counts and latency
@@ -65,13 +65,12 @@
 //! — the engine derives every per-job RNG from stable keys, and depth-1
 //! jobs go through the (optionally pre-warmed, see [`crate::persist`])
 //! isomorphism cache, which never changes values, only cost. The cache is
-//! keyed on `(canonical class, restarts)`, so isomorphic jobs in one
-//! session whose restart counts differ never serve each other's optima.
-//! Shard sessions run on their **own** engine (cache entries are pure
-//! functions of the *session spec's* master seed, which need not match the
-//! server's `--seed`); when the two seeds do agree, the session engine is
-//! pre-warmed from the server cache and folded back after each range, so
-//! `--cache-file` benefits shard work too.
+//! keyed on every input of the solve ([`Level1Key`]), so isomorphic jobs
+//! whose restart counts differ never serve each other's optima. Shard
+//! sessions solve on the same engine under the *session spec's* master
+//! seed (it need not match the server's `--seed`): the key keeps the
+//! entries of the two seeds apart, and `--cache-file` serves shard work
+//! too.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -81,7 +80,6 @@ use std::time::{Duration, Instant};
 
 use graphs::Graph;
 use optimize::Optimizer;
-use qaoa::canonical::graph_key;
 use qaoa::datagen::DataGenConfig;
 use qaoa::ParameterPredictor;
 
@@ -224,12 +222,11 @@ impl fmt::Display for ServeSummary {
 }
 
 /// One open shard-tasking session: the corpus spec a `SHARD` line declared,
-/// the ensemble derived from it, the session's own engine, and the ranges
-/// already served (for overlap rejection).
+/// the ensemble derived from it, and the ranges already served (for
+/// overlap rejection).
 struct ShardSession {
     spec: DataGenConfig,
     graphs: Vec<Graph>,
-    engine: Engine,
     served: Vec<Range<usize>>,
 }
 
@@ -308,18 +305,17 @@ pub fn serve_with_model<R: BufRead, W: Write>(
                 )?;
             }
             Ok("SHARD") => match wire::decode_shard(line) {
-                Ok(spec) => session = Some(open_session(spec, engine, config)),
+                Ok(spec) => {
+                    session = Some(ShardSession {
+                        graphs: corpus::ensemble(&spec),
+                        spec,
+                        served: Vec::new(),
+                    });
+                }
                 Err(e) => reject(&mut output, &mut summary, &e.to_string())?,
             },
             Ok("RANGE") => {
-                serve_range(
-                    &mut output,
-                    line,
-                    session.as_mut(),
-                    engine,
-                    config,
-                    &mut summary,
-                )?;
+                serve_range(&mut output, line, session.as_mut(), engine, &mut summary)?;
             }
             Ok("PREDICT") => {
                 answer_predict(
@@ -358,7 +354,7 @@ pub fn serve_with_model<R: BufRead, W: Write>(
     Ok(summary)
 }
 
-/// The session's answer memo for depth > 1 requests: `(class, restarts,
+/// The session's answer memo for depth > 1 requests: `(depth-1 key,
 /// depth)` → the tier and parameters first answered. A repeated deep
 /// request must echo the same bits, but after its tier-3 solve has warmed
 /// the cache the repeat would re-route through tier 2 and answer the
@@ -410,7 +406,7 @@ fn answer_predict<W: Write>(
             ),
         );
     }
-    let key = Level1Key::new(graph_key(&request.graph), request.restarts);
+    let key = Level1Key::for_solve(&request.graph, optimizer, request.restarts, config);
     let memoized = memo
         .get(&key)
         .and_then(|by_depth| by_depth.get(&request.depth));
@@ -495,22 +491,6 @@ fn reject<W: Write>(
     output.flush()
 }
 
-/// Opens a shard session for `spec`: derives the ensemble and gives the
-/// session its own engine (cache purity — see the module docs), pre-warmed
-/// from the server cache when the two master seeds agree.
-fn open_session(spec: DataGenConfig, engine: &Engine, config: &BatchConfig) -> ShardSession {
-    let session_engine = Engine::new(engine.threads());
-    if spec.seed == config.master_seed {
-        session_engine.cache().merge_from(engine.cache());
-    }
-    ShardSession {
-        graphs: corpus::ensemble(&spec),
-        spec,
-        engine: session_engine,
-        served: Vec::new(),
-    }
-}
-
 /// Why a streamed `RANGE` solve stopped early: a solve error (answered
 /// in-band with `ERR`) or a transport failure (aborts the serve loop).
 enum RangeStop {
@@ -525,7 +505,6 @@ fn serve_range<W: Write>(
     line: &str,
     session: Option<&mut ShardSession>,
     engine: &Engine,
-    config: &BatchConfig,
     summary: &mut ServeSummary,
 ) -> std::io::Result<()> {
     let range = match wire::decode_range(line) {
@@ -581,7 +560,7 @@ fn serve_range<W: Write>(
         &session.graphs,
         range.clone(),
         &session.spec,
-        &session.engine,
+        engine,
         |graph| {
             let (records, _) = graph.map_err(RangeStop::Solve)?;
             for record in &records {
@@ -616,9 +595,6 @@ fn serve_range<W: Write>(
     // served set means it can never (spuriously) conflict.
     if !range.is_empty() {
         session.served.push(range);
-    }
-    if session.spec.seed == config.master_seed {
-        engine.cache().merge_from(session.engine.cache());
     }
     summary.ranges += 1;
     summary.cells += cells;

@@ -16,7 +16,7 @@
 //!                                            — qaoa::InstanceOutcome
 //! REPORT   := threads SP wall_ns SP fc SP gc SP hits SP misses SP jobstats
 //!                                            — engine::BatchReport
-//! ENTRY    := restarts SP KEY-payload SP OUTCOME-payload
+//! ENTRY    := restarts SP solver SP KEY-payload SP OUTCOME-payload
 //!                                            — one persisted cache entry
 //! SHARD    := n_graphs SP n_nodes SP edge_p(f64) SP max_depth SP restarts
 //!             SP seed SP trend_margin(f64)   — corpus spec opening a shard
@@ -38,6 +38,7 @@
 //! edges    := "-" | edge ("," edge)*   edge := u "-" v [":" hex64]
 //! floats   := "-" | hex64 ("," hex64)*
 //! f64      := hex64 (IEEE-754 bits, 16 lowercase hex digits)
+//! solver   := hex64 (qaoa::datagen::level1_solver: seed, optimizer, options)
 //! jobstats := "-" | stat ("," stat)*   stat := wall_ns ":" fc ":" gc ":" ("h"|"m")
 //! ```
 //!
@@ -109,9 +110,11 @@ pub(crate) fn fmt_f64(x: f64) -> String {
 }
 
 pub(crate) fn parse_f64(s: &str) -> Result<f64, WireError> {
-    let bits = u64::from_str_radix(s, 16)
-        .map_err(|e| WireError::new(format!("bad f64 bits `{s}`: {e}")))?;
-    Ok(f64::from_bits(bits))
+    parse_hex64(s, "f64 bits").map(f64::from_bits)
+}
+
+fn parse_hex64(s: &str, what: &str) -> Result<u64, WireError> {
+    u64::from_str_radix(s, 16).map_err(|e| WireError::new(format!("bad {what} `{s}`: {e}")))
 }
 
 pub(crate) fn parse_int<T: std::str::FromStr<Err = std::num::ParseIntError>>(
@@ -743,17 +746,17 @@ pub fn encode_err(message: &str) -> String {
 
 // --- cache entries ---------------------------------------------------------
 
-/// Encodes one persisted cache entry — a [`Level1Key`] (canonical class
-/// plus the restarts count the solve drew) and its finished depth-1
-/// optimum — as one `ENTRY`-typed line
-/// (`restarts` ++ `KEY` payload ++ `OUTCOME` payload). Carrying `restarts`
-/// per entry lets one cache file serve runs and job-server sessions that
-/// mix restart counts without conflating their (restart-dependent) optima.
+/// Encodes one persisted cache entry — a [`Level1Key`] and its finished
+/// depth-1 optimum — as one `ENTRY`-typed line (`restarts` ++ `solver` ++
+/// `KEY` payload ++ `OUTCOME` payload). Carrying the whole key per entry
+/// lets one cache file serve runs and job-server sessions that mix restart
+/// counts, seeds and optimizers without conflating their optima.
 #[must_use]
 pub fn encode_entry(key: &Level1Key, outcome: &InstanceOutcome) -> String {
     format!(
-        "{MAGIC} ENTRY {} {} {}",
+        "{MAGIC} ENTRY {} {:016x} {} {}",
         key.restarts,
+        key.solver,
         key_payload(&key.class),
         outcome_payload(outcome)
     )
@@ -766,15 +769,20 @@ pub fn encode_entry(key: &Level1Key, outcome: &InstanceOutcome) -> String {
 /// Rejects malformed lines, including a restarts count of 0 (no solve ever
 /// runs with zero restarts, so such an entry could never be served).
 pub fn decode_entry(line: &str) -> Result<(Level1Key, InstanceOutcome), WireError> {
-    let f = expect_fields(payload(line, "ENTRY")?, 9, "ENTRY")?;
+    let f = expect_fields(payload(line, "ENTRY")?, 10, "ENTRY")?;
     let restarts: usize = parse_int(f[0], "restarts")?;
     if restarts == 0 {
         return Err(WireError::new("ENTRY needs restarts >= 1"));
     }
     check_limit("ENTRY restarts", restarts, MAX_RESTARTS)?;
-    let class = key_from_fields(&f[1..3])?;
-    let outcome = outcome_from_fields(&f[3..])?;
-    Ok((Level1Key::new(class, restarts), outcome))
+    let solver = parse_hex64(f[1], "solver")?;
+    let class = key_from_fields(&f[2..4])?;
+    let key = Level1Key {
+        class,
+        restarts,
+        solver,
+    };
+    Ok((key, outcome_from_fields(&f[4..])?))
 }
 
 // --- SHARD / RANGE / DONE --------------------------------------------------
@@ -1132,29 +1140,37 @@ mod tests {
             .is_empty());
     }
 
+    /// A cache key whose solver fingerprint encodes as `0000000000005eed`.
+    fn sample_key() -> Level1Key {
+        Level1Key {
+            class: graph_key(&generators::path(4)),
+            restarts: 3,
+            solver: 0x5eed,
+        }
+    }
+
     #[test]
     fn entry_round_trip() {
-        let key = Level1Key::new(graph_key(&generators::path(4)), 3);
+        let key = sample_key();
         let outcome = sample_outcome();
         let (k, o) = decode_entry(&encode_entry(&key, &outcome)).unwrap();
         assert_eq!(k, key);
-        assert_eq!(k.restarts, 3);
+        assert_eq!((k.restarts, k.solver), (3, 0x5eed));
         assert_eq!(o.expectation.to_bits(), outcome.expectation.to_bits());
-        // A restarts-less (pre-restarts-keyed) entry or restarts=0 is
-        // malformed, not silently accepted under a default.
+        // A restarts-less or solver-less (older format) entry, or
+        // restarts=0, is malformed, not silently accepted under a default.
         let line = encode_entry(&key, &outcome);
-        let old_format = line.replacen("ENTRY 3 ", "ENTRY ", 1);
-        assert!(decode_entry(&old_format).is_err());
+        let no_restarts = line.replacen("ENTRY 3 ", "ENTRY ", 1);
+        assert!(decode_entry(&no_restarts).is_err());
+        let no_solver = line.replacen(" 0000000000005eed ", " ", 1);
+        assert!(decode_entry(&no_solver).is_err());
         let zero = line.replacen("ENTRY 3 ", "ENTRY 0 ", 1);
         assert!(decode_entry(&zero).is_err());
     }
 
     #[test]
     fn every_graph_verb_caps_n_nodes_at_the_problem_limit() {
-        let entry = encode_entry(
-            &Level1Key::new(graph_key(&generators::path(4)), 3),
-            &sample_outcome(),
-        );
+        let entry = encode_entry(&sample_key(), &sample_outcome());
         let shard = encode_shard(&DataGenConfig::quick());
         let shard_fields: Vec<&str> = shard.split(' ').collect();
         let lines = |n: usize| {
@@ -1169,8 +1185,12 @@ mod tests {
                 ),
                 (decode_key(&format!("QW1 KEY {n} 0-1")).is_ok(), "KEY"),
                 (
-                    decode_entry(&entry.replacen("ENTRY 3 4 ", &format!("ENTRY 3 {n} "), 1))
-                        .is_ok(),
+                    decode_entry(&entry.replacen(
+                        "ENTRY 3 0000000000005eed 4 ",
+                        &format!("ENTRY 3 0000000000005eed {n} "),
+                        1,
+                    ))
+                    .is_ok(),
                     "ENTRY",
                 ),
                 (decode_shard(&with_n.join(" ")).is_ok(), "SHARD"),
@@ -1190,10 +1210,7 @@ mod tests {
     fn every_verb_caps_depth_and_restarts() {
         // Regression: a 10^17-depth JOB once aborted the server on a
         // 1.6·10^18-byte bounds allocation, and 10^17 restarts hung it.
-        let entry = encode_entry(
-            &Level1Key::new(graph_key(&generators::path(4)), 3),
-            &sample_outcome(),
-        );
+        let entry = encode_entry(&sample_key(), &sample_outcome());
         let shard = encode_shard(&DataGenConfig::quick());
         let shard_with = |depth: usize, restarts: usize| {
             let mut fields: Vec<String> = shard.split(' ').map(str::to_string).collect();

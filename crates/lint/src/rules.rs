@@ -110,7 +110,7 @@ const WALLCLOCK_ALLOWED: &[&str] = &[
 ];
 
 /// The bit-exact float paths: everything that writes or parses `QW1` lines
-/// or `QCACHE2`/`QMODEL1` files.
+/// or `QCACHE3`/`QMODEL2` files.
 const BIT_EXACT_PATHS: &[&str] = &[
     "crates/engine/src/wire.rs",
     "crates/engine/src/persist.rs",

@@ -93,12 +93,15 @@ impl ForestModel {
                 context: "model params: empty forest ensemble",
             });
         }
-        let mut members = Vec::with_capacity(n_members);
+        // Every member and every feature index takes at least one int of
+        // the stream, so no count past its length is reserved for.
+        let cap = params.ints.len();
+        let mut members = Vec::with_capacity(n_members.min(cap));
         for _ in 0..n_members {
             let subset_len = r.count()?;
-            let mut feats = Vec::with_capacity(subset_len);
+            let mut feats = Vec::with_capacity(subset_len.min(cap));
             for _ in 0..subset_len {
-                feats.push(r.count()?);
+                feats.push(r.index(n_features)?);
             }
             members.push((feats, TreeModel::read_params(&mut r)?));
         }

@@ -6,7 +6,7 @@
 //! training rows) — and [`ModelKind::from_params`](crate::ModelKind::from_params)
 //! rebuilds a model whose predictions are **bit-identical** to the
 //! original's. The two streams stay separate so no count is ever squeezed
-//! through a float (and back) on the way to disk; the `QMODEL1` artifact
+//! through a float (and back) on the way to disk; the `QMODEL2` artifact
 //! format in the engine crate persists both losslessly.
 //!
 //! Decoding is deliberately strict: a truncated stream, a count that does
@@ -52,6 +52,9 @@ const TRUNCATED: MlError = MlError::Numerical {
 const TRAILING: MlError = MlError::Numerical {
     context: "model params: trailing unread values",
 };
+const OUT_OF_RANGE: MlError = MlError::Numerical {
+    context: "model params: index out of range",
+};
 
 /// Sequential reader over a [`ModelParams`] pair of streams.
 ///
@@ -87,6 +90,13 @@ impl<'a> ParamReader<'a> {
         usize::try_from(self.int()?).map_err(|_| MlError::Numerical {
             context: "model params: count exceeds usize",
         })
+    }
+
+    /// Next integer field as an index below `len` (a feature index a
+    /// predict would otherwise read out of bounds).
+    pub(crate) fn index(&mut self, len: usize) -> Result<usize, MlError> {
+        let i = self.count()?;
+        (i < len).then_some(i).ok_or(OUT_OF_RANGE)
     }
 
     /// Next float field.

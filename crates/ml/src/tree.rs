@@ -150,7 +150,12 @@ impl TreeModel {
 
     /// Drains one fitted tree from a shared parameter stream.
     pub(crate) fn read_params(r: &mut ParamReader<'_>) -> Result<Self, MlError> {
-        fn read_node(r: &mut ParamReader<'_>, depth: usize, cap: usize) -> Result<Node, MlError> {
+        fn read_node(
+            r: &mut ParamReader<'_>,
+            depth: usize,
+            cap: usize,
+            n_features: usize,
+        ) -> Result<Node, MlError> {
             // Every fitted tree respects its own max_depth; a stream nesting
             // deeper is corrupt. The hard cap bounds decode recursion.
             if depth > cap {
@@ -161,10 +166,10 @@ impl TreeModel {
             match r.int()? {
                 0 => Ok(Node::Leaf { value: r.float()? }),
                 1 => {
-                    let feature = r.count()?;
+                    let feature = r.index(n_features)?;
                     let threshold = r.float()?;
-                    let left = Box::new(read_node(r, depth + 1, cap)?);
-                    let right = Box::new(read_node(r, depth + 1, cap)?);
+                    let left = Box::new(read_node(r, depth + 1, cap, n_features)?);
+                    let right = Box::new(read_node(r, depth + 1, cap, n_features)?);
                     Ok(Node::Split {
                         feature,
                         threshold,
@@ -181,7 +186,7 @@ impl TreeModel {
         let min_samples_split = r.count()?;
         let min_samples_leaf = r.count()?;
         let n_features = r.count()?;
-        let root = read_node(r, 0, max_depth.min(512))?;
+        let root = read_node(r, 0, max_depth.min(512), n_features)?;
         Ok(Self {
             max_depth,
             min_samples_split,

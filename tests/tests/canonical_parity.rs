@@ -4,7 +4,7 @@
 //!
 //! The contract: for every graph, both produce the same key — the same
 //! node count and the same canonically relabeled edge list, bit for bit —
-//! and so the same `hash64`. Persisted `QCACHE2` files and corpus seeds
+//! and so the same `hash64`. Persisted `QCACHE3` files and corpus seeds
 //! are derived from those keys, so any drift would silently orphan every
 //! cache written before it.
 

@@ -157,6 +157,47 @@ fn library_generator_equals_engine_generator() {
 }
 
 #[test]
+fn corpus_is_never_served_another_solves_depth1_optimum() {
+    // The depth-1 cache keys every input of the solve, so what an engine
+    // solved before never leaks into a later corpus on the same engine.
+    let graphs = vec![generators::cycle(5), generators::path(5)];
+
+    // A Nelder-Mead depth-1 job on C5 (restarts 3, seed 9), then the
+    // L-BFGS-B corpus over C5 on the same engine.
+    let config = tiny_datagen(graphs.len(), 5, 0.5, 2, 3, 9);
+    let eng = Engine::new(1);
+    let batch_config = BatchConfig {
+        master_seed: config.seed,
+        ..BatchConfig::default()
+    };
+    eng.run_batch(
+        &optimize::NelderMead::default(),
+        &[Job::new(generators::cycle(5), 1, config.restarts)],
+        &batch_config,
+    )
+    .expect("Nelder-Mead job");
+    let (served, report) =
+        engine::corpus::from_graphs(graphs.clone(), &config, &eng).expect("engine corpus");
+    assert_eq!(
+        report.cache_hits, 0,
+        "the Nelder-Mead optimum is not served"
+    );
+    let library = ParameterDataset::from_graphs(graphs.clone(), &config).expect("library corpus");
+    common::assert_corpora_bit_identical(&library, &served, "after a Nelder-Mead job");
+
+    // A seed-9 corpus, then a seed-10 corpus on one engine: the second is
+    // the seed-10 library corpus, not the seed-9 optima.
+    let eng = Engine::new(1);
+    engine::corpus::from_graphs(graphs.clone(), &config, &eng).expect("seed-9 corpus");
+    let seed10 = tiny_datagen(graphs.len(), 5, 0.5, 2, 3, 10);
+    let (served, report) =
+        engine::corpus::from_graphs(graphs.clone(), &seed10, &eng).expect("seed-10 corpus");
+    assert_eq!(report.cache_hits, 0, "seed-9 optima are not served");
+    let library = ParameterDataset::from_graphs(graphs, &seed10).expect("library corpus");
+    common::assert_corpora_bit_identical(&library, &served, "seed 10 after seed 9");
+}
+
+#[test]
 fn corpus_records_have_expected_shape() {
     let config = tiny_datagen(4, 5, 0.6, 3, 2, 3);
     let (ds, report) = engine::corpus::generate(&config, &Engine::new(2)).expect("corpus");

@@ -131,7 +131,7 @@ fn cache_file_survives_a_kill_byte_identically() {
 
     let engine = Engine::new(2);
     engine::corpus::generate(&config, &engine).expect("unsharded corpus");
-    persist::save_merge(engine.cache(), &unsharded_path, config.seed).unwrap();
+    persist::save_merge(engine.cache(), &unsharded_path).unwrap();
 
     let shared = Arc::new(Level1Cache::new());
     let plan = ShardPlan::split_even(config.n_graphs, 3);
@@ -140,7 +140,7 @@ fn cache_file_survives_a_kill_byte_identically() {
     let (_, report) = shard::run_wire(&config, &plan, &mut transport, &StreamOptions::default())
         .expect("failover run");
     assert_eq!(report.lost_workers, 1);
-    persist::save_merge(&shared, &killed_path, config.seed).unwrap();
+    persist::save_merge(&shared, &killed_path).unwrap();
 
     let unsharded_bytes = std::fs::read(&unsharded_path).unwrap();
     let killed_bytes = std::fs::read(&killed_path).unwrap();

@@ -1,4 +1,4 @@
-//! Integration tests for `QMODEL1` model artifacts: save→load round trips
+//! Integration tests for `QMODEL2` model artifacts: save→load round trips
 //! that answer bit-identically for every model kind, discard-and-retrain
 //! fallback for damaged files, and the artifact driving a real `PREDICT`
 //! serve session (the cross-process promise behind `qaoa-predict`).
@@ -74,7 +74,11 @@ fn corrupt_stale_or_misseeded_artifacts_are_discarded_not_fatal() {
     let cases: Vec<(&str, String)> = vec![
         ("binary garbage", "\u{1}\u{2}\u{3} not a model\n".into()),
         ("empty file", String::new()),
-        ("stale version", good.replacen("QMODEL1", "QMODEL0", 1)),
+        ("stale version", good.replacen("QMODEL2", "QMODEL1", 1)),
+        (
+            "other numerics",
+            good.replacen("numerics=v3", "numerics=v2", 1),
+        ),
         ("foreign seed", good.replacen("seed=2020", "seed=999", 1)),
         ("unknown kind", good.replacen("kind=LM", "kind=ORACLE", 1)),
         (

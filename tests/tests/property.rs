@@ -56,6 +56,30 @@ proptest! {
         prop_assert_eq!(g.cut_value(z), g.cut_value(!z & mask));
     }
 
+    /// The problem's optimum, read off its cost diagonal, is the
+    /// brute-force `MaxCut::solve` value bit for bit, on weighted graphs
+    /// whose weights include signed zeros and negatives.
+    #[test]
+    fn optimal_cut_is_the_brute_force_optimum_bit_for_bit(
+        seed in 0u64..10_000,
+        n in 2usize..10,
+        weighted in 0usize..3,
+    ) {
+        const WEIGHTS: [f64; 6] = [1.0, -0.0, 0.0, -1.5, 0.3, 7.25];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let base = generators::erdos_renyi_nonempty(n, rng.gen_range(0.2..1.0), &mut rng);
+        let mut g = Graph::new(n);
+        for e in base.edges() {
+            let w = if weighted > 0 { WEIGHTS[rng.gen_range(0..WEIGHTS.len())] } else { 1.0 };
+            g.add_weighted_edge(e.u, e.v, w).unwrap();
+        }
+        let problem = MaxCutProblem::new(&g).unwrap();
+        prop_assert_eq!(
+            problem.optimal_cut().to_bits(),
+            graphs::MaxCut::solve(&g).value().to_bits()
+        );
+    }
+
     /// Cut value of any assignment never exceeds the exact MaxCut.
     #[test]
     fn maxcut_dominates_all_assignments(

@@ -117,12 +117,12 @@ fn merged_cache_file_is_byte_identical_to_unsharded() {
 
     let engine = Engine::new(2);
     engine::corpus::generate(&config, &engine).expect("unsharded corpus");
-    persist::save_merge(engine.cache(), &unsharded_path, config.seed).unwrap();
+    persist::save_merge(engine.cache(), &unsharded_path).unwrap();
 
     let cache = Arc::new(Level1Cache::new());
     let plan = ShardPlan::split_even(config.n_graphs, 3);
     run_in_process(&config, &plan, 4, &cache);
-    persist::save_merge(&cache, &sharded_path, config.seed).unwrap();
+    persist::save_merge(&cache, &sharded_path).unwrap();
 
     let unsharded_bytes = std::fs::read(&unsharded_path).unwrap();
     let sharded_bytes = std::fs::read(&sharded_path).unwrap();
@@ -154,11 +154,11 @@ fn warm_sharded_run_serves_depth1_from_the_cache_file() {
 
     let engine = Engine::new(2);
     let (unsharded, _) = engine::corpus::generate(&config, &engine).expect("cold corpus");
-    persist::save_merge(engine.cache(), &path, config.seed).unwrap();
+    persist::save_merge(engine.cache(), &path).unwrap();
 
     let loaded = Level1Cache::new();
     assert!(matches!(
-        persist::load_into(&loaded, &path, config.seed),
+        persist::load_into(&loaded, &path),
         persist::LoadStatus::Loaded(_)
     ));
     let shared = Arc::new(Level1Cache::new());

@@ -1,23 +1,35 @@
-//! Totality of the request and corpus-tasking decoders (`PREDICT`, `JOB`,
-//! `SHARD`, `RANGE`, `RECORD`, `DONE`): every input line is either
-//! rejected with an error or decodes to a value that re-encodes and
-//! decodes back bit-exactly. No input panics, and nothing accepted breaks
-//! the limits a request or a corpus session is sized from (nodes, depth,
-//! restarts, ensemble size).
+//! Totality of the request, corpus-tasking and cache-entry decoders
+//! (`PREDICT`, `JOB`, `SHARD`, `RANGE`, `RECORD`, `DONE`, `ENTRY`) and of
+//! the whole-file decoders of `QCACHE3` and `QMODEL2` artifacts: every
+//! input is either rejected with an error or decodes to a value that
+//! re-encodes and decodes back bit-exactly. No input panics, and nothing
+//! accepted breaks the limits a request or a corpus session is sized from
+//! (nodes, depth, restarts, ensemble size).
 //!
-//! Inputs are arbitrary bytes (bare or behind a valid verb prefix) and
-//! valid lines that are truncated, bit-flipped, given a duplicated or
-//! out-of-range edge, or given a huge count in one numeric field.
+//! Inputs are arbitrary bytes (bare or behind a valid verb prefix or file
+//! header) and valid lines or files that are truncated, bit-flipped, given
+//! a duplicated or out-of-range edge, or given a huge count in one numeric
+//! field.
 
+mod common;
+
+use std::ops::Range;
+use std::sync::OnceLock;
+
+use engine::persist::{self, CACHE_VERSION};
 use engine::wire::{
     self, PredictRequest, RangeDone, MAX_PROBLEM_DEPTH, MAX_PROBLEM_NODES, MAX_RESTARTS,
     MAX_SHARD_GRAPHS,
 };
-use engine::Job;
+use engine::{artifact, model, Job, Level1Key};
 use graphs::{generators, Graph};
+use ml::ModelKind;
+use optimize::Termination;
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use qaoa::datagen::{DataGenConfig, OptimalRecord};
+use qaoa::canonical::graph_key;
+use qaoa::datagen::{DataGenConfig, OptimalRecord, ParameterDataset};
+use qaoa::{InstanceOutcome, ParameterPredictor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -173,6 +185,32 @@ fn check_done(line: &str) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// An outcome's every field, floats as bits.
+fn outcome_bits(o: &InstanceOutcome) -> (Vec<u64>, [u64; 2], [usize; 2], Termination) {
+    (
+        bits(&o.params),
+        [o.expectation.to_bits(), o.approximation_ratio.to_bits()],
+        [o.function_calls, o.gradient_calls],
+        o.termination,
+    )
+}
+
+/// Decodes `line` as `ENTRY`; an accepted entry must respect the limits and
+/// round-trip bit-exactly.
+fn check_entry(line: &str) -> Result<(), TestCaseError> {
+    let Ok((key, outcome)) = wire::decode_entry(line) else {
+        return Ok(());
+    };
+    prop_assert!((1..=MAX_RESTARTS).contains(&key.restarts));
+    prop_assert!(key.class.n_nodes() <= MAX_PROBLEM_NODES);
+    let encoded = wire::encode_entry(&key, &outcome);
+    let (back_key, back) = wire::decode_entry(&encoded).expect("re-encoded line decodes");
+    prop_assert_eq!(&back_key, &key);
+    prop_assert_eq!(outcome_bits(&back), outcome_bits(&outcome));
+    prop_assert_eq!(wire::encode_entry(&back_key, &back), encoded);
+    Ok(())
+}
+
 /// Runs every decoder over `line` (each rejects the other verbs).
 fn check_all(line: &str) -> Result<(), TestCaseError> {
     check_predict(line)?;
@@ -180,7 +218,8 @@ fn check_all(line: &str) -> Result<(), TestCaseError> {
     check_shard(line)?;
     check_range(line)?;
     check_record(line)?;
-    check_done(line)
+    check_done(line)?;
+    check_entry(line)
 }
 
 /// A random valid request: n in 2..=10, ER(p) forced non-empty, weights
@@ -277,12 +316,43 @@ fn valid_tasking_lines(rng: &mut StdRng) -> [String; 4] {
     ]
 }
 
+const TERMINATIONS: [Termination; 6] = [
+    Termination::FtolSatisfied,
+    Termination::GtolSatisfied,
+    Termination::StepSizeZero,
+    Termination::MaxIterations,
+    Termination::MaxCalls,
+    Termination::NonFinite,
+];
+
+/// A random valid cache entry: the class of a random request graph, any
+/// solver fingerprint, and an outcome of odd floats.
+fn random_entry(rng: &mut StdRng) -> (Level1Key, InstanceOutcome) {
+    let request = random_request(rng);
+    let key = Level1Key {
+        class: graph_key(&request.graph),
+        restarts: request.restarts,
+        solver: rng.gen(),
+    };
+    let odd = |rng: &mut StdRng| ODD_FLOATS[rng.gen_range(0..ODD_FLOATS.len())];
+    let outcome = InstanceOutcome {
+        params: (0..rng.gen_range(0..5)).map(|_| odd(rng)).collect(),
+        expectation: odd(rng),
+        approximation_ratio: odd(rng),
+        function_calls: rng.gen_range(0..usize::MAX),
+        gradient_calls: rng.gen_range(0..usize::MAX),
+        termination: TERMINATIONS[rng.gen_range(0..TERMINATIONS.len())],
+    };
+    (key, outcome)
+}
+
 /// One valid line of every verb, each with the indices of its integer
 /// count fields in the space-split line: `PREDICT`, `JOB`, `SHARD`,
-/// `RANGE`, `RECORD`, `DONE`.
+/// `RANGE`, `RECORD`, `DONE`, `ENTRY`.
 fn every_verb(rng: &mut StdRng) -> Vec<(String, &'static [usize])> {
     let (_, predict, job) = valid_lines(rng);
     let [shard, range, record, done] = valid_tasking_lines(rng);
+    let (key, outcome) = random_entry(rng);
     vec![
         (predict, &[2, 3, 4, 5]),
         (job, &[2, 3, 4]),
@@ -290,7 +360,123 @@ fn every_verb(rng: &mut StdRng) -> Vec<(String, &'static [usize])> {
         (range, &[2, 3]),
         (record, &[2, 3, 6]),
         (done, &[2, 3, 4, 5]),
+        (wire::encode_entry(&key, &outcome), &[2, 4, 9, 10]),
     ]
+}
+
+// --- whole artifact files ----------------------------------------------------
+
+/// A valid `QCACHE3` file of one to three random entries.
+fn cache_file(rng: &mut StdRng) -> String {
+    let mut text = format!("{}\n", artifact::header(CACHE_VERSION));
+    for _ in 0..rng.gen_range(1..=3) {
+        let (key, outcome) = random_entry(rng);
+        text.push_str(&wire::encode_entry(&key, &outcome));
+        text.push('\n');
+    }
+    text
+}
+
+/// Parses `text` as a cache file; an accepted file must round-trip
+/// bit-exactly through the entry encoder.
+fn check_cache_file(text: &str) -> Result<(), TestCaseError> {
+    let Ok(entries) = persist::parse_entries(text) else {
+        return Ok(());
+    };
+    let mut encoded = format!("{}\n", artifact::header(CACHE_VERSION));
+    for (key, outcome) in &entries {
+        prop_assert!(key.class.n_nodes() <= MAX_PROBLEM_NODES);
+        encoded.push_str(&wire::encode_entry(key, outcome));
+        encoded.push('\n');
+    }
+    let back = persist::parse_entries(&encoded).expect("re-encoded file parses");
+    prop_assert_eq!(back.len(), entries.len());
+    for ((bk, bo), (k, o)) in back.iter().zip(&entries) {
+        prop_assert_eq!(bk, k);
+        prop_assert_eq!(outcome_bits(bo), outcome_bits(o));
+    }
+    Ok(())
+}
+
+/// The master seed of the model files.
+const MODEL_SEED: u64 = 41;
+
+/// One valid `QMODEL2` file per model kind, trained once on a tiny corpus.
+fn model_files() -> &'static [String] {
+    static FILES: OnceLock<Vec<String>> = OnceLock::new();
+    FILES.get_or_init(|| {
+        let corpus = ParameterDataset::generate(&common::tiny_datagen(4, 4, 0.7, 2, 1, 5))
+            .expect("tiny corpus");
+        ModelKind::EXTENDED
+            .into_iter()
+            .map(|kind| {
+                let predictor = ParameterPredictor::train(kind, &corpus).expect("training");
+                model::encode(&predictor, MODEL_SEED).expect("encode")
+            })
+            .collect()
+    })
+}
+
+/// Parses `text` as a model file; an accepted model must predict at every
+/// depth without panicking and re-encode, and its encoding must parse back
+/// to the same encoding.
+fn check_model_file(text: &str) -> Result<(), TestCaseError> {
+    let Ok(predictor) = model::parse_model(text, MODEL_SEED) else {
+        return Ok(());
+    };
+    for depth in 1..=predictor.max_depth() {
+        let _ = predictor.predict(0.6, 0.4, depth);
+    }
+    let encoded = model::encode(&predictor, MODEL_SEED).expect("accepted models re-encode");
+    let back = model::parse_model(&encoded, MODEL_SEED).expect("re-encoded file parses");
+    prop_assert_eq!(model::encode(&back, MODEL_SEED).unwrap(), encoded);
+    Ok(())
+}
+
+/// Byte ranges of the all-digit fields of `text`: runs of digits bounded
+/// by a separator (space, comma, `=`, `:`, `-`, newline) or an end.
+fn int_fields(text: &str) -> Vec<Range<usize>> {
+    let bytes = text.as_bytes();
+    let sep = |i: usize| i >= bytes.len() || b" ,=:-\n".contains(&bytes[i]);
+    let mut fields = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        let start = i;
+        while i < bytes.len() && bytes[i].is_ascii_digit() {
+            i += 1;
+        }
+        if i == start {
+            i += 1;
+        } else if (start == 0 || sep(start - 1)) && sep(i) {
+            fields.push(start..i);
+        }
+    }
+    fields
+}
+
+/// `text` cut at `at` ten-thousandths of its length, with one bit of the
+/// byte at `flip` flipped, or with one integer field made huge: the three
+/// ways a valid file is damaged below.
+fn damaged(text: &str, how: usize, at: usize, bit: u32, huge: usize) -> String {
+    match how {
+        0 => text[..at * text.len() / 10_000].to_string(),
+        1 => {
+            let mut bytes = text.as_bytes().to_vec();
+            let i = at * bytes.len() / 10_000;
+            bytes[i] ^= 1 << bit;
+            String::from_utf8_lossy(&bytes).into_owned()
+        }
+        _ => {
+            let fields = int_fields(text);
+            let field = fields[at * fields.len() / 10_000].clone();
+            format!(
+                "{}{}{}",
+                &text[..field.start],
+                HUGE[huge],
+                &text[field.end..]
+            )
+        }
+    }
 }
 
 /// Numbers a hostile client might put in any count field.
@@ -310,7 +496,7 @@ proptest! {
     #[test]
     fn arbitrary_bytes_never_panic(
         bytes in collection::vec(0u8..=255, 0..96),
-        prefix in 0usize..8,
+        prefix in 0usize..9,
     ) {
         let tail = String::from_utf8_lossy(&bytes);
         let head = [
@@ -322,6 +508,7 @@ proptest! {
             "QW1 RANGE ",
             "QW1 RECORD ",
             "QW1 DONE ",
+            "QW1 ENTRY ",
         ][prefix];
         check_all(&format!("{head}{tail}"))?;
     }
@@ -331,7 +518,7 @@ proptest! {
     #[test]
     fn wire_alphabet_lines_never_panic(
         picks in collection::vec(0usize..16, 0..64),
-        prefix in 0usize..6,
+        prefix in 0usize..7,
     ) {
         const ALPHABET: &[u8] = b"0123456789-,: af";
         let tail: String = picks.iter().map(|&i| char::from(ALPHABET[i])).collect();
@@ -342,6 +529,7 @@ proptest! {
             "QW1 RANGE ",
             "QW1 RECORD ",
             "QW1 DONE ",
+            "QW1 ENTRY ",
         ][prefix];
         check_all(&format!("{head}{tail}"))?;
     }
@@ -362,7 +550,12 @@ proptest! {
         prop_assert!(wire::decode_range(&range).is_ok(), "{}", range);
         prop_assert!(wire::decode_record(&record).is_ok(), "{}", record);
         prop_assert!(wire::decode_done(&done).is_ok(), "{}", done);
-        for line in [predict, job, shard, range, record, done] {
+        let (key, outcome) = random_entry(&mut rng);
+        let entry = wire::encode_entry(&key, &outcome);
+        let (back_key, back) = wire::decode_entry(&entry).expect("valid ENTRY");
+        prop_assert_eq!(&back_key, &key);
+        prop_assert_eq!(outcome_bits(&back), outcome_bits(&outcome));
+        for line in [predict, job, shard, range, record, done, entry] {
             check_all(&line)?;
         }
     }
@@ -452,6 +645,60 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Arbitrary bytes, bare or behind a valid file header.
+    #[test]
+    fn arbitrary_artifact_bytes_never_panic(
+        bytes in collection::vec(0u8..=255, 0..160),
+        headed in 0usize..2,
+    ) {
+        let tail = String::from_utf8_lossy(&bytes);
+        let cache_head = [String::new(), format!("{}\n", artifact::header(CACHE_VERSION))];
+        check_cache_file(&format!("{}{tail}", cache_head[headed]))?;
+        let model_head = [
+            String::new(),
+            format!("{} seed={MODEL_SEED} kind=LM features=3 max-depth=2 intermediate=-\n",
+                artifact::header(model::MODEL_VERSION)),
+        ];
+        check_model_file(&format!("{}{tail}", model_head[headed]))?;
+    }
+
+    /// Valid cache files round-trip; truncated, bit-flipped or
+    /// huge-count copies are rejected or round-trip.
+    #[test]
+    fn damaged_cache_files_are_rejected_or_round_trip(
+        seed in 0u64..u64::MAX,
+        how in 0usize..3,
+        at in 0usize..10_000,
+        bit in 0u32..8,
+        huge in 0usize..6,
+    ) {
+        let text = cache_file(&mut StdRng::seed_from_u64(seed));
+        prop_assert!(persist::parse_entries(&text).is_ok(), "{}", text);
+        check_cache_file(&text)?;
+        check_cache_file(&damaged(&text, how, at, bit, huge))?;
+    }
+
+    /// Valid model files of every kind round-trip; truncated, bit-flipped
+    /// or huge-count copies (stage numbers, the `END` count, header depths
+    /// and the models' own counts) are rejected or round-trip.
+    #[test]
+    fn damaged_model_files_are_rejected_or_round_trip(
+        kind in 0usize..ModelKind::EXTENDED.len(),
+        how in 0usize..3,
+        at in 0usize..10_000,
+        bit in 0u32..8,
+        huge in 0usize..6,
+    ) {
+        let text = &model_files()[kind];
+        prop_assert!(model::parse_model(text, MODEL_SEED).is_ok());
+        check_model_file(text)?;
+        check_model_file(&damaged(text, how, at, bit, huge))?;
+    }
+}
+
 #[test]
 fn huge_counts_in_every_field_are_rejected() {
     for huge in &HUGE[..3] {
@@ -493,6 +740,20 @@ fn counts_past_every_shard_limit_are_rejected() {
             fields[field] = huge.to_string();
             let line = line(fields);
             assert!(wire::decode_shard(&line).is_err(), "{line}");
+        }
+    }
+}
+
+#[test]
+fn huge_counts_in_every_model_header_and_leading_field_are_rejected_or_round_trip() {
+    // The header, the first stage number and the first model's leading
+    // counts (shapes, ensemble sizes) are what a decoder sizes from.
+    for text in model_files() {
+        for field in int_fields(text).into_iter().take(24) {
+            for huge in HUGE {
+                let damaged = format!("{}{huge}{}", &text[..field.start], &text[field.end..]);
+                check_model_file(&damaged).unwrap();
+            }
         }
     }
 }

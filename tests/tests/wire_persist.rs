@@ -155,20 +155,17 @@ fn cold_run_writes_warm_run_hits_without_solving() {
 
     // Cold: all classes solved here, then persisted.
     let cold = Engine::new(2);
-    assert_eq!(
-        persist::load_into(cold.cache(), &path, config.master_seed),
-        LoadStatus::Missing
-    );
+    assert_eq!(persist::load_into(cold.cache(), &path), LoadStatus::Missing);
     let (cold_outcomes, cold_report) = cold.run_batch(&optimizer, &jobs, &config).unwrap();
     assert!(cold_report.cache_misses > 0, "cold run must actually solve");
     let classes = cold.cache().len();
-    persist::save_merge(cold.cache(), &path, config.master_seed).unwrap();
+    persist::save_merge(cold.cache(), &path).unwrap();
 
     let mut warm_hit_counts = Vec::new();
     for threads in [1, 4] {
         let warm = Engine::new(threads);
         assert_eq!(
-            persist::load_into(warm.cache(), &path, config.master_seed),
+            persist::load_into(warm.cache(), &path),
             LoadStatus::Loaded(classes)
         );
         let (outcomes, report) = warm.run_batch(&optimizer, &jobs, &config).unwrap();
@@ -194,7 +191,7 @@ fn cold_run_writes_warm_run_hits_without_solving() {
 
 /// Regression for the warm-run purity bug: a cache file written by a
 /// `restarts = 2` run must NOT serve a `restarts = 3` run's depth-1
-/// solves. Entries are keyed on `(class, restarts)`, so the warm run
+/// solves. Entries are keyed on every input of the solve, so the warm run
 /// re-solves under its own budget, returns exactly the bits a cold run
 /// would, and the merged file ends up holding both variants.
 #[test]
@@ -210,7 +207,7 @@ fn warm_run_with_different_restarts_re_solves() {
     // Run 1 (restarts = 2) persists its entry.
     let first = Engine::new(1);
     first.run_batch(&optimizer, &jobs_r2, &config).unwrap();
-    persist::save_merge(first.cache(), &path, config.master_seed).unwrap();
+    persist::save_merge(first.cache(), &path).unwrap();
 
     // Cold reference for restarts = 3 — what a warm run must reproduce.
     let (reference, _) = Engine::new(1)
@@ -221,7 +218,7 @@ fn warm_run_with_different_restarts_re_solves() {
     // entry loads but must never be served.
     let warm = Engine::new(1);
     assert_eq!(
-        persist::load_into(warm.cache(), &path, config.master_seed),
+        persist::load_into(warm.cache(), &path),
         LoadStatus::Loaded(1)
     );
     let (outcomes, report) = warm.run_batch(&optimizer, &jobs_r3, &config).unwrap();
@@ -235,21 +232,31 @@ fn warm_run_with_different_restarts_re_solves() {
     assert_eq!(outcomes[0].function_calls, reference[0].function_calls);
 
     // The merged file now carries both restart variants of the class.
-    persist::save_merge(warm.cache(), &path, config.master_seed).unwrap();
+    persist::save_merge(warm.cache(), &path).unwrap();
     let reload = Level1Cache::new();
-    assert_eq!(
-        persist::load_into(&reload, &path, config.master_seed),
-        LoadStatus::Loaded(2)
-    );
+    assert_eq!(persist::load_into(&reload, &path), LoadStatus::Loaded(2));
     std::fs::remove_file(&path).ok();
 }
 
-/// Corrupt, truncated, and version/seed-stale cache files are discarded —
-/// the run proceeds cold and the next save regenerates a loadable file.
+/// Corrupt, truncated, and version- or numerics-stale cache files are
+/// discarded — the run proceeds cold and the next save regenerates a
+/// loadable file. A file written under another seed is not stale: its
+/// entry loads, but it is never served to a lookup at this seed, which
+/// re-solves to the cold run's bits.
 #[test]
 fn corrupt_or_stale_cache_file_regenerates() {
     let path = temp_path("fallback");
-    let key = Level1Key::new(graph_key(&generators::cycle(5)), 2);
+    let config = BatchConfig::default();
+    let optimizer = Lbfgsb::default();
+    let graph = generators::cycle(5);
+    let key_at = |master_seed: u64| {
+        let config = BatchConfig {
+            master_seed,
+            ..BatchConfig::default()
+        };
+        Level1Key::for_solve(&graph, &optimizer, 2, &config)
+    };
+    let key = key_at(config.master_seed);
     let entry = InstanceOutcome {
         params: vec![0.1, 0.2],
         expectation: 1.0,
@@ -258,15 +265,17 @@ fn corrupt_or_stale_cache_file_regenerates() {
         gradient_calls: 0,
         termination: Termination::FtolSatisfied,
     };
-    let good = {
+    let file_with = |key: &Level1Key| {
         let cache = Level1Cache::new();
         cache.insert(key.clone(), entry.clone());
         let tmp = temp_path("fallback_good");
-        persist::save_merge(&cache, &tmp, 2020).unwrap();
+        std::fs::remove_file(&tmp).ok();
+        persist::save_merge(&cache, &tmp).unwrap();
         let text = std::fs::read_to_string(&tmp).unwrap();
         std::fs::remove_file(&tmp).ok();
         text
     };
+    let good = file_with(&key);
     let cases: Vec<(&str, String)> = vec![
         (
             "binary garbage",
@@ -274,16 +283,19 @@ fn corrupt_or_stale_cache_file_regenerates() {
         ),
         ("truncated mid-entry", good[..good.len() - 10].into()),
         (
-            "stale version (pre-restarts-keyed)",
-            good.replacen("QCACHE2", "QCACHE1", 1),
+            "stale version (seed-scoped, no solver field)",
+            good.replacen("QCACHE3", "QCACHE2", 1),
         ),
-        ("foreign seed", good.replacen("seed=2020", "seed=999", 1)),
+        (
+            "other numerics",
+            good.replacen("numerics=v3", "numerics=v2", 1),
+        ),
         ("wrong wire version", good.replace("QW1 ENTRY", "QW9 ENTRY")),
     ];
     for (what, text) in cases {
         std::fs::write(&path, text).unwrap();
         let cache = Level1Cache::new();
-        let status = persist::load_into(&cache, &path, 2020);
+        let status = persist::load_into(&cache, &path);
         assert!(
             matches!(status, LoadStatus::Discarded(_)),
             "{what}: expected Discarded, got {status:?}"
@@ -291,13 +303,32 @@ fn corrupt_or_stale_cache_file_regenerates() {
         assert!(cache.is_empty(), "{what}: nothing may leak into the cache");
         // Regeneration: save over the bad file, reload cleanly.
         cache.insert(key.clone(), entry.clone());
-        persist::save_merge(&cache, &path, 2020).unwrap();
+        persist::save_merge(&cache, &path).unwrap();
         let reload = Level1Cache::new();
-        assert_eq!(
-            persist::load_into(&reload, &path, 2020),
-            LoadStatus::Loaded(1)
-        );
+        assert_eq!(persist::load_into(&reload, &path), LoadStatus::Loaded(1));
     }
+
+    // Foreign seed: the seed-999 entry loads, the seed-2020 job misses it
+    // and returns exactly what a cold engine returns.
+    std::fs::write(&path, file_with(&key_at(999))).unwrap();
+    let jobs = vec![Job::new(graph.clone(), 1, 2)];
+    let (cold, _) = Engine::new(1)
+        .run_batch(&optimizer, &jobs, &config)
+        .unwrap();
+    let warm = Engine::new(1);
+    assert_eq!(
+        persist::load_into(warm.cache(), &path),
+        LoadStatus::Loaded(1)
+    );
+    let (served, report) = warm.run_batch(&optimizer, &jobs, &config).unwrap();
+    assert_eq!((report.cache_hits, report.cache_misses), (0, 1));
+    assert_eq!(served[0].params, cold[0].params);
+    assert_ne!(served[0].params, entry.params);
+    assert_eq!(
+        served[0].expectation.to_bits(),
+        cold[0].expectation.to_bits()
+    );
+    assert_eq!(served[0].function_calls, cold[0].function_calls);
     std::fs::remove_file(&path).ok();
 }
 
@@ -316,7 +347,7 @@ fn serve_session_round_trips_jobs_and_reuses_the_cache_file() {
         let engine = Engine::new(2);
         if let Some(p) = warm_from {
             assert!(matches!(
-                persist::load_into(engine.cache(), p, config.master_seed),
+                persist::load_into(engine.cache(), p),
                 LoadStatus::Loaded(_)
             ));
         }
@@ -329,7 +360,7 @@ fn serve_session_round_trips_jobs_and_reuses_the_cache_file() {
             &config,
         )
         .unwrap();
-        persist::save_merge(engine.cache(), &path, config.master_seed).unwrap();
+        persist::save_merge(engine.cache(), &path).unwrap();
         (String::from_utf8(out).unwrap(), summary)
     };
 
