@@ -51,7 +51,6 @@ pub mod evaluation;
 pub mod features;
 pub mod graph_aware;
 mod instance;
-pub mod landscape;
 pub mod noisy;
 mod predictor;
 mod problem;

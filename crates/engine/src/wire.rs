@@ -4,10 +4,9 @@
 //!
 //! ```text
 //! line     := "QW1" SP type SP payload
-//! type     := "KEY" | "RECORD" | "JOB" | "OUTCOME" | "REPORT" | "ENTRY"
+//! type     := "RECORD" | "JOB" | "OUTCOME" | "REPORT" | "ENTRY"
 //!           | "SHARD" | "RANGE" | "DONE" | "RUN" | "ERR"
 //!           | "PREDICT" | "PREDICTED"
-//! KEY      := n_nodes SP edges               — qaoa::canonical::CanonicalGraphKey
 //! RECORD   := graph_id SP depth SP f64 SP f64 SP fc SP floats SP floats
 //!                                            — qaoa::datagen::OptimalRecord
 //! JOB      := depth SP restarts SP n_nodes SP edges
@@ -16,7 +15,7 @@
 //!                                            — qaoa::InstanceOutcome
 //! REPORT   := threads SP wall_ns SP fc SP gc SP hits SP misses SP jobstats
 //!                                            — engine::BatchReport
-//! ENTRY    := restarts SP solver SP KEY-payload SP OUTCOME-payload
+//! ENTRY    := restarts SP solver SP key SP OUTCOME-payload
 //!                                            — one persisted cache entry
 //! SHARD    := n_graphs SP n_nodes SP edge_p(f64) SP max_depth SP restarts
 //!             SP seed SP trend_margin(f64)   — corpus spec opening a shard
@@ -35,6 +34,7 @@
 //!                                              with warm start)
 //! RUN      := "-"                            — server flush sentinel
 //! ERR      := free text                      — server-side failure notice
+//! key      := n_nodes SP edges               — qaoa::canonical::CanonicalGraphKey
 //! edges    := "-" | edge ("," edge)*   edge := u "-" v [":" hex64]
 //! floats   := "-" | hex64 ("," hex64)*
 //! f64      := hex64 (IEEE-754 bits, 16 lowercase hex digits)
@@ -72,7 +72,7 @@ use crate::cache::Level1Key;
 pub const MAGIC: &str = "QW1";
 
 /// Largest graph a wire line may name: the simulator's own limit. `JOB`,
-/// `PREDICT`, `KEY`, `ENTRY` and `SHARD` lines naming more nodes are
+/// `PREDICT`, `ENTRY` and `SHARD` lines naming more nodes are
 /// refused before any graph or vector is built, so a hostile `n_nodes`
 /// cannot drive an allocation; such a graph could never be solved anyway.
 /// Depths (`JOB`, `PREDICT`, `SHARD`) above [`MAX_PROBLEM_DEPTH`] and
@@ -266,29 +266,16 @@ pub fn message_type(line: &str) -> Result<&str, WireError> {
         .ok_or_else(|| WireError::new("missing message type"))
 }
 
-// --- KEY -------------------------------------------------------------------
+// --- canonical keys --------------------------------------------------------
 
-/// Encodes a canonical graph key as one `KEY` line.
-#[must_use]
-pub fn encode_key(key: &CanonicalGraphKey) -> String {
-    format!("{MAGIC} KEY {}", key_payload(key))
-}
-
+/// The `key` fields of an `ENTRY` line: node count and canonical edges.
 fn key_payload(key: &CanonicalGraphKey) -> String {
     format!("{} {}", key.n_nodes(), fmt_edges(key.edges()))
 }
 
-/// Decodes a `KEY` line.
-///
-/// # Errors
-///
-/// Rejects malformed lines and edge lists violating the canonical-key
-/// invariants (see [`CanonicalGraphKey::from_parts`]).
-pub fn decode_key(line: &str) -> Result<CanonicalGraphKey, WireError> {
-    let fields = expect_fields(payload(line, "KEY")?, 2, "KEY")?;
-    key_from_fields(&fields)
-}
-
+/// Parses the `key` fields of an `ENTRY` line, rejecting edge lists that
+/// violate the canonical-key invariants (see
+/// [`CanonicalGraphKey::from_parts`]).
 fn key_from_fields(fields: &[&str]) -> Result<CanonicalGraphKey, WireError> {
     let n_nodes = parse_n_nodes(fields[0])?;
     let edges = edge_parts(fields[1])
@@ -748,7 +735,7 @@ pub fn encode_err(message: &str) -> String {
 
 /// Encodes one persisted cache entry — a [`Level1Key`] and its finished
 /// depth-1 optimum — as one `ENTRY`-typed line (`restarts` ++ `solver` ++
-/// `KEY` payload ++ `OUTCOME` payload). Carrying the whole key per entry
+/// `key` ++ `OUTCOME` payload). Carrying the whole key per entry
 /// lets one cache file serve runs and job-server sessions that mix restart
 /// counts, seeds and optimizers without conflating their optima.
 #[must_use]
@@ -953,14 +940,6 @@ mod tests {
             gradient_calls: 7,
             termination: Termination::GtolSatisfied,
         }
-    }
-
-    #[test]
-    fn key_round_trip() {
-        let key = graph_key(&generators::cycle(6));
-        let line = encode_key(&key);
-        assert!(line.starts_with("QW1 KEY "));
-        assert_eq!(decode_key(&line).unwrap(), key);
     }
 
     #[test]
@@ -1183,7 +1162,6 @@ mod tests {
                     decode_predict(&format!("QW1 PREDICT 1 1 2 {n} 0-1")).is_ok(),
                     "PREDICT",
                 ),
-                (decode_key(&format!("QW1 KEY {n} 0-1")).is_ok(), "KEY"),
                 (
                     decode_entry(&entry.replacen(
                         "ENTRY 3 0000000000005eed 4 ",
@@ -1366,9 +1344,9 @@ mod tests {
 
     #[test]
     fn version_and_type_mismatches_are_rejected() {
-        assert!(decode_key("QW2 KEY 3 0-1").is_err());
-        assert!(decode_key("QW1 JOB 1 2 3 0-1").is_err());
-        assert!(decode_key("").is_err());
+        assert!(decode_job("QW2 JOB 1 2 3 0-1").is_err());
+        assert!(decode_job("QW1 RANGE 0 4").is_err());
+        assert!(decode_job("").is_err());
         assert!(message_type("QW1 RUN -").unwrap() == "RUN");
         assert!(message_type("QW9 RUN -").is_err());
         assert!(encode_err("multi\nline").lines().count() == 1);

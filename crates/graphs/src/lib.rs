@@ -27,7 +27,6 @@ mod error;
 pub mod generators;
 mod graph;
 mod maxcut;
-pub mod spectral;
 pub mod stats;
 
 pub use error::GraphError;

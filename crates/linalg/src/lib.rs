@@ -8,7 +8,6 @@
 //! * [`Vector`] — an owned dense vector with arithmetic helpers,
 //! * [`Cholesky`] — SPD factorization used by Gaussian-process regression,
 //! * [`Qr`] — Householder QR used by ordinary least squares,
-//! * [`Lu`] — partially-pivoted LU used as a general solver,
 //! * free functions for norms, dot products and triangular solves.
 //!
 //! Everything is implemented from scratch (no BLAS/LAPACK) because the paper
@@ -34,18 +33,14 @@
 //! ```
 
 mod cholesky;
-mod eigen;
 mod error;
-mod lu;
 mod matrix;
 mod qr;
 mod solve;
 mod vector;
 
 pub use cholesky::Cholesky;
-pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
-pub use lu::Lu;
 pub use matrix::Matrix;
 pub use qr::Qr;
 pub use solve::{solve_lower_triangular, solve_upper_triangular};

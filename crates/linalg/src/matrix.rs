@@ -1,7 +1,7 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
-use crate::{Cholesky, LinalgError, Lu, Qr, Vector};
+use crate::{Cholesky, LinalgError, Qr, Vector};
 
 /// A dense, row-major matrix of `f64`.
 ///
@@ -169,17 +169,6 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutably borrows row `i` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rows`.
-    #[must_use]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        assert!(i < self.rows, "row index out of bounds");
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Copies column `j` into a new [`Vector`].
     ///
     /// # Panics
@@ -342,15 +331,6 @@ impl Matrix {
     /// Propagates [`LinalgError::Empty`].
     pub fn qr(&self) -> Result<Qr, LinalgError> {
         Qr::new(self)
-    }
-
-    /// Computes the partially-pivoted LU factorization; see [`Lu::new`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`LinalgError::NotSquare`] and [`LinalgError::Singular`].
-    pub fn lu(&self) -> Result<Lu, LinalgError> {
-        Lu::new(self)
     }
 }
 

@@ -13,6 +13,33 @@ fn spd(n: usize) -> impl Strategy<Value = Matrix> {
     })
 }
 
+/// Determinant by Gaussian elimination with partial pivoting: an
+/// independent reference for `Cholesky::log_det`.
+fn lu_det(a: &Matrix) -> f64 {
+    let n = a.rows();
+    let mut m: Vec<Vec<f64>> = (0..n).map(|i| a.row(i).to_vec()).collect();
+    let mut det = 1.0;
+    for k in 0..n {
+        let p = (k..n)
+            .max_by(|&i, &j| m[i][k].abs().total_cmp(&m[j][k].abs()))
+            .expect("non-empty pivot range");
+        if p != k {
+            m.swap(p, k);
+            det = -det;
+        }
+        let (top, below) = m.split_at_mut(k + 1);
+        let pivot_row = &top[k][k..];
+        det *= pivot_row[0];
+        for row in below {
+            let f = row[k] / pivot_row[0];
+            for (x, p) in row[k..].iter_mut().zip(pivot_row) {
+                *x -= f * p;
+            }
+        }
+    }
+    det
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -32,21 +59,9 @@ proptest! {
     #[test]
     fn cholesky_logdet_matches_lu_det(a in (2usize..6).prop_flat_map(spd)) {
         let chol = a.cholesky().expect("SPD");
-        let det = a.lu().expect("nonsingular").det();
+        let det = lu_det(&a);
         prop_assert!(det > 0.0);
         prop_assert!((chol.log_det() - det.ln()).abs() < 1e-6 * (1.0 + det.ln().abs()));
-    }
-
-    #[test]
-    fn lu_solve_residual_small(
-        (a, rhs) in (2usize..7).prop_flat_map(|n| {
-            (spd(n), proptest::collection::vec(-5.0f64..5.0, n))
-        })
-    ) {
-        let b = Vector::from(rhs);
-        let x = a.lu().expect("nonsingular").solve(&b).expect("solvable");
-        let r = &a.matvec(&x).expect("shape ok") - &b;
-        prop_assert!(r.norm_inf() < 1e-8);
     }
 
     #[test]

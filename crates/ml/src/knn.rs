@@ -51,12 +51,6 @@ impl KnnModel {
         }
     }
 
-    /// Number of stored training samples (0 before `fit`).
-    #[must_use]
-    pub fn n_samples(&self) -> usize {
-        self.y.len()
-    }
-
     /// Rebuilds a fitted model from exported parameters.
     ///
     /// Layout: ints = `[k, rows, cols]`, floats = training rows in

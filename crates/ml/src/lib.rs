@@ -9,10 +9,10 @@
 //! * [`TreeModel`] — CART regression tree (`fitrtree`),
 //! * [`SvrModel`] — ε-support-vector regression (`fitrsvm`),
 //!
-//! plus the shared machinery: the [`Regressor`] trait, a [`Dataset`]
-//! container with deterministic row splitting, feature standardization
-//! ([`StandardScaler`]), and the evaluation metrics of §III-C ([`metrics`]:
-//! MSE, RMSE, MAE, R², adjusted R², Pearson correlation).
+//! plus the shared machinery: the [`Regressor`] trait, feature
+//! standardization ([`StandardScaler`]), and the evaluation metrics of
+//! §III-C ([`metrics`]: MSE, RMSE, MAE, R², adjusted R², Pearson
+//! correlation).
 //!
 //! The QAOA predictor (`qaoa::ParameterPredictor`) fits one [`Regressor`]
 //! per stage parameter (`γᵢ`, `βᵢ`) and makes the paper's 20:80 split by
@@ -36,8 +36,6 @@
 //! ```
 
 mod convert;
-pub mod cross_validation;
-mod dataset;
 mod error;
 mod forest;
 mod gpr;
@@ -51,7 +49,6 @@ mod scaler;
 mod svr;
 mod tree;
 
-pub use dataset::Dataset;
 pub use error::MlError;
 pub use forest::ForestModel;
 pub use gpr::{GprModel, GprPrediction};

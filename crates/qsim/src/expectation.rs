@@ -157,86 +157,6 @@ impl DiagonalObservable {
     }
 }
 
-/// A product of Pauli-Z operators on a subset of qubits, `Z_{q1} Z_{q2} …`.
-///
-/// Eigenvalue on basis state `z` is `(-1)^{popcount(z & mask)}`. MaxCut edge
-/// terms are two-qubit Z-strings; this type also supports correlation
-/// measurements in tests.
-///
-/// # Example
-///
-/// ```
-/// use qsim::{PauliZString, StateVector};
-/// # fn main() -> Result<(), qsim::QsimError> {
-/// let zz = PauliZString::new(&[0, 1]);
-/// let bell = {
-///     let mut c = qsim::Circuit::new(2);
-///     c.h(0).cnot(0, 1);
-///     c.run(StateVector::zero_state(2))?
-/// };
-/// // Bell state has perfect ZZ correlation.
-/// assert!((zz.expectation(&bell)? - 1.0).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PauliZString {
-    mask: u64,
-}
-
-impl PauliZString {
-    /// Builds a Z-string acting on the listed qubits (duplicates cancel,
-    /// matching the operator identity `Z² = I`).
-    #[must_use]
-    pub fn new(qubits: &[usize]) -> Self {
-        let mut mask = 0u64;
-        for &q in qubits {
-            mask ^= 1 << q;
-        }
-        Self { mask }
-    }
-
-    /// The bitmask of qubits carrying a Z factor.
-    #[must_use]
-    pub fn mask(&self) -> u64 {
-        self.mask
-    }
-
-    /// Eigenvalue `±1` on the computational basis state with index `z`.
-    #[must_use]
-    pub fn eigenvalue(&self, z: usize) -> f64 {
-        // lint:allow(no-lossy-as) usize -> u64 is value-preserving on every supported target
-        if ((z as u64) & self.mask).count_ones().is_multiple_of(2) {
-            1.0
-        } else {
-            -1.0
-        }
-    }
-
-    /// Expectation `⟨ψ|Z…Z|ψ⟩`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QsimError::QubitOutOfRange`] if the mask addresses a qubit
-    /// beyond the state's register.
-    pub fn expectation(&self, state: &StateVector) -> Result<f64, QsimError> {
-        let width = state.n_qubits();
-        if self.mask >> width != 0 {
-            let qubit = (63 - self.mask.leading_zeros()) as usize; // lint:allow(no-lossy-as) value in 0..=63 fits usize
-            return Err(QsimError::QubitOutOfRange {
-                qubit,
-                n_qubits: width,
-            });
-        }
-        Ok(state
-            .amplitudes()
-            .iter()
-            .enumerate()
-            .map(|(z, a)| a.norm_sqr() * self.eigenvalue(z))
-            .sum())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,49 +218,15 @@ mod tests {
     }
 
     #[test]
-    fn z_string_eigenvalues() {
-        let z01 = PauliZString::new(&[0, 1]);
-        assert_eq!(z01.eigenvalue(0b00), 1.0);
-        assert_eq!(z01.eigenvalue(0b01), -1.0);
-        assert_eq!(z01.eigenvalue(0b10), -1.0);
-        assert_eq!(z01.eigenvalue(0b11), 1.0);
-    }
-
-    #[test]
-    fn duplicate_qubits_cancel() {
-        let id = PauliZString::new(&[2, 2]);
-        assert_eq!(id.mask(), 0);
-        let s = StateVector::plus_state(3);
-        assert!((id.expectation(&s).unwrap() - 1.0).abs() < EPS);
-    }
-
-    #[test]
-    fn single_z_on_plus_is_zero() {
-        let z = PauliZString::new(&[0]);
-        let s = StateVector::plus_state(1);
-        assert!(z.expectation(&s).unwrap().abs() < EPS);
-    }
-
-    #[test]
-    fn out_of_range_mask_rejected() {
-        let z = PauliZString::new(&[4]);
-        let s = StateVector::plus_state(2);
-        assert!(matches!(
-            z.expectation(&s),
-            Err(QsimError::QubitOutOfRange { qubit: 4, .. })
-        ));
-    }
-
-    #[test]
     fn ghz_parity() {
         let mut c = Circuit::new(3);
         c.h(0).cnot(0, 1).cnot(1, 2);
         let ghz = c.run(StateVector::zero_state(3)).unwrap();
-        // Z_i Z_j = +1 for every pair in a GHZ state; single Z is 0.
-        for (a, b) in [(0, 1), (1, 2), (0, 2)] {
-            let zz = PauliZString::new(&[a, b]);
-            assert!((zz.expectation(&ghz).unwrap() - 1.0).abs() < EPS);
+        // All weight on |000⟩ and |111⟩, so Z_a Z_b = +1 for every pair.
+        let probs = ghz.probabilities();
+        for (z, &p) in probs.iter().enumerate() {
+            let want = if z == 0 || z == 7 { 0.5 } else { 0.0 };
+            assert!((p - want).abs() < EPS, "p({z}) = {p}");
         }
-        assert!(PauliZString::new(&[1]).expectation(&ghz).unwrap().abs() < EPS);
     }
 }

@@ -54,7 +54,7 @@ pub use circuit::{Circuit, Gate};
 pub use complex::Complex64;
 pub use density::{DensityMatrix, MAX_DM_QUBITS};
 pub use error::QsimError;
-pub use expectation::{DiagonalObservable, PauliZString};
+pub use expectation::DiagonalObservable;
 pub use sampling::{
     sample_counts, sample_density_counts, sample_density_indices, sample_indices, CdfSampler,
 };

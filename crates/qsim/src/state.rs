@@ -156,12 +156,6 @@ impl StateVector {
         &self.amps
     }
 
-    /// Mutably borrows the amplitudes (used by diagonal fast paths).
-    #[must_use]
-    pub fn amplitudes_mut(&mut self) -> &mut [Complex64] {
-        &mut self.amps
-    }
-
     /// The amplitude of basis state `index`.
     ///
     /// # Panics

@@ -1,7 +1,7 @@
 //! Property-based tests for the state-vector simulator.
 
 use proptest::prelude::*;
-use qsim::{gates, Circuit, Complex64, DiagonalObservable, PauliZString, StateVector};
+use qsim::{gates, Circuit, Complex64, DiagonalObservable, StateVector};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -45,21 +45,6 @@ proptest! {
         c.cnot(0, 1).cnot(0, 1);
         let out = c.run(base.clone()).expect("valid circuit");
         prop_assert!((out.fidelity(&base).expect("same width") - 1.0).abs() < 1e-12);
-    }
-
-    /// Z-string expectations are bounded by 1 in magnitude.
-    #[test]
-    fn z_string_bounded(
-        angles in proptest::collection::vec(-3.0f64..3.0, 3),
-        mask_bits in proptest::collection::vec(0usize..3, 1..3),
-    ) {
-        let mut s = StateVector::plus_state(3);
-        for (q, &theta) in angles.iter().enumerate() {
-            s.apply_single(q, &gates::ry(theta)).expect("valid qubit");
-        }
-        let z = PauliZString::new(&mask_bits);
-        let e = z.expectation(&s).expect("in range");
-        prop_assert!(e.abs() <= 1.0 + 1e-12);
     }
 
     /// Global phases never change probabilities.

@@ -3,7 +3,7 @@
 
 use graphs::{generators, Graph};
 use optimize::{Lbfgsb, NelderMead, Options};
-use qaoa::{landscape, MaxCutProblem, QaoaAnsatz, QaoaInstance};
+use qaoa::{MaxCutProblem, QaoaAnsatz, QaoaInstance};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -36,14 +36,57 @@ fn gate_level_and_fast_paths_agree_on_random_ensemble() {
     }
 }
 
+/// `(γ, β, ⟨C⟩)` at every point of an `n_gamma × n_beta` grid spanning the
+/// paper's domain `γ ∈ [0, 2π], β ∈ [0, π]`, endpoints included.
+fn p1_grid(problem: &MaxCutProblem, n_gamma: usize, n_beta: usize) -> Vec<(f64, f64, f64)> {
+    let ansatz = QaoaAnsatz::new(problem.clone(), 1).expect("valid depth");
+    let mut grid = Vec::with_capacity(n_gamma * n_beta);
+    for i in 0..n_gamma {
+        let gamma = qaoa::GAMMA_MAX * i as f64 / (n_gamma - 1) as f64;
+        for j in 0..n_beta {
+            let beta = qaoa::BETA_MAX * j as f64 / (n_beta - 1) as f64;
+            let value = ansatz.expectation(&[gamma, beta]).expect("valid params");
+            grid.push((gamma, beta, value));
+        }
+    }
+    grid
+}
+
+#[test]
+fn single_edge_landscape_matches_closed_form() {
+    let graph = Graph::from_edges(2, &[(0, 1)]).expect("valid edge");
+    let problem = MaxCutProblem::new(&graph).expect("non-empty graph");
+    for (gamma, beta, value) in p1_grid(&problem, 21, 21) {
+        let expect = 0.5 * (1.0 + (4.0 * beta).sin() * gamma.sin());
+        assert!(
+            (value - expect).abs() < 1e-10,
+            "⟨C⟩({gamma}, {beta}) = {value}, closed form {expect}"
+        );
+    }
+}
+
+#[test]
+fn landscape_is_periodic_in_gamma_for_unweighted_graphs() {
+    // Integer-valued cost: ⟨C⟩(γ = 0) = ⟨C⟩(γ = 2π) at every β.
+    let problem = MaxCutProblem::new(&generators::cycle(3)).expect("non-empty graph");
+    let grid = p1_grid(&problem, 9, 5);
+    let (first, last) = (&grid[..5], &grid[grid.len() - 5..]);
+    for (a, b) in first.iter().zip(last) {
+        assert_eq!(a.1, b.1);
+        assert!((a.2 - b.2).abs() < 1e-10, "β = {}: {} vs {}", a.1, a.2, b.2);
+    }
+}
+
 #[test]
 fn optimizer_and_grid_scan_agree_on_p1_optimum() {
     // The best grid value must be attainable (within grid resolution) by
     // the local optimizer with multistart, and vice versa.
     let graph = generators::cycle(6);
     let problem = MaxCutProblem::new(&graph).expect("non-empty graph");
-    let scan = landscape::p1_grid(&problem, 61, 31).expect("grid scan");
-    let (_, _, grid_best) = scan.argmax();
+    let grid_best = p1_grid(&problem, 61, 31)
+        .into_iter()
+        .map(|(_, _, value)| value)
+        .fold(f64::NEG_INFINITY, f64::max);
 
     let instance = QaoaInstance::new(problem, 1).expect("valid depth");
     let mut rng = StdRng::seed_from_u64(5);

@@ -30,15 +30,25 @@ fn termination_from(index: usize) -> Termination {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Canonical keys survive the wire bit-for-bit, hash included.
+    /// Canonical keys survive the wire bit-for-bit inside a cache entry,
+    /// hash included.
     #[test]
     fn key_encode_decode_identity(seed in 0u64..10_000, n in 2usize..8) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = generators::erdos_renyi_nonempty(n, 0.5, &mut rng);
-        let key = graph_key(&g);
-        let decoded = wire::decode_key(&wire::encode_key(&key)).expect("round trip");
+        let key = Level1Key { class: graph_key(&g), restarts: 3, solver: seed };
+        let outcome = InstanceOutcome {
+            params: vec![0.5, 0.25],
+            expectation: 1.0,
+            approximation_ratio: 0.5,
+            function_calls: 1,
+            gradient_calls: 0,
+            termination: Termination::GtolSatisfied,
+        };
+        let (decoded, _) = wire::decode_entry(&wire::encode_entry(&key, &outcome))
+            .expect("round trip");
         prop_assert_eq!(&decoded, &key);
-        prop_assert_eq!(decoded.hash64(), key.hash64());
+        prop_assert_eq!(decoded.class.hash64(), key.class.hash64());
     }
 
     /// Corpus records survive the wire with bit-exact floats. A record's
