@@ -10,7 +10,6 @@ use bench::RunConfig;
 use ml::metrics::{mean, std_dev};
 use ml::ModelKind;
 use optimize::Lbfgsb;
-use qaoa::evaluation::naive_protocol;
 use qaoa::{MaxCutProblem, ParameterPredictor, Scenario, TwoLevelConfig, TwoLevelFlow};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,6 +24,7 @@ fn main() {
         .expect("hierarchical training");
 
     let optimizer = Lbfgsb::default();
+    let pool = bench::cli::pool(&config);
     let flow_config = TwoLevelConfig::default();
     let depths: Vec<usize> = ((intermediate + 1)..=config.max_depth.min(5)).collect();
 
@@ -38,7 +38,7 @@ fn main() {
     );
 
     for &pt in &depths {
-        let naive = naive_protocol(
+        let naive = engine::compare::naive_protocol(
             test.graphs(),
             pt,
             &optimizer,
@@ -46,6 +46,7 @@ fn main() {
             &Default::default(),
             config.seed,
             &qaoa::Scenario::Exact,
+            &pool,
         )
         .expect("naive protocol");
         let naive_fc = mean(&naive.iter().map(|s| s.1 as f64).collect::<Vec<_>>());

@@ -6,10 +6,9 @@
 //! Run: `cargo run --release -p bench --bin ablation_trainsize [-- --quick]`
 
 use bench::RunConfig;
-use ml::metrics::mean;
 use ml::ModelKind;
-use optimize::Lbfgsb;
-use qaoa::evaluation::{naive_protocol, two_level_protocol};
+use optimize::{Lbfgsb, Optimizer};
+use qaoa::evaluation::row_from_samples;
 use qaoa::ParameterPredictor;
 
 fn main() {
@@ -18,6 +17,7 @@ fn main() {
     let fractions = [0.05, 0.1, 0.2, 0.4, 0.6];
     let pt = config.max_depth.min(3);
     let optimizer = Lbfgsb::default();
+    let pool = bench::cli::pool(&config);
 
     println!("# Training-size ablation: GPR predictor, target depth {pt}, L-BFGS-B");
     println!(
@@ -33,7 +33,7 @@ fn main() {
             eprintln!("training failed at fraction {fraction}");
             continue;
         };
-        let naive = naive_protocol(
+        let naive = engine::compare::naive_protocol(
             test.graphs(),
             pt,
             &optimizer,
@@ -41,9 +41,10 @@ fn main() {
             &Default::default(),
             config.seed,
             &qaoa::Scenario::Exact,
+            &pool,
         )
         .expect("naive protocol");
-        let ml = two_level_protocol(
+        let ml = engine::compare::two_level_protocol(
             test.graphs(),
             pt,
             &optimizer,
@@ -52,18 +53,18 @@ fn main() {
             &Default::default(),
             config.seed ^ 0x51,
             &qaoa::Scenario::Exact,
+            &pool,
         )
         .expect("two-level protocol");
-        let naive_fc = mean(&naive.iter().map(|s| s.1 as f64).collect::<Vec<_>>());
-        let ml_fc = mean(&ml.iter().map(|s| s.1 as f64).collect::<Vec<_>>());
+        let row = row_from_samples(optimizer.name(), pt, &naive, &ml);
         println!(
             "{:>9.0} {:>7} {:>7} {:>10.1} {:>10.1} {:>8.1}",
             fraction * 100.0,
             train.graphs().len(),
             test.graphs().len(),
-            naive_fc,
-            ml_fc,
-            100.0 * (naive_fc - ml_fc) / naive_fc.max(1.0)
+            row.naive_fc_mean,
+            row.ml_fc_mean,
+            row.fc_reduction_percent()
         );
     }
     println!("\n# Expected shape: the reduction saturates at small training fractions —");

@@ -9,6 +9,10 @@
 //!   like `0.2172` are thousands of calls per run),
 //! * **two-level** — the proposed flow: FC = level-1 calls + ML-initialized
 //!   target-depth calls.
+//!
+//! This module holds one graph's protocol runs, the seed derivations and
+//! the row aggregation. The sweep over cells and graphs lives in one
+//! place, the `engine` crate's `compare` driver.
 
 use graphs::Graph;
 use ml::metrics::{mean, std_dev};
@@ -156,7 +160,7 @@ pub fn table_header() -> String {
 /// than streaming one RNG across the whole sweep. The derivation is a
 /// SplitMix64 finalizer, so it is a pure function of its inputs — which is
 /// what lets the `engine` crate run per-graph jobs on any number of workers
-/// and still reproduce the serial sweep bit-for-bit.
+/// with bit-identical results.
 #[must_use]
 pub fn graph_seed(master: u64, graph_index: usize) -> u64 {
     use crate::stablehash::{mix64, wide, GOLDEN_GAMMA};
@@ -194,40 +198,6 @@ pub fn naive_protocol_graph(
     Ok(samples)
 }
 
-/// Runs the naive protocol for one optimizer/depth over a set of graphs.
-///
-/// Returns per-run `(approximation_ratio, function_calls)` samples — one
-/// per (graph, start) pair. Each graph is seeded independently via
-/// [`graph_seed`].
-///
-/// # Errors
-///
-/// Propagates problem-construction and optimizer errors.
-#[allow(clippy::too_many_arguments)]
-pub fn naive_protocol(
-    graphs: &[Graph],
-    depth: usize,
-    optimizer: &dyn Optimizer,
-    n_starts: usize,
-    options: &Options,
-    seed: u64,
-    scenario: &Scenario,
-) -> Result<Vec<(f64, usize)>, QaoaError> {
-    let mut samples = Vec::with_capacity(graphs.len() * n_starts);
-    for (gi, graph) in graphs.iter().enumerate() {
-        samples.extend(naive_protocol_graph(
-            graph,
-            depth,
-            optimizer,
-            n_starts,
-            options,
-            graph_seed(seed, gi),
-            scenario,
-        )?);
-    }
-    Ok(samples)
-}
-
 /// Runs the two-level protocol for a **single** graph, returning its
 /// `(approximation_ratio, total_function_calls)` sample.
 ///
@@ -258,49 +228,22 @@ pub fn two_level_protocol_graph(
     Ok((out.approximation_ratio, out.total_calls()))
 }
 
-/// Runs the two-level protocol for one optimizer/depth over a set of graphs.
-///
-/// Returns per-graph `(approximation_ratio, total_function_calls)` samples.
-/// Each graph is seeded independently via [`graph_seed`].
-///
-/// # Errors
-///
-/// Propagates flow errors.
-#[allow(clippy::too_many_arguments)]
-pub fn two_level_protocol(
-    graphs: &[Graph],
-    depth: usize,
-    optimizer: &dyn Optimizer,
-    predictor: &ParameterPredictor,
-    level1_starts: usize,
-    options: &Options,
-    seed: u64,
-    scenario: &Scenario,
-) -> Result<Vec<(f64, usize)>, QaoaError> {
-    let mut samples = Vec::with_capacity(graphs.len());
-    for (gi, graph) in graphs.iter().enumerate() {
-        samples.push(two_level_protocol_graph(
-            graph,
-            depth,
-            optimizer,
-            predictor,
-            level1_starts,
-            options,
-            graph_seed(seed, gi),
-            scenario,
-        )?);
-    }
-    Ok(samples)
-}
-
 /// The RNG seed of the `(optimizer_index, depth_index)` cell of a sweep —
-/// a pure function of the sweep seed and cell coordinates, shared by the
-/// serial [`compare`] and the parallel engine driver.
+/// a pure function of the sweep seed and cell coordinates.
 #[must_use]
 pub fn cell_seed(master: u64, optimizer_index: usize, depth_index: usize) -> u64 {
     master.wrapping_add(crate::stablehash::wide(
         optimizer_index * 1000 + depth_index,
     ))
+}
+
+/// Converts a function-call count to `f64`.
+///
+/// Call counts are bounded by optimizer budgets, far below 2^53, so the
+/// conversion is exact.
+fn calls_f64(calls: usize) -> f64 {
+    // lint:allow(no-lossy-as) call counts are < 2^53 so usize -> f64 is exact here
+    calls as f64
 }
 
 /// Aggregates per-run samples of both protocols into one [`ComparisonRow`].
@@ -312,9 +255,9 @@ pub fn row_from_samples(
     ml: &[(f64, usize)],
 ) -> ComparisonRow {
     let naive_ar: Vec<f64> = naive.iter().map(|s| s.0).collect();
-    let naive_fc: Vec<f64> = naive.iter().map(|s| s.1 as f64).collect();
+    let naive_fc: Vec<f64> = naive.iter().map(|s| calls_f64(s.1)).collect();
     let ml_ar: Vec<f64> = ml.iter().map(|s| s.0).collect();
-    let ml_fc: Vec<f64> = ml.iter().map(|s| s.1 as f64).collect();
+    let ml_fc: Vec<f64> = ml.iter().map(|s| calls_f64(s.1)).collect();
     ComparisonRow {
         optimizer: optimizer_name.to_string(),
         depth,
@@ -329,89 +272,9 @@ pub fn row_from_samples(
     }
 }
 
-/// Computes one Table-I cell (both protocols, all graphs) serially.
-///
-/// # Errors
-///
-/// Propagates any protocol error.
-pub fn compare_cell(
-    graphs: &[Graph],
-    optimizer: &dyn Optimizer,
-    depth: usize,
-    predictor: &ParameterPredictor,
-    config: &EvaluationConfig,
-    seed: u64,
-) -> Result<ComparisonRow, QaoaError> {
-    let naive = naive_protocol(
-        graphs,
-        depth,
-        optimizer,
-        config.naive_starts,
-        &config.options,
-        seed,
-        &config.scenario,
-    )?;
-    let ml = two_level_protocol(
-        graphs,
-        depth,
-        optimizer,
-        predictor,
-        config.level1_starts,
-        &config.options,
-        seed.wrapping_add(500),
-        &config.scenario,
-    )?;
-    Ok(row_from_samples(optimizer.name(), depth, &naive, &ml))
-}
-
-/// Produces the full Table-I comparison for the given optimizers and test
-/// graphs.
-///
-/// # Errors
-///
-/// Propagates any per-cell error.
-pub fn compare(
-    graphs: &[Graph],
-    optimizers: &[Box<dyn Optimizer + Send + Sync>],
-    predictor: &ParameterPredictor,
-    config: &EvaluationConfig,
-) -> Result<Vec<ComparisonRow>, QaoaError> {
-    let mut rows = Vec::new();
-    for (oi, optimizer) in optimizers.iter().enumerate() {
-        for (di, &depth) in config.depths.iter().enumerate() {
-            rows.push(compare_cell(
-                graphs,
-                optimizer.as_ref(),
-                depth,
-                predictor,
-                config,
-                cell_seed(config.seed, oi, di),
-            )?);
-        }
-    }
-    Ok(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datagen::{DataGenConfig, ParameterDataset};
-    use ml::ModelKind;
-    use optimize::Lbfgsb;
-
-    fn corpus() -> ParameterDataset {
-        ParameterDataset::generate(&DataGenConfig {
-            n_graphs: 6,
-            n_nodes: 5,
-            edge_probability: 0.6,
-            max_depth: 2,
-            restarts: 2,
-            seed: 91,
-            options: Default::default(),
-            trend_preference_margin: 1e-3,
-        })
-        .unwrap()
-    }
 
     #[test]
     fn reduction_percent_math() {
@@ -435,63 +298,5 @@ mod tests {
             ..row
         };
         assert_eq!(degenerate.fc_reduction_percent(), 0.0);
-    }
-
-    #[test]
-    fn protocols_produce_expected_sample_counts() {
-        let ds = corpus();
-        let (train, test) = ds.split_by_graph(0.5);
-        let predictor = ParameterPredictor::train(ModelKind::Linear, &train).unwrap();
-        let opt = Lbfgsb::default();
-        let naive = naive_protocol(
-            test.graphs(),
-            2,
-            &opt,
-            2,
-            &Options::default(),
-            3,
-            &Scenario::Exact,
-        )
-        .unwrap();
-        assert_eq!(naive.len(), test.graphs().len() * 2);
-        let ml = two_level_protocol(
-            test.graphs(),
-            2,
-            &opt,
-            &predictor,
-            1,
-            &Options::default(),
-            3,
-            &Scenario::Exact,
-        )
-        .unwrap();
-        assert_eq!(ml.len(), test.graphs().len());
-        for (ar, fc) in naive.iter().chain(&ml) {
-            assert!((0.0..=1.0 + 1e-9).contains(ar));
-            assert!(*fc > 0);
-        }
-    }
-
-    #[test]
-    fn compare_emits_one_row_per_cell() {
-        let ds = corpus();
-        let (train, test) = ds.split_by_graph(0.5);
-        let predictor = ParameterPredictor::train(ModelKind::Linear, &train).unwrap();
-        let optimizers: Vec<Box<dyn Optimizer + Send + Sync>> = vec![Box::new(Lbfgsb::default())];
-        let config = EvaluationConfig {
-            depths: vec![2],
-            naive_starts: 2,
-            level1_starts: 1,
-            options: Options::default(),
-            seed: 7,
-            scenario: Scenario::Exact,
-        };
-        let rows = compare(test.graphs(), &optimizers, &predictor, &config).unwrap();
-        assert_eq!(rows.len(), 1);
-        let row = &rows[0];
-        assert_eq!(row.optimizer, "L-BFGS-B");
-        assert_eq!(row.depth, 2);
-        assert!(row.naive_fc_mean > 0.0);
-        assert!(row.ml_fc_mean > 0.0);
     }
 }

@@ -21,7 +21,9 @@
 //! * [`features`] — predictor/response extraction (§II-D),
 //! * [`ParameterPredictor`] — per-stage regression models (§III-C),
 //! * [`TwoLevelFlow`] — the proposed accelerated flow (Fig. 4),
-//! * [`evaluation`] — the naive-vs-ML comparison harness behind Table I.
+//! * [`evaluation`] — the naive-vs-ML comparison harness behind Table I:
+//!   one graph's protocol runs, the sweep's seeds and row aggregation (the
+//!   `engine` crate's `compare` driver runs the sweep itself).
 //!
 //! # Quickstart
 //!

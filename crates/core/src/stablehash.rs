@@ -1,7 +1,7 @@
 //! Process-stable hashing and mixing primitives.
 //!
 //! Three guarantees in this workspace are *bit-level* and cross-crate:
-//! serial sweeps equal engine-parallel sweeps (per-graph seeds), cache
+//! sweeps are bit-identical at any worker count (per-graph seeds), cache
 //! keys are stable across processes ([`crate::canonical`]), and per-job
 //! RNG derivation is a pure function of stable keys ([`derive2`], [`mix`]).
 //! All of them reduce to the two primitives here — one shared definition,

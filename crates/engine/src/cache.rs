@@ -10,9 +10,9 @@
 //! [`Engine::run_two_level_batch`](crate::Engine::run_two_level_batch)
 //! — never run the same solve twice, and a lookup is never served the
 //! optimum of a different solve. (The Table-I sweep in [`crate::compare`]
-//! deliberately bypasses the cache: its contract is bit-parity with the
-//! serial `evaluation::compare`, whose protocol re-optimizes level 1 per
-//! graph.)
+//! deliberately bypasses the cache: its two-level protocol re-optimizes
+//! level 1 per graph from that graph's own seed, and Table I counts those
+//! calls.)
 //!
 //! **Single-flight misses:** concurrent misses on one class are collapsed
 //! to a single solve. The first thread to miss publishes an in-flight slot

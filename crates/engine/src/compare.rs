@@ -1,11 +1,13 @@
-//! Parallel naive-vs-ML comparison sweeps (Table I) on the engine.
+//! The naive-vs-ML comparison sweep (Table I) on the engine.
 //!
-//! The serial `qaoa::evaluation::compare` decomposes into independent
-//! per-graph jobs because both protocols seed per graph
-//! (`evaluation::graph_seed`). This module fans those jobs — every
-//! `(cell, protocol, graph)` triple — across the pool and reassembles the
-//! rows in cell order, reproducing the serial sweep bit-for-bit at any
-//! worker count.
+//! [`compare`] is the one driver that enumerates a sweep: which cells
+//! exist, each cell's seed ([`cell_seed`]), the per-graph seeds of both
+//! protocols ([`graph_seed`]) and the order their samples are pooled in.
+//! Both protocols seed per graph, so the sweep decomposes into independent
+//! `(cell, protocol, graph)` jobs; this module fans them across the pool
+//! and reassembles the rows in cell order, bit-identical at any worker
+//! count. A serial run is `Pool::new(1)`, which runs every job inline on
+//! the caller's thread.
 
 use graphs::Graph;
 use optimize::Optimizer;
@@ -16,26 +18,32 @@ use qaoa::{ParameterPredictor, QaoaError};
 
 use crate::pool::Pool;
 
-/// One unit of sweep work.
-enum SweepJob<'a> {
-    Naive {
-        cell: usize,
-        optimizer: &'a (dyn Optimizer + Send + Sync),
-        depth: usize,
-        graph: &'a Graph,
-        seed: u64,
-    },
-    TwoLevel {
-        cell: usize,
-        optimizer: &'a (dyn Optimizer + Send + Sync),
-        depth: usize,
-        graph: &'a Graph,
-        seed: u64,
-    },
+/// The two protocols of a Table-I cell.
+#[derive(Clone, Copy)]
+enum Protocol {
+    /// Random-init optimization, `naive_starts` samples per graph.
+    Naive,
+    /// The ML-initialized two-level flow, one sample per graph.
+    TwoLevel,
 }
 
-/// Runs the full Table-I comparison in parallel. Output is identical to
-/// `qaoa::evaluation::compare` on the same inputs.
+/// One unit of sweep work: one protocol on one graph of one cell.
+struct SweepJob<'a> {
+    cell: usize,
+    protocol: Protocol,
+    optimizer: &'a (dyn Optimizer + Send + Sync),
+    depth: usize,
+    graph: &'a Graph,
+    seed: u64,
+}
+
+/// Runs the full Table-I comparison: one row per (optimizer, depth) cell,
+/// optimizer-major.
+///
+/// Within a cell, graph `gi`'s naive samples are seeded by
+/// `graph_seed(cell_seed, gi)` and its two-level sample by
+/// `graph_seed(cell_seed + 500, gi)`; each protocol's samples are pooled in
+/// graph order.
 ///
 /// # Errors
 ///
@@ -49,102 +57,82 @@ pub fn compare(
 ) -> Result<Vec<ComparisonRow>, QaoaError> {
     // Flatten the sweep into per-graph jobs, remembering cell coordinates.
     let mut jobs: Vec<SweepJob> = Vec::new();
-    let mut cells: Vec<(String, usize)> = Vec::new();
+    let mut cells: Vec<(&str, usize)> = Vec::new();
     for (oi, optimizer) in optimizers.iter().enumerate() {
         for (di, &depth) in config.depths.iter().enumerate() {
             let cell = cells.len();
             let seed = cell_seed(config.seed, oi, di);
-            cells.push((optimizer.name().to_string(), depth));
-            for (gi, graph) in graphs.iter().enumerate() {
-                jobs.push(SweepJob::Naive {
-                    cell,
-                    optimizer: optimizer.as_ref(),
-                    depth,
-                    graph,
-                    seed: graph_seed(seed, gi),
-                });
-            }
-            for (gi, graph) in graphs.iter().enumerate() {
-                jobs.push(SweepJob::TwoLevel {
-                    cell,
-                    optimizer: optimizer.as_ref(),
-                    depth,
-                    graph,
-                    seed: graph_seed(seed.wrapping_add(500), gi),
-                });
+            cells.push((optimizer.name(), depth));
+            for (protocol, seed) in [
+                (Protocol::Naive, seed),
+                (Protocol::TwoLevel, seed.wrapping_add(500)),
+            ] {
+                for (gi, graph) in graphs.iter().enumerate() {
+                    jobs.push(SweepJob {
+                        cell,
+                        protocol,
+                        optimizer: optimizer.as_ref(),
+                        depth,
+                        graph,
+                        seed: graph_seed(seed, gi),
+                    });
+                }
             }
         }
     }
 
-    type JobSamples = (usize, bool, Vec<(f64, usize)>);
-    let results: Vec<Result<JobSamples, QaoaError>> =
-        pool.run_ordered(jobs.len(), |i| match &jobs[i] {
-            SweepJob::Naive {
-                cell,
-                optimizer,
-                depth,
-                graph,
-                seed,
-            } => {
-                let samples = evaluation::naive_protocol_graph(
-                    graph,
-                    *depth,
-                    *optimizer,
-                    config.naive_starts,
-                    &config.options,
-                    *seed,
-                    &config.scenario,
-                )?;
-                Ok((*cell, false, samples))
-            }
-            SweepJob::TwoLevel {
-                cell,
-                optimizer,
-                depth,
-                graph,
-                seed,
-            } => {
-                let sample = evaluation::two_level_protocol_graph(
-                    graph,
-                    *depth,
-                    *optimizer,
-                    predictor,
-                    config.level1_starts,
-                    &config.options,
-                    *seed,
-                    &config.scenario,
-                )?;
-                Ok((*cell, true, vec![sample]))
-            }
-        });
+    let results: Vec<Result<Vec<(f64, usize)>, QaoaError>> = pool.run_ordered(jobs.len(), |i| {
+        let job = &jobs[i];
+        match job.protocol {
+            Protocol::Naive => evaluation::naive_protocol_graph(
+                job.graph,
+                job.depth,
+                job.optimizer,
+                config.naive_starts,
+                &config.options,
+                job.seed,
+                &config.scenario,
+            ),
+            Protocol::TwoLevel => evaluation::two_level_protocol_graph(
+                job.graph,
+                job.depth,
+                job.optimizer,
+                predictor,
+                config.level1_starts,
+                &config.options,
+                job.seed,
+                &config.scenario,
+            )
+            .map(|sample| vec![sample]),
+        }
+    });
 
-    // Reassemble per-cell sample vectors. Jobs come back in submission
-    // order, which is graph order within each protocol within each cell —
-    // exactly the serial concatenation.
+    // Results come back in submission order: graph order within each
+    // protocol within each cell.
     let mut naive: Vec<Vec<(f64, usize)>> = vec![Vec::new(); cells.len()];
     let mut ml: Vec<Vec<(f64, usize)>> = vec![Vec::new(); cells.len()];
-    for result in results {
-        let (cell, is_ml, samples) = result?;
-        if is_ml {
-            ml[cell].extend(samples);
-        } else {
-            naive[cell].extend(samples);
-        }
+    for (job, result) in jobs.iter().zip(results) {
+        let samples = match job.protocol {
+            Protocol::Naive => &mut naive[job.cell],
+            Protocol::TwoLevel => &mut ml[job.cell],
+        };
+        samples.extend(result?);
     }
     Ok(cells
         .iter()
         .enumerate()
-        .map(|(cell, (name, depth))| row_from_samples(name, *depth, &naive[cell], &ml[cell]))
+        .map(|(cell, &(name, depth))| row_from_samples(name, depth, &naive[cell], &ml[cell]))
         .collect())
 }
 
-/// Parallel counterpart of `qaoa::evaluation::naive_protocol`: identical
-/// samples, fanned per graph.
+/// The naive protocol for one optimizer/depth over `graphs`, fanned per
+/// graph: `n_starts` samples per graph in graph order, graph `gi` seeded by
+/// `graph_seed(seed, gi)`.
 ///
 /// # Errors
 ///
 /// Propagates the first per-graph error.
-#[allow(clippy::too_many_arguments)] // mirrors the serial protocol signature
+#[allow(clippy::too_many_arguments)] // the protocol's inputs plus the pool
 pub fn naive_protocol(
     graphs: &[Graph],
     depth: usize,
@@ -174,13 +162,14 @@ pub fn naive_protocol(
     Ok(samples)
 }
 
-/// Parallel counterpart of `qaoa::evaluation::two_level_protocol`:
-/// identical samples, fanned per graph.
+/// The two-level protocol for one optimizer/depth over `graphs`, fanned
+/// per graph: one sample per graph in graph order, graph `gi` seeded by
+/// `graph_seed(seed, gi)`.
 ///
 /// # Errors
 ///
 /// Propagates the first per-graph error.
-#[allow(clippy::too_many_arguments)] // mirrors the serial protocol signature
+#[allow(clippy::too_many_arguments)] // the protocol's inputs plus the pool
 pub fn two_level_protocol(
     graphs: &[Graph],
     depth: usize,

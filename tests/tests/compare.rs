@@ -1,21 +1,27 @@
-//! Dedicated coverage for `engine::compare` — the parallel Table-I sweep.
+//! Dedicated coverage for `engine::compare` — the Table-I sweep driver.
 //!
-//! Contract under test: the engine-parallel sweep reproduces the serial
-//! `qaoa::evaluation` protocols **bit-for-bit**, cell by cell, and its
-//! cost accounting (function and gradient evaluations) is a pure function
-//! of the inputs — independent of worker count and schedule.
+//! Contract under test: the sweep equals a serial reference written out in
+//! this file (cells optimizer-major, the seed policy spelled out, each cell
+//! assembled from the per-graph protocol runs) **bit-for-bit**, cell by
+//! cell, at any worker count; and its cost accounting (function and
+//! gradient evaluations) is a pure function of the inputs — independent of
+//! worker count and schedule.
 
 mod common;
 
 use engine::{BatchConfig, Engine, Job, Pool};
+use graphs::Graph;
 use ml::ModelKind;
-use optimize::{Lbfgsb, Slsqp};
-use qaoa::evaluation::{self, EvaluationConfig};
+use optimize::{Lbfgsb, Optimizer, Slsqp};
+use qaoa::evaluation::{
+    cell_seed, graph_seed, naive_protocol_graph, row_from_samples, two_level_protocol_graph,
+    ComparisonRow, EvaluationConfig,
+};
 use qaoa::ParameterPredictor;
 
 /// A small trained predictor plus held-out test graphs, shared by the
 /// sweep tests.
-fn predictor_and_test_graphs() -> (ParameterPredictor, Vec<graphs::Graph>) {
+fn predictor_and_test_graphs() -> (ParameterPredictor, Vec<Graph>) {
     // Depth 3 so the predictor covers both target depths of the sweep.
     let config = common::tiny_datagen(8, 5, 0.6, 3, 2, 91);
     let (ds, _) = engine::corpus::generate(&config, &Engine::new(2)).expect("corpus");
@@ -24,29 +30,132 @@ fn predictor_and_test_graphs() -> (ParameterPredictor, Vec<graphs::Graph>) {
     (predictor, test.graphs().to_vec())
 }
 
-#[test]
-fn every_table1_cell_matches_the_serial_sweep() {
-    // Multi-cell parity: 2 optimizers x 2 depths, every row equal to the
-    // serial `evaluation::compare` — means, SDs, and reduction percentages
-    // included (ComparisonRow compares exactly).
-    let (predictor, graphs) = predictor_and_test_graphs();
-    let optimizers: Vec<Box<dyn optimize::Optimizer + Send + Sync>> =
-        vec![Box::new(Lbfgsb::default()), Box::new(Slsqp::default())];
-    let eval = EvaluationConfig {
-        depths: vec![2, 3],
+/// The Table-I sweep written out serially. Cells run optimizer-major; cell
+/// `(oi, di)` is seeded by `cell_seed(seed, oi, di)`; graph `gi`'s naive
+/// samples by `graph_seed(cell, gi)` and its two-level sample by
+/// `graph_seed(cell + 500, gi)`; each protocol's samples pool in graph
+/// order.
+fn reference_sweep(
+    graphs: &[Graph],
+    optimizers: &[Box<dyn Optimizer + Send + Sync>],
+    predictor: &ParameterPredictor,
+    eval: &EvaluationConfig,
+) -> Vec<ComparisonRow> {
+    let mut rows = Vec::new();
+    for (oi, optimizer) in optimizers.iter().enumerate() {
+        for (di, &depth) in eval.depths.iter().enumerate() {
+            let seed = cell_seed(eval.seed, oi, di);
+            let mut naive = Vec::new();
+            let mut ml = Vec::new();
+            for (gi, graph) in graphs.iter().enumerate() {
+                naive.extend(
+                    naive_protocol_graph(
+                        graph,
+                        depth,
+                        optimizer.as_ref(),
+                        eval.naive_starts,
+                        &eval.options,
+                        graph_seed(seed, gi),
+                        &eval.scenario,
+                    )
+                    .expect("naive protocol"),
+                );
+                ml.push(
+                    two_level_protocol_graph(
+                        graph,
+                        depth,
+                        optimizer.as_ref(),
+                        predictor,
+                        eval.level1_starts,
+                        &eval.options,
+                        graph_seed(seed.wrapping_add(500), gi),
+                        &eval.scenario,
+                    )
+                    .expect("two-level protocol"),
+                );
+            }
+            rows.push(row_from_samples(optimizer.name(), depth, &naive, &ml));
+        }
+    }
+    rows
+}
+
+/// A sweep config of `depths` with two naive starts and one level-1 start.
+fn sweep_config(depths: Vec<usize>, seed: u64) -> EvaluationConfig {
+    EvaluationConfig {
+        depths,
         naive_starts: 2,
         level1_starts: 1,
         options: Default::default(),
-        seed: 5,
+        seed,
         scenario: qaoa::Scenario::Exact,
-    };
-    let serial = evaluation::compare(&graphs, &optimizers, &predictor, &eval).expect("serial");
-    let parallel = engine::compare::compare(&graphs, &optimizers, &predictor, &eval, &Pool::new(4))
-        .expect("parallel");
-    assert_eq!(serial.len(), 4, "2 optimizers x 2 depths");
-    assert_eq!(serial.len(), parallel.len());
-    for (cell, (a, b)) in serial.iter().zip(&parallel).enumerate() {
-        assert_eq!(a, b, "cell {cell} ({} p={}) differs", a.optimizer, a.depth);
+    }
+}
+
+#[test]
+fn every_table1_cell_matches_the_serial_sweep() {
+    // Multi-cell parity: 2 optimizers x 2 depths, every row equal to the
+    // serial reference at 1 and 4 workers — means, SDs, and reduction
+    // percentages included (ComparisonRow compares exactly).
+    let (predictor, graphs) = predictor_and_test_graphs();
+    let optimizers: Vec<Box<dyn Optimizer + Send + Sync>> =
+        vec![Box::new(Lbfgsb::default()), Box::new(Slsqp::default())];
+    let eval = sweep_config(vec![2, 3], 5);
+    let reference = reference_sweep(&graphs, &optimizers, &predictor, &eval);
+    assert_eq!(reference.len(), 4, "2 optimizers x 2 depths");
+    for threads in [1usize, 4] {
+        let rows =
+            engine::compare::compare(&graphs, &optimizers, &predictor, &eval, &Pool::new(threads))
+                .expect("sweep");
+        assert_eq!(rows.len(), reference.len());
+        for (cell, (a, b)) in reference.iter().zip(&rows).enumerate() {
+            assert_eq!(
+                a, b,
+                "cell {cell} ({} p={}) differs at {threads} workers",
+                a.optimizer, a.depth
+            );
+        }
+    }
+}
+
+#[test]
+fn compare_emits_one_row_per_cell() {
+    let (predictor, graphs) = predictor_and_test_graphs();
+    let optimizers: Vec<Box<dyn Optimizer + Send + Sync>> = vec![Box::new(Lbfgsb::default())];
+    let rows = engine::compare::compare(
+        &graphs,
+        &optimizers,
+        &predictor,
+        &sweep_config(vec![2], 7),
+        &Pool::new(1),
+    )
+    .expect("sweep");
+    assert_eq!(rows.len(), 1);
+    let row = &rows[0];
+    assert_eq!(row.optimizer, "L-BFGS-B");
+    assert_eq!(row.depth, 2);
+    assert!(row.naive_fc_mean > 0.0);
+    assert!(row.ml_fc_mean > 0.0);
+}
+
+#[test]
+fn protocols_produce_expected_sample_counts() {
+    let (predictor, graphs) = predictor_and_test_graphs();
+    let opt = Lbfgsb::default();
+    let options = Default::default();
+    let scenario = qaoa::Scenario::Exact;
+    let pool = Pool::new(1);
+    let naive = engine::compare::naive_protocol(&graphs, 2, &opt, 2, &options, 3, &scenario, &pool)
+        .expect("naive protocol");
+    assert_eq!(naive.len(), graphs.len() * 2);
+    let ml = engine::compare::two_level_protocol(
+        &graphs, 2, &opt, &predictor, 1, &options, 3, &scenario, &pool,
+    )
+    .expect("two-level protocol");
+    assert_eq!(ml.len(), graphs.len());
+    for (ar, fc) in naive.iter().chain(&ml) {
+        assert!((0.0..=1.0 + 1e-9).contains(ar));
+        assert!(*fc > 0);
     }
 }
 
@@ -57,16 +166,8 @@ fn sweep_cost_accounting_is_schedule_independent() {
     // means are exact sums of integer counts divided by a fixed n, so
     // bit-equality is the right assertion, not approximate equality.)
     let (predictor, graphs) = predictor_and_test_graphs();
-    let optimizers: Vec<Box<dyn optimize::Optimizer + Send + Sync>> =
-        vec![Box::new(Lbfgsb::default())];
-    let eval = EvaluationConfig {
-        depths: vec![2],
-        naive_starts: 2,
-        level1_starts: 1,
-        options: Default::default(),
-        seed: 13,
-        scenario: qaoa::Scenario::Exact,
-    };
+    let optimizers: Vec<Box<dyn Optimizer + Send + Sync>> = vec![Box::new(Lbfgsb::default())];
+    let eval = sweep_config(vec![2], 13);
     let runs: Vec<_> = [1usize, 2, 5]
         .iter()
         .map(|&threads| {
@@ -122,16 +223,29 @@ fn gradient_and_fev_counts_are_schedule_independent() {
 
 #[test]
 fn parallel_two_level_protocol_matches_serial() {
-    // The two-level fan-out (previously untested): identical samples at
-    // any pool size.
+    // The two-level fan-out: at any pool size, graph `gi`'s sample is the
+    // per-graph protocol run seeded by `graph_seed(seed, gi)`.
     let (predictor, graphs) = predictor_and_test_graphs();
     let optimizer = Lbfgsb::default();
     let options = Default::default();
     let scenario = qaoa::Scenario::Exact;
-    let serial = evaluation::two_level_protocol(
-        &graphs, 2, &optimizer, &predictor, 1, &options, 23, &scenario,
-    )
-    .expect("serial two-level");
+    let serial: Vec<(f64, usize)> = graphs
+        .iter()
+        .enumerate()
+        .map(|(gi, graph)| {
+            two_level_protocol_graph(
+                graph,
+                2,
+                &optimizer,
+                &predictor,
+                1,
+                &options,
+                graph_seed(23, gi),
+                &scenario,
+            )
+            .expect("serial two-level")
+        })
+        .collect();
     for threads in [1usize, 3] {
         let parallel = engine::compare::two_level_protocol(
             &graphs,
@@ -158,16 +272,8 @@ fn empty_sweeps_are_well_formed() {
     // No graphs: every cell still materializes (with empty samples), so
     // downstream table rendering never indexes out of bounds.
     let (predictor, _) = predictor_and_test_graphs();
-    let optimizers: Vec<Box<dyn optimize::Optimizer + Send + Sync>> =
-        vec![Box::new(Lbfgsb::default())];
-    let eval = EvaluationConfig {
-        depths: vec![2, 3],
-        naive_starts: 2,
-        level1_starts: 1,
-        options: Default::default(),
-        seed: 3,
-        scenario: qaoa::Scenario::Exact,
-    };
+    let optimizers: Vec<Box<dyn Optimizer + Send + Sync>> = vec![Box::new(Lbfgsb::default())];
+    let eval = sweep_config(vec![2, 3], 3);
     let rows = engine::compare::compare(&[], &optimizers, &predictor, &eval, &Pool::new(2))
         .expect("empty sweep");
     assert_eq!(rows.len(), 2);

@@ -11,7 +11,7 @@ use graphs::{generators, Graph};
 use ml::ModelKind;
 use optimize::Lbfgsb;
 use qaoa::datagen::ParameterDataset;
-use qaoa::evaluation::{self, EvaluationConfig};
+use qaoa::evaluation;
 use qaoa::{stablehash, ParameterPredictor};
 
 #[test]
@@ -215,35 +215,6 @@ fn corpus_records_have_expected_shape() {
 }
 
 #[test]
-fn parallel_compare_matches_serial_compare() {
-    // Train a tiny predictor, then sweep the same cells serially and on the
-    // engine: rows must agree exactly.
-    let config = tiny_datagen(6, 5, 0.6, 2, 2, 91);
-    let (ds, _) = engine::corpus::generate(&config, &Engine::new(2)).expect("corpus");
-    let (train, test) = ds.split_by_graph(0.5);
-    let predictor = ParameterPredictor::train(ModelKind::Linear, &train).expect("training");
-    let optimizers: Vec<Box<dyn optimize::Optimizer + Send + Sync>> =
-        vec![Box::new(Lbfgsb::default())];
-    let eval = EvaluationConfig {
-        depths: vec![2],
-        naive_starts: 2,
-        level1_starts: 1,
-        options: Default::default(),
-        seed: 5,
-        scenario: qaoa::Scenario::Exact,
-    };
-    let serial =
-        evaluation::compare(test.graphs(), &optimizers, &predictor, &eval).expect("serial");
-    let parallel =
-        engine::compare::compare(test.graphs(), &optimizers, &predictor, &eval, &Pool::new(4))
-            .expect("parallel");
-    assert_eq!(serial.len(), parallel.len());
-    for (a, b) in serial.iter().zip(&parallel) {
-        assert_eq!(a, b, "parallel sweep row differs from serial");
-    }
-}
-
-#[test]
 fn two_level_batch_uses_cache_and_is_thread_count_invariant() {
     // Train a tiny predictor, then run the cached two-level batch over an
     // ensemble containing isomorphic duplicates.
@@ -285,8 +256,23 @@ fn parallel_protocols_match_serial_protocols() {
     let options = Default::default();
     let pool = Pool::new(3);
     let scenario = qaoa::Scenario::Exact;
-    let serial = evaluation::naive_protocol(&graphs, 2, &optimizer, 2, &options, 17, &scenario)
-        .expect("serial naive");
+    // Reference: graph `gi` runs alone, seeded by `graph_seed(17, gi)`,
+    // its samples appended in graph order.
+    let mut serial = Vec::new();
+    for (gi, graph) in graphs.iter().enumerate() {
+        serial.extend(
+            evaluation::naive_protocol_graph(
+                graph,
+                2,
+                &optimizer,
+                2,
+                &options,
+                evaluation::graph_seed(17, gi),
+                &scenario,
+            )
+            .expect("serial naive"),
+        );
+    }
     let parallel =
         engine::compare::naive_protocol(&graphs, 2, &optimizer, 2, &options, 17, &scenario, &pool)
             .expect("parallel naive");

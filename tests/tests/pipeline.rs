@@ -3,11 +3,12 @@
 
 mod common;
 
+use engine::compare::{naive_protocol, two_level_protocol};
+use engine::Pool;
 use ml::metrics::mean;
 use ml::ModelKind;
 use optimize::{Lbfgsb, Options};
 use qaoa::datagen::ParameterDataset;
-use qaoa::evaluation::{naive_protocol, two_level_protocol};
 use qaoa::{
     MaxCutProblem, ParameterPredictor, QaoaInstance, Scenario, TwoLevelConfig, TwoLevelFlow,
 };
@@ -29,6 +30,7 @@ fn two_level_flow_reduces_function_calls_on_average() {
     let predictor = ParameterPredictor::train(ModelKind::Gpr, &train).expect("GPR training");
     let optimizer = Lbfgsb::default();
     let depth = 3;
+    let pool = Pool::new(2);
 
     let naive = naive_protocol(
         test.graphs(),
@@ -38,6 +40,7 @@ fn two_level_flow_reduces_function_calls_on_average() {
         &Options::default(),
         9,
         &qaoa::Scenario::Exact,
+        &pool,
     )
     .expect("naive protocol");
     let ml = two_level_protocol(
@@ -49,6 +52,7 @@ fn two_level_flow_reduces_function_calls_on_average() {
         &Options::default(),
         9,
         &qaoa::Scenario::Exact,
+        &pool,
     )
     .expect("two-level protocol");
 

@@ -1,6 +1,7 @@
-//! Totality of the request, corpus-tasking and cache-entry decoders
-//! (`PREDICT`, `JOB`, `SHARD`, `RANGE`, `RECORD`, `DONE`, `ENTRY`) and of
-//! the whole-file decoders of `QCACHE3` and `QMODEL2` artifacts: every
+//! Totality of the request, answer, corpus-tasking and cache-entry decoders
+//! (`PREDICT`, `JOB`, `PREDICTED`, `OUTCOME`, `REPORT`, `SHARD`, `RANGE`,
+//! `RECORD`, `DONE`, `ENTRY`) and of the whole-file decoders of `QCACHE3`
+//! and `QMODEL2` artifacts: every
 //! input is either rejected with an error or decodes to a value that
 //! re-encodes and decodes back bit-exactly. No input panics, and nothing
 //! accepted breaks the limits a request or a corpus session is sized from
@@ -16,12 +17,14 @@ mod common;
 use std::ops::Range;
 use std::sync::OnceLock;
 
+use std::time::Duration;
+
 use engine::persist::{self, CACHE_VERSION};
 use engine::wire::{
-    self, PredictRequest, RangeDone, MAX_PROBLEM_DEPTH, MAX_PROBLEM_NODES, MAX_RESTARTS,
-    MAX_SHARD_GRAPHS,
+    self, AnswerTier, PredictRequest, Predicted, RangeDone, MAX_PROBLEM_DEPTH, MAX_PROBLEM_NODES,
+    MAX_RESTARTS, MAX_SHARD_GRAPHS,
 };
-use engine::{artifact, model, Job, Level1Key};
+use engine::{artifact, model, BatchReport, Job, JobStats, Level1Key};
 use graphs::{generators, Graph};
 use ml::ModelKind;
 use optimize::Termination;
@@ -211,10 +214,81 @@ fn check_entry(line: &str) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Decodes `line` as `PREDICTED`; an accepted answer carries parameters
+/// and round-trips bit-exactly.
+fn check_predicted(line: &str) -> Result<(), TestCaseError> {
+    let Ok(answer) = wire::decode_predicted(line) else {
+        return Ok(());
+    };
+    prop_assert!(!answer.params.is_empty());
+    let encoded = wire::encode_predicted(&answer);
+    let back = wire::decode_predicted(&encoded).expect("re-encoded line decodes");
+    prop_assert_eq!(back.id, answer.id);
+    prop_assert_eq!(back.tier, answer.tier);
+    prop_assert_eq!(bits(&back.params), bits(&answer.params));
+    prop_assert_eq!(wire::encode_predicted(&back), encoded);
+    Ok(())
+}
+
+/// Decodes `line` as `OUTCOME`; an accepted outcome round-trips
+/// bit-exactly.
+fn check_outcome(line: &str) -> Result<(), TestCaseError> {
+    let Ok(outcome) = wire::decode_outcome(line) else {
+        return Ok(());
+    };
+    let encoded = wire::encode_outcome(&outcome);
+    let back = wire::decode_outcome(&encoded).expect("re-encoded line decodes");
+    prop_assert_eq!(outcome_bits(&back), outcome_bits(&outcome));
+    prop_assert_eq!(wire::encode_outcome(&back), encoded);
+    Ok(())
+}
+
+/// A report's every field; `BatchReport` has no `PartialEq`.
+type ReportFields = ([usize; 5], u128, Vec<(u128, usize, usize, bool)>);
+
+fn report_fields(r: &BatchReport) -> ReportFields {
+    (
+        [
+            r.threads,
+            r.total_function_calls,
+            r.total_gradient_calls,
+            r.cache_hits,
+            r.cache_misses,
+        ],
+        r.wall.as_nanos(),
+        r.jobs
+            .iter()
+            .map(|j| {
+                (
+                    j.wall.as_nanos(),
+                    j.function_calls,
+                    j.gradient_calls,
+                    j.cache_hit,
+                )
+            })
+            .collect(),
+    )
+}
+
+/// Decodes `line` as `REPORT`; an accepted report round-trips exactly.
+fn check_report(line: &str) -> Result<(), TestCaseError> {
+    let Ok(report) = wire::decode_report(line) else {
+        return Ok(());
+    };
+    let encoded = wire::encode_report(&report);
+    let back = wire::decode_report(&encoded).expect("re-encoded line decodes");
+    prop_assert_eq!(report_fields(&back), report_fields(&report));
+    prop_assert_eq!(wire::encode_report(&back), encoded);
+    Ok(())
+}
+
 /// Runs every decoder over `line` (each rejects the other verbs).
 fn check_all(line: &str) -> Result<(), TestCaseError> {
     check_predict(line)?;
     check_job(line)?;
+    check_predicted(line)?;
+    check_outcome(line)?;
+    check_report(line)?;
     check_shard(line)?;
     check_range(line)?;
     check_record(line)?;
@@ -325,6 +399,23 @@ const TERMINATIONS: [Termination; 6] = [
     Termination::NonFinite,
 ];
 
+/// One of [`ODD_FLOATS`].
+fn odd_float(rng: &mut StdRng) -> f64 {
+    ODD_FLOATS[rng.gen_range(0..ODD_FLOATS.len())]
+}
+
+/// A random outcome of zero to four odd-float parameters and any counts.
+fn random_outcome(rng: &mut StdRng) -> InstanceOutcome {
+    InstanceOutcome {
+        params: (0..rng.gen_range(0..5)).map(|_| odd_float(rng)).collect(),
+        expectation: odd_float(rng),
+        approximation_ratio: odd_float(rng),
+        function_calls: rng.gen_range(0..usize::MAX),
+        gradient_calls: rng.gen_range(0..usize::MAX),
+        termination: TERMINATIONS[rng.gen_range(0..TERMINATIONS.len())],
+    }
+}
+
 /// A random valid cache entry: the class of a random request graph, any
 /// solver fingerprint, and an outcome of odd floats.
 fn random_entry(rng: &mut StdRng) -> (Level1Key, InstanceOutcome) {
@@ -334,28 +425,65 @@ fn random_entry(rng: &mut StdRng) -> (Level1Key, InstanceOutcome) {
         restarts: request.restarts,
         solver: rng.gen(),
     };
-    let odd = |rng: &mut StdRng| ODD_FLOATS[rng.gen_range(0..ODD_FLOATS.len())];
-    let outcome = InstanceOutcome {
-        params: (0..rng.gen_range(0..5)).map(|_| odd(rng)).collect(),
-        expectation: odd(rng),
-        approximation_ratio: odd(rng),
-        function_calls: rng.gen_range(0..usize::MAX),
-        gradient_calls: rng.gen_range(0..usize::MAX),
-        termination: TERMINATIONS[rng.gen_range(0..TERMINATIONS.len())],
+    (key, random_outcome(rng))
+}
+
+/// A random report of zero to three jobs with any counts and wall times.
+fn random_report(rng: &mut StdRng) -> BatchReport {
+    let count = |rng: &mut StdRng| rng.gen_range(0..usize::MAX);
+    let nanos = |rng: &mut StdRng| Duration::from_nanos(rng.gen_range(0..u64::MAX));
+    BatchReport {
+        jobs: (0..rng.gen_range(0..4))
+            .map(|_| JobStats {
+                wall: nanos(rng),
+                function_calls: count(rng),
+                gradient_calls: count(rng),
+                cache_hit: rng.gen_range(0..2) == 1,
+            })
+            .collect(),
+        wall: nanos(rng),
+        threads: count(rng),
+        total_function_calls: count(rng),
+        total_gradient_calls: count(rng),
+        cache_hits: count(rng),
+        cache_misses: count(rng),
+    }
+}
+
+/// One valid line of each answer verb, in the order `PREDICTED`,
+/// `OUTCOME`, `REPORT`.
+fn valid_answer_lines(rng: &mut StdRng) -> [String; 3] {
+    const TIERS: [AnswerTier; 3] = [
+        AnswerTier::CachedExact,
+        AnswerTier::Model,
+        AnswerTier::WarmStart,
+    ];
+    let predicted = Predicted {
+        id: rng.gen_range(0..u64::MAX),
+        tier: TIERS[rng.gen_range(0..TIERS.len())],
+        params: (0..rng.gen_range(1..5)).map(|_| odd_float(rng)).collect(),
     };
-    (key, outcome)
+    [
+        wire::encode_predicted(&predicted),
+        wire::encode_outcome(&random_outcome(rng)),
+        wire::encode_report(&random_report(rng)),
+    ]
 }
 
 /// One valid line of every verb, each with the indices of its integer
-/// count fields in the space-split line: `PREDICT`, `JOB`, `SHARD`,
-/// `RANGE`, `RECORD`, `DONE`, `ENTRY`.
+/// count fields in the space-split line: `PREDICT`, `JOB`, `PREDICTED`,
+/// `OUTCOME`, `REPORT`, `SHARD`, `RANGE`, `RECORD`, `DONE`, `ENTRY`.
 fn every_verb(rng: &mut StdRng) -> Vec<(String, &'static [usize])> {
     let (_, predict, job) = valid_lines(rng);
+    let [predicted, outcome_line, report] = valid_answer_lines(rng);
     let [shard, range, record, done] = valid_tasking_lines(rng);
     let (key, outcome) = random_entry(rng);
     vec![
         (predict, &[2, 3, 4, 5]),
         (job, &[2, 3, 4]),
+        (predicted, &[2, 3]),
+        (outcome_line, &[5, 6]),
+        (report, &[2, 3, 4, 5, 6, 7]),
         (shard, &[2, 3, 5, 6, 7]),
         (range, &[2, 3]),
         (record, &[2, 3, 6]),
@@ -496,7 +624,7 @@ proptest! {
     #[test]
     fn arbitrary_bytes_never_panic(
         bytes in collection::vec(0u8..=255, 0..96),
-        prefix in 0usize..9,
+        prefix in 0usize..12,
     ) {
         let tail = String::from_utf8_lossy(&bytes);
         let head = [
@@ -504,6 +632,9 @@ proptest! {
             "QW1 PREDICT ",
             "QW1 JOB ",
             "QW1 PREDICT 1 2 3 4 ",
+            "QW1 PREDICTED ",
+            "QW1 OUTCOME ",
+            "QW1 REPORT ",
             "QW1 SHARD ",
             "QW1 RANGE ",
             "QW1 RECORD ",
@@ -518,13 +649,16 @@ proptest! {
     #[test]
     fn wire_alphabet_lines_never_panic(
         picks in collection::vec(0usize..16, 0..64),
-        prefix in 0usize..7,
+        prefix in 0usize..10,
     ) {
         const ALPHABET: &[u8] = b"0123456789-,: af";
         let tail: String = picks.iter().map(|&i| char::from(ALPHABET[i])).collect();
         let head = [
             "QW1 PREDICT ",
             "QW1 JOB ",
+            "QW1 PREDICTED ",
+            "QW1 OUTCOME ",
+            "QW1 REPORT ",
             "QW1 SHARD ",
             "QW1 RANGE ",
             "QW1 RECORD ",
@@ -545,6 +679,10 @@ proptest! {
         let decoded = wire::decode_job(&job).expect("valid JOB");
         prop_assert_eq!(decoded.depth, request.depth);
         prop_assert_eq!(edge_bits(&decoded.graph), edge_bits(&request.graph));
+        let [predicted, outcome_line, report] = valid_answer_lines(&mut rng);
+        prop_assert!(wire::decode_predicted(&predicted).is_ok(), "{}", predicted);
+        prop_assert!(wire::decode_outcome(&outcome_line).is_ok(), "{}", outcome_line);
+        prop_assert!(wire::decode_report(&report).is_ok(), "{}", report);
         let [shard, range, record, done] = valid_tasking_lines(&mut rng);
         prop_assert!(wire::decode_shard(&shard).is_ok(), "{}", shard);
         prop_assert!(wire::decode_range(&range).is_ok(), "{}", range);
@@ -555,7 +693,18 @@ proptest! {
         let (back_key, back) = wire::decode_entry(&entry).expect("valid ENTRY");
         prop_assert_eq!(&back_key, &key);
         prop_assert_eq!(outcome_bits(&back), outcome_bits(&outcome));
-        for line in [predict, job, shard, range, record, done, entry] {
+        for line in [
+            predict,
+            job,
+            predicted,
+            outcome_line,
+            report,
+            shard,
+            range,
+            record,
+            done,
+            entry,
+        ] {
             check_all(&line)?;
         }
     }
