@@ -11,7 +11,7 @@ use graphs::{generators, Graph};
 use ml::ModelKind;
 use optimize::Lbfgsb;
 use qaoa::datagen::ParameterDataset;
-use qaoa::evaluation;
+use qaoa::evaluation::{self, EvaluationConfig};
 use qaoa::{stablehash, ParameterPredictor};
 
 #[test]
@@ -212,6 +212,77 @@ fn corpus_records_have_expected_shape() {
     }
     assert!(report.function_calls > 0);
     assert!(report.summary().contains("4 graphs"));
+}
+
+#[test]
+fn parallel_compare_matches_serial_compare() {
+    // Train a tiny predictor, then sweep the same cell on one worker and on
+    // four: rows must agree exactly, and equal the cell assembled from the
+    // per-graph protocol runs.
+    let config = tiny_datagen(6, 5, 0.6, 2, 2, 91);
+    let (ds, _) = engine::corpus::generate(&config, &Engine::new(2)).expect("corpus");
+    let (train, test) = ds.split_by_graph(0.5);
+    let predictor = ParameterPredictor::train(ModelKind::Linear, &train).expect("training");
+    let optimizer = Lbfgsb::default();
+    let optimizers: Vec<Box<dyn optimize::Optimizer + Send + Sync>> =
+        vec![Box::new(Lbfgsb::default())];
+    let eval = EvaluationConfig {
+        depths: vec![2],
+        naive_starts: 2,
+        level1_starts: 1,
+        options: Default::default(),
+        seed: 5,
+        scenario: qaoa::Scenario::Exact,
+    };
+    // Reference for the single cell (optimizer 0, depth 0).
+    let seed = evaluation::cell_seed(eval.seed, 0, 0);
+    let mut naive = Vec::new();
+    let mut ml = Vec::new();
+    for (gi, graph) in test.graphs().iter().enumerate() {
+        naive.extend(
+            evaluation::naive_protocol_graph(
+                graph,
+                2,
+                &optimizer,
+                eval.naive_starts,
+                &eval.options,
+                evaluation::graph_seed(seed, gi),
+                &eval.scenario,
+            )
+            .expect("naive protocol"),
+        );
+        ml.push(
+            evaluation::two_level_protocol_graph(
+                graph,
+                2,
+                &optimizer,
+                &predictor,
+                eval.level1_starts,
+                &eval.options,
+                evaluation::graph_seed(seed.wrapping_add(500), gi),
+                &eval.scenario,
+            )
+            .expect("two-level protocol"),
+        );
+    }
+    let reference = evaluation::row_from_samples("L-BFGS-B", 2, &naive, &ml);
+    let sweep = |threads: usize| {
+        engine::compare::compare(
+            test.graphs(),
+            &optimizers,
+            &predictor,
+            &eval,
+            &Pool::new(threads),
+        )
+        .expect("sweep")
+    };
+    let serial = sweep(1);
+    let parallel = sweep(4);
+    assert_eq!(serial, vec![reference], "serial sweep differs from reference");
+    assert_eq!(serial.len(), parallel.len());
+    for (a, b) in serial.iter().zip(&parallel) {
+        assert_eq!(a, b, "parallel sweep row differs from serial");
+    }
 }
 
 #[test]
