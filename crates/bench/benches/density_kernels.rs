@@ -9,7 +9,7 @@ use std::hint::black_box;
 
 use graphs::generators;
 use qaoa::noisy::NoisyQaoa;
-use qaoa::{MaxCutProblem, QaoaAnsatz};
+use qaoa::{EvalContext, MaxCutProblem, QaoaAnsatz};
 use qsim::{gates, DensityMatrix, KrausChannel, NoiseModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -60,10 +60,12 @@ fn bench_noisy_vs_clean_energy(c: &mut Criterion) {
     let problem = MaxCutProblem::new(&graph).expect("non-empty");
     let ansatz = QaoaAnsatz::new(problem.clone(), 2).expect("valid depth");
     group.bench_function("statevector_fast", |b| {
+        // One context for every call, as one optimizer run keeps its own.
+        let mut ctx = EvalContext::new(6);
         b.iter(|| {
             black_box(
                 ansatz
-                    .expectation(black_box(&params))
+                    .expectation_in(&mut ctx, black_box(&params))
                     .expect("valid params"),
             )
         });

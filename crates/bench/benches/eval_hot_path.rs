@@ -14,7 +14,8 @@
 //! * `ctx_fresh` — `EvalContext` pipeline (per-level phase table + fused RX
 //!   layer) but a new context per call: isolates the kernel wins from the
 //!   buffer-reuse win.
-//! * `ctx_reused` — the real hot path: one context reused across calls.
+//! * `ctx_reused` — one context reused across calls, as each optimizer run
+//!   reuses the context it owns for all of its objective calls.
 //!
 //! `gradient/...` compares full-gradient acquisition across the same
 //! width sweep (n = 8, 12, 16, 20) at p = 2: `2p + 1 = 5` evaluations for

@@ -63,7 +63,7 @@ fn main() {
         config.nodes + 1
     };
 
-    let scenario = config.scenario().expect("valid scenario flags");
+    let scenario = config.scenario();
     let options = bench::cli::scenario::tuned_options(&scenario, Options::default());
     let pool = bench::cli::pool(&config);
     println!(

@@ -140,7 +140,6 @@ fn serve(config: &RunConfig) {
     let batch_config = BatchConfig {
         master_seed: config.seed,
         options: Default::default(),
-        scenario: qaoa::Scenario::Exact,
     };
     eprintln!(
         "# qaoa-predict: {} threads, master seed {}, {} model (max depth {}); \

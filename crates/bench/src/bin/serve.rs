@@ -35,7 +35,6 @@ fn main() {
     let batch_config = BatchConfig {
         master_seed: config.seed,
         options: Default::default(),
-        scenario: qaoa::Scenario::Exact,
     };
     // This bin never trains (that is `qaoa-predict`'s job): without a
     // loadable model, PREDICT answers ERR.

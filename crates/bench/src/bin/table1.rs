@@ -25,7 +25,7 @@ fn main() {
     );
     let predictor = ParameterPredictor::train(ModelKind::Gpr, &train).expect("GPR training");
 
-    let scenario = config.scenario().expect("valid scenario flags");
+    let scenario = config.scenario();
     let eval = EvaluationConfig {
         depths: (2..=config.max_depth.min(5)).collect(),
         naive_starts: config.naive_starts(),

@@ -100,6 +100,8 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Parsed, Str
     } else {
         RunConfig::paper()
     };
+    let mut shots = None;
+    let mut noise = None;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -123,8 +125,8 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Parsed, Str
             "--max-depth" => config.max_depth = parse_count(flag, value()?)?,
             "--naive-starts" => config.naive_starts = Some(parse_count(flag, value()?)?),
             "--threads" => config.threads = Some(parse_count(flag, value()?)?.max(1)),
-            "--shots" => config.shots = Some(scenario::parse_shots(value()?)?),
-            "--noise" => config.noise = Some(scenario::parse_noise(value()?)?),
+            "--shots" => shots = Some(scenario::parse_shots(value()?)?),
+            "--noise" => noise = Some(scenario::parse_noise(value()?)?),
             "--seed" => {
                 let v = value()?;
                 config.seed = v.parse().map_err(|e| format!("{flag} {v}: {e}"))?;
@@ -147,8 +149,8 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Parsed, Str
     if config.nodes < 2 || config.graphs == 0 || config.restarts == 0 || config.max_depth == 0 {
         return Err("nodes >= 2, graphs/restarts/max-depth >= 1 required".into());
     }
-    // Reject contradictory scenario flags at parse time, not first use.
-    scenario::resolve(config.shots, config.noise)?;
+    // Contradictory scenario flags are rejected here, at parse time.
+    config.scenario = scenario::resolve(shots, noise)?;
     Ok(Parsed::Run(Box::new(config)))
 }
 

@@ -110,14 +110,13 @@ pub struct RunConfig {
     /// its first delivered line; the run must still complete bit-identically
     /// via re-tasking.
     pub kill_worker: Option<usize>,
-    /// Shot-noise scenario (`--shots N`): evaluate the sampled expectation
-    /// from N measurement shots per objective call instead of the exact
-    /// `<C>`. `None` = exact. Mutually exclusive with `noise`.
-    pub shots: Option<u32>,
-    /// Gate-noise scenario (`--noise p1,p2`): depolarizing probabilities
-    /// after one- and two-qubit gates, evaluated on the density-matrix
-    /// path. `None` = noiseless. Mutually exclusive with `shots`.
-    pub noise: Option<(f64, f64)>,
+    /// Evaluation scenario: [`Scenario::Sampled`](qaoa::Scenario::Sampled)
+    /// from `--shots N` (N measurement shots per objective call),
+    /// [`Scenario::Noisy`](qaoa::Scenario::Noisy) from `--noise p1,p2`
+    /// (depolarizing gate noise on the density-matrix path), else
+    /// [`Scenario::Exact`](qaoa::Scenario::Exact). The flags are mutually
+    /// exclusive.
+    pub scenario: qaoa::Scenario,
 }
 
 impl RunConfig {
@@ -141,8 +140,7 @@ impl RunConfig {
             worker_cmd: None,
             timeout_secs: 30,
             kill_worker: None,
-            shots: None,
-            noise: None,
+            scenario: qaoa::Scenario::Exact,
         }
     }
 
@@ -166,8 +164,7 @@ impl RunConfig {
             worker_cmd: None,
             timeout_secs: 30,
             kill_worker: None,
-            shots: None,
-            noise: None,
+            scenario: qaoa::Scenario::Exact,
         }
     }
 
@@ -216,14 +213,9 @@ impl RunConfig {
 
     /// The evaluation scenario selected by `--shots` / `--noise`
     /// ([`Scenario::Exact`](qaoa::Scenario::Exact) when neither is given).
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message when both flags were set (already
-    /// rejected at parse time for CLI-built configs, re-checked here for
-    /// programmatic ones).
-    pub fn scenario(&self) -> Result<qaoa::Scenario, String> {
-        cli::scenario::resolve(self.shots, self.noise)
+    #[must_use]
+    pub fn scenario(&self) -> qaoa::Scenario {
+        self.scenario
     }
 
     /// Engine worker count: `--threads` if given, else the machine's

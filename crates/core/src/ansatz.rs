@@ -19,7 +19,8 @@ use crate::{EvalContext, MaxCutProblem, QaoaError};
 /// `qsim::soa` (autovectorized, cache-blocked, optionally fanned out within
 /// one state), which also provides the exact adjoint gradient
 /// ([`QaoaAnsatz::expectation_and_grad_in`]). The paths agree to machine
-/// precision (see tests and the `qsim_paths` / `eval_hot_path` benches).
+/// precision (see this module's tests; the `eval_hot_path` bench times the
+/// fast path).
 ///
 /// Parameters are laid out `[γ₁…γ_p, β₁…β_p]`, matching
 /// [`parameter_bounds`](crate::parameter_bounds).
@@ -158,16 +159,15 @@ impl QaoaAnsatz {
     }
 
     /// The QAOA objective `⟨ψ(γ, β)|C|ψ(γ, β)⟩` — the quantity each
-    /// "function call / QC call" of the paper evaluates — computed
-    /// allocation-free in the calling thread's cached [`EvalContext`].
+    /// "function call / QC call" of the paper evaluates — in a fresh
+    /// [`EvalContext`] built for this one call. Loops that evaluate many
+    /// points keep one context and call [`QaoaAnsatz::expectation_in`].
     ///
     /// # Errors
     ///
     /// Returns [`QaoaError::ParameterCount`] on a length mismatch.
     pub fn expectation(&self, params: &[f64]) -> Result<f64, QaoaError> {
-        crate::eval::with_thread_context(self.problem.n_qubits(), |ctx| {
-            self.expectation_in(ctx, params)
-        })
+        self.expectation_in(&mut EvalContext::new(self.problem.n_qubits()), params)
     }
 
     /// The objective evaluated **in** a caller-supplied [`EvalContext`]:
@@ -184,8 +184,8 @@ impl QaoaAnsatz {
     }
 
     /// The objective **and its exact gradient** by the adjoint method, in
-    /// `O(p·n·2ⁿ)` — 4 to 5 plain evaluations at p = 2 (3.8× at n = 8,
-    /// 5.3× at n = 20 in the `eval_hot_path` bench), independent of the
+    /// `O(p·n·2ⁿ)` — about 5 plain evaluations at p = 2 (measured in
+    /// `BENCH_eval.json`, see the [`crate::eval`] docs), independent of the
     /// parameter count (finite differences need `2p + 1` evaluations).
     /// Writes `∂⟨C⟩/∂γ_k` into `grad[k]` and `∂⟨C⟩/∂β_k` into
     /// `grad[p + k]`, returns `⟨C⟩`. Verified against central differences

@@ -25,7 +25,7 @@ use rand::SeedableRng;
 
 use crate::canonical::{graph_key, CanonicalGraphKey};
 use crate::stablehash::{derive2, domain_hash, mix, wide};
-use crate::{InstanceOutcome, MaxCutProblem, QaoaError, QaoaInstance};
+use crate::{InstanceOutcome, MaxCutProblem, QaoaError, QaoaInstance, MAX_PROBLEM_NODES};
 
 /// One row of the corpus: the optimal parameters of one `(graph, depth)`
 /// QAOA instance.
@@ -300,7 +300,8 @@ impl ParameterDataset {
     ///
     /// * [`QaoaError::Io`] on read failure.
     /// * [`QaoaError::Parse`] on malformed content, including a last line
-    ///   without its newline (a file cut mid-record) and the records
+    ///   without its newline (a file cut mid-record), a graph of more than
+    ///   [`MAX_PROBLEM_NODES`] nodes, a negative NaN, and the records
     ///   [`ParameterDataset::from_parts`] rejects.
     pub fn read_tsv<R: Read>(mut r: R) -> Result<Self, QaoaError> {
         let mut text = String::new();
@@ -329,12 +330,9 @@ impl ParameterDataset {
             let depth: usize = fields[1]
                 .parse()
                 .map_err(|e| parse_err(format!("depth: {e}")))?;
-            let expectation: f64 = fields[2]
-                .parse()
-                .map_err(|e| parse_err(format!("expectation: {e}")))?;
-            let ar: f64 = fields[3]
-                .parse()
-                .map_err(|e| parse_err(format!("ar: {e}")))?;
+            let expectation =
+                parse_float(fields[2]).map_err(|m| parse_err(format!("expectation: {m}")))?;
+            let ar = parse_float(fields[3]).map_err(|m| parse_err(format!("ar: {m}")))?;
             let fc: usize = fields[4]
                 .parse()
                 .map_err(|e| parse_err(format!("fc: {e}")))?;
@@ -343,6 +341,11 @@ impl ParameterDataset {
             let n_nodes: usize = fields[7]
                 .parse()
                 .map_err(|e| parse_err(format!("n_nodes: {e}")))?;
+            if n_nodes > MAX_PROBLEM_NODES {
+                return Err(parse_err(format!(
+                    "n_nodes {n_nodes} exceeds the problem limit {MAX_PROBLEM_NODES}"
+                )));
+            }
             // Materialize the graph the first time its id appears.
             if graph_id == graphs.len() {
                 let mut g = Graph::new(n_nodes);
@@ -635,8 +638,20 @@ fn join_floats(v: &[f64]) -> String {
 fn split_floats(s: &str) -> Result<Vec<f64>, String> {
     s.split(',')
         .filter(|t| !t.is_empty())
-        .map(|t| t.parse::<f64>().map_err(|e| e.to_string()))
+        .map(parse_float)
         .collect()
+}
+
+/// Parses one float of a corpus line. A negative NaN is refused: the
+/// writer prints every NaN as `NaN`, so its sign could not round-trip.
+fn parse_float(s: &str) -> Result<f64, String> {
+    let x: f64 = s
+        .parse()
+        .map_err(|e: std::num::ParseFloatError| e.to_string())?;
+    if x.is_nan() && x.is_sign_negative() {
+        return Err(format!("`{s}` is a negative NaN"));
+    }
+    Ok(x)
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //!   cost one trip through memory (two qubits per pass over a resident
 //!   tile, the first pass fused with the phase layer), and fanned out
 //!   across scoped threads for large registers (see
-//!   [`EvalContext::set_threads`]),
+//!   [`with_within_state_threads`]),
 //! * and only on **half the state**: `|+…+⟩`, the MaxCut phase layer
 //!   (`C(z) = C(z̄)`) and the RX layers all commute with flipping every
 //!   qubit, so the state — and the costate `C|ψ⟩` — are stored as their
@@ -26,23 +26,27 @@
 //!
 //! The same context also computes **exact analytic gradients** by the
 //! adjoint method in `O(p · n · 2^n)` — about 5 plain evaluations at
-//! p = 2 (interleaved medians: 4.7× at n = 8, 5.1× at n = 12, 4.8× at
-//! n = 16, 6.0× at n = 20; the full-index reductions of the backward pass
-//! did not get cheaper when the forward pass did), independent of the
-//! parameter count — where finite differences need `2p + 1` full
-//! evaluations. Because the cost Hamiltonian is diagonal, the
-//! backward pass is a phase conjugation plus per-qubit RX derivatives; no
-//! per-gate unitary differentiation is needed.
+//! p = 2 (`gradient/adjoint` over `expectation/ctx_reused` in
+//! `BENCH_eval.json`: 4.8× at n = 12, 5.2× at n = 16, 6.4× at n = 20; the
+//! full-index reductions of the backward pass did not get cheaper when
+//! the forward pass did), independent of the parameter count — where
+//! finite differences need `2p + 1` full evaluations. Because the cost
+//! Hamiltonian is diagonal, the backward pass is a phase conjugation plus
+//! per-qubit RX derivatives; no per-gate unitary differentiation is
+//! needed.
 //!
-//! [`with_thread_context`] keeps one context per register width per thread,
-//! so batch workers (the `engine` crate) reuse buffers across jobs. Reuse is
-//! exact: a reset context is byte-for-byte identical to a fresh one, and
-//! every kernel and reduction is deterministic in the thread budget (fixed
-//! tile partials combined in index order), so results are bit-identical at
-//! any worker count, any within-state budget, and with any job schedule.
+//! Every context has one owner. The objective of one optimizer run (the
+//! exact objective of [`QaoaInstance::optimize`](crate::QaoaInstance::optimize),
+//! [`SampledExpectation`](crate::sampled::SampledExpectation) and the
+//! Fourier flow's objective) builds one context and reuses its buffers for
+//! every call of that run; [`QaoaAnsatz::expectation`](crate::QaoaAnsatz::expectation)
+//! builds one per call. Reuse is exact: a reset context is byte-for-byte
+//! identical to a fresh one, and every kernel and reduction is
+//! deterministic in the thread budget (fixed tile partials combined in
+//! index order), so results are bit-identical at any worker count, any
+//! within-state budget, and with any job schedule.
 
-use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::cell::Cell;
 
 use qsim::soa::{self, SplitState};
 use qsim::DiagonalObservable;
@@ -50,8 +54,7 @@ use qsim::DiagonalObservable;
 /// Reusable evaluation state: the work state, the adjoint state (gradients
 /// only) and the per-stage phase table, all in split re/im form.
 ///
-/// Obtain one with [`EvalContext::new`] for exclusive use, or borrow the
-/// calling thread's cached context via [`with_thread_context`]. Pass it to
+/// Build one with [`EvalContext::new`] per optimizer run and pass it to
 /// [`QaoaAnsatz::expectation_in`](crate::QaoaAnsatz::expectation_in) /
 /// [`QaoaAnsatz::expectation_and_grad_in`](crate::QaoaAnsatz::expectation_and_grad_in).
 ///
@@ -84,15 +87,17 @@ pub struct EvalContext {
     /// Per-level phase factors, split like the state.
     phase_re: Vec<f64>,
     phase_im: Vec<f64>,
-    /// Within-state fan-out budget for every kernel call. Never affects
-    /// results (kernels are deterministic in the budget), only wall-clock.
+    /// Within-state fan-out budget for every kernel call, read from
+    /// [`within_state_threads`] at construction. Never affects results
+    /// (kernels are deterministic in the budget), only wall-clock.
     threads: usize,
 }
 
 impl EvalContext {
     /// A context sized for `n_qubits`-wide registers. Widths adapt
     /// automatically on use, so the initial width is just a pre-allocation
-    /// hint. The within-state thread budget starts at 1 (serial kernels).
+    /// hint. The within-state thread budget is the calling thread's
+    /// [`within_state_threads`] at this call.
     #[must_use]
     pub fn new(n_qubits: usize) -> Self {
         Self {
@@ -100,7 +105,7 @@ impl EvalContext {
             adjoint: SplitState::plus_state(0),
             phase_re: Vec::new(),
             phase_im: Vec::new(),
-            threads: 1,
+            threads: within_state_threads(),
         }
     }
 
@@ -122,15 +127,9 @@ impl EvalContext {
         &self.state
     }
 
-    /// Sets the within-state fan-out budget: how many scoped threads one
-    /// kernel call may use on registers of at least
-    /// [`qsim::soa::PAR_MIN_DIM`] amplitudes. Guaranteed not to change any
-    /// result — only evaluation latency. Clamped to at least 1.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The current within-state fan-out budget.
+    /// The within-state fan-out budget: how many scoped threads one kernel
+    /// call may use on registers of at least [`qsim::soa::PAR_MIN_DIM`]
+    /// amplitudes. It never changes a result, only evaluation latency.
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
@@ -256,24 +255,17 @@ impl EvalContext {
 }
 
 thread_local! {
-    /// One cached context per register width per thread. Worker threads of
-    /// the batch engine keep their contexts across jobs, which is the
-    /// "per-worker context reuse" of the evaluation pipeline.
-    static CONTEXTS: RefCell<BTreeMap<usize, EvalContext>> =
-        const { RefCell::new(BTreeMap::new()) };
-
-    /// The calling thread's within-state fan-out budget, applied to every
-    /// context handed out by [`with_thread_context`]. Set per job by the
-    /// batch engine (`engine::Pool`'s within-job fan-out); defaults to 1
-    /// (serial kernels).
+    /// The calling thread's within-state fan-out budget, read by every
+    /// [`EvalContext::new`]. Set per job by the batch engine
+    /// (`engine::Pool`'s within-job fan-out); defaults to 1 (serial
+    /// kernels).
     static WITHIN_STATE_BUDGET: Cell<usize> = const { Cell::new(1) };
 }
 
 /// Runs `f` with the calling thread's within-state fan-out budget set to
 /// `threads` (clamped to at least 1), restoring the previous budget after —
 /// also on panic, so pooled worker threads never leak a stale budget. Every
-/// [`with_thread_context`] call inside `f` hands out a context with this
-/// budget applied.
+/// [`EvalContext`] built inside `f` takes this budget.
 ///
 /// The budget is a latency lever only: kernels and reductions are
 /// deterministic in it, so results are bit-identical at any setting.
@@ -295,26 +287,6 @@ pub fn within_state_threads() -> usize {
     WITHIN_STATE_BUDGET.with(Cell::get)
 }
 
-/// Runs `f` with the calling thread's cached [`EvalContext`] for
-/// `n_qubits`, creating it on first use. This is how the optimization loop
-/// makes every objective evaluation allocation-free without threading a
-/// context through every call signature. The context's within-state budget
-/// is refreshed from [`within_state_threads`] on every call.
-///
-/// Reentrancy (calling `with_thread_context` from within `f`) panics on the
-/// `RefCell`; evaluation code never needs to nest contexts of the same
-/// thread.
-pub fn with_thread_context<T>(n_qubits: usize, f: impl FnOnce(&mut EvalContext) -> T) -> T {
-    CONTEXTS.with(|cell| {
-        let mut map = cell.borrow_mut();
-        let ctx = map
-            .entry(n_qubits)
-            .or_insert_with(|| EvalContext::new(n_qubits));
-        ctx.set_threads(within_state_threads());
-        f(ctx)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,22 +305,12 @@ mod tests {
     }
 
     #[test]
-    fn thread_context_is_reused() {
-        let problem = MaxCutProblem::new(&generators::cycle(4)).unwrap();
-        let ansatz = QaoaAnsatz::new(problem, 2).unwrap();
-        let params = [0.3, 0.8, 0.2, 0.5];
-        let a = with_thread_context(4, |ctx| ansatz.expectation_in(ctx, &params)).unwrap();
-        let b = with_thread_context(4, |ctx| ansatz.expectation_in(ctx, &params)).unwrap();
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-
-    #[test]
     fn within_state_budget_scopes_and_restores() {
         assert_eq!(within_state_threads(), 1);
         let inner = with_within_state_threads(4, || {
             let nested = with_within_state_threads(2, within_state_threads);
             assert_eq!(nested, 2);
-            with_thread_context(3, |ctx| ctx.threads())
+            EvalContext::new(3).threads()
         });
         assert_eq!(inner, 4);
         assert_eq!(within_state_threads(), 1);
@@ -367,10 +329,12 @@ mod tests {
         let e1 = ansatz
             .expectation_and_grad_in(&mut ctx, &params, &mut grad1)
             .unwrap();
-        ctx.set_threads(4);
-        let e4 = ansatz
-            .expectation_and_grad_in(&mut ctx, &params, &mut grad4)
-            .unwrap();
+        let e4 = with_within_state_threads(4, || {
+            let mut ctx = EvalContext::new(6);
+            assert_eq!(ctx.threads(), 4);
+            ansatz.expectation_and_grad_in(&mut ctx, &params, &mut grad4)
+        })
+        .unwrap();
         assert_eq!(e1.to_bits(), e4.to_bits());
         for (a, b) in grad1.iter().zip(&grad4) {
             assert_eq!(a.to_bits(), b.to_bits());

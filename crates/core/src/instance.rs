@@ -7,7 +7,7 @@ use rand::Rng;
 use crate::noisy::NoisyQaoa;
 use crate::sampled::SampledExpectation;
 use crate::stablehash::mix64;
-use crate::{eval, parameter_bounds, MaxCutProblem, QaoaAnsatz, QaoaError, Scenario};
+use crate::{parameter_bounds, EvalContext, MaxCutProblem, QaoaAnsatz, QaoaError, Scenario};
 
 /// Domain separators so the shot schedule and the SPSA perturbation stream
 /// derived from one job seed never collide.
@@ -195,6 +195,8 @@ impl QaoaInstance {
         };
         let objective = Negated {
             evaluator: &self.evaluator,
+            // Sized on first use: only the exact evaluator evaluates in it.
+            ctx: RefCell::new(EvalContext::new(0)),
             error: RefCell::new(None),
         };
         let result = optimizer.minimize_objective(&objective, initial, &bounds, options)?;
@@ -257,13 +259,13 @@ impl QaoaInstance {
     }
 }
 
-/// The minimized objective `−⟨C⟩` of one instance; the exact scenario also
-/// supplies the adjoint gradient, evaluated in the calling thread's cached
-/// [`EvalContext`](crate::EvalContext). Like [`optimize::Fallible`], a
-/// failed evaluation yields `NaN` and the first error is kept for the
-/// caller.
+/// The minimized objective `−⟨C⟩` of one optimizer run. The exact
+/// scenario evaluates in the run's own [`EvalContext`] and also supplies
+/// the adjoint gradient. Like [`optimize::Fallible`], a failed evaluation
+/// yields `NaN` and the first error is kept for the caller.
 struct Negated<'a> {
     evaluator: &'a Evaluator,
+    ctx: RefCell<EvalContext>,
     error: RefCell<Option<QaoaError>>,
 }
 
@@ -282,7 +284,7 @@ impl Negated<'_> {
 impl Objective for Negated<'_> {
     fn value(&self, x: &[f64]) -> f64 {
         self.negate(match self.evaluator {
-            Evaluator::Exact(ansatz) => ansatz.expectation(x),
+            Evaluator::Exact(ansatz) => ansatz.expectation_in(&mut self.ctx.borrow_mut(), x),
             Evaluator::Sampled { objective, .. } => objective.estimate(x),
             Evaluator::Noisy(noisy) => noisy.expectation(x),
         })
@@ -292,9 +294,7 @@ impl Objective for Negated<'_> {
         let Evaluator::Exact(ansatz) = self.evaluator else {
             return None;
         };
-        let e = eval::with_thread_context(ansatz.problem().n_qubits(), |ctx| {
-            ansatz.expectation_and_grad_in(ctx, x, grad)
-        });
+        let e = ansatz.expectation_and_grad_in(&mut self.ctx.borrow_mut(), x, grad);
         for g in grad.iter_mut() {
             *g = -*g;
         }

@@ -8,8 +8,8 @@
 //! `StdRng::seed_from_u64(mix64(base_seed ^ (k+1)·GOLDEN_GAMMA))`, so the
 //! whole optimization trace is a pure function of `(base_seed,
 //! parameters)` and is bit-identical at any thread count — and evaluates
-//! through the thread's cached [`EvalContext`](crate::EvalContext) plus a
-//! reusable [`CdfSampler`], allocation-free after the first call.
+//! through its own [`EvalContext`](crate::EvalContext) plus a reusable
+//! [`CdfSampler`], allocation-free after the first call.
 //!
 //! The objective is stochastic, so a
 //! [`QaoaInstance`](crate::QaoaInstance) built for
@@ -44,12 +44,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::stablehash::{mix64, GOLDEN_GAMMA};
-use crate::{eval, MaxCutProblem, QaoaAnsatz, QaoaError};
+use crate::{EvalContext, MaxCutProblem, QaoaAnsatz, QaoaError};
 
-/// Per-evaluation scratch: the CDF table is reused across evaluations, and
-/// the counter indexes the deterministic per-evaluation RNG schedule.
-#[derive(Debug, Default)]
+/// Per-evaluation scratch: the evaluation context and the CDF table are
+/// reused across evaluations, and the counter indexes the deterministic
+/// per-evaluation RNG schedule.
+#[derive(Debug)]
 struct Scratch {
+    ctx: EvalContext,
     sampler: CdfSampler,
     evals: u64,
 }
@@ -57,7 +59,7 @@ struct Scratch {
 /// The finite-shot QAOA objective with a deterministic seeding schedule.
 ///
 /// Each [`SampledExpectation::estimate`] call prepares `|ψ(γ, β)⟩` in the
-/// calling thread's cached evaluation context, samples `shots` basis states
+/// objective's own evaluation context, samples `shots` basis states
 /// from the Born distribution and averages the cut values — one simulated
 /// hardware "QC call". Evaluation `k` uses its own RNG seeded from
 /// `(base_seed, k)`, never a shared stream, so optimization traces are
@@ -89,11 +91,16 @@ impl SampledExpectation {
                 reason: "sampled objective needs at least one shot",
             });
         }
+        let ctx = EvalContext::new(problem.n_qubits());
         Ok(Self {
             ansatz: QaoaAnsatz::new(problem, depth)?,
             shots,
             base_seed,
-            scratch: RefCell::new(Scratch::default()),
+            scratch: RefCell::new(Scratch {
+                ctx,
+                sampler: CdfSampler::default(),
+                evals: 0,
+            }),
         })
     }
 
@@ -124,17 +131,17 @@ impl SampledExpectation {
         let k = scratch.evals;
         scratch.evals += 1;
         let seed = mix64(self.base_seed ^ (k.wrapping_add(1)).wrapping_mul(GOLDEN_GAMMA));
-        eval::with_thread_context(cost.n_qubits(), |ctx| {
-            ctx.run_forward(cost, gammas, betas);
-            scratch.sampler.load_amplitudes(ctx.state().amplitudes())?;
-            let mut rng = StdRng::seed_from_u64(seed);
-            let diag = cost.diagonal();
-            let mut sum = 0.0;
-            for _ in 0..self.shots {
-                sum += diag[scratch.sampler.draw(&mut rng)];
-            }
-            Ok(sum / f64::from(self.shots))
-        })
+        scratch.ctx.run_forward(cost, gammas, betas);
+        scratch
+            .sampler
+            .load_amplitudes(scratch.ctx.state().amplitudes())?;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let diag = cost.diagonal();
+        let mut sum = 0.0;
+        for _ in 0..self.shots {
+            sum += diag[scratch.sampler.draw(&mut rng)];
+        }
+        Ok(sum / f64::from(self.shots))
     }
 }
 

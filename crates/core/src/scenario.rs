@@ -62,12 +62,6 @@ pub enum Scenario {
 }
 
 impl Scenario {
-    /// `true` for the exact (noiseless, infinite-shot) scenario.
-    #[must_use]
-    pub fn is_exact(&self) -> bool {
-        matches!(self, Scenario::Exact)
-    }
-
     /// Checks the configuration without building anything.
     ///
     /// # Errors

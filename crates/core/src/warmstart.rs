@@ -13,10 +13,24 @@
 //!
 //! Parameter vectors use the crate's packed layout `[γ₁…γ_p, β₁…β_p]`.
 
-use optimize::{Optimizer, Options};
+use std::cell::RefCell;
+
+use optimize::{Fallible, Optimizer, Options};
 use rand::Rng;
 
-use crate::{parameter_bounds, MaxCutProblem, QaoaError, QaoaInstance, BETA_MAX, GAMMA_MAX};
+use crate::{
+    parameter_bounds, EvalContext, MaxCutProblem, QaoaAnsatz, QaoaError, QaoaInstance, BETA_MAX,
+    GAMMA_MAX,
+};
+
+/// Converts a depth, stage index or Fourier term index to `f64`.
+///
+/// Each is bounded by the length of a parameter vector, far below 2^53, so
+/// the conversion is exact.
+fn index_f64(i: usize) -> f64 {
+    // lint:allow(no-lossy-as) indices are < 2^53 so usize -> f64 is exact here
+    i as f64
+}
 
 /// Linear-ramp (trotterized-quantum-annealing) initialization.
 ///
@@ -42,11 +56,11 @@ pub fn linear_ramp(depth: usize, total_time: f64) -> Result<Vec<f64>, QaoaError>
     if depth == 0 {
         return Err(QaoaError::InvalidDepth { depth });
     }
-    let p = depth as f64;
+    let p = index_f64(depth);
     let dt = total_time / p;
     let mut params = vec![0.0; 2 * depth];
     for i in 0..depth {
-        let f = (i as f64 + 0.5) / p;
+        let f = (index_f64(i) + 0.5) / p;
         params[i] = (dt * f).clamp(0.0, GAMMA_MAX);
         params[depth + i] = (dt * (1.0 - f)).clamp(0.0, BETA_MAX);
     }
@@ -90,7 +104,7 @@ pub fn interp_step(packed: &[f64]) -> Result<Vec<f64>, QaoaError> {
         for i in 1..=(p + 1) {
             let prev = if i >= 2 { theta[i - 2] } else { 0.0 };
             let curr = if i <= p { theta[i - 1] } else { 0.0 };
-            let w = (i - 1) as f64 / p as f64;
+            let w = index_f64(i - 1) / index_f64(p);
             out.push(w * prev + (1.0 - w) * curr);
         }
         out
@@ -115,14 +129,14 @@ pub fn interp_step(packed: &[f64]) -> Result<Vec<f64>, QaoaError> {
 pub fn fourier_to_params(u: &[f64], v: &[f64], depth: usize) -> Vec<f64> {
     assert_eq!(u.len(), v.len(), "u and v must have equal length");
     assert!(depth > 0, "depth must be positive");
-    let p = depth as f64;
+    let p = index_f64(depth);
     let mut params = vec![0.0; 2 * depth];
     for i in 0..depth {
-        let phase = (i as f64 + 0.5) * std::f64::consts::PI / p;
+        let phase = (index_f64(i) + 0.5) * std::f64::consts::PI / p;
         let mut gamma = 0.0;
         let mut beta = 0.0;
         for (k, (&uk, &vk)) in u.iter().zip(v).enumerate() {
-            let freq = (k as f64 + 0.5) * phase;
+            let freq = (index_f64(k) + 0.5) * phase;
             gamma += uk * freq.sin();
             beta += vk * freq.cos();
         }
@@ -269,6 +283,8 @@ impl FourierFlow {
         let mut u: Vec<f64> = Vec::new();
         let mut v: Vec<f64> = Vec::new();
         let mut final_outcome = None;
+        // One evaluation context for every objective call of the run.
+        let ctx = RefCell::new(EvalContext::new(problem.n_qubits()));
 
         for depth in 1..=target_depth {
             let q = depth.min(self.max_terms);
@@ -280,21 +296,25 @@ impl FourierFlow {
                 v[0] = rng.gen_range(0.0..1.0);
             }
 
-            let instance = QaoaInstance::new(problem.clone(), depth)?;
-            let ansatz = instance.ansatz();
-            let objective = |x: &[f64]| {
+            let ansatz = QaoaAnsatz::new(problem.clone(), depth)?;
+            let evaluate = |x: &[f64]| {
                 let (cu, cv) = x.split_at(q);
                 let params = fourier_to_params(cu, cv, depth);
-                -ansatz
-                    .expectation(&params)
-                    .expect("clamped parameters always evaluate")
+                ansatz
+                    .expectation_in(&mut ctx.borrow_mut(), &params)
+                    .map(|e| -e)
             };
+            let objective = Fallible::new(&evaluate);
             // Generous symmetric coefficient box; the schedule itself is
             // clamped into the paper's domain by `fourier_to_params`.
             let bounds =
                 optimize::Bounds::uniform(2 * q, -std::f64::consts::PI, std::f64::consts::PI)?;
             let start: Vec<f64> = u.iter().chain(v.iter()).copied().collect();
-            let result = optimizer.minimize(&objective, &start, &bounds, &self.options)?;
+            let result =
+                optimizer.minimize_objective(&objective, &start, &bounds, &self.options)?;
+            if let Some(err) = objective.take_error() {
+                return Err(err);
+            }
             calls.push(result.n_calls);
 
             u.copy_from_slice(&result.x[..q]);
@@ -309,7 +329,7 @@ impl FourierFlow {
             });
         }
 
-        Ok(final_outcome.expect("target_depth >= 1 guarantees an outcome"))
+        final_outcome.ok_or(QaoaError::InvalidDepth { depth: 0 })
     }
 }
 

@@ -21,10 +21,7 @@ use graphs::Graph;
 use optimize::{Optimizer, Options};
 use qaoa::datagen::solve_level1;
 use qaoa::stablehash::{domain_hash, mix, wide};
-use qaoa::{
-    InstanceOutcome, MaxCutProblem, ParameterPredictor, QaoaError, QaoaInstance, Scenario,
-    TwoLevelConfig, TwoLevelFlow, TwoLevelOutcome,
-};
+use qaoa::{InstanceOutcome, MaxCutProblem, QaoaError, QaoaInstance};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -73,11 +70,6 @@ pub struct BatchConfig {
     pub master_seed: u64,
     /// Optimizer options for all jobs.
     pub options: Options,
-    /// Evaluation scenario every job's objective runs under. Non-exact
-    /// scenarios bypass the depth-1 cache entirely — its entries are exact
-    /// optima keyed on the canonical class, and a sampled or noisy solve is
-    /// a different quantity that must never be served exact bits.
-    pub scenario: Scenario,
 }
 
 impl Default for BatchConfig {
@@ -85,7 +77,6 @@ impl Default for BatchConfig {
         Self {
             master_seed: 2020,
             options: Options::default(),
-            scenario: Scenario::Exact,
         }
     }
 }
@@ -244,26 +235,17 @@ impl Engine {
             self.pool.run_ordered(jobs.len(), |i| {
                 let job = &jobs[i];
                 let start = Instant::now();
-                let (outcome, cache_hit) = if job.depth == 1 && config.scenario.is_exact() {
+                let (outcome, cache_hit) = if job.depth == 1 {
                     self.level1_cached(&job.graph, optimizer, job.restarts, config)?
                 } else {
-                    // Uncached path: depth >= 2, or any non-exact
-                    // scenario (including depth-1 — the cache stores
-                    // exact optima only). The job seed drives both the
-                    // multistart RNG and the scenario's internal
-                    // stochasticity, keeping outcomes pure functions of
-                    // the queue at any worker count.
-                    let problem = MaxCutProblem::new(&job.graph)?;
+                    // Depth >= 2: the job seed drives the multistart RNG,
+                    // keeping outcomes pure functions of the queue at any
+                    // worker count.
+                    let instance = QaoaInstance::new(MaxCutProblem::new(&job.graph)?, job.depth)?;
                     let job_seed = mix(
                         config.master_seed,
                         &[domain_hash("batch"), job.stable_key(i)],
                     );
-                    let instance = QaoaInstance::with_scenario(
-                        problem,
-                        job.depth,
-                        &config.scenario,
-                        job_seed,
-                    )?;
                     let mut rng = StdRng::seed_from_u64(job_seed);
                     let outcome = instance.optimize_multistart(
                         optimizer,
@@ -300,102 +282,6 @@ impl Engine {
             total_gradient_calls: job_stats.iter().map(|s| s.gradient_calls).sum(),
             cache_hits,
             cache_misses,
-            wall: batch_start.elapsed(),
-            threads: self.threads(),
-            jobs: job_stats,
-        };
-        Ok((outcomes, report))
-    }
-
-    /// Runs the two-level flow over a batch of graphs with the level-1
-    /// optimization served by the isomorphism cache: each graph's `p = 1`
-    /// optimum is computed once per canonical class (via
-    /// [`Engine::level1_cached`]) and fed to
-    /// [`TwoLevelFlow::run_with_level1`], so isomorphic instances skip
-    /// level 1 entirely.
-    ///
-    /// Cache-hit level-1 calls are still accounted in each outcome's
-    /// `level1_calls` (the cached solve's cost), keeping outcomes
-    /// bit-identical whether or not the cache was warm; the report's
-    /// `cache_hits` shows how much work was actually skipped.
-    ///
-    /// Outcomes are in graph order and identical at any worker count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (in graph order) flow error.
-    pub fn run_two_level_batch(
-        &self,
-        graphs: &[Graph],
-        target_depth: usize,
-        optimizer: &(dyn Optimizer + Sync),
-        predictor: &ParameterPredictor,
-        level1_starts: usize,
-        config: &BatchConfig,
-    ) -> Result<(Vec<TwoLevelOutcome>, BatchReport), QaoaError> {
-        let batch_start = Instant::now();
-        let flow_config = TwoLevelConfig {
-            level1_starts,
-            options: config.options,
-        };
-        let results: Vec<Result<(TwoLevelOutcome, JobStats), QaoaError>> =
-            self.pool.run_ordered(graphs.len(), |i| {
-                let start = Instant::now();
-                let problem = MaxCutProblem::new(&graphs[i])?;
-                let flow = TwoLevelFlow::new(predictor);
-                let (outcome, cache_hit) = if config.scenario.is_exact() {
-                    let (level1, cache_hit) =
-                        self.level1_cached(&graphs[i], optimizer, level1_starts, config)?;
-                    let outcome = flow.run_with_level1(
-                        &problem,
-                        target_depth,
-                        optimizer,
-                        &flow_config,
-                        &level1,
-                    )?;
-                    (outcome, cache_hit)
-                } else {
-                    // Non-exact scenarios skip the cache (exact-optimum
-                    // entries) and run the full two-level flow under the
-                    // scenario, seeded per graph index.
-                    let graph_seed = mix(
-                        config.master_seed,
-                        &[domain_hash("two-level-scenario"), wide(i)],
-                    );
-                    let mut rng = StdRng::seed_from_u64(graph_seed);
-                    let outcome = flow.run(
-                        &problem,
-                        target_depth,
-                        optimizer,
-                        &flow_config,
-                        &mut rng,
-                        &config.scenario,
-                        graph_seed,
-                    )?;
-                    (outcome, false)
-                };
-                let stats = JobStats {
-                    wall: start.elapsed(),
-                    function_calls: outcome.total_calls(),
-                    gradient_calls: outcome.gradient_calls,
-                    cache_hit,
-                };
-                Ok((outcome, stats))
-            });
-
-        let mut outcomes = Vec::with_capacity(graphs.len());
-        let mut job_stats = Vec::with_capacity(graphs.len());
-        for result in results {
-            let (outcome, stats) = result?;
-            outcomes.push(outcome);
-            job_stats.push(stats);
-        }
-        let cache_hits = job_stats.iter().filter(|s| s.cache_hit).count();
-        let report = BatchReport {
-            total_function_calls: job_stats.iter().map(|s| s.function_calls).sum(),
-            total_gradient_calls: job_stats.iter().map(|s| s.gradient_calls).sum(),
-            cache_hits,
-            cache_misses: job_stats.len() - cache_hits,
             wall: batch_start.elapsed(),
             threads: self.threads(),
             jobs: job_stats,

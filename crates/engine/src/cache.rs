@@ -6,13 +6,12 @@
 //! their depth-1 optimum. This cache memoizes that optimum per
 //! [`Level1Key`] — the canonical class, the multistart restarts count and
 //! the solver fingerprint (seed, optimizer, options) — so the cached paths
-//! — corpus generation ([`crate::corpus`]), depth-1 batch jobs, and
-//! [`Engine::run_two_level_batch`](crate::Engine::run_two_level_batch)
-//! — never run the same solve twice, and a lookup is never served the
-//! optimum of a different solve. (The Table-I sweep in [`crate::compare`]
-//! deliberately bypasses the cache: its two-level protocol re-optimizes
-//! level 1 per graph from that graph's own seed, and Table I counts those
-//! calls.)
+//! — corpus generation ([`crate::corpus`]), depth-1 batch jobs, and the
+//! cold `PREDICT` requests of [`crate::server`] — never run the same solve
+//! twice, and a lookup is never served the optimum of a different solve.
+//! (The Table-I sweep in [`crate::compare`] deliberately bypasses the
+//! cache: its two-level protocol re-optimizes level 1 per graph from that
+//! graph's own seed, and Table I counts those calls.)
 //!
 //! **Single-flight misses:** concurrent misses on one class are collapsed
 //! to a single solve. The first thread to miss publishes an in-flight slot

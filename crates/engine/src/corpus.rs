@@ -148,7 +148,6 @@ pub(crate) fn stream_range<E>(
     let batch_config = BatchConfig {
         master_seed: config.seed,
         options: config.options,
-        scenario: qaoa::Scenario::Exact,
     };
     let optimizer = Lbfgsb::default();
     engine.pool().stream_ordered(

@@ -30,10 +30,12 @@
 //! 2. **model** — a deeper request whose class is cached answers the
 //!    trained predictor's parameters, seeded from the cached depth-1
 //!    optimum (the paper's predict-don't-optimize promise),
-//! 3. **warm start** — a cold class runs the optimizer (the two-level flow
-//!    at depth > 1, a plain depth-1 solve otherwise) through the engine's
-//!    pool, which also warms the cache so follow-up requests answer from
-//!    tiers 1–2.
+//! 3. **warm start** — a cold class runs the optimizer: a plain depth-1
+//!    solve through the cache, or at depth > 1 the two-level flow (that
+//!    same cached depth-1 solve, then the model's prediction
+//!    warm-starting the target depth, with the engine's whole pool as the
+//!    kernels' within-state budget). Either warms the cache, so follow-up
+//!    requests answer from tiers 1–2.
 //!
 //! Deep (depth > 1) answers are memoized per `(depth-1 key, depth)`
 //! for the session, so a repeated request echoes its original tier and bits
@@ -81,7 +83,8 @@ use std::time::{Duration, Instant};
 use graphs::Graph;
 use optimize::Optimizer;
 use qaoa::datagen::DataGenConfig;
-use qaoa::ParameterPredictor;
+use qaoa::eval::with_within_state_threads;
+use qaoa::{MaxCutProblem, ParameterPredictor, TwoLevelConfig, TwoLevelFlow};
 
 use crate::batch::{BatchConfig, Engine, Job};
 use crate::cache::Level1Key;
@@ -436,26 +439,28 @@ fn answer_predict<W: Write>(
             .level1_cached(&request.graph, optimizer, request.restarts, config)
             .map(|(outcome, _)| (AnswerTier::WarmStart, outcome.params))
             .map_err(|e| e.to_string()),
-        // Tier 3, cold deep request: the full two-level flow (depth-1 solve
-        // warms the cache, the model's prediction warm-starts the target
-        // depth), batched through the engine's pool.
-        None => engine
-            .run_two_level_batch(
-                std::slice::from_ref(&request.graph),
+        // Tier 3, cold deep request: the two-level flow. Its depth-1 solve
+        // warms the cache and the model's prediction warm-starts the
+        // target depth; the kernels get the whole pool as their
+        // within-state budget.
+        None => with_within_state_threads(engine.pool().inner_threads(1), || {
+            let problem = MaxCutProblem::new(&request.graph)?;
+            let (level1, _) =
+                engine.level1_cached(&request.graph, optimizer, request.restarts, config)?;
+            let flow_config = TwoLevelConfig {
+                level1_starts: request.restarts,
+                options: config.options,
+            };
+            TwoLevelFlow::new(predictor).run_with_level1(
+                &problem,
                 request.depth,
                 optimizer,
-                predictor,
-                request.restarts,
-                config,
+                &flow_config,
+                &level1,
             )
-            .map_err(|e| e.to_string())
-            .and_then(|(outcomes, _)| {
-                outcomes
-                    .into_iter()
-                    .next()
-                    .map(|o| (AnswerTier::WarmStart, o.params))
-                    .ok_or_else(|| "two-level batch returned no outcome".into())
-            }),
+        })
+        .map(|outcome| (AnswerTier::WarmStart, outcome.params))
+        .map_err(|e| e.to_string()),
     };
     match answered {
         Ok((tier, params)) => {
@@ -1096,6 +1101,78 @@ QW1 JOB 1 2 3 0-1,1-2\n";
             answers[1].tier,
             AnswerTier::CachedExact,
             "the tier-3 flow's depth-1 solve must warm the cache"
+        );
+    }
+
+    #[test]
+    fn isomorphic_cold_deep_predicts_share_one_depth1_entry_at_any_thread_count() {
+        // A cold deep request solves its class's depth-1 instance once. The
+        // isomorphic relabelling (at another depth, so the session memo
+        // does not answer it) is served from that same entry, and a second
+        // class gets an entry of its own.
+        let cycle = "QW1 PREDICT 1 2 2 5 0-1,1-2,2-3,3-4,4-0";
+        let input = format!(
+            "{cycle}\n\
+             QW1 PREDICT 2 3 2 5 1-3,3-0,0-4,4-2,2-1\n\
+             QW1 PREDICT 3 2 2 5 0-1,0-2,0-3,0-4\n"
+        );
+        let predictor = trained_predictor();
+        let run = |threads: usize| {
+            let engine = Engine::new(threads);
+            let (out, summary) = run_model_session(&input, &engine, &predictor);
+            (out, summary, engine)
+        };
+        let (serial, summary, engine) = run(1);
+        let (parallel, ..) = run(4);
+        assert_eq!(summary.errors, 0, "output: {serial}");
+        let answers: Vec<wire::Predicted> = serial
+            .lines()
+            .filter(|l| l.starts_with("QW1 PREDICTED"))
+            .map(|l| wire::decode_predicted(l).unwrap())
+            .collect();
+        assert_eq!(
+            answers.iter().map(|a| a.tier).collect::<Vec<_>>(),
+            vec![
+                AnswerTier::WarmStart, // cold cycle: two-level flow
+                AnswerTier::Model,     // relabelled cycle: the cycle's entry
+                AnswerTier::WarmStart, // cold star: its own flow
+            ]
+        );
+        assert_eq!(engine.cache().len(), 2, "one depth-1 entry per class");
+        assert_eq!(engine.cache().misses(), 2, "one depth-1 solve per class");
+
+        // Both cycle answers derive from the one cached depth-1 optimum.
+        let graph = wire::decode_predict(cycle).unwrap().graph;
+        let optimizer = Lbfgsb::default();
+        let config = BatchConfig::default();
+        let key = Level1Key::for_solve(&graph, &optimizer, 2, &config);
+        let level1 = engine
+            .cache()
+            .peek(&key)
+            .expect("the cold request cached its solve");
+        let flow_config = TwoLevelConfig {
+            level1_starts: 2,
+            options: config.options,
+        };
+        let flow = TwoLevelFlow::new(&predictor)
+            .run_with_level1(
+                &MaxCutProblem::new(&graph).unwrap(),
+                2,
+                &optimizer,
+                &flow_config,
+                &level1,
+            )
+            .unwrap();
+        let predicted = predictor
+            .predict(level1.params[0], level1.params[1], 3)
+            .unwrap();
+        let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&answers[0].params), bits(&flow.params));
+        assert_eq!(bits(&answers[1].params), bits(&predicted));
+
+        assert_eq!(
+            serial, parallel,
+            "transcripts are invariant to the engine's thread count"
         );
     }
 

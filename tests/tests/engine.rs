@@ -278,45 +278,14 @@ fn parallel_compare_matches_serial_compare() {
     };
     let serial = sweep(1);
     let parallel = sweep(4);
-    assert_eq!(serial, vec![reference], "serial sweep differs from reference");
+    assert_eq!(
+        serial,
+        vec![reference],
+        "serial sweep differs from reference"
+    );
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(&parallel) {
         assert_eq!(a, b, "parallel sweep row differs from serial");
-    }
-}
-
-#[test]
-fn two_level_batch_uses_cache_and_is_thread_count_invariant() {
-    // Train a tiny predictor, then run the cached two-level batch over an
-    // ensemble containing isomorphic duplicates.
-    let config = tiny_datagen(6, 5, 0.6, 2, 2, 13);
-    let (ds, _) = engine::corpus::generate(&config, &Engine::new(2)).expect("corpus");
-    let predictor = ParameterPredictor::train(ModelKind::Linear, &ds).expect("training");
-    let graphs = vec![
-        generators::cycle(5),
-        relabeled_cycle5(),
-        generators::star(5),
-    ];
-    let batch_config = BatchConfig {
-        master_seed: 21,
-        ..BatchConfig::default()
-    };
-    let run = |threads: usize| {
-        Engine::new(threads)
-            .run_two_level_batch(&graphs, 2, &Lbfgsb::default(), &predictor, 1, &batch_config)
-            .expect("two-level batch")
-    };
-    let (serial, serial_report) = run(1);
-    let (parallel, _) = run(4);
-    // The isomorphic pair shares one cached level-1 solve...
-    assert_eq!(serial_report.cache_hits, 1);
-    assert_eq!(serial[0].level1_calls, serial[1].level1_calls);
-    assert_eq!(serial[0].predicted_init, serial[1].predicted_init);
-    // ...and the batch is invariant to worker count.
-    assert_eq!(serial.len(), parallel.len());
-    for (a, b) in serial.iter().zip(&parallel) {
-        assert_eq!(a.params, b.params);
-        assert_eq!(a.total_calls(), b.total_calls());
     }
 }
 

@@ -408,10 +408,10 @@ fn check_parity(n: usize, gammas: &[f64], betas: &[f64], graph_seed: u64) {
     let params: Vec<f64> = gammas.iter().chain(betas).copied().collect();
     for &threads in &thread_budgets() {
         let what = format!("{what} EvalContext threads={threads}");
-        let mut ctx = EvalContext::new(n);
-        ctx.set_threads(threads);
         let mut grad = vec![0.0; params.len()];
         let (e, eg) = qaoa::eval::with_within_state_threads(threads, || {
+            let mut ctx = EvalContext::new(n);
+            assert_eq!(ctx.threads(), threads, "{what}: budget");
             let e = ansatz
                 .expectation_in(&mut ctx, &params)
                 .expect("valid params");
@@ -443,10 +443,10 @@ fn check_gradient_budget_invariance(n: usize, p: usize, params: &[f64], graph_se
 
     let mut baseline: Option<(f64, Vec<f64>)> = None;
     for &threads in &thread_budgets() {
-        let mut ctx = EvalContext::new(n);
-        ctx.set_threads(threads);
         let mut grad = vec![0.0; 2 * p];
         let e = qaoa::eval::with_within_state_threads(threads, || {
+            let mut ctx = EvalContext::new(n);
+            assert_eq!(ctx.threads(), threads, "n={n}: budget");
             ansatz
                 .expectation_and_grad_in(&mut ctx, params, &mut grad)
                 .expect("valid params")

@@ -7,18 +7,13 @@
 //!   at 1 and 4 workers under the same master seed (all scenario
 //!   stochasticity is a pure function of per-job seeds, never of thread
 //!   scheduling).
-//! * **Cache hygiene** — non-exact scenarios bypass the depth-1 exact
-//!   optimum cache entirely; an exact run never serves a sampled/noisy job
-//!   its bits and vice versa.
-//! * **Exact delegation** — `Scenario::Exact` through the scenario plumbing
-//!   reproduces the legacy exact path bit-for-bit.
 //! * **Convergence** — the sampled estimate approaches the exact
 //!   expectation at the 1/√shots rate.
 
 mod common;
 
 use common::fixture_graphs;
-use engine::{BatchConfig, Engine, Job, Pool};
+use engine::{Engine, Pool};
 use ml::ModelKind;
 use optimize::{Lbfgsb, Options};
 use qaoa::sampled::SampledExpectation;
@@ -93,74 +88,6 @@ fn noisy_protocols_are_bit_identical_at_1_and_4_threads() {
     for (i, (a, b)) in ml1.iter().zip(&ml4).enumerate() {
         assert_eq!(a.0.to_bits(), b.0.to_bits(), "ml sample {i} AR differs");
         assert_eq!(a.1, b.1, "ml sample {i} FC differs");
-    }
-}
-
-#[test]
-fn sampled_batch_runs_on_the_engine_and_skips_the_depth1_cache() {
-    // Depth-1 jobs under a non-exact scenario must not populate (or be
-    // served by) the exact-optimum cache.
-    let jobs: Vec<Job> = fixture_graphs(6, 5, 77)
-        .into_iter()
-        .map(|g| Job::new(g, 1, 2))
-        .collect();
-    let config = BatchConfig {
-        master_seed: 5,
-        scenario: Scenario::Sampled { shots: 32 },
-        ..BatchConfig::default()
-    };
-    let engine = Engine::new(2);
-    let (outcomes, report) = engine
-        .run_batch(&Lbfgsb::default(), &jobs, &config)
-        .expect("sampled batch");
-    assert_eq!(outcomes.len(), jobs.len());
-    assert_eq!(
-        report.cache_hits, 0,
-        "sampled jobs must never hit the cache"
-    );
-    assert_eq!(
-        engine.cache().len(),
-        0,
-        "sampled jobs must never populate the exact cache"
-    );
-
-    // Thread parity for the batch path too.
-    let (serial, _) = Engine::new(1)
-        .run_batch(&Lbfgsb::default(), &jobs, &config)
-        .expect("serial sampled batch");
-    for (a, b) in outcomes.iter().zip(&serial) {
-        assert_eq!(a.params, b.params);
-        assert_eq!(a.function_calls, b.function_calls);
-    }
-}
-
-#[test]
-fn exact_scenario_through_batch_matches_legacy_exact_path() {
-    // `scenario: Exact` (the default) must leave the engine's behavior
-    // byte-for-byte unchanged, cache included.
-    let jobs: Vec<Job> = fixture_graphs(6, 5, 31)
-        .into_iter()
-        .enumerate()
-        .map(|(i, g)| Job::new(g, 1 + i % 2, 2))
-        .collect();
-    let default_config = BatchConfig {
-        master_seed: 9,
-        ..BatchConfig::default()
-    };
-    let explicit_exact = BatchConfig {
-        master_seed: 9,
-        scenario: Scenario::Exact,
-        ..BatchConfig::default()
-    };
-    let (a, _) = Engine::new(2)
-        .run_batch(&Lbfgsb::default(), &jobs, &default_config)
-        .expect("default batch");
-    let (b, _) = Engine::new(2)
-        .run_batch(&Lbfgsb::default(), &jobs, &explicit_exact)
-        .expect("explicit exact batch");
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.params, y.params);
-        assert_eq!(x.expectation.to_bits(), y.expectation.to_bits());
     }
 }
 

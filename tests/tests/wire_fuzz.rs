@@ -1,7 +1,7 @@
 //! Totality of the request, answer, corpus-tasking and cache-entry decoders
 //! (`PREDICT`, `JOB`, `PREDICTED`, `OUTCOME`, `REPORT`, `SHARD`, `RANGE`,
 //! `RECORD`, `DONE`, `ENTRY`) and of the whole-file decoders of `QCACHE3`
-//! and `QMODEL2` artifacts: every
+//! and `QMODEL2` artifacts and of the corpus TSV: every
 //! input is either rejected with an error or decodes to a value that
 //! re-encodes and decodes back bit-exactly. No input panics, and nothing
 //! accepted breaks the limits a request or a corpus session is sized from
@@ -32,6 +32,7 @@ use proptest::prelude::*;
 use proptest::TestCaseError;
 use qaoa::canonical::graph_key;
 use qaoa::datagen::{DataGenConfig, OptimalRecord, ParameterDataset};
+use qaoa::stablehash::wide;
 use qaoa::{InstanceOutcome, ParameterPredictor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -561,11 +562,83 @@ fn check_model_file(text: &str) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// A valid corpus TSV: one to three random request graphs, each with
+/// records at depths 1 to 3 whose values are odd floats and any counts.
+fn corpus_tsv(rng: &mut StdRng) -> String {
+    let graphs: Vec<Graph> = (0..rng.gen_range(1..=3))
+        .map(|_| random_request(rng).graph)
+        .collect();
+    let mut records = Vec::new();
+    for graph_id in 0..graphs.len() {
+        for depth in 1..=rng.gen_range(1..=3) {
+            records.push(OptimalRecord {
+                graph_id,
+                depth,
+                gammas: (0..depth).map(|_| odd_float(rng)).collect(),
+                betas: (0..depth).map(|_| odd_float(rng)).collect(),
+                expectation: odd_float(rng),
+                approximation_ratio: odd_float(rng),
+                function_calls: rng.gen_range(0..usize::MAX),
+            });
+        }
+    }
+    let dataset = ParameterDataset::from_parts(graphs, records, 3).expect("valid corpus");
+    let mut text = Vec::new();
+    dataset.write_tsv(&mut text).expect("in-memory write");
+    String::from_utf8(text).expect("the corpus TSV is ASCII")
+}
+
+/// Every graph's node count and edges, and every record's counts and
+/// value bits.
+type CorpusBits = (Vec<(usize, Vec<(usize, usize, u64)>)>, Vec<Vec<u64>>);
+
+/// The bits of every value of a corpus, for bit-exact comparison.
+fn corpus_bits(ds: &ParameterDataset) -> CorpusBits {
+    let graphs = ds
+        .graphs()
+        .iter()
+        .map(|g| (g.n_nodes(), edge_bits(g)))
+        .collect();
+    let records = ds
+        .records()
+        .iter()
+        .map(|r| {
+            let mut v = vec![wide(r.graph_id), wide(r.depth), wide(r.function_calls)];
+            v.extend(bits(&r.gammas));
+            v.extend(bits(&r.betas));
+            v.extend(bits(&[r.expectation, r.approximation_ratio]));
+            v
+        })
+        .collect();
+    (graphs, records)
+}
+
+/// Parses `text` as a corpus TSV; an accepted corpus must stay within the
+/// node limit and round-trip bit-exactly through `write_tsv`.
+fn check_corpus_tsv(text: &str) -> Result<(), TestCaseError> {
+    let Ok(dataset) = ParameterDataset::read_tsv(text.as_bytes()) else {
+        return Ok(());
+    };
+    prop_assert!(dataset
+        .graphs()
+        .iter()
+        .all(|g| g.n_nodes() <= MAX_PROBLEM_NODES));
+    let mut encoded = Vec::new();
+    dataset.write_tsv(&mut encoded).expect("in-memory write");
+    let back = ParameterDataset::read_tsv(&encoded[..]).expect("re-encoded corpus parses");
+    prop_assert_eq!(back.max_depth(), dataset.max_depth());
+    prop_assert_eq!(corpus_bits(&back), corpus_bits(&dataset));
+    let mut again = Vec::new();
+    back.write_tsv(&mut again).expect("in-memory write");
+    prop_assert_eq!(again, encoded);
+    Ok(())
+}
+
 /// Byte ranges of the all-digit fields of `text`: runs of digits bounded
-/// by a separator (space, comma, `=`, `:`, `-`, newline) or an end.
+/// by a separator (space, tab, comma, `=`, `:`, `-`, newline) or an end.
 fn int_fields(text: &str) -> Vec<Range<usize>> {
     let bytes = text.as_bytes();
-    let sep = |i: usize| i >= bytes.len() || b" ,=:-\n".contains(&bytes[i]);
+    let sep = |i: usize| i >= bytes.len() || b" \t,=:-\n".contains(&bytes[i]);
     let mut fields = Vec::new();
     let mut i = 0;
     while i < bytes.len() {
@@ -814,6 +887,43 @@ proptest! {
         check_model_file(&format!("{}{tail}", model_head[headed]))?;
     }
 
+    /// Arbitrary bytes, bare or behind the corpus TSV header line.
+    #[test]
+    fn arbitrary_corpus_bytes_never_panic(
+        bytes in collection::vec(0u8..=255, 0..160),
+        headed in 0usize..2,
+    ) {
+        let tail = String::from_utf8_lossy(&bytes);
+        let head = ["", "graph_id\tdepth\texpectation\tar\tfc\tgammas\tbetas\tn_nodes\tedges\n"];
+        check_corpus_tsv(&format!("{}{tail}", head[headed]))?;
+    }
+
+    /// Valid corpus TSVs round-trip; truncated, bit-flipped or huge-count
+    /// copies, and copies with one record line repeated, are rejected or
+    /// round-trip.
+    #[test]
+    fn damaged_corpus_tsvs_are_rejected_or_round_trip(
+        seed in 0u64..u64::MAX,
+        how in 0usize..4,
+        at in 0usize..10_000,
+        bit in 0u32..8,
+        huge in 0usize..6,
+    ) {
+        let text = corpus_tsv(&mut StdRng::seed_from_u64(seed));
+        prop_assert!(ParameterDataset::read_tsv(text.as_bytes()).is_ok(), "{}", text);
+        check_corpus_tsv(&text)?;
+        let damaged = if how == 3 {
+            let lines: Vec<&str> = text.lines().collect();
+            let i = 1 + at * (lines.len() - 1) / 10_000;
+            let mut repeated = lines.clone();
+            repeated.insert(i, lines[i]);
+            repeated.join("\n") + "\n"
+        } else {
+            damaged(&text, how, at, bit, huge)
+        };
+        check_corpus_tsv(&damaged)?;
+    }
+
     /// Valid cache files round-trip; truncated, bit-flipped or
     /// huge-count copies are rejected or round-trip.
     #[test]
@@ -904,5 +1014,31 @@ fn huge_counts_in_every_model_header_and_leading_field_are_rejected_or_round_tri
                 check_model_file(&damaged).unwrap();
             }
         }
+    }
+}
+
+#[test]
+fn corpus_values_the_writer_cannot_reproduce_are_rejected() {
+    // A negative NaN would be written back as `NaN`, and a graph past the
+    // problem limit is never written at all: both are refused on read.
+    let tsv = |expectation: &str, gammas: &str, n_nodes: &str| {
+        format!(
+            "graph_id\tdepth\texpectation\tar\tfc\tgammas\tbetas\tn_nodes\tedges\n\
+             0\t1\t{expectation}\t0.5\t7\t{gammas}\t2.50000000000000000e-1\t{n_nodes}\t0-1,1-2\n"
+        )
+    };
+    let gamma = "7.50000000000000000e-1";
+    let valid = tsv("1.5", gamma, "4");
+    let dataset = ParameterDataset::read_tsv(valid.as_bytes()).expect("valid corpus");
+    let mut written = Vec::new();
+    dataset.write_tsv(&mut written).unwrap();
+    assert_eq!(String::from_utf8(written).unwrap(), valid);
+    for bad in [
+        tsv("-NaN", gamma, "4"),
+        tsv("1.5", "-nan", "4"),
+        tsv("1.5", gamma, "21"),
+        tsv("1.5", gamma, HUGE[0]),
+    ] {
+        assert!(ParameterDataset::read_tsv(bad.as_bytes()).is_err(), "{bad}");
     }
 }
