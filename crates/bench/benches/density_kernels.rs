@@ -1,8 +1,9 @@
 //! Criterion benches for the density-matrix (open-system) simulator:
 //! gate application, Kraus channels, and the full noisy-QAOA energy
 //! evaluation, against the pure-state path as the reference cost.
-//! `noisy_run/n6_m8_p2` is one noisy objective call on the shape of the
-//! `noisy_n6` perfbench workload.
+//! `dm_cnot_depolarizing` is the two-qubit pass of one noisy QAOA edge,
+//! and `noisy_run/n6_m8_p2` is one noisy objective call on the shape of
+//! the `noisy_n6` perfbench workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -10,24 +11,35 @@ use std::hint::black_box;
 use graphs::generators;
 use qaoa::noisy::NoisyQaoa;
 use qaoa::{EvalContext, MaxCutProblem, QaoaAnsatz};
-use qsim::{gates, DensityMatrix, KrausChannel, NoiseModel};
+use qsim::{gates, Circuit, DensityMatrix, KrausChannel, NoiseModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// One `RX` on qubit `n/2` (`dm_single_gate/{n}`), on qubit 0 (`q0/{n}`)
+/// and on the top qubit `n − 1` (`top/{n}`): the block stride of a pass is
+/// `2^qubit`, so the three cover the shortest, a middle and the longest
+/// contiguous column runs.
 fn bench_dm_single_gate(c: &mut Criterion) {
     let mut group = c.benchmark_group("dm_single_gate");
-    for n in [4usize, 6, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let rx = gates::rx(0.7);
-            b.iter_batched(
-                || DensityMatrix::plus_state(n).expect("small register"),
-                |mut rho| {
-                    rho.apply_single(n / 2, &rx).expect("valid qubit");
-                    black_box(rho)
-                },
-                criterion::BatchSize::SmallInput,
-            );
-        });
+    for which in ["mid", "q0", "top"] {
+        for n in [4usize, 6, 8] {
+            let (id, qubit) = match which {
+                "q0" => (format!("q0/{n}"), 0),
+                "top" => (format!("top/{n}"), n - 1),
+                _ => (n.to_string(), n / 2),
+            };
+            group.bench_function(id, |b| {
+                let rx = gates::rx(0.7);
+                b.iter_batched(
+                    || DensityMatrix::plus_state(n).expect("small register"),
+                    |mut rho| {
+                        rho.apply_single(qubit, &rx).expect("valid qubit");
+                        black_box(rho)
+                    },
+                    criterion::BatchSize::SmallInput,
+                );
+            });
+        }
     }
     group.finish();
 }
@@ -41,6 +53,28 @@ fn bench_dm_kraus_channel(c: &mut Criterion) {
                 || DensityMatrix::plus_state(n).expect("small register"),
                 |mut rho| {
                     rho.apply_channel(n / 2, &channel).expect("valid qubit");
+                    black_box(rho)
+                },
+                criterion::BatchSize::SmallInput,
+            );
+        });
+    }
+    group.finish();
+}
+
+/// One CNOT from qubit 0 to the top qubit with the depolarizing channel
+/// p2 = 0.02 on both, the two-qubit pass of a noisy QAOA edge.
+fn bench_dm_cnot_depolarizing(c: &mut Criterion) {
+    let mut group = c.benchmark_group("dm_cnot_depolarizing");
+    let noise = NoiseModel::uniform_depolarizing(0.0, 0.02).expect("valid rate");
+    for n in [4usize, 6, 8] {
+        let mut circuit = Circuit::new(n);
+        circuit.cnot(0, n - 1);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
+            b.iter_batched(
+                || DensityMatrix::plus_state(n).expect("small register"),
+                |mut rho| {
+                    rho.run(&circuit, &noise).expect("valid circuit");
                     black_box(rho)
                 },
                 criterion::BatchSize::SmallInput,
@@ -108,6 +142,7 @@ criterion_group!(
     benches,
     bench_dm_single_gate,
     bench_dm_kraus_channel,
+    bench_dm_cnot_depolarizing,
     bench_noisy_vs_clean_energy,
     bench_noisy_run
 );

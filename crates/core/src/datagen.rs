@@ -301,8 +301,9 @@ impl ParameterDataset {
     /// * [`QaoaError::Io`] on read failure.
     /// * [`QaoaError::Parse`] on malformed content, including a last line
     ///   without its newline (a file cut mid-record), a graph of more than
-    ///   [`MAX_PROBLEM_NODES`] nodes, a negative NaN, and the records
-    ///   [`ParameterDataset::from_parts`] rejects.
+    ///   [`MAX_PROBLEM_NODES`] nodes, a negative NaN, a record whose
+    ///   node count or edges differ from its graph's first record, and the
+    ///   records [`ParameterDataset::from_parts`] rejects.
     pub fn read_tsv<R: Read>(mut r: R) -> Result<Self, QaoaError> {
         let mut text = String::new();
         r.read_to_string(&mut text)?;
@@ -346,20 +347,28 @@ impl ParameterDataset {
                     "n_nodes {n_nodes} exceeds the problem limit {MAX_PROBLEM_NODES}"
                 )));
             }
-            // Materialize the graph the first time its id appears.
-            if graph_id == graphs.len() {
-                let mut g = Graph::new(n_nodes);
-                for pair in fields[8].split(',').filter(|s| !s.is_empty()) {
-                    let (u, v) = pair
-                        .split_once('-')
-                        .ok_or_else(|| parse_err(format!("edge `{pair}`")))?;
-                    let u: usize = u.parse().map_err(|e| parse_err(format!("edge u: {e}")))?;
-                    let v: usize = v.parse().map_err(|e| parse_err(format!("edge v: {e}")))?;
-                    g.add_edge(u, v)?;
-                }
-                graphs.push(g);
-            } else if graph_id > graphs.len() {
+            if graph_id > graphs.len() {
                 return Err(parse_err("graph ids out of order".into()));
+            }
+            let mut g = Graph::new(n_nodes);
+            for pair in fields[8].split(',').filter(|s| !s.is_empty()) {
+                let (u, v) = pair
+                    .split_once('-')
+                    .ok_or_else(|| parse_err(format!("edge `{pair}`")))?;
+                let u: usize = u.parse().map_err(|e| parse_err(format!("edge u: {e}")))?;
+                let v: usize = v.parse().map_err(|e| parse_err(format!("edge v: {e}")))?;
+                g.add_edge(u, v)?;
+            }
+            // The first record of a graph materializes it; every later one
+            // must repeat its node count and edges.
+            match graphs.get(graph_id) {
+                None => graphs.push(g),
+                Some(first) if *first != g => {
+                    return Err(parse_err(format!(
+                        "graph {graph_id} contradicts its first record"
+                    )));
+                }
+                Some(_) => {}
             }
             max_depth = max_depth.max(depth);
             records.push(OptimalRecord {
@@ -760,6 +769,38 @@ mod tests {
             ParameterDataset::read_tsv(cut.as_bytes()),
             Err(QaoaError::Parse { .. })
         ));
+    }
+
+    #[test]
+    fn repeated_graph_records_that_contradict_the_first_are_rejected() {
+        let ds = ParameterDataset::generate(&tiny_config()).unwrap();
+        let mut buf = Vec::new();
+        ds.write_tsv(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        // Line 3 is graph 0's second record.
+        let with_line3 = |field: usize, value: &dyn Fn(&str) -> String| {
+            let mut lines: Vec<String> = text.lines().map(String::from).collect();
+            let mut fields: Vec<String> = lines[2].split('\t').map(String::from).collect();
+            assert_eq!(fields[0], "0");
+            fields[field] = value(&fields[field]);
+            lines[2] = fields.join("\t");
+            lines.join("\n") + "\n"
+        };
+        let same = with_line3(8, &|edges| edges.to_string());
+        assert!(ParameterDataset::read_tsv(same.as_bytes()).is_ok());
+        let one_edge_less = with_line3(8, &|edges| {
+            edges
+                .rsplit_once(',')
+                .map_or("", |(head, _)| head)
+                .to_string()
+        });
+        let one_node_more = with_line3(7, &|n| (n.parse::<usize>().unwrap() + 1).to_string());
+        for bad in [one_edge_less, one_node_more] {
+            assert!(matches!(
+                ParameterDataset::read_tsv(bad.as_bytes()),
+                Err(QaoaError::Parse { line: 3, .. })
+            ));
+        }
     }
 
     #[test]

@@ -434,11 +434,15 @@ fn answer_predict<W: Write>(
                 .map_err(|e| e.to_string()),
             _ => Err("cached depth-1 optimum carries no parameters".into()),
         },
-        // Tier 3, cold depth-1 request: solve it (and warm the cache).
-        None if request.depth == 1 => engine
-            .level1_cached(&request.graph, optimizer, request.restarts, config)
+        // Tier 3, cold depth-1 request: solve it (and warm the cache), with
+        // the whole pool as the kernels' within-state budget.
+        None if request.depth == 1 => {
+            with_within_state_threads(engine.pool().inner_threads(1), || {
+                engine.level1_cached(&request.graph, optimizer, request.restarts, config)
+            })
             .map(|(outcome, _)| (AnswerTier::WarmStart, outcome.params))
-            .map_err(|e| e.to_string()),
+            .map_err(|e| e.to_string())
+        }
         // Tier 3, cold deep request: the two-level flow. Its depth-1 solve
         // warms the cache and the model's prediction warm-starts the
         // target depth; the kernels get the whole pool as their
@@ -1219,6 +1223,81 @@ QW1 JOB 1 2 3 0-1,1-2\n";
         assert_eq!(
             first, second,
             "answers are pure functions of (requests, model, master seed)"
+        );
+    }
+
+    /// [`Lbfgsb`] that records the within-state budget of its last solve.
+    #[derive(Default)]
+    struct BudgetProbe {
+        inner: Lbfgsb,
+        seen: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Optimizer for BudgetProbe {
+        fn minimize(
+            &self,
+            f: &dyn Fn(&[f64]) -> f64,
+            x0: &[f64],
+            bounds: &optimize::Bounds,
+            options: &optimize::Options,
+        ) -> Result<optimize::OptimizeResult, optimize::OptimizeError> {
+            let budget = qaoa::eval::within_state_threads();
+            self.seen
+                .store(budget, std::sync::atomic::Ordering::Relaxed);
+            self.inner.minimize(f, x0, bounds, options)
+        }
+
+        fn minimize_objective(
+            &self,
+            f: &dyn optimize::Objective,
+            x0: &[f64],
+            bounds: &optimize::Bounds,
+            options: &optimize::Options,
+        ) -> Result<optimize::OptimizeResult, optimize::OptimizeError> {
+            let budget = qaoa::eval::within_state_threads();
+            self.seen
+                .store(budget, std::sync::atomic::Ordering::Relaxed);
+            self.inner.minimize_objective(f, x0, bounds, options)
+        }
+
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+    }
+
+    #[test]
+    fn cold_depth1_predict_solves_with_the_whole_pool() {
+        // A cold depth-1 request, then its cached (tier 1) relabelling.
+        let input = "QW1 PREDICT 1 1 2 5 0-1,1-2,2-3,3-4,4-0\n\
+                     QW1 PREDICT 2 1 2 5 1-2,2-3,3-4,4-0,0-1\n";
+        let predictor = trained_predictor();
+        let run = |threads: usize| {
+            let probe = BudgetProbe::default();
+            let mut out = Vec::new();
+            serve_with_model(
+                std::io::Cursor::new(input),
+                &mut out,
+                &Engine::new(threads),
+                &probe,
+                &BatchConfig::default(),
+                Some(&predictor),
+            )
+            .expect("transport never fails in-memory");
+            (String::from_utf8(out).unwrap(), probe.seen.into_inner())
+        };
+        let (serial, serial_budget) = run(1);
+        let (parallel, parallel_budget) = run(4);
+        assert_eq!(serial_budget, 1);
+        assert_eq!(parallel_budget, 4, "the solve gets every worker");
+        let tiers: Vec<AnswerTier> = serial
+            .lines()
+            .filter(|l| l.starts_with("QW1 PREDICTED"))
+            .map(|l| wire::decode_predicted(l).unwrap().tier)
+            .collect();
+        assert_eq!(tiers, vec![AnswerTier::WarmStart, AnswerTier::CachedExact]);
+        assert_eq!(
+            serial, parallel,
+            "transcripts are invariant to the engine's thread count"
         );
     }
 

@@ -18,6 +18,22 @@
 //! Blocks are disjoint, so the order in which a pass visits them does not
 //! change any result.
 //!
+//! A pass computes two blocks at once, one in each lane of a two-wide
+//! `Pair`: the blocks whose column bases differ in the lowest column bit
+//! outside the pass's qubits. When qubit 0 is not in the pass, that bit is
+//! bit 0, and both lanes of an element are one aligned pair of `f64`s.
+//! When it is, the lanes are the two halves of an aligned run of four.
+//! Every index is masked by the plane's power-of-two length. The mask never
+//! changes an index, but it lets the compiler drop the bounds checks, so a
+//! block's loads, arithmetic and stores form one branch-free run that the
+//! compiler packs into SIMD registers. A loop over contiguous column runs
+//! vectorizes only where the runs are long, on the top qubit alone; the
+//! lane pairs vectorize every pass except a one-qubit pass on qubit 0,
+//! which stays scalar. Gate and channel kind are dispatched once per pass
+//! into monomorphized block arithmetic. Lanes never mix, so every element
+//! undergoes the same operations in the same order as in a pass over one
+//! block at a time.
+//!
 //! # Arithmetic contract
 //!
 //! Each single-qubit matrix is classified by its exact zeros — diagonal
@@ -36,6 +52,7 @@ use crate::channels::{KrausChannel, NoiseModel};
 use crate::circuit::{Circuit, Gate};
 use crate::gates::{self, Gate2};
 use crate::{Complex64, DiagonalObservable, QsimError, StateVector};
+use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 
 /// Widest register the density-matrix simulator will allocate
 /// (`4^n` complex entries; 12 qubits ≈ 256 MiB).
@@ -82,28 +99,160 @@ pub struct DensityMatrix {
     im: Vec<f64>,
 }
 
-/// A `2×2` block of ρ: `[b00, b01, b10, b11]`.
-type Block2 = [Complex64; 4];
+/// One complex number in each of two lanes: the same arithmetic on two
+/// independent blocks of ρ. Every operation is written lane by lane, so the
+/// compiler packs each plane of a `Pair` into one SIMD register, and each
+/// lane performs exactly the operations of the [`Complex64`] operator of
+/// the same name.
+#[derive(Debug, Clone, Copy)]
+struct Pair {
+    re: [f64; 2],
+    im: [f64; 2],
+}
 
-/// A `4×4` block of ρ, row-major over the local index `bit_a + 2·bit_b`.
-type Block4 = [Complex64; 16];
+/// `[f(0), f(1)]`: one lane-wise operation.
+#[inline(always)]
+fn lanes(f: impl Fn(usize) -> f64) -> [f64; 2] {
+    [f(0), f(1)]
+}
+
+impl Pair {
+    const ZERO: Self = Self {
+        re: [0.0; 2],
+        im: [0.0; 2],
+    };
+
+    /// [`Complex64::scale`] in each lane.
+    #[inline(always)]
+    fn scale(self, s: f64) -> Self {
+        Self {
+            re: lanes(|k| self.re[k] * s),
+            im: lanes(|k| self.im[k] * s),
+        }
+    }
+
+    /// [`Complex64::mul_i`] in each lane.
+    #[inline(always)]
+    fn mul_i(self) -> Self {
+        Self {
+            re: lanes(|k| -self.im[k]),
+            im: self.re,
+        }
+    }
+}
+
+impl Add for Pair {
+    type Output = Pair;
+    #[inline(always)]
+    fn add(self, rhs: Pair) -> Pair {
+        Pair {
+            re: lanes(|k| self.re[k] + rhs.re[k]),
+            im: lanes(|k| self.im[k] + rhs.im[k]),
+        }
+    }
+}
+
+impl AddAssign for Pair {
+    #[inline(always)]
+    fn add_assign(&mut self, rhs: Pair) {
+        *self = *self + rhs;
+    }
+}
+
+impl Sub for Pair {
+    type Output = Pair;
+    #[inline(always)]
+    fn sub(self, rhs: Pair) -> Pair {
+        Pair {
+            re: lanes(|k| self.re[k] - rhs.re[k]),
+            im: lanes(|k| self.im[k] - rhs.im[k]),
+        }
+    }
+}
+
+impl Neg for Pair {
+    type Output = Pair;
+    #[inline(always)]
+    fn neg(self) -> Pair {
+        Pair {
+            re: lanes(|k| -self.re[k]),
+            im: lanes(|k| -self.im[k]),
+        }
+    }
+}
+
+/// `a * x`: the [`Complex64`] product with `a` on the left.
+impl Mul<Pair> for Complex64 {
+    type Output = Pair;
+    #[inline(always)]
+    fn mul(self, x: Pair) -> Pair {
+        Pair {
+            re: lanes(|k| self.re * x.re[k] - self.im * x.im[k]),
+            im: lanes(|k| self.re * x.im[k] + self.im * x.re[k]),
+        }
+    }
+}
+
+/// `x * a`: the [`Complex64`] product with `a` on the right.
+impl Mul<Complex64> for Pair {
+    type Output = Pair;
+    #[inline(always)]
+    fn mul(self, a: Complex64) -> Pair {
+        Pair {
+            re: lanes(|k| self.re[k] * a.re - self.im[k] * a.im),
+            im: lanes(|k| self.re[k] * a.im + self.im[k] * a.re),
+        }
+    }
+}
+
+/// `s * x`: [`Complex64::scale`].
+impl Mul<Pair> for f64 {
+    type Output = Pair;
+    #[inline(always)]
+    fn mul(self, x: Pair) -> Pair {
+        x.scale(self)
+    }
+}
+
+/// A `2×2` block of ρ in each lane: `[[b00, b01], [b10, b11]]`.
+type Block2 = [[Pair; 2]; 2];
+
+/// A `4×4` block of ρ in each lane, over the local index `bit_lo + 2·bit_hi`
+/// of the lower and the higher of its two qubits.
+type Block4 = [[Pair; 4]; 4];
 
 /// The block arithmetic of one single-qubit matrix `U`.
 trait Kernel: Copy {
     /// `U (x0, x1)ᵀ`: the left product on one column of a block.
-    fn left(self, x0: Complex64, x1: Complex64) -> (Complex64, Complex64);
+    fn left(self, x0: Pair, x1: Pair) -> (Pair, Pair);
 
     /// `(x0, x1) U†`: the right product on one row of a block.
-    fn right_adjoint(self, x0: Complex64, x1: Complex64) -> (Complex64, Complex64);
+    fn right_adjoint(self, x0: Pair, x1: Pair) -> (Pair, Pair);
 
     /// `B → U B U†`: both left products, then both right ones.
     #[inline(always)]
-    fn conjugate(self, [b00, b01, b10, b11]: Block2) -> Block2 {
+    fn conjugate(self, [[b00, b01], [b10, b11]]: Block2) -> Block2 {
         let (b00, b10) = self.left(b00, b10);
         let (b01, b11) = self.left(b01, b11);
         let (b00, b01) = self.right_adjoint(b00, b01);
         let (b10, b11) = self.right_adjoint(b10, b11);
-        [b00, b01, b10, b11]
+        [[b00, b01], [b10, b11]]
+    }
+}
+
+/// No gate: a channel on its own.
+#[derive(Debug, Clone, Copy)]
+struct NoGate;
+
+impl Kernel for NoGate {
+    #[inline(always)]
+    fn left(self, x0: Pair, x1: Pair) -> (Pair, Pair) {
+        (x0, x1)
+    }
+
+    #[inline(always)]
+    fn right_adjoint(self, x0: Pair, x1: Pair) -> (Pair, Pair) {
+        (x0, x1)
     }
 }
 
@@ -113,12 +262,12 @@ struct Diagonal(Complex64, Complex64);
 
 impl Kernel for Diagonal {
     #[inline(always)]
-    fn left(self, x0: Complex64, x1: Complex64) -> (Complex64, Complex64) {
+    fn left(self, x0: Pair, x1: Pair) -> (Pair, Pair) {
         (self.0 * x0, self.1 * x1)
     }
 
     #[inline(always)]
-    fn right_adjoint(self, x0: Complex64, x1: Complex64) -> (Complex64, Complex64) {
+    fn right_adjoint(self, x0: Pair, x1: Pair) -> (Pair, Pair) {
         (x0 * self.0.conj(), x1 * self.1.conj())
     }
 }
@@ -129,14 +278,14 @@ struct Real([[f64; 2]; 2]);
 
 impl Kernel for Real {
     #[inline(always)]
-    fn left(self, x0: Complex64, x1: Complex64) -> (Complex64, Complex64) {
+    fn left(self, x0: Pair, x1: Pair) -> (Pair, Pair) {
         let [[a, b], [c, d]] = self.0;
         (x0.scale(a) + x1.scale(b), x0.scale(c) + x1.scale(d))
     }
 
     /// `U† = Uᵀ`, and `(x0, x1) Uᵀ` is `U (x0, x1)ᵀ` entry for entry.
     #[inline(always)]
-    fn right_adjoint(self, x0: Complex64, x1: Complex64) -> (Complex64, Complex64) {
+    fn right_adjoint(self, x0: Pair, x1: Pair) -> (Pair, Pair) {
         self.left(x0, x1)
     }
 }
@@ -150,7 +299,7 @@ struct RealDiagImagOff {
 
 impl Kernel for RealDiagImagOff {
     #[inline(always)]
-    fn left(self, x0: Complex64, x1: Complex64) -> (Complex64, Complex64) {
+    fn left(self, x0: Pair, x1: Pair) -> (Pair, Pair) {
         let ([d0, d1], [o0, o1]) = (self.d, self.o);
         (
             x0.scale(d0) + x1.mul_i().scale(o0),
@@ -159,7 +308,7 @@ impl Kernel for RealDiagImagOff {
     }
 
     #[inline(always)]
-    fn right_adjoint(self, x0: Complex64, x1: Complex64) -> (Complex64, Complex64) {
+    fn right_adjoint(self, x0: Pair, x1: Pair) -> (Pair, Pair) {
         let ([d0, d1], [o0, o1]) = (self.d, self.o);
         (
             x0.scale(d0) - x1.mul_i().scale(o0),
@@ -174,13 +323,13 @@ struct General(Gate2);
 
 impl Kernel for General {
     #[inline(always)]
-    fn left(self, x0: Complex64, x1: Complex64) -> (Complex64, Complex64) {
+    fn left(self, x0: Pair, x1: Pair) -> (Pair, Pair) {
         let [[a, b], [c, d]] = self.0;
         (a * x0 + b * x1, c * x0 + d * x1)
     }
 
     #[inline(always)]
-    fn right_adjoint(self, x0: Complex64, x1: Complex64) -> (Complex64, Complex64) {
+    fn right_adjoint(self, x0: Pair, x1: Pair) -> (Pair, Pair) {
         let [[a, b], [c, d]] = self.0;
         (x0 * a.conj() + x1 * b.conj(), x0 * c.conj() + x1 * d.conj())
     }
@@ -213,66 +362,120 @@ impl Op1 {
     }
 }
 
-/// The gate part of a two-qubit pass over qubits `a` and `b`.
+/// A two-qubit gate on qubits `a` and `b` as a permutation of the local
+/// index `bit_lo + 2·bit_hi` of its `4×4` blocks, where `lo` and `hi` are
+/// the lower and the higher of the two qubits, and for CZ a sign flip.
+trait Permutation: Copy {
+    /// The local index each row and column of the result is gathered
+    /// from, when `a` is the lower qubit (`a_low`) or the higher one.
+    fn gather(self, a_low: bool) -> [usize; 4];
+
+    /// Whether the gate negates local index 3 after the gather.
+    fn negates(self) -> bool {
+        false
+    }
+}
+
+/// CNOT, `a` controlling `b`: swaps the two local indices with `a` set.
 #[derive(Debug, Clone, Copy)]
-enum Op2 {
-    /// CNOT, `a` controlling `b`: swaps local indices 1 and 3.
-    Cnot,
-    /// CZ: negates local index 3.
-    Cz,
-    /// SWAP: swaps local indices 1 and 2.
-    Swap,
-    /// A controlled single-qubit matrix, `a` controlling `b`.
-    Controlled(General),
-}
+struct Cnot;
 
-impl Op2 {
-    /// The local index each row and column of the result is gathered from.
-    fn gather(self) -> [usize; 4] {
-        match self {
-            Op2::Cnot => [0, 3, 2, 1],
-            Op2::Swap => [0, 2, 1, 3],
-            Op2::Cz | Op2::Controlled(_) => [0, 1, 2, 3],
-        }
-    }
-
-    /// The arithmetic left after [`Op2::gather`].
+impl Permutation for Cnot {
     #[inline(always)]
-    fn finish(self, block: &mut Block4) {
-        match self {
-            Op2::Cnot | Op2::Swap => {}
-            // Row 3 or column 3, not both.
-            Op2::Cz => {
-                for k in [3, 7, 11, 12, 13, 14] {
-                    block[k] = -block[k];
-                }
-            }
-            // Rows 1 and 3 carry the control bit, then columns 1 and 3.
-            Op2::Controlled(u) => {
-                for col in 0..4 {
-                    (block[4 + col], block[12 + col]) = u.left(block[4 + col], block[12 + col]);
-                }
-                for row in 0..4 {
-                    let (i, j) = (4 * row + 1, 4 * row + 3);
-                    (block[i], block[j]) = u.right_adjoint(block[i], block[j]);
-                }
-            }
+    fn gather(self, a_low: bool) -> [usize; 4] {
+        if a_low {
+            [0, 3, 2, 1]
+        } else {
+            [0, 1, 3, 2]
         }
     }
 }
 
-/// The `2×2` sub-blocks of a [`Block4`] on qubit `a` (local bit 1), then
-/// on qubit `b` (local bit 2).
-const SUB_BLOCKS: [[usize; 4]; 8] = [
-    [0, 1, 4, 5],
-    [2, 3, 6, 7],
-    [8, 9, 12, 13],
-    [10, 11, 14, 15],
-    [0, 2, 8, 10],
-    [1, 3, 9, 11],
-    [4, 6, 12, 14],
-    [5, 7, 13, 15],
-];
+/// CZ: negates local index 3.
+#[derive(Debug, Clone, Copy)]
+struct Cz;
+
+impl Permutation for Cz {
+    #[inline(always)]
+    fn gather(self, _: bool) -> [usize; 4] {
+        [0, 1, 2, 3]
+    }
+
+    #[inline(always)]
+    fn negates(self) -> bool {
+        true
+    }
+}
+
+/// SWAP: swaps local indices 1 and 2.
+#[derive(Debug, Clone, Copy)]
+struct Swap;
+
+impl Permutation for Swap {
+    #[inline(always)]
+    fn gather(self, _: bool) -> [usize; 4] {
+        [0, 2, 1, 3]
+    }
+}
+
+/// The arithmetic of one pass on a `G×G` block.
+trait BlockOp<const G: usize>: Copy {
+    /// The local index each row and column of the block is loaded from:
+    /// the pass's index permutation.
+    #[inline(always)]
+    fn gather(self) -> [usize; G] {
+        std::array::from_fn(|i| i)
+    }
+
+    /// The arithmetic after the gather, in place.
+    fn apply(self, block: &mut [[Pair; G]; G]);
+}
+
+/// A single-qubit pass: `gate`, then `channel`, on each `2×2` block.
+#[derive(Debug, Clone, Copy)]
+struct OneQubit<K, C> {
+    gate: K,
+    channel: C,
+}
+
+impl<K: Kernel, C: BlockChannel> BlockOp<2> for OneQubit<K, C> {
+    #[inline(always)]
+    fn apply(self, block: &mut Block2) {
+        *block = self.channel.apply(self.gate.conjugate(*block));
+    }
+}
+
+/// A two-qubit pass on `a` and `b`: `gate`'s permutation and sign flip,
+/// then `channel` on `a` and then on `b`. `A_LOW` says whether `a` is the
+/// lower qubit.
+#[derive(Debug, Clone, Copy)]
+struct TwoQubit<P, C, const A_LOW: bool> {
+    gate: P,
+    channel: C,
+}
+
+impl<P: Permutation, C: BlockChannel, const A_LOW: bool> BlockOp<4> for TwoQubit<P, C, A_LOW> {
+    #[inline(always)]
+    fn gather(self) -> [usize; 4] {
+        self.gate.gather(A_LOW)
+    }
+
+    #[inline(always)]
+    fn apply(self, block: &mut Block4) {
+        if self.gate.negates() {
+            // Row 3 or column 3, not both.
+            let (rows, row3) = block.split_at_mut(3);
+            for row in rows {
+                row[3] = -row[3];
+            }
+            for z in &mut row3[0][..3] {
+                *z = -*z;
+            }
+        }
+        let (first, second) = if A_LOW { (1, 2) } else { (2, 1) };
+        self.channel.apply_twice(first, second, block);
+    }
+}
 
 /// A noise channel, classified once per [`DensityMatrix::run`].
 #[derive(Debug, Clone, Copy)]
@@ -280,8 +483,7 @@ enum Channel<'a> {
     /// No channel, the identity channel or depolarizing at `p = 0`.
     None,
     Depolarizing(Depolarizing),
-    /// The general Kraus sum `Σ K B K†` over these operators.
-    Kraus(&'a [Gate2]),
+    Kraus(Kraus<'a>),
 }
 
 impl<'a> Channel<'a> {
@@ -299,7 +501,7 @@ impl<'a> Channel<'a> {
                 shrink: 1.0 - 4.0 * p / 3.0,
             }),
             Some(_) => Channel::None,
-            None => Channel::Kraus(channel.ops()),
+            None => Channel::Kraus(Kraus(channel.ops())),
         }
     }
 }
@@ -319,51 +521,217 @@ struct Depolarizing {
     shrink: f64,
 }
 
-impl Depolarizing {
+/// The channel arithmetic on one `2×2` block.
+trait BlockChannel: Copy {
+    fn apply(self, block: Block2) -> Block2;
+
+    /// The channel on every `2×2` sub-block of a [`Block4`] on local bit
+    /// `first` (1 for the lower qubit, 2 for the higher one), then on
+    /// local bit `second`.
     #[inline(always)]
-    fn apply(self, [b00, b01, b10, b11]: Block2) -> Block2 {
+    fn apply_twice(self, first: usize, second: usize, block: &mut Block4) {
+        for d in [first, second] {
+            let o = 3 - d;
+            for (r, c) in [(0, 0), (0, o), (o, 0), (o, o)] {
+                let [[b00, b01], [b10, b11]] = self.apply([
+                    [block[r][c], block[r][c + d]],
+                    [block[r + d][c], block[r + d][c + d]],
+                ]);
+                (block[r][c], block[r][c + d]) = (b00, b01);
+                (block[r + d][c], block[r + d][c + d]) = (b10, b11);
+            }
+        }
+    }
+}
+
+/// No channel.
+#[derive(Debug, Clone, Copy)]
+struct Noiseless;
+
+impl BlockChannel for Noiseless {
+    #[inline(always)]
+    fn apply(self, block: Block2) -> Block2 {
+        block
+    }
+
+    /// Nothing: copying every sub-block through the identity would cost as
+    /// much as the pass itself.
+    #[inline(always)]
+    fn apply_twice(self, _: usize, _: usize, _: &mut Block4) {}
+}
+
+impl BlockChannel for Depolarizing {
+    #[inline(always)]
+    fn apply(self, [[b00, b01], [b10, b11]]: Block2) -> Block2 {
         [
-            self.keep * b00 + self.swap * b11,
-            self.shrink * b01,
-            self.shrink * b10,
-            self.swap * b00 + self.keep * b11,
+            [self.keep * b00 + self.swap * b11, self.shrink * b01],
+            [self.shrink * b10, self.swap * b00 + self.keep * b11],
         ]
     }
-}
 
-/// `Σ K B K†` over the Kraus operators `ops`.
-#[inline(always)]
-fn kraus(ops: &[Gate2], [b00, b01, b10, b11]: Block2) -> Block2 {
-    let mut n = [Complex64::ZERO; 4];
-    for k in ops {
-        let (ka, kb) = (k[0][0], k[0][1]);
-        let (kd, ke) = (k[1][0], k[1][1]);
-        // T = K B, then accumulate T K†.
-        let t00 = ka * b00 + kb * b10;
-        let t01 = ka * b01 + kb * b11;
-        let t10 = kd * b00 + ke * b10;
-        let t11 = kd * b01 + ke * b11;
-        n[0] += t00 * ka.conj() + t01 * kb.conj();
-        n[1] += t00 * kd.conj() + t01 * ke.conj();
-        n[2] += t10 * ka.conj() + t11 * kb.conj();
-        n[3] += t10 * kd.conj() + t11 * ke.conj();
+    /// [`Depolarizing::apply`] on every sub-block, one class `k` of
+    /// elements `(i, i ^ k)` at a time: a sub-block mixes only its two
+    /// diagonal elements, which share `i ^ j`, so each class of four stays
+    /// closed under both channels and only four elements are live. Every
+    /// element gets the operations of the sub-block form in the same order
+    /// (the two products of a blend are added in either order, which is the
+    /// same sum).
+    #[inline(always)]
+    fn apply_twice(self, first: usize, second: usize, block: &mut Block4) {
+        for k in 0..4 {
+            let mut x = [
+                block[0][k],
+                block[1][1 ^ k],
+                block[2][2 ^ k],
+                block[3][3 ^ k],
+            ];
+            for d in [first, second] {
+                let y = x;
+                for (i, z) in x.iter_mut().enumerate() {
+                    *z = if k & d == 0 {
+                        self.keep * y[i] + self.swap * y[i ^ d]
+                    } else {
+                        self.shrink * y[i]
+                    };
+                }
+            }
+            [
+                block[0][k],
+                block[1][1 ^ k],
+                block[2][2 ^ k],
+                block[3][3 ^ k],
+            ] = x;
+        }
     }
-    n
 }
 
-/// Splits every `2·half`-long chunk of `x` into its two halves.
-fn halves(x: &mut [f64], half: usize) -> impl Iterator<Item = (&mut [f64], &mut [f64])> {
-    x.chunks_exact_mut(2 * half).map(move |chunk| {
-        let (low, high) = chunk.split_at_mut(half);
-        // Re-sliced so the compiler sees both halves are `half` long and
-        // drops the bounds checks of the per-element loop.
-        (low, &mut high[..half])
-    })
+/// The general Kraus sum `Σ K B K†` over these operators.
+#[derive(Debug, Clone, Copy)]
+struct Kraus<'a>(&'a [Gate2]);
+
+impl BlockChannel for Kraus<'_> {
+    #[inline(always)]
+    fn apply(self, [[b00, b01], [b10, b11]]: Block2) -> Block2 {
+        let mut n = [[Pair::ZERO; 2]; 2];
+        for k in self.0 {
+            let (ka, kb) = (k[0][0], k[0][1]);
+            let (kd, ke) = (k[1][0], k[1][1]);
+            // T = K B, then accumulate T K†.
+            let t00 = ka * b00 + kb * b10;
+            let t01 = ka * b01 + kb * b11;
+            let t10 = kd * b00 + ke * b10;
+            let t11 = kd * b01 + ke * b11;
+            n[0][0] += t00 * ka.conj() + t01 * kb.conj();
+            n[0][1] += t00 * kd.conj() + t01 * ke.conj();
+            n[1][0] += t10 * ka.conj() + t11 * kb.conj();
+            n[1][1] += t10 * kd.conj() + t11 * ke.conj();
+        }
+        n
+    }
 }
 
-/// The indices below `dim` with every bit of `mask` clear, ascending.
-fn bases(dim: usize, mask: usize) -> impl Iterator<Item = usize> {
-    (0..dim).filter(move |i| i & mask == 0)
+/// Where the two lanes of one element of a pass sit in a plane.
+///
+/// A plane of `4ⁿ` values is viewed as a slice of `Unit`s whose length is a
+/// power of two, and every index is masked by that length: the mask never
+/// changes an index (every index of a pass is in range), but it lets the
+/// compiler drop the bounds checks, so each block's loads, arithmetic and
+/// stores form one branch-free run that it packs into SIMD registers.
+trait Lanes: Copy {
+    type Unit;
+
+    /// The plane `x` of a `2^bits`-value ρ as units.
+    fn view(self, x: &mut [f64], bits: usize) -> &mut [Self::Unit];
+
+    /// The lanes of the value at `i`, in local column `j` of its block.
+    fn load(self, units: &[Self::Unit], i: usize, j: usize) -> [f64; 2];
+
+    /// Writes the lanes of the value at `i`, in local column `j`.
+    fn store(self, units: &mut [Self::Unit], i: usize, j: usize, value: [f64; 2]);
+}
+
+/// Lanes in the adjacent columns `i` and `i + 1`, with `i` even: one
+/// aligned pair of the plane. For every pass whose qubits are all above
+/// qubit 0.
+#[derive(Debug, Clone, Copy)]
+struct Adjacent;
+
+impl Lanes for Adjacent {
+    type Unit = [f64; 2];
+
+    #[inline(always)]
+    fn view(self, x: &mut [f64], bits: usize) -> &mut [[f64; 2]] {
+        &mut x.as_chunks_mut().0[..1 << (bits - 1)]
+    }
+
+    #[inline(always)]
+    fn load(self, units: &[[f64; 2]], i: usize, _: usize) -> [f64; 2] {
+        units[(i >> 1) & (units.len() - 1)]
+    }
+
+    #[inline(always)]
+    fn store(self, units: &mut [[f64; 2]], i: usize, _: usize, value: [f64; 2]) {
+        let mask = units.len() - 1;
+        units[(i >> 1) & mask] = value;
+    }
+}
+
+/// Lanes in the columns `i` and `i + 2` of one aligned run of four values,
+/// whose bit 0 is qubit 0, the pass's lower qubit, and bit 1 is not in
+/// the pass: bit 0 of the local column `j` picks the value's place in each
+/// half of the run.
+#[derive(Debug, Clone, Copy)]
+struct Interleaved;
+
+impl Lanes for Interleaved {
+    type Unit = [f64; 4];
+
+    #[inline(always)]
+    fn view(self, x: &mut [f64], bits: usize) -> &mut [[f64; 4]] {
+        &mut x.as_chunks_mut().0[..1 << (bits - 2)]
+    }
+
+    #[inline(always)]
+    fn load(self, units: &[[f64; 4]], i: usize, j: usize) -> [f64; 2] {
+        let unit = units[(i >> 2) & (units.len() - 1)];
+        [unit[j & 1], unit[(j & 1) + 2]]
+    }
+
+    #[inline(always)]
+    fn store(self, units: &mut [[f64; 4]], i: usize, j: usize, [v0, v1]: [f64; 2]) {
+        let mask = units.len() - 1;
+        let unit = &mut units[(i >> 2) & mask];
+        unit[j & 1] = v0;
+        unit[(j & 1) + 2] = v1;
+    }
+}
+
+/// Lanes in the columns `i` and `i + step`; a step of 0 runs one block in
+/// both lanes. For the passes the other placements do not cover: qubits 0
+/// and 1 together, and a pass on every qubit of the register.
+#[derive(Debug, Clone, Copy)]
+struct Strided(usize);
+
+impl Lanes for Strided {
+    type Unit = f64;
+
+    #[inline(always)]
+    fn view(self, x: &mut [f64], bits: usize) -> &mut [f64] {
+        &mut x[..1 << bits]
+    }
+
+    #[inline(always)]
+    fn load(self, units: &[f64], i: usize, _: usize) -> [f64; 2] {
+        let mask = units.len() - 1;
+        [units[i & mask], units[(i + self.0) & mask]]
+    }
+
+    #[inline(always)]
+    fn store(self, units: &mut [f64], i: usize, _: usize, [v0, v1]: [f64; 2]) {
+        let mask = units.len() - 1;
+        units[(i + self.0) & mask] = v1;
+        units[i & mask] = v0;
+    }
 }
 
 impl DensityMatrix {
@@ -547,69 +915,80 @@ impl DensityMatrix {
         Ok(())
     }
 
-    /// Maps every `2×2` block of `qubit` through `f`, one row pair at a
-    /// time.
-    fn sweep1(&mut self, qubit: usize, f: impl Fn(Block2) -> Block2) {
-        let s = 1usize << qubit;
-        let dim = self.dim;
-        let row_blocks = halves(&mut self.re, s * dim).zip(halves(&mut self.im, s * dim));
-        for ((re_top, re_bottom), (im_top, im_bottom)) in row_blocks {
-            let re_rows = re_top
-                .chunks_exact_mut(dim)
-                .zip(re_bottom.chunks_exact_mut(dim));
-            let im_rows = im_top
-                .chunks_exact_mut(dim)
-                .zip(im_bottom.chunks_exact_mut(dim));
-            for ((re0, re1), (im0, im1)) in re_rows.zip(im_rows) {
-                let re_cols = halves(re0, s).zip(halves(re1, s));
-                let im_cols = halves(im0, s).zip(halves(im1, s));
-                for (((re00, re01), (re10, re11)), ((im00, im01), (im10, im11))) in
-                    re_cols.zip(im_cols)
-                {
-                    for k in 0..s {
-                        let [n00, n01, n10, n11] = f([
-                            Complex64::new(re00[k], im00[k]),
-                            Complex64::new(re01[k], im01[k]),
-                            Complex64::new(re10[k], im10[k]),
-                            Complex64::new(re11[k], im11[k]),
-                        ]);
-                        (re00[k], im00[k]) = (n00.re, n00.im);
-                        (re01[k], im01[k]) = (n01.re, n01.im);
-                        (re10[k], im10[k]) = (n10.re, n10.im);
-                        (re11[k], im11[k]) = (n11.re, n11.im);
-                    }
-                }
-            }
+    /// Maps every `G×G` block of ρ on the qubits of `mask` through `op`,
+    /// two blocks per call. For the block at row and column bases `r` and
+    /// `c` (every bit of `mask` clear), `op` gets `ρ[r + axis[g[i]], c +
+    /// axis[g[j]]]` at `[i][j]`, where `g` is [`BlockOp::gather`], and its
+    /// result at `[i][j]` goes back to `ρ[r + axis[i], c + axis[j]]`.
+    ///
+    /// The two lanes are the blocks at `c` and `c + step`, where `step` is
+    /// the lowest column bit outside `mask`. For a pass above qubit 0 that
+    /// is the adjacent column, so each value's lanes are one aligned pair
+    /// of the plane; with qubit 0 in the pass they are the two halves of a
+    /// run of four.
+    fn sweep<const G: usize>(&mut self, mask: usize, axis: [usize; G], op: impl BlockOp<G>) {
+        let step = !mask & (mask + 1);
+        if step == 1 {
+            self.sweep_lanes(Adjacent, mask | step, mask, axis, op);
+        } else if step == 2 && step < self.dim {
+            self.sweep_lanes(Interleaved, mask | step, mask, axis, op);
+        } else if step < self.dim {
+            self.sweep_lanes(Strided(step), mask | step, mask, axis, op);
+        } else {
+            // Every bit is in `mask`: one block, run in both lanes.
+            self.sweep_lanes(Strided(0), mask, mask, axis, op);
         }
     }
 
-    /// Maps every `4×4` block of qubits `(a, b)` through `gate` and then
-    /// through `channel` on each of its `2×2` sub-blocks, on `a` first.
-    fn sweep2(&mut self, a: usize, b: usize, gate: Op2, channel: impl Fn(Block2) -> Block2) {
-        let dim = self.dim;
-        let len = dim * dim;
-        let (re, im) = (&mut self.re[..len], &mut self.im[..len]);
-        let axis = [0, 1 << a, 1 << b, (1 << a) | (1 << b)];
-        let from = gate.gather().map(|l| axis[l]);
-        for r in bases(dim, axis[3]) {
-            for c in bases(dim, axis[3]) {
-                let mut block = [Complex64::ZERO; 16];
-                for (k, z) in block.iter_mut().enumerate() {
-                    // Below `len` already; the mask lets the compiler see it.
-                    let i = ((r + from[k / 4]) * dim + c + from[k % 4]) & (len - 1);
-                    *z = Complex64::new(re[i], im[i]);
-                }
-                gate.finish(&mut block);
-                for &[i, j, k, l] in &SUB_BLOCKS {
-                    [block[i], block[j], block[k], block[l]] =
-                        channel([block[i], block[j], block[k], block[l]]);
-                }
-                for (k, z) in block.iter().enumerate() {
-                    let i = ((r + axis[k / 4]) * dim + c + axis[k % 4]) & (len - 1);
-                    re[i] = z.re;
-                    im[i] = z.im;
+    /// [`DensityMatrix::sweep`] for one lane placement: `col_mask` holds
+    /// the column bits that are clear in the first lane's bases.
+    fn sweep_lanes<const G: usize, L: Lanes>(
+        &mut self,
+        lanes: L,
+        col_mask: usize,
+        mask: usize,
+        axis: [usize; G],
+        op: impl BlockOp<G>,
+    ) {
+        let (dim, bits) = (self.dim, 2 * self.n_qubits);
+        let (re, im) = (
+            lanes.view(&mut self.re, bits),
+            lanes.view(&mut self.im, bits),
+        );
+        let from = op.gather();
+        // Every element of `block` is loaded before it is read.
+        let mut block = [[Pair::ZERO; G]; G];
+        // Setting the masked bits, adding one and clearing them again steps
+        // to the next index with every masked bit clear.
+        let mut r = 0;
+        while r < dim {
+            let mut at = [[0; G]; G];
+            for (row, &i) in at.iter_mut().zip(&axis) {
+                for (k, &j) in row.iter_mut().zip(&axis) {
+                    *k = (r + i) * dim + j;
                 }
             }
+            let mut c = 0;
+            while c < dim {
+                for i in 0..G {
+                    for j in 0..G {
+                        let (fi, fj) = (from[i], from[j]);
+                        block[i][j] = Pair {
+                            re: lanes.load(re, at[fi][fj] + c, fj),
+                            im: lanes.load(im, at[fi][fj] + c, fj),
+                        };
+                    }
+                }
+                op.apply(&mut block);
+                for i in 0..G {
+                    for j in 0..G {
+                        lanes.store(re, at[i][j] + c, j, block[i][j].re);
+                        lanes.store(im, at[i][j] + c, j, block[i][j].im);
+                    }
+                }
+                c = ((c | col_mask) + 1) & !col_mask;
+            }
+            r = ((r | mask) + 1) & !mask;
         }
     }
 
@@ -617,36 +996,59 @@ impl DensityMatrix {
     /// `qubit`. The caller has checked `qubit`.
     fn pass1(&mut self, qubit: usize, gate: Option<Op1>, channel: Channel<'_>) {
         match channel {
-            Channel::None => self.pass1_with(qubit, gate, |block| block),
-            Channel::Depolarizing(d) => self.pass1_with(qubit, gate, move |block| d.apply(block)),
-            Channel::Kraus(ops) => self.pass1_with(qubit, gate, move |block| kraus(ops, block)),
+            Channel::None => self.pass1_with(qubit, gate, Noiseless),
+            Channel::Depolarizing(d) => self.pass1_with(qubit, gate, d),
+            Channel::Kraus(k) => self.pass1_with(qubit, gate, k),
         }
     }
 
     /// [`DensityMatrix::pass1`] for one channel kind: one sweep per gate
     /// kind, so each sweep runs straight-line block arithmetic.
-    fn pass1_with(
-        &mut self,
-        qubit: usize,
-        gate: Option<Op1>,
-        channel: impl Fn(Block2) -> Block2 + Copy,
-    ) {
+    fn pass1_with(&mut self, qubit: usize, gate: Option<Op1>, channel: impl BlockChannel) {
+        let s = 1 << qubit;
+        let axis = [0, s];
         match gate {
-            None => self.sweep1(qubit, channel),
-            Some(Op1::Diagonal(u)) => self.sweep1(qubit, move |b| channel(u.conjugate(b))),
-            Some(Op1::Real(u)) => self.sweep1(qubit, move |b| channel(u.conjugate(b))),
-            Some(Op1::RealDiagImagOff(u)) => self.sweep1(qubit, move |b| channel(u.conjugate(b))),
-            Some(Op1::General(u)) => self.sweep1(qubit, move |b| channel(u.conjugate(b))),
+            None => self.sweep(
+                s,
+                axis,
+                OneQubit {
+                    gate: NoGate,
+                    channel,
+                },
+            ),
+            Some(Op1::Diagonal(gate)) => self.sweep(s, axis, OneQubit { gate, channel }),
+            Some(Op1::Real(gate)) => self.sweep(s, axis, OneQubit { gate, channel }),
+            Some(Op1::RealDiagImagOff(gate)) => self.sweep(s, axis, OneQubit { gate, channel }),
+            Some(Op1::General(gate)) => self.sweep(s, axis, OneQubit { gate, channel }),
         }
     }
 
     /// One pass of the two-qubit gate `gate` on `(a, b)` and then `channel`
     /// on `a` and on `b`. The caller has checked `a` and `b`.
-    fn pass2(&mut self, a: usize, b: usize, gate: Op2, channel: Channel<'_>) {
+    fn pass2(&mut self, a: usize, b: usize, gate: impl Permutation, channel: Channel<'_>) {
         match channel {
-            Channel::None => self.sweep2(a, b, gate, |block| block),
-            Channel::Depolarizing(d) => self.sweep2(a, b, gate, move |block| d.apply(block)),
-            Channel::Kraus(ops) => self.sweep2(a, b, gate, move |block| kraus(ops, block)),
+            Channel::None => self.pass2_with(a, b, gate, Noiseless),
+            Channel::Depolarizing(d) => self.pass2_with(a, b, gate, d),
+            Channel::Kraus(k) => self.pass2_with(a, b, gate, k),
+        }
+    }
+
+    /// [`DensityMatrix::pass2`] for one channel kind: one sweep per order
+    /// of `a` and `b`, so the permutation and the channel order are fixed
+    /// in each sweep's block arithmetic.
+    fn pass2_with(
+        &mut self,
+        a: usize,
+        b: usize,
+        gate: impl Permutation,
+        channel: impl BlockChannel,
+    ) {
+        let (lo, hi) = (1 << a.min(b), 1 << a.max(b));
+        let (axis, mask) = ([0, lo, hi, lo | hi], lo | hi);
+        if a < b {
+            self.sweep(mask, axis, TwoQubit::<_, _, true> { gate, channel });
+        } else {
+            self.sweep(mask, axis, TwoQubit::<_, _, false> { gate, channel });
         }
     }
 
@@ -654,11 +1056,9 @@ impl DensityMatrix {
     /// caller has checked the gate's qubits.
     fn pass(&mut self, gate: &Gate, after_1q: Channel<'_>, after_2q: Channel<'_>) {
         let (qubit, u) = match *gate {
-            Gate::Cnot { control, target } => {
-                return self.pass2(control, target, Op2::Cnot, after_2q)
-            }
-            Gate::Cz { a, b } => return self.pass2(a, b, Op2::Cz, after_2q),
-            Gate::Swap { a, b } => return self.pass2(a, b, Op2::Swap, after_2q),
+            Gate::Cnot { control, target } => return self.pass2(control, target, Cnot, after_2q),
+            Gate::Cz { a, b } => return self.pass2(a, b, Cz, after_2q),
+            Gate::Swap { a, b } => return self.pass2(a, b, Swap, after_2q),
             Gate::H(q) => (q, gates::h()),
             Gate::X(q) => (q, gates::x()),
             Gate::Y(q) => (q, gates::y()),
@@ -678,51 +1078,6 @@ impl DensityMatrix {
     pub fn apply_single(&mut self, qubit: usize, u: &Gate2) -> Result<(), QsimError> {
         self.check_qubit(qubit)?;
         self.pass1(qubit, Some(Op1::of(u)), Channel::None);
-        Ok(())
-    }
-
-    /// Applies a controlled single-qubit unitary (control must be `|1⟩`).
-    ///
-    /// # Errors
-    ///
-    /// * [`QsimError::QubitOutOfRange`] for a bad index.
-    /// * [`QsimError::DuplicateQubit`] if `control == target`.
-    pub fn apply_controlled(
-        &mut self,
-        control: usize,
-        target: usize,
-        u: &Gate2,
-    ) -> Result<(), QsimError> {
-        self.check_qubit(control)?;
-        self.check_qubit(target)?;
-        if control == target {
-            return Err(QsimError::DuplicateQubit { qubit: control });
-        }
-        self.pass2(control, target, Op2::Controlled(General(*u)), Channel::None);
-        Ok(())
-    }
-
-    /// Applies a diagonal unitary given its `2ⁿ` phases:
-    /// `ρ_{jk} → φ_j ρ_{jk} φ_k*`.
-    ///
-    /// # Errors
-    ///
-    /// [`QsimError::DimensionMismatch`] if `phases.len() != dim()`.
-    pub fn apply_diagonal(&mut self, phases: &[Complex64]) -> Result<(), QsimError> {
-        if phases.len() != self.dim {
-            return Err(QsimError::DimensionMismatch {
-                expected: self.dim,
-                actual: phases.len(),
-            });
-        }
-        for (r, &pr) in phases.iter().enumerate() {
-            for (c, &pc) in phases.iter().enumerate() {
-                let i = r * self.dim + c;
-                let e = Complex64::new(self.re[i], self.im[i]) * (pr * pc.conj());
-                self.re[i] = e.re;
-                self.im[i] = e.im;
-            }
-        }
         Ok(())
     }
 
@@ -857,22 +1212,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_diagonal_matches_state_vector() {
-        let n = 2;
-        let phases: Vec<Complex64> = (0..4).map(|i| Complex64::cis(0.3 * i as f64)).collect();
-        let mut psi = StateVector::plus_state(n);
-        psi.apply_diagonal(&phases).unwrap();
-        let mut rho = DensityMatrix::plus_state(n).unwrap();
-        rho.apply_diagonal(&phases).unwrap();
-        let expected = DensityMatrix::from_state_vector(&psi).unwrap();
-        for r in 0..4 {
-            for c in 0..4 {
-                assert!((rho.element(r, c) - expected.element(r, c)).abs() < EPS);
-            }
-        }
-    }
-
-    #[test]
     fn full_depolarizing_yields_maximally_mixed_qubit() {
         let mut rho = DensityMatrix::zero_state(1).unwrap();
         rho.apply_channel(0, &KrausChannel::depolarizing(1.0).unwrap())
@@ -971,14 +1310,6 @@ mod tests {
         assert!(matches!(
             rho.apply_single(5, &gates::x()),
             Err(QsimError::QubitOutOfRange { .. })
-        ));
-        assert!(matches!(
-            rho.apply_controlled(0, 0, &gates::x()),
-            Err(QsimError::DuplicateQubit { .. })
-        ));
-        assert!(matches!(
-            rho.apply_diagonal(&[Complex64::ONE; 3]),
-            Err(QsimError::DimensionMismatch { .. })
         ));
     }
 

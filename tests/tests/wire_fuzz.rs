@@ -924,6 +924,24 @@ proptest! {
         check_corpus_tsv(&damaged)?;
     }
 
+    /// A record line that repeats a graph with a changed edge list (its
+    /// last edge dropped) is rejected, not read as the graph's first line.
+    #[test]
+    fn corpus_lines_that_change_a_repeated_graph_are_rejected(seed in 0u64..u64::MAX) {
+        let text = corpus_tsv(&mut StdRng::seed_from_u64(seed));
+        let mut lines: Vec<String> = text.lines().map(String::from).collect();
+        let graph_id = |line: &str| line.split('\t').next().map(String::from);
+        let Some(i) = (2..lines.len()).find(|&i| graph_id(&lines[i]) == graph_id(&lines[i - 1]))
+        else {
+            return Ok(());
+        };
+        let mut fields: Vec<&str> = lines[i].split('\t').collect();
+        fields[8] = fields[8].rsplit_once(',').map_or("", |(head, _)| head);
+        lines[i] = fields.join("\t");
+        let changed = lines.join("\n") + "\n";
+        prop_assert!(ParameterDataset::read_tsv(changed.as_bytes()).is_err(), "{}", changed);
+    }
+
     /// Valid cache files round-trip; truncated, bit-flipped or
     /// huge-count copies are rejected or round-trip.
     #[test]
