@@ -4,12 +4,12 @@
 //!
 //! Compares, per target depth: naive | two-level | hierarchical (pm = 2).
 //!
-//! Run: `cargo run --release -p bench --bin ablation_hierarchical [-- --quick]`
+//! Run: `cargo run --release -p bench --bin ablation_hierarchical [-- --quick] [-- --threads N]`
 
 use bench::RunConfig;
-use ml::metrics::{mean, std_dev};
 use ml::ModelKind;
 use optimize::Lbfgsb;
+use qaoa::evaluation::{graph_seed, row_from_samples};
 use qaoa::{MaxCutProblem, ParameterPredictor, Scenario, TwoLevelConfig, TwoLevelFlow};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,6 +27,9 @@ fn main() {
     let pool = bench::cli::pool(&config);
     let flow_config = TwoLevelConfig::default();
     let depths: Vec<usize> = ((intermediate + 1)..=config.max_depth.min(5)).collect();
+    // Graph gi's level-1 start is drawn from graph_seed(flow_seed, gi) in
+    // both flows, so the two columns share each graph's level-1 optimum.
+    let flow_seed = config.seed ^ 0xA5;
 
     println!(
         "# Hierarchical ablation (pm = {intermediate}), L-BFGS-B, {} test graphs",
@@ -43,55 +46,45 @@ fn main() {
             pt,
             &optimizer,
             config.restarts.min(5),
-            &Default::default(),
+            &flow_config.options,
             config.seed,
-            &qaoa::Scenario::Exact,
+            &Scenario::Exact,
             &pool,
         )
         .expect("naive protocol");
-        let naive_fc = mean(&naive.iter().map(|s| s.1 as f64).collect::<Vec<_>>());
-
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0xA5);
-        let mut tl_fc = Vec::new();
-        let mut tl_ar = Vec::new();
-        let mut hi_fc = Vec::new();
-        let mut hi_ar = Vec::new();
-        for graph in test.graphs() {
-            let problem = MaxCutProblem::new(graph).expect("non-empty graph");
-            let flow = TwoLevelFlow::new(&two_level);
-            let out = flow
-                .run(
-                    &problem,
-                    pt,
-                    &optimizer,
-                    &flow_config,
-                    &mut rng,
-                    &Scenario::Exact,
-                    0,
-                )
-                .expect("two-level run");
-            tl_fc.push(out.total_calls() as f64);
-            tl_ar.push(out.approximation_ratio);
-
-            let hflow = TwoLevelFlow::new(&hier);
-            let hout = hflow
+        let tl = engine::compare::two_level_protocol(
+            test.graphs(),
+            pt,
+            &optimizer,
+            &two_level,
+            flow_config.level1_starts,
+            &flow_config.options,
+            flow_seed,
+            &Scenario::Exact,
+            &pool,
+        )
+        .expect("two-level protocol");
+        let hi: Vec<(f64, usize)> = pool.run_ordered(test.graphs().len(), |gi| {
+            let problem = MaxCutProblem::new(&test.graphs()[gi]).expect("non-empty graph");
+            let mut rng = StdRng::seed_from_u64(graph_seed(flow_seed, gi));
+            let out = TwoLevelFlow::new(&hier)
                 .run_hierarchical(&two_level, &problem, pt, &optimizer, &flow_config, &mut rng)
                 .expect("hierarchical run");
-            hi_fc.push(hout.total_calls() as f64);
-            hi_ar.push(hout.approximation_ratio);
-        }
-        let reduction = 100.0 * (naive_fc - mean(&hi_fc)) / naive_fc.max(1.0);
+            (out.approximation_ratio, out.total_calls())
+        });
+        let tl = row_from_samples("L-BFGS-B", pt, &naive, &tl);
+        let hi = row_from_samples("L-BFGS-B", pt, &naive, &hi);
         println!(
             "{:>3} {:>10.1} {:>10.1} {:>6.4}±{:<5.4} {:>10.1} {:>6.4}±{:<5.4} {:>10.1}",
             pt,
-            naive_fc,
-            mean(&tl_fc),
-            mean(&tl_ar),
-            std_dev(&tl_ar),
-            mean(&hi_fc),
-            mean(&hi_ar),
-            std_dev(&hi_ar),
-            reduction
+            tl.naive_fc_mean,
+            tl.ml_fc_mean,
+            tl.ml_ar_mean,
+            tl.ml_ar_sd,
+            hi.ml_fc_mean,
+            hi.ml_ar_mean,
+            hi.ml_ar_sd,
+            hi.fc_reduction_percent()
         );
     }
     println!("\n# Reading: hierarchical adds an intermediate optimization, so its FC is higher");

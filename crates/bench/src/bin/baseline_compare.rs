@@ -23,10 +23,9 @@ use bench::RunConfig;
 use ml::metrics::mean;
 use ml::ModelKind;
 use optimize::{Lbfgsb, Options};
+use qaoa::evaluation;
 use qaoa::warmstart::{linear_ramp, FourierFlow, InterpFlow};
-use qaoa::{
-    MaxCutProblem, ParameterPredictor, QaoaInstance, Scenario, TwoLevelConfig, TwoLevelFlow,
-};
+use qaoa::{MaxCutProblem, ParameterPredictor, QaoaInstance, Scenario};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -90,7 +89,7 @@ fn main() {
             config.naive_starts.unwrap_or(config.restarts),
             &options,
             config.seed,
-            &qaoa::Scenario::Exact,
+            &Scenario::Exact,
             &pool,
         )
         .expect("naive protocol");
@@ -127,24 +126,18 @@ fn main() {
                 .expect("fourier flow");
             let fourier = (out.approximation_ratio, out.total_calls());
 
-            // Two-level ML flow.
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x4D4C);
-            let flow = TwoLevelFlow::new(&predictor);
-            let out = flow
-                .run(
-                    &problem,
-                    depth,
-                    &optimizer,
-                    &TwoLevelConfig {
-                        level1_starts: 1,
-                        options,
-                    },
-                    &mut rng,
-                    &Scenario::Exact,
-                    0,
-                )
-                .expect("two-level flow");
-            let two_level = (out.approximation_ratio, out.total_calls());
+            // Two-level ML flow: the Table-I protocol on this graph.
+            let two_level = evaluation::two_level_protocol_graph(
+                &graphs[gid],
+                depth,
+                &optimizer,
+                &predictor,
+                1,
+                &options,
+                seed ^ 0x4D4C,
+                &Scenario::Exact,
+            )
+            .expect("two-level flow");
 
             [ramp, interp, fourier, two_level]
         });

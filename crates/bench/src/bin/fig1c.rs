@@ -5,13 +5,13 @@
 //! The paper's shape to reproduce: AR climbs with depth while FC grows —
 //! depth buys quality but costs loop iterations.
 //!
-//! Run: `cargo run --release -p bench --bin fig1c [-- --quick]`
+//! Run: `cargo run --release -p bench --bin fig1c [-- --quick] [-- --threads N]`
 
 use bench::RunConfig;
 use graphs::generators;
-use ml::metrics::{mean, std_dev};
 use optimize::{Lbfgsb, Options};
-use qaoa::{MaxCutProblem, QaoaInstance};
+use qaoa::evaluation::{cell_seed, graph_seed, naive_protocol_graph, row_from_samples};
+use qaoa::Scenario;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -37,33 +37,35 @@ fn main() {
         "graph", "p", "meanAR", "sdAR", "meanFC", "sdFC"
     );
 
-    let optimizer = Lbfgsb::default();
-    let options = Options::default();
-    for (gi, graph) in graphs.iter().enumerate() {
-        let problem = MaxCutProblem::new(graph).expect("non-empty regular graph");
-        for p in 1..=max_depth {
-            let instance = QaoaInstance::new(problem.clone(), p).expect("valid depth");
-            let bounds = qaoa::parameter_bounds(p).expect("valid depth");
-            let mut ars = Vec::with_capacity(restarts);
-            let mut fcs = Vec::with_capacity(restarts);
-            for _ in 0..restarts {
-                let start = bounds.sample(&mut rng);
-                let out = instance
-                    .optimize(&optimizer, &start, &options)
-                    .expect("optimization runs");
-                ars.push(out.approximation_ratio);
-                fcs.push(out.function_calls as f64);
-            }
-            println!(
-                "G{:<5} {:>3} {:>9.4} {:>9.4} {:>10.1} {:>10.1}",
-                gi + 1,
-                p,
-                mean(&ars),
-                std_dev(&ars),
-                mean(&fcs),
-                std_dev(&fcs)
-            );
-        }
+    // The naive protocol once per (graph, depth) cell, seeded like a
+    // Table-I sweep of one optimizer, so rows do not depend on the pool.
+    let cells: Vec<(usize, usize)> = (0..n_graphs)
+        .flat_map(|gi| (1..=max_depth).map(move |p| (gi, p)))
+        .collect();
+    let samples = bench::cli::pool(&config).run_ordered(cells.len(), |cell| {
+        let (gi, p) = cells[cell];
+        naive_protocol_graph(
+            &graphs[gi],
+            p,
+            &Lbfgsb::default(),
+            restarts,
+            &Options::default(),
+            graph_seed(cell_seed(config.seed, 0, p - 1), gi),
+            &Scenario::Exact,
+        )
+        .expect("optimization runs")
+    });
+    for (&(gi, p), samples) in cells.iter().zip(&samples) {
+        let row = row_from_samples("L-BFGS-B", p, samples, &[]);
+        println!(
+            "G{:<5} {:>3} {:>9.4} {:>9.4} {:>10.1} {:>10.1}",
+            gi + 1,
+            p,
+            row.naive_ar_mean,
+            row.naive_ar_sd,
+            row.naive_fc_mean,
+            row.naive_fc_sd
+        );
     }
     println!("# Expected shape: mean AR increases with p; mean FC increases with p.");
 }

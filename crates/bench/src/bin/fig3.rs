@@ -2,17 +2,16 @@
 //! 3-regular graph — for a fixed stage i, γᵢOPT decreases as the circuit
 //! depth p grows while βᵢOPT increases.
 //!
-//! Optima are produced by multistart at `p = 1` and the INTERP chain above
-//! (Zhou et al., the paper's ref [5]) and displayed without symmetry
-//! folding, the same protocol as the `fig2` binary.
+//! Optima are the corpus pipeline's own (`qaoa::datagen`, run by
+//! `engine::corpus`): multistart at every depth plus one INTERP-seeded run
+//! above `p = 1` (Zhou et al., the paper's ref [5]), displayed through the
+//! same continuity-anchored fold as the `fig2` binary.
 //!
-//! Run: `cargo run --release -p bench --bin fig3 [-- --quick]`
+//! Run: `cargo run --release -p bench --bin fig3 [-- --quick] [-- --threads N]`
 
 use bench::RunConfig;
 use graphs::generators;
-use optimize::{Lbfgsb, Options};
-use qaoa::datagen::interp_resample;
-use qaoa::{MaxCutProblem, QaoaInstance};
+use qaoa::datagen::DataGenConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,46 +23,38 @@ fn main() {
 
     let mut rng = StdRng::seed_from_u64(config.seed);
     let graph = generators::random_regular(nodes, degree, &mut rng).expect("valid regular params");
-    let problem = MaxCutProblem::new(&graph).expect("non-empty graph");
-    let optimizer = Lbfgsb::default();
-    let options = Options::default();
+    let engine = config.engine();
+    let datagen = DataGenConfig {
+        max_depth,
+        ..config.datagen()
+    };
+    let (dataset, _) =
+        engine::corpus::from_graphs(vec![graph], &datagen, &engine).expect("corpus solve");
+    config.persist_level1(engine.cache());
 
     println!(
         "# Fig 3: optimal gamma_i / beta_i vs depth p, one {degree}-regular {nodes}-node graph"
     );
     println!(
-        "# {} random inits at p=1, INTERP chain above, L-BFGS-B, ftol 1e-6",
+        "# corpus policy: {} random inits per depth plus the INTERP-seeded run, L-BFGS-B, ftol 1e-6",
         config.restarts
     );
     println!(
         "{:>3} {:>3} {:>10} {:>10} {:>9}",
         "p", "i", "gamma_i", "beta_i", "AR"
     );
-    let mut chain: Vec<Vec<f64>> = Vec::new();
-    let mut ars = Vec::new();
-    for p in 1..=max_depth {
-        let instance = QaoaInstance::new(problem.clone(), p).expect("valid depth");
-        let outcome = match chain.last() {
-            None => instance
-                .optimize_multistart(&optimizer, config.restarts, &mut rng, &options)
-                .expect("level-1 optimization"),
-            Some(packed) => {
-                let half = packed.len() / 2;
-                let mut seed = interp_resample(&packed[..half], p);
-                seed.extend(interp_resample(&packed[half..], p));
-                instance
-                    .optimize(&optimizer, &seed, &options)
-                    .expect("seeded optimization")
-            }
-        };
-        ars.push(outcome.approximation_ratio);
-        chain.push(outcome.params);
-    }
-    for (row, display) in qaoa::canonical::display_fold_chain(&chain)
+    let records: Vec<_> = (1..=max_depth)
+        .map(|p| dataset.record(0, p).expect("solved depth"))
+        .collect();
+    let chain: Vec<Vec<f64>> = records
         .iter()
-        .enumerate()
+        .map(|r| r.gammas.iter().chain(&r.betas).copied().collect())
+        .collect();
+    for (record, display) in records
+        .iter()
+        .zip(qaoa::canonical::display_fold_chain(&chain))
     {
-        let p = row + 1;
+        let p = record.depth;
         for i in 0..p {
             println!(
                 "{:>3} {:>3} {:>10.4} {:>10.4} {:>9.4}",
@@ -71,7 +62,7 @@ fn main() {
                 i + 1,
                 display[i],
                 display[p + i],
-                ars[row]
+                record.approximation_ratio
             );
         }
     }

@@ -13,10 +13,9 @@
 
 use bench::RunConfig;
 use graphs::{generators, Graph};
-use ml::metrics::mean;
 use ml::ModelKind;
 use optimize::{Lbfgsb, Options};
-use qaoa::evaluation::graph_seed;
+use qaoa::evaluation::{graph_seed, row_from_samples};
 use qaoa::graph_aware::GraphAwarePredictor;
 use qaoa::{MaxCutProblem, ParameterPredictor};
 use rand::rngs::StdRng;
@@ -114,32 +113,28 @@ fn main() {
 
         // Graph-aware two-level runs, one engine job per graph (per-graph
         // seeds keep the fan-out schedule-independent).
-        let ga: Vec<(f64, f64)> = pool.run_ordered(graphs.len(), |gi| {
+        let ga: Vec<(f64, usize)> = pool.run_ordered(graphs.len(), |gi| {
             let mut rng = StdRng::seed_from_u64(graph_seed(config.seed ^ 0xB22, gi));
             let problem = MaxCutProblem::new(&graphs[gi]).expect("non-empty graph");
             let out = aware
                 .run_two_level(&problem, depth, &optimizer, &options, &mut rng)
                 .expect("graph-aware flow");
-            (out.approximation_ratio, out.total_calls() as f64)
+            (out.approximation_ratio, out.total_calls())
         });
-        let ga_ar: Vec<f64> = ga.iter().map(|s| s.0).collect();
-        let ga_fc: Vec<f64> = ga.iter().map(|s| s.1).collect();
 
-        let naive_ar = mean(&naive.iter().map(|s| s.0).collect::<Vec<_>>());
-        let naive_fc = mean(&naive.iter().map(|s| s.1 as f64).collect::<Vec<_>>());
-        let ml_ar = mean(&ml.iter().map(|s| s.0).collect::<Vec<_>>());
-        let ml_fc = mean(&ml.iter().map(|s| s.1 as f64).collect::<Vec<_>>());
+        let ml = row_from_samples("L-BFGS-B", depth, &naive, &ml);
+        let ga = row_from_samples("L-BFGS-B", depth, &naive, &ga);
         println!(
             "{:>12} {:>9.4} {:>9.4} {:>9.4} {:>9.1} {:>9.1} {:>9.1} {:>7.1} {:>7.1}",
             name,
-            naive_ar,
-            ml_ar,
-            mean(&ga_ar),
-            naive_fc,
-            ml_fc,
-            mean(&ga_fc),
-            100.0 * (1.0 - ml_fc / naive_fc),
-            100.0 * (1.0 - mean(&ga_fc) / naive_fc)
+            ml.naive_ar_mean,
+            ml.ml_ar_mean,
+            ga.ml_ar_mean,
+            ml.naive_fc_mean,
+            ml.ml_fc_mean,
+            ga.ml_fc_mean,
+            100.0 * (1.0 - ml.ml_fc_mean / ml.naive_fc_mean),
+            100.0 * (1.0 - ga.ml_fc_mean / ml.naive_fc_mean)
         );
     }
 }

@@ -17,9 +17,9 @@
 
 use bench::RunConfig;
 use graphs::Graph;
-use ml::metrics::mean;
 use ml::ModelKind;
 use optimize::{NelderMead, Options};
+use qaoa::evaluation::row_from_samples;
 use qaoa::{ParameterPredictor, Scenario};
 
 fn main() {
@@ -33,7 +33,6 @@ fn main() {
     let n_eval = test.graphs().len().min(if config.quick { 6 } else { 16 });
     let graphs: Vec<Graph> = test.graphs().iter().take(n_eval).cloned().collect();
     let pool = bench::cli::pool(&config);
-    let to_f64 = |n: usize| f64::from(u32::try_from(n).unwrap_or(u32::MAX));
 
     println!(
         "# Noisy-QAOA study: depolarizing (p1 = p2/10), Nelder-Mead, depth {target_depth}, \
@@ -72,18 +71,15 @@ fn main() {
         )
         .expect("noisy two-level protocol");
 
-        let naive_ar = mean(&naive.iter().map(|s| s.0).collect::<Vec<_>>());
-        let naive_fc = mean(&naive.iter().map(|s| to_f64(s.1)).collect::<Vec<_>>());
-        let ml_ar = mean(&ml.iter().map(|s| s.0).collect::<Vec<_>>());
-        let ml_fc = mean(&ml.iter().map(|s| to_f64(s.1)).collect::<Vec<_>>());
+        let row = row_from_samples("Nelder-Mead", target_depth, &naive, &ml);
         println!(
             "{:>9.4} {:>10.4} {:>10.4} {:>10.1} {:>10.1} {:>7.1}",
             p2,
-            naive_ar,
-            ml_ar,
-            naive_fc,
-            ml_fc,
-            100.0 * (1.0 - ml_fc / naive_fc)
+            row.naive_ar_mean,
+            row.ml_ar_mean,
+            row.naive_fc_mean,
+            row.ml_fc_mean,
+            100.0 * (1.0 - row.ml_fc_mean / row.naive_fc_mean)
         );
     }
     println!("\n# Expected shape: ML initialization keeps its call advantage as p2 grows,");

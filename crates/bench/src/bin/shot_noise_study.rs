@@ -17,9 +17,9 @@
 
 use bench::RunConfig;
 use graphs::Graph;
-use ml::metrics::mean;
 use ml::ModelKind;
 use optimize::{NelderMead, Options};
+use qaoa::evaluation::row_from_samples;
 use qaoa::{ParameterPredictor, Scenario};
 
 fn main() {
@@ -37,7 +37,6 @@ fn main() {
     let n_eval = test.graphs().len().min(if config.quick { 8 } else { 24 });
     let graphs: Vec<Graph> = test.graphs().iter().take(n_eval).cloned().collect();
     let pool = bench::cli::pool(&config);
-    let to_f64 = |n: usize| f64::from(u32::try_from(n).unwrap_or(u32::MAX));
 
     println!(
         "# Shot-noise study: SPSA on sampled <C>, target depth {target_depth}, {n_eval} graphs, \
@@ -75,13 +74,10 @@ fn main() {
         )
         .expect("sampled two-level protocol");
 
+        let row = row_from_samples("SPSA", target_depth, &naive, &ml);
         println!(
             "{:>8} {:>10.4} {:>10.4} {:>10.1} {:>10.1}",
-            shots,
-            mean(&naive.iter().map(|s| s.0).collect::<Vec<_>>()),
-            mean(&ml.iter().map(|s| s.0).collect::<Vec<_>>()),
-            mean(&naive.iter().map(|s| to_f64(s.1)).collect::<Vec<_>>()),
-            mean(&ml.iter().map(|s| to_f64(s.1)).collect::<Vec<_>>())
+            shots, row.naive_ar_mean, row.ml_ar_mean, row.naive_fc_mean, row.ml_fc_mean
         );
     }
     println!("\n# Expected shape: ML AR advantage persists at every shot budget, and both");

@@ -185,12 +185,12 @@ impl<'a> TwoLevelFlow<'a> {
         problem: &MaxCutProblem,
         target_depth: usize,
         optimizer: &dyn Optimizer,
-        config: &TwoLevelConfig,
+        options: &Options,
         level1: &InstanceOutcome,
     ) -> Result<TwoLevelOutcome, QaoaError> {
         let init = self.predict(level1, target_depth)?;
         let level2 = QaoaInstance::new(problem.clone(), target_depth)?;
-        optimize_level2(&level2, optimizer, &config.options, level1, None, init)
+        optimize_level2(&level2, optimizer, options, level1, None, init)
     }
 
     /// Runs the hierarchical variant (§I(d)): level 1 at `p = 1`, an
@@ -357,7 +357,7 @@ pub(crate) mod tests {
             )
             .unwrap();
         let a = flow
-            .run_with_level1(&problem, 2, &Lbfgsb::default(), &config, &l1)
+            .run_with_level1(&problem, 2, &Lbfgsb::default(), &config.options, &l1)
             .unwrap();
         let b = flow
             .run(
@@ -421,7 +421,7 @@ pub(crate) mod tests {
             .optimize_multistart(&lbfgsb, 2, &mut StdRng::seed_from_u64(3), &options)
             .unwrap();
         let cached = flow
-            .run_with_level1(&problem, 2, &lbfgsb, &config, &l1)
+            .run_with_level1(&problem, 2, &lbfgsb, &options, &l1)
             .unwrap();
         assert_eq!(
             pinned(&cached),

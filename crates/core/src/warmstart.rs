@@ -18,6 +18,7 @@ use std::cell::RefCell;
 use optimize::{Fallible, Optimizer, Options};
 use rand::Rng;
 
+use crate::datagen::interp_resample;
 use crate::{
     parameter_bounds, EvalContext, MaxCutProblem, QaoaAnsatz, QaoaError, QaoaInstance, BETA_MAX,
     GAMMA_MAX,
@@ -71,9 +72,10 @@ pub fn linear_ramp(depth: usize, total_time: f64) -> Result<Vec<f64>, QaoaError>
 /// depth-`p+1` starting point by linear interpolation,
 /// `θ'ᵢ = ((i−1)/p)·θᵢ₋₁ + ((p−i+1)/p)·θᵢ` for `i = 1…p+1` with `θ₀ = θ_{p+1} = 0`.
 ///
-/// Applied independently to the γ and β halves of the packed vector. Since
-/// each output is a convex combination of in-domain values, the result
-/// stays inside the paper's parameter box.
+/// Applied independently to the γ and β halves of the packed vector, each
+/// through [`interp_resample`] — the arithmetic the corpus seeds its deeper
+/// depths with. Since each output is a convex combination of in-domain
+/// values, the result stays inside the paper's parameter box.
 ///
 /// # Errors
 ///
@@ -99,18 +101,8 @@ pub fn interp_step(packed: &[f64]) -> Result<Vec<f64>, QaoaError> {
         });
     }
     let p = packed.len() / 2;
-    let interp_half = |theta: &[f64]| -> Vec<f64> {
-        let mut out = Vec::with_capacity(p + 1);
-        for i in 1..=(p + 1) {
-            let prev = if i >= 2 { theta[i - 2] } else { 0.0 };
-            let curr = if i <= p { theta[i - 1] } else { 0.0 };
-            let w = index_f64(i - 1) / index_f64(p);
-            out.push(w * prev + (1.0 - w) * curr);
-        }
-        out
-    };
-    let mut next = interp_half(&packed[..p]);
-    next.extend(interp_half(&packed[p..]));
+    let mut next = interp_resample(&packed[..p], p + 1);
+    next.extend(interp_resample(&packed[p..], p + 1));
     Ok(next)
 }
 

@@ -84,7 +84,7 @@ use graphs::Graph;
 use optimize::Optimizer;
 use qaoa::datagen::DataGenConfig;
 use qaoa::eval::with_within_state_threads;
-use qaoa::{MaxCutProblem, ParameterPredictor, TwoLevelConfig, TwoLevelFlow};
+use qaoa::{MaxCutProblem, ParameterPredictor, TwoLevelFlow};
 
 use crate::batch::{BatchConfig, Engine, Job};
 use crate::cache::Level1Key;
@@ -451,15 +451,11 @@ fn answer_predict<W: Write>(
             let problem = MaxCutProblem::new(&request.graph)?;
             let (level1, _) =
                 engine.level1_cached(&request.graph, optimizer, request.restarts, config)?;
-            let flow_config = TwoLevelConfig {
-                level1_starts: request.restarts,
-                options: config.options,
-            };
             TwoLevelFlow::new(predictor).run_with_level1(
                 &problem,
                 request.depth,
                 optimizer,
-                &flow_config,
+                &config.options,
                 &level1,
             )
         })
@@ -1154,16 +1150,12 @@ QW1 JOB 1 2 3 0-1,1-2\n";
             .cache()
             .peek(&key)
             .expect("the cold request cached its solve");
-        let flow_config = TwoLevelConfig {
-            level1_starts: 2,
-            options: config.options,
-        };
         let flow = TwoLevelFlow::new(&predictor)
             .run_with_level1(
                 &MaxCutProblem::new(&graph).unwrap(),
                 2,
                 &optimizer,
-                &flow_config,
+                &config.options,
                 &level1,
             )
             .unwrap();

@@ -6,7 +6,7 @@
 //! saving at paper scale; this example runs a reduced scale so it finishes
 //! in about a minute.
 //!
-//! Run: `cargo run --release -p qaoa --example ml_accelerated`
+//! Run: `cargo run --release -p integration --example ml_accelerated`
 
 use ml::metrics::mean;
 use ml::ModelKind;

@@ -6,7 +6,7 @@
 //! recovers. This is the regime the paper's run-time argument targets:
 //! every QC call is expensive and noisy.
 //!
-//! Run: `cargo run --release -p qaoa --example noisy_simulation`
+//! Run: `cargo run --release -p integration --example noisy_simulation`
 
 use graphs::generators;
 use optimize::{NelderMead, Options};

@@ -5,48 +5,39 @@
 //!
 //! These regularities are the entire basis of the paper's ML predictor.
 //! They emerge when consecutive depths stay in the same smooth basin family,
-//! so — as in the corpus pipeline (`qaoa::datagen`) — the depth-1 instance is
-//! solved by multistart and deeper instances follow Zhou et al.'s INTERP
-//! chain; the smoothness-preserving conjugation fold normalizes the display.
+//! so the graph is solved by the corpus pipeline itself (`qaoa::datagen` on
+//! `engine::corpus`): multistart at every depth plus one run seeded by Zhou
+//! et al.'s INTERP schedule above depth 1, near-ties resolved to the INTERP
+//! basin; the smoothness-preserving conjugation fold normalizes the display.
 //!
-//! Run: `cargo run --release -p qaoa --example parameter_trends`
+//! Run: `cargo run --release -p integration --example parameter_trends`
 
+use engine::Engine;
 use graphs::generators;
-use optimize::{Lbfgsb, Options};
-use qaoa::datagen::interp_resample;
-use qaoa::{canonical, MaxCutProblem, QaoaInstance};
+use qaoa::canonical;
+use qaoa::datagen::DataGenConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(2020);
     let graph = generators::random_regular(8, 3, &mut rng)?;
-    let problem = MaxCutProblem::new(&graph)?;
-    let optimizer = Lbfgsb::default();
-    let options = Options::default();
-    let max_depth = 5;
-
     println!("graph: {graph} (3-regular)");
 
-    // Build the INTERP chain once; read both trends off it.
-    let mut chain: Vec<(Vec<f64>, f64)> = Vec::new();
-    for p in 1..=max_depth {
-        let instance = QaoaInstance::new(problem.clone(), p)?;
-        let outcome = if let Some((packed, _)) = chain.last() {
-            let half = packed.len() / 2;
-            let mut seed = interp_resample(&packed[..half], p);
-            seed.extend(interp_resample(&packed[half..], p));
-            instance.optimize(&optimizer, &seed, &options)?
-        } else {
-            instance.optimize_multistart(&optimizer, 10, &mut rng, &options)?
-        };
-        chain.push((outcome.params, outcome.approximation_ratio));
-    }
+    // Solve depths 1..=5 once; read both trends off the chain.
+    let config = DataGenConfig {
+        max_depth: 5,
+        restarts: 10,
+        seed: 2020,
+        ..DataGenConfig::paper()
+    };
+    let (dataset, _) = engine::corpus::from_graphs(vec![graph], &config, &Engine::default())?;
+    let records = dataset.records();
 
     let folded = canonical::display_fold_chain(
-        &chain
+        &records
             .iter()
-            .map(|(params, _)| params.clone())
+            .map(|r| r.gammas.iter().chain(&r.betas).copied().collect())
             .collect::<Vec<_>>(),
     );
 
@@ -70,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             p + 1,
             params[0],
             params[p + 1],
-            chain[p].1
+            records[p].approximation_ratio
         );
     }
     println!("(expect gamma_1 decreasing, beta_1 increasing, AR increasing)");

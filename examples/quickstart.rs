@@ -3,7 +3,7 @@
 //! Builds a small random graph, runs the depth-2 QAOA optimization loop
 //! with L-BFGS-B from random initializations, and reports the cut found.
 //!
-//! Run: `cargo run --release -p qaoa --example quickstart`
+//! Run: `cargo run --release -p integration --example quickstart`
 
 use graphs::{generators, MaxCut};
 use optimize::{Lbfgsb, Options};

@@ -6,7 +6,7 @@
 //! and reports the approximation ratio and loop cost of each, echoing
 //! Fig. 1(c) across families rather than single graphs.
 //!
-//! Run: `cargo run --release -p qaoa --example regular_graph_study`
+//! Run: `cargo run --release -p integration --example regular_graph_study`
 
 use graphs::{generators, Graph};
 use ml::metrics::mean;

@@ -6,7 +6,7 @@
 //! binary runs the same comparison — plus the ML two-level flow — over a
 //! whole ensemble.
 //!
-//! Run: `cargo run --release -p qaoa --example warmstart_baselines`
+//! Run: `cargo run --release -p integration --example warmstart_baselines`
 
 use graphs::generators;
 use optimize::{Lbfgsb, Options};

@@ -7,6 +7,7 @@ use linalg::Matrix;
 use ml::{ForestModel, KnnModel, Regressor, RidgeModel};
 use optimize::{Bounds, Optimizer, Options, Powell, Spsa};
 use proptest::prelude::*;
+use qaoa::datagen::interp_resample;
 use qaoa::warmstart::{fourier_to_params, interp_step, linear_ramp};
 use qaoa::{BETA_MAX, GAMMA_MAX};
 use qsim::{Circuit, DensityMatrix, KrausChannel, NoiseModel};
@@ -101,8 +102,9 @@ proptest! {
         prop_assert!(rho.hermiticity_deviation() < 1e-8);
     }
 
-    /// INTERP grows the packed vector by exactly one stage per half and its
-    /// outputs stay within the convex hull of {0} ∪ inputs.
+    /// INTERP grows the packed vector by exactly one stage per half, its
+    /// outputs stay within the convex hull of {0} ∪ inputs, and each half
+    /// is the corpus's `interp_resample` of the input half, bit for bit.
     #[test]
     fn interp_step_convexity(
         depth in 1usize..8,
@@ -113,6 +115,15 @@ proptest! {
         packed.extend((0..depth).map(|_| rng.gen_range(0.0..BETA_MAX)));
         let next = interp_step(&packed).expect("valid packed");
         prop_assert_eq!(next.len(), 2 * (depth + 1));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(
+            bits(&next[..depth + 1]),
+            bits(&interp_resample(&packed[..depth], depth + 1))
+        );
+        prop_assert_eq!(
+            bits(&next[depth + 1..]),
+            bits(&interp_resample(&packed[depth..], depth + 1))
+        );
         let gmax = packed[..depth].iter().fold(0.0f64, |a, &b| a.max(b));
         let bmax = packed[depth..].iter().fold(0.0f64, |a, &b| a.max(b));
         for &g in &next[..depth + 1] {
