@@ -10,14 +10,14 @@ use crate::{EvalContext, MaxCutProblem, QaoaError};
 /// `CNOT(u,v) · RZ_v(−γ·w) · CNOT(u,v)`, the paper's `RZ(−γ)` construction)
 /// followed by a mixing layer of `RX(2β)` rotations.
 ///
-/// **Fast diagonal path** ([`QaoaAnsatz::expectation_in`] /
-/// [`QaoaAnsatz::state_fast`]): because the cost Hamiltonian is diagonal,
-/// `e^{−iγC}` is a per-amplitude phase and only the mixing layer needs gate
-/// kernels. This is `O(2ⁿ·(1 + n))` per stage versus `O(2ⁿ·(|E| + n))` for
-/// the gate path and is what the optimization loop uses — through a
-/// reusable [`EvalContext`] running on the split re/im SoA kernels of
-/// `qsim::soa` (autovectorized, cache-blocked, optionally fanned out within
-/// one state), which also provides the exact adjoint gradient
+/// **Fast diagonal path** ([`QaoaAnsatz::expectation_in`]): because the
+/// cost Hamiltonian is diagonal, `e^{−iγC}` is a per-amplitude phase and
+/// only the mixing layer needs gate kernels. This is `O(2ⁿ·(1 + n))` per
+/// stage versus `O(2ⁿ·(|E| + n))` for the gate path and is what the
+/// optimization loop uses — through a reusable [`EvalContext`] running on
+/// the split re/im SoA kernels of `qsim::soa` (autovectorized,
+/// cache-blocked, optionally fanned out within one state), which also
+/// provides the exact adjoint gradient
 /// ([`QaoaAnsatz::expectation_and_grad_in`]). The paths agree to machine
 /// precision (see this module's tests; the `eval_hot_path` bench times the
 /// fast path).
@@ -125,39 +125,6 @@ impl QaoaAnsatz {
         Ok(c)
     }
 
-    /// Runs the gate-level circuit and returns the output state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QaoaError::ParameterCount`] on a length mismatch; simulator
-    /// errors cannot occur for circuits built here.
-    pub fn state_gate_level(&self, params: &[f64]) -> Result<StateVector, QaoaError> {
-        let circuit = self.build_circuit(params)?;
-        let state = circuit.run(StateVector::zero_state(self.problem.n_qubits()))?;
-        Ok(state)
-    }
-
-    /// Produces `|ψ(γ, β)⟩` via the fast diagonal path, as a fresh state.
-    ///
-    /// Allocates one state vector; the phase-separation layer uses the
-    /// fused [`StateVector::apply_phase_from_diag`] kernel (no phase-vector
-    /// materialization). The optimization loop avoids even the state
-    /// allocation via [`QaoaAnsatz::expectation_in`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QaoaError::ParameterCount`] on a length mismatch.
-    pub fn state_fast(&self, params: &[f64]) -> Result<StateVector, QaoaError> {
-        let (gammas, betas) = self.split_params(params)?;
-        let diag = self.problem.cost().diagonal();
-        let mut state = StateVector::plus_state(self.problem.n_qubits());
-        for (&gamma, &beta) in gammas.iter().zip(betas) {
-            state.apply_phase_from_diag(diag, gamma)?;
-            state.apply_rx_layer(2.0 * beta);
-        }
-        Ok(state)
-    }
-
     /// The QAOA objective `⟨ψ(γ, β)|C|ψ(γ, β)⟩` — the quantity each
     /// "function call / QC call" of the paper evaluates — in a fresh
     /// [`EvalContext`] built for this one call. Loops that evaluate many
@@ -218,7 +185,8 @@ impl QaoaAnsatz {
     ///
     /// Returns [`QaoaError::ParameterCount`] on a length mismatch.
     pub fn expectation_gate_level(&self, params: &[f64]) -> Result<f64, QaoaError> {
-        let state = self.state_gate_level(params)?;
+        let circuit = self.build_circuit(params)?;
+        let state = circuit.run(StateVector::zero_state(self.problem.n_qubits()))?;
         Ok(self.problem.cost().expectation(&state)?)
     }
 }
@@ -285,8 +253,14 @@ mod tests {
                 let gate = ansatz.expectation_gate_level(&params).unwrap();
                 assert!((fast - gate).abs() < 1e-9, "p={p}: {fast} vs {gate}");
                 // The full states also agree up to global phase.
-                let sf = ansatz.state_fast(&params).unwrap();
-                let sg = ansatz.state_gate_level(&params).unwrap();
+                let mut ctx = EvalContext::new(problem.n_qubits());
+                ansatz.expectation_in(&mut ctx, &params).unwrap();
+                let sf = ctx.state().to_state_vector();
+                let sg = ansatz
+                    .build_circuit(&params)
+                    .unwrap()
+                    .run(StateVector::zero_state(problem.n_qubits()))
+                    .unwrap();
                 assert!((sf.fidelity(&sg).unwrap() - 1.0).abs() < 1e-9);
             }
         }
@@ -318,8 +292,9 @@ mod tests {
         let g = generators::cycle(5);
         let ansatz = QaoaAnsatz::new(MaxCutProblem::new(&g).unwrap(), 4).unwrap();
         let params: Vec<f64> = (0..8).map(|i| 0.3 + 0.1 * i as f64).collect();
-        let s = ansatz.state_fast(&params).unwrap();
-        assert!((s.norm() - 1.0).abs() < EPS);
+        let mut ctx = EvalContext::new(5);
+        ansatz.expectation_in(&mut ctx, &params).unwrap();
+        assert!((ctx.state().to_state_vector().norm() - 1.0).abs() < EPS);
     }
 
     #[test]

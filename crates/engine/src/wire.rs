@@ -208,26 +208,13 @@ fn parse_edge(part: &str) -> Result<(u32, u32, u64), WireError> {
 /// Strips the magic and the expected type token, returning the payload
 /// fields.
 fn payload<'a>(line: &'a str, expected: &str) -> Result<Vec<&'a str>, WireError> {
-    let mut fields = line.split_whitespace();
-    match fields.next() {
-        Some(MAGIC) => {}
-        Some(other) => {
-            return Err(WireError::new(format!(
-                "unsupported wire version `{other}` (this codec speaks {MAGIC})"
-            )))
-        }
-        None => return Err(WireError::new("empty line")),
+    let kind = message_type(line)?;
+    if kind != expected {
+        return Err(WireError::new(format!(
+            "expected {expected} message, got {kind}"
+        )));
     }
-    match fields.next() {
-        Some(t) if t == expected => {}
-        Some(other) => {
-            return Err(WireError::new(format!(
-                "expected {expected} message, got {other}"
-            )))
-        }
-        None => return Err(WireError::new("missing message type")),
-    }
-    Ok(fields.collect())
+    Ok(line.split_whitespace().skip(2).collect())
 }
 
 fn expect_fields<'a>(

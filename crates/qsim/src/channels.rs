@@ -248,8 +248,8 @@ fn scale_gate(g: &Gate2, s: f64) -> Gate2 {
 /// use qsim::{KrausChannel, NoiseModel};
 /// # fn main() -> Result<(), qsim::QsimError> {
 /// let nm = NoiseModel::uniform_depolarizing(0.001, 0.01)?;
-/// assert!(!nm.is_noiseless());
-/// assert!(NoiseModel::default().is_noiseless());
+/// assert!(nm.after_1q.is_some() && nm.after_2q.is_some());
+/// assert_eq!(NoiseModel::uniform_depolarizing(0.0, 0.0)?, NoiseModel::noiseless());
 /// # Ok(())
 /// # }
 /// ```
@@ -289,12 +289,6 @@ impl NoiseModel {
                 None
             },
         })
-    }
-
-    /// `true` if no channel is configured.
-    #[must_use]
-    pub fn is_noiseless(&self) -> bool {
-        self.after_1q.is_none() && self.after_2q.is_none()
     }
 }
 
@@ -364,11 +358,12 @@ mod tests {
 
     #[test]
     fn noise_model_constructors() {
-        assert!(NoiseModel::noiseless().is_noiseless());
+        let none = NoiseModel::noiseless();
+        assert!(none.after_1q.is_none() && none.after_2q.is_none());
         let nm = NoiseModel::uniform_depolarizing(0.0, 0.0).unwrap();
-        assert!(nm.is_noiseless());
+        assert_eq!(nm, none);
         let nm = NoiseModel::uniform_depolarizing(0.001, 0.01).unwrap();
-        assert!(!nm.is_noiseless());
+        assert!(nm.after_1q.is_some() && nm.after_2q.is_some());
         assert!(NoiseModel::uniform_depolarizing(-1.0, 0.0).is_err());
         assert!(NoiseModel::uniform_depolarizing(0.0, 2.0).is_err());
     }

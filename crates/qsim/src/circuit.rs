@@ -263,34 +263,6 @@ impl Circuit {
         Ok(state)
     }
 
-    /// The inverse circuit: reversed gate order with each rotation negated
-    /// (H, X, Y, Z, CNOT, CZ and SWAP are self-inverse).
-    ///
-    /// Running a circuit followed by its inverse restores the input state.
-    #[must_use]
-    pub fn inverse(&self) -> Circuit {
-        let mut inv = Circuit::new(self.n_qubits);
-        for op in self.ops.iter().rev() {
-            let gate = match *op {
-                Gate::Rx { qubit, theta } => Gate::Rx {
-                    qubit,
-                    theta: -theta,
-                },
-                Gate::Ry { qubit, theta } => Gate::Ry {
-                    qubit,
-                    theta: -theta,
-                },
-                Gate::Rz { qubit, theta } => Gate::Rz {
-                    qubit,
-                    theta: -theta,
-                },
-                ref other => other.clone(),
-            };
-            inv.ops.push(gate);
-        }
-        inv
-    }
-
     /// Checks that every recorded gate addresses valid, distinct qubits.
     ///
     /// # Errors
@@ -401,8 +373,18 @@ mod tests {
             .cz(1, 2)
             .swap(0, 1)
             .ry(0, 2.2);
+        // Reversed order, each rotation negated; the rest are self-inverse.
+        let mut inverse = Circuit::new(3);
+        inverse
+            .ry(0, -2.2)
+            .swap(0, 1)
+            .cz(1, 2)
+            .rz(2, 1.3)
+            .cnot(0, 2)
+            .rx(1, -0.7)
+            .h(0);
         let forward = c.run(StateVector::zero_state(3)).unwrap();
-        let restored = c.inverse().run(forward).unwrap();
+        let restored = inverse.run(forward).unwrap();
         assert!((restored.probability(0) - 1.0).abs() < EPS);
     }
 

@@ -1,4 +1,3 @@
-use crate::soa::SplitState;
 use crate::{QsimError, StateVector};
 
 /// An observable that is diagonal in the computational basis.
@@ -136,30 +135,12 @@ impl DiagonalObservable {
             .map(|(a, d)| a.norm_sqr() * d)
             .sum())
     }
-
-    /// Expectation on a split re/im state — the hot-path counterpart of
-    /// [`DiagonalObservable::expectation`], computed as a tiled
-    /// deterministic reduction (see [`SplitState::expectation_diag`]):
-    /// results are bit-identical at any `threads` budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QsimError::DimensionMismatch`] if the state dimension
-    /// differs from the diagonal length.
-    pub fn expectation_split(&self, state: &SplitState, threads: usize) -> Result<f64, QsimError> {
-        if state.dim() != self.diag.len() {
-            return Err(QsimError::DimensionMismatch {
-                expected: self.diag.len(),
-                actual: state.dim(),
-            });
-        }
-        Ok(state.expectation_diag(&self.diag, threads))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soa::SplitState;
     use crate::Circuit;
 
     const EPS: f64 = 1e-12;
@@ -199,10 +180,9 @@ mod tests {
         // Below one reduction tile the tiled sum degenerates to the dense
         // sequential sum, so the two paths agree bitwise.
         assert_eq!(
-            d.expectation_split(&split, 1).unwrap().to_bits(),
+            split.expectation_diag(d.diagonal(), 1).to_bits(),
             d.expectation(&s).unwrap().to_bits()
         );
-        assert!(d.expectation_split(&SplitState::plus_state(2), 1).is_err());
     }
 
     #[test]

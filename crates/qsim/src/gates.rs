@@ -108,18 +108,6 @@ pub fn phase(phi: f64) -> Gate2 {
     ]
 }
 
-/// S gate (`phase(π/2)`).
-#[must_use]
-pub fn s() -> Gate2 {
-    phase(std::f64::consts::FRAC_PI_2)
-}
-
-/// T gate (`phase(π/4)`).
-#[must_use]
-pub fn t() -> Gate2 {
-    phase(std::f64::consts::FRAC_PI_4)
-}
-
 /// The general single-qubit unitary `U3(θ, φ, λ)` (OpenQASM convention):
 ///
 /// ```text
@@ -192,8 +180,6 @@ mod tests {
             ("x", x()),
             ("y", y()),
             ("z", z()),
-            ("s", s()),
-            ("t", t()),
             ("rx", rx(0.731)),
             ("ry", ry(-2.5)),
             ("rz", rz(4.0)),
@@ -252,8 +238,11 @@ mod tests {
 
     #[test]
     fn s_squared_is_z_and_t_squared_is_s() {
-        assert!(max_deviation(&compose(&s(), &s()), &z()) < EPS);
-        assert!(max_deviation(&compose(&t(), &t()), &s()) < EPS);
+        // S = phase(π/2), T = phase(π/4).
+        let s = phase(std::f64::consts::FRAC_PI_2);
+        let t = phase(std::f64::consts::FRAC_PI_4);
+        assert!(max_deviation(&compose(&s, &s), &z()) < EPS);
+        assert!(max_deviation(&compose(&t, &t), &s) < EPS);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! Layout:
 //!
 //! * [`Complex64`] — first-party complex arithmetic (no external crates),
-//! * [`StateVector`] — `2^n` amplitudes with single/two-qubit gate kernels,
+//! * [`StateVector`] — `2^n` amplitudes with single/two-qubit gate kernels:
+//!   the gate-level path, and the scalar reference the SoA kernels match,
 //! * [`soa::SplitState`] — split re/im (structure-of-arrays) kernels for the
 //!   QAOA evaluation hot path on the bit-flip-symmetric lower half of the
 //!   state: autovectorizable, cache-blocked, with deterministic
@@ -17,7 +18,9 @@
 //! * [`gates`] — standard gate matrices (H, X, Y, Z, RX, RY, RZ, phase),
 //! * [`Circuit`] / [`Gate`] — a replayable circuit IR,
 //! * [`DiagonalObservable`] — fast diagonal (cost-Hamiltonian) expectations,
-//! * [`sample_counts`] — projective measurement in the computational basis.
+//! * [`DensityMatrix`] / [`KrausChannel`] / [`NoiseModel`] — mixed states
+//!   under gate noise,
+//! * [`CdfSampler`] — projective measurement in the computational basis.
 //!
 //! Qubit `k` owns bit `k` of the basis-state index (little-endian), so basis
 //! state `|q_{n-1} … q_1 q_0⟩` has index `Σ q_k 2^k`.
@@ -55,7 +58,5 @@ pub use complex::Complex64;
 pub use density::{DensityMatrix, MAX_DM_QUBITS};
 pub use error::QsimError;
 pub use expectation::DiagonalObservable;
-pub use sampling::{
-    sample_counts, sample_density_counts, sample_density_indices, sample_indices, CdfSampler,
-};
+pub use sampling::CdfSampler;
 pub use state::StateVector;

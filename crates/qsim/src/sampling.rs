@@ -1,8 +1,6 @@
-use std::collections::BTreeMap;
-
 use rand::Rng;
 
-use crate::{Complex64, DensityMatrix, QsimError, StateVector};
+use crate::{Complex64, QsimError};
 
 /// Reusable inverse-CDF sampler over an explicit probability vector.
 ///
@@ -129,130 +127,64 @@ impl CdfSampler {
     }
 }
 
-/// Draws `shots` basis-state indices from the Born distribution of `state`.
-///
-/// Uses inverse-CDF sampling per shot; adequate for the shot counts used in
-/// QAOA experiments (`≤ 10^5`). Fails if the state's probability vector is
-/// invalid (all-zero or non-finite, e.g. an uninitialised register).
-///
-/// # Example
-///
-/// ```
-/// use qsim::{sample_indices, StateVector};
-/// use rand::SeedableRng;
-/// let state = StateVector::basis_state(2, 3);
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// let shots = sample_indices(&state, 100, &mut rng)?;
-/// assert!(shots.iter().all(|&z| z == 3));
-/// # Ok::<(), qsim::QsimError>(())
-/// ```
-pub fn sample_indices<R: Rng + ?Sized>(
-    state: &StateVector,
-    shots: usize,
-    rng: &mut R,
-) -> Result<Vec<usize>, QsimError> {
-    let mut sampler = CdfSampler::new();
-    sampler.load(&state.probabilities())?;
-    Ok((0..shots).map(|_| sampler.draw(rng)).collect())
-}
-
-/// Draws `shots` measurements and returns a histogram of basis states.
-///
-/// Keys are basis indices; values are observed counts summing to `shots`.
-pub fn sample_counts<R: Rng + ?Sized>(
-    state: &StateVector,
-    shots: usize,
-    rng: &mut R,
-) -> Result<BTreeMap<usize, usize>, QsimError> {
-    let mut counts = BTreeMap::new();
-    for z in sample_indices(state, shots, rng)? {
-        *counts.entry(z).or_insert(0) += 1;
-    }
-    Ok(counts)
-}
-
-/// Draws `shots` basis-state indices from the diagonal of a density matrix
-/// — projective measurement of a (possibly mixed) open-system state.
-///
-/// # Example
-///
-/// ```
-/// use qsim::{sample_density_indices, DensityMatrix};
-/// use rand::SeedableRng;
-/// # fn main() -> Result<(), qsim::QsimError> {
-/// let rho = DensityMatrix::maximally_mixed(2)?;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-/// let shots = sample_density_indices(&rho, 100, &mut rng)?;
-/// assert_eq!(shots.len(), 100);
-/// assert!(shots.iter().all(|&z| z < 4));
-/// # Ok(())
-/// # }
-/// ```
-pub fn sample_density_indices<R: Rng + ?Sized>(
-    rho: &DensityMatrix,
-    shots: usize,
-    rng: &mut R,
-) -> Result<Vec<usize>, QsimError> {
-    let mut sampler = CdfSampler::new();
-    sampler.load(&rho.probabilities())?;
-    Ok((0..shots).map(|_| sampler.draw(rng)).collect())
-}
-
-/// Draws `shots` measurements from a density matrix and returns a histogram
-/// of basis states.
-pub fn sample_density_counts<R: Rng + ?Sized>(
-    rho: &DensityMatrix,
-    shots: usize,
-    rng: &mut R,
-) -> Result<BTreeMap<usize, usize>, QsimError> {
-    let mut counts = BTreeMap::new();
-    for z in sample_density_indices(rho, shots, rng)? {
-        *counts.entry(z).or_insert(0) += 1;
-    }
-    Ok(counts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DensityMatrix, StateVector};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// `shots` draws from a sampler loaded with `probs`.
+    fn draws(probs: &[f64], shots: usize, rng: &mut StdRng) -> Vec<usize> {
+        let mut sampler = CdfSampler::new();
+        sampler.load(probs).unwrap();
+        (0..shots).map(|_| sampler.draw(rng)).collect()
+    }
+
+    /// Per-index counts of `shots` draws from `probs`.
+    fn counts(probs: &[f64], shots: usize, rng: &mut StdRng) -> Vec<usize> {
+        let mut counts = vec![0; probs.len()];
+        for z in draws(probs, shots, rng) {
+            counts[z] += 1;
+        }
+        counts
+    }
 
     #[test]
     fn deterministic_state_samples_deterministically() {
         let s = StateVector::basis_state(3, 5);
         let mut rng = StdRng::seed_from_u64(1);
-        let counts = sample_counts(&s, 50, &mut rng).unwrap();
-        assert_eq!(counts.len(), 1);
-        assert_eq!(counts[&5], 50);
+        let counts = counts(&s.probabilities(), 50, &mut rng);
+        assert_eq!(counts[5], 50);
+        assert_eq!(counts.iter().sum::<usize>(), 50);
     }
 
     #[test]
     fn uniform_state_covers_support() {
         let s = StateVector::plus_state(2);
         let mut rng = StdRng::seed_from_u64(42);
-        let counts = sample_counts(&s, 4000, &mut rng).unwrap();
-        assert_eq!(counts.values().sum::<usize>(), 4000);
+        let counts = counts(&s.probabilities(), 4000, &mut rng);
+        assert_eq!(counts.iter().sum::<usize>(), 4000);
         // All four outcomes present, each within 5 sigma of 1000.
-        for z in 0..4 {
-            let c = *counts.get(&z).unwrap_or(&0) as f64;
-            assert!((c - 1000.0).abs() < 5.0 * (4000.0_f64 * 0.25 * 0.75).sqrt());
+        for &c in &counts {
+            assert!((c as f64 - 1000.0).abs() < 5.0 * (4000.0_f64 * 0.25 * 0.75).sqrt());
         }
     }
 
     #[test]
     fn zero_shots_is_empty() {
+        // Loading draws nothing: the stream is untouched until `draw`.
         let s = StateVector::plus_state(1);
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(sample_indices(&s, 0, &mut rng).unwrap().is_empty());
-        assert!(sample_counts(&s, 0, &mut rng).unwrap().is_empty());
+        assert!(draws(&s.probabilities(), 0, &mut rng).is_empty());
+        assert_eq!(rng.gen::<u64>(), StdRng::seed_from_u64(0).gen::<u64>());
     }
 
     #[test]
     fn seeded_reproducibility() {
-        let s = StateVector::plus_state(3);
-        let a = sample_indices(&s, 32, &mut StdRng::seed_from_u64(9)).unwrap();
-        let b = sample_indices(&s, 32, &mut StdRng::seed_from_u64(9)).unwrap();
+        let p = StateVector::plus_state(3).probabilities();
+        let a = draws(&p, 32, &mut StdRng::seed_from_u64(9));
+        let b = draws(&p, 32, &mut StdRng::seed_from_u64(9));
         assert_eq!(a, b);
     }
 
@@ -261,8 +193,8 @@ mod tests {
         // Sampling |ψ⟩⟨ψ| must match sampling |ψ⟩ for the same seed.
         let s = StateVector::plus_state(2);
         let rho = DensityMatrix::from_state_vector(&s).unwrap();
-        let a = sample_indices(&s, 64, &mut StdRng::seed_from_u64(4)).unwrap();
-        let b = sample_density_indices(&rho, 64, &mut StdRng::seed_from_u64(4)).unwrap();
+        let a = draws(&s.probabilities(), 64, &mut StdRng::seed_from_u64(4));
+        let b = draws(&rho.probabilities(), 64, &mut StdRng::seed_from_u64(4));
         assert_eq!(a, b);
     }
 
@@ -270,11 +202,10 @@ mod tests {
     fn mixed_state_sampling_covers_support() {
         let rho = DensityMatrix::maximally_mixed(2).unwrap();
         let mut rng = StdRng::seed_from_u64(12);
-        let counts = sample_density_counts(&rho, 4000, &mut rng).unwrap();
-        assert_eq!(counts.values().sum::<usize>(), 4000);
-        for z in 0..4 {
-            let c = *counts.get(&z).unwrap_or(&0) as f64;
-            assert!((c - 1000.0).abs() < 5.0 * (4000.0_f64 * 0.25 * 0.75).sqrt());
+        let counts = counts(&rho.probabilities(), 4000, &mut rng);
+        assert_eq!(counts.iter().sum::<usize>(), 4000);
+        for &c in &counts {
+            assert!((c as f64 - 1000.0).abs() < 5.0 * (4000.0_f64 * 0.25 * 0.75).sqrt());
         }
     }
 
@@ -302,7 +233,7 @@ mod tests {
         let s = StateVector::basis_state(2, 2);
         for seed in 0..16 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let shots = sample_indices(&s, 128, &mut rng).unwrap();
+            let shots = draws(&s.probabilities(), 128, &mut rng);
             assert!(shots.iter().all(|&z| z == 2));
         }
     }

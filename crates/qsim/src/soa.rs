@@ -1024,8 +1024,9 @@ mod tests {
         // high-qubit streaming paths are exercised.
         for n in [0usize, 1, 2, 3, TILE_BITS, TILE_BITS + 1, TILE_BITS + 2] {
             let mut reference = StateVector::plus_state(n);
-            let diag = symmetric(n, |z| (z % 7) as f64);
-            reference.apply_phase_from_diag(&diag, 0.31).unwrap();
+            let level_of = symmetric(n, |z| (z % 7) as u32);
+            let (aos, _, _) = phase_table(&[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 0.31);
+            reference.apply_phase_levels(&level_of, &aos).unwrap();
             let mut soa = SplitState::from_state_vector(&reference).unwrap();
             reference.apply_rx_layer(0.83);
             soa.apply_rx_layer(0.83, 1);
@@ -1113,8 +1114,10 @@ mod tests {
     #[test]
     fn round_trip_conversion_is_lossless() {
         let mut reference = StateVector::plus_state(4);
+        let levels: Vec<f64> = (0..8).map(f64::from).collect();
+        let (aos, _, _) = phase_table(&levels, 0.3);
         reference
-            .apply_phase_from_diag(&symmetric(4, |z| z as f64), 0.3)
+            .apply_phase_levels(&symmetric(4, |z| z as u32), &aos)
             .unwrap();
         let soa = SplitState::from_state_vector(&reference).unwrap();
         assert_eq!(soa.to_state_vector(), reference);

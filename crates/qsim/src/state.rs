@@ -71,17 +71,6 @@ impl StateVector {
         }
     }
 
-    /// Resets this state to the uniform superposition `|+…+⟩` **in place**,
-    /// reusing the existing amplitude buffer. This is the allocation-free
-    /// entry point of the QAOA evaluation hot path (see `qaoa::EvalContext`):
-    /// byte-for-byte equivalent to a fresh [`StateVector::plus_state`] of the
-    /// same width.
-    pub fn reset_to_plus(&mut self) {
-        // lint:allow(no-lossy-as) dim <= 2^MAX_QUBITS < 2^53 is exactly representable in f64
-        let amp = Complex64::new(1.0 / (self.dim() as f64).sqrt(), 0.0);
-        self.amps.fill(amp);
-    }
-
     /// Creates a basis state `|index⟩`.
     ///
     /// # Panics
@@ -116,8 +105,7 @@ impl StateVector {
 
     /// Builds a state from raw amplitudes (length must be a power of two).
     ///
-    /// The caller is responsible for normalization; use
-    /// [`StateVector::normalize`] if needed.
+    /// The caller is responsible for normalization.
     ///
     /// # Errors
     ///
@@ -188,44 +176,25 @@ impl StateVector {
         self.amps.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt()
     }
 
-    /// Rescales to unit norm. No-op on the zero vector.
-    pub fn normalize(&mut self) {
-        let n = self.norm();
-        if n > 0.0 {
-            let inv = 1.0 / n;
-            for a in &mut self.amps {
-                *a = a.scale(inv);
-            }
-        }
-    }
-
-    /// Inner product `⟨self|other⟩`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QsimError::DimensionMismatch`] if widths differ.
-    pub fn inner(&self, other: &StateVector) -> Result<Complex64, QsimError> {
-        if self.dim() != other.dim() {
-            return Err(QsimError::DimensionMismatch {
-                expected: self.dim(),
-                actual: other.dim(),
-            });
-        }
-        Ok(self
-            .amps
-            .iter()
-            .zip(&other.amps)
-            .map(|(a, b)| a.conj() * *b)
-            .sum())
-    }
-
     /// Fidelity `|⟨self|other⟩|²`.
     ///
     /// # Errors
     ///
     /// Returns [`QsimError::DimensionMismatch`] if widths differ.
     pub fn fidelity(&self, other: &StateVector) -> Result<f64, QsimError> {
-        Ok(self.inner(other)?.norm_sqr())
+        if self.dim() != other.dim() {
+            return Err(QsimError::DimensionMismatch {
+                expected: self.dim(),
+                actual: other.dim(),
+            });
+        }
+        let inner: Complex64 = self
+            .amps
+            .iter()
+            .zip(&other.amps)
+            .map(|(a, b)| a.conj() * *b)
+            .sum();
+        Ok(inner.norm_sqr())
     }
 
     fn check_qubit(&self, qubit: usize) -> Result<(), QsimError> {
@@ -315,36 +284,15 @@ impl StateVector {
         Ok(())
     }
 
-    /// Applies the diagonal unitary `e^{−iγ·diag}` **fused**: amplitude `i`
-    /// is multiplied by `cis(−gamma · diag[i])` directly, without
-    /// materializing a `2^n` phase vector first. This is the QAOA
-    /// phase-separation layer computed straight from the cut-value table.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QsimError::DimensionMismatch`] if `diag.len() != dim()`.
-    pub fn apply_phase_from_diag(&mut self, diag: &[f64], gamma: f64) -> Result<(), QsimError> {
-        if diag.len() != self.dim() {
-            return Err(QsimError::DimensionMismatch {
-                expected: self.dim(),
-                actual: diag.len(),
-            });
-        }
-        for (a, &c) in self.amps.iter_mut().zip(diag) {
-            *a *= Complex64::cis(-gamma * c);
-        }
-        Ok(())
-    }
-
     /// Applies a diagonal unitary given as a small table of **distinct**
     /// phases plus a per-amplitude index into it: amplitude `i` is
     /// multiplied by `table[level_of[i]]`.
     ///
     /// Diagonal cost Hamiltonians take few distinct values (a MaxCut
     /// diagonal has at most `|E| + 1` levels on an unweighted graph), so
-    /// precomputing `table[l] = cis(−γ · level_l)` turns the `2^n`
-    /// trigonometric evaluations of [`StateVector::apply_phase_from_diag`]
-    /// into `O(levels)` — the dominant saving of the evaluation hot path.
+    /// precomputing `table[l] = cis(−γ · level_l)` turns `2^n`
+    /// trigonometric evaluations into `O(levels)` — the dominant saving of
+    /// the evaluation hot path.
     /// See [`DiagonalObservable::levels`](crate::DiagonalObservable::levels).
     ///
     /// # Errors
@@ -495,34 +443,23 @@ mod tests {
         assert!(s.apply_diagonal(&phases[..2]).is_err());
     }
 
-    #[test]
-    fn reset_to_plus_matches_fresh_plus_state() {
-        let mut s = StateVector::zero_state(4);
-        s.apply_single(2, &gates::x()).unwrap();
-        s.apply_single(0, &gates::h()).unwrap();
-        s.reset_to_plus();
-        let fresh = StateVector::plus_state(4);
-        // Bit-for-bit equality, not just closeness: the hot path relies on
-        // buffer reuse being indistinguishable from fresh allocation.
-        assert_eq!(s, fresh);
-    }
-
-    #[test]
-    fn fused_phase_matches_materialized_diagonal() {
-        let diag: Vec<f64> = (0..8).map(|z| (z % 3) as f64 * 1.5).collect();
-        let gamma = 0.7;
-        let mut fused = StateVector::plus_state(3);
-        fused.apply_phase_from_diag(&diag, gamma).unwrap();
-        let phases: Vec<Complex64> = diag.iter().map(|&c| Complex64::cis(-gamma * c)).collect();
-        let mut materialized = StateVector::plus_state(3);
-        materialized.apply_diagonal(&phases).unwrap();
-        assert_eq!(fused, materialized);
-        assert!(fused.apply_phase_from_diag(&diag[..4], gamma).is_err());
+    /// `|+…+⟩` after the diagonal phase `e^{−iγ·z}` (one level per basis
+    /// state), so every amplitude differs from its neighbours.
+    fn phased_plus(n: usize, gamma: f64) -> StateVector {
+        let dim = 1u32 << n;
+        let level_of: Vec<u32> = (0..dim).collect();
+        let table: Vec<Complex64> = (0..dim)
+            .map(|z| Complex64::cis(-gamma * f64::from(z)))
+            .collect();
+        let mut s = StateVector::plus_state(n);
+        s.apply_phase_levels(&level_of, &table).unwrap();
+        s
     }
 
     #[test]
     fn leveled_phase_matches_fused_phase() {
-        // diag takes 3 distinct values; the leveled path must agree exactly.
+        // diag takes 3 distinct values; the leveled path must agree exactly
+        // with the per-amplitude phase cis(−γ·diag[z]).
         let diag: Vec<f64> = (0..8).map(|z| (z % 3) as f64 * 1.5).collect();
         let gamma = 1.1;
         let level_of: Vec<u32> = (0..8).map(|z| (z % 3) as u32).collect();
@@ -531,8 +468,9 @@ mod tests {
             .collect();
         let mut leveled = StateVector::plus_state(3);
         leveled.apply_phase_levels(&level_of, &table).unwrap();
+        let phases: Vec<Complex64> = diag.iter().map(|&c| Complex64::cis(-gamma * c)).collect();
         let mut fused = StateVector::plus_state(3);
-        fused.apply_phase_from_diag(&diag, gamma).unwrap();
+        fused.apply_diagonal(&phases).unwrap();
         assert_eq!(leveled, fused);
         assert!(leveled.apply_phase_levels(&level_of[..4], &table).is_err());
     }
@@ -542,10 +480,7 @@ mod tests {
         let theta = 0.83;
         let rx = gates::rx(theta);
         // Start from a non-trivial state so every matrix entry matters.
-        let mut reference = StateVector::plus_state(4);
-        reference
-            .apply_phase_from_diag(&(0..16).map(|z| z as f64).collect::<Vec<_>>(), 0.3)
-            .unwrap();
+        let mut reference = phased_plus(4, 0.3);
         let mut layered = reference.clone();
         for q in 0..4 {
             reference.apply_single(q, &rx).unwrap();
@@ -561,9 +496,7 @@ mod tests {
     fn rx_layer_is_exactly_invertible() {
         // The adjoint gradient's backward pass relies on RX(−θ) undoing
         // RX(θ) to machine precision.
-        let mut s = StateVector::plus_state(3);
-        s.apply_phase_from_diag(&(0..8).map(|z| z as f64).collect::<Vec<_>>(), 0.9)
-            .unwrap();
+        let mut s = phased_plus(3, 0.9);
         let before = s.clone();
         s.apply_rx_layer(0.37);
         s.apply_rx_layer(-0.37);
@@ -573,26 +506,17 @@ mod tests {
     }
 
     #[test]
-    fn normalize_rescales() {
-        let mut s =
-            StateVector::from_amplitudes(vec![Complex64::new(3.0, 0.0), Complex64::new(4.0, 0.0)])
-                .unwrap();
-        s.normalize();
-        assert!((s.norm() - 1.0).abs() < EPS);
-        assert!((s.probability(0) - 0.36).abs() < EPS);
-        let mut z = StateVector::from_amplitudes(vec![Complex64::ZERO, Complex64::ZERO]).unwrap();
-        z.normalize(); // must not divide by zero
-        assert_eq!(z.norm(), 0.0);
-    }
-
-    #[test]
     fn inner_product_orthogonality() {
         let a = StateVector::basis_state(2, 0);
         let b = StateVector::basis_state(2, 1);
-        assert_eq!(a.inner(&b).unwrap(), Complex64::ZERO);
-        assert_eq!(a.inner(&a).unwrap(), Complex64::ONE);
-        assert!(a.inner(&StateVector::zero_state(3)).is_err());
         assert_eq!(a.fidelity(&b).unwrap(), 0.0);
+        assert_eq!(a.fidelity(&a).unwrap(), 1.0);
+        assert!(a.fidelity(&StateVector::zero_state(3)).is_err());
+        // |⟨ψ|φ⟩|² is insensitive to a global phase on either side.
+        let psi = phased_plus(2, 0.4);
+        let mut rotated = psi.clone();
+        rotated.apply_diagonal(&[Complex64::cis(1.3); 4]).unwrap();
+        assert!((psi.fidelity(&rotated).unwrap() - 1.0).abs() < EPS);
     }
 
     #[test]

@@ -81,8 +81,10 @@ proptest! {
         let p1 = s.probability(1);
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let shots = 4000;
-        let counts = qsim::sample_counts(&s, shots, &mut rng).unwrap();
-        let observed = *counts.get(&1).unwrap_or(&0) as f64 / shots as f64;
+        let mut sampler = qsim::CdfSampler::new();
+        sampler.load_amplitudes(s.amplitudes().iter().copied()).unwrap();
+        let ones = (0..shots).filter(|_| sampler.draw(&mut rng) == 1).count();
+        let observed = ones as f64 / shots as f64;
         let sigma = (p1 * (1.0 - p1) / shots as f64).sqrt().max(1e-3);
         prop_assert!((observed - p1).abs() < 6.0 * sigma,
             "observed {observed} vs born {p1}");

@@ -7,7 +7,8 @@
 
 use graphs::{generators, MaxCut};
 use optimize::{Lbfgsb, Options};
-use qaoa::{MaxCutProblem, QaoaInstance};
+use qaoa::{EvalContext, MaxCutProblem, QaoaInstance};
+use qsim::CdfSampler;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -39,17 +40,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("betas : {:?}", outcome.betas());
 
     // 4. Read out a concrete cut by sampling the optimized circuit.
+    let mut ctx = EvalContext::new(instance.problem().n_qubits());
     let ansatz = instance.ansatz();
-    let state = ansatz.state_fast(&outcome.params)?;
-    let samples = qsim::sample_counts(&state, 512, &mut rng)?;
-    let (best_state, _) = samples
+    ansatz.expectation_in(&mut ctx, &outcome.params)?;
+    let mut sampler = CdfSampler::new();
+    sampler.load_amplitudes(ctx.state().amplitudes())?;
+    let mut counts = vec![0usize; ctx.state().dim()];
+    for _ in 0..512 {
+        counts[sampler.draw(&mut rng)] += 1;
+    }
+    let (best_state, _) = counts
         .iter()
-        .max_by_key(|(&z, &c)| (c, z))
-        .expect("non-empty sample");
+        .enumerate()
+        .max_by_key(|&(z, &c)| (c, z))
+        .expect("non-empty register");
     println!(
         "most frequent measured cut: {:#010b} with value {}",
         best_state,
-        instance.problem().graph().cut_value(*best_state)
+        instance.problem().graph().cut_value(best_state)
     );
     Ok(())
 }
