@@ -10,6 +10,7 @@ use bench::RunConfig;
 use ml::ModelKind;
 use optimize::Lbfgsb;
 use qaoa::evaluation::{graph_seed, row_from_samples};
+use qaoa::features::FeatureSet;
 use qaoa::{MaxCutProblem, ParameterPredictor, Scenario, TwoLevelConfig, TwoLevelFlow};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,8 +21,14 @@ fn main() {
     let (train, test) = dataset.split_by_graph(0.2);
     let two_level = ParameterPredictor::train(ModelKind::Gpr, &train).expect("two-level training");
     let intermediate = 2usize;
-    let hier = ParameterPredictor::train_hierarchical(ModelKind::Gpr, &train, intermediate)
-        .expect("hierarchical training");
+    let hier = ParameterPredictor::train_with(
+        ModelKind::Gpr,
+        &train,
+        FeatureSet::Hierarchical {
+            intermediate_depth: intermediate,
+        },
+    )
+    .expect("hierarchical training");
 
     let optimizer = Lbfgsb::default();
     let pool = bench::cli::pool(&config);

@@ -7,7 +7,10 @@
 //! stretch? This study trains GPR on the usual ER corpus and evaluates the
 //! two-level flow on held-out ER graphs plus four out-of-ensemble families
 //! (3-regular, Barabási–Albert, Watts–Strogatz, dense ER), reporting the
-//! function-call reduction and AR delta per family.
+//! function-call reduction and AR delta per family for the paper's
+//! predictor (`ml`) and a graph-aware one (`ga`,
+//! [`FeatureSet::GraphAware`]). Every column runs under the chosen
+//! scenario (`--shots`, `--noise`).
 //!
 //! Run: `cargo run --release -p bench --bin generalization_study [-- --quick] [-- --threads N]`
 
@@ -15,9 +18,9 @@ use bench::RunConfig;
 use graphs::{generators, Graph};
 use ml::ModelKind;
 use optimize::{Lbfgsb, Options};
-use qaoa::evaluation::{graph_seed, row_from_samples};
-use qaoa::graph_aware::GraphAwarePredictor;
-use qaoa::{MaxCutProblem, ParameterPredictor};
+use qaoa::evaluation::row_from_samples;
+use qaoa::features::FeatureSet;
+use qaoa::ParameterPredictor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -50,7 +53,8 @@ fn main() {
     let dataset = config.corpus();
     let (train, test) = dataset.split_by_graph(0.2);
     let predictor = ParameterPredictor::train(ModelKind::Gpr, &train).expect("GPR training");
-    let aware = GraphAwarePredictor::train(ModelKind::Gpr, &train).expect("graph-aware training");
+    let aware = ParameterPredictor::train_with(ModelKind::Gpr, &train, FeatureSet::GraphAware)
+        .expect("graph-aware training");
     let optimizer = Lbfgsb::default();
     let depth = config.max_depth.min(4);
     let per_family = if config.quick { 8 } else { 32 };
@@ -110,17 +114,18 @@ fn main() {
             &pool,
         )
         .expect("two-level protocol");
-
-        // Graph-aware two-level runs, one engine job per graph (per-graph
-        // seeds keep the fan-out schedule-independent).
-        let ga: Vec<(f64, usize)> = pool.run_ordered(graphs.len(), |gi| {
-            let mut rng = StdRng::seed_from_u64(graph_seed(config.seed ^ 0xB22, gi));
-            let problem = MaxCutProblem::new(&graphs[gi]).expect("non-empty graph");
-            let out = aware
-                .run_two_level(&problem, depth, &optimizer, &options, &mut rng)
-                .expect("graph-aware flow");
-            (out.approximation_ratio, out.total_calls())
-        });
+        let ga = engine::compare::two_level_protocol(
+            graphs,
+            depth,
+            &optimizer,
+            &aware,
+            1,
+            &options,
+            config.seed ^ 0xB22,
+            &scenario,
+            &pool,
+        )
+        .expect("graph-aware two-level protocol");
 
         let ml = row_from_samples("L-BFGS-B", depth, &naive, &ml);
         let ga = row_from_samples("L-BFGS-B", depth, &naive, &ga);

@@ -9,12 +9,16 @@
 //! correlation structure the paper analyzes in Fig. 5 (each `γᵢOPT`/`βᵢOPT`
 //! against `γ₁OPT(p=1)`, `β₁OPT(p=1)` and `p`).
 //!
-//! The hierarchical variant (§I(d)) augments the features with the optimal
-//! parameters of an intermediate-depth instance.
+//! A [`FeatureSet`] fixes the row layout: the paper's three features, the
+//! hierarchical variant (§I(d)) that adds the optimal parameters of an
+//! intermediate-depth instance, or the graph-aware extension that adds the
+//! graph's structure.
 
+use graphs::stats;
 use linalg::Matrix;
+use ml::MlError;
 
-use crate::datagen::ParameterDataset;
+use crate::datagen::{OptimalRecord, ParameterDataset};
 use crate::QaoaError;
 
 /// Which parameter family a table/model targets.
@@ -33,160 +37,222 @@ impl ParamKind {
 
 /// A per-stage training table: features `X` and the single response column.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StageTable {
+pub(crate) struct StageTable {
     /// Which family the response belongs to.
-    pub kind: ParamKind,
+    pub(crate) kind: ParamKind,
     /// Stage index `i` (1-based).
-    pub stage: usize,
+    pub(crate) stage: usize,
     /// Feature rows.
-    pub x: Matrix,
+    pub(crate) x: Matrix,
     /// Response values (`γᵢ` or `βᵢ` at the row's depth).
-    pub y: Vec<f64>,
+    pub(crate) y: Vec<f64>,
 }
 
-/// Builds the two-level feature vector `[γ₁(1), β₁(1), pt]`.
-#[must_use]
-pub fn two_level_features(gamma1_p1: f64, beta1_p1: f64, target_depth: usize) -> Vec<f64> {
-    vec![gamma1_p1, beta1_p1, target_depth as f64]
+/// The inputs a predictor's feature row holds — one row layout per set.
+///
+/// Every row starts from the depth-1 optimum `γ₁OPT(1), β₁OPT(1)` and
+/// carries the target depth `pt`; the sets differ in what they add.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FeatureSet {
+    /// The paper's two-level row `[γ₁(1), β₁(1), pt]` (§II-D).
+    TwoLevel,
+    /// The hierarchical row `[γ₁(1), β₁(1), γ₁(pm), β₁(pm), pm, pt]`
+    /// (§I(d)), where `pm` is the intermediate depth whose optimum has been
+    /// computed. Its tables keep only records deeper than `pm`, the regime
+    /// where the hierarchical flow is used.
+    Hierarchical {
+        /// The intermediate depth `pm`.
+        intermediate_depth: usize,
+    },
+    /// The graph-aware row (extension): `[γ₁(1), β₁(1), pt]` followed by
+    /// the nine structural features of [`stats::feature_vector`] (size,
+    /// density, degree statistics, triangles, clustering).
+    ///
+    /// The paper's row sees nothing about the problem graph itself. That is
+    /// fine inside one ensemble (all its graphs look statistically alike)
+    /// but is exactly what should fail when the test graph comes from a
+    /// different family. The structural features let the model condition
+    /// its prediction on *what kind of graph* it is initializing; the
+    /// `generalization_study` benchmark compares the two rows across graph
+    /// families. The two-level flow hands the problem's graph to the
+    /// predictor:
+    ///
+    /// ```no_run
+    /// use graphs::generators;
+    /// use ml::ModelKind;
+    /// use optimize::Lbfgsb;
+    /// use qaoa::datagen::{DataGenConfig, ParameterDataset};
+    /// use qaoa::features::FeatureSet;
+    /// use qaoa::{MaxCutProblem, ParameterPredictor, Scenario, TwoLevelConfig, TwoLevelFlow};
+    /// use rand::SeedableRng;
+    /// # fn main() -> Result<(), qaoa::QaoaError> {
+    /// let corpus = ParameterDataset::generate(&DataGenConfig::quick())?;
+    /// let aware = ParameterPredictor::train_with(ModelKind::Gpr, &corpus, FeatureSet::GraphAware)?;
+    /// let problem = MaxCutProblem::new(&generators::cycle(6))?;
+    /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    /// let config = TwoLevelConfig::default();
+    /// let out = TwoLevelFlow::new(&aware)
+    ///     .run(&problem, 3, &Lbfgsb::default(), &config, &mut rng, &Scenario::Exact, 0)?;
+    /// assert_eq!(out.predicted_init.len(), 6);
+    /// # Ok(())
+    /// # }
+    /// ```
+    GraphAware,
 }
 
-/// Builds the hierarchical feature vector
-/// `[γ₁(1), β₁(1), γ₁(pm), β₁(pm), pm, pt]`, where `pm` is the intermediate
-/// depth whose optimum has been computed.
-#[must_use]
-pub fn hierarchical_features(
-    gamma1_p1: f64,
-    beta1_p1: f64,
-    gamma1_pm: f64,
-    beta1_pm: f64,
-    intermediate_depth: usize,
-    target_depth: usize,
-) -> Vec<f64> {
-    vec![
-        gamma1_p1,
-        beta1_p1,
-        gamma1_pm,
-        beta1_pm,
-        intermediate_depth as f64,
-        target_depth as f64,
-    ]
+/// One graph's inputs to its feature rows. A row reads the fields its
+/// [`FeatureSet`] needs and rejects inputs that lack them.
+pub(crate) struct RowInputs {
+    /// `(γ₁, β₁)` of the depth-1 optimum.
+    pub(crate) depth1: (f64, f64),
+    /// `(γ₁, β₁)` of the intermediate-depth optimum (hierarchical rows).
+    pub(crate) intermediate: Option<(f64, f64)>,
+    /// [`stats::feature_vector`] of the graph (graph-aware rows).
+    pub(crate) structure: Option<Vec<f64>>,
 }
 
-/// Extracts every per-stage training table from a corpus using the
-/// two-level features.
-///
-/// For stage `i` and kind `k`, rows are all `(graph, depth p ≥ i)` records;
-/// features come from the graph's depth-1 record.
-///
-/// # Errors
-///
-/// Returns [`QaoaError::Parse`] if some graph lacks a depth-1 record (a
-/// corpus invariant violation).
-pub fn two_level_tables(dataset: &ParameterDataset) -> Result<Vec<StageTable>, QaoaError> {
-    let base = depth1_features(dataset)?;
-    let mut tables = Vec::new();
-    for kind in ParamKind::BOTH {
-        for stage in 1..=dataset.max_depth() {
-            let mut rows: Vec<Vec<f64>> = Vec::new();
-            let mut y = Vec::new();
-            for r in dataset.records() {
-                if r.depth < stage {
-                    continue;
-                }
-                let (g1, b1) = base[r.graph_id];
-                rows.push(two_level_features(g1, b1, r.depth));
-                y.push(match kind {
-                    ParamKind::Gamma => r.gammas[stage - 1],
-                    ParamKind::Beta => r.betas[stage - 1],
-                });
-            }
-            if rows.is_empty() {
-                continue;
-            }
-            let x = Matrix::from_rows(&rows).map_err(|e| QaoaError::Parse {
-                line: 0,
-                message: format!("feature table: {e}"),
-            })?;
-            tables.push(StageTable { kind, stage, x, y });
+impl RowInputs {
+    /// Columns of the row these inputs fill.
+    fn width(&self) -> usize {
+        let intermediate = self.intermediate.map_or(0, |_| 3);
+        3 + intermediate + self.structure.as_ref().map_or(0, Vec::len)
+    }
+}
+
+impl FeatureSet {
+    /// Columns of one feature row: 3, 6 or 12.
+    #[must_use]
+    pub fn width(self) -> usize {
+        match self {
+            FeatureSet::TwoLevel => 3,
+            FeatureSet::Hierarchical { .. } => 6,
+            FeatureSet::GraphAware => 12,
         }
     }
-    Ok(tables)
+
+    /// The feature row of a depth-`target_depth` instance, in the set's
+    /// column order.
+    ///
+    /// # Errors
+    ///
+    /// * [`QaoaError::Ml`] if `inputs` lack what this set reads.
+    /// * [`QaoaError::InvalidDepth`] for a depth beyond `u32::MAX`.
+    pub(crate) fn row(
+        self,
+        inputs: &RowInputs,
+        target_depth: usize,
+    ) -> Result<Vec<f64>, QaoaError> {
+        let missing = || {
+            QaoaError::Ml(MlError::ShapeMismatch {
+                expected: self.width(),
+                actual: inputs.width(),
+                what: "features",
+            })
+        };
+        let (g1, b1) = inputs.depth1;
+        let pt = depth_feature(target_depth)?;
+        let mut row = Vec::with_capacity(self.width());
+        match self {
+            FeatureSet::TwoLevel => row.extend([g1, b1, pt]),
+            FeatureSet::Hierarchical { intermediate_depth } => {
+                let (gm, bm) = inputs.intermediate.ok_or_else(missing)?;
+                row.extend([g1, b1, gm, bm, depth_feature(intermediate_depth)?, pt]);
+            }
+            FeatureSet::GraphAware => {
+                row.extend([g1, b1, pt]);
+                row.extend_from_slice(inputs.structure.as_deref().ok_or_else(missing)?);
+            }
+        }
+        Ok(row)
+    }
+
+    /// Graph `g`'s row inputs, read from its corpus records; the
+    /// intermediate optimum and the structural features only for the sets
+    /// that use them.
+    fn graph_inputs(self, dataset: &ParameterDataset, g: usize) -> Result<RowInputs, QaoaError> {
+        let first_layer = |depth: usize| {
+            dataset
+                .record(g, depth)
+                .map(|r| (r.gammas[0], r.betas[0]))
+                .ok_or_else(|| QaoaError::Parse {
+                    line: 0,
+                    message: format!("graph {g} lacks a depth-{depth} record"),
+                })
+        };
+        Ok(RowInputs {
+            depth1: first_layer(1)?,
+            intermediate: match self {
+                FeatureSet::Hierarchical { intermediate_depth } => {
+                    Some(first_layer(intermediate_depth)?)
+                }
+                _ => None,
+            },
+            structure: (self == FeatureSet::GraphAware)
+                .then(|| stats::feature_vector(&dataset.graphs()[g])),
+        })
+    }
 }
 
-/// Extracts hierarchical per-stage tables with intermediate depth `pm`.
+/// A depth as a feature value. Depths are small counts, so the conversion
+/// goes through `u32` and is exact; a depth beyond `u32::MAX` is rejected
+/// rather than rounded.
+fn depth_feature(depth: usize) -> Result<f64, QaoaError> {
+    u32::try_from(depth)
+        .map(f64::from)
+        .map_err(|_| QaoaError::InvalidDepth { depth })
+}
+
+/// Extracts every per-stage training table of a corpus under `features`.
 ///
-/// Rows are restricted to records with `depth > pm` (the regime where the
-/// hierarchical flow is used).
+/// For stage `i` and kind `k`, rows are all `(graph, depth p ≥ i)` records
+/// (hierarchical sets keep only `p > pm`); each graph's inputs come from
+/// its depth-1 record (and its depth-`pm` record).
 ///
 /// # Errors
 ///
-/// Same conditions as [`two_level_tables`]; additionally requires each graph
-/// to carry a depth-`pm` record.
-pub fn hierarchical_tables(
+/// Returns [`QaoaError::Parse`] if some graph lacks a record its feature
+/// set reads (a corpus invariant violation).
+pub(crate) fn stage_tables(
     dataset: &ParameterDataset,
-    intermediate_depth: usize,
+    features: FeatureSet,
 ) -> Result<Vec<StageTable>, QaoaError> {
-    let base = depth1_features(dataset)?;
-    let mid: Vec<(f64, f64)> = (0..dataset.graphs().len())
-        .map(|g| {
-            dataset
-                .record(g, intermediate_depth)
-                .map(|r| (r.gammas[0], r.betas[0]))
-                .ok_or_else(|| QaoaError::Parse {
-                    line: 0,
-                    message: format!("graph {g} lacks a depth-{intermediate_depth} record"),
-                })
-        })
-        .collect::<Result<_, _>>()?;
+    let inputs = (0..dataset.graphs().len())
+        .map(|g| features.graph_inputs(dataset, g))
+        .collect::<Result<Vec<_>, _>>()?;
+    let deeper_than = match features {
+        FeatureSet::Hierarchical { intermediate_depth } => intermediate_depth,
+        _ => 0,
+    };
+    let records: Vec<&OptimalRecord> = dataset
+        .records()
+        .iter()
+        .filter(|r| r.depth > deeper_than)
+        .collect();
+    let rows = records
+        .iter()
+        .map(|r| features.row(&inputs[r.graph_id], r.depth))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut tables = Vec::new();
     for kind in ParamKind::BOTH {
         for stage in 1..=dataset.max_depth() {
-            let mut rows: Vec<Vec<f64>> = Vec::new();
-            let mut y = Vec::new();
-            for r in dataset.records() {
-                if r.depth < stage || r.depth <= intermediate_depth {
-                    continue;
-                }
-                let (g1, b1) = base[r.graph_id];
-                let (gm, bm) = mid[r.graph_id];
-                rows.push(hierarchical_features(
-                    g1,
-                    b1,
-                    gm,
-                    bm,
-                    intermediate_depth,
-                    r.depth,
-                ));
-                y.push(match kind {
-                    ParamKind::Gamma => r.gammas[stage - 1],
-                    ParamKind::Beta => r.betas[stage - 1],
-                });
-            }
-            if rows.is_empty() {
+            let picked: Vec<usize> = (0..records.len())
+                .filter(|&i| records[i].depth >= stage)
+                .collect();
+            if picked.is_empty() {
                 continue;
             }
-            let x = Matrix::from_rows(&rows).map_err(|e| QaoaError::Parse {
-                line: 0,
-                message: format!("feature table: {e}"),
-            })?;
+            let x = Matrix::from_fn(picked.len(), features.width(), |i, j| rows[picked[i]][j]);
+            let y = picked
+                .iter()
+                .map(|&i| match kind {
+                    ParamKind::Gamma => records[i].gammas[stage - 1],
+                    ParamKind::Beta => records[i].betas[stage - 1],
+                })
+                .collect();
             tables.push(StageTable { kind, stage, x, y });
         }
     }
     Ok(tables)
-}
-
-fn depth1_features(dataset: &ParameterDataset) -> Result<Vec<(f64, f64)>, QaoaError> {
-    (0..dataset.graphs().len())
-        .map(|g| {
-            dataset
-                .record(g, 1)
-                .map(|r| (r.gammas[0], r.betas[0]))
-                .ok_or_else(|| QaoaError::Parse {
-                    line: 0,
-                    message: format!("graph {g} lacks a depth-1 record"),
-                })
-        })
-        .collect()
 }
 
 /// One Fig. 5 correlation row: `(kind, stage, r_gamma1, r_beta1, r_depth)`.
@@ -204,7 +270,7 @@ pub type CorrelationRow = (ParamKind, usize, f64, f64, f64);
 pub fn predictor_response_correlations(
     dataset: &ParameterDataset,
 ) -> Result<Vec<CorrelationRow>, QaoaError> {
-    let tables = two_level_tables(dataset)?;
+    let tables = stage_tables(dataset, FeatureSet::TwoLevel)?;
     let mut out = Vec::with_capacity(tables.len());
     for t in tables {
         let col = |j: usize| -> Vec<f64> { (0..t.x.rows()).map(|i| t.x.get(i, j)).collect() };
@@ -218,6 +284,7 @@ pub fn predictor_response_correlations(
 mod tests {
     use super::*;
     use crate::datagen::{DataGenConfig, ParameterDataset};
+    use graphs::generators;
 
     fn tiny_dataset() -> ParameterDataset {
         ParameterDataset::generate(&DataGenConfig {
@@ -233,19 +300,47 @@ mod tests {
         .unwrap()
     }
 
+    fn hierarchical(intermediate_depth: usize) -> FeatureSet {
+        FeatureSet::Hierarchical { intermediate_depth }
+    }
+
     #[test]
     fn feature_vectors() {
-        assert_eq!(two_level_features(1.0, 2.0, 4), vec![1.0, 2.0, 4.0]);
-        assert_eq!(
-            hierarchical_features(1.0, 2.0, 3.0, 4.0, 2, 5),
-            vec![1.0, 2.0, 3.0, 4.0, 2.0, 5.0]
-        );
+        let inputs = RowInputs {
+            depth1: (1.0, 2.0),
+            intermediate: Some((3.0, 4.0)),
+            structure: Some(stats::feature_vector(&generators::cycle(6))),
+        };
+        let two_level = FeatureSet::TwoLevel.row(&inputs, 4).unwrap();
+        assert_eq!(two_level, vec![1.0, 2.0, 4.0]);
+        let hier = hierarchical(2).row(&inputs, 5).unwrap();
+        assert_eq!(hier, vec![1.0, 2.0, 3.0, 4.0, 2.0, 5.0]);
+        let aware = FeatureSet::GraphAware.row(&inputs, 3).unwrap();
+        for (set, row) in [
+            (FeatureSet::TwoLevel, two_level),
+            (hierarchical(2), hier),
+            (FeatureSet::GraphAware, aware),
+        ] {
+            assert_eq!(set.width(), row.len());
+        }
+        // A row whose inputs lack what its set reads is rejected.
+        let bare = RowInputs {
+            depth1: (1.0, 2.0),
+            intermediate: None,
+            structure: None,
+        };
+        for set in [hierarchical(2), FeatureSet::GraphAware] {
+            assert!(matches!(
+                set.row(&bare, 3),
+                Err(QaoaError::Ml(MlError::ShapeMismatch { actual: 3, .. }))
+            ));
+        }
     }
 
     #[test]
     fn table_shapes() {
         let ds = tiny_dataset();
-        let tables = two_level_tables(&ds).unwrap();
+        let tables = stage_tables(&ds, FeatureSet::TwoLevel).unwrap();
         // 2 kinds × 3 stages.
         assert_eq!(tables.len(), 6);
         for t in &tables {
@@ -262,10 +357,28 @@ mod tests {
     }
 
     #[test]
+    fn graph_aware_tables_match_two_level_row_counts() {
+        let ds = tiny_dataset();
+        let plain = stage_tables(&ds, FeatureSet::TwoLevel).unwrap();
+        let aware = stage_tables(&ds, FeatureSet::GraphAware).unwrap();
+        assert_eq!(plain.len(), aware.len());
+        for (p, a) in plain.iter().zip(&aware) {
+            assert_eq!(a.x.cols(), 12);
+            assert_eq!(p.x.rows(), a.x.rows());
+            assert_eq!(p.y, a.y);
+            for i in 0..p.x.rows() {
+                for j in 0..3 {
+                    assert_eq!(p.x.get(i, j).to_bits(), a.x.get(i, j).to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn stage1_depth1_rows_are_identity() {
         // For stage 1, depth-1 rows have response == first feature (γ case).
         let ds = tiny_dataset();
-        let tables = two_level_tables(&ds).unwrap();
+        let tables = stage_tables(&ds, FeatureSet::TwoLevel).unwrap();
         let t = tables
             .iter()
             .find(|t| t.kind == ParamKind::Gamma && t.stage == 1)
@@ -280,7 +393,7 @@ mod tests {
     #[test]
     fn hierarchical_tables_exclude_shallow_records() {
         let ds = tiny_dataset();
-        let tables = hierarchical_tables(&ds, 2).unwrap();
+        let tables = stage_tables(&ds, hierarchical(2)).unwrap();
         for t in &tables {
             assert_eq!(t.x.cols(), 6);
             for i in 0..t.x.rows() {
@@ -289,6 +402,11 @@ mod tests {
         }
         // Stage tables only exist where depth > pm ≥ stage rows remain.
         assert!(tables.iter().all(|t| !t.y.is_empty()));
+        // A corpus without depth-pm records cannot feed the set.
+        assert!(matches!(
+            stage_tables(&ds, hierarchical(7)),
+            Err(QaoaError::Parse { .. })
+        ));
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!   classical optimizer) with function-call accounting, under any
 //!   [`Scenario`] (exact, finite shots, or gate noise),
 //! * [`datagen`] — the 330-graph, depth-1..6 training corpus (§III-A),
-//! * [`features`] — predictor/response extraction (§II-D),
+//! * [`features`] — predictor/response extraction (§II-D), one
+//!   [`features::FeatureSet`] per row layout: two-level, hierarchical
+//!   (§I(d)) and graph-aware,
 //! * [`ParameterPredictor`] — per-stage regression models (§III-C),
 //! * [`TwoLevelFlow`] — the proposed accelerated flow (Fig. 4),
 //! * [`evaluation`] — the naive-vs-ML comparison harness behind Table I:
@@ -51,7 +53,6 @@ mod error;
 pub mod eval;
 pub mod evaluation;
 pub mod features;
-pub mod graph_aware;
 mod instance;
 pub mod noisy;
 mod predictor;
@@ -120,5 +121,108 @@ mod tests {
             assert_eq!(b.lower()[i], 0.0);
         }
         assert!(parameter_bounds(0).is_err());
+    }
+}
+
+/// The graph-aware feature set ([`features::FeatureSet::GraphAware`]) end to
+/// end: its row layout, its predictor and its two-level run.
+#[cfg(test)]
+mod graph_aware {
+    mod tests {
+        use crate::datagen::{DataGenConfig, ParameterDataset};
+        use crate::features::{FeatureSet, RowInputs};
+        use crate::{
+            MaxCutProblem, ParameterPredictor, QaoaError, Scenario, TwoLevelConfig, TwoLevelFlow,
+            BETA_MAX, GAMMA_MAX,
+        };
+        use graphs::{generators, stats};
+        use ml::ModelKind;
+        use optimize::Lbfgsb;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        fn tiny_dataset() -> ParameterDataset {
+            ParameterDataset::generate(&DataGenConfig {
+                n_graphs: 6,
+                n_nodes: 5,
+                edge_probability: 0.6,
+                max_depth: 3,
+                restarts: 3,
+                seed: 5,
+                options: Default::default(),
+                trend_preference_margin: 1e-3,
+            })
+            .expect("corpus")
+        }
+
+        #[test]
+        fn features_have_twelve_entries() {
+            let inputs = RowInputs {
+                depth1: (1.0, 0.5),
+                intermediate: None,
+                structure: Some(stats::feature_vector(&generators::cycle(6))),
+            };
+            let f = FeatureSet::GraphAware.row(&inputs, 3).unwrap();
+            assert_eq!(f.len(), 12);
+            assert_eq!(&f[..3], &[1.0, 0.5, 3.0]);
+            assert_eq!(f[3], 6.0); // n
+        }
+
+        #[test]
+        fn train_predict_in_domain() {
+            let ds = tiny_dataset();
+            let g = generators::cycle(5);
+            for kind in ModelKind::ALL {
+                let predictor =
+                    ParameterPredictor::train_with(kind, &ds, FeatureSet::GraphAware).unwrap();
+                assert_eq!(predictor.kind(), kind);
+                assert_eq!(predictor.features(), FeatureSet::GraphAware);
+                for pt in 1..=3 {
+                    let init = predictor.predict_for_graph(&g, 1.0, 0.4, pt).unwrap();
+                    assert_eq!(init.len(), 2 * pt);
+                    for (i, v) in init.iter().enumerate() {
+                        let max = if i < pt { GAMMA_MAX } else { BETA_MAX };
+                        assert!((0.0..=max).contains(v), "{kind} param {i} = {v}");
+                    }
+                }
+                assert!(matches!(
+                    predictor.predict_for_graph(&g, 1.0, 0.4, 9),
+                    Err(QaoaError::InvalidDepth { depth: 9 })
+                ));
+                assert!(matches!(
+                    predictor.predict_for_graph(&g, 1.0, 0.4, 0),
+                    Err(QaoaError::InvalidDepth { depth: 0 })
+                ));
+            }
+        }
+
+        #[test]
+        fn two_level_run_works_end_to_end() {
+            let ds = tiny_dataset();
+            let predictor =
+                ParameterPredictor::train_with(ModelKind::Linear, &ds, FeatureSet::GraphAware)
+                    .unwrap();
+            let problem = MaxCutProblem::new(&generators::cycle(5)).unwrap();
+            let config = TwoLevelConfig {
+                level1_starts: 1,
+                ..TwoLevelConfig::default()
+            };
+            let out = TwoLevelFlow::new(&predictor)
+                .run(
+                    &problem,
+                    2,
+                    &Lbfgsb::default(),
+                    &config,
+                    &mut StdRng::seed_from_u64(8),
+                    &Scenario::Exact,
+                    0,
+                )
+                .unwrap();
+            assert_eq!(out.params.len(), 4);
+            assert_eq!(out.predicted_init.len(), 4);
+            assert!(out.level1_calls > 0 && out.level2_calls > 0);
+            assert_eq!(out.intermediate_calls, 0);
+            assert!(out.approximation_ratio > 0.6);
+        }
     }
 }

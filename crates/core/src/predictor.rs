@@ -1,20 +1,19 @@
-use ml::{ModelKind, Regressor};
+use graphs::{stats, Graph};
+use ml::{MlError, ModelKind, Regressor};
 
 use crate::datagen::ParameterDataset;
-use crate::features::{
-    hierarchical_features, hierarchical_tables, two_level_features, two_level_tables, ParamKind,
-    StageTable,
-};
+use crate::features::{stage_tables, FeatureSet, ParamKind, RowInputs};
 use crate::{QaoaError, BETA_MAX, GAMMA_MAX};
 
 /// The trained parameter predictor of the two-level flow (Fig. 4).
 ///
 /// Holds one regression model per response variable — `γᵢ` and `βᵢ` for
-/// every stage `i` up to the corpus depth — each mapping the 3 two-level
-/// features `(γ₁OPT(p=1), β₁OPT(p=1), pt)` to that stage's optimal value
-/// (6 features in the hierarchical variant). Predictions are clamped into
-/// the paper's domain `γ ∈ [0, 2π], β ∈ [0, π]` so they are always valid
-/// optimizer starting points.
+/// every stage `i` up to the corpus depth — each mapping one
+/// [`FeatureSet`] row to that stage's optimal value: the 3 two-level
+/// features `(γ₁OPT(p=1), β₁OPT(p=1), pt)`, 6 in the hierarchical variant
+/// or 12 in the graph-aware one. Predictions are clamped into the paper's
+/// domain `γ ∈ [0, 2π], β ∈ [0, π]` so they are always valid optimizer
+/// starting points.
 ///
 /// # Example
 ///
@@ -33,8 +32,7 @@ use crate::{QaoaError, BETA_MAX, GAMMA_MAX};
 pub struct ParameterPredictor {
     kind: ModelKind,
     max_depth: usize,
-    /// Intermediate depth for the hierarchical variant; `None` = two-level.
-    intermediate_depth: Option<usize>,
+    features: FeatureSet,
     gamma_models: Vec<Box<dyn Regressor>>,
     beta_models: Vec<Box<dyn Regressor>>,
 }
@@ -46,36 +44,25 @@ impl ParameterPredictor {
     ///
     /// Propagates feature-extraction and model-fitting errors.
     pub fn train(kind: ModelKind, dataset: &ParameterDataset) -> Result<Self, QaoaError> {
-        let tables = two_level_tables(dataset)?;
-        Self::from_tables(kind, dataset.max_depth(), None, tables)
+        Self::train_with(kind, dataset, FeatureSet::TwoLevel)
     }
 
-    /// Trains the hierarchical predictor (§I(d)) that additionally consumes
-    /// the optimal parameters of a depth-`intermediate_depth` instance.
+    /// Trains one regression per response stage on the rows of `features`.
     ///
     /// # Errors
     ///
-    /// Propagates feature-extraction and model-fitting errors; requires the
-    /// corpus to contain depths beyond `intermediate_depth`.
-    pub fn train_hierarchical(
+    /// Propagates feature-extraction and model-fitting errors; hierarchical
+    /// features need the corpus to contain depths beyond the intermediate
+    /// depth.
+    pub fn train_with(
         kind: ModelKind,
         dataset: &ParameterDataset,
-        intermediate_depth: usize,
-    ) -> Result<Self, QaoaError> {
-        let tables = hierarchical_tables(dataset, intermediate_depth)?;
-        Self::from_tables(kind, dataset.max_depth(), Some(intermediate_depth), tables)
-    }
-
-    fn from_tables(
-        kind: ModelKind,
-        max_depth: usize,
-        intermediate_depth: Option<usize>,
-        tables: Vec<StageTable>,
+        features: FeatureSet,
     ) -> Result<Self, QaoaError> {
         let mut gamma_models: Vec<Box<dyn Regressor>> = Vec::new();
         let mut beta_models: Vec<Box<dyn Regressor>> = Vec::new();
         let mut trained_depth = 0usize;
-        for t in tables {
+        for t in stage_tables(dataset, features)? {
             let (x, y) = drop_target_outliers(&t.x, &t.y);
             let mut model = kind.build();
             model.fit(&x, &y)?;
@@ -99,8 +86,8 @@ impl ParameterPredictor {
         }
         Ok(Self {
             kind,
-            max_depth: max_depth.min(trained_depth),
-            intermediate_depth,
+            max_depth: dataset.max_depth().min(trained_depth),
+            features,
             gamma_models,
             beta_models,
         })
@@ -119,7 +106,7 @@ impl ParameterPredictor {
     pub fn from_parts(
         kind: ModelKind,
         max_depth: usize,
-        intermediate_depth: Option<usize>,
+        features: FeatureSet,
         gamma_models: Vec<Box<dyn Regressor>>,
         beta_models: Vec<Box<dyn Regressor>>,
     ) -> Result<Self, QaoaError> {
@@ -141,7 +128,7 @@ impl ParameterPredictor {
         Ok(Self {
             kind,
             max_depth,
-            intermediate_depth,
+            features,
             gamma_models,
             beta_models,
         })
@@ -159,10 +146,10 @@ impl ParameterPredictor {
         self.max_depth
     }
 
-    /// Intermediate depth for hierarchical predictors, `None` otherwise.
+    /// The feature row every stage model reads.
     #[must_use]
-    pub fn intermediate_depth(&self) -> Option<usize> {
-        self.intermediate_depth
+    pub fn features(&self) -> FeatureSet {
+        self.features
     }
 
     /// Per-stage γ models (`[stage 1, …, stage max_depth]`).
@@ -184,31 +171,29 @@ impl ParameterPredictor {
     ///
     /// * [`QaoaError::InvalidDepth`] if `pt` is 0 or beyond
     ///   [`ParameterPredictor::max_depth`].
-    /// * [`QaoaError::Ml`] if this is a hierarchical predictor (use
-    ///   [`ParameterPredictor::predict_hierarchical`]).
+    /// * [`QaoaError::Ml`] if the predictor's rows need more than the
+    ///   depth-1 optimum (use [`ParameterPredictor::predict_hierarchical`],
+    ///   or a [`crate::TwoLevelFlow`] for graph-aware predictors).
     pub fn predict(
         &self,
         gamma1_p1: f64,
         beta1_p1: f64,
         target_depth: usize,
     ) -> Result<Vec<f64>, QaoaError> {
-        if self.intermediate_depth.is_some() {
-            return Err(QaoaError::Ml(ml::MlError::ShapeMismatch {
-                expected: 6,
-                actual: 3,
-                what: "features (hierarchical predictor needs predict_hierarchical)",
-            }));
-        }
-        let features = two_level_features(gamma1_p1, beta1_p1, target_depth);
-        self.predict_from_features(&features, target_depth)
+        let inputs = RowInputs {
+            depth1: (gamma1_p1, beta1_p1),
+            intermediate: None,
+            structure: None,
+        };
+        self.predict_row(&inputs, target_depth)
     }
 
     /// Predicts initial parameters using the hierarchical features.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ParameterPredictor::predict`], mirrored for the
-    /// two-level case.
+    /// Same conditions as [`ParameterPredictor::predict`], mirrored for
+    /// predictors that are not hierarchical.
     pub fn predict_hierarchical(
         &self,
         gamma1_p1: f64,
@@ -217,35 +202,58 @@ impl ParameterPredictor {
         beta1_pm: f64,
         target_depth: usize,
     ) -> Result<Vec<f64>, QaoaError> {
-        let Some(pm) = self.intermediate_depth else {
-            return Err(QaoaError::Ml(ml::MlError::ShapeMismatch {
-                expected: 3,
+        if !matches!(self.features, FeatureSet::Hierarchical { .. }) {
+            return Err(QaoaError::Ml(MlError::ShapeMismatch {
+                expected: self.features.width(),
                 actual: 6,
-                what: "features (two-level predictor needs predict)",
+                what: "features (only a hierarchical predictor reads an intermediate optimum)",
             }));
+        }
+        let inputs = RowInputs {
+            depth1: (gamma1_p1, beta1_p1),
+            intermediate: Some((gamma1_pm, beta1_pm)),
+            structure: None,
         };
-        let features =
-            hierarchical_features(gamma1_p1, beta1_p1, gamma1_pm, beta1_pm, pm, target_depth);
-        self.predict_from_features(&features, target_depth)
+        self.predict_row(&inputs, target_depth)
     }
 
-    fn predict_from_features(
+    /// Predicts initial parameters for `graph` from its depth-1 optimum:
+    /// the two-level flow's entry point, which serves two-level and
+    /// graph-aware predictors alike.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ParameterPredictor::predict`].
+    pub(crate) fn predict_for_graph(
         &self,
-        features: &[f64],
+        graph: &Graph,
+        gamma1_p1: f64,
+        beta1_p1: f64,
         target_depth: usize,
     ) -> Result<Vec<f64>, QaoaError> {
+        let inputs = RowInputs {
+            depth1: (gamma1_p1, beta1_p1),
+            intermediate: None,
+            structure: (self.features == FeatureSet::GraphAware)
+                .then(|| stats::feature_vector(graph)),
+        };
+        self.predict_row(&inputs, target_depth)
+    }
+
+    fn predict_row(&self, inputs: &RowInputs, target_depth: usize) -> Result<Vec<f64>, QaoaError> {
         if target_depth == 0 || target_depth > self.max_depth {
             return Err(QaoaError::InvalidDepth {
                 depth: target_depth,
             });
         }
+        let features = self.features.row(inputs, target_depth)?;
         let mut params = Vec::with_capacity(2 * target_depth);
         for i in 0..target_depth {
-            let g = self.gamma_models[i].predict(features)?;
+            let g = self.gamma_models[i].predict(&features)?;
             params.push(g.clamp(0.0, GAMMA_MAX));
         }
         for i in 0..target_depth {
-            let b = self.beta_models[i].predict(features)?;
+            let b = self.beta_models[i].predict(&features)?;
             params.push(b.clamp(0.0, BETA_MAX));
         }
         Ok(params)
@@ -300,7 +308,7 @@ impl std::fmt::Debug for ParameterPredictor {
         f.debug_struct("ParameterPredictor")
             .field("kind", &self.kind)
             .field("max_depth", &self.max_depth)
-            .field("intermediate_depth", &self.intermediate_depth)
+            .field("features", &self.features)
             .finish()
     }
 }
@@ -331,7 +339,7 @@ mod tests {
             let p = ParameterPredictor::train(kind, &ds).unwrap();
             assert_eq!(p.kind(), kind);
             assert_eq!(p.max_depth(), 3);
-            assert!(p.intermediate_depth().is_none());
+            assert_eq!(p.features(), FeatureSet::TwoLevel);
             for pt in 1..=3 {
                 let init = p.predict(1.0, 0.5, pt).unwrap();
                 assert_eq!(init.len(), 2 * pt);
@@ -358,10 +366,38 @@ mod tests {
     }
 
     #[test]
+    fn graph_aware_predictor() {
+        let ds = tiny_dataset();
+        let p =
+            ParameterPredictor::train_with(ModelKind::Linear, &ds, FeatureSet::GraphAware).unwrap();
+        // The plain entry point has no graph to read.
+        assert!(matches!(
+            p.predict(1.0, 0.5, 2),
+            Err(QaoaError::Ml(MlError::ShapeMismatch {
+                expected: 12,
+                actual: 3,
+                ..
+            }))
+        ));
+        let s = format!("{p:?}");
+        assert!(s.contains("GraphAware") && s.contains("max_depth"), "{s}");
+        // A two-level predictor ignores the graph.
+        let two_level = ParameterPredictor::train(ModelKind::Linear, &ds).unwrap();
+        let graph = graphs::generators::cycle(5);
+        assert_eq!(
+            two_level.predict_for_graph(&graph, 1.0, 0.5, 3).unwrap(),
+            two_level.predict(1.0, 0.5, 3).unwrap()
+        );
+    }
+
+    #[test]
     fn hierarchical_predictor() {
         let ds = tiny_dataset();
-        let p = ParameterPredictor::train_hierarchical(ModelKind::Linear, &ds, 2).unwrap();
-        assert_eq!(p.intermediate_depth(), Some(2));
+        let features = FeatureSet::Hierarchical {
+            intermediate_depth: 2,
+        };
+        let p = ParameterPredictor::train_with(ModelKind::Linear, &ds, features).unwrap();
+        assert_eq!(p.features(), features);
         let init = p.predict_hierarchical(1.0, 0.5, 0.9, 0.4, 3).unwrap();
         assert_eq!(init.len(), 6);
         // Wrong entry point rejected both ways.

@@ -1,17 +1,19 @@
 //! The proposed two-level flow (Fig. 4) and its hierarchical variant.
 //!
 //! Every entry point — [`TwoLevelFlow::run`] under any [`Scenario`], the
-//! engine's cached [`TwoLevelFlow::run_with_level1`],
-//! [`TwoLevelFlow::run_hierarchical`] and
-//! [`GraphAwarePredictor::run_two_level`](crate::graph_aware::GraphAwarePredictor::run_two_level)
-//! — differs only in how it obtains the level-1 optimum and the predicted
-//! initialization; all of them finish in one level-2 routine that
-//! optimizes the target depth and builds the [`TwoLevelOutcome`].
+//! engine's cached [`TwoLevelFlow::run_with_level1`] and
+//! [`TwoLevelFlow::run_hierarchical`] — differs only in how it obtains the
+//! level-1 optimum and the predicted initialization; all of them finish in
+//! one level-2 routine that optimizes the target depth and builds the
+//! [`TwoLevelOutcome`]. `run` and `run_with_level1` pass the problem's
+//! graph to the predictor, so they serve two-level and graph-aware
+//! [`FeatureSet`]s alike.
 
 use optimize::{Optimizer, Options};
 use rand::Rng;
 
 use crate::canonical::canonicalize_packed;
+use crate::features::FeatureSet;
 use crate::stablehash::mix64;
 use crate::{
     InstanceOutcome, MaxCutProblem, ParameterPredictor, QaoaError, QaoaInstance, Scenario,
@@ -76,8 +78,9 @@ impl TwoLevelOutcome {
 /// The proposed two-level QAOA implementation flow (Fig. 4).
 ///
 /// Level 1 optimizes the cheap `p = 1` instance from random initialization;
-/// the trained [`ParameterPredictor`] maps `(γ₁OPT, β₁OPT, pt)` to tuned
-/// initial parameters; level 2 runs the target-depth instance from that
+/// the trained [`ParameterPredictor`] maps `(γ₁OPT, β₁OPT, pt)` (and, for
+/// graph-aware predictors, the graph's structure) to tuned initial
+/// parameters; level 2 runs the target-depth instance from that
 /// initialization with a local optimizer.
 ///
 /// # Example
@@ -154,7 +157,7 @@ impl<'a> TwoLevelFlow<'a> {
         )?;
         let l1 =
             level1.optimize_multistart(optimizer, config.level1_starts, rng, &config.options)?;
-        let init = self.predict(&l1, target_depth)?;
+        let init = self.predict(problem, &l1, target_depth)?;
         let level2 = QaoaInstance::with_scenario(
             problem.clone(),
             target_depth,
@@ -188,7 +191,7 @@ impl<'a> TwoLevelFlow<'a> {
         options: &Options,
         level1: &InstanceOutcome,
     ) -> Result<TwoLevelOutcome, QaoaError> {
-        let init = self.predict(level1, target_depth)?;
+        let init = self.predict(problem, level1, target_depth)?;
         let level2 = QaoaInstance::new(problem.clone(), target_depth)?;
         optimize_level2(&level2, optimizer, options, level1, None, init)
     }
@@ -214,10 +217,13 @@ impl<'a> TwoLevelFlow<'a> {
         config: &TwoLevelConfig,
         rng: &mut R,
     ) -> Result<TwoLevelOutcome, QaoaError> {
-        let Some(pm) = self.predictor.intermediate_depth() else {
+        let FeatureSet::Hierarchical {
+            intermediate_depth: pm,
+        } = self.predictor.features()
+        else {
             return Err(QaoaError::Ml(ml::MlError::ShapeMismatch {
                 expected: 6,
-                actual: 3,
+                actual: self.predictor.features().width(),
                 what: "features (run_hierarchical needs a hierarchical predictor)",
             }));
         };
@@ -251,12 +257,13 @@ impl<'a> TwoLevelFlow<'a> {
     /// corpus the predictor was trained on.
     fn predict(
         &self,
+        problem: &MaxCutProblem,
         level1: &InstanceOutcome,
         target_depth: usize,
     ) -> Result<Vec<f64>, QaoaError> {
         let l1_canon = canonicalize_packed(&level1.params);
         self.predictor
-            .predict(l1_canon[0], l1_canon[1], target_depth)
+            .predict_for_graph(problem.graph(), l1_canon[0], l1_canon[1], target_depth)
     }
 }
 
@@ -287,7 +294,7 @@ pub(crate) fn optimize_level2(
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::datagen::{DataGenConfig, ParameterDataset};
     use graphs::generators;
@@ -309,6 +316,10 @@ pub(crate) mod tests {
         })
         .unwrap()
     }
+
+    const HIERARCHICAL: FeatureSet = FeatureSet::Hierarchical {
+        intermediate_depth: 2,
+    };
 
     #[test]
     fn two_level_produces_valid_outcome() {
@@ -375,9 +386,9 @@ pub(crate) mod tests {
 
     /// Bits of a two-level outcome: params, ⟨C⟩, AR, [level-1,
     /// intermediate, level-2, gradient] calls, predicted init.
-    pub(crate) type Pinned = (Vec<u64>, u64, u64, [usize; 4], Vec<u64>);
+    type Pinned = (Vec<u64>, u64, u64, [usize; 4], Vec<u64>);
 
-    pub(crate) fn pinned(out: &TwoLevelOutcome) -> Pinned {
+    fn pinned(out: &TwoLevelOutcome) -> Pinned {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
         (
             bits(&out.params),
@@ -394,7 +405,7 @@ pub(crate) mod tests {
     }
 
     /// The 6-node graph every pinned outcome is recorded on.
-    pub(crate) fn pinned_problem() -> MaxCutProblem {
+    fn pinned_problem() -> MaxCutProblem {
         let graph = generators::erdos_renyi_nonempty(6, 0.5, &mut StdRng::seed_from_u64(21));
         MaxCutProblem::new(&graph).unwrap()
     }
@@ -492,7 +503,7 @@ pub(crate) mod tests {
         );
 
         // The hierarchical flow.
-        let hier = ParameterPredictor::train_hierarchical(ModelKind::Linear, &ds, 2).unwrap();
+        let hier = ParameterPredictor::train_with(ModelKind::Linear, &ds, HIERARCHICAL).unwrap();
         let out = TwoLevelFlow::new(&hier)
             .run_hierarchical(
                 &predictor,
@@ -524,6 +535,51 @@ pub(crate) mod tests {
                     0x3fdeda46d674041a,
                     0x400921fb54442d18,
                     0x400921fb54442d18
+                ],
+            )
+        );
+    }
+
+    #[test]
+    fn graph_aware_run_matches_recorded_bits() {
+        // Recorded from the graph-aware predictor's own two-level run (one
+        // exact level-1 start, its own table, fit and predict loops); the
+        // shared flow must reproduce it.
+        let predictor =
+            ParameterPredictor::train_with(ModelKind::Linear, &corpus(), FeatureSet::GraphAware)
+                .unwrap();
+        let config = TwoLevelConfig {
+            level1_starts: 1,
+            options: Options::default().with_max_iters(40),
+        };
+        let out = TwoLevelFlow::new(&predictor)
+            .run(
+                &pinned_problem(),
+                2,
+                &Lbfgsb::default(),
+                &config,
+                &mut StdRng::seed_from_u64(8),
+                &Scenario::Exact,
+                0,
+            )
+            .unwrap();
+        assert_eq!(
+            pinned(&out),
+            (
+                vec![
+                    0x3fe5f071e47e214c,
+                    0x400731830b86f4d5,
+                    0x3fdc8b803184d400,
+                    0x3ffb2f8159e2c8e5
+                ],
+                0x401431f373a32c21,
+                0x3fe71483f1df0ddd,
+                [16, 0, 33, 23],
+                vec![
+                    0x3fe8a7414231f7c8,
+                    0x40020bec470eb6ee,
+                    0x3fea7ad34d4d2338,
+                    0x3fe0d7f2f4a7199d
                 ],
             )
         );
@@ -582,7 +638,7 @@ pub(crate) mod tests {
     fn hierarchical_run_accumulates_intermediate_cost() {
         let ds = corpus();
         let two_level = ParameterPredictor::train(ModelKind::Linear, &ds).unwrap();
-        let hier = ParameterPredictor::train_hierarchical(ModelKind::Linear, &ds, 2).unwrap();
+        let hier = ParameterPredictor::train_with(ModelKind::Linear, &ds, HIERARCHICAL).unwrap();
         let flow = TwoLevelFlow::new(&hier);
         let problem = MaxCutProblem::new(&generators::cycle(5)).unwrap();
         let mut rng = StdRng::seed_from_u64(4);

@@ -25,6 +25,8 @@
 //! One `MODEL` line per stage regressor, γ stages first then β stages, each
 //! carrying that model's exported parameter streams. The `END` trailer
 //! makes truncation detectable: a file that stops mid-stream never parses.
+//! The header names two-level and hierarchical feature sets only; nothing
+//! saves a graph-aware predictor, so [`encode`] refuses one.
 //!
 //! The header scopes the artifact by version, numerics
 //! ([`crate::artifact`], whose load and save policy this file follows),
@@ -35,6 +37,7 @@
 use std::path::Path;
 
 use ml::{ModelKind, ModelParams, Regressor};
+use qaoa::features::FeatureSet;
 use qaoa::ParameterPredictor;
 
 use crate::artifact::{self, Load};
@@ -88,21 +91,23 @@ fn err(message: impl Into<String>) -> WireError {
 ///
 /// # Errors
 ///
-/// Fails only if a stage model refuses to export (an unfitted model, which
-/// a trained predictor never contains).
+/// Fails for a graph-aware predictor (the format has no field for its
+/// feature set), or if a stage model refuses to export (an unfitted model,
+/// which a trained predictor never contains).
 pub fn encode(predictor: &ParameterPredictor, master_seed: u64) -> Result<String, WireError> {
-    let features = if predictor.intermediate_depth().is_some() {
-        6
-    } else {
-        3
+    let features = predictor.features();
+    let intermediate = match features {
+        FeatureSet::TwoLevel => "-".to_string(),
+        FeatureSet::Hierarchical { intermediate_depth } => intermediate_depth.to_string(),
+        FeatureSet::GraphAware => {
+            return Err(err("a graph-aware predictor has no QMODEL2 encoding"));
+        }
     };
-    let intermediate = predictor
-        .intermediate_depth()
-        .map_or_else(|| "-".into(), |m| m.to_string());
     let mut out = format!(
-        "{} seed={master_seed} kind={} features={features} max-depth={} intermediate={intermediate}\n",
+        "{} seed={master_seed} kind={} features={} max-depth={} intermediate={intermediate}\n",
         artifact::header(MODEL_VERSION),
         predictor.kind().abbreviation(),
+        features.width(),
         predictor.max_depth(),
     );
     let mut count = 0usize;
@@ -165,15 +170,17 @@ pub fn parse_model(text: &str, master_seed: u64) -> Result<ParameterPredictor, W
         .ok_or_else(|| err(format!("unknown model kind `{kind_abbr}`")))?;
     let features: usize = parse_int(field(2, "features=")?, "feature count")?;
     let max_depth: usize = parse_int(field(3, "max-depth=")?, "max depth")?;
-    let intermediate = match field(4, "intermediate=")? {
-        "-" => None,
-        m => Some(parse_int::<usize>(m, "intermediate depth")?),
+    let feature_set = match field(4, "intermediate=")? {
+        "-" => FeatureSet::TwoLevel,
+        m => FeatureSet::Hierarchical {
+            intermediate_depth: parse_int::<usize>(m, "intermediate depth")?,
+        },
     };
-    let expected_features = if intermediate.is_some() { 6 } else { 3 };
-    if features != expected_features {
+    if features != feature_set.width() {
         return Err(err(format!(
-            "feature schema {features} contradicts intermediate={} (expected {expected_features})",
-            fields[4]
+            "feature schema {features} contradicts intermediate={} (expected {})",
+            fields[4],
+            feature_set.width()
         )));
     }
 
@@ -231,7 +238,7 @@ pub fn parse_model(text: &str, master_seed: u64) -> Result<ParameterPredictor, W
     if !ended {
         return Err(err("model file truncated (no END trailer)"));
     }
-    ParameterPredictor::from_parts(kind, max_depth, intermediate, gamma_models, beta_models)
+    ParameterPredictor::from_parts(kind, max_depth, feature_set, gamma_models, beta_models)
         .map_err(|e| err(format!("model stages do not assemble: {e}")))
 }
 
@@ -248,7 +255,8 @@ pub fn load(path: &Path, master_seed: u64) -> ModelLoad {
 /// # Errors
 ///
 /// Propagates I/O errors, and surfaces (as [`std::io::ErrorKind::Other`])
-/// the never-in-practice case of a stage model refusing to export.
+/// the [`encode`] failures: a graph-aware predictor, or the
+/// never-in-practice case of a stage model refusing to export.
 pub fn save(predictor: &ParameterPredictor, path: &Path, master_seed: u64) -> std::io::Result<()> {
     let text = encode(predictor, master_seed).map_err(std::io::Error::other)?;
     artifact::write_atomic(path, text.as_bytes())
@@ -336,6 +344,18 @@ mod tests {
             );
             std::fs::remove_file(&path).ok();
         }
+    }
+
+    #[test]
+    fn graph_aware_predictors_are_not_encoded() {
+        let aware = ParameterPredictor::train_with(
+            ModelKind::Linear,
+            &tiny_corpus(),
+            FeatureSet::GraphAware,
+        )
+        .unwrap();
+        let e = encode(&aware, 2020).unwrap_err();
+        assert!(e.message.contains("graph-aware"), "{}", e.message);
     }
 
     #[test]
