@@ -19,11 +19,12 @@
 //!
 //! Run: `cargo run --release -p bench --bin baseline_compare [-- --quick] [-- --threads N]`
 
-use bench::RunConfig;
+use bench::{count_f64, RunConfig};
 use ml::metrics::mean;
 use ml::ModelKind;
 use optimize::{Lbfgsb, Options};
 use qaoa::evaluation;
+use qaoa::stablehash::wide;
 use qaoa::warmstart::{linear_ramp, FourierFlow, InterpFlow};
 use qaoa::{MaxCutProblem, ParameterPredictor, QaoaInstance, Scenario};
 use rand::rngs::StdRng;
@@ -46,7 +47,7 @@ impl StrategyStats {
 
     fn push(&mut self, ar: f64, fc: usize) {
         self.ar.push(ar);
-        self.fc.push(fc as f64);
+        self.fc.push(count_f64(fc));
     }
 }
 
@@ -102,10 +103,10 @@ fn main() {
         let graphs = &test.graphs()[..n_eval];
         let per_graph = pool.run_ordered(graphs.len(), |gid| {
             let problem = MaxCutProblem::new(&graphs[gid]).expect("non-empty graph");
-            let seed = config.seed ^ ((depth as u64) << 32) ^ gid as u64;
+            let seed = config.seed ^ (wide(depth) << 32) ^ wide(gid);
 
             // Linear ramp: one shot at the target depth.
-            let init = linear_ramp(depth, 0.75 * depth as f64).expect("valid depth");
+            let init = linear_ramp(depth, 0.75 * count_f64(depth)).expect("valid depth");
             let instance = QaoaInstance::new(problem.clone(), depth).expect("valid depth");
             let out = instance
                 .optimize(&optimizer, &init, &options)

@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run --release -p bench --bin optimizer_zoo [-- --quick] [-- --threads N]`
 
-use bench::RunConfig;
+use bench::{count_f64, RunConfig};
 use ml::ModelKind;
 use optimize::extended_optimizers;
 use qaoa::evaluation::{self, EvaluationConfig};
@@ -62,14 +62,14 @@ fn main() {
             reductions.push(row.fc_reduction_percent());
         }
     }
-    let avg = reductions.iter().sum::<f64>() / reductions.len() as f64;
+    let avg = reductions.iter().sum::<f64>() / count_f64(reductions.len());
     let max = reductions.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
     println!(
         "\naverage FC reduction {avg:.1}% (paper: 44.9%), max {max:.1}% (paper: 65.7%) \
          [convergence-terminated optimizers]"
     );
     if !spsa_ar_gain.is_empty() {
-        let ar = spsa_ar_gain.iter().sum::<f64>() / spsa_ar_gain.len() as f64;
+        let ar = spsa_ar_gain.iter().sum::<f64>() / count_f64(spsa_ar_gain.len());
         println!("SPSA (fixed budget): ML init improves AR by {ar:+.4} on average at equal cost");
     }
 }

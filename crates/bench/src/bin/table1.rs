@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run --release -p bench --bin table1 [-- --quick] [-- --threads N]`
 
-use bench::RunConfig;
+use bench::{count_f64, RunConfig};
 use ml::ModelKind;
 use qaoa::evaluation::{table_header, EvaluationConfig};
 use qaoa::ParameterPredictor;
@@ -55,7 +55,7 @@ fn main() {
         println!("{}", row.to_table_line());
         reductions.push(row.fc_reduction_percent());
     }
-    let avg = reductions.iter().sum::<f64>() / reductions.len().max(1) as f64;
+    let avg = reductions.iter().sum::<f64>() / count_f64(reductions.len().max(1));
     let max = reductions.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     println!("\n# average FC reduction: {avg:.1}% (paper: 44.9%), max: {max:.1}% (paper: 65.7%)");
     let positive = reductions.iter().filter(|&&r| r > 0.0).count();

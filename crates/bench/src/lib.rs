@@ -377,6 +377,17 @@ impl RunConfig {
     }
 }
 
+/// Converts a count, depth or bin index to `f64` for the binaries' summary
+/// arithmetic.
+///
+/// Every count here is bounded by a run's graphs, depths, bins or function
+/// calls, far below 2^53, so the conversion is exact.
+#[must_use]
+pub fn count_f64(n: usize) -> f64 {
+    // lint:allow(no-lossy-as) bench counts are < 2^53 so usize -> f64 is exact here
+    n as f64
+}
+
 /// Renders a crude text histogram (used by the distribution figures).
 #[must_use]
 pub fn text_histogram(values: &[f64], bins: usize, width: usize) -> String {
@@ -386,10 +397,7 @@ pub fn text_histogram(values: &[f64], bins: usize, width: usize) -> String {
     let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
     let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let span = (hi - lo).max(1e-12);
-    // Bin geometry in f64: u32 -> f64 is exact, and four billion bins is
-    // far past anything a text histogram renders.
-    let to_f64 = |n: usize| f64::from(u32::try_from(n).unwrap_or(u32::MAX));
-    let bins_f = to_f64(bins);
+    let bins_f = count_f64(bins);
     let mut counts = vec![0usize; bins];
     for &v in values {
         // lint:allow(no-lossy-as) truncating to a bin index is the binning operation itself; the value is clamped to [0, bins-1] first
@@ -399,8 +407,8 @@ pub fn text_histogram(values: &[f64], bins: usize, width: usize) -> String {
     let peak = *counts.iter().max().unwrap_or(&1);
     let mut out = String::new();
     for (b, &c) in counts.iter().enumerate() {
-        let from = lo + span * to_f64(b) / bins_f;
-        let to = lo + span * to_f64(b + 1) / bins_f;
+        let from = lo + span * count_f64(b) / bins_f;
+        let to = lo + span * count_f64(b + 1) / bins_f;
         let bar = "#".repeat((c * width).div_ceil(peak.max(1)).min(width));
         out.push_str(&format!("[{from:8.3}, {to:8.3}) {c:5} {bar}\n"));
     }

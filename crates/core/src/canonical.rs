@@ -87,59 +87,18 @@ pub fn canonicalize_packed(params: &[f64]) -> Vec<f64> {
     gammas
 }
 
-/// Applies only the global conjugation fold to a packed vector in the
-/// paper's display domain `γ ∈ [0, 2π], β ∈ [0, π]`: when `γ₁ > π`, maps
-/// `γᵢ → 2π − γᵢ, βᵢ → π − βᵢ` (an exact landscape symmetry).
-///
-/// Unlike [`canonicalize_packed`], this preserves smooth per-stage schedules
-/// (no per-layer β folding), so it is the right transform for *displaying*
-/// cross-graph parameter trends (Figs. 2–3) in one consistent image family.
-///
-/// # Panics
-///
-/// Panics if the length is odd.
-///
-/// ```
-/// use std::f64::consts::PI;
-/// let folded = qaoa::canonical::display_fold(&[2.0 * PI - 0.5, PI - 0.3]);
-/// assert!((folded[0] - 0.5).abs() < 1e-12);
-/// assert!((folded[1] - 0.3).abs() < 1e-12);
-/// ```
-#[must_use]
-pub fn display_fold(params: &[f64]) -> Vec<f64> {
-    assert!(
-        params.len().is_multiple_of(2),
-        "packed parameters must have even length"
-    );
-    let p = params.len() / 2;
-    let mut gammas: Vec<f64> = params[..p].iter().map(|g| g.rem_euclid(TWO_PI)).collect();
-    let mut betas: Vec<f64> = params[p..].to_vec();
-    if gammas.first().is_some_and(|&g1| g1 > PI) {
-        for g in &mut gammas {
-            *g = (TWO_PI - *g).rem_euclid(TWO_PI);
-        }
-        for b in &mut betas {
-            *b = PI - *b;
-        }
-    }
-    // Uniform β shift by a multiple of π/2 (the same k for every layer is a
-    // composition of exact per-layer symmetries and keeps the schedule's
-    // shape) to bring the mean mixing angle into [0, π/2).
-    if !betas.is_empty() {
-        let k = (mean_of(&betas) / FRAC_PI_2).floor();
-        for b in &mut betas {
-            *b -= k * FRAC_PI_2;
-        }
-    }
-    gammas.extend(betas);
-    gammas
-}
-
 /// Folds a *chain* of packed vectors (one per depth, as produced by an
 /// INTERP schedule) for display, keeping the image choice continuous across
 /// depths: the conjugation decision and the uniform β shift of each row are
 /// anchored to the previous row's folded mean, so trends read coherently
 /// down the table.
+///
+/// Each row gets the global conjugation fold into the display domain
+/// `γ ∈ [0, 2π], β ∈ [0, π]` (when `γ₁ > π`, `γᵢ → 2π − γᵢ, βᵢ → π − βᵢ`)
+/// and one uniform β shift by a multiple of π/2. Unlike
+/// [`canonicalize_packed`] there is no per-layer β folding, so smooth
+/// per-stage schedules (Figs. 2–3) stay smooth. A one-row chain lands its β
+/// mean in `[0, π/2)`.
 ///
 /// ```
 /// use std::f64::consts::PI;
@@ -183,11 +142,9 @@ pub fn display_fold_chain(chain: &[Vec<f64>]) -> Vec<Vec<f64>> {
     out
 }
 
-/// Mean of a non-empty slice of layer angles. A layer count fits `u32`,
-/// so its conversion to `f64` is exact.
+/// Mean of a non-empty slice of layer angles.
 fn mean_of(xs: &[f64]) -> f64 {
-    let count = u32::try_from(xs.len()).map_or(f64::from(u32::MAX), f64::from);
-    xs.iter().sum::<f64>() / count
+    xs.iter().sum::<f64>() / crate::count_f64(xs.len())
 }
 
 /// Upper bound on the number of candidate labelings [`graph_key`] will
@@ -538,13 +495,6 @@ fn relabel_edges(g: &Graph, position_of: &[u32], out: &mut Vec<(u32, u32, u64)>)
     out.sort_unstable();
 }
 
-/// Stable 64-bit digest of a graph's canonical key — see
-/// [`CanonicalGraphKey::hash64`].
-#[must_use]
-pub fn graph_hash(g: &Graph) -> u64 {
-    graph_key(g).hash64()
-}
-
 /// `true` if the packed vector already lies in the canonical domain.
 #[must_use]
 pub fn is_canonical(params: &[f64]) -> bool {
@@ -679,7 +629,7 @@ mod graph_key_tests {
             let g = generators::erdos_renyi_nonempty(7, 0.5, &mut rng);
             let h = relabel(&g, &mut rng);
             assert_eq!(graph_key(&g), graph_key(&h));
-            assert_eq!(graph_hash(&g), graph_hash(&h));
+            assert_eq!(graph_key(&g).hash64(), graph_key(&h).hash64());
         }
     }
 
@@ -729,8 +679,11 @@ mod graph_key_tests {
     #[test]
     fn hash64_is_stable_and_discriminating() {
         let g = generators::cycle(6);
-        assert_eq!(graph_hash(&g), graph_hash(&g));
-        assert_ne!(graph_hash(&g), graph_hash(&generators::path(6)));
+        assert_eq!(graph_key(&g).hash64(), graph_key(&g).hash64());
+        assert_ne!(
+            graph_key(&g).hash64(),
+            graph_key(&generators::path(6)).hash64()
+        );
         // Must not depend on process-level hash randomization: pin a value
         // shape (nonzero, reproducible within this test run suffices for
         // FNV over fixed bytes).
@@ -790,6 +743,11 @@ mod display_fold_tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// A one-row chain: the fold a single packed vector gets for display.
+    fn fold_one(params: &[f64]) -> Vec<f64> {
+        display_fold_chain(&[params.to_vec()]).remove(0)
+    }
+
     #[test]
     fn display_fold_preserves_expectation() {
         let mut rng = StdRng::seed_from_u64(6);
@@ -802,7 +760,7 @@ mod display_fold_tests {
                 rng.gen_range(0.0..crate::BETA_MAX),
                 rng.gen_range(0.0..crate::BETA_MAX),
             ];
-            let folded = display_fold(&params);
+            let folded = fold_one(&params);
             let e0 = ansatz.expectation(&params).unwrap();
             let e1 = ansatz.expectation(&folded).unwrap();
             assert!((e0 - e1).abs() < 1e-9, "{params:?} -> {folded:?}");
@@ -812,13 +770,13 @@ mod display_fold_tests {
     #[test]
     fn display_fold_identity_when_gamma1_small() {
         let params = [1.0, 2.0, 0.5, 0.6];
-        assert_eq!(display_fold(&params), params.to_vec());
+        assert_eq!(fold_one(&params), params.to_vec());
     }
 
     #[test]
     fn display_fold_lands_in_first_image() {
         let params = [5.0, 6.0, 2.5, 3.0];
-        let folded = display_fold(&params);
+        let folded = fold_one(&params);
         assert!(folded[0] <= PI);
         // Exact mirror of every coordinate.
         assert!((folded[0] - (TWO_PI - 5.0)).abs() < 1e-12);

@@ -25,7 +25,9 @@ use rand::SeedableRng;
 
 use crate::canonical::{graph_key, CanonicalGraphKey};
 use crate::stablehash::{derive2, domain_hash, mix, wide};
-use crate::{InstanceOutcome, MaxCutProblem, QaoaError, QaoaInstance, MAX_PROBLEM_NODES};
+use crate::{
+    count_f64, InstanceOutcome, MaxCutProblem, QaoaError, QaoaInstance, MAX_PROBLEM_NODES,
+};
 
 /// One row of the corpus: the optimal parameters of one `(graph, depth)`
 /// QAOA instance.
@@ -253,8 +255,14 @@ impl ParameterDataset {
     #[must_use]
     pub fn split_by_graph(&self, train_fraction: f64) -> (ParameterDataset, ParameterDataset) {
         let n = self.graphs.len();
-        let k = ((train_fraction.clamp(0.0, 1.0) * n as f64).ceil() as usize)
-            .clamp(1, n.saturating_sub(1).max(1));
+        // ceil(fraction · n) is the number of graph indices below fraction · n.
+        let target = train_fraction.clamp(0.0, 1.0) * count_f64(n);
+        let k = (0..n).filter(|&i| count_f64(i) < target).count();
+        let k = if n == 0 {
+            0
+        } else {
+            k.clamp(1, (n - 1).max(1))
+        };
         let subset = |range: std::ops::Range<usize>| -> ParameterDataset {
             let graphs: Vec<Graph> = range.clone().map(|i| self.graphs[i].clone()).collect();
             let records: Vec<OptimalRecord> = self
@@ -565,26 +573,32 @@ fn canonical_record(graph_id: usize, depth: usize, outcome: &InstanceOutcome) ->
 
 /// Linearly resamples a parameter schedule to a new length — Zhou et al.'s
 /// INTERP initialization (the paper's ref [5]), used to seed a depth-`p`
-/// optimization from a depth-`p−1` optimum. A single value is replicated.
+/// optimization from a depth-`p−1` optimum. A single value is replicated,
+/// and a length-1 target keeps the first value.
 ///
 /// ```
 /// let seed = qaoa::datagen::interp_resample(&[1.0, 3.0], 3);
 /// assert_eq!(seed, vec![1.0, 2.0, 3.0]);
+/// assert_eq!(qaoa::datagen::interp_resample(&[1.0, 3.0], 1), vec![1.0]);
 /// ```
 #[must_use]
 pub fn interp_resample(old: &[f64], new_len: usize) -> Vec<f64> {
     if old.is_empty() || new_len == 0 {
         return vec![0.0; new_len];
     }
-    if old.len() == 1 {
+    if old.len() == 1 || new_len == 1 {
         return vec![old[0]; new_len];
     }
+    let (span, steps) = (old.len() - 1, new_len - 1);
     (0..new_len)
         .map(|i| {
-            let t = i as f64 * (old.len() - 1) as f64 / (new_len - 1) as f64;
-            let lo = t.floor() as usize;
-            let hi = (lo + 1).min(old.len() - 1);
-            let frac = t - lo as f64;
+            let t = count_f64(i) * count_f64(span) / count_f64(steps);
+            // floor(t) in integers. While i · span + steps < 2^53 the
+            // rounded quotient t never reaches the next integer, so this is
+            // exactly t.floor().
+            let lo = i * span / steps;
+            let hi = (lo + 1).min(span);
+            let frac = t - count_f64(lo);
             old[lo] * (1.0 - frac) + old[hi] * frac
         })
         .collect()
@@ -815,6 +829,11 @@ mod tests {
         for r in test.records() {
             assert!(r.graph_id < test.graphs().len());
         }
+        // An empty corpus splits into two empty halves.
+        let empty = ParameterDataset::from_parts(vec![], vec![], 3).unwrap();
+        let (train, test) = empty.split_by_graph(0.2);
+        assert!(train.graphs().is_empty() && train.records().is_empty());
+        assert!(test.graphs().is_empty() && test.records().is_empty());
     }
 }
 
@@ -851,5 +870,6 @@ mod interp_tests {
         assert!(interp_resample(&[], 0).is_empty());
         assert_eq!(interp_resample(&[], 2), vec![0.0, 0.0]);
         assert!(interp_resample(&[1.0, 2.0], 0).is_empty());
+        assert_eq!(interp_resample(&[1.0, 2.0], 1), vec![1.0]);
     }
 }

@@ -21,8 +21,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::{
-    MaxCutProblem, ParameterPredictor, QaoaError, QaoaInstance, Scenario, TwoLevelConfig,
-    TwoLevelFlow,
+    count_f64, MaxCutProblem, ParameterPredictor, QaoaError, QaoaInstance, Scenario,
+    TwoLevelConfig, TwoLevelFlow,
 };
 
 /// Configuration of a Table-I style comparison sweep.
@@ -237,15 +237,6 @@ pub fn cell_seed(master: u64, optimizer_index: usize, depth_index: usize) -> u64
     ))
 }
 
-/// Converts a function-call count to `f64`.
-///
-/// Call counts are bounded by optimizer budgets, far below 2^53, so the
-/// conversion is exact.
-fn calls_f64(calls: usize) -> f64 {
-    // lint:allow(no-lossy-as) call counts are < 2^53 so usize -> f64 is exact here
-    calls as f64
-}
-
 /// Aggregates per-run samples of both protocols into one [`ComparisonRow`].
 #[must_use]
 pub fn row_from_samples(
@@ -255,9 +246,9 @@ pub fn row_from_samples(
     ml: &[(f64, usize)],
 ) -> ComparisonRow {
     let naive_ar: Vec<f64> = naive.iter().map(|s| s.0).collect();
-    let naive_fc: Vec<f64> = naive.iter().map(|s| calls_f64(s.1)).collect();
+    let naive_fc: Vec<f64> = naive.iter().map(|s| count_f64(s.1)).collect();
     let ml_ar: Vec<f64> = ml.iter().map(|s| s.0).collect();
-    let ml_fc: Vec<f64> = ml.iter().map(|s| calls_f64(s.1)).collect();
+    let ml_fc: Vec<f64> = ml.iter().map(|s| count_f64(s.1)).collect();
     ComparisonRow {
         optimizer: optimizer_name.to_string(),
         depth,

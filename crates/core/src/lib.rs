@@ -77,6 +77,16 @@ pub const GAMMA_MAX: f64 = 2.0 * std::f64::consts::PI;
 /// The paper's parameter domain: β ∈ [0, π].
 pub const BETA_MAX: f64 = std::f64::consts::PI;
 
+/// Converts a count, depth or index to `f64`.
+///
+/// Call counts are bounded by optimizer budgets and depths and indices by
+/// the length of a parameter vector or dataset, all far below 2^53, so the
+/// conversion is exact.
+pub(crate) fn count_f64(n: usize) -> f64 {
+    // lint:allow(no-lossy-as) counts and indices are < 2^53 so usize -> f64 is exact here
+    n as f64
+}
+
 /// Bound-constrained parameter box for a depth-`p` instance, laid out as
 /// `[γ₁…γ_p, β₁…β_p]`.
 ///

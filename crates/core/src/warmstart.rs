@@ -20,18 +20,9 @@ use rand::Rng;
 
 use crate::datagen::interp_resample;
 use crate::{
-    parameter_bounds, EvalContext, MaxCutProblem, QaoaAnsatz, QaoaError, QaoaInstance, BETA_MAX,
-    GAMMA_MAX,
+    count_f64, parameter_bounds, EvalContext, MaxCutProblem, QaoaAnsatz, QaoaError, QaoaInstance,
+    BETA_MAX, GAMMA_MAX,
 };
-
-/// Converts a depth, stage index or Fourier term index to `f64`.
-///
-/// Each is bounded by the length of a parameter vector, far below 2^53, so
-/// the conversion is exact.
-fn index_f64(i: usize) -> f64 {
-    // lint:allow(no-lossy-as) indices are < 2^53 so usize -> f64 is exact here
-    i as f64
-}
 
 /// Linear-ramp (trotterized-quantum-annealing) initialization.
 ///
@@ -57,11 +48,11 @@ pub fn linear_ramp(depth: usize, total_time: f64) -> Result<Vec<f64>, QaoaError>
     if depth == 0 {
         return Err(QaoaError::InvalidDepth { depth });
     }
-    let p = index_f64(depth);
+    let p = count_f64(depth);
     let dt = total_time / p;
     let mut params = vec![0.0; 2 * depth];
     for i in 0..depth {
-        let f = (index_f64(i) + 0.5) / p;
+        let f = (count_f64(i) + 0.5) / p;
         params[i] = (dt * f).clamp(0.0, GAMMA_MAX);
         params[depth + i] = (dt * (1.0 - f)).clamp(0.0, BETA_MAX);
     }
@@ -121,14 +112,14 @@ pub fn interp_step(packed: &[f64]) -> Result<Vec<f64>, QaoaError> {
 pub fn fourier_to_params(u: &[f64], v: &[f64], depth: usize) -> Vec<f64> {
     assert_eq!(u.len(), v.len(), "u and v must have equal length");
     assert!(depth > 0, "depth must be positive");
-    let p = index_f64(depth);
+    let p = count_f64(depth);
     let mut params = vec![0.0; 2 * depth];
     for i in 0..depth {
-        let phase = (index_f64(i) + 0.5) * std::f64::consts::PI / p;
+        let phase = (count_f64(i) + 0.5) * std::f64::consts::PI / p;
         let mut gamma = 0.0;
         let mut beta = 0.0;
         for (k, (&uk, &vk)) in u.iter().zip(v).enumerate() {
-            let freq = (index_f64(k) + 0.5) * phase;
+            let freq = (count_f64(k) + 0.5) * phase;
             gamma += uk * freq.sin();
             beta += vk * freq.cos();
         }

@@ -34,7 +34,7 @@ pub fn erdos_renyi<R: Rng + ?Sized>(n_nodes: usize, p: f64, rng: &mut R) -> Grap
     for u in 0..n_nodes {
         for v in (u + 1)..n_nodes {
             if rng.gen::<f64>() < p {
-                g.add_edge(u, v).expect("generator produces valid edges");
+                g.push_valid_edge(u, v, 1.0);
             }
         }
     }
@@ -104,7 +104,7 @@ pub fn random_regular<R: Rng + ?Sized>(
             if u == v || g.has_edge(u, v) {
                 continue 'attempt; // reject self-loops and multi-edges
             }
-            g.add_edge(u, v).expect("validated edge");
+            g.push_valid_edge(u, v, 1.0);
         }
         return Ok(g);
     }
@@ -119,7 +119,7 @@ pub fn complete(n_nodes: usize) -> Graph {
     let mut g = Graph::new(n_nodes);
     for u in 0..n_nodes {
         for v in (u + 1)..n_nodes {
-            g.add_edge(u, v).expect("valid edge");
+            g.push_valid_edge(u, v, 1.0);
         }
     }
     g
@@ -130,7 +130,7 @@ pub fn complete(n_nodes: usize) -> Graph {
 pub fn cycle(n_nodes: usize) -> Graph {
     let mut g = path(n_nodes);
     if n_nodes >= 3 {
-        g.add_edge(n_nodes - 1, 0).expect("valid edge");
+        g.push_valid_edge(n_nodes - 1, 0, 1.0);
     }
     g
 }
@@ -140,7 +140,7 @@ pub fn cycle(n_nodes: usize) -> Graph {
 pub fn path(n_nodes: usize) -> Graph {
     let mut g = Graph::new(n_nodes);
     for v in 1..n_nodes {
-        g.add_edge(v - 1, v).expect("valid edge");
+        g.push_valid_edge(v - 1, v, 1.0);
     }
     g
 }
@@ -150,7 +150,7 @@ pub fn path(n_nodes: usize) -> Graph {
 pub fn star(n_nodes: usize) -> Graph {
     let mut g = Graph::new(n_nodes);
     for v in 1..n_nodes {
-        g.add_edge(0, v).expect("valid edge");
+        g.push_valid_edge(0, v, 1.0);
     }
     g
 }
@@ -160,10 +160,10 @@ pub fn star(n_nodes: usize) -> Graph {
 pub fn ladder(rungs: usize) -> Graph {
     let mut g = Graph::new(2 * rungs);
     for i in 0..rungs {
-        g.add_edge(2 * i, 2 * i + 1).expect("valid edge");
+        g.push_valid_edge(2 * i, 2 * i + 1, 1.0);
         if i + 1 < rungs {
-            g.add_edge(2 * i, 2 * (i + 1)).expect("valid edge");
-            g.add_edge(2 * i + 1, 2 * (i + 1) + 1).expect("valid edge");
+            g.push_valid_edge(2 * i, 2 * (i + 1), 1.0);
+            g.push_valid_edge(2 * i + 1, 2 * (i + 1) + 1, 1.0);
         }
     }
     g
@@ -185,18 +185,18 @@ pub fn wheel(n_nodes: usize) -> Graph {
     }
     let rim = n_nodes - 1;
     for v in 1..n_nodes {
-        g.add_edge(0, v).expect("valid edge");
+        g.push_valid_edge(0, v, 1.0);
     }
     if rim >= 3 {
         for i in 0..rim {
             let u = 1 + i;
             let v = 1 + (i + 1) % rim;
             if !g.has_edge(u, v) {
-                g.add_edge(u, v).expect("valid edge");
+                g.push_valid_edge(u, v, 1.0);
             }
         }
     } else if rim == 2 {
-        g.add_edge(1, 2).expect("valid edge");
+        g.push_valid_edge(1, 2, 1.0);
     }
     g
 }
@@ -217,12 +217,12 @@ pub fn barbell(clique: usize) -> Graph {
     for offset in [0, clique] {
         for u in 0..clique {
             for v in (u + 1)..clique {
-                g.add_edge(offset + u, offset + v).expect("valid edge");
+                g.push_valid_edge(offset + u, offset + v, 1.0);
             }
         }
     }
     if clique >= 1 && 2 * clique >= 2 {
-        g.add_edge(clique - 1, clique).expect("valid edge");
+        g.push_valid_edge(clique - 1, clique, 1.0);
     }
     g
 }
@@ -250,7 +250,7 @@ pub fn gnm<R: Rng + ?Sized>(n_nodes: usize, m: usize, rng: &mut R) -> Graph {
     }
     let mut g = Graph::new(n_nodes);
     for &(u, v) in &pairs[..m] {
-        g.add_edge(u, v).expect("valid edge");
+        g.push_valid_edge(u, v, 1.0);
     }
     g
 }
@@ -286,7 +286,7 @@ pub fn barabasi_albert<R: Rng + ?Sized>(
     // Seed graph: a star K_{1,m} on nodes 0..=m inside the full node set.
     let mut g = Graph::new(n_nodes);
     for v in 1..=m {
-        g.add_edge(0, v).expect("valid edge");
+        g.push_valid_edge(0, v, 1.0);
     }
     // Repeated-node list: node v appears deg(v) times, so uniform sampling
     // from it is degree-proportional sampling.
@@ -304,7 +304,7 @@ pub fn barabasi_albert<R: Rng + ?Sized>(
             }
         }
         for &t in &targets {
-            g.add_edge(new, t).expect("valid edge");
+            g.push_valid_edge(new, t, 1.0);
             stubs.push(new);
             stubs.push(t);
         }
@@ -384,7 +384,7 @@ pub fn watts_strogatz<R: Rng + ?Sized>(
     }
     let mut g = Graph::new(n_nodes);
     for (a, b) in edges {
-        g.add_edge(a, b).expect("valid edge");
+        g.push_valid_edge(a, b, 1.0);
     }
     Ok(g)
 }
@@ -409,7 +409,7 @@ pub fn with_random_weights<R: Rng + ?Sized>(graph: &Graph, lo: f64, hi: f64, rng
         } else {
             rng.gen_range(lo..=hi)
         };
-        g.add_weighted_edge(e.u, e.v, w).expect("valid edge");
+        g.push_valid_edge(e.u, e.v, w);
     }
     g
 }
@@ -579,6 +579,94 @@ mod tests {
             watts_strogatz(4, 4, 0.1, &mut rng),
             Err(GraphError::InvalidRegularParams { .. })
         ));
+    }
+
+    fn edge_list(g: &Graph) -> String {
+        let pairs: Vec<String> = g
+            .edges()
+            .iter()
+            .map(|e| format!("{}-{}", e.u, e.v))
+            .collect();
+        pairs.join(" ")
+    }
+
+    #[test]
+    fn deterministic_generators_match_recorded_edge_lists() {
+        for (g, edges) in [
+            (complete(0), ""),
+            (cycle(0), ""),
+            (path(0), ""),
+            (star(0), ""),
+            (wheel(0), ""),
+            (complete(1), ""),
+            (cycle(1), ""),
+            (path(1), ""),
+            (star(1), ""),
+            (wheel(1), ""),
+            (complete(2), "0-1"),
+            (cycle(2), "0-1"),
+            (path(2), "0-1"),
+            (star(2), "0-1"),
+            (wheel(2), "0-1"),
+            (complete(3), "0-1 0-2 1-2"),
+            (cycle(3), "0-1 1-2 0-2"),
+            (path(3), "0-1 1-2"),
+            (star(3), "0-1 0-2"),
+            (wheel(3), "0-1 0-2 1-2"),
+            (complete(5), "0-1 0-2 0-3 0-4 1-2 1-3 1-4 2-3 2-4 3-4"),
+            (cycle(5), "0-1 1-2 2-3 3-4 0-4"),
+            (path(5), "0-1 1-2 2-3 3-4"),
+            (star(5), "0-1 0-2 0-3 0-4"),
+            (wheel(5), "0-1 0-2 0-3 0-4 1-2 2-3 3-4 1-4"),
+            (ladder(0), ""),
+            (barbell(0), ""),
+            (ladder(1), "0-1"),
+            (barbell(1), "0-1"),
+            (ladder(3), "0-1 0-2 1-3 2-3 2-4 3-5 4-5"),
+            (barbell(3), "0-1 0-2 1-2 3-4 3-5 4-5 2-3"),
+        ] {
+            assert_eq!(edge_list(&g), edges);
+        }
+    }
+
+    #[test]
+    fn seeded_generators_match_recorded_edge_lists() {
+        let rng = || StdRng::seed_from_u64(2020);
+        for (g, edges) in [
+            (
+                erdos_renyi(7, 0.5, &mut rng()),
+                "0-1 0-5 1-2 1-4 2-3 2-4 3-4 3-6 4-6",
+            ),
+            (erdos_renyi_nonempty(5, 0.1, &mut rng()), "1-2"),
+            (
+                random_regular(8, 3, &mut rng()).unwrap(),
+                "5-7 0-1 2-6 0-3 3-6 1-6 1-5 4-5 4-7 2-3 0-7 2-4",
+            ),
+            (gnm(7, 9, &mut rng()), "0-6 2-4 3-6 3-5 0-5 5-6 1-5 3-4 1-2"),
+            (
+                barabasi_albert(9, 2, &mut rng()).unwrap(),
+                "0-1 0-2 1-3 0-3 3-4 1-4 0-5 1-5 2-6 3-6 0-7 4-7 6-8 3-8",
+            ),
+            (
+                watts_strogatz(10, 4, 0.3, &mut rng()).unwrap(),
+                "0-2 0-3 0-5 0-7 0-8 0-9 1-2 1-4 1-5 1-9 2-4 2-5 3-5 4-5 4-8 5-6 5-7 6-7 6-8 7-8",
+            ),
+        ] {
+            assert_eq!(edge_list(&g), edges);
+        }
+        let w = with_random_weights(&cycle(5), 0.5, 2.0, &mut rng());
+        assert_eq!(edge_list(&w), "0-1 1-2 2-3 3-4 0-4");
+        let bits: Vec<u64> = w.edges().iter().map(|e| e.weight.to_bits()).collect();
+        assert_eq!(
+            bits,
+            [
+                0x3fed1491d7574da9,
+                0x3ff5429746f01d90,
+                0x3ffb0753ac284bf4,
+                0x3ff98b0bdb9cddcb,
+                0x3fe03b652294b1e7
+            ]
+        );
     }
 
     #[test]

@@ -110,6 +110,14 @@ impl Graph {
         Ok(())
     }
 
+    /// Adds an edge whose endpoints the caller built in range and distinct,
+    /// the one way this crate's generators and [`Graph::complement`] add
+    /// edges.
+    pub(crate) fn push_valid_edge(&mut self, u: usize, v: usize, weight: f64) {
+        // lint:allow(no-panic-lib) every caller derives u != v from loops or edges over 0..n_nodes, so add_weighted_edge cannot fail
+        self.add_weighted_edge(u, v, weight).expect("valid edge");
+    }
+
     /// Number of nodes.
     #[must_use]
     pub fn n_nodes(&self) -> usize {
@@ -206,7 +214,7 @@ impl Graph {
         for u in 0..self.n_nodes {
             for v in (u + 1)..self.n_nodes {
                 if !self.has_edge(u, v) {
-                    g.add_edge(u, v).expect("valid complement edge");
+                    g.push_valid_edge(u, v, 1.0);
                 }
             }
         }

@@ -3,6 +3,15 @@
 
 use crate::Graph;
 
+/// Converts a node, edge, degree or triangle count to `f64`.
+///
+/// Every count here is bounded by `n²` for a graph held in memory, far
+/// below 2^53, so the conversion is exact.
+fn count_f64(n: usize) -> f64 {
+    // lint:allow(no-lossy-as) graph counts are < 2^53 so usize -> f64 is exact here
+    n as f64
+}
+
 /// Degree of every node, in node order.
 ///
 /// ```
@@ -20,7 +29,7 @@ pub fn mean_degree(graph: &Graph) -> f64 {
     if graph.n_nodes() == 0 {
         return 0.0;
     }
-    2.0 * graph.n_edges() as f64 / graph.n_nodes() as f64
+    2.0 * count_f64(graph.n_edges()) / count_f64(graph.n_nodes())
 }
 
 /// Edge density `m / C(n, 2)`; `0.0` for graphs with fewer than two nodes.
@@ -30,7 +39,7 @@ pub fn density(graph: &Graph) -> f64 {
     if n < 2 {
         return 0.0;
     }
-    graph.n_edges() as f64 / (n * (n - 1) / 2) as f64
+    count_f64(graph.n_edges()) / count_f64(n * (n - 1) / 2)
 }
 
 /// `true` if every node has the same degree `d`; returns that degree.
@@ -88,7 +97,7 @@ pub fn local_clustering(graph: &Graph, node: usize) -> f64 {
             }
         }
     }
-    2.0 * links as f64 / (k * (k - 1)) as f64
+    2.0 * count_f64(links) / count_f64(k * (k - 1))
 }
 
 /// Average clustering coefficient (mean of [`local_clustering`] over all
@@ -99,7 +108,7 @@ pub fn average_clustering(graph: &Graph) -> f64 {
     if n == 0 {
         return 0.0;
     }
-    (0..n).map(|v| local_clustering(graph, v)).sum::<f64>() / n as f64
+    (0..n).map(|v| local_clustering(graph, v)).sum::<f64>() / count_f64(n)
 }
 
 /// Maximum degree; `0` for the empty graph.
@@ -121,8 +130,11 @@ pub fn degree_variance(graph: &Graph) -> f64 {
     if seq.is_empty() {
         return 0.0;
     }
-    let mean = seq.iter().sum::<usize>() as f64 / seq.len() as f64;
-    seq.iter().map(|&d| (d as f64 - mean).powi(2)).sum::<f64>() / seq.len() as f64
+    let mean = count_f64(seq.iter().sum::<usize>()) / count_f64(seq.len());
+    seq.iter()
+        .map(|&d| (count_f64(d) - mean).powi(2))
+        .sum::<f64>()
+        / count_f64(seq.len())
 }
 
 /// A fixed-length structural feature vector for graph-aware predictors:
@@ -143,14 +155,14 @@ pub fn degree_variance(graph: &Graph) -> f64 {
 #[must_use]
 pub fn feature_vector(graph: &Graph) -> Vec<f64> {
     vec![
-        graph.n_nodes() as f64,
-        graph.n_edges() as f64,
+        count_f64(graph.n_nodes()),
+        count_f64(graph.n_edges()),
         density(graph),
         mean_degree(graph),
-        max_degree(graph) as f64,
-        min_degree(graph) as f64,
+        count_f64(max_degree(graph)),
+        count_f64(min_degree(graph)),
         degree_variance(graph),
-        triangle_count(graph) as f64,
+        count_f64(triangle_count(graph)),
         average_clustering(graph),
     ]
 }
@@ -221,5 +233,100 @@ mod tests {
         let g = generators::complete(4);
         let f = feature_vector(&g);
         assert_eq!(f, vec![4.0, 6.0, 1.0, 3.0, 3.0, 3.0, 0.0, 4.0, 1.0]);
+    }
+
+    #[test]
+    fn feature_vectors_match_recorded_bits() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        for (g, bits) in [
+            (
+                Graph::new(0),
+                [
+                    0x0000000000000000,
+                    0x0000000000000000,
+                    0x0000000000000000,
+                    0x0000000000000000,
+                    0x0000000000000000,
+                    0x0000000000000000,
+                    0x0000000000000000,
+                    0x0000000000000000,
+                    0x0000000000000000,
+                ],
+            ),
+            (
+                generators::cycle(5),
+                [
+                    0x4014000000000000,
+                    0x4014000000000000,
+                    0x3fe0000000000000,
+                    0x4000000000000000,
+                    0x4000000000000000,
+                    0x4000000000000000,
+                    0x0000000000000000,
+                    0x0000000000000000,
+                    0x0000000000000000,
+                ],
+            ),
+            (
+                generators::star(4),
+                [
+                    0x4010000000000000,
+                    0x4008000000000000,
+                    0x3fe0000000000000,
+                    0x3ff8000000000000,
+                    0x4008000000000000,
+                    0x3ff0000000000000,
+                    0x3fe8000000000000,
+                    0x0000000000000000,
+                    0x0000000000000000,
+                ],
+            ),
+            (
+                generators::barbell(3),
+                [
+                    0x4018000000000000,
+                    0x401c000000000000,
+                    0x3fddddddddddddde,
+                    0x4002aaaaaaaaaaab,
+                    0x4008000000000000,
+                    0x4000000000000000,
+                    0x3fcc71c71c71c71c,
+                    0x4000000000000000,
+                    0x3fe8e38e38e38e39,
+                ],
+            ),
+            (
+                generators::wheel(6),
+                [
+                    0x4018000000000000,
+                    0x4024000000000000,
+                    0x3fe5555555555555,
+                    0x400aaaaaaaaaaaab,
+                    0x4014000000000000,
+                    0x4008000000000000,
+                    0x3fe1c71c71c71c71,
+                    0x4014000000000000,
+                    0x3fe471c71c71c71b,
+                ],
+            ),
+            (
+                generators::erdos_renyi(8, 0.5, &mut StdRng::seed_from_u64(7)),
+                [
+                    0x4020000000000000,
+                    0x4032000000000000,
+                    0x3fe4924924924925,
+                    0x4012000000000000,
+                    0x401c000000000000,
+                    0x4008000000000000,
+                    0x3ff4000000000000,
+                    0x402e000000000000,
+                    0x3fe65ca5ca5ca5ca,
+                ],
+            ),
+        ] {
+            let got: Vec<u64> = feature_vector(&g).iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, bits);
+        }
     }
 }

@@ -3,6 +3,15 @@ use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
 use crate::{axpy, dot, norm2, norm_inf};
 
+/// Converts a vector length to `f64`.
+///
+/// Lengths of vectors held in memory are far below 2^53, so the conversion
+/// is exact.
+fn count_f64(n: usize) -> f64 {
+    // lint:allow(no-lossy-as) in-memory lengths are < 2^53 so usize -> f64 is exact here
+    n as f64
+}
+
 /// An owned dense vector of `f64` with arithmetic helpers.
 ///
 /// `Vector` is a thin, ergonomic wrapper over `Vec<f64>`; it exists so the
@@ -114,7 +123,7 @@ impl Vector {
         if self.data.is_empty() {
             0.0
         } else {
-            self.sum() / self.data.len() as f64
+            self.sum() / count_f64(self.data.len())
         }
     }
 

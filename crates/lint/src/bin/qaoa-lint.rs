@@ -1,19 +1,19 @@
 //! The `qaoa-lint` command-line front end.
 //!
 //! ```text
-//! qaoa-lint --workspace                    # lint crates/*/src against the baseline
-//! qaoa-lint --workspace --update-baseline  # rewrite lint-baseline.toml to current counts
-//! qaoa-lint --workspace --format json      # machine-readable findings
-//! qaoa-lint path/to/file.rs ...            # lint specific files (no baseline by default)
+//! qaoa-lint --workspace                # lint every crates/*/src file
+//! qaoa-lint --workspace --format json  # machine-readable findings
+//! qaoa-lint path/to/file.rs ...        # lint specific files
 //! ```
 //!
-//! Exit codes: `0` clean (all violations baselined/suppressed), `1` lint
-//! regressions or marker errors, `2` usage or I/O errors.
+//! Exit codes: `0` clean (every site passes or carries a justified
+//! `lint:allow`), `1` any violation or marker error, `2` usage or I/O
+//! errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use lint::{baseline, find_root, ratchet, render_json, render_text, RuleFilter};
+use lint::{find_root, render_json, render_text, RuleFilter};
 
 const USAGE: &str = "\
 qaoa-lint: static analysis for this workspace's determinism/robustness invariants
@@ -25,26 +25,20 @@ USAGE:
 OPTIONS:
     --workspace            lint every crates/*/src/**/*.rs under the workspace root
     --root PATH            workspace root (default: walk up from the current directory)
-    --baseline PATH        ratchet baseline file (default: <root>/lint-baseline.toml;
-                           compared only in --workspace mode unless given explicitly)
-    --no-baseline          ignore any baseline: report every violation
-    --update-baseline      rewrite the baseline to the current counts and exit 0
     --only RULES           comma-separated rules to run (default: all)
     --skip RULES           comma-separated rules to skip
     --format FORMAT        `text` (default) or `json`
     --list-rules           print every rule with its rationale and exit
     -h, --help             print this help
 
-Suppress a finding at a site with a justified marker comment:
+Any finding fails the run (exit 1). The only way to silence a site is a
+justified marker comment at the end of that line or on its own line above it:
     // lint:allow(<rule>) <why this site is sound>
 ";
 
 struct Cli {
     workspace: bool,
     root: Option<PathBuf>,
-    baseline_path: Option<PathBuf>,
-    no_baseline: bool,
-    update_baseline: bool,
     filter: RuleFilter,
     json: bool,
     list_rules: bool,
@@ -55,9 +49,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         workspace: false,
         root: None,
-        baseline_path: None,
-        no_baseline: false,
-        update_baseline: false,
         filter: RuleFilter::default(),
         json: false,
         list_rules: false,
@@ -78,9 +69,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         match arg.as_str() {
             "--workspace" => cli.workspace = true,
             "--root" => cli.root = Some(PathBuf::from(value_of("--root")?)),
-            "--baseline" => cli.baseline_path = Some(PathBuf::from(value_of("--baseline")?)),
-            "--no-baseline" => cli.no_baseline = true,
-            "--update-baseline" => cli.update_baseline = true,
             "--only" => cli
                 .filter
                 .only
@@ -129,47 +117,12 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
         lint::scan_files(&root, &cli.files, &rules)?
     };
 
-    // Baseline resolution: workspace runs ratchet by default; explicit-file
-    // runs only when a baseline path was given (fixtures and one-off scans
-    // should see every violation).
-    let baseline_path = match &cli.baseline_path {
-        Some(p) => Some(p.clone()),
-        None if cli.workspace => Some(root.join("lint-baseline.toml")),
-        None => None,
-    };
-    let base = match (&baseline_path, cli.no_baseline) {
-        (Some(path), false) if path.is_file() => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            baseline::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?
-        }
-        _ => baseline::Counts::new(),
-    };
-
-    if cli.update_baseline {
-        let path = baseline_path
-            .ok_or("--update-baseline needs --workspace or an explicit --baseline path")?;
-        let serialized = baseline::serialize(&outcome.counts());
-        let unchanged = std::fs::read_to_string(&path)
-            .map(|old| old == serialized)
-            .unwrap_or(false);
-        std::fs::write(&path, &serialized)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!(
-            "qaoa-lint: baseline {} {}",
-            path.display(),
-            if unchanged { "unchanged" } else { "updated" }
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let verdict = ratchet(&outcome, &base);
     if cli.json {
-        print!("{}", render_json(&outcome, &verdict));
+        print!("{}", render_json(&outcome));
     } else {
-        print!("{}", render_text(&outcome, &verdict));
+        print!("{}", render_text(&outcome));
     }
-    if verdict.regressions.is_empty() && outcome.marker_errors.is_empty() {
+    if outcome.violations.is_empty() && outcome.marker_errors.is_empty() {
         Ok(ExitCode::SUCCESS)
     } else {
         Ok(ExitCode::FAILURE)

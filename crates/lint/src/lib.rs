@@ -9,24 +9,21 @@
 //! f64, lossy `as` cast, or `unwrap()` in a request loop silently erodes
 //! them. This crate machine-checks those rules (see [`rules::RULES`]) over
 //! the workspace's `.rs` files using a small hand-written lexer
-//! ([`lexer`]), with per-site suppression markers ([`source`]) and a
-//! committed ratchet baseline ([`baseline`]) that lets pre-existing
-//! violations stand while making *new* ones fail CI.
+//! ([`lexer`]). Any finding fails the run; a justified per-site
+//! suppression marker ([`source`]) is the only way to silence one, so every
+//! exception is written down next to the code it excuses.
 //!
 //! Entry points: [`scan_workspace`] / [`scan_files`] produce a
-//! [`LintOutcome`]; the `qaoa-lint` binary layers the CLI, exit codes, and
-//! `--update-baseline` on top.
+//! [`LintOutcome`]; the `qaoa-lint` binary layers the CLI and exit codes on
+//! top.
 
-pub mod baseline;
 pub mod lexer;
 pub mod rules;
 pub mod source;
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use baseline::Counts;
 use rules::{RuleDef, Violation, RULES};
 use source::SourceFile;
 
@@ -71,84 +68,10 @@ pub struct LintOutcome {
     /// Sites silenced by a justified marker.
     pub suppressed: usize,
     /// Marker problems: bare (justification-less) markers and markers
-    /// naming unknown rules. Never suppressible, never baselined.
+    /// naming unknown rules. Never suppressible.
     pub marker_errors: Vec<Violation>,
     /// Files scanned.
     pub files: usize,
-}
-
-impl LintOutcome {
-    /// Current per-rule per-file counts of (unsuppressed) violations.
-    #[must_use]
-    pub fn counts(&self) -> Counts {
-        let mut counts: Counts = BTreeMap::new();
-        for v in &self.violations {
-            *counts
-                .entry(v.rule.to_string())
-                .or_default()
-                .entry(v.path.clone())
-                .or_insert(0) += 1;
-        }
-        counts
-    }
-}
-
-/// One `(rule, file)` ratchet comparison that needs attention.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RatchetDelta {
-    /// Rule name.
-    pub rule: String,
-    /// Workspace-relative path.
-    pub path: String,
-    /// Violations found now.
-    pub current: usize,
-    /// Violations the baseline allows.
-    pub baselined: usize,
-}
-
-/// The ratchet verdict for a [`LintOutcome`] against a baseline.
-#[derive(Debug, Default)]
-pub struct Ratchet {
-    /// Counts that went **up** (or appeared): these fail the run.
-    pub regressions: Vec<RatchetDelta>,
-    /// Counts that went **down** (or vanished): the baseline can tighten.
-    pub improvements: Vec<RatchetDelta>,
-    /// Violations covered exactly by the baseline.
-    pub baselined_total: usize,
-}
-
-/// Compares current counts against the baseline.
-#[must_use]
-pub fn ratchet(outcome: &LintOutcome, baseline: &Counts) -> Ratchet {
-    let current = outcome.counts();
-    let mut r = Ratchet::default();
-    let empty = BTreeMap::new();
-    // Every rule/path seen on either side.
-    let rules: std::collections::BTreeSet<&String> =
-        current.keys().chain(baseline.keys()).collect();
-    for rule in rules {
-        let cur = current.get(rule).unwrap_or(&empty);
-        let base = baseline.get(rule).unwrap_or(&empty);
-        let paths: std::collections::BTreeSet<&String> = cur.keys().chain(base.keys()).collect();
-        for path in paths {
-            let c = cur.get(path).copied().unwrap_or(0);
-            let b = base.get(path).copied().unwrap_or(0);
-            let delta = RatchetDelta {
-                rule: rule.clone(),
-                path: path.clone(),
-                current: c,
-                baselined: b,
-            };
-            if c > b {
-                r.regressions.push(delta);
-            } else if c < b {
-                r.improvements.push(delta);
-            } else {
-                r.baselined_total += c;
-            }
-        }
-    }
-    r
 }
 
 /// Lints in-memory sources (path, text). The workhorse behind
@@ -303,91 +226,47 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
 
 // --- rendering -------------------------------------------------------------
 
-/// Renders human-readable diagnostics: marker errors, then regressions with
-/// their sites, then improvement/tightening notes, then a summary line.
+/// Renders human-readable diagnostics: marker errors, then every
+/// violation, then a summary line.
 #[must_use]
-pub fn render_text(outcome: &LintOutcome, ratchet: &Ratchet) -> String {
+pub fn render_text(outcome: &LintOutcome) -> String {
     let mut out = String::new();
-    for v in &outcome.marker_errors {
+    for v in outcome.marker_errors.iter().chain(&outcome.violations) {
         let _ = writeln!(out, "{}:{}: [{}] {}", v.path, v.line, v.rule, v.message);
-    }
-    for reg in &ratchet.regressions {
-        let _ = writeln!(
-            out,
-            "ratchet: [{}] {} has {} violations, baseline allows {}:",
-            reg.rule, reg.path, reg.current, reg.baselined
-        );
-        for v in outcome
-            .violations
-            .iter()
-            .filter(|v| v.rule == reg.rule && v.path == reg.path)
-        {
-            let _ = writeln!(out, "  {}:{}: {}", v.path, v.line, v.message);
-        }
-    }
-    for imp in &ratchet.improvements {
-        let _ = writeln!(
-            out,
-            "tightenable: [{}] {} is down to {} violations (baseline {}) — run \
-             --update-baseline and commit",
-            imp.rule, imp.path, imp.current, imp.baselined
-        );
     }
     let _ = writeln!(
         out,
-        "qaoa-lint: {} files, {} violations ({} baselined, {} suppressed by lint:allow), \
-         {} regressions, {} tightenable, {} marker errors",
+        "qaoa-lint: {} files, {} violations ({} suppressed by lint:allow), {} marker errors",
         outcome.files,
         outcome.violations.len(),
-        ratchet.baselined_total,
         outcome.suppressed,
-        ratchet.regressions.len(),
-        ratchet.improvements.len(),
         outcome.marker_errors.len(),
     );
     out
 }
 
-/// Renders the machine-readable report: every regression site and marker
-/// error, plus the summary, as one JSON object.
+/// Renders the machine-readable report: every marker error and violation,
+/// plus the summary, as one JSON object.
 #[must_use]
-pub fn render_json(outcome: &LintOutcome, ratchet: &Ratchet) -> String {
-    let mut items = Vec::new();
-    for v in &outcome.marker_errors {
-        items.push(json_violation(v, "marker-error"));
-    }
-    for reg in &ratchet.regressions {
-        for v in outcome
-            .violations
-            .iter()
-            .filter(|v| v.rule == reg.rule && v.path == reg.path)
-        {
-            items.push(json_violation(v, "regression"));
-        }
-    }
-    let improvements: Vec<String> = ratchet
-        .improvements
+pub fn render_json(outcome: &LintOutcome) -> String {
+    let items: Vec<String> = outcome
+        .marker_errors
         .iter()
-        .map(|i| {
-            format!(
-                "{{\"rule\":{},\"file\":{},\"current\":{},\"baselined\":{}}}",
-                json_str(&i.rule),
-                json_str(&i.path),
-                i.current,
-                i.baselined
-            )
-        })
+        .map(|v| json_violation(v, "marker-error"))
+        .chain(
+            outcome
+                .violations
+                .iter()
+                .map(|v| json_violation(v, "violation")),
+        )
         .collect();
     format!(
-        "{{\"findings\":[{}],\"tightenable\":[{}],\"summary\":{{\"files\":{},\"violations\":{},\
-         \"baselined\":{},\"suppressed\":{},\"regressions\":{},\"marker_errors\":{}}}}}\n",
+        "{{\"findings\":[{}],\"summary\":{{\"files\":{},\"violations\":{},\
+         \"suppressed\":{},\"marker_errors\":{}}}}}\n",
         items.join(","),
-        improvements.join(","),
         outcome.files,
         outcome.violations.len(),
-        ratchet.baselined_total,
         outcome.suppressed,
-        ratchet.regressions.len(),
         outcome.marker_errors.len(),
     )
 }
@@ -466,50 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn ratchet_up_down_and_flat() {
-        let outcome = lint_sources(
-            &[src(
-                "crates/engine/src/x.rs",
-                "fn f() { a.unwrap(); b.unwrap(); }\n",
-            )],
-            &all_rules(),
-        );
-        // Baseline allows 1: two current → regression.
-        let mut base: Counts = BTreeMap::new();
-        base.entry("no-panic-lib".into())
-            .or_default()
-            .insert("crates/engine/src/x.rs".into(), 1);
-        let r = ratchet(&outcome, &base);
-        assert_eq!(r.regressions.len(), 1);
-        assert_eq!(
-            (r.regressions[0].current, r.regressions[0].baselined),
-            (2, 1)
-        );
-
-        // Baseline allows 2 → flat, all baselined.
-        base.entry("no-panic-lib".into())
-            .or_default()
-            .insert("crates/engine/src/x.rs".into(), 2);
-        let r = ratchet(&outcome, &base);
-        assert!(r.regressions.is_empty() && r.improvements.is_empty());
-        assert_eq!(r.baselined_total, 2);
-
-        // Baseline allows 5 → improvement.
-        base.entry("no-panic-lib".into())
-            .or_default()
-            .insert("crates/engine/src/x.rs".into(), 5);
-        let r = ratchet(&outcome, &base);
-        assert_eq!(r.improvements.len(), 1);
-
-        // A baselined file that became clean is an improvement too.
-        base.entry("no-panic-lib".into())
-            .or_default()
-            .insert("crates/engine/src/gone.rs".into(), 3);
-        let r = ratchet(&outcome, &base);
-        assert_eq!(r.improvements.len(), 2);
-    }
-
-    #[test]
     fn rule_filter_resolution() {
         let all = RuleFilter::default().resolve().expect("all rules");
         assert_eq!(all.len(), RULES.len());
@@ -541,9 +376,8 @@ mod tests {
             &[src("crates/engine/src/x.rs", "fn f() { a.unwrap(); }\n")],
             &all_rules(),
         );
-        let r = ratchet(&outcome, &BTreeMap::new());
-        let json = render_json(&outcome, &r);
-        assert!(json.contains("\"kind\":\"regression\""));
+        let json = render_json(&outcome);
+        assert!(json.contains("\"kind\":\"violation\""));
         assert!(json.contains("\"rule\":\"no-panic-lib\""));
         assert!(json.contains("\"violations\":1"));
         // Every quote inside messages is escaped: the JSON stays one object.

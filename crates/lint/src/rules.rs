@@ -4,8 +4,9 @@
 //! [`SourceFile`] — never on raw text — so nothing fires inside comments,
 //! strings, or char literals.
 //!
-//! Every rule is individually toggleable from the CLI (`--only` / `--skip`)
-//! and suppressible at a site with a justified marker:
+//! Every rule is individually toggleable from the CLI (`--only` / `--skip`).
+//! Any finding of an active rule fails the run; the only way to silence a
+//! site is a justified marker:
 //!
 //! ```text
 //! // lint:allow(<rule>) <why this site is sound>
@@ -32,7 +33,7 @@ pub struct Violation {
 
 /// A rule's static definition.
 pub struct RuleDef {
-    /// Stable rule name, used in CLI toggles, markers, and the baseline.
+    /// Stable rule name, used in CLI toggles and markers.
     pub name: &'static str,
     /// One-line rationale shown by `--list-rules`.
     pub summary: &'static str,

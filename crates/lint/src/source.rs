@@ -9,7 +9,7 @@ use crate::lexer::{lex, Tok, TokKind};
 /// A source file ready for rule checks.
 pub struct SourceFile {
     /// Workspace-relative path, `/`-separated (stable across platforms so
-    /// baseline files diff cleanly).
+    /// diagnostics read the same everywhere).
     pub path: String,
     /// The lexed token stream, comments included.
     pub toks: Vec<Tok>,

@@ -3,8 +3,8 @@
 //! Every `usize`/count → `f64` conversion in the crate funnels through
 //! [`count_f64`], and the one place a (bounded, non-negative) float becomes a
 //! count again uses [`ceil_count`]. Centralizing the casts keeps the rest of
-//! the crate free of `as` conversions, so the lint ratchet can hold the line
-//! at zero lossy-cast findings for `ml`.
+//! the crate free of `as` conversions, so `qaoa-lint` finds no lossy cast
+//! in `ml`.
 
 /// Converts a sample/feature count to `f64`.
 ///

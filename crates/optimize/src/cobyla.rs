@@ -1,5 +1,6 @@
 use crate::{
-    Bounds, Counted, FnObjective, OptimizeError, OptimizeResult, Optimizer, Options, Termination,
+    count_f64, Bounds, Counted, FnObjective, OptimizeError, OptimizeResult, Optimizer, Options,
+    Termination,
 };
 
 /// Constrained optimization by linear approximation — the workspace's
@@ -138,7 +139,7 @@ impl Optimizer for Cobyla {
         let counted = Counted::new(&f);
         let x0 = bounds.project(x0);
 
-        let dims = f64::from(u32::try_from(n).unwrap_or(u32::MAX));
+        let dims = count_f64(n);
         let mean_width: f64 = (0..n).map(|i| bounds.width(i)).sum::<f64>() / dims;
         let mut rho = (self.rho_begin_rel * mean_width).max(self.rho_end * 10.0);
 

@@ -61,6 +61,15 @@ pub use result::{OptimizeResult, Termination};
 pub use slsqp::Slsqp;
 pub use spsa::Spsa;
 
+/// Converts a dimension or iteration count to `f64`.
+///
+/// Dimensions are parameter-vector lengths and iteration counts are bounded
+/// by `Options::max_iters`, all far below 2^53, so the conversion is exact.
+pub(crate) fn count_f64(n: usize) -> f64 {
+    // lint:allow(no-lossy-as) dimensions and iteration counts are < 2^53 so usize -> f64 is exact here
+    n as f64
+}
+
 /// A local minimizer of a scalar function over a box.
 ///
 /// All four paper optimizers implement this trait, which lets the evaluation

@@ -1,5 +1,6 @@
 use crate::{
-    Bounds, Counted, FnObjective, OptimizeError, OptimizeResult, Optimizer, Options, Termination,
+    count_f64, Bounds, Counted, FnObjective, OptimizeError, OptimizeResult, Optimizer, Options,
+    Termination,
 };
 
 /// The Nelder–Mead downhill-simplex method, one of the paper's two
@@ -85,7 +86,7 @@ fn centroid(simplex: &[Vec<f64>], exclude: usize) -> Vec<f64> {
             *ci += vi;
         }
     }
-    let m = f64::from(u32::try_from(simplex.len() - 1).unwrap_or(u32::MAX));
+    let m = count_f64(simplex.len() - 1);
     for ci in &mut c {
         *ci /= m;
     }

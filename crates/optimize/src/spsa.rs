@@ -2,7 +2,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::{
-    Bounds, Counted, FnObjective, OptimizeError, OptimizeResult, Optimizer, Options, Termination,
+    count_f64, Bounds, Counted, FnObjective, OptimizeError, OptimizeResult, Optimizer, Options,
+    Termination,
 };
 
 /// Simultaneous Perturbation Stochastic Approximation (Spall, 1992).
@@ -124,8 +125,8 @@ impl Optimizer for Spsa {
                 termination = Termination::MaxCalls;
                 break;
             }
-            let ak = self.a / (k as f64 + 1.0 + self.big_a).powf(self.alpha);
-            let ck = c_scale / (k as f64 + 1.0).powf(self.gamma);
+            let ak = self.a / (count_f64(k) + 1.0 + self.big_a).powf(self.alpha);
+            let ck = c_scale / (count_f64(k) + 1.0).powf(self.gamma);
 
             let delta: Vec<f64> = (0..n)
                 .map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 })
