@@ -5,6 +5,14 @@
 //! and `noisy_run/n6_m8_p2` is one noisy objective call on the shape of
 //! the `noisy_n6` perfbench workload.
 
+#![allow(
+    clippy::as_conversions,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test and bench code: a panic is how it reports a failure, and fixtures cast literals"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 

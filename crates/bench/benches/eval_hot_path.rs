@@ -21,6 +21,14 @@
 //! width sweep (n = 8, 12, 16, 20) at p = 2: `2p + 1 = 5` evaluations for
 //! central differences vs one adjoint backward pass.
 
+#![allow(
+    clippy::as_conversions,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test and bench code: a panic is how it reports a failure, and fixtures cast literals"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 

@@ -14,6 +14,14 @@
 //!
 //! Run: `cargo bench -p bench --bench predict_path`
 
+#![allow(
+    clippy::as_conversions,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test and bench code: a panic is how it reports a failure, and fixtures cast literals"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 

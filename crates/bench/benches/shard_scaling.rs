@@ -14,6 +14,14 @@
 //!
 //! Run: `cargo bench -p bench --bench shard_scaling`
 
+#![allow(
+    clippy::as_conversions,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test and bench code: a panic is how it reports a failure, and fixtures cast literals"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use engine::shard::{self, ShardPlan, StreamOptions};

@@ -6,6 +6,16 @@
 //!
 //! Run: `cargo run --release -p bench --bin ablation_hierarchical [-- --quick] [-- --threads N]`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "a binary may stop on an unrecoverable startup error; the no-panic rule guards library code"
+)]
+
 use bench::RunConfig;
 use ml::ModelKind;
 use optimize::Lbfgsb;

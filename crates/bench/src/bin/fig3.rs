@@ -9,6 +9,16 @@
 //!
 //! Run: `cargo run --release -p bench --bin fig3 [-- --quick] [-- --threads N]`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "a binary may stop on an unrecoverable startup error; the no-panic rule guards library code"
+)]
+
 use bench::RunConfig;
 use graphs::generators;
 use qaoa::datagen::DataGenConfig;

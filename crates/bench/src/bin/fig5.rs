@@ -8,6 +8,16 @@
 //!
 //! Run: `cargo run --release -p bench --bin fig5 [-- --quick]`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "a binary may stop on an unrecoverable startup error; the no-panic rule guards library code"
+)]
+
 use bench::RunConfig;
 use ml::metrics::pearson;
 use qaoa::features;

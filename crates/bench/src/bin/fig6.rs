@@ -8,6 +8,16 @@
 //!
 //! Run: `cargo run --release -p bench --bin fig6 [-- --quick]`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "a binary may stop on an unrecoverable startup error; the no-panic rule guards library code"
+)]
+
 use bench::{text_histogram, RunConfig};
 use ml::metrics::{mean, std_dev};
 use ml::ModelKind;

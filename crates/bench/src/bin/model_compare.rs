@@ -6,6 +6,16 @@
 //!
 //! Run: `cargo run --release -p bench --bin model_compare [-- --quick]`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "a binary may stop on an unrecoverable startup error; the no-panic rule guards library code"
+)]
+
 use bench::RunConfig;
 use ml::metrics::{adjusted_r2, mae, mean, mse, r2, rmse};
 use ml::ModelKind;

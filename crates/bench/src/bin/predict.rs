@@ -29,6 +29,16 @@
 //!   | cargo run --release -p bench --bin qaoa-predict -- serve --quick --model model.qm
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "a binary may stop on an unrecoverable startup error; the no-panic rule guards library code"
+)]
+
 use std::path::PathBuf;
 
 use engine::BatchConfig;

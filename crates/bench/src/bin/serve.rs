@@ -24,6 +24,16 @@
 //! Run:
 //! `printf 'QW1 JOB 1 3 5 0-1,1-2,2-3,3-4,4-0\n' | cargo run --release -p bench --bin qaoa-serve -- --threads 4`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "a binary may stop on an unrecoverable startup error; the no-panic rule guards library code"
+)]
+
 use engine::{BatchConfig, Load};
 use optimize::Lbfgsb;
 

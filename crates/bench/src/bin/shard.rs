@@ -26,6 +26,16 @@
 //! Run:
 //! `cargo run --release -p bench --bin qaoa-shard -- --quick --shards 3 --workers spawn:2 --out corpus.tsv`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "a binary may stop on an unrecoverable startup error; the no-panic rule guards library code"
+)]
+
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -15,6 +15,16 @@
 //!
 //! Run: `cargo run --release -p bench --bin shot_noise_study [-- --quick] [-- --threads N]`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "a binary may stop on an unrecoverable startup error; the no-panic rule guards library code"
+)]
+
 use bench::RunConfig;
 use graphs::Graph;
 use ml::ModelKind;

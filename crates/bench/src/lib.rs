@@ -340,7 +340,10 @@ impl RunConfig {
         );
         let engine = self.engine();
         let generated = engine::corpus::generate(&self.datagen(), &engine);
-        // lint:allow(no-panic-lib) same policy as train_predictor below: bench binaries have no recovery path from a failed generation run
+        #[expect(
+            clippy::expect_used,
+            reason = "same policy as train_predictor below: bench binaries have no recovery path from a failed generation run"
+        )]
         let (ds, report) = generated.expect("corpus generation");
         eprintln!("# corpus: {}", report.summary());
         self.persist_level1(engine.cache());
@@ -365,6 +368,10 @@ impl RunConfig {
     ///
     /// Panics if training fails (binaries have no recovery path).
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "same policy as corpus(): bench binaries have no recovery path from a failed training run"
+    )]
     pub fn train_predictor(&self) -> qaoa::ParameterPredictor {
         let corpus = self.corpus();
         eprintln!(
@@ -372,7 +379,6 @@ impl RunConfig {
             ml::ModelKind::Gpr,
             corpus.max_depth()
         );
-        // lint:allow(no-panic-lib) same policy as corpus(): bench binaries have no recovery path from a failed training run
         qaoa::ParameterPredictor::train(ml::ModelKind::Gpr, &corpus).expect("predictor training")
     }
 }
@@ -383,8 +389,11 @@ impl RunConfig {
 /// Every count here is bounded by a run's graphs, depths, bins or function
 /// calls, far below 2^53, so the conversion is exact.
 #[must_use]
+#[expect(
+    clippy::as_conversions,
+    reason = "bench counts are < 2^53 so usize -> f64 is exact here"
+)]
 pub fn count_f64(n: usize) -> f64 {
-    // lint:allow(no-lossy-as) bench counts are < 2^53 so usize -> f64 is exact here
     n as f64
 }
 
@@ -400,7 +409,10 @@ pub fn text_histogram(values: &[f64], bins: usize, width: usize) -> String {
     let bins_f = count_f64(bins);
     let mut counts = vec![0usize; bins];
     for &v in values {
-        // lint:allow(no-lossy-as) truncating to a bin index is the binning operation itself; the value is clamped to [0, bins-1] first
+        #[expect(
+            clippy::as_conversions,
+            reason = "truncating to a bin index is the binning operation itself; the value is clamped to [0, bins-1] first"
+        )]
         let b = (((v - lo) / span) * bins_f).clamp(0.0, bins_f - 1.0) as usize;
         counts[b.min(bins - 1)] += 1;
     }

@@ -5,6 +5,14 @@
 //! These live in the bench crate — not `tests/` — because only the crate
 //! that owns a binary gets `CARGO_BIN_EXE_<name>` at test-build time.
 
+#![allow(
+    clippy::as_conversions,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test and bench code: a panic is how it reports a failure, and fixtures cast literals"
+)]
+
 use std::time::Duration;
 
 use bench::RunConfig;

@@ -526,12 +526,8 @@ fn solve_depth(
     let optimizer = Lbfgsb::default();
     let instance = QaoaInstance::new(problem.clone(), depth)?;
     // The paper's protocol: best of `restarts` random inits.
-    let mut outcome = instance.optimize_multistart(
-        &optimizer as &dyn Optimizer,
-        config.restarts,
-        &mut rng,
-        &config.options,
-    )?;
+    let mut outcome =
+        instance.optimize_multistart(&optimizer, config.restarts, &mut rng, &config.options)?;
     // One extra trend-seeded run (Zhou et al.'s INTERP schedule, the
     // paper's ref [5]): initialize depth p from the interpolated
     // depth-(p−1) optimum. QAOA landscapes carry many near-degenerate
@@ -540,7 +536,7 @@ fn solve_depth(
     // basin family — the regularity Figs. 2/3 depend on.
     let mut seed = interp_resample(&prev.gammas, depth);
     seed.extend(interp_resample(&prev.betas, depth));
-    let seeded = instance.optimize(&optimizer as &dyn Optimizer, &seed, &config.options)?;
+    let seeded = instance.optimize(&optimizer, &seed, &config.options)?;
     let total = outcome.function_calls + seeded.function_calls;
     // Record the random-restart winner only when it beats the
     // trend-consistent optimum by a real margin; near-degenerate ties

@@ -175,7 +175,6 @@ pub fn graph_seed(master: u64, graph_index: usize) -> u64 {
 /// # Errors
 ///
 /// Propagates problem-construction, scenario, and optimizer errors.
-#[allow(clippy::too_many_arguments)]
 pub fn naive_protocol_graph(
     graph: &Graph,
     depth: usize,
@@ -204,7 +203,10 @@ pub fn naive_protocol_graph(
 /// # Errors
 ///
 /// Propagates flow errors.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one graph's protocol inputs, each a separate knob of the sweep"
+)]
 pub fn two_level_protocol_graph(
     graph: &Graph,
     depth: usize,

@@ -189,8 +189,8 @@ impl QaoaInstance {
             });
         }
         let bounds = parameter_bounds(self.depth())?;
-        let optimizer = match &self.evaluator {
-            Evaluator::Sampled { spsa, .. } => spsa as &dyn Optimizer,
+        let optimizer: &dyn Optimizer = match &self.evaluator {
+            Evaluator::Sampled { spsa, .. } => spsa,
             _ => optimizer,
         };
         let objective = Negated {

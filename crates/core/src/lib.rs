@@ -46,6 +46,14 @@
 //! # }
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::as_conversions,
+        reason = "unit tests build fixtures with small literal casts"
+    )
+)]
+
 mod ansatz;
 pub mod canonical;
 pub mod datagen;
@@ -82,8 +90,11 @@ pub const BETA_MAX: f64 = std::f64::consts::PI;
 /// Call counts are bounded by optimizer budgets and depths and indices by
 /// the length of a parameter vector or dataset, all far below 2^53, so the
 /// conversion is exact.
+#[expect(
+    clippy::as_conversions,
+    reason = "counts and indices are < 2^53 so usize -> f64 is exact here"
+)]
 pub(crate) fn count_f64(n: usize) -> f64 {
-    // lint:allow(no-lossy-as) counts and indices are < 2^53 so usize -> f64 is exact here
     n as f64
 }
 

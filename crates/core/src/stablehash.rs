@@ -111,8 +111,11 @@ pub fn derive2(master: u64, domain: &str, a: u64, b: u64) -> u64 {
 /// this is the one sanctioned place that conversion happens, so call
 /// sites stay free of ad-hoc `as` casts.
 #[must_use]
+#[expect(
+    clippy::as_conversions,
+    reason = "usize -> u64 is value-preserving on every supported target (all are <= 64-bit)"
+)]
 pub fn wide(x: usize) -> u64 {
-    // lint:allow(no-lossy-as) usize -> u64 is value-preserving on every supported target (all are <= 64-bit)
     x as u64
 }
 

@@ -137,7 +137,10 @@ impl<'a> TwoLevelFlow<'a> {
     ///   predictor's training depth.
     /// * Scenario construction, evaluation, or optimizer errors from
     ///   either level.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "both levels' inputs plus the scenario and its seed"
+    )]
     pub fn run<R: Rng + ?Sized>(
         &self,
         problem: &MaxCutProblem,

@@ -15,6 +15,11 @@
 //! solve — class, restarts, master seed, optimizer and options — so jobs
 //! that differ in any of them never serve each other's bits.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "wall-time accounting: JobStats and BatchReport wall times, never in results"
+)]
+
 use std::time::{Duration, Instant};
 
 use graphs::Graph;

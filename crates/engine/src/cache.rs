@@ -15,7 +15,7 @@
 //!
 //! **Single-flight misses:** concurrent misses on one class are collapsed
 //! to a single solve. The first thread to miss publishes an in-flight slot
-//! (while still holding the shard lock, so publication is race-free) and
+//! (while still holding the map lock, so publication is race-free) and
 //! computes; latecomers block on the slot's lock and read the finished
 //! value as a hit. This makes the hit/miss counts — not just the cached
 //! values — a pure function of the job queue, identical at any worker
@@ -32,12 +32,9 @@ use graphs::Graph;
 use optimize::Optimizer;
 use qaoa::canonical::{graph_key, CanonicalGraphKey};
 use qaoa::datagen::level1_solver;
-use qaoa::stablehash::wide;
 use qaoa::{InstanceOutcome, QaoaError};
 
 use crate::batch::BatchConfig;
-
-const SHARDS: usize = 16;
 
 /// The cache key: every input of the depth-1 solve
 /// [`qaoa::datagen::solve_level1`] whose optimum the entry holds — the
@@ -85,28 +82,19 @@ impl Level1Key {
 /// holds the lock for the duration), `Some` once finished.
 type Slot = Arc<Mutex<Option<InstanceOutcome>>>;
 
-/// One shard's map. Ordered (`BTreeMap`, not `HashMap`) so that any future
-/// per-shard iteration is deterministic by construction, not by an extra
-/// sort — the workspace-wide `no-unordered-iter` policy.
-type Shard = BTreeMap<Level1Key, Slot>;
+/// The key → slot map. Ordered (`BTreeMap`, not `HashMap`), so iteration
+/// is deterministic by construction, not by an extra sort.
+type SlotMap = BTreeMap<Level1Key, Slot>;
 
-/// Locks a shard, recovering the map on poisoning. Every critical section
-/// here is a plain map get/insert/remove — nothing is ever half-written
-/// under the lock (leaders solve *outside* it) — so a panicking peer
-/// cannot leave state a recovered reader could misread, and one panicked
-/// worker must not wedge the whole server's cache.
-fn lock_shard(m: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
-    match m.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Sharded concurrent map from [`Level1Key`] to the depth-1 optimum, with
+/// Concurrent map from [`Level1Key`] to the depth-1 optimum, with
 /// single-flight miss handling.
+///
+/// One lock guards the whole map. Its callers are the pool's workers, and
+/// each holds it for a single map get, insert or remove: solves run
+/// outside it, under their slot's lock.
 #[derive(Debug)]
 pub struct Level1Cache {
-    shards: Vec<Mutex<Shard>>,
+    map: Mutex<SlotMap>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
@@ -116,23 +104,29 @@ impl Level1Cache {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
+            map: Mutex::new(SlotMap::new()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
         }
     }
 
-    fn shard(&self, key: &Level1Key) -> &Mutex<Shard> {
-        let h = key.class.hash64().wrapping_add(wide(key.restarts));
-        let idx = usize::try_from(h % wide(SHARDS)).unwrap_or(0);
-        &self.shards[idx]
+    /// Locks the map, recovering it on poisoning. Every critical section
+    /// here is a plain map get/insert/remove — nothing is ever half-written
+    /// under the lock (leaders solve *outside* it) — so a panicking peer
+    /// cannot leave state a recovered reader could misread, and one panicked
+    /// worker must not wedge the whole server's cache.
+    fn lock_map(&self) -> MutexGuard<'_, SlotMap> {
+        match self.map.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        }
     }
 
     /// Returns the cached depth-1 outcome for `key`, computing and
     /// inserting it via `solve` on a miss. The boolean is `true` on a hit.
     ///
     /// Exactly one caller solves each key: the first to miss runs `solve`
-    /// (without holding the shard lock, so other keys proceed
+    /// (without holding the map lock, so other keys proceed
     /// concurrently); concurrent callers for the same key wait for that
     /// solve and observe a hit.
     ///
@@ -152,24 +146,27 @@ impl Level1Cache {
         loop {
             // Fast path: an existing slot (finished or in flight) —
             // allocation-free.
-            let existing = lock_shard(self.shard(key)).get(key).cloned();
+            let existing = self.lock_map().get(key).cloned();
             let slot = match existing {
                 Some(slot) => slot,
                 None => {
                     // Slow path: publish a fresh slot locked by us,
-                    // re-checking under the shard lock (another thread may
+                    // re-checking under the map lock (another thread may
                     // have published one meanwhile). The slot guard is
-                    // acquired *before* the shard lock is released so no
+                    // acquired *before* the map lock is released so no
                     // latecomer can observe an unlocked empty slot.
                     let fresh: Slot = Arc::new(Mutex::new(None));
                     let (slot, leader_guard) = {
-                        let mut shard = lock_shard(self.shard(key));
-                        match shard.get(key) {
+                        let mut map = self.lock_map();
+                        match map.get(key) {
                             Some(raced) => (raced.clone(), None),
                             None => {
-                                // lint:allow(no-panic-lib) `fresh` was allocated two lines up and never shared: try_lock cannot contend
+                                #[expect(
+                                    clippy::expect_used,
+                                    reason = "`fresh` was allocated two lines up and never shared: try_lock cannot contend"
+                                )]
                                 let guard = fresh.try_lock().expect("freshly created slot");
-                                shard.insert(key.clone(), fresh.clone());
+                                map.insert(key.clone(), fresh.clone());
                                 // Extend the guard's borrow past the clone.
                                 (fresh.clone(), Some(guard))
                             }
@@ -177,7 +174,10 @@ impl Level1Cache {
                     };
                     if let Some(mut guard) = leader_guard {
                         // Leader: solve while latecomers block on the slot.
-                        // lint:allow(no-panic-lib) the leader branch is entered at most once per call: `solve` is still present
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the leader branch is entered at most once per call: `solve` is still present"
+                        )]
                         let solve = solve.take().expect("solve intact on leader path");
                         match solve() {
                             Ok(outcome) => {
@@ -220,9 +220,9 @@ impl Level1Cache {
     /// holds that exact slot. A replacement slot published by a newer
     /// leader must survive, else its in-flight solve would be duplicated.
     fn withdraw(&self, key: &Level1Key, slot: &Slot) {
-        let mut shard = lock_shard(self.shard(key));
-        if shard.get(key).is_some_and(|s| Arc::ptr_eq(s, slot)) {
-            shard.remove(key);
+        let mut map = self.lock_map();
+        if map.get(key).is_some_and(|s| Arc::ptr_eq(s, slot)) {
+            map.remove(key);
         }
     }
 
@@ -234,7 +234,7 @@ impl Level1Cache {
     /// blocking on its leader.
     #[must_use]
     pub fn peek(&self, key: &Level1Key) -> Option<InstanceOutcome> {
-        let slot = lock_shard(self.shard(key)).get(key).cloned()?;
+        let slot = self.lock_map().get(key).cloned()?;
         let finished = match slot.try_lock() {
             Ok(guard) => guard.clone(),
             Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner().clone(),
@@ -250,11 +250,11 @@ impl Level1Cache {
     /// the same bits, so whichever value is already there is the right one.
     /// Returns `true` when the entry was actually inserted.
     pub fn insert(&self, key: Level1Key, outcome: InstanceOutcome) -> bool {
-        let mut shard = lock_shard(self.shard(&key));
-        if shard.contains_key(&key) {
+        let mut map = self.lock_map();
+        if map.contains_key(&key) {
             return false;
         }
-        shard.insert(key, Arc::new(Mutex::new(Some(outcome))));
+        map.insert(key, Arc::new(Mutex::new(Some(outcome))));
         true
     }
 
@@ -277,13 +277,13 @@ impl Level1Cache {
         inserted
     }
 
-    /// A snapshot of every *finished* entry, sorted by key for
-    /// deterministic iteration.
+    /// A snapshot of every *finished* entry, in key order (the map's own
+    /// order, so iteration is deterministic).
     ///
     /// Slots whose lock is held at the moment of the scan are skipped
     /// rather than waited on. The holder is usually a leader mid-solve
     /// (arbitrarily long — blocking here is not an option, and waiting
-    /// would also invert the shard→slot lock order the leader's error path
+    /// would also invert the map→slot lock order the leader's error path
     /// uses, risking deadlock), but a concurrent *hit* also holds the lock
     /// for the microseconds it takes to clone the value — so a snapshot
     /// taken while a batch is executing may miss a few finished entries.
@@ -292,20 +292,17 @@ impl Level1Cache {
     #[must_use]
     pub fn snapshot(&self) -> Vec<(Level1Key, InstanceOutcome)> {
         let mut entries = Vec::new();
-        for shard in &self.shards {
-            for (key, slot) in lock_shard(shard).iter() {
-                // A poisoned (panicked-leader) slot still holds `None`.
-                let finished = match slot.try_lock() {
-                    Ok(guard) => guard.clone(),
-                    Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner().clone(),
-                    Err(std::sync::TryLockError::WouldBlock) => None,
-                };
-                if let Some(outcome) = finished {
-                    entries.push((key.clone(), outcome));
-                }
+        for (key, slot) in self.lock_map().iter() {
+            // A poisoned (panicked-leader) slot still holds `None`.
+            let finished = match slot.try_lock() {
+                Ok(guard) => guard.clone(),
+                Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner().clone(),
+                Err(std::sync::TryLockError::WouldBlock) => None,
+            };
+            if let Some(outcome) = finished {
+                entries.push((key.clone(), outcome));
             }
         }
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
         entries
     }
 
@@ -324,7 +321,7 @@ impl Level1Cache {
     /// Number of distinct keys held.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_shard(s).len()).sum()
+        self.lock_map().len()
     }
 
     /// `true` when nothing has been cached yet.
@@ -335,9 +332,7 @@ impl Level1Cache {
 
     /// Drops all entries and zeroes the hit/miss counters.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            lock_shard(shard).clear();
-        }
+        self.lock_map().clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }

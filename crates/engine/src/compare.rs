@@ -132,7 +132,10 @@ pub fn compare(
 /// # Errors
 ///
 /// Propagates the first per-graph error.
-#[allow(clippy::too_many_arguments)] // the protocol's inputs plus the pool
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the protocol's inputs plus the pool"
+)]
 pub fn naive_protocol(
     graphs: &[Graph],
     depth: usize,
@@ -169,7 +172,10 @@ pub fn naive_protocol(
 /// # Errors
 ///
 /// Propagates the first per-graph error.
-#[allow(clippy::too_many_arguments)] // the protocol's inputs plus the pool
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the protocol's inputs plus the pool"
+)]
 pub fn two_level_protocol(
     graphs: &[Graph],
     depth: usize,

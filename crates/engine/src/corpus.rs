@@ -9,6 +9,11 @@
 //! serial [`ParameterDataset::from_graphs`] bit for bit at any worker
 //! count, with or without cache hits.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "wall-time accounting: the corpus report's wall time, never in results"
+)]
+
 use std::ops::Range;
 use std::time::{Duration, Instant};
 

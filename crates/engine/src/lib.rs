@@ -75,6 +75,14 @@
 //! between isomorphic jobs are benign (all contenders compute the same
 //! bits) and jobs that differ in any input never share an entry.
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::as_conversions,
+        reason = "unit tests build fixtures with small literal casts"
+    )
+)]
+
 pub mod artifact;
 pub mod batch;
 pub mod cache;

@@ -74,6 +74,11 @@
 //! entries of the two seeds apart, and `--cache-file` serves shard work
 //! too.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "wall-time accounting: per-tier PREDICT latency, reported on stderr only"
+)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{BufRead, Write};
@@ -371,7 +376,10 @@ type PredictMemo = BTreeMap<Level1Key, BTreeMap<usize, (AnswerTier, Vec<f64>)>>;
 /// `PREDICTED` line, and accounts the tier's latency. Unanswerable
 /// requests (no model, depth beyond the model, optimizer failure) answer
 /// `ERR`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the request line plus the session state every tier reads"
+)]
 fn answer_predict<W: Write>(
     output: &mut W,
     line: &str,

@@ -76,6 +76,11 @@
 //! `qaoa-shard` output (loopback and spawned subprocess workers, with and
 //! without a kill) against the unsharded `table1` corpus byte-for-byte.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "wall-time accounting and worker liveness: ShardStats wall times and last-heard deadlines, never in results"
+)]
+
 use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Range;
@@ -798,14 +803,20 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::single_range_in_vec_init)] // single-range *plans* are the point
+    #[expect(
+        clippy::single_range_in_vec_init,
+        reason = "single-range plans are the point"
+    )]
     fn from_ranges_rejects_invalid_partitions() {
         // Gap, overlap, short cover, over-cover, inverted, empty-for-nonempty.
         assert!(ShardPlan::from_ranges(4, vec![0..1, 2..4]).is_err());
         assert!(ShardPlan::from_ranges(4, vec![0..2, 1..4]).is_err());
         assert!(ShardPlan::from_ranges(4, vec![0..3]).is_err());
         assert!(ShardPlan::from_ranges(4, vec![0..5]).is_err());
-        #[allow(clippy::reversed_empty_ranges)]
+        #[expect(
+            clippy::reversed_empty_ranges,
+            reason = "an inverted range is the invalid input under test"
+        )]
         let inverted = ShardPlan::from_ranges(4, vec![3..0, 0..4]);
         assert!(inverted.is_err());
         assert!(ShardPlan::from_ranges(4, vec![]).is_err());

@@ -113,8 +113,11 @@ impl Graph {
     /// Adds an edge whose endpoints the caller built in range and distinct,
     /// the one way this crate's generators and [`Graph::complement`] add
     /// edges.
+    #[expect(
+        clippy::expect_used,
+        reason = "every caller derives u != v from loops or edges over 0..n_nodes, so add_weighted_edge cannot fail"
+    )]
     pub(crate) fn push_valid_edge(&mut self, u: usize, v: usize, weight: f64) {
-        // lint:allow(no-panic-lib) every caller derives u != v from loops or edges over 0..n_nodes, so add_weighted_edge cannot fail
         self.add_weighted_edge(u, v, weight).expect("valid edge");
     }
 

@@ -23,6 +23,14 @@
 //! assert!(solution.value() <= g.total_weight());
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::as_conversions,
+        reason = "unit tests build fixtures with small literal casts"
+    )
+)]
+
 mod error;
 pub mod generators;
 mod graph;

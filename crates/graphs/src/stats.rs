@@ -7,8 +7,11 @@ use crate::Graph;
 ///
 /// Every count here is bounded by `n²` for a graph held in memory, far
 /// below 2^53, so the conversion is exact.
+#[expect(
+    clippy::as_conversions,
+    reason = "graph counts are < 2^53 so usize -> f64 is exact here"
+)]
 fn count_f64(n: usize) -> f64 {
-    // lint:allow(no-lossy-as) graph counts are < 2^53 so usize -> f64 is exact here
     n as f64
 }
 

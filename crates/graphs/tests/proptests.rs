@@ -1,5 +1,13 @@
 //! Property-based tests for graph construction, generators and MaxCut.
 
+#![allow(
+    clippy::as_conversions,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test and bench code: a panic is how it reports a failure, and fixtures cast literals"
+)]
+
 use graphs::{generators, Graph, MaxCut};
 use proptest::prelude::*;
 use rand::rngs::StdRng;

@@ -32,6 +32,14 @@
 //! # }
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::as_conversions,
+        reason = "unit tests build fixtures with small literal casts"
+    )
+)]
+
 mod cholesky;
 mod error;
 mod matrix;

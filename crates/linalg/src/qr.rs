@@ -54,7 +54,10 @@ impl Qr {
         }
         let mut r = a.clone();
         let mut tau = vec![0.0; n];
-        #[allow(clippy::needless_range_loop)] // k indexes both tau and the packed factor
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "k indexes both tau and the packed factor"
+        )]
         for k in 0..n {
             // Build the Householder vector annihilating R[k+1.., k].
             let mut norm = 0.0;

@@ -7,8 +7,11 @@ use crate::{axpy, dot, norm2, norm_inf};
 ///
 /// Lengths of vectors held in memory are far below 2^53, so the conversion
 /// is exact.
+#[expect(
+    clippy::as_conversions,
+    reason = "in-memory lengths are < 2^53 so usize -> f64 is exact here"
+)]
 fn count_f64(n: usize) -> f64 {
-    // lint:allow(no-lossy-as) in-memory lengths are < 2^53 so usize -> f64 is exact here
     n as f64
 }
 

@@ -1,5 +1,13 @@
 //! Property-based tests for the dense linear-algebra kernels.
 
+#![allow(
+    clippy::as_conversions,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test and bench code: a panic is how it reports a failure, and fixtures cast literals"
+)]
+
 use linalg::{solve_lower_triangular, solve_upper_triangular, Matrix, Vector};
 use proptest::prelude::*;
 

@@ -3,16 +3,19 @@
 //! Every `usize`/count → `f64` conversion in the crate funnels through
 //! [`count_f64`], and the one place a (bounded, non-negative) float becomes a
 //! count again uses [`ceil_count`]. Centralizing the casts keeps the rest of
-//! the crate free of `as` conversions, so `qaoa-lint` finds no lossy cast
-//! in `ml`.
+//! the crate free of `as` conversions, so `clippy::as_conversions` finds
+//! no other cast in `ml`.
 
 /// Converts a sample/feature count to `f64`.
 ///
 /// Counts in this crate are bounded by in-memory dataset sizes, far below
 /// 2^53, so the conversion is exact.
 #[must_use]
+#[expect(
+    clippy::as_conversions,
+    reason = "counts are < 2^53 so usize -> f64 is exact here"
+)]
 pub(crate) fn count_f64(n: usize) -> f64 {
-    // lint:allow(no-lossy-as) counts are < 2^53 so usize -> f64 is exact here
     n as f64
 }
 
@@ -21,8 +24,11 @@ pub(crate) fn count_f64(n: usize) -> f64 {
 /// Used for split sizes like `ceil(fraction * n)` where the input is clamped
 /// to `[0, n]` for an in-memory count `n`.
 #[must_use]
+#[expect(
+    clippy::as_conversions,
+    reason = "input is a count-bounded non-negative float"
+)]
 pub(crate) fn ceil_count(x: f64) -> usize {
-    // lint:allow(no-lossy-as) input is a count-bounded non-negative float
     x.max(0.0).ceil() as usize
 }
 

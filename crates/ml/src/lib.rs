@@ -35,6 +35,14 @@
 //! # }
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::as_conversions,
+        reason = "unit tests build fixtures with small literal casts"
+    )
+)]
+
 mod convert;
 mod error;
 mod forest;

@@ -41,7 +41,8 @@ impl ModelParams {
     /// Appends a `usize` shape field to the integer stream.
     pub(crate) fn push_count(&mut self, n: usize) {
         // usize -> u64 is value-preserving on every supported target (the
-        // fallback is unreachable; written cast-free for `qaoa-lint`).
+        // fallback is unreachable; written cast-free for
+        // `clippy::as_conversions`).
         self.ints.push(u64::try_from(n).unwrap_or(u64::MAX));
     }
 }

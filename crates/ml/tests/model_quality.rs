@@ -2,6 +2,14 @@
 //! QAOA-parameter-shaped data (3 features, correlated targets), mirroring
 //! the §III-C comparison at small scale.
 
+#![allow(
+    clippy::as_conversions,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test and bench code: a panic is how it reports a failure, and fixtures cast literals"
+)]
+
 use linalg::Matrix;
 use ml::metrics::{mse, r2};
 use ml::{GprModel, ModelKind, Regressor, StandardScaler};

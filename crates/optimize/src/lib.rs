@@ -31,6 +31,14 @@
 //! # }
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::as_conversions,
+        reason = "unit tests build fixtures with small literal casts"
+    )
+)]
+
 mod bounds;
 mod cobyla;
 mod counted;
@@ -65,8 +73,11 @@ pub use spsa::Spsa;
 ///
 /// Dimensions are parameter-vector lengths and iteration counts are bounded
 /// by `Options::max_iters`, all far below 2^53, so the conversion is exact.
+#[expect(
+    clippy::as_conversions,
+    reason = "dimensions and iteration counts are < 2^53 so usize -> f64 is exact here"
+)]
 pub(crate) fn count_f64(n: usize) -> f64 {
-    // lint:allow(no-lossy-as) dimensions and iteration counts are < 2^53 so usize -> f64 is exact here
     n as f64
 }
 

@@ -3,6 +3,14 @@
 //! the best finite iterate, never panic, and never blow the call cap by
 //! more than one iteration's worth of evaluations.
 
+#![allow(
+    clippy::as_conversions,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test and bench code: a panic is how it reports a failure, and fixtures cast literals"
+)]
+
 use std::cell::Cell;
 
 use optimize::{all_optimizers, Bounds, Options, Termination};

@@ -59,7 +59,10 @@ impl DiagonalObservable {
         let mut levels = Vec::new();
         let mut level_of = Vec::with_capacity(diag.len());
         for &value in &diag {
-            // lint:allow(no-lossy-as) distinct levels <= diag.len() <= 2^n for a simulable register, far under u32::MAX
+            #[expect(
+                clippy::as_conversions,
+                reason = "distinct levels <= diag.len() <= 2^n for a simulable register, far under u32::MAX"
+            )]
             let next = levels.len() as u32;
             let l = *index_of.entry(value.to_bits()).or_insert_with(|| {
                 levels.push(value);
@@ -99,8 +102,12 @@ impl DiagonalObservable {
 
     /// Number of qubits the observable acts on.
     #[must_use]
+    #[expect(
+        clippy::as_conversions,
+        reason = "trailing_zeros() <= 64 always fits usize"
+    )]
     pub fn n_qubits(&self) -> usize {
-        self.diag.len().trailing_zeros() as usize // lint:allow(no-lossy-as) trailing_zeros() <= 64 always fits usize
+        self.diag.len().trailing_zeros() as usize
     }
 
     /// Largest diagonal entry (the exact optimum for maximization problems).

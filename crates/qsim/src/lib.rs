@@ -41,6 +41,14 @@
 //! # }
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::as_conversions,
+        reason = "unit tests build fixtures with small literal casts"
+    )
+)]
+
 mod channels;
 mod circuit;
 mod complex;

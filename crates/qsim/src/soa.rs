@@ -166,7 +166,10 @@ impl SplitState {
     #[must_use]
     pub fn plus_state(n_qubits: usize) -> Self {
         let dim = 1usize << n_qubits;
-        // lint:allow(no-lossy-as) dim <= 2^63 is exactly representable in f64 for any simulable register
+        #[expect(
+            clippy::as_conversions,
+            reason = "dim <= 2^63 is exactly representable in f64 for any simulable register"
+        )]
         let amp = 1.0 / (dim as f64).sqrt();
         let half = half_dim(n_qubits);
         Self {
@@ -292,7 +295,10 @@ impl SplitState {
     /// equivalent to a fresh [`SplitState::plus_state`] of the same
     /// width.
     pub fn reset_to_plus(&mut self, threads: usize) {
-        // lint:allow(no-lossy-as) dim <= 2^63 is exactly representable in f64 for any simulable register
+        #[expect(
+            clippy::as_conversions,
+            reason = "dim <= 2^63 is exactly representable in f64 for any simulable register"
+        )]
         let amp = 1.0 / (self.dim() as f64).sqrt();
         let threads = self.fanout(threads);
         for_each_tile(&mut self.re, &mut self.im, threads, &|_, re, im| {
@@ -615,7 +621,10 @@ fn phase_tile(
 /// `a · table[level]`, expanded exactly as `Complex64::mul` computes it.
 #[inline(always)]
 fn phase_mul((r0, i0): (f64, f64), level: u32, table_re: &[f64], table_im: &[f64]) -> (f64, f64) {
-    // lint:allow(no-lossy-as) u32 -> usize is value-preserving on every supported target
+    #[expect(
+        clippy::as_conversions,
+        reason = "u32 -> usize is value-preserving on every supported target"
+    )]
     let l = level as usize;
     let (tr, ti) = (table_re[l], table_im[l]);
     (r0 * tr - i0 * ti, r0 * ti + i0 * tr)

@@ -38,8 +38,11 @@ impl StateVector {
     /// Panics if `n_qubits > MAX_QUBITS`; use [`StateVector::try_zero_state`]
     /// for a fallible constructor.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic on a convenience constructor; try_zero_state is the fallible route"
+    )]
     pub fn zero_state(n_qubits: usize) -> Self {
-        // lint:allow(no-panic-lib) documented panic on a convenience constructor; try_zero_state is the fallible route
         Self::try_zero_state(n_qubits).expect("register too wide")
     }
 
@@ -63,7 +66,10 @@ impl StateVector {
     #[must_use]
     pub fn plus_state(n_qubits: usize) -> Self {
         let dim = 1usize << n_qubits;
-        // lint:allow(no-lossy-as) dim <= 2^MAX_QUBITS < 2^53 is exactly representable in f64
+        #[expect(
+            clippy::as_conversions,
+            reason = "dim <= 2^MAX_QUBITS < 2^53 is exactly representable in f64"
+        )]
         let amp = Complex64::new(1.0 / (dim as f64).sqrt(), 0.0);
         Self {
             n_qubits,
@@ -78,8 +84,11 @@ impl StateVector {
     /// Panics if `index >= 2^n_qubits` or the register is too wide; use
     /// [`StateVector::try_basis_state`] for a fallible constructor.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic on a convenience constructor; try_basis_state is the fallible route"
+    )]
     pub fn basis_state(n_qubits: usize, index: usize) -> Self {
-        // lint:allow(no-panic-lib) documented panic on a convenience constructor; try_basis_state is the fallible route
         Self::try_basis_state(n_qubits, index).expect("basis index out of range")
     }
 
@@ -111,6 +120,10 @@ impl StateVector {
     ///
     /// Returns [`QsimError::DimensionMismatch`] if the length is not a power
     /// of two (or zero).
+    #[expect(
+        clippy::as_conversions,
+        reason = "trailing_zeros of a usize is at most 64, always in range"
+    )]
     pub fn from_amplitudes(amps: Vec<Complex64>) -> Result<Self, QsimError> {
         let dim = amps.len();
         if dim == 0 || !dim.is_power_of_two() {
@@ -120,7 +133,6 @@ impl StateVector {
             });
         }
         Ok(Self {
-            // lint:allow(no-lossy-as) trailing_zeros of a usize is at most 64, always in range
             n_qubits: dim.trailing_zeros() as usize,
             amps,
         })
@@ -302,6 +314,10 @@ impl StateVector {
     /// # Panics
     ///
     /// Panics if an index in `level_of` is out of `table`'s range.
+    #[expect(
+        clippy::as_conversions,
+        reason = "u32 -> usize is value-preserving on every supported target"
+    )]
     pub fn apply_phase_levels(
         &mut self,
         level_of: &[u32],
@@ -314,7 +330,6 @@ impl StateVector {
             });
         }
         for (a, &l) in self.amps.iter_mut().zip(level_of) {
-            // lint:allow(no-lossy-as) u32 -> usize is value-preserving on every supported target
             *a *= table[l as usize];
         }
         Ok(())

@@ -1,5 +1,13 @@
 //! Property-based tests for the state-vector simulator.
 
+#![allow(
+    clippy::as_conversions,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test and bench code: a panic is how it reports a failure, and fixtures cast literals"
+)]
+
 use proptest::prelude::*;
 use qsim::{gates, Circuit, Complex64, DiagonalObservable, StateVector};
 

@@ -103,6 +103,18 @@ fn bits(x: &[f64]) -> Vec<u64> {
     x.iter().map(|v| v.to_bits()).collect()
 }
 
+/// A `SHARD` spec's every field, floats as bits.
+fn shard_bits(c: &DataGenConfig) -> ([usize; 4], u64, [u64; 2]) {
+    (
+        [c.n_graphs, c.n_nodes, c.max_depth, c.restarts],
+        c.seed,
+        [
+            c.edge_probability.to_bits(),
+            c.trend_preference_margin.to_bits(),
+        ],
+    )
+}
+
 /// Decodes `line` as `SHARD`; an accepted spec must respect the session
 /// limits and round-trip bit-exactly.
 fn check_shard(line: &str) -> Result<(), TestCaseError> {
@@ -117,19 +129,7 @@ fn check_shard(line: &str) -> Result<(), TestCaseError> {
     prop_assert!(config.trend_preference_margin.is_finite());
     let encoded = wire::encode_shard(&config);
     let back = wire::decode_shard(&encoded).expect("re-encoded line decodes");
-    prop_assert_eq!(back.n_graphs, config.n_graphs);
-    prop_assert_eq!(back.n_nodes, config.n_nodes);
-    prop_assert_eq!(
-        back.edge_probability.to_bits(),
-        config.edge_probability.to_bits()
-    );
-    prop_assert_eq!(back.max_depth, config.max_depth);
-    prop_assert_eq!(back.restarts, config.restarts);
-    prop_assert_eq!(back.seed, config.seed);
-    prop_assert_eq!(
-        back.trend_preference_margin.to_bits(),
-        config.trend_preference_margin.to_bits()
-    );
+    prop_assert_eq!(shard_bits(&back), shard_bits(&config));
     prop_assert_eq!(wire::encode_shard(&back), encoded);
     Ok(())
 }
@@ -347,10 +347,10 @@ const ODD_FLOATS: [f64; 8] = [
     -1.25,
 ];
 
-/// One valid line of each corpus-tasking verb, in the order `SHARD`,
+/// One valid value of each corpus-tasking verb, in the order `SHARD`,
 /// `RANGE`, `RECORD`, `DONE`. The `RECORD` carries `depth` gammas and
 /// `depth` betas, as the decoder requires.
-fn valid_tasking_lines(rng: &mut StdRng) -> [String; 4] {
+fn valid_tasks(rng: &mut StdRng) -> (DataGenConfig, Range<usize>, OptimalRecord, RangeDone) {
     let config = DataGenConfig {
         n_graphs: rng.gen_range(0..=MAX_SHARD_GRAPHS),
         n_nodes: rng.gen_range(2..=MAX_PROBLEM_NODES),
@@ -383,9 +383,15 @@ fn valid_tasking_lines(rng: &mut StdRng) -> [String; 4] {
         cells: rng.gen_range(0..usize::MAX),
         function_calls: rng.gen_range(0..usize::MAX),
     };
+    (config, start..end, record, done)
+}
+
+/// [`valid_tasks`], encoded.
+fn valid_tasking_lines(rng: &mut StdRng) -> [String; 4] {
+    let (config, range, record, done) = valid_tasks(rng);
     [
         wire::encode_shard(&config),
-        wire::encode_range(&(start..end)),
+        wire::encode_range(&range),
         wire::encode_record(&record),
         wire::encode_done(&done),
     ]
@@ -451,9 +457,9 @@ fn random_report(rng: &mut StdRng) -> BatchReport {
     }
 }
 
-/// One valid line of each answer verb, in the order `PREDICTED`,
+/// One valid value of each answer verb, in the order `PREDICTED`,
 /// `OUTCOME`, `REPORT`.
-fn valid_answer_lines(rng: &mut StdRng) -> [String; 3] {
+fn valid_answers(rng: &mut StdRng) -> (Predicted, InstanceOutcome, BatchReport) {
     const TIERS: [AnswerTier; 3] = [
         AnswerTier::CachedExact,
         AnswerTier::Model,
@@ -464,10 +470,16 @@ fn valid_answer_lines(rng: &mut StdRng) -> [String; 3] {
         tier: TIERS[rng.gen_range(0..TIERS.len())],
         params: (0..rng.gen_range(1..5)).map(|_| odd_float(rng)).collect(),
     };
+    (predicted, random_outcome(rng), random_report(rng))
+}
+
+/// [`valid_answers`], encoded.
+fn valid_answer_lines(rng: &mut StdRng) -> [String; 3] {
+    let (predicted, outcome, report) = valid_answers(rng);
     [
         wire::encode_predicted(&predicted),
-        wire::encode_outcome(&random_outcome(rng)),
-        wire::encode_report(&random_report(rng)),
+        wire::encode_outcome(&outcome),
+        wire::encode_report(&report),
     ]
 }
 
@@ -752,15 +764,29 @@ proptest! {
         let decoded = wire::decode_job(&job).expect("valid JOB");
         prop_assert_eq!(decoded.depth, request.depth);
         prop_assert_eq!(edge_bits(&decoded.graph), edge_bits(&request.graph));
-        let [predicted, outcome_line, report] = valid_answer_lines(&mut rng);
-        prop_assert!(wire::decode_predicted(&predicted).is_ok(), "{}", predicted);
-        prop_assert!(wire::decode_outcome(&outcome_line).is_ok(), "{}", outcome_line);
-        prop_assert!(wire::decode_report(&report).is_ok(), "{}", report);
-        let [shard, range, record, done] = valid_tasking_lines(&mut rng);
-        prop_assert!(wire::decode_shard(&shard).is_ok(), "{}", shard);
-        prop_assert!(wire::decode_range(&range).is_ok(), "{}", range);
+        // Every float-carrying verb decodes to the value encoded, bit for
+        // bit (-0.0, subnormals and NaN payloads included).
+        let (predicted_value, outcome, report_value) = valid_answers(&mut rng);
+        let predicted = wire::encode_predicted(&predicted_value);
+        let back = wire::decode_predicted(&predicted).expect("valid PREDICTED");
+        prop_assert_eq!((back.id, back.tier), (predicted_value.id, predicted_value.tier));
+        prop_assert_eq!(bits(&back.params), bits(&predicted_value.params));
+        let outcome_line = wire::encode_outcome(&outcome);
+        let back = wire::decode_outcome(&outcome_line).expect("valid OUTCOME");
+        prop_assert_eq!(outcome_bits(&back), outcome_bits(&outcome));
+        let report = wire::encode_report(&report_value);
+        let back = wire::decode_report(&report).expect("valid REPORT");
+        prop_assert_eq!(report_fields(&back), report_fields(&report_value));
+        let (config, range_value, record_value, done_value) = valid_tasks(&mut rng);
+        let shard = wire::encode_shard(&config);
+        let back = wire::decode_shard(&shard).expect("valid SHARD");
+        prop_assert_eq!(shard_bits(&back), shard_bits(&config));
+        let range = wire::encode_range(&range_value);
+        prop_assert_eq!(wire::decode_range(&range).expect("valid RANGE"), range_value);
+        let record = wire::encode_record(&record_value);
         prop_assert!(wire::decode_record(&record).is_ok(), "{}", record);
-        prop_assert!(wire::decode_done(&done).is_ok(), "{}", done);
+        let done = wire::encode_done(&done_value);
+        prop_assert_eq!(wire::decode_done(&done).expect("valid DONE"), done_value);
         let (key, outcome) = random_entry(&mut rng);
         let entry = wire::encode_entry(&key, &outcome);
         let (back_key, back) = wire::decode_entry(&entry).expect("valid ENTRY");
