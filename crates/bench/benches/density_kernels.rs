@@ -1,5 +1,5 @@
 //! Criterion benches for the density-matrix (open-system) simulator:
-//! gate application, Kraus channels, and the full noisy-QAOA energy
+//! gate application, the depolarizing channel, and the full noisy-QAOA energy
 //! evaluation, against the pure-state path as the reference cost.
 //! `dm_cnot_depolarizing` is the two-qubit pass of one noisy QAOA edge,
 //! and `noisy_run/n6_m8_p2` is one noisy objective call on the shape of
@@ -19,7 +19,7 @@ use std::hint::black_box;
 use graphs::generators;
 use qaoa::noisy::NoisyQaoa;
 use qaoa::{EvalContext, MaxCutProblem, QaoaAnsatz};
-use qsim::{gates, Circuit, DensityMatrix, KrausChannel, NoiseModel};
+use qsim::{gates, Circuit, DensityMatrix, NoiseModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -52,15 +52,15 @@ fn bench_dm_single_gate(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_dm_kraus_channel(c: &mut Criterion) {
+fn bench_dm_depolarizing_channel(c: &mut Criterion) {
     let mut group = c.benchmark_group("dm_depolarizing_channel");
-    let channel = KrausChannel::depolarizing(0.01).expect("valid rate");
     for n in [4usize, 6, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter_batched(
                 || DensityMatrix::plus_state(n).expect("small register"),
                 |mut rho| {
-                    rho.apply_channel(n / 2, &channel).expect("valid qubit");
+                    rho.apply_depolarizing(n / 2, 0.01)
+                        .expect("valid qubit and rate");
                     black_box(rho)
                 },
                 criterion::BatchSize::SmallInput,
@@ -149,7 +149,7 @@ fn bench_noisy_run(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_dm_single_gate,
-    bench_dm_kraus_channel,
+    bench_dm_depolarizing_channel,
     bench_dm_cnot_depolarizing,
     bench_noisy_vs_clean_energy,
     bench_noisy_run

@@ -41,18 +41,15 @@ pub fn parse_noise(value: &str) -> Result<(f64, f64), String> {
         .split_once(',')
         .ok_or_else(|| format!("--noise {value}: expected p1,p2 (e.g. 0.002,0.02)"))?;
     let parse = |s: &str| -> Result<f64, String> {
-        let p: f64 = s
-            .trim()
+        s.trim()
             .parse()
-            .map_err(|e| format!("--noise {value}: {e}"))?;
-        if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-            return Err(format!(
-                "--noise {value}: probabilities must be finite and in [0, 1]"
-            ));
-        }
-        Ok(p)
+            .map_err(|e| format!("--noise {value}: {e}"))
     };
-    Ok((parse(a)?, parse(b)?))
+    let (p1, p2) = (parse(a)?, parse(b)?);
+    Scenario::Noisy { p1, p2 }
+        .validate()
+        .map_err(|_| format!("--noise {value}: probabilities must be finite and in [0, 1]"))?;
+    Ok((p1, p2))
 }
 
 /// Combines the two optional flags into one [`Scenario`].
@@ -118,6 +115,10 @@ mod tests {
         assert!(parse_noise("-0.1,0.02").is_err());
         assert!(parse_noise("nan,0.02").is_err());
         assert!(parse_noise("a,b").is_err());
+        assert_eq!(
+            parse_noise("0.1,inf"),
+            Err("--noise 0.1,inf: probabilities must be finite and in [0, 1]".into())
+        );
     }
 
     #[test]

@@ -78,9 +78,10 @@ pub struct QaoaInstance {
 enum Evaluator {
     /// Exact state-vector expectation, with its adjoint gradient.
     Exact(QaoaAnsatz),
-    /// Finite-shot estimate, always optimized by its seeded SPSA.
+    /// Finite-shot estimate, always optimized by its seeded SPSA. Boxed:
+    /// its inline scratch state is far larger than the other variants.
     Sampled {
-        objective: SampledExpectation,
+        objective: Box<SampledExpectation>,
         spsa: Spsa,
     },
     /// Density-matrix expectation under per-gate noise.
@@ -122,12 +123,12 @@ impl QaoaInstance {
         let evaluator = match *scenario {
             Scenario::Exact => return Self::new(problem, depth),
             Scenario::Sampled { shots } => Evaluator::Sampled {
-                objective: SampledExpectation::new(
+                objective: Box::new(SampledExpectation::new(
                     problem,
                     depth,
                     shots,
                     mix64(base_seed ^ SHOT_DOMAIN),
-                )?,
+                )?),
                 spsa: Spsa::default().with_seed(mix64(base_seed ^ SPSA_DOMAIN)),
             },
             Scenario::Noisy { p1, p2 } => Evaluator::Noisy(NoisyQaoa::new(

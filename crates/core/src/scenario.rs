@@ -37,6 +37,8 @@
 
 use std::fmt;
 
+use qsim::NoiseModel;
+
 use crate::QaoaError;
 
 /// How a QAOA objective evaluation is performed.
@@ -79,18 +81,12 @@ impl Scenario {
                 }
                 Ok(())
             }
-            Scenario::Noisy { p1, p2 } => {
-                if !(p1.is_finite()
-                    && p2.is_finite()
-                    && (0.0..=1.0).contains(&p1)
-                    && (0.0..=1.0).contains(&p2))
-                {
-                    return Err(QaoaError::InvalidScenario {
-                        reason: "noise probabilities must be finite and within [0, 1]",
-                    });
-                }
-                Ok(())
-            }
+            Scenario::Noisy { p1, p2 } => match NoiseModel::uniform_depolarizing(p1, p2) {
+                Ok(_) => Ok(()),
+                Err(_) => Err(QaoaError::InvalidScenario {
+                    reason: "noise probabilities must be finite and within [0, 1]",
+                }),
+            },
         }
     }
 }
@@ -138,9 +134,20 @@ mod tests {
         assert!(Scenario::Sampled { shots: 1 }.validate().is_ok());
         assert!(Scenario::Sampled { shots: 0 }.validate().is_err());
         assert!(Scenario::Noisy { p1: 0.0, p2: 1.0 }.validate().is_ok());
-        for (p1, p2) in [(-0.1, 0.0), (0.0, 1.5), (f64::NAN, 0.0)] {
+        for (p1, p2) in [
+            (-0.1, 0.0),
+            (0.0, 1.5),
+            (f64::NAN, 0.0),
+            (0.0, f64::INFINITY),
+            (f64::NEG_INFINITY, 0.0),
+        ] {
             assert!(
-                Scenario::Noisy { p1, p2 }.validate().is_err(),
+                matches!(
+                    Scenario::Noisy { p1, p2 }.validate(),
+                    Err(QaoaError::InvalidScenario {
+                        reason: "noise probabilities must be finite and within [0, 1]"
+                    })
+                ),
                 "({p1}, {p2}) accepted"
             );
         }

@@ -1,26 +1,15 @@
 use crate::{gates, QsimError, StateVector};
 
-/// One gate application in a [`Circuit`].
+/// One gate application in a [`Circuit`]: the gate set of the QAOA
+/// circuit (Fig. 1(a) of the paper), H, then CNOT·RZ·CNOT per edge, then
+/// RX.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Gate {
     /// Hadamard on a qubit.
     H(usize),
-    /// Pauli-X on a qubit.
-    X(usize),
-    /// Pauli-Y on a qubit.
-    Y(usize),
-    /// Pauli-Z on a qubit.
-    Z(usize),
     /// `RX(θ)` rotation.
     Rx {
-        /// Target qubit.
-        qubit: usize,
-        /// Rotation angle θ.
-        theta: f64,
-    },
-    /// `RY(θ)` rotation.
-    Ry {
         /// Target qubit.
         qubit: usize,
         /// Rotation angle θ.
@@ -40,20 +29,6 @@ pub enum Gate {
         /// Target qubit.
         target: usize,
     },
-    /// Controlled-Z (symmetric in its qubits).
-    Cz {
-        /// First qubit.
-        a: usize,
-        /// Second qubit.
-        b: usize,
-    },
-    /// SWAP, decomposed into three CNOTs at run time.
-    Swap {
-        /// First qubit.
-        a: usize,
-        /// Second qubit.
-        b: usize,
-    },
 }
 
 impl Gate {
@@ -61,19 +36,15 @@ impl Gate {
     #[must_use]
     pub fn qubits(&self) -> Vec<usize> {
         match *self {
-            Gate::H(q) | Gate::X(q) | Gate::Y(q) | Gate::Z(q) => vec![q],
-            Gate::Rx { qubit, .. } | Gate::Ry { qubit, .. } | Gate::Rz { qubit, .. } => {
-                vec![qubit]
-            }
+            Gate::H(qubit) | Gate::Rx { qubit, .. } | Gate::Rz { qubit, .. } => vec![qubit],
             Gate::Cnot { control, target } => vec![control, target],
-            Gate::Cz { a, b } | Gate::Swap { a, b } => vec![a, b],
         }
     }
 
     /// `true` for two-qubit gates.
     #[must_use]
     pub fn is_two_qubit(&self) -> bool {
-        self.qubits().len() == 2
+        matches!(self, Gate::Cnot { .. })
     }
 
     /// Checks that the gate addresses valid, distinct qubits of an
@@ -168,29 +139,9 @@ impl Circuit {
         self.push(Gate::H(qubit))
     }
 
-    /// Appends a Pauli-X.
-    pub fn x(&mut self, qubit: usize) -> &mut Self {
-        self.push(Gate::X(qubit))
-    }
-
-    /// Appends a Pauli-Y.
-    pub fn y(&mut self, qubit: usize) -> &mut Self {
-        self.push(Gate::Y(qubit))
-    }
-
-    /// Appends a Pauli-Z.
-    pub fn z(&mut self, qubit: usize) -> &mut Self {
-        self.push(Gate::Z(qubit))
-    }
-
     /// Appends `RX(θ)`.
     pub fn rx(&mut self, qubit: usize, theta: f64) -> &mut Self {
         self.push(Gate::Rx { qubit, theta })
-    }
-
-    /// Appends `RY(θ)`.
-    pub fn ry(&mut self, qubit: usize, theta: f64) -> &mut Self {
-        self.push(Gate::Ry { qubit, theta })
     }
 
     /// Appends `RZ(θ)`.
@@ -201,16 +152,6 @@ impl Circuit {
     /// Appends a CNOT.
     pub fn cnot(&mut self, control: usize, target: usize) -> &mut Self {
         self.push(Gate::Cnot { control, target })
-    }
-
-    /// Appends a CZ.
-    pub fn cz(&mut self, a: usize, b: usize) -> &mut Self {
-        self.push(Gate::Cz { a, b })
-    }
-
-    /// Appends a SWAP.
-    pub fn swap(&mut self, a: usize, b: usize) -> &mut Self {
-        self.push(Gate::Swap { a, b })
     }
 
     /// Applies every recorded gate to `state` in order.
@@ -233,20 +174,10 @@ impl Circuit {
         for op in &self.ops {
             match *op {
                 Gate::H(q) => state.apply_single(q, &gates::h())?,
-                Gate::X(q) => state.apply_single(q, &gates::x())?,
-                Gate::Y(q) => state.apply_single(q, &gates::y())?,
-                Gate::Z(q) => state.apply_single(q, &gates::z())?,
                 Gate::Rx { qubit, theta } => state.apply_single(qubit, &gates::rx(theta))?,
-                Gate::Ry { qubit, theta } => state.apply_single(qubit, &gates::ry(theta))?,
                 Gate::Rz { qubit, theta } => state.apply_single(qubit, &gates::rz(theta))?,
                 Gate::Cnot { control, target } => {
                     state.apply_controlled(control, target, &gates::x())?;
-                }
-                Gate::Cz { a, b } => state.apply_controlled(a, b, &gates::z())?,
-                Gate::Swap { a, b } => {
-                    state.apply_controlled(a, b, &gates::x())?;
-                    state.apply_controlled(b, a, &gates::x())?;
-                    state.apply_controlled(a, b, &gates::x())?;
                 }
             }
         }
@@ -318,28 +249,30 @@ mod tests {
             Err(QsimError::DuplicateQubit { qubit: 1 })
         ));
         let mut ok = Circuit::new(2);
-        ok.h(0).cz(0, 1);
+        ok.h(0).cnot(1, 0);
         assert!(ok.validate().is_ok());
     }
 
     #[test]
     fn swap_swaps_basis_states() {
+        // SWAP as three CNOTs, the control alternating: |01⟩ → |10⟩.
         let mut c = Circuit::new(2);
-        c.x(0).swap(0, 1);
-        let s = c.run(StateVector::zero_state(2)).unwrap();
+        c.cnot(0, 1).cnot(1, 0).cnot(0, 1);
+        let s = c.run(StateVector::basis_state(2, 0b01)).unwrap();
         assert!((s.probability(0b10) - 1.0).abs() < EPS);
     }
 
     #[test]
     fn cz_symmetry() {
-        // CZ(a,b) == CZ(b,a) on an arbitrary product state.
+        // CZ as H·CNOT·H on the target is the same gate with either qubit
+        // as the target, on an arbitrary product state.
         let mut prep = Circuit::new(2);
-        prep.h(0).ry(1, 0.7);
+        prep.h(0).rx(1, 0.7).rz(1, 0.3);
         let base = prep.run(StateVector::zero_state(2)).unwrap();
         let mut c1 = Circuit::new(2);
-        c1.cz(0, 1);
+        c1.h(1).cnot(0, 1).h(1);
         let mut c2 = Circuit::new(2);
-        c2.cz(1, 0);
+        c2.h(0).cnot(1, 0).h(0);
         let s1 = c1.run(base.clone()).unwrap();
         let s2 = c2.run(base).unwrap();
         assert!((s1.fidelity(&s2).unwrap() - 1.0).abs() < EPS);
@@ -355,10 +288,9 @@ mod tests {
             .rz(1, 0.9)
             .cnot(0, 1)
             .rx(2, 1.3)
-            .cz(1, 2)
-            .swap(0, 2)
-            .y(1)
-            .z(0);
+            .cnot(2, 1)
+            .h(0)
+            .rz(2, -0.4);
         let s = c.run(StateVector::zero_state(3)).unwrap();
         assert!((s.norm() - 1.0).abs() < EPS);
     }
@@ -370,15 +302,15 @@ mod tests {
             .rx(1, 0.7)
             .cnot(0, 2)
             .rz(2, -1.3)
-            .cz(1, 2)
-            .swap(0, 1)
-            .ry(0, 2.2);
+            .cnot(1, 2)
+            .h(1)
+            .rx(0, 2.2);
         // Reversed order, each rotation negated; the rest are self-inverse.
         let mut inverse = Circuit::new(3);
         inverse
-            .ry(0, -2.2)
-            .swap(0, 1)
-            .cz(1, 2)
+            .rx(0, -2.2)
+            .h(1)
+            .cnot(1, 2)
             .rz(2, 1.3)
             .cnot(0, 2)
             .rx(1, -0.7)

@@ -1,5 +1,5 @@
-//! Mixed-state simulation: [`DensityMatrix`] with Kraus noise after every
-//! gate.
+//! Mixed-state simulation: [`DensityMatrix`] with depolarizing noise after
+//! every gate.
 //!
 //! # Layout and passes
 //!
@@ -10,10 +10,13 @@
 //!
 //! * a single-qubit gate and the channel that follows it on that qubit
 //!   visit each `2×2` block addressed by the qubit's row and column bit
-//!   once, computing `Σ K (U B U†) K†` in registers;
-//! * CNOT, CZ and SWAP become an index permutation or a sign flip, applied
-//!   while a `4×4` block is gathered, and the channel on both qubits then
-//!   runs on that block's `2×2` sub-blocks before it is stored.
+//!   once, computing the channel of `U B U†` in registers;
+//! * CNOT becomes an index permutation, applied while a `4×4` block is
+//!   gathered, and the channel on both qubits then runs on that block's
+//!   `2×2` sub-blocks before it is stored.
+//!
+//! The circuit gates are those of the QAOA circuit (H, RX, RZ and CNOT),
+//! and the only channel is depolarizing, in its closed form.
 //!
 //! Blocks are disjoint, so the order in which a pass visits them does not
 //! change any result.
@@ -37,22 +40,23 @@
 //! # Arithmetic contract
 //!
 //! Each single-qubit matrix is classified by its exact zeros — diagonal
-//! (Z, RZ), real (H, X, RY), real diagonal with imaginary off-diagonal
-//! (RX, Y), or general — and its block arithmetic drops every product with
-//! an exact-zero factor. Every other floating-point operation is the one
-//! the full complex `U ρ U†` products and the Kraus sum perform, in the
-//! same order. Dropping `0 · x` changes at most the sign of a zero, so each
-//! element equals the full-product result up to the sign of zero, and
+//! (RZ), real (H), real diagonal with imaginary off-diagonal (RX), or
+//! general (any other matrix given to [`DensityMatrix::apply_single`]) —
+//! and its block arithmetic drops every product with an exact-zero factor.
+//! Every other floating-point operation is the one the full complex
+//! `U ρ U†` products perform, in the same order. Dropping `0 · x` changes
+//! at most the sign of a zero, so each element equals the full-product
+//! result up to the sign of zero, and
 //! [`DensityMatrix::trace`], [`DensityMatrix::probabilities`] and
 //! [`DensityMatrix::expectation_diagonal`] are bit-identical to it. The
 //! test suite checks this against the full-product kernels
 //! (`tests/tests/density_parity.rs`).
 
-use crate::channels::{KrausChannel, NoiseModel};
+use crate::channels::{check_probability, NoiseModel};
 use crate::circuit::{Circuit, Gate};
 use crate::gates::{self, Gate2};
 use crate::{Complex64, DiagonalObservable, QsimError, StateVector};
-use std::ops::{Add, AddAssign, Mul, Neg, Sub};
+use std::ops::{Add, Mul, Sub};
 
 /// Widest register the density-matrix simulator will allocate
 /// (`4^n` complex entries; 12 qubits ≈ 256 MiB).
@@ -62,9 +66,9 @@ pub const MAX_DM_QUBITS: usize = 12;
 /// matrix stored as split real and imaginary row-major planes.
 ///
 /// The state-vector simulator ([`StateVector`]) covers the paper's
-/// noiseless experiments; this type extends the substrate to open-system
-/// dynamics via Kraus [`KrausChannel`]s, enabling the `noisy_qaoa` study of
-/// the two-level flow under gate errors. Qubit index conventions (bit `q`
+/// noiseless experiments; this type extends the substrate to depolarizing
+/// gate noise ([`NoiseModel`]), enabling the `noisy_qaoa` study of the
+/// two-level flow under gate errors. Qubit index conventions (bit `q`
 /// of the basis index) match [`StateVector`] exactly, and
 /// [`DensityMatrix::run`] on a noiseless model agrees with the pure-state
 /// simulation to machine precision (cross-validated in the test suite).
@@ -152,13 +156,6 @@ impl Add for Pair {
     }
 }
 
-impl AddAssign for Pair {
-    #[inline(always)]
-    fn add_assign(&mut self, rhs: Pair) {
-        *self = *self + rhs;
-    }
-}
-
 impl Sub for Pair {
     type Output = Pair;
     #[inline(always)]
@@ -166,17 +163,6 @@ impl Sub for Pair {
         Pair {
             re: lanes(|k| self.re[k] - rhs.re[k]),
             im: lanes(|k| self.im[k] - rhs.im[k]),
-        }
-    }
-}
-
-impl Neg for Pair {
-    type Output = Pair;
-    #[inline(always)]
-    fn neg(self) -> Pair {
-        Pair {
-            re: lanes(|k| -self.re[k]),
-            im: lanes(|k| -self.im[k]),
         }
     }
 }
@@ -256,7 +242,7 @@ impl Kernel for NoGate {
     }
 }
 
-/// `diag(d0, d1)` (Z, RZ, phase gates).
+/// `diag(d0, d1)` (RZ, phase gates).
 #[derive(Debug, Clone, Copy)]
 struct Diagonal(Complex64, Complex64);
 
@@ -272,7 +258,7 @@ impl Kernel for Diagonal {
     }
 }
 
-/// A matrix with every entry real (H, X, RY).
+/// A matrix with every entry real (H).
 #[derive(Debug, Clone, Copy)]
 struct Real([[f64; 2]; 2]);
 
@@ -290,7 +276,7 @@ impl Kernel for Real {
     }
 }
 
-/// `[[d0, i·o0], [i·o1, d1]]` with real `d` and `o` (RX, Y).
+/// `[[d0, i·o0], [i·o1, d1]]` with real `d` and `o` (RX).
 #[derive(Debug, Clone, Copy)]
 struct RealDiagImagOff {
     d: [f64; 2],
@@ -362,62 +348,6 @@ impl Op1 {
     }
 }
 
-/// A two-qubit gate on qubits `a` and `b` as a permutation of the local
-/// index `bit_lo + 2·bit_hi` of its `4×4` blocks, where `lo` and `hi` are
-/// the lower and the higher of the two qubits, and for CZ a sign flip.
-trait Permutation: Copy {
-    /// The local index each row and column of the result is gathered
-    /// from, when `a` is the lower qubit (`a_low`) or the higher one.
-    fn gather(self, a_low: bool) -> [usize; 4];
-
-    /// Whether the gate negates local index 3 after the gather.
-    fn negates(self) -> bool {
-        false
-    }
-}
-
-/// CNOT, `a` controlling `b`: swaps the two local indices with `a` set.
-#[derive(Debug, Clone, Copy)]
-struct Cnot;
-
-impl Permutation for Cnot {
-    #[inline(always)]
-    fn gather(self, a_low: bool) -> [usize; 4] {
-        if a_low {
-            [0, 3, 2, 1]
-        } else {
-            [0, 1, 3, 2]
-        }
-    }
-}
-
-/// CZ: negates local index 3.
-#[derive(Debug, Clone, Copy)]
-struct Cz;
-
-impl Permutation for Cz {
-    #[inline(always)]
-    fn gather(self, _: bool) -> [usize; 4] {
-        [0, 1, 2, 3]
-    }
-
-    #[inline(always)]
-    fn negates(self) -> bool {
-        true
-    }
-}
-
-/// SWAP: swaps local indices 1 and 2.
-#[derive(Debug, Clone, Copy)]
-struct Swap;
-
-impl Permutation for Swap {
-    #[inline(always)]
-    fn gather(self, _: bool) -> [usize; 4] {
-        [0, 2, 1, 3]
-    }
-}
-
 /// The arithmetic of one pass on a `G×G` block.
 trait BlockOp<const G: usize>: Copy {
     /// The local index each row and column of the block is loaded from:
@@ -445,33 +375,26 @@ impl<K: Kernel, C: BlockChannel> BlockOp<2> for OneQubit<K, C> {
     }
 }
 
-/// A two-qubit pass on `a` and `b`: `gate`'s permutation and sign flip,
-/// then `channel` on `a` and then on `b`. `A_LOW` says whether `a` is the
-/// lower qubit.
+/// A CNOT pass, `a` controlling `b`: the permutation that swaps the two
+/// local indices with `a` set, then `channel` on `a` and then on `b`.
+/// `A_LOW` says whether `a` is the lower qubit.
 #[derive(Debug, Clone, Copy)]
-struct TwoQubit<P, C, const A_LOW: bool> {
-    gate: P,
+struct Cnot<C, const A_LOW: bool> {
     channel: C,
 }
 
-impl<P: Permutation, C: BlockChannel, const A_LOW: bool> BlockOp<4> for TwoQubit<P, C, A_LOW> {
+impl<C: BlockChannel, const A_LOW: bool> BlockOp<4> for Cnot<C, A_LOW> {
     #[inline(always)]
     fn gather(self) -> [usize; 4] {
-        self.gate.gather(A_LOW)
+        if A_LOW {
+            [0, 3, 2, 1]
+        } else {
+            [0, 1, 3, 2]
+        }
     }
 
     #[inline(always)]
     fn apply(self, block: &mut Block4) {
-        if self.gate.negates() {
-            // Row 3 or column 3, not both.
-            let (rows, row3) = block.split_at_mut(3);
-            for row in rows {
-                row[3] = -row[3];
-            }
-            for z in &mut row3[0][..3] {
-                *z = -*z;
-            }
-        }
         let (first, second) = if A_LOW { (1, 2) } else { (2, 1) };
         self.channel.apply_twice(first, second, block);
     }
@@ -479,30 +402,23 @@ impl<P: Permutation, C: BlockChannel, const A_LOW: bool> BlockOp<4> for TwoQubit
 
 /// A noise channel, classified once per [`DensityMatrix::run`].
 #[derive(Debug, Clone, Copy)]
-enum Channel<'a> {
-    /// No channel, the identity channel or depolarizing at `p = 0`.
+enum Channel {
+    /// No channel: depolarizing at `p = 0`.
     None,
     Depolarizing(Depolarizing),
-    Kraus(Kraus<'a>),
 }
 
-impl<'a> Channel<'a> {
-    fn of(channel: Option<&'a KrausChannel>) -> Self {
-        let Some(channel) = channel else {
-            return Channel::None;
-        };
-        if channel.is_identity() {
+impl Channel {
+    /// The depolarizing channel at the checked rate `p`.
+    fn of(p: f64) -> Self {
+        if p == 0.0 {
             return Channel::None;
         }
-        match channel.as_depolarizing() {
-            Some(p) if p != 0.0 => Channel::Depolarizing(Depolarizing {
-                keep: 1.0 - 2.0 * p / 3.0,
-                swap: 2.0 * p / 3.0,
-                shrink: 1.0 - 4.0 * p / 3.0,
-            }),
-            Some(_) => Channel::None,
-            None => Channel::Kraus(Kraus(channel.ops())),
-        }
+        Channel::Depolarizing(Depolarizing {
+            keep: 1.0 - 2.0 * p / 3.0,
+            swap: 2.0 * p / 3.0,
+            shrink: 1.0 - 4.0 * p / 3.0,
+        })
     }
 }
 
@@ -602,31 +518,6 @@ impl BlockChannel for Depolarizing {
                 block[3][3 ^ k],
             ] = x;
         }
-    }
-}
-
-/// The general Kraus sum `Σ K B K†` over these operators.
-#[derive(Debug, Clone, Copy)]
-struct Kraus<'a>(&'a [Gate2]);
-
-impl BlockChannel for Kraus<'_> {
-    #[inline(always)]
-    fn apply(self, [[b00, b01], [b10, b11]]: Block2) -> Block2 {
-        let mut n = [[Pair::ZERO; 2]; 2];
-        for k in self.0 {
-            let (ka, kb) = (k[0][0], k[0][1]);
-            let (kd, ke) = (k[1][0], k[1][1]);
-            // T = K B, then accumulate T K†.
-            let t00 = ka * b00 + kb * b10;
-            let t01 = ka * b01 + kb * b11;
-            let t10 = kd * b00 + ke * b10;
-            let t11 = kd * b01 + ke * b11;
-            n[0][0] += t00 * ka.conj() + t01 * kb.conj();
-            n[0][1] += t00 * kd.conj() + t01 * ke.conj();
-            n[1][0] += t10 * ka.conj() + t11 * kb.conj();
-            n[1][1] += t10 * kd.conj() + t11 * ke.conj();
-        }
-        n
     }
 }
 
@@ -994,11 +885,10 @@ impl DensityMatrix {
 
     /// One pass of the single-qubit gate `gate` and then `channel` on
     /// `qubit`. The caller has checked `qubit`.
-    fn pass1(&mut self, qubit: usize, gate: Option<Op1>, channel: Channel<'_>) {
+    fn pass1(&mut self, qubit: usize, gate: Option<Op1>, channel: Channel) {
         match channel {
             Channel::None => self.pass1_with(qubit, gate, Noiseless),
             Channel::Depolarizing(d) => self.pass1_with(qubit, gate, d),
-            Channel::Kraus(k) => self.pass1_with(qubit, gate, k),
         }
     }
 
@@ -1023,48 +913,35 @@ impl DensityMatrix {
         }
     }
 
-    /// One pass of the two-qubit gate `gate` on `(a, b)` and then `channel`
-    /// on `a` and on `b`. The caller has checked `a` and `b`.
-    fn pass2(&mut self, a: usize, b: usize, gate: impl Permutation, channel: Channel<'_>) {
+    /// One pass of CNOT on `(a, b)` and then `channel` on `a` and on `b`.
+    /// The caller has checked `a` and `b`.
+    fn pass2(&mut self, a: usize, b: usize, channel: Channel) {
         match channel {
-            Channel::None => self.pass2_with(a, b, gate, Noiseless),
-            Channel::Depolarizing(d) => self.pass2_with(a, b, gate, d),
-            Channel::Kraus(k) => self.pass2_with(a, b, gate, k),
+            Channel::None => self.pass2_with(a, b, Noiseless),
+            Channel::Depolarizing(d) => self.pass2_with(a, b, d),
         }
     }
 
     /// [`DensityMatrix::pass2`] for one channel kind: one sweep per order
     /// of `a` and `b`, so the permutation and the channel order are fixed
     /// in each sweep's block arithmetic.
-    fn pass2_with(
-        &mut self,
-        a: usize,
-        b: usize,
-        gate: impl Permutation,
-        channel: impl BlockChannel,
-    ) {
+    fn pass2_with(&mut self, a: usize, b: usize, channel: impl BlockChannel) {
         let (lo, hi) = (1 << a.min(b), 1 << a.max(b));
         let (axis, mask) = ([0, lo, hi, lo | hi], lo | hi);
         if a < b {
-            self.sweep(mask, axis, TwoQubit::<_, _, true> { gate, channel });
+            self.sweep(mask, axis, Cnot::<_, true> { channel });
         } else {
-            self.sweep(mask, axis, TwoQubit::<_, _, false> { gate, channel });
+            self.sweep(mask, axis, Cnot::<_, false> { channel });
         }
     }
 
     /// One pass of `gate` and the channel `noise` puts after it. The
     /// caller has checked the gate's qubits.
-    fn pass(&mut self, gate: &Gate, after_1q: Channel<'_>, after_2q: Channel<'_>) {
+    fn pass(&mut self, gate: &Gate, after_1q: Channel, after_2q: Channel) {
         let (qubit, u) = match *gate {
-            Gate::Cnot { control, target } => return self.pass2(control, target, Cnot, after_2q),
-            Gate::Cz { a, b } => return self.pass2(a, b, Cz, after_2q),
-            Gate::Swap { a, b } => return self.pass2(a, b, Swap, after_2q),
+            Gate::Cnot { control, target } => return self.pass2(control, target, after_2q),
             Gate::H(q) => (q, gates::h()),
-            Gate::X(q) => (q, gates::x()),
-            Gate::Y(q) => (q, gates::y()),
-            Gate::Z(q) => (q, gates::z()),
             Gate::Rx { qubit, theta } => (qubit, gates::rx(theta)),
-            Gate::Ry { qubit, theta } => (qubit, gates::ry(theta)),
             Gate::Rz { qubit, theta } => (qubit, gates::rz(theta)),
         };
         self.pass1(qubit, Some(Op1::of(&u)), after_1q);
@@ -1081,18 +958,22 @@ impl DensityMatrix {
         Ok(())
     }
 
-    /// Applies a single-qubit Kraus channel: `ρ → Σ K ρ K†`.
+    /// Applies the depolarizing channel at rate `p` to `qubit`:
+    /// `ρ → (1−p) ρ + p/3 (XρX + YρY + ZρZ)`.
     ///
-    /// One pass over the qubit's `2×2` blocks. Depolarizing channels take
-    /// their closed form (a real population blend and off-diagonal
-    /// shrink); every other channel takes the Kraus sum per block.
+    /// One pass over the qubit's `2×2` blocks in the channel's closed form
+    /// (a real population blend and off-diagonal shrink); `p = 0` leaves ρ
+    /// as it is.
     ///
     /// # Errors
     ///
-    /// [`QsimError::QubitOutOfRange`] for a bad index.
-    pub fn apply_channel(&mut self, qubit: usize, channel: &KrausChannel) -> Result<(), QsimError> {
+    /// [`QsimError::QubitOutOfRange`] for a bad index, or
+    /// [`QsimError::InvalidChannel`] unless `p` is finite and in `[0, 1]`;
+    /// ρ is then unchanged.
+    pub fn apply_depolarizing(&mut self, qubit: usize, p: f64) -> Result<(), QsimError> {
         self.check_qubit(qubit)?;
-        let channel = Channel::of(Some(channel));
+        check_probability(p)?;
+        let channel = Channel::of(p);
         if !matches!(channel, Channel::None) {
             self.pass1(qubit, None, channel);
         }
@@ -1131,8 +1012,8 @@ impl DensityMatrix {
             });
         }
         circuit.validate()?;
-        let after_1q = Channel::of(noise.after_1q.as_ref());
-        let after_2q = Channel::of(noise.after_2q.as_ref());
+        let after_1q = Channel::of(noise.p1);
+        let after_2q = Channel::of(noise.p2);
         for gate in circuit.ops() {
             self.pass(gate, after_1q, after_2q);
         }
@@ -1189,13 +1070,12 @@ mod tests {
             .h(2)
             .rz(0, 0.7)
             .rx(1, 1.1)
-            .ry(2, -0.4)
+            .rx(2, -0.4)
             .cnot(0, 1)
-            .cz(1, 2)
-            .x(0)
-            .y(1)
-            .z(2)
-            .swap(0, 2);
+            .cnot(2, 1)
+            .rz(2, 1.9)
+            .cnot(2, 0)
+            .h(1);
         let psi = c.run(StateVector::zero_state(3)).unwrap();
         let mut rho = DensityMatrix::zero_state(3).unwrap();
         rho.run(&c, &NoiseModel::noiseless()).unwrap();
@@ -1214,8 +1094,7 @@ mod tests {
     #[test]
     fn full_depolarizing_yields_maximally_mixed_qubit() {
         let mut rho = DensityMatrix::zero_state(1).unwrap();
-        rho.apply_channel(0, &KrausChannel::depolarizing(1.0).unwrap())
-            .unwrap();
+        rho.apply_depolarizing(0, 1.0).unwrap();
         // ρ → (1/3)(XρX + YρY + ZρZ) at p=1: |0⟩⟨0| → diag(1/3, 2/3).
         assert!((rho.trace() - 1.0).abs() < EPS);
         assert!((rho.probability(0) - 1.0 / 3.0).abs() < EPS);
@@ -1223,30 +1102,25 @@ mod tests {
     }
 
     #[test]
-    fn amplitude_damping_decays_excited_state() {
-        let mut rho = DensityMatrix::zero_state(1).unwrap();
-        rho.apply_single(0, &gates::x()).unwrap(); // |1⟩
-        rho.apply_channel(0, &KrausChannel::amplitude_damping(0.3).unwrap())
-            .unwrap();
-        assert!((rho.probability(0) - 0.3).abs() < EPS);
-        assert!((rho.probability(1) - 0.7).abs() < EPS);
-        // Full damping returns to |0⟩.
-        rho.apply_channel(0, &KrausChannel::amplitude_damping(1.0).unwrap())
-            .unwrap();
-        assert!((rho.probability(0) - 1.0).abs() < EPS);
-    }
-
-    #[test]
-    fn phase_damping_kills_coherence_not_populations() {
-        let mut rho = DensityMatrix::zero_state(1).unwrap();
-        rho.apply_single(0, &gates::h()).unwrap(); // |+⟩
-        let before = rho.element(0, 1).abs();
-        rho.apply_channel(0, &KrausChannel::phase_damping(0.5).unwrap())
-            .unwrap();
-        let after = rho.element(0, 1).abs();
-        assert!(after < before);
-        assert!((rho.probability(0) - 0.5).abs() < EPS);
-        assert!((rho.probability(1) - 0.5).abs() < EPS);
+    fn depolarizing_rejects_bad_rates_and_qubits() {
+        let mut rho = DensityMatrix::plus_state(2).unwrap();
+        let before = rho.clone();
+        for p in [-0.1, 1.1, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    rho.apply_depolarizing(0, p),
+                    Err(QsimError::InvalidChannel { .. })
+                ),
+                "p = {p}"
+            );
+        }
+        assert!(matches!(
+            rho.apply_depolarizing(2, 0.1),
+            Err(QsimError::QubitOutOfRange { qubit: 2, .. })
+        ));
+        assert_eq!(rho, before);
+        rho.apply_depolarizing(1, 0.0).unwrap();
+        assert_eq!(rho, before);
     }
 
     #[test]
@@ -1319,14 +1193,14 @@ mod tests {
         let mut rho = DensityMatrix::plus_state(2).unwrap();
         let before = rho.clone();
         let mut out_of_range = Circuit::new(2);
-        out_of_range.h(0).cnot(0, 1).rz(1, 0.3).x(2);
+        out_of_range.h(0).cnot(0, 1).rz(1, 0.3).h(2);
         assert!(matches!(
             rho.run(&out_of_range, &noise),
             Err(QsimError::QubitOutOfRange { qubit: 2, .. })
         ));
         assert_eq!(rho, before);
         let mut duplicate = Circuit::new(2);
-        duplicate.h(0).rx(1, 0.4).cz(1, 1);
+        duplicate.h(0).rx(1, 0.4).cnot(1, 1);
         assert!(matches!(
             rho.run(&duplicate, &noise),
             Err(QsimError::DuplicateQubit { qubit: 1 })
@@ -1336,10 +1210,14 @@ mod tests {
 
     #[test]
     fn swap_decomposition_correct() {
-        // |01⟩ → |10⟩ under SWAP (qubit 0 is the low bit).
-        let mut rho = DensityMatrix::zero_state(2).unwrap();
-        rho.apply_single(0, &gates::x()).unwrap(); // index 1 = |q1=0,q0=1⟩
-        rho.apply_gate(&Gate::Swap { a: 0, b: 1 }).unwrap();
-        assert!((rho.probability(2) - 1.0).abs() < EPS);
+        // |01⟩ → |10⟩ under SWAP as three CNOTs (qubit 0 is the low bit):
+        // the CNOT pass with either qubit as the lower one.
+        let psi = StateVector::basis_state(2, 0b01);
+        let mut rho = DensityMatrix::from_state_vector(&psi).unwrap();
+        for (control, target) in [(0, 1), (1, 0), (0, 1)] {
+            rho.apply_gate(&Gate::Cnot { control, target }).unwrap();
+        }
+        assert!((rho.probability(0b10) - 1.0).abs() < EPS);
+        assert!((rho.purity() - 1.0).abs() < EPS);
     }
 }

@@ -43,8 +43,8 @@ pub enum QsimError {
         /// Dimension `2^n` of the register.
         dim: usize,
     },
-    /// A quantum channel failed validation (probability outside `[0, 1]`,
-    /// Kraus set not trace-preserving, empty operator list, …).
+    /// A noise channel failed validation: a depolarizing rate that is not
+    /// finite or lies outside `[0, 1]`.
     InvalidChannel {
         /// Description of the violated requirement.
         reason: &'static str,

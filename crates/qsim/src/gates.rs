@@ -8,7 +8,6 @@
 //! the QAOA literature (and QuTiP/Qiskit):
 //!
 //! * `RX(θ) = exp(-i θ X / 2)`
-//! * `RY(θ) = exp(-i θ Y / 2)`
 //! * `RZ(θ) = exp(-i θ Z / 2)`
 //!
 //! so the paper's mixing layer `RX(2β)` and phase layer `RZ(-2γ)` (one per
@@ -58,36 +57,11 @@ pub fn x() -> Gate2 {
     ]
 }
 
-/// Pauli-Y gate.
-#[must_use]
-pub fn y() -> Gate2 {
-    [
-        [Complex64::ZERO, c(0.0, -1.0)],
-        [c(0.0, 1.0), Complex64::ZERO],
-    ]
-}
-
-/// Pauli-Z gate.
-#[must_use]
-pub fn z() -> Gate2 {
-    [
-        [Complex64::ONE, Complex64::ZERO],
-        [Complex64::ZERO, c(-1.0, 0.0)],
-    ]
-}
-
 /// `RX(θ) = exp(-i θ X / 2)`, the QAOA mixing rotation.
 #[must_use]
 pub fn rx(theta: f64) -> Gate2 {
     let (s, co) = (theta / 2.0).sin_cos();
     [[c(co, 0.0), c(0.0, -s)], [c(0.0, -s), c(co, 0.0)]]
-}
-
-/// `RY(θ) = exp(-i θ Y / 2)`.
-#[must_use]
-pub fn ry(theta: f64) -> Gate2 {
-    let (s, co) = (theta / 2.0).sin_cos();
-    [[c(co, 0.0), c(-s, 0.0)], [c(s, 0.0), c(co, 0.0)]]
 }
 
 /// `RZ(θ) = exp(-i θ Z / 2)`, the phase-separation rotation.
@@ -116,7 +90,7 @@ pub fn phase(phi: f64) -> Gate2 {
 /// ```
 ///
 /// Every single-qubit unitary equals `U3` up to global phase;
-/// `U3(θ, −π/2, π/2) = RX(θ)` and `U3(θ, 0, 0) = RY(θ)`.
+/// `U3(θ, −π/2, π/2) = RX(θ)` and `U3(θ, 0, 0) = exp(-i θ Y / 2)`.
 #[must_use]
 pub fn u3(theta: f64, phi: f64, lambda: f64) -> Gate2 {
     let (s, co) = (theta / 2.0).sin_cos();
@@ -172,17 +146,31 @@ mod tests {
 
     const EPS: f64 = 1e-14;
 
+    /// Pauli-Y, written out: no circuit gate uses it.
+    fn y() -> Gate2 {
+        [
+            [Complex64::ZERO, c(0.0, -1.0)],
+            [c(0.0, 1.0), Complex64::ZERO],
+        ]
+    }
+
+    /// Pauli-Z, written out: no circuit gate uses it.
+    fn z() -> Gate2 {
+        [
+            [Complex64::ONE, Complex64::ZERO],
+            [Complex64::ZERO, c(-1.0, 0.0)],
+        ]
+    }
+
     #[test]
     fn all_standard_gates_are_unitary() {
         for (name, g) in [
             ("i", identity()),
             ("h", h()),
             ("x", x()),
-            ("y", y()),
-            ("z", z()),
             ("rx", rx(0.731)),
-            ("ry", ry(-2.5)),
             ("rz", rz(4.0)),
+            ("u3", u3(-2.5, 0.4, 1.9)),
             ("phase", phase(1.2)),
         ] {
             assert!(is_unitary(&g, EPS), "{name} is not unitary");
@@ -221,8 +209,9 @@ mod tests {
             [-minus_i[1][0], -minus_i[1][1]],
         ];
         assert!(max_deviation(&rz2pi, &neg) < EPS);
-        // RY(0) = I.
-        assert!(max_deviation(&ry(0.0), &identity()) < EPS);
+        // RX(0) = RZ(0) = I.
+        assert!(max_deviation(&rx(0.0), &identity()) < EPS);
+        assert!(max_deviation(&rz(0.0), &identity()) < EPS);
     }
 
     fn c2(re: f64, im: f64) -> Complex64 {
@@ -256,8 +245,10 @@ mod tests {
         use std::f64::consts::FRAC_PI_2;
         // U3(θ, −π/2, π/2) = RX(θ).
         assert!(max_deviation(&u3(0.9, -FRAC_PI_2, FRAC_PI_2), &rx(0.9)) < EPS);
-        // U3(θ, 0, 0) = RY(θ).
-        assert!(max_deviation(&u3(1.3, 0.0, 0.0), &ry(1.3)) < EPS);
+        // U3(θ, 0, 0) = RY(θ), the real rotation by θ/2.
+        let (s, co) = (1.3_f64 / 2.0).sin_cos();
+        let ry = [[c(co, 0.0), c(-s, 0.0)], [c(s, 0.0), c(co, 0.0)]];
+        assert!(max_deviation(&u3(1.3, 0.0, 0.0), &ry) < EPS);
         // Always unitary.
         assert!(is_unitary(&u3(2.0, 0.7, -1.1), EPS));
     }

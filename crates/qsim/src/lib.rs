@@ -15,11 +15,11 @@
 //!   QAOA evaluation hot path on the bit-flip-symmetric lower half of the
 //!   state: autovectorizable, cache-blocked, with deterministic
 //!   within-state parallelism,
-//! * [`gates`] — standard gate matrices (H, X, Y, Z, RX, RY, RZ, phase),
+//! * [`gates`] — gate matrices (H, X, RX, RZ, phase, U3) and `2×2` helpers,
 //! * [`Circuit`] / [`Gate`] — a replayable circuit IR,
 //! * [`DiagonalObservable`] — fast diagonal (cost-Hamiltonian) expectations,
-//! * [`DensityMatrix`] / [`KrausChannel`] / [`NoiseModel`] — mixed states
-//!   under gate noise,
+//! * [`DensityMatrix`] / [`NoiseModel`] — mixed states under depolarizing
+//!   gate noise,
 //! * [`CdfSampler`] — projective measurement in the computational basis.
 //!
 //! Qubit `k` owns bit `k` of the basis-state index (little-endian), so basis
@@ -60,7 +60,7 @@ mod sampling;
 pub mod soa;
 mod state;
 
-pub use channels::{KrausChannel, NoiseModel};
+pub use channels::NoiseModel;
 pub use circuit::{Circuit, Gate};
 pub use complex::Complex64;
 pub use density::{DensityMatrix, MAX_DM_QUBITS};

@@ -35,7 +35,7 @@ proptest! {
     ) {
         let mut s = StateVector::plus_state(3);
         for (q, &theta) in angles.iter().take(3).enumerate() {
-            s.apply_single(q, &gates::ry(theta)).expect("valid qubit");
+            s.apply_single(q, &gates::u3(theta, 0.0, 0.0)).expect("valid qubit");
         }
         let obs = DiagonalObservable::new(diag.clone()).expect("power-of-two length");
         let e = obs.expectation(&s).expect("matching dims");
@@ -47,7 +47,7 @@ proptest! {
     #[test]
     fn cnot_involution(a in -3.0f64..3.0, b in -3.0f64..3.0) {
         let mut prep = Circuit::new(2);
-        prep.ry(0, a).ry(1, b);
+        prep.h(0).rz(0, a).rx(1, b).h(1).rz(1, a - b);
         let base = prep.run(StateVector::zero_state(2)).expect("valid circuit");
         let mut c = Circuit::new(2);
         c.cnot(0, 1).cnot(0, 1);
@@ -73,7 +73,7 @@ proptest! {
     #[test]
     fn control_zero_sector_untouched(theta in -3.0f64..3.0, target in 1usize..3) {
         let mut s = StateVector::zero_state(3);
-        s.apply_single(target, &gates::ry(theta)).expect("valid qubit");
+        s.apply_single(target, &gates::u3(theta, 0.0, 0.0)).expect("valid qubit");
         let before = s.clone();
         // Control qubit 0 is |0⟩: the controlled gate must do nothing.
         s.apply_controlled(0, target, &gates::rx(1.3)).expect("valid qubits");
@@ -85,7 +85,7 @@ proptest! {
     fn born_rule_sampling(theta in 0.3f64..2.8) {
         use rand::SeedableRng;
         let mut s = StateVector::zero_state(1);
-        s.apply_single(0, &gates::ry(theta)).expect("valid qubit");
+        s.apply_single(0, &gates::u3(theta, 0.0, 0.0)).expect("valid qubit");
         let p1 = s.probability(1);
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let shots = 4000;

@@ -5,10 +5,12 @@
 //! The contract: every element of ρ equals the reference's (a zero of
 //! either sign counts as equal), and `trace`, every probability and
 //! `expectation_diagonal` are equal to the bit — for every `Gate`
-//! variant, every channel kind, no noise, and widths 1 through 6.
-//! Beside the reference, `run` must equal the same circuit applied one
-//! operation at a time in every bit of ρ, and a digest pins ρ's bits for
-//! the `noisy_n6` benchmark's shape across commits.
+//! variant, depolarizing rates 0, 0.02, 1 and random, and widths 1
+//! through 6. Beside the reference, `run` must equal the same circuit
+//! applied one operation at a time in every bit of ρ, a digest pins ρ's
+//! bits for the `noisy_n6` benchmark's shape across commits, and the
+//! depolarizing closed form must equal its definition
+//! `(1−p) ρ + p/3 (XρX + YρY + ZρZ)`, built from explicit Pauli products.
 
 use graphs::generators;
 use proptest::prelude::*;
@@ -17,7 +19,7 @@ use qaoa::noisy::NoisyQaoa;
 use qaoa::stablehash::Fnv64;
 use qaoa::MaxCutProblem;
 use qsim::gates::{self, Gate2};
-use qsim::{Circuit, Complex64, DensityMatrix, DiagonalObservable, Gate, KrausChannel, NoiseModel};
+use qsim::{Circuit, Complex64, DensityMatrix, DiagonalObservable, Gate, NoiseModel, StateVector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -131,60 +133,11 @@ impl Reference {
         }
     }
 
-    fn apply_channel(&mut self, qubit: usize, channel: &KrausChannel) {
-        if channel.is_identity() {
+    /// The depolarizing closed form; no pass at all at `p = 0`.
+    fn apply_depolarizing(&mut self, qubit: usize, p: f64) {
+        if p == 0.0 {
             return;
         }
-        if let Some(p) = channel.as_depolarizing() {
-            if p == 0.0 {
-                return;
-            }
-            return self.apply_depolarizing(qubit, p);
-        }
-        let stride = 1usize << qubit;
-        let dim = self.dim;
-        let ops = channel.ops();
-        let mut base_r = 0;
-        while base_r < dim {
-            for r0 in base_r..base_r + stride {
-                let r1 = r0 + stride;
-                let mut base_c = 0;
-                while base_c < dim {
-                    for c0 in base_c..base_c + stride {
-                        let c1 = c0 + stride;
-                        let b00 = self.elems[r0 * dim + c0];
-                        let b01 = self.elems[r0 * dim + c1];
-                        let b10 = self.elems[r1 * dim + c0];
-                        let b11 = self.elems[r1 * dim + c1];
-                        let mut n00 = Complex64::ZERO;
-                        let mut n01 = Complex64::ZERO;
-                        let mut n10 = Complex64::ZERO;
-                        let mut n11 = Complex64::ZERO;
-                        for k in ops {
-                            let (ka, kb) = (k[0][0], k[0][1]);
-                            let (kd, ke) = (k[1][0], k[1][1]);
-                            let t00 = ka * b00 + kb * b10;
-                            let t01 = ka * b01 + kb * b11;
-                            let t10 = kd * b00 + ke * b10;
-                            let t11 = kd * b01 + ke * b11;
-                            n00 += t00 * ka.conj() + t01 * kb.conj();
-                            n01 += t00 * kd.conj() + t01 * ke.conj();
-                            n10 += t10 * ka.conj() + t11 * kb.conj();
-                            n11 += t10 * kd.conj() + t11 * ke.conj();
-                        }
-                        self.elems[r0 * dim + c0] = n00;
-                        self.elems[r0 * dim + c1] = n01;
-                        self.elems[r1 * dim + c0] = n10;
-                        self.elems[r1 * dim + c1] = n11;
-                    }
-                    base_c += stride << 1;
-                }
-            }
-            base_r += stride << 1;
-        }
-    }
-
-    fn apply_depolarizing(&mut self, qubit: usize, p: f64) {
         let keep = 1.0 - 2.0 * p / 3.0;
         let swap = 2.0 * p / 3.0;
         let shrink = 1.0 - 4.0 * p / 3.0;
@@ -215,35 +168,21 @@ impl Reference {
     fn apply_gate(&mut self, gate: &Gate) {
         match *gate {
             Gate::H(q) => self.apply_single(q, &gates::h()),
-            Gate::X(q) => self.apply_single(q, &gates::x()),
-            Gate::Y(q) => self.apply_single(q, &gates::y()),
-            Gate::Z(q) => self.apply_single(q, &gates::z()),
             Gate::Rx { qubit, theta } => self.apply_single(qubit, &gates::rx(theta)),
-            Gate::Ry { qubit, theta } => self.apply_single(qubit, &gates::ry(theta)),
             Gate::Rz { qubit, theta } => self.apply_single(qubit, &gates::rz(theta)),
             Gate::Cnot { control, target } => self.apply_controlled(control, target, &gates::x()),
-            Gate::Cz { a, b } => self.apply_controlled(a, b, &gates::z()),
-            Gate::Swap { a, b } => {
-                self.apply_controlled(a, b, &gates::x());
-                self.apply_controlled(b, a, &gates::x());
-                self.apply_controlled(a, b, &gates::x());
-            }
             ref other => panic!("reference has no kernel for {other:?}"),
         }
     }
 
-    fn run(&mut self, circuit: &Circuit, noise: &NoiseModel) {
+    /// `circuit` with depolarizing noise at rate `p1` after every one-qubit
+    /// gate and `p2` on both qubits after every two-qubit gate.
+    fn run(&mut self, circuit: &Circuit, p1: f64, p2: f64) {
         for gate in circuit.ops() {
             self.apply_gate(gate);
-            let channel = if gate.is_two_qubit() {
-                noise.after_2q.as_ref()
-            } else {
-                noise.after_1q.as_ref()
-            };
-            if let Some(ch) = channel {
-                for q in gate.qubits() {
-                    self.apply_channel(q, ch);
-                }
+            let p = if gate.is_two_qubit() { p2 } else { p1 };
+            for q in gate.qubits() {
+                self.apply_depolarizing(q, p);
             }
         }
     }
@@ -295,25 +234,13 @@ fn random_gate(rng: &mut StdRng, n_qubits: usize) -> Gate {
     let q = rng.gen_range(0..n_qubits);
     let other = |rng: &mut StdRng| (q + 1 + rng.gen_range(0..n_qubits - 1)) % n_qubits;
     let theta = rng.gen_range(-6.3..6.3);
-    match rng.gen_range(0..if n_qubits > 1 { 10 } else { 7 }) {
+    match rng.gen_range(0..if n_qubits > 1 { 4 } else { 3 }) {
         0 => Gate::H(q),
-        1 => Gate::X(q),
-        2 => Gate::Y(q),
-        3 => Gate::Z(q),
-        4 => Gate::Rx { qubit: q, theta },
-        5 => Gate::Ry { qubit: q, theta },
-        6 => Gate::Rz { qubit: q, theta },
-        7 => Gate::Cnot {
+        1 => Gate::Rx { qubit: q, theta },
+        2 => Gate::Rz { qubit: q, theta },
+        _ => Gate::Cnot {
             control: q,
             target: other(rng),
-        },
-        8 => Gate::Cz {
-            a: q,
-            b: other(rng),
-        },
-        _ => Gate::Swap {
-            a: q,
-            b: other(rng),
         },
     }
 }
@@ -326,35 +253,17 @@ fn random_circuit(rng: &mut StdRng, n_qubits: usize, n_gates: usize) -> Circuit 
     circuit
 }
 
-/// Number of channel kinds [`channel`] draws from.
-const CHANNEL_KINDS: usize = 11;
+/// Number of depolarizing rates [`rate`] draws from.
+const RATE_KINDS: usize = 4;
 
-/// No noise, the identity channel, depolarizing at p ∈ {0, 0.02, 1} and at
-/// a random p, the four general Kraus channels at a random strength, and a
-/// random mixture of two unitaries, whose operators have no exact zeros.
-fn channel(kind: usize, rng: &mut StdRng) -> Option<KrausChannel> {
-    let p = rng.gen_range(0.0..1.0);
-    let channel = match kind {
-        0 => return None,
-        1 => Ok(KrausChannel::identity()),
-        2 => KrausChannel::depolarizing(0.0),
-        3 => KrausChannel::depolarizing(0.02),
-        4 => KrausChannel::depolarizing(1.0),
-        5 => KrausChannel::depolarizing(p),
-        6 => KrausChannel::amplitude_damping(p),
-        7 => KrausChannel::phase_damping(p),
-        8 => KrausChannel::bit_flip(p),
-        9 => KrausChannel::phase_flip(p),
-        _ => {
-            let mut unitary = |weight: f64| {
-                let angle = |rng: &mut StdRng| rng.gen_range(0.1..3.0);
-                let u = gates::u3(angle(rng), angle(rng), angle(rng));
-                u.map(|row| row.map(|z| z.scale(weight.sqrt())))
-            };
-            KrausChannel::new("unitary-mixture", vec![unitary(p), unitary(1.0 - p)])
-        }
-    };
-    Some(channel.expect("valid channel"))
+/// A depolarizing rate: 0 (no noise), 0.02, 1 or a random rate.
+fn rate(kind: usize, rng: &mut StdRng) -> f64 {
+    match kind {
+        0 => 0.0,
+        1 => 0.02,
+        2 => 1.0,
+        _ => rng.gen_range(0.0..1.0),
+    }
 }
 
 /// A diagonal observable with no zero entries, so an expectation is never
@@ -376,31 +285,29 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
     /// A noisy `run` of a random circuit matches the reference for any
-    /// pair of channel kinds after one- and two-qubit gates.
+    /// pair of rate kinds after one- and two-qubit gates.
     #[test]
     fn run_matches_reference(
         seed in 0u64..1 << 40,
         n_qubits in 1usize..7,
         n_gates in 1usize..40,
-        kind_1q in 0usize..CHANNEL_KINDS,
-        kind_2q in 0usize..CHANNEL_KINDS,
+        kind_1q in 0usize..RATE_KINDS,
+        kind_2q in 0usize..RATE_KINDS,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let circuit = random_circuit(&mut rng, n_qubits, n_gates);
-        let noise = NoiseModel {
-            after_1q: channel(kind_1q, &mut rng),
-            after_2q: channel(kind_2q, &mut rng),
-        };
+        let (p1, p2) = (rate(kind_1q, &mut rng), rate(kind_2q, &mut rng));
+        let noise = NoiseModel::uniform_depolarizing(p1, p2).expect("valid rates");
         let obs = random_observable(&mut rng, n_qubits);
         let mut rho = DensityMatrix::zero_state(n_qubits).expect("small register");
         rho.run(&circuit, &noise).expect("valid circuit");
         let mut reference = Reference::zero_state(n_qubits);
-        reference.run(&circuit, &noise);
+        reference.run(&circuit, p1, p2);
         assert_parity(&rho, &reference, &obs, "run")?;
     }
 
     /// The public one-operation entry points match the reference step by
-    /// step, including general (zero-free) matrices and channels on their
+    /// step, including general (zero-free) matrices and the channel on its
     /// own.
     #[test]
     fn public_operations_match_reference(
@@ -425,11 +332,9 @@ proptest! {
                     reference.apply_single(q, &u);
                 }
                 1 => {
-                    let kind = rng.gen_range(0..CHANNEL_KINDS);
-                    if let Some(ch) = channel(kind, &mut rng) {
-                        rho.apply_channel(q, &ch).expect("valid qubit");
-                        reference.apply_channel(q, &ch);
-                    }
+                    let p = rate(rng.gen_range(0..RATE_KINDS), &mut rng);
+                    rho.apply_depolarizing(q, p).expect("valid qubit and rate");
+                    reference.apply_depolarizing(q, p);
                 }
                 _ => {
                     let gate = random_gate(&mut rng, n_qubits);
@@ -456,7 +361,7 @@ proptest! {
         let params: Vec<f64> = (0..2 * depth).map(|_| rng.gen_range(0.0..3.0)).collect();
         let circuit = noisy.ansatz().build_circuit(&params).expect("valid params");
         let mut reference = Reference::zero_state(6);
-        reference.run(&circuit, &noise);
+        reference.run(&circuit, 0.002, 0.02);
         let cost = noisy.ansatz().problem().cost();
         prop_assert_eq!(
             noisy.expectation(&params).expect("valid params").to_bits(),
@@ -480,42 +385,38 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// A fused `run` equals the same circuit one operation at a time:
-    /// `apply_gate`, then `apply_channel` on the gate's first qubit and
-    /// then its second, for every element of ρ to the bit. Each circuit
-    /// starts on qubit 0 and the top qubit, with two-qubit gates whose
-    /// first qubit is the higher one.
+    /// `apply_gate`, then `apply_depolarizing` on the gate's first qubit
+    /// and then its second, for every element of ρ to the bit. Each
+    /// circuit starts on qubit 0 and the top qubit, with a CNOT whose
+    /// control is the higher qubit and one whose control is the lower.
     #[test]
     fn run_equals_gate_by_gate_passes(
         seed in 0u64..1 << 40,
         n_qubits in 1usize..8,
         n_gates in 1usize..32,
-        kind_1q in 0usize..CHANNEL_KINDS,
-        kind_2q in 0usize..CHANNEL_KINDS,
+        kind_1q in 0usize..RATE_KINDS,
+        kind_2q in 0usize..RATE_KINDS,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let top = n_qubits - 1;
         let mut circuit = Circuit::new(n_qubits);
-        circuit.h(0).rx(top, rng.gen_range(-6.3..6.3)).ry(0, rng.gen_range(-6.3..6.3));
+        circuit.h(0).rx(top, rng.gen_range(-6.3..6.3)).rz(0, rng.gen_range(-6.3..6.3));
         if n_qubits > 1 {
-            circuit.cnot(top, 0).cz(top, 0).swap(top, 0).cnot(0, top);
+            circuit.cnot(top, 0).rx(0, rng.gen_range(-6.3..6.3)).cnot(0, top);
         }
         for gate in random_circuit(&mut rng, n_qubits, n_gates).ops() {
             circuit.push(gate.clone());
         }
-        let noise = NoiseModel {
-            after_1q: channel(kind_1q, &mut rng),
-            after_2q: channel(kind_2q, &mut rng),
-        };
+        let (p1, p2) = (rate(kind_1q, &mut rng), rate(kind_2q, &mut rng));
+        let noise = NoiseModel::uniform_depolarizing(p1, p2).expect("valid rates");
         let mut fused = DensityMatrix::plus_state(n_qubits).expect("small register");
         let mut stepped = fused.clone();
         fused.run(&circuit, &noise).expect("valid circuit");
         for gate in circuit.ops() {
             stepped.apply_gate(gate).expect("valid gate");
-            let after = if gate.is_two_qubit() { &noise.after_2q } else { &noise.after_1q };
-            if let Some(ch) = after {
-                for q in gate.qubits() {
-                    stepped.apply_channel(q, ch).expect("valid qubit");
-                }
+            let p = if gate.is_two_qubit() { p2 } else { p1 };
+            for q in gate.qubits() {
+                stepped.apply_depolarizing(q, p).expect("valid qubit and rate");
             }
         }
         prop_assert!(state_bits(&fused) == state_bits(&stepped), "{:?}", circuit);
@@ -546,4 +447,106 @@ fn noisy_n6_states_are_pinned() {
         }
     }
     assert_eq!(digest.finish(), 0x3f17_383f_f660_6e05);
+}
+
+/// The Pauli matrices X, Y and Z.
+fn paulis() -> [Gate2; 3] {
+    let (o, l, i) = (Complex64::ZERO, Complex64::ONE, Complex64::I);
+    [[[o, l], [l, o]], [[o, -i], [i, o]], [[l, o], [o, -l]]]
+}
+
+/// `σ` on `qubit` and the identity on every other qubit, as a dense
+/// `dim × dim` matrix: the Kronecker product `I ⊗ … ⊗ σ ⊗ … ⊗ I`.
+fn embed(sigma: &Gate2, qubit: usize, dim: usize) -> Vec<Complex64> {
+    let bit = 1usize << qubit;
+    (0..dim * dim)
+        .map(|k| {
+            let (r, c) = (k / dim, k % dim);
+            if r & !bit == c & !bit {
+                sigma[usize::from(r & bit != 0)][usize::from(c & bit != 0)]
+            } else {
+                Complex64::ZERO
+            }
+        })
+        .collect()
+}
+
+/// The dense product `a · b` of two `dim × dim` matrices.
+fn matmul(a: &[Complex64], b: &[Complex64], dim: usize) -> Vec<Complex64> {
+    (0..dim * dim)
+        .map(|k| {
+            let (r, c) = (k / dim, k % dim);
+            (0..dim).fold(Complex64::ZERO, |acc, j| {
+                acc + a[r * dim + j] * b[j * dim + c]
+            })
+        })
+        .collect()
+}
+
+/// A random Hermitian, unit-trace, generally mixed ρ: a random pure
+/// state, depolarized at random rates and conjugated by random zero-free
+/// matrices on random qubits, then rescaled to unit trace.
+fn random_mixed_state(rng: &mut StdRng, n_qubits: usize) -> DensityMatrix {
+    let amps = (0..1usize << n_qubits)
+        .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+        .collect();
+    let psi = StateVector::from_amplitudes(amps).expect("power-of-two length");
+    let mut rho = DensityMatrix::from_state_vector(&psi).expect("small register");
+    for _ in 0..2 * n_qubits {
+        let q = rng.gen_range(0..n_qubits);
+        rho.apply_depolarizing(q, rng.gen_range(0.0..1.0))
+            .expect("valid qubit and rate");
+        let q = rng.gen_range(0..n_qubits);
+        rho.apply_single(q, &random_matrix(rng))
+            .expect("valid qubit");
+    }
+    let s = Complex64::new(rho.trace().sqrt().recip(), 0.0);
+    rho.apply_single(0, &[[s, Complex64::ZERO], [Complex64::ZERO, s]])
+        .expect("valid qubit");
+    rho
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `apply_depolarizing`'s closed form equals the channel's definition,
+    /// `(1−p) ρ + p/3 (XρX + YρY + ZρZ)` with each Pauli embedded as a
+    /// dense Kronecker product, within 1e-12, on every qubit of a random
+    /// mixed ρ, at p = 0, p = 1 and a random p.
+    #[test]
+    fn depolarizing_closed_form_matches_pauli_definition(
+        seed in 0u64..1 << 40,
+        n_qubits in 1usize..5,
+        p_random in 0.0f64..1.0,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rho = random_mixed_state(&mut rng, n_qubits);
+        let dim = rho.dim();
+        let before: Vec<Complex64> = (0..dim * dim).map(|k| rho.element(k / dim, k % dim)).collect();
+        prop_assert!((rho.trace() - 1.0).abs() < 1e-12);
+        prop_assert!(rho.hermiticity_deviation() < 1e-12);
+        for p in [0.0, 1.0, p_random] {
+            for qubit in 0..n_qubits {
+                let mut want: Vec<Complex64> = before.iter().map(|z| z.scale(1.0 - p)).collect();
+                for sigma in &paulis() {
+                    let e = embed(sigma, qubit, dim);
+                    let conjugated = matmul(&matmul(&e, &before, dim), &e, dim);
+                    for (w, z) in want.iter_mut().zip(&conjugated) {
+                        *w += z.scale(p / 3.0);
+                    }
+                }
+                let mut got = rho.clone();
+                got.apply_depolarizing(qubit, p).expect("valid qubit and rate");
+                for (k, w) in want.iter().enumerate() {
+                    let z = got.element(k / dim, k % dim);
+                    prop_assert!(
+                        (z - *w).abs() < 1e-12,
+                        "p = {p}, qubit {qubit}: ρ'[{}, {}] = {z:?}, definition {w:?}",
+                        k / dim,
+                        k % dim
+                    );
+                }
+            }
+        }
+    }
 }

@@ -11,9 +11,8 @@
 //!   the expanded amplitudes, the energy and every adjoint-gradient
 //!   component match bitwise, reductions included.
 //!
-//! Thread budgets come from `KERNEL_PARITY_THREADS` (comma-separated,
-//! default `1,4`), so CI can pin serial and fanned-out runs as separate
-//! steps: `KERNEL_PARITY_THREADS=1` then `KERNEL_PARITY_THREADS=4`.
+//! Every budget-dependent test runs at a serial and a fanned-out
+//! within-state budget ([`THREAD_BUDGETS`]), each against the reference.
 
 use graphs::generators;
 use proptest::prelude::*;
@@ -279,20 +278,8 @@ mod reference {
     }
 }
 
-/// Thread budgets under test, from `KERNEL_PARITY_THREADS`.
-fn thread_budgets() -> Vec<usize> {
-    let spec = std::env::var("KERNEL_PARITY_THREADS").unwrap_or_else(|_| "1,4".to_string());
-    let budgets: Vec<usize> = spec
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .filter(|&t| t > 0)
-        .collect();
-    assert!(
-        !budgets.is_empty(),
-        "KERNEL_PARITY_THREADS must list at least one positive budget, got {spec:?}"
-    );
-    budgets
-}
+/// Within-state thread budgets under test: serial and fanned out.
+const THREAD_BUDGETS: [usize; 2] = [1, 4];
 
 fn assert_bits(got: f64, want: f64, what: &str) {
     assert_eq!(got.to_bits(), want.to_bits(), "{what}: {got} vs {want}");
@@ -381,7 +368,7 @@ fn check_kernels(cost: &DiagonalObservable, gammas: &[f64], betas: &[f64], what:
         scalar.apply_rx_layer(2.0 * beta);
     }
 
-    for &threads in &thread_budgets() {
+    for threads in THREAD_BUDGETS {
         let what = format!("{what} threads={threads}");
         let (state, e, grad) = kernel_energy_and_grad(cost, gammas, betas, threads);
         assert_expands_to(&state, &want_state.re, &want_state.im, &what);
@@ -406,7 +393,7 @@ fn check_parity(n: usize, gammas: &[f64], betas: &[f64], graph_seed: u64) {
     let (want_state, want_e, want_grad) = reference::energy_and_grad(problem.cost(), gammas, betas);
     let ansatz = QaoaAnsatz::new(problem, gammas.len()).expect("valid depth");
     let params: Vec<f64> = gammas.iter().chain(betas).copied().collect();
-    for &threads in &thread_budgets() {
+    for threads in THREAD_BUDGETS {
         let what = format!("{what} EvalContext threads={threads}");
         let mut grad = vec![0.0; params.len()];
         let (e, eg) = qaoa::eval::with_within_state_threads(threads, || {
@@ -442,7 +429,7 @@ fn check_gradient_budget_invariance(n: usize, p: usize, params: &[f64], graph_se
     let ansatz = QaoaAnsatz::new(problem, p).expect("valid depth");
 
     let mut baseline: Option<(f64, Vec<f64>)> = None;
-    for &threads in &thread_budgets() {
+    for threads in THREAD_BUDGETS {
         let mut grad = vec![0.0; 2 * p];
         let e = qaoa::eval::with_within_state_threads(threads, || {
             let mut ctx = EvalContext::new(n);
