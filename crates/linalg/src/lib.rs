@@ -1,14 +1,15 @@
 //! Dense real linear algebra for the `qaoa-ml` workspace.
 //!
 //! This crate provides the small-to-medium dense kernels that the
-//! machine-learning substrate ([`ml`](../ml/index.html)) and the classical
-//! optimizers ([`optimize`](../optimize/index.html)) need:
+//! machine-learning substrate ([`ml`](../ml/index.html)) needs:
 //!
 //! * [`Matrix`] — a row-major dense matrix of `f64`,
-//! * [`Vector`] — an owned dense vector with arithmetic helpers,
 //! * [`Cholesky`] — SPD factorization used by Gaussian-process regression,
 //! * [`Qr`] — Householder QR used by ordinary least squares,
 //! * free functions for norms, dot products and triangular solves.
+//!
+//! Vectors are plain slices: every solve and product takes `&[f64]` and
+//! returns a `Vec<f64>`.
 //!
 //! Everything is implemented from scratch (no BLAS/LAPACK) because the paper
 //! reproduction must run in a hermetic environment; matrices here are at most
@@ -18,16 +19,16 @@
 //! # Example
 //!
 //! ```
-//! use linalg::{Matrix, Vector};
+//! use linalg::Matrix;
 //!
 //! # fn main() -> Result<(), linalg::LinalgError> {
 //! // Solve the normal equations of a tiny least-squares problem.
 //! let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]])?;
-//! let b = Vector::from(vec![1.0, 2.0]);
+//! let b = [1.0, 2.0];
 //! let chol = a.cholesky()?;
 //! let x = chol.solve(&b)?;
-//! let r = &a.matvec(&x)? - &b;
-//! assert!(r.norm2() < 1e-12);
+//! let r: Vec<f64> = a.matvec(&x)?.iter().zip(&b).map(|(p, q)| p - q).collect();
+//! assert!(linalg::norm2(&r) < 1e-12);
 //! # Ok(())
 //! # }
 //! ```
@@ -45,14 +46,12 @@ mod error;
 mod matrix;
 mod qr;
 mod solve;
-mod vector;
 
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use matrix::Matrix;
 pub use qr::Qr;
 pub use solve::{solve_lower_triangular, solve_upper_triangular};
-pub use vector::Vector;
 
 /// Dot product of two equal-length slices.
 ///
@@ -99,6 +98,15 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
     }
+}
+
+/// Largest absolute entrywise difference of two equal-length slices.
+#[cfg(test)]
+fn max_gap(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len(), "max_gap: length mismatch");
+    a.iter()
+        .zip(b)
+        .fold(0.0_f64, |m, (x, y)| m.max((x - y).abs()))
 }
 
 #[cfg(test)]

@@ -1,13 +1,13 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
-use crate::{Cholesky, LinalgError, Qr, Vector};
+use crate::{Cholesky, LinalgError, Qr};
 
 /// A dense, row-major matrix of `f64`.
 ///
-/// Sized for the workloads in this workspace (Gram matrices of a few hundred
-/// training points, QAOA Hessian approximations of ≤ 12 parameters); all
-/// kernels are straightforward `O(n^3)` loops.
+/// Sized for the workloads in this workspace (Gram matrices and design
+/// matrices of a few hundred training points); all kernels are
+/// straightforward `O(n^3)` loops.
 ///
 /// # Example
 ///
@@ -169,17 +169,6 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Copies column `j` into a new [`Vector`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= cols`.
-    #[must_use]
-    pub fn col(&self, j: usize) -> Vector {
-        assert!(j < self.cols, "column index out of bounds");
-        (0..self.rows).map(|i| self.get(i, j)).collect()
-    }
-
     /// Borrows the flat row-major storage.
     #[must_use]
     pub fn as_slice(&self) -> &[f64] {
@@ -197,7 +186,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `x.len() != cols`.
-    pub fn matvec(&self, x: &Vector) -> Result<Vector, LinalgError> {
+    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
         if x.len() != self.cols {
             return Err(LinalgError::ShapeMismatch {
                 op: "matvec",
@@ -205,9 +194,7 @@ impl Matrix {
                 rhs: (x.len(), 1),
             });
         }
-        Ok((0..self.rows)
-            .map(|i| crate::dot(self.row(i), x.as_slice()))
-            .collect())
+        Ok((0..self.rows).map(|i| crate::dot(self.row(i), x)).collect())
     }
 
     /// Transposed matrix-vector product `Aᵀ x`.
@@ -215,7 +202,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `x.len() != rows`.
-    pub fn matvec_t(&self, x: &Vector) -> Result<Vector, LinalgError> {
+    pub fn matvec_t(&self, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
         if x.len() != self.rows {
             return Err(LinalgError::ShapeMismatch {
                 op: "matvec_t",
@@ -223,11 +210,10 @@ impl Matrix {
                 rhs: (x.len(), 1),
             });
         }
-        let mut out = Vector::zeros(self.cols);
-        for i in 0..self.rows {
-            let xi = x[i];
-            for j in 0..self.cols {
-                out[j] += self.get(i, j) * xi;
+        let mut out = vec![0.0; self.cols];
+        for (i, &xi) in x.iter().enumerate() {
+            for (o, &a) in out.iter_mut().zip(self.row(i)) {
+                *o += a * xi;
             }
         }
         Ok(out)
@@ -425,7 +411,6 @@ mod tests {
         assert_eq!(m.get(1, 0), 3.0);
         assert_eq!(m[(0, 1)], 2.0);
         assert_eq!(m.row(1), &[3.0, 4.0]);
-        assert_eq!(m.col(1).as_slice(), &[2.0, 4.0]);
         assert!(Matrix::from_rows::<&[f64]>(&[]).is_err());
         assert!(Matrix::from_rows(&[&[1.0][..], &[1.0, 2.0][..]]).is_err());
         assert!(Matrix::from_vec(2, 2, vec![0.0; 3]).is_err());
@@ -447,11 +432,11 @@ mod tests {
     #[test]
     fn matvec_matches_manual() {
         let m = abcd();
-        let x = Vector::from(vec![1.0, 1.0]);
-        assert_eq!(m.matvec(&x).unwrap().as_slice(), &[3.0, 7.0]);
-        assert_eq!(m.matvec_t(&x).unwrap().as_slice(), &[4.0, 6.0]);
-        assert!(m.matvec(&Vector::zeros(3)).is_err());
-        assert!(m.matvec_t(&Vector::zeros(3)).is_err());
+        let x = [1.0, 1.0];
+        assert_eq!(m.matvec(&x).unwrap(), vec![3.0, 7.0]);
+        assert_eq!(m.matvec_t(&x).unwrap(), vec![4.0, 6.0]);
+        assert!(m.matvec(&[0.0; 3]).is_err());
+        assert!(m.matvec_t(&[0.0; 3]).is_err());
     }
 
     #[test]

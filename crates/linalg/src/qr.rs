@@ -1,4 +1,4 @@
-use crate::{solve_upper_triangular, LinalgError, Matrix, Vector};
+use crate::{solve_upper_triangular, LinalgError, Matrix};
 
 /// Householder QR factorization `A = Q R` of an `m x n` matrix with `m >= n`.
 ///
@@ -7,17 +7,16 @@ use crate::{solve_upper_triangular, LinalgError, Matrix, Vector};
 /// conditioned) normal equations.
 ///
 /// `Q` is kept implicitly as a sequence of Householder reflectors; only the
-/// products [`Qr::qt_mul`] and the triangular factor are exposed.
+/// triangular factor and the least-squares solve are exposed.
 ///
 /// # Example
 ///
 /// ```
-/// use linalg::{Matrix, Vector};
+/// use linalg::Matrix;
 /// # fn main() -> Result<(), linalg::LinalgError> {
 /// // Overdetermined fit of y = 2x + 1 through three exact points.
 /// let a = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0]])?;
-/// let y = Vector::from(vec![1.0, 3.0, 5.0]);
-/// let coef = a.qr()?.solve_least_squares(&y)?;
+/// let coef = a.qr()?.solve_least_squares(&[1.0, 3.0, 5.0])?;
 /// assert!((coef[0] - 1.0).abs() < 1e-12 && (coef[1] - 2.0).abs() < 1e-12);
 /// # Ok(())
 /// # }
@@ -119,7 +118,7 @@ impl Qr {
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `b.len() != m`.
-    pub fn qt_mul(&self, b: &Vector) -> Result<Vector, LinalgError> {
+    fn qt_mul(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
         if b.len() != self.rows {
             return Err(LinalgError::ShapeMismatch {
                 op: "qr qt_mul",
@@ -127,19 +126,19 @@ impl Qr {
                 rhs: (b.len(), 1),
             });
         }
-        let mut y = b.clone();
+        let mut y = b.to_vec();
         for k in 0..self.cols {
             if self.tau[k] == 0.0 {
                 continue;
             }
             let mut s = y[k];
-            for i in (k + 1)..self.rows {
-                s += self.packed.get(i, k) * y[i];
+            for (i, yi) in y.iter().enumerate().skip(k + 1) {
+                s += self.packed.get(i, k) * yi;
             }
             s *= self.tau[k];
             y[k] -= s;
-            for i in (k + 1)..self.rows {
-                y[i] -= s * self.packed.get(i, k);
+            for (i, yi) in y.iter_mut().enumerate().skip(k + 1) {
+                *yi -= s * self.packed.get(i, k);
             }
         }
         Ok(y)
@@ -151,24 +150,24 @@ impl Qr {
     ///
     /// * [`LinalgError::ShapeMismatch`] if `b.len() != m`.
     /// * [`LinalgError::Singular`] if `A` is (numerically) rank-deficient.
-    pub fn solve_least_squares(&self, b: &Vector) -> Result<Vector, LinalgError> {
+    pub fn solve_least_squares(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
         let y = self.qt_mul(b)?;
-        let head: Vector = y.as_slice()[..self.cols].into();
-        solve_upper_triangular(&self.r(), &head)
+        solve_upper_triangular(&self.r(), &y[..self.cols])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{max_gap, norm2, norm_inf};
 
     #[test]
     fn square_solve_exact() {
         let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]).unwrap();
-        let x = Vector::from(vec![1.0, -1.0]);
+        let x = [1.0, -1.0];
         let b = a.matvec(&x).unwrap();
         let got = a.qr().unwrap().solve_least_squares(&b).unwrap();
-        assert!((&got - &x).norm_inf() < 1e-12);
+        assert!(max_gap(&got, &x) < 1e-12);
     }
 
     #[test]
@@ -185,26 +184,32 @@ mod tests {
     fn overdetermined_least_squares_residual_orthogonal() {
         // Noisy line fit; residual must be orthogonal to the column space.
         let a = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0], &[1.0, 3.0]]).unwrap();
-        let b = Vector::from(vec![0.1, 0.9, 2.1, 2.9]);
+        let b = [0.1, 0.9, 2.1, 2.9];
         let x = a.qr().unwrap().solve_least_squares(&b).unwrap();
-        let r = &a.matvec(&x).unwrap() - &b;
+        let r: Vec<f64> = a
+            .matvec(&x)
+            .unwrap()
+            .iter()
+            .zip(&b)
+            .map(|(p, q)| p - q)
+            .collect();
         let atr = a.matvec_t(&r).unwrap();
-        assert!(atr.norm_inf() < 1e-12);
+        assert!(norm_inf(&atr) < 1e-12);
     }
 
     #[test]
     fn qt_preserves_norm() {
         let a = Matrix::from_fn(5, 3, |i, j| ((i * 7 + j * 3) % 5) as f64 + 1.0);
         let qr = a.qr().unwrap();
-        let b = Vector::from(vec![1.0, 2.0, 3.0, 4.0, 5.0]);
+        let b = [1.0, 2.0, 3.0, 4.0, 5.0];
         let y = qr.qt_mul(&b).unwrap();
-        assert!((y.norm2() - b.norm2()).abs() < 1e-12);
+        assert!((norm2(&y) - norm2(&b)).abs() < 1e-12);
     }
 
     #[test]
     fn rank_deficient_detected() {
         let a = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 2.0], &[3.0, 3.0]]).unwrap();
-        let res = a.qr().unwrap().solve_least_squares(&Vector::zeros(3));
+        let res = a.qr().unwrap().solve_least_squares(&[0.0; 3]);
         assert!(matches!(res, Err(LinalgError::Singular { .. })));
     }
 
@@ -212,6 +217,6 @@ mod tests {
     fn shape_errors() {
         assert!(Qr::new(&Matrix::zeros(2, 3)).is_err());
         let qr = Matrix::identity(3).qr().unwrap();
-        assert!(qr.qt_mul(&Vector::zeros(2)).is_err());
+        assert!(qr.qt_mul(&[0.0; 2]).is_err());
     }
 }

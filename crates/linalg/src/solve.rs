@@ -1,4 +1,4 @@
-use crate::{LinalgError, Matrix, Vector};
+use crate::{LinalgError, Matrix};
 
 /// Solves `L x = b` for lower-triangular `L` by forward substitution.
 ///
@@ -14,21 +14,21 @@ use crate::{LinalgError, Matrix, Vector};
 /// # Example
 ///
 /// ```
-/// use linalg::{solve_lower_triangular, Matrix, Vector};
+/// use linalg::{solve_lower_triangular, Matrix};
 /// # fn main() -> Result<(), linalg::LinalgError> {
 /// let l = Matrix::from_rows(&[&[2.0, 0.0], &[1.0, 3.0]])?;
-/// let x = solve_lower_triangular(&l, &Vector::from(vec![4.0, 11.0]))?;
-/// assert_eq!(x.as_slice(), &[2.0, 3.0]);
+/// let x = solve_lower_triangular(&l, &[4.0, 11.0])?;
+/// assert_eq!(x, vec![2.0, 3.0]);
 /// # Ok(())
 /// # }
 /// ```
-pub fn solve_lower_triangular(l: &Matrix, b: &Vector) -> Result<Vector, LinalgError> {
+pub fn solve_lower_triangular(l: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
     let n = check_triangular(l, b)?;
-    let mut x = Vector::zeros(n);
+    let mut x = vec![0.0; n];
     for i in 0..n {
         let mut s = b[i];
-        for j in 0..i {
-            s -= l.get(i, j) * x[j];
+        for (lij, xj) in l.row(i).iter().zip(&x).take(i) {
+            s -= lij * xj;
         }
         let d = l.get(i, i);
         if d.abs() < f64::EPSILON * 16.0 {
@@ -46,13 +46,13 @@ pub fn solve_lower_triangular(l: &Matrix, b: &Vector) -> Result<Vector, LinalgEr
 /// # Errors
 ///
 /// Same conditions as [`solve_lower_triangular`].
-pub fn solve_upper_triangular(u: &Matrix, b: &Vector) -> Result<Vector, LinalgError> {
+pub fn solve_upper_triangular(u: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
     let n = check_triangular(u, b)?;
-    let mut x = Vector::zeros(n);
+    let mut x = vec![0.0; n];
     for i in (0..n).rev() {
         let mut s = b[i];
-        for j in (i + 1)..n {
-            s -= u.get(i, j) * x[j];
+        for (uij, xj) in u.row(i).iter().zip(&x).skip(i + 1) {
+            s -= uij * xj;
         }
         let d = u.get(i, i);
         if d.abs() < f64::EPSILON * 16.0 {
@@ -63,7 +63,7 @@ pub fn solve_upper_triangular(u: &Matrix, b: &Vector) -> Result<Vector, LinalgEr
     Ok(x)
 }
 
-fn check_triangular(m: &Matrix, b: &Vector) -> Result<usize, LinalgError> {
+fn check_triangular(m: &Matrix, b: &[f64]) -> Result<usize, LinalgError> {
     if !m.is_square() {
         return Err(LinalgError::NotSquare { shape: m.shape() });
     }
@@ -80,30 +80,31 @@ fn check_triangular(m: &Matrix, b: &Vector) -> Result<usize, LinalgError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::max_gap;
 
     #[test]
     fn upper_solve_roundtrip() {
         let u = Matrix::from_rows(&[&[2.0, 1.0], &[0.0, 4.0]]).unwrap();
-        let x = Vector::from(vec![1.0, -2.0]);
+        let x = [1.0, -2.0];
         let b = u.matvec(&x).unwrap();
         let got = solve_upper_triangular(&u, &b).unwrap();
-        assert!((&got - &x).norm_inf() < 1e-14);
+        assert!(max_gap(&got, &x) < 1e-14);
     }
 
     #[test]
     fn lower_solve_roundtrip() {
         let l = Matrix::from_rows(&[&[3.0, 0.0, 0.0], &[1.0, 2.0, 0.0], &[4.0, 5.0, 6.0]]).unwrap();
-        let x = Vector::from(vec![1.0, 2.0, 3.0]);
+        let x = [1.0, 2.0, 3.0];
         let b = l.matvec(&x).unwrap();
         let got = solve_lower_triangular(&l, &b).unwrap();
-        assert!((&got - &x).norm_inf() < 1e-14);
+        assert!(max_gap(&got, &x) < 1e-14);
     }
 
     #[test]
     fn singular_diag_rejected() {
         let l = Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 1.0]]).unwrap();
         assert!(matches!(
-            solve_lower_triangular(&l, &Vector::zeros(2)),
+            solve_lower_triangular(&l, &[0.0; 2]),
             Err(LinalgError::Singular { pivot: 0 })
         ));
     }
@@ -111,16 +112,16 @@ mod tests {
     #[test]
     fn shape_errors() {
         let rect = Matrix::zeros(2, 3);
-        assert!(solve_upper_triangular(&rect, &Vector::zeros(2)).is_err());
+        assert!(solve_upper_triangular(&rect, &[0.0; 2]).is_err());
         let sq = Matrix::identity(2);
-        assert!(solve_upper_triangular(&sq, &Vector::zeros(3)).is_err());
+        assert!(solve_upper_triangular(&sq, &[0.0; 3]).is_err());
     }
 
     #[test]
     fn ignores_opposite_triangle() {
         // Garbage above the diagonal must not affect a lower solve.
         let l = Matrix::from_rows(&[&[1.0, 99.0], &[2.0, 1.0]]).unwrap();
-        let x = solve_lower_triangular(&l, &Vector::from(vec![1.0, 3.0])).unwrap();
-        assert_eq!(x.as_slice(), &[1.0, 1.0]);
+        let x = solve_lower_triangular(&l, &[1.0, 3.0]).unwrap();
+        assert_eq!(x, vec![1.0, 1.0]);
     }
 }

@@ -8,7 +8,7 @@
     reason = "test and bench code: a panic is how it reports a failure, and fixtures cast literals"
 )]
 
-use linalg::{solve_lower_triangular, solve_upper_triangular, Matrix, Vector};
+use linalg::{norm_inf, solve_lower_triangular, solve_upper_triangular, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a well-conditioned SPD matrix `A = B Bᵀ + n·I`.
@@ -19,6 +19,11 @@ fn spd(n: usize) -> impl Strategy<Value = Matrix> {
         a.add_diagonal(n as f64);
         a
     })
+}
+
+/// Entrywise difference `a − b` of two equal-length slices.
+fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
+    a.iter().zip(b).map(|(x, y)| x - y).collect()
 }
 
 /// Determinant by Gaussian elimination with partial pivoting: an
@@ -57,11 +62,10 @@ proptest! {
             (spd(n), proptest::collection::vec(-5.0f64..5.0, n))
         })
     ) {
-        let b = Vector::from(rhs);
         let chol = a.cholesky().expect("SPD by construction");
-        let x = chol.solve(&b).expect("solvable");
-        let r = &a.matvec(&x).expect("shape ok") - &b;
-        prop_assert!(r.norm_inf() < 1e-8, "residual {}", r.norm_inf());
+        let x = chol.solve(&rhs).expect("solvable");
+        let r = sub(&a.matvec(&x).expect("shape ok"), &rhs);
+        prop_assert!(norm_inf(&r) < 1e-8, "residual {}", norm_inf(&r));
     }
 
     #[test]
@@ -79,27 +83,26 @@ proptest! {
     ) {
         // 6x2 full-rank-ish design; skip degenerate draws.
         let a = Matrix::from_vec(6, 2, data).expect("sized buffer");
-        let b = Vector::from(rhs);
         let Ok(qr) = a.qr() else { return Ok(()); };
-        let Ok(x) = qr.solve_least_squares(&b) else { return Ok(()); };
+        let Ok(x) = qr.solve_least_squares(&rhs) else { return Ok(()); };
         // Residual orthogonal to the column space: Aᵀ(Ax − b) ≈ 0.
-        let r = &a.matvec(&x).expect("shape ok") - &b;
+        let r = sub(&a.matvec(&x).expect("shape ok"), &rhs);
         let atr = a.matvec_t(&r).expect("shape ok");
-        prop_assert!(atr.norm_inf() < 1e-7, "normal equations violated: {}", atr.norm_inf());
+        prop_assert!(norm_inf(&atr) < 1e-7, "normal equations violated: {}", norm_inf(&atr));
     }
 
     #[test]
     fn triangular_solves_invert_matvec(a in (2usize..6).prop_flat_map(spd)) {
         let chol = a.cholesky().expect("SPD");
         let l = chol.factor();
-        let ones = Vector::filled(l.rows(), 1.0);
+        let ones = vec![1.0; l.rows()];
         let b = l.matvec(&ones).expect("shape ok");
         let x = solve_lower_triangular(l, &b).expect("nonsingular L");
-        prop_assert!((&x - &ones).norm_inf() < 1e-9);
+        prop_assert!(norm_inf(&sub(&x, &ones)) < 1e-9);
         let lt = l.transpose();
         let bt = lt.matvec(&ones).expect("shape ok");
         let xt = solve_upper_triangular(&lt, &bt).expect("nonsingular U");
-        prop_assert!((&xt - &ones).norm_inf() < 1e-9);
+        prop_assert!(norm_inf(&sub(&xt, &ones)) < 1e-9);
     }
 
     #[test]

@@ -69,12 +69,6 @@ impl ForestModel {
         self
     }
 
-    /// Number of fitted ensemble members (0 before `fit`).
-    #[must_use]
-    pub fn n_fitted(&self) -> usize {
-        self.members.len()
-    }
-
     /// Rebuilds a fitted forest from exported parameters.
     ///
     /// Layout: ints = `[n_trees, seed, n_features, tpl_max_depth,
@@ -233,7 +227,7 @@ mod tests {
         let (x, y) = sine_data(60);
         let mut m = ForestModel::default();
         m.fit(&x, &y).unwrap();
-        assert_eq!(m.n_fitted(), 50);
+        assert_eq!(m.members.len(), 50);
         for q in [0.5, 2.0, 4.0] {
             let p = m.predict(&[q]).unwrap();
             assert!((p - q.sin()).abs() < 0.25, "q={q} p={p}");

@@ -1,17 +1,17 @@
-use linalg::{Cholesky, Matrix, Vector};
+use linalg::{Cholesky, Matrix};
 
 use crate::convert::count_f64;
 use crate::params::ParamReader;
 use crate::{MlError, ModelParams, RbfKernel, Regressor, StandardScaler};
 
-/// A Gaussian-process prediction: posterior mean and variance.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GprPrediction {
-    /// Posterior mean (the point prediction).
-    pub mean: f64,
-    /// Posterior variance (non-negative; clipped at zero).
-    pub variance: f64,
-}
+/// The hyperparameter grid [`GprModel::fit`](Regressor::fit) searches, in
+/// loop order: length scales (on standardized features), signal standard
+/// deviations and noise standard deviations.
+const GRID: ([f64; 6], [f64; 3], [f64; 5]) = (
+    [0.3, 0.5, 1.0, 2.0, 4.0, 8.0],
+    [0.5, 1.0, 2.0],
+    [1e-4, 1e-3, 1e-2, 5e-2, 1e-1],
+);
 
 /// Gaussian process regression with an RBF kernel — the paper's best model.
 ///
@@ -22,8 +22,9 @@ pub struct GprPrediction {
 /// standard deviation and noise standard deviation — ample for the paper's
 /// 3-feature, 66-sample training sets and fully reproducible.
 ///
-/// Fitting cost is `O(g · n³)` for `g` grid points; prediction is `O(n)` per
-/// query.
+/// Fitting cost is `O(g · n³)` for `g` grid points. A prediction is the
+/// posterior mean `ȳ + s · k*ᵀα`: `n` kernel evaluations against the stored
+/// training rows, `O(n · d)` for `d` features.
 ///
 /// # Example
 ///
@@ -41,15 +42,8 @@ pub struct GprPrediction {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GprModel {
-    /// Candidate length scales for the likelihood grid (on standardized
-    /// features).
-    pub length_scales: Vec<f64>,
-    /// Candidate signal standard deviations.
-    pub signal_stds: Vec<f64>,
-    /// Candidate noise standard deviations.
-    pub noise_stds: Vec<f64>,
     state: Option<Fitted>,
 }
 
@@ -58,9 +52,10 @@ struct Fitted {
     scaler: StandardScaler,
     x_train: Matrix,
     kernel: RbfKernel,
+    /// The chosen noise variance; prediction does not read it, but the
+    /// exported parameters carry it.
     noise_variance: f64,
-    alpha: Vector,
-    chol: Cholesky,
+    alpha: Vec<f64>,
     y_mean: f64,
     /// Target standard deviation: targets are standardized before fitting
     /// (as MATLAB `fitrgp` effectively does through its kernel-amplitude
@@ -68,56 +63,17 @@ struct Fitted {
     y_scale: f64,
 }
 
-impl Default for GprModel {
-    fn default() -> Self {
-        Self {
-            length_scales: vec![0.3, 0.5, 1.0, 2.0, 4.0, 8.0],
-            signal_stds: vec![0.5, 1.0, 2.0],
-            noise_stds: vec![1e-4, 1e-3, 1e-2, 5e-2, 1e-1],
-            state: None,
-        }
-    }
-}
-
 impl GprModel {
-    /// Creates a model with the default hyperparameter grid.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a model with fixed hyperparameters (no grid search) — useful
-    /// for ablations and tests.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::InvalidHyperparameter`] for non-positive values.
-    pub fn with_fixed(length_scale: f64, signal_std: f64, noise_std: f64) -> Result<Self, MlError> {
-        RbfKernel::new(length_scale, signal_std)?; // validate early
-        if !(noise_std.is_finite() && noise_std > 0.0) {
-            return Err(MlError::InvalidHyperparameter {
-                name: "noise_std",
-                value: noise_std,
-            });
-        }
-        Ok(Self {
-            length_scales: vec![length_scale],
-            signal_stds: vec![signal_std],
-            noise_stds: vec![noise_std],
-            state: None,
-        })
-    }
-
     /// Rebuilds a fitted model from exported parameters.
     ///
     /// Layout: ints = `[rows, cols]`; floats = `[length_scale,
     /// signal_variance, noise_variance, y_mean, y_scale]` followed by the
     /// scaler means (`cols`), scaler scales (`cols`), standardized training
     /// rows in row-major order (`rows·cols`), and the dual weights α
-    /// (`rows`). The Cholesky factor is recomputed from the stored kernel
-    /// and training rows — the same deterministic computation `fit` runs, so
-    /// predictions (mean and variance) are bit-identical. The grid-search
-    /// candidates are fit-time configuration and are restored to defaults.
+    /// (`rows`). Prediction reads only the kernel, the training rows, α and
+    /// the target shift and scale, all stored bit-exactly, so predictions
+    /// are bit-identical to the exporting model's. The noise variance must
+    /// be finite and non-negative, as every fitted one is.
     pub(crate) fn from_params(params: &ModelParams) -> Result<Self, MlError> {
         let mut r = ParamReader::new(params);
         let rows = r.count()?;
@@ -130,6 +86,12 @@ impl GprModel {
         let length_scale = r.float()?;
         let signal_variance = r.float()?;
         let noise_variance = r.float()?;
+        if !(noise_variance.is_finite() && noise_variance >= 0.0) {
+            return Err(MlError::InvalidHyperparameter {
+                name: "noise_variance",
+                value: noise_variance,
+            });
+        }
         let y_mean = r.float()?;
         let y_scale = r.float()?;
         let kernel = RbfKernel::from_parts(length_scale, signal_variance)?;
@@ -140,11 +102,8 @@ impl GprModel {
         })?;
         let xdata = r.floats(cells)?;
         let x_train = Matrix::from_fn(rows, cols, |i, j| xdata[i * cols + j]);
-        let alpha = Vector::from(r.floats(rows)?.to_vec());
+        let alpha = r.floats(rows)?.to_vec();
         r.finish()?;
-        let mut k = kernel.gram(&x_train);
-        k.add_diagonal(noise_variance + 1e-10);
-        let chol = k.cholesky()?;
         Ok(Self {
             state: Some(Fitted {
                 scaler,
@@ -152,58 +111,19 @@ impl GprModel {
                 kernel,
                 noise_variance,
                 alpha,
-                chol,
                 y_mean,
                 y_scale,
             }),
-            ..Self::default()
         })
-    }
-
-    /// Posterior mean and variance for one query point.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Regressor::predict`].
-    pub fn predict_with_variance(&self, x: &[f64]) -> Result<GprPrediction, MlError> {
-        let st = self.state.as_ref().ok_or(MlError::NotFitted)?;
-        let z = st.scaler.transform_row(x)?;
-        let k_star = st.kernel.cross(&st.x_train, &z);
-        let standardized_mean: f64 = k_star
-            .iter()
-            .zip(st.alpha.as_slice())
-            .map(|(k, a)| k * a)
-            .sum();
-        let mean = st.y_mean + st.y_scale * standardized_mean;
-        // var = k(x,x) + σ_n² − k*ᵀ (K + σ_n²I)⁻¹ k*, in standardized units.
-        let v = st.chol.solve(&Vector::from(k_star.clone()))?;
-        let reduction: f64 = k_star.iter().zip(v.as_slice()).map(|(k, vi)| k * vi).sum();
-        let variance = (st.kernel.signal_variance() + st.noise_variance - reduction).max(0.0)
-            * st.y_scale
-            * st.y_scale;
-        Ok(GprPrediction { mean, variance })
-    }
-
-    /// Log marginal likelihood of the fitted model (the quantity the grid
-    /// search maximizes).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::NotFitted`] before fitting.
-    pub fn log_marginal_likelihood(&self, y: &[f64]) -> Result<f64, MlError> {
-        let st = self.state.as_ref().ok_or(MlError::NotFitted)?;
-        let centered: Vec<f64> = y.iter().map(|v| (v - st.y_mean) / st.y_scale).collect();
-        Ok(lml(&st.chol, &st.alpha, &centered))
     }
 }
 
-fn lml(chol: &Cholesky, alpha: &Vector, y_centered: &[f64]) -> f64 {
+/// Log marginal likelihood of centered targets under the factored
+/// covariance `chol` with dual weights `alpha` (the quantity the grid
+/// search maximizes).
+fn lml(chol: &Cholesky, alpha: &[f64], y_centered: &[f64]) -> f64 {
     let n = count_f64(y_centered.len());
-    let fit_term: f64 = y_centered
-        .iter()
-        .zip(alpha.as_slice())
-        .map(|(y, a)| y * a)
-        .sum();
+    let fit_term: f64 = y_centered.iter().zip(alpha).map(|(y, a)| y * a).sum();
     -0.5 * fit_term - 0.5 * chol.log_det() - 0.5 * n * (2.0 * std::f64::consts::PI).ln()
 }
 
@@ -227,18 +147,20 @@ impl Regressor for GprModel {
         let y_std = crate::metrics::std_dev(y);
         let y_scale = if y_std > 1e-12 { y_std } else { 1.0 };
         let centered: Vec<f64> = y.iter().map(|v| (v - y_mean) / y_scale).collect();
-        let yv = Vector::from(centered.clone());
 
+        let (length_scales, signal_stds, noise_stds) = GRID;
         let mut best: Option<(f64, Fitted)> = None;
-        for &ls in &self.length_scales {
-            for &sf in &self.signal_stds {
+        for ls in length_scales {
+            for sf in signal_stds {
                 let kernel = RbfKernel::new(ls, sf)?;
                 let gram = kernel.gram(&xs);
-                for &sn in &self.noise_stds {
+                for sn in noise_stds {
                     let mut k = gram.clone();
                     k.add_diagonal(sn * sn + 1e-10);
                     let Ok(chol) = k.cholesky() else { continue };
-                    let Ok(alpha) = chol.solve(&yv) else { continue };
+                    let Ok(alpha) = chol.solve(&centered) else {
+                        continue;
+                    };
                     let score = lml(&chol, &alpha, &centered);
                     if !score.is_finite() {
                         continue;
@@ -252,7 +174,6 @@ impl Regressor for GprModel {
                                 kernel,
                                 noise_variance: sn * sn,
                                 alpha,
-                                chol,
                                 y_mean,
                                 y_scale,
                             },
@@ -273,7 +194,11 @@ impl Regressor for GprModel {
     }
 
     fn predict(&self, x: &[f64]) -> Result<f64, MlError> {
-        Ok(self.predict_with_variance(x)?.mean)
+        let st = self.state.as_ref().ok_or(MlError::NotFitted)?;
+        let z = st.scaler.transform_row(x)?;
+        let k_star = st.kernel.cross(&st.x_train, &z);
+        let standardized_mean: f64 = k_star.iter().zip(&st.alpha).map(|(k, a)| k * a).sum();
+        Ok(st.y_mean + st.y_scale * standardized_mean)
     }
 
     fn name(&self) -> &'static str {
@@ -295,7 +220,7 @@ impl Regressor for GprModel {
         for i in 0..st.x_train.rows() {
             p.floats.extend_from_slice(st.x_train.row(i));
         }
-        p.floats.extend_from_slice(st.alpha.as_slice());
+        p.floats.extend_from_slice(&st.alpha);
         Ok(p)
     }
 }
@@ -323,36 +248,19 @@ mod tests {
     }
 
     #[test]
-    fn variance_grows_away_from_data() {
-        let (x, y) = sine_data(8);
-        let mut gpr = GprModel::default();
-        gpr.fit(&x, &y).unwrap();
-        let near = gpr.predict_with_variance(&[0.4]).unwrap();
-        let far = gpr.predict_with_variance(&[40.0]).unwrap();
-        assert!(far.variance > near.variance);
-        assert!(near.variance >= 0.0);
-    }
-
-    #[test]
-    fn fixed_hyperparameters() {
-        let (x, y) = sine_data(8);
-        let mut gpr = GprModel::with_fixed(1.0, 1.0, 1e-3).unwrap();
-        gpr.fit(&x, &y).unwrap();
-        let p = gpr.predict(&[0.8]).unwrap();
-        assert!((p - 0.8_f64.sin()).abs() < 0.1);
-        assert!(GprModel::with_fixed(-1.0, 1.0, 0.1).is_err());
-        assert!(GprModel::with_fixed(1.0, 1.0, 0.0).is_err());
-    }
-
-    #[test]
     fn lml_is_finite_and_better_for_right_model() {
+        // Targets are unit-scale sines: a unit length scale explains them
+        // far better than a length scale 100× the data range.
         let (x, y) = sine_data(10);
-        let mut good = GprModel::with_fixed(1.0, 1.0, 1e-2).unwrap();
-        good.fit(&x, &y).unwrap();
-        let l_good = good.log_marginal_likelihood(&y).unwrap();
-        let mut bad = GprModel::with_fixed(100.0, 0.5, 1e-4).unwrap();
-        bad.fit(&x, &y).unwrap();
-        let l_bad = bad.log_marginal_likelihood(&y).unwrap();
+        let score = |length_scale: f64, signal_std: f64, noise_std: f64| {
+            let mut k = RbfKernel::new(length_scale, signal_std).unwrap().gram(&x);
+            k.add_diagonal(noise_std * noise_std + 1e-10);
+            let chol = k.cholesky().unwrap();
+            let alpha = chol.solve(&y).unwrap();
+            lml(&chol, &alpha, &y)
+        };
+        let l_good = score(1.0, 1.0, 1e-2);
+        let l_bad = score(100.0, 0.5, 1e-4);
         assert!(l_good.is_finite() && l_bad.is_finite());
         assert!(l_good > l_bad);
     }

@@ -59,7 +59,7 @@ mod tree;
 
 pub use error::MlError;
 pub use forest::ForestModel;
-pub use gpr::{GprModel, GprPrediction};
+pub use gpr::GprModel;
 pub use kernel::RbfKernel;
 pub use knn::KnnModel;
 pub use linear::LinearModel;
@@ -235,8 +235,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn params_roundtrip_is_bit_identical_for_every_kind() {
+    /// A 24-sample, 3-feature training set and 26 queries: the training
+    /// rows plus two points off them.
+    fn fixture() -> (Matrix, Vec<f64>, Vec<Vec<f64>>) {
         let rows: Vec<Vec<f64>> = (0..24)
             .map(|i| {
                 let t = i as f64 * 0.37;
@@ -255,6 +256,12 @@ mod tests {
             .cloned()
             .chain([vec![0.2, 1.3, 2.0], vec![-0.9, 0.0, 4.5]])
             .collect();
+        (x, y, queries)
+    }
+
+    #[test]
+    fn params_roundtrip_is_bit_identical_for_every_kind() {
+        let (x, y, queries) = fixture();
         for kind in ModelKind::EXTENDED {
             let mut model = kind.build();
             model.fit(&x, &y).unwrap();
@@ -268,6 +275,38 @@ mod tests {
             // The restored model exports the same parameters again.
             assert_eq!(params, restored.to_params().unwrap(), "{kind}");
         }
+    }
+
+    #[test]
+    fn predictions_match_recorded_bits() {
+        // FNV-1a (the digest of `qaoa::stablehash::Fnv64`) over the
+        // little-endian bits of every query's prediction. Recorded from the
+        // implementation whose GPR also carried a Cholesky factor and a
+        // posterior variance: dropping them must not move a bit.
+        const RECORDED: [(ModelKind, u64); 7] = [
+            (ModelKind::Gpr, 0x01ff_eda0_5eb2_20fd),
+            (ModelKind::Linear, 0x9036_2c63_12a1_123c),
+            (ModelKind::Tree, 0xb96a_96bb_e4cd_ecf5),
+            (ModelKind::Svr, 0x146e_ad50_9c4b_c44a),
+            (ModelKind::Ridge, 0xbd6e_7671_1ef5_7b9f),
+            (ModelKind::Knn, 0x8e46_7963_bddd_8e51),
+            (ModelKind::Forest, 0x78a7_d9f1_6787_697e),
+        ];
+        let (x, y, queries) = fixture();
+        for (kind, digest) in RECORDED {
+            let mut model = kind.build();
+            model.fit(&x, &y).unwrap();
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for q in &queries {
+                for b in model.predict(q).unwrap().to_bits().to_le_bytes() {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            assert_eq!(h, digest, "{kind}: {h:#018x}");
+        }
+        let kinds: Vec<ModelKind> = RECORDED.iter().map(|(kind, _)| *kind).collect();
+        assert_eq!(kinds, ModelKind::EXTENDED);
     }
 
     #[test]
@@ -291,6 +330,25 @@ mod tests {
             let mut trailing = params;
             trailing.floats.push(0.0);
             assert!(kind.from_params(&trailing).is_err(), "{kind} trailing");
+        }
+        // GPR's noise variance (the third float) must be finite and
+        // non-negative, although prediction never reads it.
+        let mut gpr = ModelKind::Gpr.build();
+        gpr.fit(&x, &y).unwrap();
+        let params = gpr.to_params().unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e-3] {
+            let mut corrupt = params.clone();
+            corrupt.floats[2] = bad;
+            assert!(
+                matches!(
+                    ModelKind::Gpr.from_params(&corrupt),
+                    Err(MlError::InvalidHyperparameter {
+                        name: "noise_variance",
+                        ..
+                    })
+                ),
+                "noise variance {bad}"
+            );
         }
     }
 

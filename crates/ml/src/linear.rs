@@ -1,4 +1,4 @@
-use linalg::{Matrix, Vector};
+use linalg::Matrix;
 
 use crate::params::ParamReader;
 use crate::{MlError, ModelParams, Regressor};
@@ -89,11 +89,10 @@ impl Regressor for LinearModel {
             return Err(MlError::EmptyTrainingSet);
         }
         let a = Self::design(x);
-        let yv = Vector::from(y);
         // QR least squares; under-determined or rank-deficient systems fall
         // back to ridge-regularized normal equations.
         let solved = if a.rows() >= a.cols() {
-            a.qr().ok().and_then(|qr| qr.solve_least_squares(&yv).ok())
+            a.qr().ok().and_then(|qr| qr.solve_least_squares(y).ok())
         } else {
             None
         };
@@ -102,11 +101,11 @@ impl Regressor for LinearModel {
             None => {
                 let mut gram = a.gram();
                 gram.add_diagonal(1e-8);
-                let rhs = a.matvec_t(&yv)?;
+                let rhs = a.matvec_t(y)?;
                 gram.cholesky()?.solve(&rhs)?
             }
         };
-        self.coefficients = Some(beta.into_vec());
+        self.coefficients = Some(beta);
         Ok(())
     }
 

@@ -140,33 +140,6 @@ pub fn pearson(a: &[f64], b: &[f64]) -> Result<f64, MlError> {
     Ok((cov / (var_a.sqrt() * var_b.sqrt())).clamp(-1.0, 1.0))
 }
 
-/// Mean absolute percentage error (in percent), skipping zero targets.
-///
-/// The paper's Fig. 6 reports prediction error as absolute percentage
-/// deviation from the true optimal parameters.
-///
-/// # Errors
-///
-/// Same conditions as [`mse`]; also [`MlError::Numerical`] if every target
-/// is zero.
-pub fn mape(y_true: &[f64], y_pred: &[f64]) -> Result<f64, MlError> {
-    check_pair(y_true, y_pred)?;
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for (&t, &p) in y_true.iter().zip(y_pred) {
-        if t != 0.0 {
-            total += ((t - p) / t).abs();
-            count += 1;
-        }
-    }
-    if count == 0 {
-        return Err(MlError::Numerical {
-            context: "mape with all-zero targets",
-        });
-    }
-    Ok(100.0 * total / count_f64(count))
-}
-
 /// Sample mean of a slice (`0.0` for empty input).
 #[must_use]
 pub fn mean(values: &[f64]) -> f64 {
@@ -243,14 +216,6 @@ mod tests {
         assert!((pearson(&x, &up).unwrap() - 1.0).abs() < EPS);
         assert!((pearson(&x, &down).unwrap() + 1.0).abs() < EPS);
         assert_eq!(pearson(&x, &[5.0; 4]).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn mape_skips_zeros() {
-        let t = [0.0, 2.0];
-        let p = [1.0, 1.0];
-        assert!((mape(&t, &p).unwrap() - 50.0).abs() < EPS);
-        assert!(mape(&[0.0], &[1.0]).is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use linalg::{Cholesky, Matrix, Vector};
+use linalg::{Cholesky, Matrix};
 
 use crate::convert::count_f64;
 use crate::params::ParamReader;
@@ -153,12 +153,9 @@ impl Regressor for RidgeModel {
         let chol = Cholesky::new(&gram).map_err(|_| MlError::Numerical {
             context: "ridge normal equations",
         })?;
-        let w = chol
-            .solve(&Vector::from(moment))
-            .map_err(|_| MlError::Numerical {
-                context: "ridge solve",
-            })?;
-        let w: Vec<f64> = w.iter().copied().collect();
+        let w = chol.solve(&moment).map_err(|_| MlError::Numerical {
+            context: "ridge solve",
+        })?;
 
         self.intercept = y_mean - w.iter().zip(&x_mean).map(|(wi, mi)| wi * mi).sum::<f64>();
         self.x_mean = x_mean;

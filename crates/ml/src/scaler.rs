@@ -132,26 +132,6 @@ impl StandardScaler {
             (x.get(i, j) - self.means[j]) / self.scales[j]
         }))
     }
-
-    /// Undoes the standardization of one row.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StandardScaler::transform_row`].
-    pub fn inverse_transform_row(&self, row: &[f64]) -> Result<Vec<f64>, MlError> {
-        if row.len() != self.means.len() {
-            return Err(MlError::ShapeMismatch {
-                expected: self.means.len(),
-                actual: row.len(),
-                what: "features",
-            });
-        }
-        Ok(row
-            .iter()
-            .zip(self.means.iter().zip(&self.scales))
-            .map(|(&v, (&m, &s))| v * s + m)
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -173,16 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip() {
-        let x = Matrix::from_rows(&[&[2.0, -1.0], &[4.0, 7.0]]).unwrap();
-        let sc = StandardScaler::fit(&x).unwrap();
-        let z = sc.transform_row(&[3.0, 0.0]).unwrap();
-        let back = sc.inverse_transform_row(&z).unwrap();
-        assert!((back[0] - 3.0).abs() < 1e-12);
-        assert!((back[1] - 0.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn constant_column_is_safe() {
         let x = Matrix::from_rows(&[&[5.0], &[5.0]]).unwrap();
         let sc = StandardScaler::fit(&x).unwrap();
@@ -196,7 +166,6 @@ mod tests {
         let x = Matrix::from_rows(&[&[1.0, 2.0]]).unwrap();
         let sc = StandardScaler::fit(&x).unwrap();
         assert!(sc.transform_row(&[1.0]).is_err());
-        assert!(sc.inverse_transform_row(&[1.0]).is_err());
         let wrong = Matrix::from_rows(&[&[1.0]]).unwrap();
         assert!(sc.transform(&wrong).is_err());
     }

@@ -37,10 +37,6 @@ use crate::{MlError, ModelParams, RbfKernel, Regressor, StandardScaler};
 /// ```
 #[derive(Debug, Clone)]
 pub struct SvrModel {
-    /// Box constraint `C` (`None` = auto-scale from target spread).
-    pub c: Option<f64>,
-    /// Tube half-width ε (`None` = auto-scale from target spread).
-    pub epsilon: Option<f64>,
     /// RBF length scale on standardized features.
     pub length_scale: f64,
     /// Maximum optimization epochs (full pair sweeps).
@@ -62,8 +58,6 @@ struct Fitted {
 impl Default for SvrModel {
     fn default() -> Self {
         Self {
-            c: None,
-            epsilon: None,
             length_scale: 1.0,
             max_epochs: 60,
             tol: 1e-8,
@@ -73,48 +67,14 @@ impl Default for SvrModel {
 }
 
 impl SvrModel {
-    /// Creates a model with explicit `C` and ε (no auto-scaling).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::InvalidHyperparameter`] for non-positive `C` or
-    /// negative ε.
-    pub fn with_params(c: f64, epsilon: f64, length_scale: f64) -> Result<Self, MlError> {
-        if !(c.is_finite() && c > 0.0) {
-            return Err(MlError::InvalidHyperparameter {
-                name: "c",
-                value: c,
-            });
-        }
-        if !(epsilon.is_finite() && epsilon >= 0.0) {
-            return Err(MlError::InvalidHyperparameter {
-                name: "epsilon",
-                value: epsilon,
-            });
-        }
-        RbfKernel::new(length_scale, 1.0)?;
-        Ok(Self {
-            c: Some(c),
-            epsilon: Some(epsilon),
-            length_scale,
-            ..Self::default()
-        })
-    }
-
-    /// Number of support vectors (`|βᵢ| > 0`) after fitting; 0 before.
-    #[must_use]
-    pub fn n_support_vectors(&self) -> usize {
-        self.state.as_ref().map_or(0, |s| s.support_beta.len())
-    }
-
     /// Rebuilds a fitted model from exported parameters.
     ///
     /// Layout: ints = `[n_support, cols]`; floats = `[length_scale,
     /// signal_variance, bias]` followed by the scaler means (`cols`), scaler
     /// scales (`cols`), standardized support vectors in row-major order
     /// (`n_support·cols`), and the dual coefficients β (`n_support`). The
-    /// training-time hyperparameters `C`/ε/`max_epochs`/`tol` are fit-time
-    /// configuration and are restored to defaults.
+    /// training-time `max_epochs`/`tol` are fit-time configuration and are
+    /// restored to defaults.
     pub(crate) fn from_params(params: &ModelParams) -> Result<Self, MlError> {
         let mut r = ParamReader::new(params);
         let n_support = r.count()?;
@@ -205,10 +165,10 @@ impl Regressor for SvrModel {
         let kernel = RbfKernel::new(self.length_scale, 1.0)?;
         let gram = kernel.gram(&xs);
 
-        // MATLAB-style spread heuristics for unset hyperparameters.
+        // MATLAB-style spread heuristics for C and ε.
         let spread = crate::metrics::std_dev(y).max(1e-6);
-        let c = self.c.unwrap_or(10.0 * spread.max(0.1));
-        let eps = self.epsilon.unwrap_or(spread / 10.0);
+        let c = 10.0 * spread.max(0.1);
+        let eps = spread / 10.0;
 
         let mut beta = vec![0.0_f64; n];
         let mut k_beta = vec![0.0_f64; n]; // cached K β
@@ -329,17 +289,17 @@ mod tests {
             let p = svr.predict(&[i as f64]).unwrap();
             assert!((p - target).abs() < 2.0, "at {i}: {p} vs {target}");
         }
-        assert!(svr.n_support_vectors() > 0);
+        assert!(!svr.state.as_ref().unwrap().support_beta.is_empty());
     }
 
     #[test]
     fn constant_target_within_tube() {
         let x = Matrix::from_rows(&[&[0.0], &[1.0], &[2.0], &[3.0]]).unwrap();
         let y = [5.0; 4];
-        let mut svr = SvrModel::with_params(1.0, 0.5, 1.0).unwrap();
+        let mut svr = SvrModel::default();
         svr.fit(&x, &y).unwrap();
         // All targets inside the tube: β = 0, bias carries the prediction.
-        assert_eq!(svr.n_support_vectors(), 0);
+        assert!(svr.state.as_ref().unwrap().support_beta.is_empty());
         assert!((svr.predict(&[1.5]).unwrap() - 5.0).abs() < 1e-9);
     }
 
@@ -351,37 +311,14 @@ mod tests {
             .collect();
         let x = Matrix::from_rows(&rows).unwrap();
         let y: Vec<f64> = (0..12).map(|i| (i as f64 * 0.5).cos()).collect();
-        let c = 2.0;
-        let mut svr = SvrModel::with_params(c, 0.01, 1.0).unwrap();
+        // The box constraint `fit` derives from the target spread.
+        let c = 10.0 * crate::metrics::std_dev(&y).max(0.1);
+        let mut svr = SvrModel::default();
         svr.fit(&x, &y).unwrap();
         let st = svr.state.as_ref().unwrap();
         let sum: f64 = st.support_beta.iter().sum();
         assert!(sum.abs() < 1e-9, "sum β = {sum}");
         assert!(st.support_beta.iter().all(|b| b.abs() <= c + 1e-9));
-    }
-
-    #[test]
-    fn tight_epsilon_interpolates_better() {
-        let rows: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 * 0.5]).collect();
-        let x = Matrix::from_rows(&rows).unwrap();
-        let y: Vec<f64> = (0..10).map(|i| (i as f64 * 0.5).sin()).collect();
-        let mut tight = SvrModel::with_params(10.0, 0.01, 1.0).unwrap();
-        tight.fit(&x, &y).unwrap();
-        let mut loose = SvrModel::with_params(10.0, 0.5, 1.0).unwrap();
-        loose.fit(&x, &y).unwrap();
-        let tight_preds = tight.predict_batch(&x).unwrap();
-        let loose_preds = loose.predict_batch(&x).unwrap();
-        let mse_tight = crate::metrics::mse(&y, &tight_preds).unwrap();
-        let mse_loose = crate::metrics::mse(&y, &loose_preds).unwrap();
-        assert!(mse_tight < mse_loose);
-        assert!(mse_tight < 0.01, "{mse_tight}");
-    }
-
-    #[test]
-    fn hyperparameter_validation() {
-        assert!(SvrModel::with_params(0.0, 0.1, 1.0).is_err());
-        assert!(SvrModel::with_params(1.0, -0.1, 1.0).is_err());
-        assert!(SvrModel::with_params(1.0, 0.1, 0.0).is_err());
     }
 
     #[test]
